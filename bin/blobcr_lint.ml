@@ -362,8 +362,9 @@ let write_fuzz_artifact scenario_name report =
 let run_fuzz (_, scale) scenario_name rounds master_seed replay_seed verbose =
   match Schedule_fuzz.find_scenario scenario_name with
   | None ->
-      Fmt.epr "unknown scenario %S (expected chaos, precopy, dr, chains or exp:<id>)@."
-        scenario_name;
+      Fmt.epr "unknown scenario %S (expected %s or exp:<id>)@." scenario_name
+        (String.concat ", "
+           (List.map (fun ((s : Schedule_fuzz.scenario), _) -> s.sname) Schedule_fuzz.scenarios));
       2
   | Some scenario -> (
       match replay_seed with
@@ -428,23 +429,14 @@ let run_all root seed =
     stage "durability" (fun () -> run_durability ("quick", Experiments.Scale.quick) seed)
   in
   let fuzz =
-    stage "fuzz" (fun () ->
-        run_fuzz ("quick", Experiments.Scale.quick) "chaos" 25 seed None false)
+    List.map
+      (fun ((s : Schedule_fuzz.scenario), rounds) ->
+        let name = if s.sname = "chaos" then "fuzz" else "fuzz-" ^ s.sname in
+        stage name (fun () ->
+            run_fuzz ("quick", Experiments.Scale.quick) s.sname rounds seed None false))
+      Schedule_fuzz.scenarios
   in
-  let dr_fuzz =
-    stage "fuzz-dr" (fun () ->
-        run_fuzz ("quick", Experiments.Scale.quick) "dr" 5 seed None false)
-  in
-  let chains_fuzz =
-    stage "fuzz-chains" (fun () ->
-        run_fuzz ("quick", Experiments.Scale.quick) "chains" 5 seed None false)
-  in
-  let precopy_fuzz =
-    stage "fuzz-precopy" (fun () ->
-        run_fuzz ("quick", Experiments.Scale.quick) "precopy" 5 seed None false)
-  in
-  if lint = 0 && docs = 0 && inv = 0 && det = 0 && dur = 0 && fuzz = 0 && dr_fuzz = 0
-     && chains_fuzz = 0 && precopy_fuzz = 0
+  if lint = 0 && docs = 0 && inv = 0 && det = 0 && dur = 0 && List.for_all (( = ) 0) fuzz
   then begin
     Fmt.pr "--- all clean ---@.";
     0

@@ -386,17 +386,17 @@ let experiment exp =
         | Ok rendered -> { results = rendered; trace; violations = [] })
   }
 
+let scenarios = [ (chaos, 25); (dr, 5); (chains, 5); (precopy, 5) ]
+
 let find_scenario name =
-  if name = "chaos" then Some chaos
-  else if name = "precopy" then Some precopy
-  else if name = "dr" then Some dr
-  else if name = "chains" then Some chains
-  else
-    match String.index_opt name ':' with
-    | Some i when String.sub name 0 i = "exp" ->
-        let id = String.sub name (i + 1) (String.length name - i - 1) in
-        Option.map experiment (Experiments.Registry.find id)
-    | _ -> None
+  match List.find_opt (fun (s, _) -> String.equal s.sname name) scenarios with
+  | Some (s, _) -> Some s
+  | None -> (
+      match String.index_opt name ':' with
+      | Some i when String.sub name 0 i = "exp" ->
+          let id = String.sub name (i + 1) (String.length name - i - 1) in
+          Option.map experiment (Experiments.Registry.find id)
+      | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Findings *)

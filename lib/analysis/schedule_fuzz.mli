@@ -106,9 +106,13 @@ val experiment : Experiments.Registry.t -> scenario
     seed doubles as the engine seed and the result surface is the rendered
     stats tables. *)
 
+val scenarios : (scenario * int) list
+(** The named scenarios with their smoke-pass sample counts, in the order
+    [blobcr_lint all] runs them: chaos 25, dr 5, chains 5, precopy 5. *)
+
 val find_scenario : string -> scenario option
-(** ["chaos"], ["precopy"], ["dr"], ["chains"], or ["exp:<id>"] for any
-    registry experiment id. *)
+(** A scenario of {!scenarios} by name, or ["exp:<id>"] for any registry
+    experiment id. *)
 
 (** {1 Findings} *)
 

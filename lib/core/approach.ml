@@ -10,12 +10,9 @@ let kind_name = function
   | Qcow2_disk -> "qcow2-disk"
   | Qcow2_full -> "qcow2-full"
 
-type mode = Stop_the_world | Live of { rounds : int; background : bool }
+type mode = Live of { rounds : int; background : bool }
 
-let mode_name = function
-  | Stop_the_world -> "stop-the-world"
-  | Live { rounds; background } ->
-      Fmt.str "live(rounds=%d,%s)" rounds (if background then "bg" else "sync")
+let stop_the_world = Live { rounds = 0; background = false }
 
 type stack = Mirror_stack of Mirror.t | Qcow2_stack of Qcow2.t
 
@@ -127,10 +124,13 @@ let retry_transient engine ~label f =
   in
   go 0
 
-(* The live (pre-copy + background commit) checkpoint cycle, DESIGN.md §17.
-   Any failure past a successful [freeze] rolls the frozen epoch back into
-   the live dirty set, so the last fully committed snapshot remains the
-   rollback target and no dirty data is lost. *)
+(* The BlobCR checkpoint cycle, DESIGN.md §17: CLONE (first time) +
+   COMMIT through the mirroring module, with optional pre-copy rounds and
+   background shipping of the final delta. Stop-the-world is the
+   zero-round, synchronous case. Any failure past a successful [freeze]
+   rolls the frozen epoch back into the live dirty set, so the last fully
+   committed snapshot remains the rollback target and no dirty data is
+   lost. *)
 let live_checkpoint (cluster : Cluster.t) inst mirror ~rounds ~background =
   let engine = cluster.engine in
   let label = "approach." ^ inst.id in
@@ -166,69 +166,62 @@ let live_checkpoint (cluster : Cluster.t) inst mirror ~rounds ~background =
      the background after it (suspend window is the freeze alone, which is
      metadata-only). [suspended] may be retried by the proxy, hence the
      [frozen_active] guard. *)
-  let version = ref None in
   let suspended () =
     if not (Mirror.frozen_active mirror) then Mirror.freeze mirror;
-    if not background then version := Some (Mirror.commit_frozen mirror)
+    if background then None else Some (Mirror.commit_frozen mirror)
   in
-  let shipped () =
-    (match !version with
-    | Some _ -> ()
-    | None -> version := Some (Mirror.commit_frozen ~label:"ckpt.background" mirror));
-    let v = Option.get !version in
+  let shipped shipped_version =
+    let version =
+      match shipped_version with
+      | Some version -> version
+      | None -> Mirror.commit_frozen ~label:"ckpt.background" mirror
+    in
     let s = Mirror.last_commit_stats mirror in
     Trace.emit engine ~component:label
-      "live checkpoint %d (v%d): shipped %d B, dedup'd %d B, clean-suppressed %d B" inst.epoch
-      v s.Client.bytes_shipped s.Client.bytes_deduped s.Client.bytes_suppressed;
-    Blobcr_snapshot { image = Option.get (Mirror.checkpoint_image mirror); version = v }
+      "checkpoint %d (v%d): shipped %d B, dedup'd %d B, clean-suppressed %d B" inst.epoch
+      version s.Client.bytes_shipped s.Client.bytes_deduped s.Client.bytes_suppressed;
+    Blobcr_snapshot { image = Option.get (Mirror.checkpoint_image mirror); version }
   in
-  try Ckpt_proxy.request_live_checkpoint inst.proxy ~vm:inst.vm ~suspended ~shipped
+  try Ckpt_proxy.request inst.proxy ~vm:inst.vm ~suspended ~shipped
   with exn -> abort_unless_cancelled exn; raise exn
 
-let request_checkpoint ?(mode = Stop_the_world) (cluster : Cluster.t) inst =
-  let take () =
-    match (inst.kind, inst.stack) with
-    | Blobcr, Mirror_stack mirror ->
-        (* CLONE (first time) + COMMIT through the mirroring module. *)
-        let version = Mirror.commit mirror in
-        let s = Mirror.last_commit_stats mirror in
-        Trace.emit cluster.engine ~component:("approach." ^ inst.id)
-          "checkpoint %d: shipped %d B, dedup'd %d B, clean-suppressed %d B" inst.epoch
-          s.Client.bytes_shipped s.Client.bytes_deduped s.Client.bytes_suppressed;
-        Blobcr_snapshot { image = Option.get (Mirror.checkpoint_image mirror); version }
-    | Qcow2_disk, Qcow2_stack image ->
-        (* Copy the whole local image file to PVFS as a new file. *)
-        let remote =
-          Qcow2.export image cluster.pvfs ~from:inst.node.Cluster.host ~path:(snapshot_path inst)
-        in
-        Qcow2_snapshot { remote }
-    | Qcow2_full, Qcow2_stack image ->
-        (* savevm: full state into the image, then copy the image; only the
-           latest copy is kept (internal snapshots accumulate inside). *)
-        let snapshot_name = Fmt.str "ckpt%d" inst.epoch in
-        let state = encode_vm_state inst.vm in
-        (* QEMU serializes the VM state through a throttled channel. *)
-        Obs.Span.with_ cluster.engine ~component:"approach" ~name:"ckpt.serialize"
-          ~attrs:[ ("bytes", Obs.Record.Bytes (Payload.length state)) ]
-          (fun () ->
-            Engine.sleep cluster.engine
-              (float_of_int (Payload.length state) /. cluster.cal.Calibration.savevm_rate));
-        Qcow2.savevm image ~snapshot_name ~vm_state:state;
-        let remote =
-          Qcow2.export image cluster.pvfs ~from:inst.node.Cluster.host
-            ~path:(full_snapshot_path inst)
-        in
-        Full_snapshot { remote; snapshot_name }
-    | _ -> invalid_arg "Approach.request_checkpoint: stack mismatch"
-  in
+(* qcow2 stacks have no copy-on-write freeze primitive, so the whole
+   snapshot is taken under suspend. *)
+let qcow2_snapshot (cluster : Cluster.t) inst image =
+  match inst.kind with
+  | Qcow2_disk ->
+      (* Copy the whole local image file to PVFS as a new file. *)
+      let remote =
+        Qcow2.export image cluster.pvfs ~from:inst.node.Cluster.host ~path:(snapshot_path inst)
+      in
+      Qcow2_snapshot { remote }
+  | Qcow2_full ->
+      (* savevm: full state into the image, then copy the image; only the
+         latest copy is kept (internal snapshots accumulate inside). *)
+      let snapshot_name = Fmt.str "ckpt%d" inst.epoch in
+      let state = encode_vm_state inst.vm in
+      (* QEMU serializes the VM state through a throttled channel. *)
+      Obs.Span.with_ cluster.engine ~component:"approach" ~name:"ckpt.serialize"
+        ~attrs:[ ("bytes", Obs.Record.Bytes (Payload.length state)) ]
+        (fun () ->
+          Engine.sleep cluster.engine
+            (float_of_int (Payload.length state) /. cluster.cal.Calibration.savevm_rate));
+      Qcow2.savevm image ~snapshot_name ~vm_state:state;
+      let remote =
+        Qcow2.export image cluster.pvfs ~from:inst.node.Cluster.host
+          ~path:(full_snapshot_path inst)
+      in
+      Full_snapshot { remote; snapshot_name }
+  | Blobcr -> invalid_arg "Approach.request_checkpoint: stack mismatch"
+
+let request_checkpoint ?(mode = stop_the_world) (cluster : Cluster.t) inst =
   let snapshot =
-    match (mode, inst.kind, inst.stack) with
-    | Live { rounds; background }, Blobcr, Mirror_stack mirror ->
+    match (inst.stack, mode) with
+    | Mirror_stack mirror, Live { rounds; background } ->
         live_checkpoint cluster inst mirror ~rounds ~background
-    | Live _, _, _ | Stop_the_world, _, _ ->
-        (* qcow2 stacks have no copy-on-write freeze primitive: a live
-           request falls back to the classic stop-the-world cycle. *)
-        Ckpt_proxy.request_checkpoint inst.proxy ~vm:inst.vm ~snapshot:take
+    | Qcow2_stack image, _ ->
+        Ckpt_proxy.request inst.proxy ~vm:inst.vm ~shipped:Fun.id ~suspended:(fun () ->
+            qcow2_snapshot cluster inst image)
   in
   inst.epoch <- inst.epoch + 1;
   snapshot

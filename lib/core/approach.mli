@@ -13,7 +13,6 @@
       state (RAM, devices) into the image before copying; restart resumes
       without rebooting. → qcow2-full. *)
 
-open Simcore
 open Blobseer
 open Vdisk
 open Vmsim
@@ -24,22 +23,20 @@ val kind_name : kind -> string
 (** ["blobcr" | "qcow2-disk" | "qcow2-full"]. *)
 
 type mode =
-  | Stop_the_world
-      (** Classic BlobCR cycle: the VM stays suspended for the entire
-          CLONE+COMMIT (or image export). *)
   | Live of { rounds : int; background : bool }
-      (** Live checkpointing (DESIGN.md §17): up to [rounds] pre-copy
-          rounds stream dirty chunks while the guest runs, then the final
-          delta is frozen copy-on-write under a (short) suspend. With
-          [background] the frozen delta ships after the resume, shrinking
-          the suspend window to the metadata-only freeze; without it the
-          final delta commits during the suspend (window proportional to
-          the last round's dirty bytes, not the image size). Only the
-          BlobCR stack supports this; qcow2 stacks fall back to
-          {!Stop_the_world}. *)
+      (** How a BlobCR instance checkpoints (DESIGN.md §17): up to
+          [rounds] pre-copy rounds stream dirty chunks while the guest
+          runs, then the final delta is frozen copy-on-write under
+          suspend. With [background] the frozen delta ships after the
+          resume, shrinking the suspend window to the metadata-only
+          freeze; without it the final delta commits during the suspend
+          (window proportional to the last round's dirty bytes, not the
+          image size). qcow2 stacks have no freeze primitive and always
+          take their whole snapshot under suspend, whatever the mode. *)
 
-val mode_name : mode -> string
-(** ["stop-the-world" | "live(rounds=k,bg|sync)"] (for traces and CSV). *)
+val stop_the_world : mode
+(** [Live { rounds = 0; background = false }]: the paper's classic
+    cycle — the VM stays suspended for the entire CLONE+COMMIT. *)
 
 type stack = Mirror_stack of Mirror.t | Qcow2_stack of Qcow2.t
 
@@ -65,8 +62,8 @@ val deploy : Cluster.t -> kind -> node:Cluster.node -> id:string -> instance
 val request_checkpoint : ?mode:mode -> Cluster.t -> instance -> snapshot
 (** Ask the instance's local proxy for a disk (or full-VM) snapshot. The
     guest must have dumped and synced its state beforehand. [mode]
-    (default {!Stop_the_world}) selects the live pre-copy + background
-    commit cycle for BlobCR instances; any failure after a freeze rolls
+    (default {!stop_the_world}) sets the pre-copy rounds and background
+    shipping for BlobCR instances; any failure after a freeze rolls
     the frozen epoch back into the dirty set, so the last fully committed
     snapshot remains the rollback target. Pre-copy activity is counted on
     [ckpt.precopy_rounds] / [ckpt.precopy_bytes]; the stop-the-world
@@ -89,10 +86,3 @@ val snapshot_bytes : snapshot -> int
 val storage_total : Cluster.t -> int
 (** Bytes held by repository + PVFS beyond the two base images — the
     cumulative storage metric of Figure 5(b). *)
-
-val encode_vm_state : Vm.t -> Payload.t
-(** Serialized full-VM memory image: process table plus RAM padding (used
-    by savevm; exposed for tests). *)
-
-val decode_vm_state : Payload.t -> (string * int) list
-(** Recover the process table from a VM state payload. *)

@@ -5,22 +5,20 @@ exception Not_local
 type t = {
   cluster : Cluster.t;
   pnode : Cluster.node;
-  mutable served : int;
   mutable failed : int;
   mutable transients : int;
 }
 
-let create cluster ~node = { cluster; pnode = node; served = 0; failed = 0; transients = 0 }
-let node t = t.pnode
+let create cluster ~node = { cluster; pnode = node; failed = 0; transients = 0 }
 
 let m_served = Obs.Metrics.counter ~component:"proxy" ~name:"requests_served"
 let m_failed = Obs.Metrics.counter ~component:"proxy" ~name:"requests_failed"
 let m_transients = Obs.Metrics.counter ~component:"proxy" ~name:"transient_retries"
 
 (* Stop-the-world window of a checkpoint request: suspend entry to resume
-   exit. For classic requests this covers the whole snapshot; for live
-   requests only the freeze (and, without background shipping, the final
-   delta commit). *)
+   exit. It covers whatever the [suspended] action does — the whole
+   snapshot for stop-the-world and qcow2 requests, only the freeze for a
+   background-shipped live one. *)
 let m_suspend_seconds = Obs.Metrics.histogram ~component:"ckpt" ~name:"suspend_seconds"
 
 (* Transient local-disk errors during the snapshot are retried in place
@@ -35,10 +33,10 @@ let trace t engine fmt =
     fmt
 
 (* Run [action] with transient local-disk errors retried in place with
-   exponential backoff. What "in place" means depends on the caller: the
-   classic path retries with the VM still suspended (so the snapshot stays
-   consistent), the live ship path with the VM running (the frozen epoch
-   is what stays consistent). *)
+   exponential backoff. What "in place" means depends on the phase: the
+   suspended action retries with the VM still suspended (so the snapshot
+   stays consistent), the shipped action with the VM running (the frozen
+   epoch is what stays consistent). *)
 let attempt_with_retries t engine action =
   let rec attempt n =
     try Ok (action ()) with
@@ -66,7 +64,6 @@ let authenticate t ~vm =
 
 let serve t engine ~vm = function
   | Ok value ->
-      t.served <- t.served + 1;
       Obs.Metrics.incr m_served;
       trace t engine "checkpoint request served for %s" (Vmsim.Vm.name vm);
       value
@@ -75,33 +72,23 @@ let serve t engine ~vm = function
       Obs.Metrics.incr m_failed;
       raise exn
 
-let request_checkpoint t ~vm ~snapshot =
+let request t ~vm ~suspended ~shipped =
   let engine = authenticate t ~vm in
   let suspended_at = Engine.now engine in
   Vmsim.Vm.suspend vm;
-  let result = attempt_with_retries t engine snapshot in
+  let result = attempt_with_retries t engine suspended in
   (* The proxy resumes the VM regardless of the outcome and notifies the
      guest of the result. *)
   Vmsim.Vm.resume vm;
   Obs.Metrics.observe m_suspend_seconds (Engine.now engine -. suspended_at);
-  serve t engine ~vm result
-
-let request_live_checkpoint t ~vm ~suspended ~shipped =
-  let engine = authenticate t ~vm in
-  let suspended_at = Engine.now engine in
-  Vmsim.Vm.suspend vm;
-  let frozen = attempt_with_retries t engine suspended in
-  Vmsim.Vm.resume vm;
-  Obs.Metrics.observe m_suspend_seconds (Engine.now engine -. suspended_at);
-  match frozen with
+  match result with
   | Error _ as err -> serve t engine ~vm err
-  | Ok () ->
-      (* The guest is already running again; ship the frozen epoch in the
+  | Ok value ->
+      (* The guest is already running again; whatever is left ships in the
          background. Transient errors retry against the intact frozen
          state, so the published snapshot still describes the instant of
          the suspend. *)
-      serve t engine ~vm (attempt_with_retries t engine shipped)
+      serve t engine ~vm (attempt_with_retries t engine (fun () -> shipped value))
 
-let requests_served t = t.served
 let failures t = t.failed
 let transient_retries t = t.transients

@@ -4,9 +4,10 @@
     REST-ful request to ask for a snapshot of its virtual disk; the proxy
     authenticates that the caller is hosted on this very node (it is not
     globally accessible — Section 3.2), then suspends the VM, takes the
-    snapshot through a caller-supplied action (CLONE+COMMIT for BlobCR,
-    image export for qcow2), resumes the VM, and replies with the result.
-    The VM is resumed even when the snapshot action fails. *)
+    snapshot through a caller-supplied action (freeze + COMMIT for
+    BlobCR, image export for qcow2), resumes the VM, finishes any
+    background ship, and replies with the result. The VM is resumed even
+    when the snapshot action fails. *)
 
 type t
 
@@ -16,32 +17,22 @@ exception Not_local
 val create : Cluster.t -> node:Cluster.node -> t
 (** Start the proxy service on [node]. *)
 
-val node : t -> Cluster.node
-(** The compute node this proxy serves. *)
-
-val request_checkpoint : t -> vm:Vmsim.Vm.t -> snapshot:(unit -> 'a) -> 'a
-(** Full proxy cycle: authenticate, suspend, run [snapshot], resume.
-    Charges the local request round-trip. Must be called from a fiber.
-    Transient disk errors ({!Faults.Injected_error}) inside [snapshot]
-    are retried with exponential backoff while the VM stays suspended.
-    The suspend-entry-to-resume-exit window is observed on the
-    [ckpt.suspend_seconds] histogram. *)
-
-val request_live_checkpoint :
-  t -> vm:Vmsim.Vm.t -> suspended:(unit -> unit) -> shipped:(unit -> 'a) -> 'a
-(** Live variant of {!request_checkpoint}: authenticate, suspend, run
-    [suspended] (freeze the dirty set — and, without background shipping,
-    commit the final delta), resume, then run [shipped] with the guest
-    already running (background commit of the frozen epoch). Only the
-    suspended part counts toward [ckpt.suspend_seconds]. Both closures get
-    the transient-retry treatment; a transient failure in [shipped]
+val request :
+  t -> vm:Vmsim.Vm.t -> suspended:(unit -> 'a) -> shipped:('a -> 'b) -> 'b
+(** The proxy cycle: authenticate, suspend, run [suspended], resume, then
+    run [shipped] on its result with the guest already running. For a
+    BlobCR instance [suspended] freezes the dirty set (and, unless the
+    final delta ships in the background, commits it) and [shipped]
+    finishes the commit; a qcow2 instance does its whole export under
+    suspend and passes [~shipped:Fun.id]. Charges the local request
+    round-trip. Must be called from a fiber. Only the suspended part
+    counts toward the [ckpt.suspend_seconds] histogram. Transient disk
+    errors ({!Faults.Injected_error}) in either closure are retried in
+    place with exponential backoff; a transient failure in [shipped]
     retries against the intact frozen state, so the published snapshot
-    still describes the instant of the suspend. Failures in either closure
-    count as a failed request and propagate (the caller owns rolling the
-    frozen epoch back). *)
-
-val requests_served : t -> int
-(** Snapshot requests completed successfully. *)
+    still describes the instant of the suspend. Any other failure counts
+    as a failed request and propagates (the caller owns rolling a frozen
+    epoch back). *)
 
 val failures : t -> int
 (** Requests whose snapshot action ultimately failed. *)

@@ -87,7 +87,7 @@ let staged stage f = try f () with exn -> raise (Staged (stage, exn))
 let finish partial =
   if partial.failed = [] then Ok (List.map snd partial.completed) else Error partial
 
-let global_checkpoint ?(mode = Approach.Stop_the_world) (cluster : Cluster.t) ~instances
+let global_checkpoint ?(mode = Approach.stop_the_world) (cluster : Cluster.t) ~instances
     ~dump =
   let branch (inst : Approach.instance) () =
     Obs.Span.with_ cluster.engine ~component:"proto" ~name:"ckpt"

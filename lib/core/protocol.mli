@@ -66,8 +66,8 @@ val global_checkpoint :
     [Error partial] otherwise. Blocks until every branch finished (or
     failed); a branch stranded on a collective blocks the call — run it
     in a cancellable fiber when failures are expected. [mode] (default
-    {!Approach.Stop_the_world}) selects the live checkpoint cycle per
-    instance; either way [Ok] is returned only once every snapshot —
+    {!Approach.stop_the_world}) sets the checkpoint mode of every
+    instance; whatever the mode, [Ok] is returned only once every snapshot —
     including background-shipped frozen deltas — is fully committed, so a
     failure mid-background-commit leaves the previous snapshot set
     authoritative. *)

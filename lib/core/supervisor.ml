@@ -13,7 +13,7 @@ type policy = {
 
 let default_policy =
   { heartbeat_period = 1.0; misses_allowed = 2; max_recovery_attempts = 3;
-    checkpoint_interval = 4; ckpt_mode = Approach.Stop_the_world }
+    checkpoint_interval = 4; ckpt_mode = Approach.stop_the_world }
 
 type workload = {
   setup : Approach.instance list -> unit;

@@ -26,7 +26,7 @@ type point = {
 
 let mode_of p ~rounds ~background =
   match p with
-  | "stw" -> Approach.Stop_the_world
+  | "stw" -> Approach.stop_the_world
   | _ -> Approach.Live { rounds; background }
 
 let slot_path slot = Fmt.str "/precopy/slot.%d" slot

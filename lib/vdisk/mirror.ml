@@ -106,12 +106,6 @@ let dirty_bytes t = Hashtbl.fold (fun i () acc -> acc + chunk_extent t i) t.dirt
 let cached_chunks t = Hashtbl.length t.present
 let local_bytes t = t.reserved
 let frozen_active t = t.frozen <> None
-let frozen_chunks t = match t.frozen with None -> 0 | Some f -> Hashtbl.length f.f_pending
-
-let frozen_bytes t =
-  match t.frozen with
-  | None -> 0
-  | Some f -> Hashtbl.fold (fun i () acc -> acc + chunk_extent t i) f.f_pending 0 (* lint: allow hashtbl-order — commutative sum *)
 
 let cow_chunks t = t.cow_chunks_total
 let cow_bytes t = t.cow_bytes_total
@@ -145,12 +139,16 @@ let frozen_digest_view t =
       Hashtbl.fold (fun i d acc -> (i, d) :: acc) f.f_digests []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+(* Where a frozen chunk's freeze-time bytes live: the diff log once the
+   guest overwrote it, the live store (still identical) otherwise. *)
+let frozen_source t f index = if Hashtbl.mem f.f_copied index then f.f_store else t.local
+
 let peek_frozen_payload t ~chunk =
   match t.frozen with
   | None -> invalid_arg "Mirror.peek_frozen_payload: no frozen epoch"
   | Some f ->
-      let store = if Hashtbl.mem f.f_copied chunk then f.f_store else t.local in
-      Sparse_bytes.read store ~offset:(chunk * t.chunk_size) ~len:(chunk_extent t chunk)
+      Sparse_bytes.read (frozen_source t f chunk) ~offset:(chunk * t.chunk_size)
+        ~len:(chunk_extent t chunk)
 
 let local_stream t = Net.host_id t.host
 
@@ -321,104 +319,8 @@ let clone t =
         (Client.blob_id t.base) t.base_version;
       t.ckpt <- Some (Client.clone t.base ~from:t.host ~version:t.base_version)
 
-(* Shared ship path of {!commit} and {!commit_frozen}: push [indices] into
-   the checkpoint image as one incremental snapshot. One job per chunk:
-   the local-disk read happens inside the client's write window, so
-   reading chunk N+1 off the local disk overlaps with digesting, dedup
-   resolution and repository writes of chunk N — no up-front
-   materialization of the whole diff. Chunks rewritten with their base
-   content are suppressed by digest; [hints] let the client suppress and
-   dedup without running the thunk at all. [payload_store] selects where a
-   chunk's bytes are read from (the live store, or the frozen diff log for
-   guest-overwritten frozen chunks); [reseed_ok] guards which chunks may
-   have their live digest-cache entry re-seeded from the descriptors this
-   commit minted (unsafe for chunks whose live bytes moved on since). *)
-let ship_indices t ~indices ~payload_store ~hints ~skip_chunks ~skip_bytes ~reseed_ok =
-  Obs.Span.with_ t.engine ~component:"mirror" ~name:"ckpt.clone" (fun () -> clone t);
-  let ckpt = Option.get t.ckpt in
-  let jobs =
-    List.map
-      (fun index ->
-        let extent = chunk_extent t index in
-        ( index,
-          fun () ->
-            Disk.read t.local_disk ~stream:(local_stream t) extent;
-            Sparse_bytes.read (payload_store index) ~offset:(index * t.chunk_size) ~len:extent
-        ))
-      indices
-  in
-  let version, stats = Client.write_chunks ckpt ~from:t.host ~suppress_clean:true ~hints jobs in
-  (* Fold the write-time clean skips into the commit accounting: a rewrite
-     absorbed at the device is the same event the digest path would have
-     suppressed, observed earlier. *)
-  let stats =
-    if skip_chunks = 0 then stats
-    else
-      {
-        stats with
-        Client.chunks_total = stats.Client.chunks_total + skip_chunks;
-        chunks_suppressed = stats.Client.chunks_suppressed + skip_chunks;
-        bytes_suppressed = stats.Client.bytes_suppressed + skip_bytes;
-      }
-  in
-  (* Re-seed invalidated entries (partial-chunk COW writes) from the
-     descriptors this commit just minted — a free metadata peek, so the
-     next epoch's hints cover them again. *)
-  if t.use_cache then begin
-    let tree = Client.tree ckpt ~version in
-    List.iter
-      (fun index ->
-        if reseed_ok index && not (Hashtbl.mem t.digests index) then
-          match Segment_tree.get tree index with
-          | Some (d : Types.chunk_desc) -> Hashtbl.replace t.digests index d.digest
-          | None -> ())
-      indices
-  end;
-  (version, stats)
-
-let finish_commit t ~started ~version ~stats =
-  t.last_stats <- stats;
-  t.total_stats <- Client.add_write_stats t.total_stats stats;
-  Trace.emit t.engine ~component:t.mname
-    "COMMIT %d chunks: %d shipped (%d B), %d dedup'd (%d B), %d clean (%d B) -> v%d"
-    stats.Client.chunks_total stats.Client.chunks_shipped stats.Client.bytes_shipped
-    stats.Client.chunks_deduped stats.Client.bytes_deduped stats.Client.chunks_suppressed
-    stats.Client.bytes_suppressed version;
-  Obs.Metrics.observe m_commit_seconds (Engine.now t.engine -. started)
-
-let commit t =
-  if t.frozen <> None then
-    invalid_arg "Mirror.commit: a frozen epoch is active (commit or abort it first)";
-  Obs.Span.with_ t.engine ~component:"mirror" ~name:"ckpt.commit"
-    ~attrs:[ ("dirty_chunks", Obs.Record.Int (Hashtbl.length t.dirty)) ]
-  @@ fun () ->
-  let started = Engine.now t.engine in
-  let indices = Hashtbl.fold (fun i () acc -> i :: acc) t.dirty [] |> List.sort compare in
-  (* Carried digests become hints: the client suppresses clean rewrites and
-     resolves dedup from them without running the thunk — a hinted chunk
-     that doesn't ship never touches the local disk either. *)
-  let hints =
-    if not t.use_cache then []
-    else
-      List.filter_map
-        (fun index ->
-          Option.map (fun d -> (index, d)) (Hashtbl.find_opt t.digests index))
-        indices
-  in
-  let version, stats =
-    ship_indices t ~indices
-      ~payload_store:(fun _ -> t.local)
-      ~hints ~skip_chunks:t.skip_chunks ~skip_bytes:t.skip_bytes
-      ~reseed_ok:(fun _ -> true)
-  in
-  t.skip_chunks <- 0;
-  t.skip_bytes <- 0;
-  finish_commit t ~started ~version ~stats;
-  Hashtbl.reset t.dirty;
-  version
-
 (* ------------------------------------------------------------------ *)
-(* Live checkpointing: FREEZE / frozen COMMIT / abort (DESIGN.md §17) *)
+(* FREEZE / frozen COMMIT / abort (DESIGN.md §17) *)
 
 let freeze t =
   if t.frozen <> None then invalid_arg "Mirror.freeze: a frozen epoch is already active";
@@ -450,6 +352,18 @@ let freeze t =
   Trace.emit t.engine ~component:t.mname "FREEZE %d dirty chunk(s) copy-on-write"
     (Hashtbl.length f_pending)
 
+let release_diff_log t f =
+  Disk.free t.local_disk f.f_reserved;
+  t.reserved <- t.reserved - f.f_reserved;
+  Obs.Metrics.set m_local_bytes t.reserved
+
+(* Push the frozen chunks into the checkpoint image as one incremental
+   snapshot. One job per chunk: the local-disk read happens inside the
+   client's write window, so reading chunk N+1 off the local disk overlaps
+   with digesting, dedup resolution and repository writes of chunk N — no
+   up-front materialization of the whole diff. Each chunk is read from the
+   frozen diff log when the guest overwrote it since the freeze, from the
+   live store otherwise. *)
 let commit_frozen ?(label = "ckpt.commit") t =
   let f =
     match t.frozen with
@@ -461,10 +375,11 @@ let commit_frozen ?(label = "ckpt.commit") t =
   @@ fun () ->
   let started = Engine.now t.engine in
   let indices = sorted_keys f.f_pending in
-  (* Hints come from the digests captured at freeze time: they describe the
-     frozen content even after the guest moved the live bytes on, so the
-     client's suppression/dedup resolution stays exact during a background
-     commit. *)
+  (* Digests captured at freeze time become hints: they describe the frozen
+     content even after the guest moved the live bytes on, so the client
+     suppresses clean rewrites and resolves dedup exactly without running
+     the thunk — a hinted chunk that doesn't ship never touches the local
+     disk either. *)
   let hints =
     if not t.use_cache then []
     else
@@ -473,21 +388,60 @@ let commit_frozen ?(label = "ckpt.commit") t =
           Option.map (fun d -> (index, d)) (Hashtbl.find_opt f.f_digests index))
         indices
   in
-  let version, stats =
-    ship_indices t ~indices
-      ~payload_store:(fun index ->
-        if Hashtbl.mem f.f_copied index then f.f_store else t.local)
-      ~hints ~skip_chunks:f.f_skip_chunks ~skip_bytes:f.f_skip_bytes
-      ~reseed_ok:(fun index -> not (Hashtbl.mem f.f_copied index))
+  Obs.Span.with_ t.engine ~component:"mirror" ~name:"ckpt.clone" (fun () -> clone t);
+  let ckpt = Option.get t.ckpt in
+  let jobs =
+    List.map
+      (fun index ->
+        let extent = chunk_extent t index in
+        ( index,
+          fun () ->
+            Disk.read t.local_disk ~stream:(local_stream t) extent;
+            Sparse_bytes.read (frozen_source t f index) ~offset:(index * t.chunk_size)
+              ~len:extent ))
+      indices
   in
+  let version, stats = Client.write_chunks ckpt ~from:t.host ~suppress_clean:true ~hints jobs in
+  (* Fold the write-time clean skips into the commit accounting: a rewrite
+     absorbed at the device is the same event the digest path would have
+     suppressed, observed earlier. *)
+  let stats =
+    if f.f_skip_chunks = 0 then stats
+    else
+      {
+        stats with
+        Client.chunks_total = stats.Client.chunks_total + f.f_skip_chunks;
+        chunks_suppressed = stats.Client.chunks_suppressed + f.f_skip_chunks;
+        bytes_suppressed = stats.Client.bytes_suppressed + f.f_skip_bytes;
+      }
+  in
+  (* Re-seed invalidated entries (partial-chunk COW writes) from the
+     descriptors this commit just minted — a free metadata peek, so the
+     next epoch's hints cover them again. Guest-overwritten frozen chunks
+     are skipped: their live bytes moved on since the freeze. *)
+  if t.use_cache then begin
+    let tree = Client.tree ckpt ~version in
+    List.iter
+      (fun index ->
+        if not (Hashtbl.mem f.f_copied index || Hashtbl.mem t.digests index) then
+          match Segment_tree.get tree index with
+          | Some (d : Types.chunk_desc) -> Hashtbl.replace t.digests index d.digest
+          | None -> ())
+      indices
+  end;
   (* Success: the repository holds the frozen content, so the diff log's
      preserved copies can go. A failure above leaves the frozen epoch
      intact — the caller either retries (transient) or {!abort_frozen}s. *)
-  Disk.free t.local_disk f.f_reserved;
-  t.reserved <- t.reserved - f.f_reserved;
-  Obs.Metrics.set m_local_bytes t.reserved;
+  release_diff_log t f;
   t.frozen <- None;
-  finish_commit t ~started ~version ~stats;
+  t.last_stats <- stats;
+  t.total_stats <- Client.add_write_stats t.total_stats stats;
+  Trace.emit t.engine ~component:t.mname
+    "COMMIT %d chunks: %d shipped (%d B), %d dedup'd (%d B), %d clean (%d B) -> v%d"
+    stats.Client.chunks_total stats.Client.chunks_shipped stats.Client.bytes_shipped
+    stats.Client.chunks_deduped stats.Client.bytes_deduped stats.Client.chunks_suppressed
+    stats.Client.bytes_suppressed version;
+  Obs.Metrics.observe m_commit_seconds (Engine.now t.engine -. started);
   version
 
 let abort_frozen t =
@@ -501,15 +455,25 @@ let abort_frozen t =
          completed. *)
       (* lint: allow hashtbl-order — independent per-key marking *)
       Hashtbl.iter (fun i () -> Hashtbl.replace t.dirty i ()) f.f_pending;
-      Disk.free t.local_disk f.f_reserved;
-      t.reserved <- t.reserved - f.f_reserved;
-      Obs.Metrics.set m_local_bytes t.reserved;
+      release_diff_log t f;
       t.skip_chunks <- t.skip_chunks + f.f_skip_chunks;
       t.skip_bytes <- t.skip_bytes + f.f_skip_bytes;
       t.frozen <- None;
       Trace.emit t.engine ~component:t.mname
         "FREEZE aborted: %d chunk(s) folded back into the dirty set"
         (Hashtbl.length f.f_pending)
+
+(* The stop-the-world COMMIT is the zero-round case of the live path: with
+   the guest suspended no copy-on-write fires between the freeze and the
+   ship, so this publishes exactly the dirty set as it stood. A failure
+   folds the epoch back, leaving the dirty set as it was for the retry. *)
+let commit t =
+  freeze t;
+  match commit_frozen t with
+  | version -> version
+  | exception exn ->
+      abort_frozen t;
+      raise exn
 
 let last_commit_stats t = t.last_stats
 let total_commit_stats t = t.total_stats

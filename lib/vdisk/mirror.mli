@@ -64,12 +64,12 @@ val commit : t -> int
     published version. A commit with no dirty chunks still publishes (an
     empty incremental snapshot).
 
-    The push is pipelined through {!Client.write_chunks}: per-chunk
-    local-disk reads, digests and repository writes overlap under the
-    client write window. Chunks rewritten with content identical to the
-    base version are suppressed (ship nothing, publish no descriptor),
-    and content already stored anywhere in the repository dedups against
-    it. *)
+    This is {!freeze} followed by {!commit_frozen} — the stop-the-world
+    checkpoint is the live path with nothing racing the ship. On failure
+    the frozen epoch is rolled back ({!abort_frozen}) and the exception
+    re-raised, so the dirty set is left as it was and a retry publishes
+    the same bytes. Raises [Invalid_argument] (from {!freeze}) if a frozen
+    epoch is already active. *)
 
 val freeze : t -> unit
 (** Capture the current dirty set as a {e frozen epoch}, copy-on-write —
@@ -84,15 +84,20 @@ val freeze : t -> unit
 
 val commit_frozen : ?label:string -> t -> int
 (** Ship the frozen epoch into the checkpoint image as one incremental
-    snapshot and return the published version, like {!commit} but reading
-    each chunk's {e frozen} content: from the diff log when the guest
-    overwrote it, from the live store otherwise (where both are identical).
-    Digest hints captured at freeze time keep suppression and dedup exact
-    even while the guest mutates the live bytes mid-commit. On success the
-    frozen epoch is released (its diff log freed). On failure the frozen
-    epoch stays intact so the caller can retry (transient error) or
-    {!abort_frozen}. [label] names the emitted span (default
-    ["ckpt.commit"]). *)
+    snapshot and return the published version, reading each chunk's
+    {e frozen} content: from the diff log when the guest overwrote it,
+    from the live store otherwise (where both are identical).
+
+    The push is pipelined through {!Client.write_chunks}: per-chunk
+    local-disk reads, digests and repository writes overlap under the
+    client write window. Digest hints captured at freeze time let the
+    client suppress chunks rewritten with content identical to the base
+    version (ship nothing, publish no descriptor) and dedup content
+    already stored anywhere in the repository, exactly, even while the
+    guest mutates the live bytes mid-commit. On success the frozen epoch
+    is released (its diff log freed). On failure the frozen epoch stays
+    intact so the caller can retry (transient error) or {!abort_frozen}.
+    [label] names the emitted span (default ["ckpt.commit"]). *)
 
 val abort_frozen : t -> unit
 (** Roll a frozen epoch back: fold every unshipped frozen chunk into the
@@ -102,12 +107,6 @@ val abort_frozen : t -> unit
 
 val frozen_active : t -> bool
 (** Whether a frozen epoch is currently pending. *)
-
-val frozen_chunks : t -> int
-(** Chunks in the active frozen epoch (0 when none). *)
-
-val frozen_bytes : t -> int
-(** Byte size of the active frozen epoch (chunk-granular; 0 when none). *)
 
 val cow_chunks : t -> int
 (** Cumulative frozen-chunk copies made to preserve overwritten frozen

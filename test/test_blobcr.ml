@@ -219,8 +219,8 @@ let test_proxy_rejects_foreign_vm () =
         let foreign_proxy = Ckpt_proxy.create cluster ~node:(Cluster.node cluster 3) in
         try
           ignore
-            (Ckpt_proxy.request_checkpoint foreign_proxy ~vm:inst.Approach.vm
-               ~snapshot:(fun () -> ()));
+            (Ckpt_proxy.request foreign_proxy ~vm:inst.Approach.vm
+               ~suspended:(fun () -> ()) ~shipped:Fun.id);
           false
         with Ckpt_proxy.Not_local -> true)
   in
@@ -233,8 +233,8 @@ let test_proxy_resumes_vm_on_snapshot_failure () =
         let inst = fresh_instance cluster Approach.Blobcr ~node_index:0 ~id:"vm0" in
         (try
            ignore
-             (Ckpt_proxy.request_checkpoint inst.Approach.proxy ~vm:inst.Approach.vm
-                ~snapshot:(fun () -> failwith "snapshot exploded"))
+             (Ckpt_proxy.request inst.Approach.proxy ~vm:inst.Approach.vm
+                ~suspended:(fun () -> failwith "snapshot exploded") ~shipped:Fun.id)
          with Failure _ -> ());
         (Vm.state inst.Approach.vm, Ckpt_proxy.failures inst.Approach.proxy))
   in

@@ -152,8 +152,8 @@ let test_ckpt_proxy_retries_transients () =
         in
         let fails = ref 2 in
         let value =
-          Ckpt_proxy.request_checkpoint inst.Approach.proxy ~vm:inst.Approach.vm
-            ~snapshot:(fun () ->
+          Ckpt_proxy.request inst.Approach.proxy ~vm:inst.Approach.vm ~shipped:Fun.id
+            ~suspended:(fun () ->
               if !fails > 0 then begin
                 decr fails;
                 raise (Faults.Injected_error "synthetic snapshot fault")

@@ -1,7 +1,8 @@
 (* Tests for live checkpointing: the mirror's frozen epochs (freeze /
    commit_frozen / abort_frozen), copy-on-write preservation of frozen
    bytes under racing guest writes, digest-cache coherence on both forks
-   of the clone, rollback when a crash lands mid-background-commit, the
+   of the clone, rollback when a crash lands mid-commit (in the
+   background or under stop-the-world suspend), the
    full live checkpoint/restart round trip, and the suspend-window
    shrinkage the precopy experiment exists to demonstrate. *)
 
@@ -199,13 +200,43 @@ let test_frozen_epoch_guards () =
       let m = setup_mirror rig ~content:(String.make 1024 'Z') ~name:"m" in
       Mirror.write m ~offset:0 (Payload.of_string (String.make 256 'A'));
       Mirror.freeze m;
+      (* A stop-the-world commit is a freeze + commit_frozen, so it is
+         refused by the freeze — without aborting the epoch in flight. *)
       Alcotest.check_raises "classic commit refused while frozen"
-        (Invalid_argument "Mirror.commit: a frozen epoch is active (commit or abort it first)")
-        (fun () -> ignore (Mirror.commit m));
+        (Invalid_argument "Mirror.freeze: a frozen epoch is already active") (fun () ->
+          ignore (Mirror.commit m));
+      Alcotest.(check (list int)) "epoch in flight untouched" [ 0 ]
+        (Mirror.frozen_pending_view m);
       Alcotest.check_raises "double freeze refused"
         (Invalid_argument "Mirror.freeze: a frozen epoch is already active") (fun () ->
           Mirror.freeze m);
       ignore (Mirror.commit_frozen m))
+
+let test_failed_commit_rolls_back () =
+  let rig = make_rig () in
+  run_rig rig (fun () ->
+      let m = setup_mirror rig ~content:(String.make 1024 'Z') ~name:"m" in
+      (* Clone up front so the armed crash lands on the publish. *)
+      Mirror.clone m;
+      Mirror.write m ~offset:0 (Payload.of_string (String.make 512 'A'));
+      Mirror.write m ~offset:768 (Payload.of_string (String.make 128 'D'));
+      let dirty = Mirror.dirty_view m in
+      let vmgr = Client.version_manager rig.service in
+      Version_manager.arm_crash vmgr Version_manager.Mid_apply;
+      (match Mirror.commit m with
+      | _ -> Alcotest.fail "commit should have failed"
+      | exception Types.Service_crashed _ -> ());
+      (* The commit's abort handler folds the frozen epoch back: nothing
+         leaks, and the dirty set is exactly what it was before. *)
+      Alcotest.(check bool) "no leaked frozen epoch" false (Mirror.frozen_active m);
+      Alcotest.(check (list int)) "dirty set as it was" dirty (Mirror.dirty_view m);
+      Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants m);
+      Version_manager.restart vmgr;
+      let v = Mirror.commit m in
+      Alcotest.(check string) "retry publishes the same bytes"
+        (String.make 512 'A' ^ String.make 256 'Z' ^ String.make 128 'D' ^ String.make 128 'Z')
+        (read_ckpt rig m ~version:v ~offset:0 ~len:1024);
+      Alcotest.(check (list int)) "dirty set drained" [] (Mirror.dirty_view m))
 
 (* ------------------------------------------------------------------ *)
 (* Stack-level: live checkpoints through Approach / Ckpt_proxy *)
@@ -236,7 +267,10 @@ let test_live_checkpoint_restart_roundtrip () =
   in
   Alcotest.(check bool) "state restored from live snapshot" true ok
 
-let test_crash_during_background_commit_rolls_back () =
+(* A crash armed mid-publish must roll the epoch back whether the final
+   delta ships in the background (after the resume) or under suspend
+   (stop-the-world): both go through the same frozen-epoch path. *)
+let crash_mid_commit_rolls_back ~mode () =
   let cluster = Cluster.build ~seed:7 Calibration.quick_test in
   Cluster.run cluster (fun () ->
       let inst =
@@ -251,17 +285,15 @@ let test_crash_during_background_commit_rolls_back () =
       Workloads.Synthetic.dump_app bench;
       let good = Approach.request_checkpoint ~mode:(live ()) cluster inst in
       (* Next epoch: dirty new state, then arm the version manager to crash
-         mid-apply — with rounds = 0 the first publish is the background
-         commit itself, so the crash lands while the frozen delta ships
-         after the VM has already resumed. *)
+         mid-apply — with rounds = 0 the first publish is the final delta
+         itself, so the crash lands while it ships. *)
       Workloads.Synthetic.refill bench;
       Workloads.Synthetic.dump_app bench;
       Version_manager.arm_crash (Client.version_manager cluster.Cluster.service)
         Version_manager.Mid_apply;
       let failed =
         try
-          ignore
-            (Approach.request_checkpoint ~mode:(live ~rounds:0 ()) cluster inst);
+          ignore (Approach.request_checkpoint ~mode cluster inst);
           None
         with e -> Some e
       in
@@ -274,7 +306,7 @@ let test_crash_during_background_commit_rolls_back () =
          epoch, the delta folded back into the dirty set, the VM running. *)
       Alcotest.(check bool) "no leaked frozen epoch" false (Mirror.frozen_active mirror);
       Alcotest.(check bool) "delta folded back" true (Mirror.dirty_chunks mirror > 0);
-      Alcotest.(check bool) "vm running after failed background commit" true
+      Alcotest.(check bool) "vm running after failed commit" true
         (Vmsim.Vm.state inst.Approach.vm = Vmsim.Vm.Running);
       Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants mirror);
       (* Heal the service; the previous snapshot set stays authoritative —
@@ -296,6 +328,10 @@ let test_crash_during_background_commit_rolls_back () =
       Alcotest.(check int64) "retried snapshot restores the new state"
         (Payload.digest (Workloads.Synthetic.buffer bench))
         (Payload.digest (Workloads.Synthetic.buffer restored)))
+
+let test_crash_during_background_commit_rolls_back () =
+  crash_mid_commit_rolls_back ~mode:(live ~rounds:0 ()) ();
+  crash_mid_commit_rolls_back ~mode:Approach.stop_the_world ()
 
 (* ------------------------------------------------------------------ *)
 (* The acceptance claim: pre-copy + background commit shrink the
@@ -340,6 +376,7 @@ let () =
             test_frozen_digest_cache_coherent_on_both_forks;
           Alcotest.test_case "abort folds the epoch back" `Quick test_abort_frozen_folds_back;
           Alcotest.test_case "commit/freeze guards" `Quick test_frozen_epoch_guards;
+          Alcotest.test_case "failed commit rolls back" `Quick test_failed_commit_rolls_back;
         ] );
       ( "live checkpoint",
         [
