@@ -155,11 +155,20 @@ let micro () =
              (Blobseer.Segment_tree.set_range tree ~start:1024
                 (Array.init 256 (fun i -> Some i)))))
   in
-  let payload_slice =
-    Test.make ~name:"payload: slice + digest of a 64 MiB pattern"
+  (* A new seed every run, so neither the per-value memo nor the
+     cross-payload segment cache can answer the digest. *)
+  let pattern_seed = ref 0L in
+  let payload_pattern_digest =
+    Test.make ~name:"payload: slice + digest of a fresh 1 MiB pattern"
       (Staged.stage (fun () ->
-           let p = Payload.pattern ~seed:1L (Size.mib_n 64) in
-           ignore (Payload.length (Payload.sub p ~pos:12345 ~len:4096))))
+           pattern_seed := Int64.succ !pattern_seed;
+           let p = Payload.pattern ~seed:!pattern_seed (Size.mib_n 2) in
+           ignore (Payload.digest (Payload.sub p ~pos:12345 ~len:Size.mib))))
+  in
+  let bytes_data = Bytes.init Size.mib (fun i -> Char.unsafe_chr (i land 0xff)) in
+  let payload_bytes_digest =
+    Test.make ~name:"payload: digest of a fresh 1 MiB bytes payload"
+      (Staged.stage (fun () -> ignore (Payload.digest (Payload.of_bytes bytes_data))))
   in
   let event_queue =
     Test.make ~name:"event-queue: 1k add+pop"
@@ -207,7 +216,8 @@ let micro () =
   in
   let tests =
     Test.make_grouped ~name:"blobcr-core"
-      [ seg_tree_update; seg_tree_bulk; payload_slice; event_queue; engine_fibers; qcow2_cow ]
+      [ seg_tree_update; seg_tree_bulk; payload_pattern_digest; payload_bytes_digest; event_queue;
+        engine_fibers; qcow2_cow ]
   in
   let benchmark () =
     let instances = Instance.[ monotonic_clock ] in
@@ -226,8 +236,8 @@ let micro () =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.iter (fun (name, ols) ->
          match Bechamel.Analyze.OLS.estimates ols with
-         | Some [ time ] -> Printf.printf "%-55s %12.1f ns/run\n%!" name time
-         | _ -> Printf.printf "%-55s (no estimate)\n%!" name);
+         | Some [ time ] -> Printf.printf "%-62s %12.1f ns/run\n%!" name time
+         | _ -> Printf.printf "%-62s (no estimate)\n%!" name);
   print_newline ()
 
 (* ------------------------------------------------------------------ *)

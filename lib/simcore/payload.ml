@@ -26,10 +26,26 @@ let pattern ~seed len = of_seg (Pattern { seed; off = 0; len })
 let of_bytes data = of_seg (Bytes { data; off = 0; len = Bytes.length data })
 let of_string s = of_bytes (Bytes.of_string s)
 
+(* Word [w] of the [Pattern] stream of [seed], stream positions [8w] to
+   [8w+7] lowest byte first (see [pattern] in the interface). Every reader
+   below takes whole words, so one mix yields 8 bytes. The SplitMix64
+   finalizer is the one {!Rng} uses, copied here so that it inlines into
+   the loops and its [int64]s stay unboxed. *)
+let[@inline] pattern_word seed w =
+  let z = Int64.add seed (Int64.of_int w) in
+  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+  Int64.(logxor z (shift_right_logical z 31))
+
+(* Byte [k] (0..7) of a word, lowest first. *)
+let[@inline] word_byte w k = Int64.to_int (Int64.shift_right_logical w (k lsl 3)) land 0xff
+
 let seg_byte_at seg i =
   match seg with
   | Zero _ -> '\000'
-  | Pattern { seed; off; _ } -> Rng.byte_at ~seed (off + i)
+  | Pattern { seed; off; _ } ->
+      let i = off + i in
+      Char.unsafe_chr (word_byte (pattern_word seed (i lsr 3)) (i land 7))
   | Bytes { data; off; _ } -> Bytes.get data (off + i)
 
 (* Index of the segment containing offset [pos]. *)
@@ -153,17 +169,73 @@ let code c = Int64.of_int (Char.code c + 1)
 let hashed_bytes_counter = ref 0
 let hashed_bytes () = !hashed_bytes_counter
 
+(* The digest kernel folds a word's 8 bytes at once. With [c] the bytes
+   read as base-[b] digits, c = sum_k byte_k * b^(7-k), eight per-byte
+   steps collapse to h * b^8 + c + (1 + b + ... + b^7): the last term is
+   the [+1] of every [code]. [c] does not depend on [h], so consecutive
+   words' Horner chains overlap; the loops allocate nothing. *)
+let base_pow8 = pow_base 8
+let word_codes = geom_sum 8
+
+let[@inline] fold_byte h byte = Int64.add (Int64.mul h base) (Int64.of_int (byte + 1))
+
+(* One Horner step of [c]: append byte [k] of [w] as the next digit. A
+   top-level function, not a closure over [w], so that [fold_word] stays
+   inlinable. *)
+let[@inline] horner c w k = Int64.add (Int64.mul c base) (Int64.of_int (word_byte w k))
+
+let[@inline] fold_word h w =
+  let c = Int64.of_int (word_byte w 0) in
+  let c = horner c w 1 in
+  let c = horner c w 2 in
+  let c = horner c w 3 in
+  let c = horner c w 4 in
+  let c = horner c w 5 in
+  let c = horner c w 6 in
+  let c = horner c w 7 in
+  Int64.add (Int64.add (Int64.mul h base_pow8) c) word_codes
+
+(* Stream positions [off, off+len) of pattern [seed]: whole aligned words
+   fold at once, a partial word at either end byte by byte. *)
+let fold_pattern seed off len =
+  let h = ref 0L and i = ref off and stop = off + len in
+  while !i < stop do
+    let w = pattern_word seed (!i lsr 3) in
+    if !i land 7 = 0 && !i + 8 <= stop then begin
+      h := fold_word !h w;
+      i := !i + 8
+    end
+    else begin
+      let word_stop = min stop ((!i lor 7) + 1) in
+      while !i < word_stop do
+        h := fold_byte !h (word_byte w (!i land 7));
+        incr i
+      done
+    end
+  done;
+  !h
+
+let fold_bytes data off len =
+  let h = ref 0L and i = ref off and stop = off + len in
+  while !i + 8 <= stop do
+    h := fold_word !h (Bytes.get_int64_le data !i);
+    i := !i + 8
+  done;
+  while !i < stop do
+    h := fold_byte !h (Char.code (Bytes.unsafe_get data !i));
+    incr i
+  done;
+  !h
+
 let seg_digest seg =
   match seg with
   | Zero n -> Int64.mul (geom_sum n) (code '\000')
-  | _ ->
-      let n = seg_len seg in
-      hashed_bytes_counter := !hashed_bytes_counter + n;
-      let h = ref 0L in
-      for i = 0 to n - 1 do
-        h := Int64.add (Int64.mul !h base) (code (seg_byte_at seg i))
-      done;
-      !h
+  | Pattern { seed; off; len } ->
+      hashed_bytes_counter := !hashed_bytes_counter + len;
+      fold_pattern seed off len
+  | Bytes { data; off; len } ->
+      hashed_bytes_counter := !hashed_bytes_counter + len;
+      fold_bytes data off len
 
 let digest_cache : (int64 * int * int, int64) Hashtbl.t = Hashtbl.create 256
 
@@ -201,6 +273,25 @@ let seg_equal_struct a b =
   | Bytes p, Bytes q -> p.data == q.data && p.off = q.off && p.len = q.len
   | _ -> false
 
+(* Writes pattern positions [off, off+len) to [buf] at [pos], a whole
+   aligned word at a time, a partial word at either end byte by byte. *)
+let fill_pattern buf pos seed off len =
+  let i = ref off and stop = off + len in
+  while !i < stop do
+    let w = pattern_word seed (!i lsr 3) in
+    if !i land 7 = 0 && !i + 8 <= stop then begin
+      Bytes.set_int64_le buf (pos + !i - off) w;
+      i := !i + 8
+    end
+    else begin
+      let word_stop = min stop ((!i lor 7) + 1) in
+      while !i < word_stop do
+        Bytes.unsafe_set buf (pos + !i - off) (Char.unsafe_chr (word_byte w (!i land 7)));
+        incr i
+      done
+    end
+  done
+
 let byte_compare_guard = 4 * 1024 * 1024
 let to_string_guard = 64 * 1024 * 1024
 
@@ -221,10 +312,7 @@ and to_string t =
       (match seg with
       | Zero n -> Bytes.fill buf !pos n '\000'
       | Bytes { data; off; len } -> Bytes.blit data off buf !pos len
-      | Pattern _ as seg ->
-          for i = 0 to seg_len seg - 1 do
-            Bytes.set buf (!pos + i) (seg_byte_at seg i)
-          done);
+      | Pattern { seed; off; len } -> fill_pattern buf !pos seed off len);
       pos := !pos + seg_len seg)
     t.segs;
   Bytes.unsafe_to_string buf

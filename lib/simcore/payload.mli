@@ -18,8 +18,12 @@ val zero : int -> t
 (** [zero len] is [len] zero bytes. *)
 
 val pattern : seed:int64 -> int -> t
-(** [pattern ~seed len] is the first [len] bytes of the deterministic
-    stream identified by [seed] (see {!Rng.byte_at}). *)
+(** [pattern ~seed len] is the first [len] bytes of the infinite
+    deterministic stream identified by [seed], a pure function of
+    [(seed, position)] that represents large random buffers without
+    materializing them. The stream is made of 64-bit words: word [w] is
+    the SplitMix64 finalizer applied to [seed + w], and its bytes, lowest
+    first, are positions [8w] to [8w+7], so one mix yields 8 bytes. *)
 
 val of_bytes : bytes -> t
 (** Takes ownership of the buffer; do not mutate it afterwards. *)

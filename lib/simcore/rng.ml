@@ -55,10 +55,3 @@ let rank ~seed i =
      seed; masking to [max_int] keeps the result a non-negative [int]. *)
   let z = mix (Int64.add (mix (Int64.of_int seed)) (Int64.mul golden (Int64.of_int (i + 1)))) in
   Int64.to_int z land max_int
-
-let byte_at ~seed i =
-  (* Hash the word index, then select the byte within the word, so that
-     consecutive bytes share one mix per 8 positions. *)
-  let word = mix (Int64.add seed (Int64.of_int (i lsr 3))) in
-  let shift = (i land 7) * 8 in
-  Char.chr (Int64.to_int (Int64.shift_right_logical word shift) land 0xff)

@@ -49,9 +49,3 @@ val rank : seed:int -> int -> int
     under stream [seed] — a pure function of [(seed, i)]. Used by
     {!Event_queue} to permute same-timestamp event runs deterministically
     without any mutable generator state. *)
-
-val byte_at : seed:int64 -> int -> char
-(** [byte_at ~seed i] is the [i]-th byte of the infinite deterministic
-    pattern stream identified by [seed]. Pure function of [(seed, i)];
-    used by {!Payload.Pattern} to represent large random buffers without
-    materializing them. *)

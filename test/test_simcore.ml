@@ -64,14 +64,6 @@ let test_rng_split_independent () =
   let b = Rng.split a in
   Alcotest.(check bool) "diverge" false (Rng.int64 a = Rng.int64 b)
 
-let test_rng_byte_at_pure () =
-  Alcotest.(check char) "pure" (Rng.byte_at ~seed:5L 100) (Rng.byte_at ~seed:5L 100);
-  let distinct = ref 0 in
-  for i = 0 to 255 do
-    if Rng.byte_at ~seed:5L i <> Rng.byte_at ~seed:6L i then incr distinct
-  done;
-  Alcotest.(check bool) "seeds differ" true (!distinct > 200)
-
 let test_rng_shuffle_permutation () =
   let rng = Rng.create 11 in
   let a = Array.init 50 Fun.id in
@@ -139,6 +131,48 @@ let test_payload_digest_zero_closed_form () =
   let explicit = Payload.of_bytes (Bytes.make 1000 '\000') in
   Alcotest.(check int64) "closed form" (Payload.digest explicit) (Payload.digest z)
 
+let test_payload_pattern_byte_at_pure () =
+  let p5 = Payload.pattern ~seed:5L 256 and p6 = Payload.pattern ~seed:6L 256 in
+  Alcotest.(check char) "pure" (Payload.byte_at p5 100)
+    (Payload.byte_at (Payload.pattern ~seed:5L 256) 100);
+  let distinct = ref 0 in
+  for i = 0 to 255 do
+    if Payload.byte_at p5 i <> Payload.byte_at p6 i then incr distinct
+  done;
+  Alcotest.(check bool) "seeds differ" true (!distinct > 200)
+
+(* Digests and pattern bytes pinned before the word-at-a-time kernel
+   replaced the per-byte fold: dedup, Merkle roots and determinism
+   digests all depend on these exact values. *)
+let test_payload_golden_digests () =
+  let check name expected p = Alcotest.(check int64) name expected (Payload.digest p) in
+  check "pattern 42, 1 MiB" 5132634833737507018L (Payload.pattern ~seed:42L (1024 * 1024));
+  check "unaligned pattern slice" (-1688783944622322291L)
+    (Payload.sub (Payload.pattern ~seed:9L 3_000_000) ~pos:3 ~len:1_000_003);
+  check "13-byte bytes" (-4109545233550990002L) (Payload.of_string "hello, world!");
+  check "zero/pattern/bytes concat" (-729508023010127968L)
+    (Payload.concat
+       [ Payload.zero 1000; Payload.sub (Payload.pattern ~seed:11L 5000) ~pos:5 ~len:777;
+         Payload.of_string "blobcr-checkpoint"; Payload.zero 3; Payload.pattern ~seed:12L 4099 ]);
+  let first16 = "\xdc\x45\xbb\xbe\x3d\x61\xbf\xb6\x6c\x33\x78\x70\x97\x07\x77\xd1" in
+  let p = Payload.pattern ~seed:5L 16 in
+  Alcotest.(check string) "pattern 5, to_string" first16 (Payload.to_string p);
+  Alcotest.(check string) "pattern 5, byte_at" first16 (String.init 16 (Payload.byte_at p))
+
+let test_payload_hashed_bytes_accounting () =
+  let n = 100_003 in
+  let fresh () = Payload.pattern ~seed:0x5EED_ACC7L n in
+  let delta f =
+    let before = Payload.hashed_bytes () in
+    f ();
+    Payload.hashed_bytes () - before
+  in
+  let p = fresh () in
+  Alcotest.(check int) "first digest" n (delta (fun () -> ignore (Payload.digest p)));
+  Alcotest.(check int) "segment cache hit" n
+    (delta (fun () -> ignore (Payload.digest (fresh ()))));
+  Alcotest.(check int) "per-value memo" 0 (delta (fun () -> ignore (Payload.digest p)))
+
 let test_payload_to_string_guard () =
   Alcotest.check_raises "guard" (Invalid_argument "Payload.to_string: payload too large")
     (fun () -> ignore (Payload.to_string (Payload.zero (Size.mib_n 65))))
@@ -162,6 +196,45 @@ let prop_payload_digest_agrees_with_equal =
       let pa = Payload.of_string a and pb = Payload.of_string b in
       if a = b then Payload.digest pa = Payload.digest pb && Payload.equal pa pb
       else (not (Payload.equal pa pb)) || a = b)
+
+(* The digest's definition, one byte at a time: h <- h * b + (byte + 1)
+   mod 2^64. The kernel folds whole words; this is what it must equal. *)
+let reference_digest p =
+  let h = ref 0L in
+  for i = 0 to Payload.length p - 1 do
+    h :=
+      Int64.add (Int64.mul !h 0x100000001B3L)
+        (Int64.of_int (Char.code (Payload.byte_at p i) + 1))
+  done;
+  !h
+
+(* Offsets 0-15 and lengths 0-64 cover slices shorter than a word and
+   heads and tails on either side of a word boundary. *)
+let slice_gen = QCheck.(pair (int_range 0 15) (int_range 0 64))
+
+let pattern_slice (seed, (off, len)) =
+  Payload.sub (Payload.pattern ~seed (off + len)) ~pos:off ~len
+
+let prop_payload_pattern_digest_reference =
+  QCheck.Test.make ~name:"payload: pattern digest equals the per-byte fold" ~count:500
+    QCheck.(pair int64 slice_gen)
+    (fun arg ->
+      let p = pattern_slice arg in
+      Payload.digest p = reference_digest p)
+
+let prop_payload_bytes_digest_reference =
+  QCheck.Test.make ~name:"payload: bytes digest equals the per-byte fold" ~count:500
+    QCheck.(pair (string_of_size Gen.(return 80)) slice_gen)
+    (fun (s, (off, len)) ->
+      let p = Payload.sub (Payload.of_string s) ~pos:off ~len in
+      Payload.digest p = reference_digest p)
+
+let prop_payload_pattern_to_string =
+  QCheck.Test.make ~name:"payload: pattern to_string matches byte_at" ~count:500
+    QCheck.(pair int64 slice_gen)
+    (fun arg ->
+      let p = pattern_slice arg in
+      Payload.to_string p = String.init (Payload.length p) (Payload.byte_at p))
 
 (* ------------------------------------------------------------------ *)
 (* Event_queue *)
@@ -669,7 +742,6 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "exponential positive" `Quick test_rng_exponential_positive;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
-          Alcotest.test_case "byte_at purity" `Quick test_rng_byte_at_pure;
           Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
         ] );
       ( "payload",
@@ -684,8 +756,15 @@ let () =
           Alcotest.test_case "digest respects equality" `Quick test_payload_digest_matches_equal;
           Alcotest.test_case "zero digest closed form" `Quick test_payload_digest_zero_closed_form;
           Alcotest.test_case "to_string guard" `Quick test_payload_to_string_guard;
+          Alcotest.test_case "pattern byte_at purity" `Quick test_payload_pattern_byte_at_pure;
+          Alcotest.test_case "golden digests" `Quick test_payload_golden_digests;
+          Alcotest.test_case "hashed_bytes accounting" `Quick
+            test_payload_hashed_bytes_accounting;
         ]
-        @ qsuite [ prop_payload_slice_concat; prop_payload_digest_agrees_with_equal ] );
+        @ qsuite
+            [ prop_payload_slice_concat; prop_payload_digest_agrees_with_equal;
+              prop_payload_pattern_digest_reference; prop_payload_bytes_digest_reference;
+              prop_payload_pattern_to_string ] );
       ( "event_queue",
         [
           Alcotest.test_case "time order" `Quick test_event_queue_order;
