@@ -194,6 +194,22 @@ let micro () =
            done;
            Engine.run e))
   in
+  (* Every wake-up lands at the current instant, so this case runs the
+     queue's same-instant lane, where the 1k add+pop case runs its heap. *)
+  let engine_handoff =
+    Test.make ~name:"engine: same-instant hand-off (32 fibers)"
+      (Staged.stage (fun () ->
+           let e = Engine.create () in
+           let sem = Engine.Semaphore.create e 1 in
+           for _ = 1 to 32 do
+             ignore
+               (Engine.Fiber.spawn e (fun () ->
+                    for _ = 1 to 10 do
+                      Engine.Semaphore.with_held sem (fun () -> Engine.yield e)
+                    done))
+           done;
+           Engine.run e))
+  in
   let qcow2_cow =
     Test.make ~name:"qcow2: 64 cluster COW writes (in-sim)"
       (Staged.stage (fun () ->
@@ -217,7 +233,7 @@ let micro () =
   let tests =
     Test.make_grouped ~name:"blobcr-core"
       [ seg_tree_update; seg_tree_bulk; payload_pattern_digest; payload_bytes_digest; event_queue;
-        engine_fibers; qcow2_cow ]
+        engine_fibers; engine_handoff; qcow2_cow ]
   in
   let benchmark () =
     let instances = Instance.[ monotonic_clock ] in

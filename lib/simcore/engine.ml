@@ -54,11 +54,16 @@ and fiber = {
   engine : t;
   mutable finished : bool;
   mutable cancel_requested : bool;
-  mutable pending : pending option;
+  mutable parked : parked;
+  mutable suspensions : int;
+      (* Bumped when the fiber parks and again when it is unparked, so a
+         resumer holding the value from parking time is one-shot: it is
+         live only while the counter still equals it. *)
   done_ivar : outcome ivar;
 }
 
-and pending = { consumed : bool ref; cancel_now : unit -> unit }
+(* The continuation of a fiber blocked on a [Suspend], or [Running]. *)
+and parked = Running | Parked : ('a, unit) Effect.Deep.continuation -> parked
 and 'a ivar_state = Iempty of 'a resumer list | Ifull of 'a
 and 'a ivar = { iengine : t; mutable istate : 'a ivar_state }
 
@@ -109,70 +114,91 @@ let ivar_fill iv v =
 
 let finish t fiber outcome =
   fiber.finished <- true;
-  fiber.pending <- None;
   t.live <- t.live - 1;
   ivar_fill fiber.done_ivar outcome
 
-let with_current t fiber f =
+(* Fiber bodies run with [t.current] set to their fiber; the previous
+   value is restored afterwards, on exceptions too ([restore_raise]). The
+   save/restore is written out in each entry point (start, resume,
+   cancel) rather than taken as a closure, which would cost an allocation
+   per event. *)
+let restore_raise t saved exn =
+  let bt = Printexc.get_raw_backtrace () in
+  t.current <- saved;
+  Printexc.raise_with_backtrace exn bt
+
+let unpark t fiber =
+  fiber.parked <- Running;
+  fiber.suspensions <- fiber.suspensions + 1;
+  t.blocked <- t.blocked - 1
+
+let run_resume t fiber k v =
   let saved = t.current in
   t.current <- Some fiber;
-  Fun.protect ~finally:(fun () -> t.current <- saved) f
+  match Effect.Deep.continue k v with
+  | () -> t.current <- saved
+  | exception exn -> restore_raise t saved exn
+
+let run_cancel t fiber k =
+  let saved = t.current in
+  t.current <- Some fiber;
+  match Effect.Deep.discontinue k Cancelled with
+  | () -> t.current <- saved
+  | exception exn -> restore_raise t saved exn
+
+(* The resumer handed to a [Suspend]'s register function: live only while
+   the fiber is still parked at suspension number [token]. *)
+let resume_parked t fiber token k v =
+  if fiber.suspensions <> token then false
+  else begin
+    unpark t fiber;
+    enqueue t ~time:t.now (fun () -> run_resume t fiber k v);
+    true
+  end
 
 (* Runs [f] as the body of [fiber] under the effect handler that implements
    blocking. Every blocking primitive performs [Suspend register]; the
-   handler parks the continuation, hands [register] a one-shot resumer, and
-   returns to the scheduler. Resumers deliver the value by scheduling an
-   event that continues the parked continuation. *)
+   handler parks the continuation in the fiber, hands [register] a one-shot
+   resumer, and returns to the scheduler. Resumers deliver the value by
+   scheduling an event that continues the parked continuation. *)
 let start_fiber t fiber f =
   let open Effect.Deep in
-  match_with
-    (fun () ->
-      if fiber.cancel_requested then raise Cancelled;
-      f ())
-    ()
-    {
-      retc = (fun () -> finish t fiber Completed);
-      exnc =
-        (fun exn ->
-          match exn with
-          | Cancelled -> finish t fiber Cancelled_outcome
-          | exn ->
-              finish t fiber (Failed exn);
-              set_error t fiber.fname exn);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Suspend register ->
-              Some
-                (fun (k : (a, _) continuation) ->
-                  if fiber.cancel_requested then discontinue k Cancelled
-                  else begin
-                    let consumed = ref false in
-                    t.blocked <- t.blocked + 1;
-                    let unblock () =
-                      consumed := true;
-                      fiber.pending <- None;
-                      t.blocked <- t.blocked - 1
-                    in
-                    let cancel_now () =
-                      unblock ();
-                      enqueue t ~time:t.now (fun () ->
-                          with_current t fiber (fun () -> discontinue k Cancelled))
-                    in
-                    fiber.pending <- Some { consumed; cancel_now };
-                    let resume v =
-                      if !consumed then false
-                      else begin
-                        unblock ();
-                        enqueue t ~time:t.now (fun () ->
-                            with_current t fiber (fun () -> continue k v));
-                        true
-                      end
-                    in
-                    register resume
-                  end)
-          | _ -> None);
-    }
+  let saved = t.current in
+  t.current <- Some fiber;
+  match
+    match_with
+      (fun () ->
+        if fiber.cancel_requested then raise Cancelled;
+        f ())
+      ()
+      {
+        retc = (fun () -> finish t fiber Completed);
+        exnc =
+          (fun exn ->
+            match exn with
+            | Cancelled -> finish t fiber Cancelled_outcome
+            | exn ->
+                finish t fiber (Failed exn);
+                set_error t fiber.fname exn);
+        effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | Suspend register ->
+                Some
+                  (fun (k : (a, _) continuation) ->
+                    if fiber.cancel_requested then discontinue k Cancelled
+                    else begin
+                      let token = fiber.suspensions + 1 in
+                      fiber.suspensions <- token;
+                      fiber.parked <- Parked k;
+                      t.blocked <- t.blocked + 1;
+                      register (resume_parked t fiber token k)
+                    end)
+            | _ -> None);
+      }
+  with
+  | () -> t.current <- saved
+  | exception exn -> restore_raise t saved exn
 
 let spawn_fiber t ?(name = "fiber") f =
   let fiber =
@@ -182,21 +208,25 @@ let spawn_fiber t ?(name = "fiber") f =
       engine = t;
       finished = false;
       cancel_requested = false;
-      pending = None;
+      parked = Running;
+      suspensions = 0;
       done_ivar = ivar_create t;
     }
   in
   t.next_id <- t.next_id + 1;
   t.live <- t.live + 1;
-  enqueue t ~time:t.now (fun () -> with_current t fiber (fun () -> start_fiber t fiber f));
+  enqueue t ~time:t.now (fun () -> start_fiber t fiber f);
   fiber
 
 let cancel_fiber fiber =
   if not fiber.finished then begin
     fiber.cancel_requested <- true;
-    match fiber.pending with
-    | Some p when not !(p.consumed) -> p.cancel_now ()
-    | _ -> ()
+    match fiber.parked with
+    | Parked k ->
+        let t = fiber.engine in
+        unpark t fiber;
+        enqueue t ~time:t.now (fun () -> run_cancel t fiber k)
+    | Running -> ()
   end
 
 let suspend (register : 'a resumer -> unit) : 'a = Effect.perform (Suspend register)
@@ -216,13 +246,14 @@ let check_error t =
   | None -> ()
 
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, ev) ->
-      t.now <- time;
-      ev ();
-      check_error t;
-      true
+  if Event_queue.is_empty t.queue then false
+  else begin
+    t.now <- Event_queue.next_time t.queue;
+    let ev = Event_queue.take t.queue in
+    ev ();
+    check_error t;
+    true
+  end
 
 let run t =
   while step t do
@@ -356,7 +387,14 @@ module Semaphore = struct
 
   let with_held s f =
     acquire s;
-    Fun.protect ~finally:(fun () -> release s) f
+    match f () with
+    | v ->
+        release s;
+        v
+    | exception exn ->
+        let bt = Printexc.get_raw_backtrace () in
+        release s;
+        Printexc.raise_with_backtrace exn bt
 
   let available s = s.count
 

@@ -126,6 +126,15 @@ val sleep : t -> float -> unit
 (** [sleep t d] blocks the calling fiber for [d] simulated seconds.
     Must be called from inside a fiber. Requires [d >= 0.]. *)
 
+val suspend : (('a -> bool) -> unit) -> 'a
+(** [suspend register] blocks the calling fiber and calls [register resume]
+    before control returns to the scheduler; the building block of every
+    blocking primitive below. The first [resume v] schedules the fiber to
+    continue with [v] at the current time and returns [true]. A resumer is
+    one-shot: calling it again, or after the fiber was cancelled, returns
+    [false] and does nothing, so resources can skip dead waiters. Must be
+    called from inside a fiber. *)
+
 val yield : t -> unit
 (** Reschedule the calling fiber at the current time, letting other ready
     fibers run first. *)

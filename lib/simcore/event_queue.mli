@@ -7,7 +7,12 @@
     bit-identical to the historical behavior. The other policies exist to
     {e fuzz} schedules (see [Analysis.Schedule_fuzz]): they permute only
     same-timestamp runs, never the time order, and are equally
-    deterministic for a fixed policy value. *)
+    deterministic for a fixed policy value.
+
+    Under {!Fifo}, events added at the instant of the last pop (fiber
+    resumes, mostly) bypass the heap through a FIFO lane; the pop order is
+    exactly the single-heap order (DESIGN.md section 13). The queue keeps
+    no reference to a value once it is popped. *)
 
 type schedule =
   | Fifo  (** ties pop in insertion order (the default) *)
@@ -45,6 +50,14 @@ val length : 'a t -> int
 
 val add : 'a t -> time:float -> 'a -> unit
 (** Insert an event at the given simulated time. *)
+
+val next_time : 'a t -> float
+(** Time of the earliest event. Raises [Invalid_argument] on an empty
+    queue. With {!take}, pops without building an option or a pair. *)
+
+val take : 'a t -> 'a
+(** Remove the earliest event (the one {!next_time} reports) and return its
+    value. Raises [Invalid_argument] on an empty queue. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event. *)

@@ -5,7 +5,8 @@ type t = {
   per_op : float;
   seek : float;
   lock : Engine.Semaphore.t;
-  mutable last_stream : int option;
+  mutable has_stream : bool;  (* whether [last_stream] holds a served stream yet *)
+  mutable last_stream : int;
   mutable busy : float;
   mutable ops : int;
   mutable bytes : int;
@@ -22,7 +23,8 @@ let create engine ~rate ?(per_op = 0.0) ?(seek = 0.0) ?(name = "rate-server") ()
     per_op;
     seek;
     lock = Engine.Semaphore.create engine 1;
-    last_stream = None;
+    has_stream = false;
+    last_stream = 0;
     busy = 0.0;
     ops = 0;
     bytes = 0;
@@ -35,8 +37,9 @@ let process_many t ?stream ~ops bytes =
   Engine.Semaphore.with_held t.lock (fun () ->
       let seek_time =
         match stream with
-        | Some s when t.last_stream <> Some s ->
-            t.last_stream <- Some s;
+        | Some s when not (t.has_stream && t.last_stream = s) ->
+            t.has_stream <- true;
+            t.last_stream <- s;
             t.seek_count <- t.seek_count + 1;
             t.seek
         | Some _ | None -> 0.0

@@ -263,6 +263,99 @@ let test_registry_experiment_deterministic () =
         (Fmt.str "fig5a quick deterministic: %a" Determinism.pp_report report)
         true (Determinism.identical report)
 
+(* A synthetic engine workload whose log records every wake-up with its
+   time: sleeps that end together, same-instant yields, semaphore and
+   mailbox hand-offs, plain callbacks and cancellations all race at
+   shared instants, so any change of tie order changes the log. *)
+let engine_order_digest schedule =
+  let e = Engine.create ~schedule () in
+  let sem = Engine.Semaphore.create e 2 in
+  let mb = Engine.Mailbox.create e in
+  let log = Buffer.create 65536 in
+  let note fmt = Fmt.kstr (fun s -> Buffer.add_string log (Fmt.str "%h %s\n" (Engine.now e) s)) fmt in
+  let fibers =
+    List.init 16 (fun i ->
+        Engine.Fiber.spawn e ~name:(string_of_int i) (fun () ->
+            for round = 0 to 9 do
+              Engine.sleep e (float_of_int (((i * 7) + (round * 3)) mod 4) *. 0.25);
+              note "%d.%d wake" i round;
+              Engine.Semaphore.with_held sem (fun () ->
+                  note "%d.%d held" i round;
+                  Engine.yield e;
+                  note "%d.%d yielded" i round);
+              if i mod 3 = 0 then Engine.Mailbox.send mb (i, round)
+              else if i mod 3 = 1 then begin
+                let j, r = Engine.Mailbox.recv mb in
+                note "%d.%d got %d.%d" i round j r
+              end;
+              Engine.at e (Engine.now e) (fun () -> note "%d.%d at" i round)
+            done))
+  in
+  let _ =
+    Engine.Fiber.spawn e ~name:"reaper" (fun () ->
+        Engine.sleep e 2.0;
+        List.iteri (fun i f -> if i mod 5 = 4 then Engine.Fiber.cancel f) fibers;
+        note "reaped")
+  in
+  Engine.run e;
+  Digest.to_hex (Digest.string (Buffer.contents log))
+
+(* Event-order digests, recorded with the single-heap event queue: the MD5
+   of the quick-scale trace of two registry experiments, and of the
+   synthetic hand-off log above under each kind of schedule. Fifo runs through the heap and the same-instant lane, the
+   fuzz schedules through the heap alone; both must replay the historical
+   order line for line. A mismatch here is a change of event order, which
+   moves simulated results. *)
+let pinned_trace_digests =
+  [
+    ( "fig5a",
+      [
+        (Event_queue.Fifo, "5e12abac1ceef32938fc1120ebe9f6e5");
+        (Event_queue.Lifo, "4eb17027bf9481ebbf426ae276a783fa");
+        (Event_queue.Seeded_shuffle 7, "b50b2a1f218c9105a00d0ec7ba0040e0");
+      ] );
+    ( "fig3a",
+      [
+        (Event_queue.Fifo, "74723ff4df0ff82bc9ba50a7a891a9e5");
+        (Event_queue.Lifo, "b9623fe120e2345e4b75eda4329056ed");
+        (Event_queue.Seeded_shuffle 7, "beff8413e883a265e483a58eb3e969c8");
+      ] );
+  ]
+
+
+let pinned_engine_digests =
+  [
+    (Event_queue.Fifo, "de5b966043c9908792b4c1feb7287995");
+    (Event_queue.Lifo, "e8dd52274b9ec853bede1e841a201605");
+    (Event_queue.Seeded_shuffle 7, "ee3644f8c4bd4c6cb08fb05b076451b8");
+  ]
+
+let test_pinned_event_order () =
+  List.iter
+    (fun (id, pins) ->
+      match Experiments.Registry.find id with
+      | None -> Alcotest.failf "%s not registered" id
+      | Some exp ->
+          List.iter
+            (fun (schedule, expected) ->
+              let scale = { Experiments.Scale.quick with Experiments.Scale.schedule } in
+              let _, lines =
+                Trace.capture (fun () ->
+                    exp.Experiments.Registry.run scale ~progress:(fun _ -> ()))
+              in
+              Alcotest.(check string)
+                (Fmt.str "%s trace digest under %a" id Event_queue.pp_schedule schedule)
+                expected
+                (Digest.to_hex (Digest.string (String.concat "\n" lines))))
+            pins)
+    pinned_trace_digests;
+  List.iter
+    (fun (schedule, expected) ->
+      Alcotest.(check string)
+        (Fmt.str "engine hand-off digest under %a" Event_queue.pp_schedule schedule)
+        expected (engine_order_digest schedule))
+    pinned_engine_digests
+
 let test_scrub_replay_deterministic () =
   let report = Determinism.check_scrub_replay ~seed:11 () in
   Alcotest.(check bool)
@@ -353,6 +446,7 @@ let () =
             test_registry_experiment_deterministic;
           Alcotest.test_case "scrub/repair log replays identically" `Slow
             test_scrub_replay_deterministic;
+          Alcotest.test_case "event order matches pinned digests" `Slow test_pinned_event_order;
         ] );
       ( "schedule-fuzz",
         [

@@ -355,6 +355,137 @@ let test_schedule_parse_roundtrip () =
   Alcotest.(check bool) "garbage rejected" true
     (match Event_queue.schedule_of_string "random" with Error _ -> true | Ok _ -> false)
 
+(* Differential check of the queue against a reference: a list kept in
+   [(time, rank, seq)] order. The operations mix adds at exactly the last
+   popped time (the same-instant lane under Fifo), adds earlier than it,
+   and ties at a handful of shared times. *)
+type eq_op = Add_at_last | Add_earlier | Add_at of int | Add_random of float | Pop | Take
+
+let eq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, return Add_at_last); (1, return Add_earlier); (3, map (fun k -> Add_at k) (int_bound 8));
+        (1, map (fun f -> Add_random f) (float_bound_exclusive 4.0)); (3, return Pop);
+        (2, return Take) ])
+
+let eq_op_print = function
+  | Add_at_last -> "add@last"
+  | Add_earlier -> "add@earlier"
+  | Add_at k -> Fmt.str "add@%d" k
+  | Add_random f -> Fmt.str "add@%h" f
+  | Pop -> "pop"
+  | Take -> "take"
+
+let eq_ops_arb =
+  QCheck.make
+    ~print:(QCheck.Print.list eq_op_print)
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_bound 300) eq_op_gen)
+
+let reference_rank schedule seq =
+  match schedule with
+  | Event_queue.Fifo -> seq
+  | Event_queue.Lifo -> -seq
+  | Event_queue.Seeded_shuffle seed -> Rng.rank ~seed seq
+
+let queue_matches_reference schedule ops =
+  let q = Event_queue.create ~schedule () in
+  let reference = ref [] (* (time, rank, seq), sorted *) in
+  let next_seq = ref 0 and last = ref 0.0 in
+  let before (ta, ra, sa) (tb, rb, sb) = ta < tb || (ta = tb && (ra < rb || (ra = rb && sa < sb))) in
+  let rec insert k = function
+    | [] -> [ k ]
+    | x :: rest as l -> if before k x then k :: l else x :: insert k rest
+  in
+  let add time =
+    let seq = !next_seq in
+    incr next_seq;
+    Event_queue.add q ~time seq;
+    reference := insert (time, reference_rank schedule seq, seq) !reference;
+    true
+  in
+  let agrees () =
+    Event_queue.length q = List.length !reference
+    && Event_queue.is_empty q = (!reference = [])
+    && Event_queue.peek_time q
+       = match !reference with [] -> None | (time, _, _) :: _ -> Some time
+  in
+  let pop via =
+    let got =
+      match via with
+      | `Pop -> Event_queue.pop q
+      | `Take ->
+          if Event_queue.is_empty q then None
+          else
+            let time = Event_queue.next_time q in
+            Some (time, Event_queue.take q)
+    in
+    match (got, !reference) with
+    | None, [] -> true
+    | Some (time, seq), (time', _, seq') :: rest ->
+        reference := rest;
+        last := time;
+        time = time' && seq = seq'
+    | _ -> false
+  in
+  List.for_all
+    (fun op ->
+      let ok =
+        match op with
+        | Add_at_last -> add !last
+        | Add_earlier -> add (!last -. 0.5)
+        | Add_at k -> add (float_of_int k *. 0.5)
+        | Add_random f -> add f
+        | Pop -> pop `Pop
+        | Take -> pop `Take
+      in
+      ok && agrees ())
+    ops
+  && List.for_all (fun _ -> pop `Pop && agrees ()) (List.init (Event_queue.length q + 1) Fun.id)
+
+let prop_event_queue_matches_reference schedule =
+  QCheck.Test.make
+    ~name:(Fmt.str "event queue: same pops as a sorted reference (%a)" Event_queue.pp_schedule
+             schedule)
+    ~count:300 eq_ops_arb (queue_matches_reference schedule)
+
+(* Fill a queue through both the heap and the same-instant lane, drain it,
+   and return it with weak pointers to everything that went through it. *)
+let churn_queue schedule n =
+  let weak = Weak.create (2 * n) in
+  let q = Event_queue.create ~schedule () in
+  for i = 0 to n - 1 do
+    let v = ref i in
+    Weak.set weak i (Some v);
+    Event_queue.add q ~time:(float_of_int (i mod 7)) v
+  done;
+  ignore (Sys.opaque_identity (Event_queue.pop q));
+  for i = n to (2 * n) - 1 do
+    let v = ref i in
+    Weak.set weak i (Some v);
+    Event_queue.add q ~time:0.0 v
+  done;
+  while not (Event_queue.is_empty q) do
+    ignore (Sys.opaque_identity (Event_queue.pop q))
+  done;
+  (q, weak)
+
+let test_event_queue_releases_popped () =
+  List.iter
+    (fun schedule ->
+      let q, weak = churn_queue schedule 1024 in
+      Gc.full_major ();
+      (* The drained queue itself must stay alive across the collection. *)
+      ignore (Sys.opaque_identity q);
+      let retained = ref 0 in
+      for i = 0 to Weak.length weak - 1 do
+        if Weak.check weak i then incr retained
+      done;
+      Alcotest.(check int)
+        (Fmt.str "popped values still reachable (%a)" Event_queue.pp_schedule schedule)
+        0 !retained)
+    [ Event_queue.Fifo; Event_queue.Lifo ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine *)
 
@@ -647,7 +778,48 @@ let test_cancelled_semaphore_waiter_does_not_eat_token () =
         got_token := true)
   in
   Engine.run e;
-  Alcotest.(check bool) "token reached late fiber" true !got_token
+  Alcotest.(check bool) "token reached late fiber" true !got_token;
+  Alcotest.(check int) "nobody blocked" 0 (Engine.blocked_fibers e)
+
+(* Resumers are one-shot: a second call, a call after cancellation, or a
+   call to a stale resumer from an earlier suspension all return false. *)
+let test_resumer_one_shot () =
+  let e = Engine.create () in
+  let resumers = ref [] and got = ref [] in
+  let park () = Engine.suspend (fun resume -> resumers := resume :: !resumers) in
+  let _ =
+    Engine.Fiber.spawn e (fun () ->
+        got := park () :: !got;
+        got := park () :: !got)
+  in
+  Engine.run e;
+  Alcotest.(check int) "parked" 1 (Engine.blocked_fibers e);
+  let first = List.hd !resumers in
+  Alcotest.(check bool) "first resume" true (first 1);
+  Alcotest.(check bool) "second resume" false (first 2);
+  Alcotest.(check int) "unparked" 0 (Engine.blocked_fibers e);
+  Engine.run e;
+  Alcotest.(check int) "parked again" 1 (Engine.blocked_fibers e);
+  Alcotest.(check bool) "stale resumer" false (first 3);
+  Alcotest.(check bool) "fresh resumer" true ((List.hd !resumers) 4);
+  Engine.run e;
+  Alcotest.(check (list int)) "values delivered" [ 1; 4 ] (List.rev !got);
+  Alcotest.(check int) "live" 0 (Engine.live_fibers e)
+
+let test_resume_after_cancel () =
+  let e = Engine.create () in
+  let resumer = ref (fun (_ : int) -> true) in
+  let victim = Engine.Fiber.spawn e (fun () -> ignore (Engine.suspend (fun r -> resumer := r))) in
+  let outcome = ref None in
+  let _ = Engine.Fiber.spawn e (fun () -> outcome := Some (Engine.Fiber.await victim)) in
+  Engine.run e;
+  Engine.Fiber.cancel victim;
+  Alcotest.(check bool) "resume after cancel" false (!resumer 1);
+  Alcotest.(check int) "only the watcher parked" 1 (Engine.blocked_fibers e);
+  Engine.run e;
+  Alcotest.(check int) "nobody blocked" 0 (Engine.blocked_fibers e);
+  Alcotest.(check bool) "cancelled outcome" true (!outcome = Some Engine.Fiber.Cancelled_outcome);
+  Alcotest.(check int) "live" 0 (Engine.live_fibers e)
 
 let test_blocked_fibers_counter () =
   let e = Engine.create () in
@@ -777,8 +949,12 @@ let () =
           Alcotest.test_case "shuffle deterministic per seed" `Quick
             test_schedule_shuffle_deterministic;
           Alcotest.test_case "schedule parse roundtrip" `Quick test_schedule_parse_roundtrip;
+          Alcotest.test_case "popped values released" `Quick test_event_queue_releases_popped;
         ]
-        @ qsuite [ prop_event_queue_sorted ] );
+        @ qsuite
+            [ prop_event_queue_sorted; prop_event_queue_matches_reference Event_queue.Fifo;
+              prop_event_queue_matches_reference Event_queue.Lifo;
+              prop_event_queue_matches_reference (Event_queue.Seeded_shuffle 7) ] );
       ( "engine",
         [
           Alcotest.test_case "time advances" `Quick test_engine_time_advances;
@@ -789,6 +965,8 @@ let () =
           Alcotest.test_case "at callback" `Quick test_engine_at_callback;
           Alcotest.test_case "all barrier" `Quick test_engine_all_barrier;
           Alcotest.test_case "blocked fiber count" `Quick test_blocked_fibers_counter;
+          Alcotest.test_case "resumer is one-shot" `Quick test_resumer_one_shot;
+          Alcotest.test_case "resume after cancel" `Quick test_resume_after_cancel;
         ] );
       ( "ivar",
         [
