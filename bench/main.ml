@@ -230,10 +230,25 @@ let micro () =
            in
            Engine.run e))
   in
+  (* The mirror's chunk store: a 256 MiB image cached chunk by chunk, then
+     read back in boot-sized requests that each span four chunks. *)
+  let chunk = 256 * Size.kib in
+  let chunk_payload = Payload.pattern ~seed:1L chunk in
+  let sparse_bytes =
+    Test.make ~name:"sparse-bytes: 1024 chunk writes, 256 1 MiB reads"
+      (Staged.stage (fun () ->
+           let s = Sparse_bytes.create ~block_size:chunk () in
+           for i = 0 to 1023 do
+             Sparse_bytes.write s ~offset:(i * chunk) chunk_payload
+           done;
+           for i = 0 to 255 do
+             ignore (Sparse_bytes.read s ~offset:(i * Size.mib) ~len:Size.mib)
+           done))
+  in
   let tests =
     Test.make_grouped ~name:"blobcr-core"
       [ seg_tree_update; seg_tree_bulk; payload_pattern_digest; payload_bytes_digest; event_queue;
-        engine_fibers; engine_handoff; qcow2_cow ]
+        engine_fibers; engine_handoff; qcow2_cow; sparse_bytes ]
   in
   let benchmark () =
     let instances = Instance.[ monotonic_clock ] in

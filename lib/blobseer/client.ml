@@ -722,18 +722,10 @@ let read_chunk b ~from ~version ~chunk =
   current_chunk_content b ~from tr chunk
 
 let chunk_identity b ~version ~chunk =
-  let tr = tree b ~version in
-  match Segment_tree.get tr chunk with
-  | None -> None
-  | Some (desc : Types.chunk_desc) -> (
-      match desc.replicas with
-      | { provider; chunk = id } :: _ -> Some (provider, id)
-      | [] -> None)
-
-let chunk_host b ~version ~chunk =
-  match chunk_identity b ~version ~chunk with
-  | None -> None
-  | Some (provider, _) -> Some (Data_provider.host (data_provider b.service provider))
+  match Segment_tree.get (tree b ~version) chunk with
+  | Some { Types.replicas = { provider; chunk = id } :: _; _ } ->
+      Some ((provider, id), Data_provider.host (data_provider b.service provider))
+  | Some _ | None -> None
 
 let delta_bytes b ~base ~version =
   let old_tree = tree b ~version:base in

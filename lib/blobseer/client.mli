@@ -233,13 +233,12 @@ val read_desc : blob -> from:Net.host -> Types.chunk_desc -> Payload.t
     records carry the tree delta), so they never load the primary's
     control plane. *)
 
-val chunk_identity : blob -> version:int -> chunk:int -> (int * int) option
-(** Physical identity [(provider, chunk_id)] of the primary replica, or
-    [None] for unwritten chunks. Cost-free metadata peek used to coalesce
-    fetches of chunks shared between snapshots (adaptive prefetching). *)
-
-val chunk_host : blob -> version:int -> chunk:int -> Net.host option
-(** Host of the primary replica's provider. Cost-free. *)
+val chunk_identity : blob -> version:int -> chunk:int -> ((int * int) * Net.host) option
+(** Physical identity [(provider, chunk_id)] of the primary replica, with
+    the host of that replica's provider, or [None] for unwritten chunks.
+    One cost-free metadata peek serves a whole lazy fetch: the identity
+    keys the coalescing of fetches of chunks shared between snapshots
+    (adaptive prefetching) and the host is where the fetch is sent. *)
 
 val clone : blob -> from:Net.host -> version:int -> blob
 (** Zero-copy fork (the mirroring module's [CLONE] primitive). *)

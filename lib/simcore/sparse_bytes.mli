@@ -3,7 +3,14 @@
     A growable address space where unwritten ranges read as zeros, backed by
     fixed-size blocks of {!Payload.t}. Used as the in-memory content plane
     of disk images and caches (timing is charged by their owners; this
-    structure is free of simulated cost). *)
+    structure is free of simulated cost).
+
+    Blocks live in a growable array indexed by block number ([offset /
+    block_size]), so a store's footprint is proportional to its highest
+    written block, not to the number of blocks written: it suits dense,
+    bounded address spaces such as a chunk cache indexed by chunk. A
+    block counts as materialized from its first write on, whatever the
+    bytes written, zeros included. *)
 
 type t
 
@@ -21,4 +28,5 @@ val written_bytes : t -> int
 (** Number of bytes covered by materialized blocks (block-granular). *)
 
 val clear : t -> unit
-(** Drop every block, returning the space to all-zeros. *)
+(** Drop every block, returning the space to all-zeros and releasing the
+    block array. *)

@@ -3,6 +3,82 @@ open Netsim
 open Storage
 open Blobseer
 
+(* Per-chunk state is kept densely, indexed by chunk in [0, n) with [n] the
+   image's chunk count (DESIGN.md §16). A set is one byte per chunk plus a
+   live count; iteration runs in ascending chunk order, so every view and
+   the commit's chunk list come out sorted without a sort. The byte array
+   is allocated on the first [add] and released by [clear]: the engine keeps
+   every mirror it ever created reachable as an audit subject, so the state
+   of a dropped mirror must not stay [n]-sized. *)
+module Chunk_set = struct
+  type t = { n : int; mutable marks : Bytes.t; mutable count : int }
+
+  let create n = { n; marks = Bytes.empty; count = 0 }
+  let cardinal s = s.count
+  let[@inline] mem s i = i < Bytes.length s.marks && Bytes.get s.marks i <> '\000'
+
+  let add s i =
+    if Bytes.length s.marks = 0 then s.marks <- Bytes.make s.n '\000';
+    if Bytes.get s.marks i = '\000' then begin
+      Bytes.set s.marks i '\001';
+      s.count <- s.count + 1
+    end
+
+  let remove s i =
+    if mem s i then begin
+      Bytes.set s.marks i '\000';
+      s.count <- s.count - 1
+    end
+
+  let clear s =
+    s.marks <- Bytes.empty;
+    s.count <- 0
+
+  (* Move the contents into a new set and leave [s] empty, without copying. *)
+  let take s =
+    let moved = { n = s.n; marks = s.marks; count = s.count } in
+    clear s;
+    moved
+
+  let iter f s =
+    if s.count > 0 then
+      for i = 0 to Bytes.length s.marks - 1 do
+        if Bytes.get s.marks i <> '\000' then f i
+      done
+
+  let elements s =
+    let acc = ref [] in
+    if s.count > 0 then
+      for i = Bytes.length s.marks - 1 downto 0 do
+        if Bytes.get s.marks i <> '\000' then acc := i :: !acc
+      done;
+    !acc
+end
+
+(* Chunk -> digest: a key set beside the digests stored unboxed, 8 bytes
+   per chunk, allocated and released with the keys. *)
+module Digest_map = struct
+  type t = { keys : Chunk_set.t; mutable digests : Bytes.t }
+
+  let create n = { keys = Chunk_set.create n; digests = Bytes.empty }
+  let[@inline] mem m i = Chunk_set.mem m.keys i
+  let[@inline] get m i = Bytes.get_int64_le m.digests (i * 8)
+  let find_opt m i = if mem m i then Some (get m i) else None
+
+  let set m i d =
+    if Bytes.length m.digests = 0 then m.digests <- Bytes.create (8 * m.keys.n);
+    Chunk_set.add m.keys i;
+    Bytes.set_int64_le m.digests (i * 8) d
+
+  let remove m i = Chunk_set.remove m.keys i
+
+  let clear m =
+    Chunk_set.clear m.keys;
+    m.digests <- Bytes.empty
+
+  let bindings m = List.map (fun i -> (i, get m i)) (Chunk_set.elements m.keys)
+end
+
 (* A frozen epoch: the dirty set captured copy-on-write at FREEZE time
    (DESIGN.md §17). [f_pending] are the chunks the snapshot must ship;
    their content at freeze time is either still in [local] (untouched
@@ -11,10 +87,10 @@ open Blobseer
    captured from the live cache, so the background commit can hint the
    client without re-reading guest-mutated bytes. *)
 type frozen = {
-  f_pending : (int, unit) Hashtbl.t; (* frozen chunks not yet shipped *)
-  f_digests : (int, int64) Hashtbl.t; (* digest of frozen content *)
+  f_pending : Chunk_set.t; (* frozen chunks not yet shipped *)
+  f_digests : Digest_map.t; (* digest of frozen content *)
   f_store : Sparse_bytes.t; (* frozen bytes of guest-overwritten chunks *)
-  f_copied : (int, unit) Hashtbl.t; (* chunks whose frozen bytes sit in f_store *)
+  f_copied : Chunk_set.t; (* chunks whose frozen bytes sit in f_store *)
   mutable f_reserved : int; (* local-disk bytes held by f_store *)
   f_skip_chunks : int; (* clean-rewrite absorption carried into the freeze *)
   f_skip_bytes : int;
@@ -31,15 +107,15 @@ type t = {
   capacity : int;
   chunk_size : int;
   local : Sparse_bytes.t; (* chunk cache + COW diffs, chunk-addressed *)
-  present : (int, unit) Hashtbl.t; (* chunk locally available *)
-  dirty : (int, unit) Hashtbl.t; (* modified since last commit *)
+  present : Chunk_set.t; (* chunk locally available *)
+  dirty : Chunk_set.t; (* modified since last commit *)
   (* Digest of each present chunk's current local content, carried across
      commit epochs (DESIGN.md §16). Invariants: keys ⊆ present, and every
      entry equals the digest of the chunk's bytes in [local] — audited at
      teardown. Entries are dropped on partial-chunk COW writes (the new
      digest would cost a read-modify-digest) and re-seeded from fetches,
      full-chunk writes and published descriptors. *)
-  digests : (int, int64) Hashtbl.t;
+  digests : Digest_map.t;
   use_cache : bool; (* params.digest_cache: carry digests across epochs *)
   mutable skip_chunks : int; (* clean rewrites absorbed at the device ... *)
   mutable skip_bytes : int; (* ... since the last commit *)
@@ -64,6 +140,8 @@ let m_cow_bytes = Obs.Metrics.counter ~component:"mirror" ~name:"cow_bytes"
 
 let create engine ~host ~local_disk ~base ~base_version ?prefetch ~name () =
   let chunk_size = Client.stripe_size base in
+  let capacity = Client.capacity base in
+  let chunks = Size.div_ceil capacity chunk_size in
   let t = {
     engine;
     host;
@@ -72,12 +150,12 @@ let create engine ~host ~local_disk ~base ~base_version ?prefetch ~name () =
     base_version;
     prefetch;
     mname = name;
-    capacity = Client.capacity base;
+    capacity;
     chunk_size;
     local = Sparse_bytes.create ~block_size:chunk_size ();
-    present = Hashtbl.create 256;
-    dirty = Hashtbl.create 64;
-    digests = Hashtbl.create 256;
+    present = Chunk_set.create chunks;
+    dirty = Chunk_set.create chunks;
+    digests = Digest_map.create chunks;
     use_cache = (Client.params (Client.service base)).Types.digest_cache;
     skip_chunks = 0;
     skip_bytes = 0;
@@ -97,51 +175,46 @@ let name t = t.mname
 let capacity t = t.capacity
 let chunk_size t = t.chunk_size
 let checkpoint_image t = t.ckpt
-let dirty_chunks t = Hashtbl.length t.dirty
+let dirty_chunks t = Chunk_set.cardinal t.dirty
 
 let chunk_extent t index =
   min t.capacity ((index + 1) * t.chunk_size) - (index * t.chunk_size)
 
-let dirty_bytes t = Hashtbl.fold (fun i () acc -> acc + chunk_extent t i) t.dirty 0 (* lint: allow hashtbl-order — commutative sum *)
-let cached_chunks t = Hashtbl.length t.present
+(* Every dirty chunk is whole except possibly the image's last one. *)
+let dirty_bytes t =
+  let last = t.dirty.n - 1 in
+  (Chunk_set.cardinal t.dirty * t.chunk_size)
+  - if last >= 0 && Chunk_set.mem t.dirty last then t.chunk_size - chunk_extent t last else 0
+
+let cached_chunks t = Chunk_set.cardinal t.present
 let local_bytes t = t.reserved
 let frozen_active t = t.frozen <> None
 
 let cow_chunks t = t.cow_chunks_total
 let cow_bytes t = t.cow_bytes_total
 
-let sorted_keys tbl = Hashtbl.fold (fun i () acc -> i :: acc) tbl [] |> List.sort compare
-let present_view t = sorted_keys t.present
-let dirty_view t = sorted_keys t.dirty
-let unsafe_mark_dirty t ~chunk = Hashtbl.replace t.dirty chunk ()
-
-let digest_view t =
-  (* lint: allow hashtbl-order — sorted below *)
-  Hashtbl.fold (fun i d acc -> (i, d) :: acc) t.digests []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let present_view t = Chunk_set.elements t.present
+let dirty_view t = Chunk_set.elements t.dirty
+let unsafe_mark_dirty t ~chunk = Chunk_set.add t.dirty chunk
+let digest_view t = Digest_map.bindings t.digests
 
 let peek_chunk_payload t ~chunk =
   Sparse_bytes.read t.local ~offset:(chunk * t.chunk_size) ~len:(chunk_extent t chunk)
 
-let unsafe_poke_digest t ~chunk digest = Hashtbl.replace t.digests chunk digest
+let unsafe_poke_digest t ~chunk digest = Digest_map.set t.digests chunk digest
 
 let frozen_pending_view t =
-  match t.frozen with None -> [] | Some f -> sorted_keys f.f_pending
+  match t.frozen with None -> [] | Some f -> Chunk_set.elements f.f_pending
 
 let frozen_copied_view t =
-  match t.frozen with None -> [] | Some f -> sorted_keys f.f_copied
+  match t.frozen with None -> [] | Some f -> Chunk_set.elements f.f_copied
 
 let frozen_digest_view t =
-  match t.frozen with
-  | None -> []
-  | Some f ->
-      (* lint: allow hashtbl-order — sorted below *)
-      Hashtbl.fold (fun i d acc -> (i, d) :: acc) f.f_digests []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
+  match t.frozen with None -> [] | Some f -> Digest_map.bindings f.f_digests
 
 (* Where a frozen chunk's freeze-time bytes live: the diff log once the
    guest overwrote it, the live store (still identical) otherwise. *)
-let frozen_source t f index = if Hashtbl.mem f.f_copied index then f.f_store else t.local
+let frozen_source t f index = if Chunk_set.mem f.f_copied index then f.f_store else t.local
 
 let peek_frozen_payload t ~chunk =
   match t.frozen with
@@ -161,26 +234,23 @@ let drop_local_state t =
   Disk.free t.local_disk t.reserved;
   t.reserved <- 0;
   Obs.Metrics.set m_local_bytes 0;
-  Hashtbl.reset t.present;
-  Hashtbl.reset t.dirty;
-  Hashtbl.reset t.digests;
+  Chunk_set.clear t.present;
+  Chunk_set.clear t.dirty;
+  Digest_map.clear t.digests;
   t.frozen <- None;
   Sparse_bytes.clear t.local
 
 (* Bring chunk [index] into the local cache, lazily. The fetch is coalesced
    through the prefetcher when the chunk is shared with other instances. *)
 let ensure_present t index =
-  if not (Hashtbl.mem t.present index) then begin
+  if not (Chunk_set.mem t.present index) then begin
     let extent = chunk_extent t index in
     let fetch_plain () =
       Client.read_chunk t.base ~from:t.host ~version:t.base_version ~chunk:index
     in
     let payload =
       match (t.prefetch, Client.chunk_identity t.base ~version:t.base_version ~chunk:index) with
-      | Some prefetch, Some key ->
-          let provider_host =
-            Option.get (Client.chunk_host t.base ~version:t.base_version ~chunk:index)
-          in
+      | Some prefetch, Some (key, provider_host) ->
           Prefetch.fetch prefetch ~self:t.host ~key ~provider_host ~fetch_fn:fetch_plain
       | _ -> fetch_plain ()
     in
@@ -192,10 +262,10 @@ let ensure_present t index =
     Disk.write t.local_disk ~stream:(local_stream t) extent;
     Disk.free t.local_disk extent;
     Sparse_bytes.write t.local ~offset:(index * t.chunk_size) payload;
-    Hashtbl.replace t.present index ();
+    Chunk_set.add t.present index;
     (* Seed the digest cache: the read already verified this digest against
        the descriptor, so it is memoized on the payload — no extra work. *)
-    if t.use_cache then Hashtbl.replace t.digests index (Payload.digest payload)
+    if t.use_cache then Digest_map.set t.digests index (Payload.digest payload)
   end
 
 let check_range t offset len =
@@ -222,7 +292,7 @@ let read t ~offset ~len =
    application-interference cost of checkpointing live. *)
 let preserve_frozen t index =
   match t.frozen with
-  | Some f when Hashtbl.mem f.f_pending index && not (Hashtbl.mem f.f_copied index) ->
+  | Some f when Chunk_set.mem f.f_pending index && not (Chunk_set.mem f.f_copied index) ->
       let extent = chunk_extent t index in
       Disk.read t.local_disk ~stream:(local_stream t) extent;
       let frozen_bytes =
@@ -232,7 +302,7 @@ let preserve_frozen t index =
       Disk.write t.local_disk ~stream:(local_stream t) extent;
       Disk.free t.local_disk extent;
       Sparse_bytes.write f.f_store ~offset:(index * t.chunk_size) frozen_bytes;
-      Hashtbl.replace f.f_copied index ();
+      Chunk_set.add f.f_copied index;
       f.f_reserved <- f.f_reserved + extent;
       t.cow_chunks_total <- t.cow_chunks_total + 1;
       t.cow_bytes_total <- t.cow_bytes_total + extent;
@@ -259,37 +329,42 @@ let write t ~offset payload =
       let covers_whole = wstart = cstart && wend = cstart + extent in
       if covers_whole && t.use_cache then begin
         let d = Payload.digest slice in
-        match Hashtbl.find_opt t.digests index with
-        | Some cached when cached = d && Hashtbl.mem t.present index ->
-            (* Clean rewrite absorbed at the device: the chunk already holds
-               exactly these bytes, so it stays out of the dirty set and the
-               next commit never reads, digests or ships it. *)
-            t.skip_chunks <- t.skip_chunks + 1;
-            t.skip_bytes <- t.skip_bytes + extent;
-            Client.note_digest_skipped (Client.service t.base) ~chunks:1 ~bytes:extent
-        | _ ->
-            if not (Hashtbl.mem t.present index) then begin
-              reserve_local t extent;
-              Hashtbl.replace t.present index ()
-            end;
-            preserve_frozen t index;
-            Hashtbl.replace t.dirty index ();
-            Hashtbl.replace t.digests index d;
-            Sparse_bytes.write t.local ~offset:wstart slice
+        if
+          Digest_map.mem t.digests index
+          && Int64.equal (Digest_map.get t.digests index) d
+          && Chunk_set.mem t.present index
+        then begin
+          (* Clean rewrite absorbed at the device: the chunk already holds
+             exactly these bytes, so it stays out of the dirty set and the
+             next commit never reads, digests or ships it. *)
+          t.skip_chunks <- t.skip_chunks + 1;
+          t.skip_bytes <- t.skip_bytes + extent;
+          Client.note_digest_skipped (Client.service t.base) ~chunks:1 ~bytes:extent
+        end
+        else begin
+          if not (Chunk_set.mem t.present index) then begin
+            reserve_local t extent;
+            Chunk_set.add t.present index
+          end;
+          preserve_frozen t index;
+          Chunk_set.add t.dirty index;
+          Digest_map.set t.digests index d;
+          Sparse_bytes.write t.local ~offset:wstart slice
+        end
       end
       else begin
         (* A partial write to a chunk we do not hold needs its old content
            (copy-on-write); a full overwrite does not. *)
         if not covers_whole then ensure_present t index
-        else if not (Hashtbl.mem t.present index) then begin
+        else if not (Chunk_set.mem t.present index) then begin
           reserve_local t extent;
-          Hashtbl.replace t.present index ()
+          Chunk_set.add t.present index
         end;
         preserve_frozen t index;
-        Hashtbl.replace t.dirty index ();
+        Chunk_set.add t.dirty index;
         (* The chunk's new digest would cost a read-modify-digest here;
            invalidate instead — the commit path re-digests it once. *)
-        if not covers_whole then Hashtbl.remove t.digests index;
+        if not covers_whole then Digest_map.remove t.digests index;
         Sparse_bytes.write t.local ~offset:wstart slice
       end
     done
@@ -304,12 +379,11 @@ let device t =
   }
 
 let taint_all t =
-  (* lint: allow hashtbl-order — independent per-key marking *)
-  Hashtbl.iter (fun index () -> Hashtbl.replace t.dirty index ()) t.present;
+  Chunk_set.iter (Chunk_set.add t.dirty) t.present;
   (* The ablation baseline must pay the full re-digest + re-ship cost:
      carried digests would let the commit path suppress everything from
      cache hits, quietly turning the baseline incremental again. *)
-  Hashtbl.reset t.digests
+  Digest_map.clear t.digests
 
 let clone t =
   match t.ckpt with
@@ -324,15 +398,13 @@ let clone t =
 
 let freeze t =
   if t.frozen <> None then invalid_arg "Mirror.freeze: a frozen epoch is already active";
-  let f_pending = Hashtbl.copy t.dirty in
-  let f_digests = Hashtbl.create (max 16 (Hashtbl.length f_pending)) in
+  (* The dirty set moves into the epoch as is; the live one restarts empty. *)
+  let f_pending = Chunk_set.take t.dirty in
+  let f_digests = Digest_map.create f_pending.n in
   if t.use_cache then
-    (* lint: allow hashtbl-order — independent per-key copy *)
-    Hashtbl.iter
-      (fun i () ->
-        match Hashtbl.find_opt t.digests i with
-        | Some d -> Hashtbl.replace f_digests i d
-        | None -> ())
+    Chunk_set.iter
+      (fun i ->
+        if Digest_map.mem t.digests i then Digest_map.set f_digests i (Digest_map.get t.digests i))
       f_pending;
   t.frozen <-
     Some
@@ -340,17 +412,16 @@ let freeze t =
         f_pending;
         f_digests;
         f_store = Sparse_bytes.create ~block_size:t.chunk_size ();
-        f_copied = Hashtbl.create 16;
+        f_copied = Chunk_set.create f_pending.n;
         f_reserved = 0;
         f_skip_chunks = t.skip_chunks;
         f_skip_bytes = t.skip_bytes;
       };
-  Hashtbl.reset t.dirty;
   t.skip_chunks <- 0;
   t.skip_bytes <- 0;
-  Obs.Metrics.add m_frozen_chunks (float_of_int (Hashtbl.length f_pending));
+  Obs.Metrics.add m_frozen_chunks (float_of_int (Chunk_set.cardinal f_pending));
   Trace.emit t.engine ~component:t.mname "FREEZE %d dirty chunk(s) copy-on-write"
-    (Hashtbl.length f_pending)
+    (Chunk_set.cardinal f_pending)
 
 let release_diff_log t f =
   Disk.free t.local_disk f.f_reserved;
@@ -371,10 +442,10 @@ let commit_frozen ?(label = "ckpt.commit") t =
     | None -> invalid_arg "Mirror.commit_frozen: no frozen epoch"
   in
   Obs.Span.with_ t.engine ~component:"mirror" ~name:label
-    ~attrs:[ ("frozen_chunks", Obs.Record.Int (Hashtbl.length f.f_pending)) ]
+    ~attrs:[ ("frozen_chunks", Obs.Record.Int (Chunk_set.cardinal f.f_pending)) ]
   @@ fun () ->
   let started = Engine.now t.engine in
-  let indices = sorted_keys f.f_pending in
+  let indices = Chunk_set.elements f.f_pending in
   (* Digests captured at freeze time become hints: they describe the frozen
      content even after the guest moved the live bytes on, so the client
      suppresses clean rewrites and resolves dedup exactly without running
@@ -385,7 +456,7 @@ let commit_frozen ?(label = "ckpt.commit") t =
     else
       List.filter_map
         (fun index ->
-          Option.map (fun d -> (index, d)) (Hashtbl.find_opt f.f_digests index))
+          Option.map (fun d -> (index, d)) (Digest_map.find_opt f.f_digests index))
         indices
   in
   Obs.Span.with_ t.engine ~component:"mirror" ~name:"ckpt.clone" (fun () -> clone t);
@@ -423,9 +494,9 @@ let commit_frozen ?(label = "ckpt.commit") t =
     let tree = Client.tree ckpt ~version in
     List.iter
       (fun index ->
-        if not (Hashtbl.mem f.f_copied index || Hashtbl.mem t.digests index) then
+        if not (Chunk_set.mem f.f_copied index || Digest_map.mem t.digests index) then
           match Segment_tree.get tree index with
-          | Some (d : Types.chunk_desc) -> Hashtbl.replace t.digests index d.digest
+          | Some (d : Types.chunk_desc) -> Digest_map.set t.digests index d.digest
           | None -> ())
       indices
   end;
@@ -453,15 +524,14 @@ let abort_frozen t =
          commit ships the chunks' current bytes. The preserved frozen
          copies are dropped — they described a snapshot that will never be
          completed. *)
-      (* lint: allow hashtbl-order — independent per-key marking *)
-      Hashtbl.iter (fun i () -> Hashtbl.replace t.dirty i ()) f.f_pending;
+      Chunk_set.iter (Chunk_set.add t.dirty) f.f_pending;
       release_diff_log t f;
       t.skip_chunks <- t.skip_chunks + f.f_skip_chunks;
       t.skip_bytes <- t.skip_bytes + f.f_skip_bytes;
       t.frozen <- None;
       Trace.emit t.engine ~component:t.mname
         "FREEZE aborted: %d chunk(s) folded back into the dirty set"
-        (Hashtbl.length f.f_pending)
+        (Chunk_set.cardinal f.f_pending)
 
 (* The stop-the-world COMMIT is the zero-round case of the live path: with
    the guest suspended no copy-on-write fires between the freeze and the

@@ -29,25 +29,60 @@ let test_sparse_bytes_overwrite () =
   Alcotest.(check string) "spliced" "aaaabbaaaa"
     (Payload.to_string (Sparse_bytes.read s ~offset:0 ~len:10))
 
+type sparse_op =
+  | Fill of int * int * char (* offset, length, byte *)
+  | Write_back of int (* full-block read of a block, written back *)
+  | Clear
+
 let prop_sparse_bytes_matches_reference =
+  let bs = 13 and space = 2000 in
   let gen =
     QCheck.Gen.(
       list_size (int_range 1 12)
-        (let* offset = int_range 0 200 in
-         let* len = int_range 1 60 in
-         let* ch = printable in
-         return (offset, len, ch)))
+        (frequency
+           [
+             ( 8,
+               let* offset = frequency [ (3, int_range 0 200); (1, int_range 0 (space - 61)) ] in
+               let* len = int_range 1 60 in
+               let* ch = printable in
+               return (Fill (offset, len, ch)) );
+             (2, map (fun b -> Write_back b) (int_range 0 ((space / bs) - 1)));
+             (1, return Clear);
+           ]))
   in
-  QCheck.Test.make ~name:"sparse bytes match reference" ~count:100 (QCheck.make gen)
+  let print =
+    QCheck.Print.list (function
+      | Fill (o, l, c) -> Printf.sprintf "fill %d+%d %C" o l c
+      | Write_back b -> Printf.sprintf "write-back %d" b
+      | Clear -> "clear")
+  in
+  QCheck.Test.make ~name:"sparse bytes match reference" ~count:200 (QCheck.make ~print gen)
     (fun ops ->
-      let s = Sparse_bytes.create ~block_size:13 () in
-      let reference = Bytes.make 300 '\000' in
+      let s = Sparse_bytes.create ~block_size:bs () in
+      let reference = Bytes.make space '\000' in
+      (* Blocks written since the last clear, whatever the bytes. *)
+      let touched = ref [] in
+      let touch first last =
+        touched := List.sort_uniq compare (List.init (last - first + 1) (( + ) first) @ !touched)
+      in
       List.iter
-        (fun (offset, len, ch) ->
-          Bytes.fill reference offset len ch;
-          Sparse_bytes.write s ~offset (Payload.of_string (String.make len ch)))
+        (function
+          | Fill (offset, len, ch) ->
+              Bytes.fill reference offset len ch;
+              touch (offset / bs) ((offset + len - 1) / bs);
+              Sparse_bytes.write s ~offset (Payload.of_string (String.make len ch))
+          | Write_back b ->
+              touch b b;
+              Sparse_bytes.write s ~offset:(b * bs) (Sparse_bytes.read s ~offset:(b * bs) ~len:bs)
+          | Clear ->
+              Bytes.fill reference 0 space '\000';
+              touched := [];
+              Sparse_bytes.clear s)
         ops;
-      Payload.to_string (Sparse_bytes.read s ~offset:0 ~len:300) = Bytes.to_string reference)
+      Payload.to_string (Sparse_bytes.read s ~offset:0 ~len:space) = Bytes.to_string reference
+      && Sparse_bytes.written_bytes s = List.length !touched * bs
+      && Payload.to_string (Sparse_bytes.read s ~offset:(space - 7) ~len:(4 * bs))
+         = Bytes.sub_string reference (space - 7) 7 ^ String.make ((4 * bs) - 7) '\000')
 
 (* ------------------------------------------------------------------ *)
 (* Block_dev *)
@@ -532,6 +567,228 @@ let test_mirror_local_footprint_and_drop () =
   Alcotest.(check int) "cache + cow" 768 during;
   Alcotest.(check int) "released" 0 after
 
+(* Differential test of the mirror's per-chunk state against a reference
+   model kept in plain lists: after every step each view must equal the
+   model and be strictly ascending. The model follows the documented
+   rules: a fetch caches the base chunk with its digest, a full-chunk
+   write with a digest equal to the cached one is absorbed, any other
+   write dirties the chunk (a partial one drops its digest), the first
+   write to a frozen-pending chunk copies it into the diff log, and a
+   frozen commit re-seeds the digests of chunks it did not copy. *)
+
+type mirror_op =
+  | Full of int * char (* chunk, byte *)
+  | Partial of int * int * char (* offset, length, byte *)
+  | Read of int * int (* offset, length *)
+  | Freeze
+  | Commit_frozen
+  | Abort_frozen
+  | Commit
+  | Taint_all
+  | Drop
+
+let pp_mirror_op = function
+  | Full (c, ch) -> Printf.sprintf "full %d %C" c ch
+  | Partial (o, l, ch) -> Printf.sprintf "partial %d+%d %C" o l ch
+  | Read (o, l) -> Printf.sprintf "read %d+%d" o l
+  | Freeze -> "freeze"
+  | Commit_frozen -> "commit-frozen"
+  | Abort_frozen -> "abort-frozen"
+  | Commit -> "commit"
+  | Taint_all -> "taint-all"
+  | Drop -> "drop"
+
+type model = {
+  mutable present : int list;
+  mutable dirty : int list;
+  mutable digests : (int * int64) list;
+  mutable frozen : (int list * int list * (int * int64) list) option;
+      (* pending, copied, frozen digests *)
+  content : Bytes.t; (* the image as the guest sees it *)
+}
+
+let prop_mirror_state_matches_model =
+  let cs = 256 and capacity = 2000 in
+  let chunks = Size.div_ceil capacity cs in
+  let extent c = min capacity ((c + 1) * cs) - (c * cs) in
+  let base = String.init capacity (fun i -> Char.chr (Char.code 'A' + (i / cs))) in
+  let gen =
+    QCheck.Gen.(
+      let byte = oneofl [ 'a'; 'b' ] in
+      let range =
+        let* offset = int_range 0 (capacity - 1) in
+        let* len = int_range 1 (min 600 (capacity - offset)) in
+        return (offset, len)
+      in
+      list_size (int_range 1 25)
+        (frequency
+           [
+             (4, map2 (fun c ch -> Full (c, ch)) (int_range 0 (chunks - 1)) byte);
+             (3, map2 (fun (o, l) ch -> Partial (o, l, ch)) range byte);
+             (2, map (fun (o, l) -> Read (o, l)) range);
+             (2, return Freeze);
+             (2, return Commit_frozen);
+             (1, return Abort_frozen);
+             (1, return Commit);
+             (1, return Taint_all);
+             (1, return Drop);
+           ]))
+  in
+  let digest_of bytes c = Payload.digest (Payload.of_string (Bytes.sub_string bytes (c * cs) (extent c))) in
+  let add x l = List.sort_uniq compare (x :: l) in
+  let union a b = List.sort_uniq compare (a @ b) in
+  let set_digest c d l = List.sort compare ((c, d) :: List.remove_assoc c l) in
+  QCheck.Test.make ~name:"mirror state matches model" ~count:60
+    (QCheck.make ~print:(QCheck.Print.list pp_mirror_op) gen)
+    (fun ops ->
+      let rig = make_rig ~stripe:cs () in
+      let host, disk = rig.nodes.(1) in
+      let failure =
+        run rig (fun () ->
+            let base_blob, v = setup_base rig ~content:base in
+            let m =
+              Mirror.create rig.engine ~host ~local_disk:disk ~base:base_blob ~base_version:v
+                ~name:"m" ()
+            in
+            let md =
+              { present = []; dirty = []; digests = []; frozen = None;
+                content = Bytes.of_string base }
+            in
+            let fetch c =
+              if not (List.mem c md.present) then begin
+                md.present <- add c md.present;
+                md.digests <- set_digest c (digest_of md.content c) md.digests
+              end
+            in
+            let preserve c =
+              match md.frozen with
+              | Some (pending, copied, fd) when List.mem c pending ->
+                  md.frozen <- Some (pending, add c copied, fd)
+              | _ -> ()
+            in
+            let write offset len ch =
+              for c = offset / cs to (offset + len - 1) / cs do
+                let wstart = max (c * cs) offset
+                and wend = min ((c * cs) + extent c) (offset + len) in
+                if wend - wstart = extent c then begin
+                  let d = Payload.digest (Payload.of_string (String.make (extent c) ch)) in
+                  if List.assoc_opt c md.digests <> Some d then begin
+                    md.present <- add c md.present;
+                    preserve c;
+                    md.dirty <- add c md.dirty;
+                    md.digests <- set_digest c d md.digests
+                  end
+                end
+                else begin
+                  fetch c;
+                  preserve c;
+                  md.dirty <- add c md.dirty;
+                  md.digests <- List.remove_assoc c md.digests
+                end;
+                Bytes.fill md.content wstart (wend - wstart) ch
+              done;
+              Mirror.write m ~offset (Payload.of_string (String.make len ch))
+            in
+            let freeze () =
+              md.frozen <-
+                Some (md.dirty, [], List.filter (fun (c, _) -> List.mem c md.dirty) md.digests);
+              md.dirty <- [];
+              Mirror.freeze m
+            in
+            let commit_frozen () =
+              (match md.frozen with
+              | Some (pending, copied, _) ->
+                  List.iter
+                    (fun c ->
+                      if not (List.mem c copied || List.mem_assoc c md.digests) then
+                        md.digests <- set_digest c (digest_of md.content c) md.digests)
+                    pending
+              | None -> ());
+              md.frozen <- None;
+              ignore (Mirror.commit_frozen m)
+            in
+            let abort_frozen () =
+              (match md.frozen with
+              | Some (pending, _, _) -> md.dirty <- union pending md.dirty
+              | None -> ());
+              md.frozen <- None;
+              Mirror.abort_frozen m
+            in
+            let step = function
+              | Full (c, ch) -> write (c * cs) (extent c) ch
+              | Partial (offset, len, ch) -> write offset len ch
+              | Read (offset, len) ->
+                  for c = offset / cs to (offset + len - 1) / cs do
+                    fetch c
+                  done;
+                  let got = Payload.to_string (Mirror.read m ~offset ~len) in
+                  if got <> Bytes.sub_string md.content offset len then failwith "read content"
+              | Freeze -> if md.frozen = None then freeze ()
+              | Commit_frozen -> if md.frozen <> None then commit_frozen ()
+              | Abort_frozen -> abort_frozen ()
+              | Commit ->
+                  if md.frozen = None then begin
+                    freeze ();
+                    commit_frozen ()
+                  end
+              | Taint_all ->
+                  md.dirty <- union md.present md.dirty;
+                  md.digests <- [];
+                  Mirror.taint_all m
+              | Drop ->
+                  md.present <- [];
+                  md.dirty <- [];
+                  md.digests <- [];
+                  md.frozen <- None;
+                  Bytes.blit_string base 0 md.content 0 capacity;
+                  Mirror.drop_local_state m
+            in
+            let rec ascending = function
+              | a :: (b :: _ as rest) -> a < b && ascending rest
+              | _ -> true
+            in
+            let agree name view expected =
+              if not (ascending (List.map fst view)) then failwith (name ^ " not ascending");
+              if view <> expected then failwith (name ^ " differs from the model")
+            in
+            let keyed l = List.map (fun c -> (c, ())) l in
+            let check () =
+              let pending, copied, fd =
+                match md.frozen with Some f -> f | None -> ([], [], [])
+              in
+              agree "present_view" (keyed (Mirror.present_view m)) (keyed md.present);
+              agree "dirty_view" (keyed (Mirror.dirty_view m)) (keyed md.dirty);
+              agree "digest_view" (Mirror.digest_view m) md.digests;
+              agree "frozen_pending_view" (keyed (Mirror.frozen_pending_view m)) (keyed pending);
+              agree "frozen_copied_view" (keyed (Mirror.frozen_copied_view m)) (keyed copied);
+              agree "frozen_digest_view" (Mirror.frozen_digest_view m) fd;
+              if Mirror.frozen_active m <> (md.frozen <> None) then failwith "frozen_active";
+              if Mirror.cached_chunks m <> List.length md.present then failwith "cached_chunks";
+              if Mirror.dirty_chunks m <> List.length md.dirty then failwith "dirty_chunks";
+              if Mirror.dirty_bytes m <> List.fold_left (fun acc c -> acc + extent c) 0 md.dirty
+              then failwith "dirty_bytes"
+            in
+            let result =
+              List.fold_left
+                (fun failure op ->
+                  match failure with
+                  | Some _ -> failure
+                  | None -> (
+                      match
+                        step op;
+                        check ()
+                      with
+                      | () -> None
+                      | exception Failure msg -> Some (pp_mirror_op op ^ ": " ^ msg)))
+                None ops
+            in
+            (* No frozen epoch may outlive the run: the teardown audit
+               reports one as never resolved. *)
+            Mirror.abort_frozen m;
+            result)
+      in
+      match failure with None -> true | Some msg -> QCheck.Test.fail_report msg)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -586,5 +843,6 @@ let () =
             test_mirror_shared_chunks_prefetched_once;
           Alcotest.test_case "local footprint and drop" `Quick
             test_mirror_local_footprint_and_drop;
-        ] );
+        ]
+        @ qsuite [ prop_mirror_state_matches_model ] );
     ]
