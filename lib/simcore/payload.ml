@@ -172,55 +172,87 @@ let hashed_bytes () = !hashed_bytes_counter
 (* The digest kernel folds a word's 8 bytes at once. With [c] the bytes
    read as base-[b] digits, c = sum_k byte_k * b^(7-k), eight per-byte
    steps collapse to h * b^8 + c + (1 + b + ... + b^7): the last term is
-   the [+1] of every [code]. [c] does not depend on [h], so consecutive
-   words' Horner chains overlap; the loops allocate nothing. *)
-let base_pow8 = pow_base 8
-let word_codes = geom_sum 8
+   the [+1] of every [code]. [c] is eight products by constants, summed
+   in a tree, so no multiply waits on another, and [c] does not depend on
+   [h]; the loops fold two words per step, h * b^16 + (c0 + K) * b^8 +
+   (c1 + K), so the only chain carried from step to step is one multiply
+   and one add per 16 bytes. Nothing allocates.
+
+   K = 1 + b + ... + b^7 and the powers b^2 .. b^8, b^16 (mod 2^64) are
+   written out so that they stay immediate operands in the loops; the
+   golden vectors and the per-byte reference properties pin them. *)
+let word_codes = 0x573F50F01835A390L
+let b2 = 0x000366000002E329L
+let b3 = 0x08A97B0004E7FEABL
+let b4 = 0x9FFAAC085635BC91L
+let b5 = 0x0CAEE32A7D4F6A63L
+let b6 = 0xDC966432EDF1C639L
+let b7 = 0xC5527B8A51D3D2DBL
+let b8 = 0x1EFAC7090AEF4A21L
+let b16 = 0x4EFE15C813151841L
 
 let[@inline] fold_byte h byte = Int64.add (Int64.mul h base) (Int64.of_int (byte + 1))
 
-(* One Horner step of [c]: append byte [k] of [w] as the next digit. A
-   top-level function, not a closure over [w], so that [fold_word] stays
-   inlinable. *)
-let[@inline] horner c w k = Int64.add (Int64.mul c base) (Int64.of_int (word_byte w k))
+(* Byte [k] of [w] as an [int64], times the digit weight [pow]. *)
+let[@inline] digit w k pow =
+  Int64.mul (Int64.logand (Int64.shift_right_logical w (k lsl 3)) 0xFFL) pow
 
-let[@inline] fold_word h w =
-  let c = Int64.of_int (word_byte w 0) in
-  let c = horner c w 1 in
-  let c = horner c w 2 in
-  let c = horner c w 3 in
-  let c = horner c w 4 in
-  let c = horner c w 5 in
-  let c = horner c w 6 in
-  let c = horner c w 7 in
-  Int64.add (Int64.add (Int64.mul h base_pow8) c) word_codes
+(* c + K for word [w]: its eight bytes as digits, plus their [+1]s. *)
+let[@inline] word_term w =
+  let p0 = digit w 0 b7 and p1 = digit w 1 b6 and p2 = digit w 2 b5 and p3 = digit w 3 b4 in
+  let p4 = digit w 4 b3 and p5 = digit w 5 b2 and p6 = digit w 6 base in
+  let p7 = Int64.shift_right_logical w 56 in
+  Int64.(
+    add
+      (add (add (add p0 p1) (add p2 p3)) (add (add p4 p5) (add p6 p7)))
+      word_codes)
 
-(* Stream positions [off, off+len) of pattern [seed]: whole aligned words
-   fold at once, a partial word at either end byte by byte. *)
+let[@inline] fold_word h w = Int64.add (Int64.mul h b8) (word_term w)
+
+let[@inline] fold_word2 h w0 w1 =
+  Int64.add (Int64.mul h b16) (Int64.add (Int64.mul (word_term w0) b8) (word_term w1))
+
+(* Stream positions [off, off+len) of pattern [seed]: a partial word at
+   either end byte by byte, the aligned words between two at a time. *)
 let fold_pattern seed off len =
   let h = ref 0L and i = ref off and stop = off + len in
-  while !i < stop do
+  if !i land 7 <> 0 then begin
     let w = pattern_word seed (!i lsr 3) in
-    if !i land 7 = 0 && !i + 8 <= stop then begin
-      h := fold_word !h w;
-      i := !i + 8
-    end
-    else begin
-      let word_stop = min stop ((!i lor 7) + 1) in
-      while !i < word_stop do
-        h := fold_byte !h (word_byte w (!i land 7));
-        incr i
-      done
-    end
+    let head_stop = Int.min stop ((!i lor 7) + 1) in
+    while !i < head_stop do
+      h := fold_byte !h (word_byte w (!i land 7));
+      incr i
+    done
+  end;
+  let body_stop = !i + ((stop - !i) land lnot 7) in
+  while !i + 16 <= body_stop do
+    let w = !i lsr 3 in
+    h := fold_word2 !h (pattern_word seed w) (pattern_word seed (w + 1));
+    i := !i + 16
   done;
+  if !i < body_stop then begin
+    h := fold_word !h (pattern_word seed (!i lsr 3));
+    i := !i + 8
+  end;
+  if !i < stop then begin
+    let w = pattern_word seed (!i lsr 3) in
+    while !i < stop do
+      h := fold_byte !h (word_byte w (!i land 7));
+      incr i
+    done
+  end;
   !h
 
 let fold_bytes data off len =
   let h = ref 0L and i = ref off and stop = off + len in
-  while !i + 8 <= stop do
+  while !i + 16 <= stop do
+    h := fold_word2 !h (Bytes.get_int64_le data !i) (Bytes.get_int64_le data (!i + 8));
+    i := !i + 16
+  done;
+  if !i + 8 <= stop then begin
     h := fold_word !h (Bytes.get_int64_le data !i);
     i := !i + 8
-  done;
+  end;
   while !i < stop do
     h := fold_byte !h (Char.code (Bytes.unsafe_get data !i));
     incr i
@@ -237,21 +269,66 @@ let seg_digest seg =
       hashed_bytes_counter := !hashed_bytes_counter + len;
       fold_bytes data off len
 
-let digest_cache : (int64 * int * int, int64) Hashtbl.t = Hashtbl.create 256
+(* Cross-payload cache of [Pattern] segment digests, keyed by (seed, off,
+   len). Two generations bound its memory and keep it admitting: a miss
+   enters [young]; once [young] holds [cache_generation] entries it
+   becomes [old] and the previous [old] is dropped; a hit in [old] is
+   copied into [young]. A segment digested again within one generation's
+   worth of admissions is therefore always a hit. [young] never holds the
+   key being admitted, so [Hashtbl.add] suffices. *)
+let cache_generation = 150_000
+
+type cache = {
+  mutable young : (int64 * int * int, int64) Hashtbl.t;
+  mutable old : (int64 * int * int, int64) Hashtbl.t;
+  mutable hit_count : int;
+  mutable miss_count : int;
+}
+
+let digest_cache =
+  { young = Hashtbl.create 256; old = Hashtbl.create 256; hit_count = 0; miss_count = 0 }
+
+let cache_admit c key d =
+  if Hashtbl.length c.young >= cache_generation then begin
+    let dropped = c.old in
+    Hashtbl.clear dropped;
+    c.old <- c.young;
+    c.young <- dropped
+  end;
+  Hashtbl.add c.young key d
+
+(* The cached digest of [key], if any; a hit in [old] moves into [young]. *)
+let cache_find c key =
+  match Hashtbl.find_opt c.young key with
+  | Some _ as hit -> hit
+  | None -> (
+      match Hashtbl.find_opt c.old key with
+      | Some d as hit ->
+          cache_admit c key d;
+          hit
+      | None -> None)
 
 let seg_digest_cached seg =
   match seg with
-  | Pattern { seed; off; len } ->
+  | Pattern { seed; off; len } -> (
+      let c = digest_cache in
       let key = (seed, off, len) in
-      (match Hashtbl.find_opt digest_cache key with
+      match cache_find c key with
       | Some d ->
+          c.hit_count <- c.hit_count + 1;
           hashed_bytes_counter := !hashed_bytes_counter + len;
           d
       | None ->
+          c.miss_count <- c.miss_count + 1;
           let d = seg_digest seg in
-          if Hashtbl.length digest_cache < 100_000 then Hashtbl.add digest_cache key d;
+          cache_admit c key d;
           d)
   | _ -> seg_digest seg
+
+type cache_stats = { hits : int; misses : int; generation : int }
+
+let segment_cache_stats () =
+  { hits = digest_cache.hit_count; misses = digest_cache.miss_count; generation = cache_generation }
 
 let digest t =
   match t.dig with

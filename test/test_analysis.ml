@@ -356,6 +356,52 @@ let test_pinned_event_order () =
         expected (engine_order_digest schedule))
     pinned_engine_digests
 
+(* MD5 of every registry experiment's rendered tables at quick scale.
+   Engineering changes (simulator speedups, refactors) must leave
+   simulated results byte-identical; a model change that moves a table
+   re-records its pin here and says so. *)
+let pinned_quick_tables =
+  [
+    ("fig2a", "df7313ca17b2d8380b5623c981fc2674");
+    ("fig2b", "3db36fc13668a3b3cef5f2ae205b4332");
+    ("fig3a", "34de2ee47fe52e992ea3e4a4bf94ddb0");
+    ("fig3b", "ac9c970ff3a6fa2d7d2e69b1817e50d2");
+    ("fig4", "71fafb387fccb400bd4ed4a00fd1cd82");
+    ("fig5a", "136c3702ef52f30a7b94dc9858b7d8ce");
+    ("fig5b", "9cd715c22cc42c63bf903fe2fc7946c5");
+    ("fig6", "1836c9693912c0afef375b40ad8d72d0");
+    ("table1", "a764a17e9f1b51eb914c5c416586a1d2");
+    ("availability", "a275ba7f20affde5156906fd2b974351");
+    ("durability", "19c6ae1a61c25864203044f341fbcfc8");
+    ("dr", "cb78ed8dfa9d2c54a7382081cfa6e9c8");
+    ("dedup", "373b4b9f7e0b0034a376c1748c96a700");
+    ("digest", "e63a0e5cc55b35079b14d5076b8d3ee5");
+    ("chains", "30d279e7a4bf13e451a70f50f05d95ca");
+    ("precopy", "f08fa97391058fc89af62fec12e88204");
+    ("abl-prefetch", "823e864df26feb9821b7a64780cedbf4");
+    ("abl-stripe", "7be3bf79c621748b2bc1488b9a8da8dd");
+    ("abl-replication", "4365a245ab9d37c7192787f3c55acd8e");
+    ("abl-incremental", "58e7e56811d825cc04ccc078238f707d");
+  ]
+
+let test_pinned_quick_tables () =
+  Alcotest.(check (list string))
+    "every experiment pinned" Experiments.Registry.ids (List.map fst pinned_quick_tables);
+  let moved =
+    List.filter_map
+      (fun (id, expected) ->
+        let exp = Option.get (Experiments.Registry.find id) in
+        let rendered =
+          Experiments.Registry.run_and_render exp Experiments.Scale.quick
+            ~progress:(fun _ -> ())
+            ()
+        in
+        let got = Digest.to_hex (Digest.string rendered) in
+        if got = expected then None else Some (Fmt.str "%s (%s)" id got))
+      pinned_quick_tables
+  in
+  Alcotest.(check (list string)) "experiments whose quick-scale tables moved" [] moved
+
 let test_scrub_replay_deterministic () =
   let report = Determinism.check_scrub_replay ~seed:11 () in
   Alcotest.(check bool)
@@ -447,6 +493,8 @@ let () =
           Alcotest.test_case "scrub/repair log replays identically" `Slow
             test_scrub_replay_deterministic;
           Alcotest.test_case "event order matches pinned digests" `Slow test_pinned_event_order;
+          Alcotest.test_case "quick-scale tables match pinned digests" `Slow
+            test_pinned_quick_tables;
         ] );
       ( "schedule-fuzz",
         [

@@ -173,6 +173,25 @@ let test_payload_hashed_bytes_accounting () =
     (delta (fun () -> ignore (Payload.digest (fresh ()))));
   Alcotest.(check int) "per-value memo" 0 (delta (fun () -> ignore (Payload.digest p)))
 
+(* Once more distinct segments than a generation holds have gone through
+   the cross-payload cache, it still admits: a segment digested now is a
+   hit the next time another payload slices it. *)
+let test_payload_segment_cache_keeps_admitting () =
+  let stats = Payload.segment_cache_stats in
+  let digest_fresh seed = ignore (Payload.digest (Payload.pattern ~seed 8)) in
+  let first = 0x5EED_CAC4E_0000L in
+  let n = (2 * (stats ()).Payload.generation) + 1 in
+  for i = 0 to n - 1 do
+    digest_fresh (Int64.add first (Int64.of_int i))
+  done;
+  let recent = Int64.add first (Int64.of_int n) in
+  digest_fresh recent;
+  let before = stats () in
+  digest_fresh recent;
+  let after = stats () in
+  Alcotest.(check int) "recent segment is a hit" (before.hits + 1) after.hits;
+  Alcotest.(check int) "and not hashed again" before.misses after.misses
+
 let test_payload_to_string_guard () =
   Alcotest.check_raises "guard" (Invalid_argument "Payload.to_string: payload too large")
     (fun () -> ignore (Payload.to_string (Payload.zero (Size.mib_n 65))))
@@ -208,9 +227,15 @@ let reference_digest p =
   done;
   !h
 
-(* Offsets 0-15 and lengths 0-64 cover slices shorter than a word and
-   heads and tails on either side of a word boundary. *)
-let slice_gen = QCheck.(pair (int_range 0 15) (int_range 0 64))
+(* Offsets 0-15 cover every alignment of a slice's first byte. Half the
+   lengths are 0-64: slices shorter than a word, and heads and tails on
+   either side of a word boundary. The other half run to 4 KiB + 1, so
+   the kernel's two-words-per-step loop, its odd-word tail and both
+   partial words meet in one slice. *)
+let slice_gen =
+  QCheck.(
+    pair (int_range 0 15)
+      (make ~print:Print.int Gen.(frequency [ (1, int_range 0 64); (1, int_range 0 4097) ])))
 
 let pattern_slice (seed, (off, len)) =
   Payload.sub (Payload.pattern ~seed (off + len)) ~pos:off ~len
@@ -222,9 +247,11 @@ let prop_payload_pattern_digest_reference =
       let p = pattern_slice arg in
       Payload.digest p = reference_digest p)
 
+(* The offset is also the slice's start inside the buffer, so the
+   kernel's 8-byte reads land at every alignment. *)
 let prop_payload_bytes_digest_reference =
   QCheck.Test.make ~name:"payload: bytes digest equals the per-byte fold" ~count:500
-    QCheck.(pair (string_of_size Gen.(return 80)) slice_gen)
+    QCheck.(pair (string_of_size Gen.(return (15 + 4097))) slice_gen)
     (fun (s, (off, len)) ->
       let p = Payload.sub (Payload.of_string s) ~pos:off ~len in
       Payload.digest p = reference_digest p)
@@ -932,6 +959,8 @@ let () =
           Alcotest.test_case "golden digests" `Quick test_payload_golden_digests;
           Alcotest.test_case "hashed_bytes accounting" `Quick
             test_payload_hashed_bytes_accounting;
+          Alcotest.test_case "segment cache keeps admitting" `Quick
+            test_payload_segment_cache_keeps_admitting;
         ]
         @ qsuite
             [ prop_payload_slice_concat; prop_payload_digest_agrees_with_equal;
