@@ -9,6 +9,8 @@
      bench/main.exe micro            only the Bechamel microbenchmarks
      bench/main.exe --scale quick    fast smoke run of everything
      bench/main.exe --csv DIR        also write CSV outputs
+     bench/main.exe dedup            experiments that yield raw points also
+                                     write them to BENCH_<id>.json
      bench/main.exe --obs            also print the metrics table and the
                                      per-phase checkpoint/restart breakdown,
                                      and write a Chrome-trace timeline per
@@ -32,107 +34,20 @@ let run_experiment scale csv_dir obs id =
       Printf.printf "### %s — %s\n    %s\n\n%!" e.Experiments.Registry.id
         e.Experiments.Registry.paper_ref e.Experiments.Registry.description;
       let t0 = Unix.gettimeofday () in (* lint: allow wall-clock — bench measures real elapsed time *)
-      if obs then begin
-        let rendered, run = Experiments.Registry.run_observed e scale ?csv_dir ~progress () in
-        print_string rendered;
-        print_string (Experiments.Registry.render_observability run);
-        let json = Obs.Export.chrome_trace run in
-        (match Obs.Export.validate_json json with
-        | Ok () -> ()
-        | Error msg ->
-            Printf.eprintf "internal error: timeline JSON invalid (%s)\n%!" msg;
-            exit 1);
-        let path = Printf.sprintf "OBS_%s.trace.json" id in
-        let oc = open_out path in
-        output_string oc json;
-        close_out oc;
-        Printf.printf "(timeline written to %s)\n%!" path
-      end
-      else
-        print_string (Experiments.Registry.run_and_render e scale ?csv_dir ~progress ());
+      let result, run = Experiments.Registry.execute e scale ~observe:obs ~progress in
+      print_string (Experiments.Registry.render ?csv_dir result);
+      Option.iter
+        (Printf.printf "(points written to %s)\n")
+        (Experiments.Registry.write_points e result);
+      Option.iter
+        (fun run ->
+          print_string (Experiments.Registry.render_observability run);
+          let path = Printf.sprintf "OBS_%s.trace.json" id in
+          Obs.Export.write_chrome_trace run ~path;
+          Printf.printf "(timeline written to %s)\n%!" path)
+        run;
       (* lint: allow wall-clock — bench measures real elapsed time *)
       Printf.printf "(experiment wall time: %.1fs)\n\n%!" (Unix.gettimeofday () -. t0)
-
-(* The dedup experiment additionally persists its raw points as
-   BENCH_dedup.json at the repo root, so the numbers (bytes shipped,
-   repository growth, commit latency, dup-heavy vs unique) are tracked
-   alongside the code. *)
-let run_dedup scale scale_name csv_dir =
-  let e = Option.get (Experiments.Registry.find "dedup") in
-  Printf.printf "### %s — %s\n    %s\n\n%!" e.Experiments.Registry.id
-    e.Experiments.Registry.paper_ref e.Experiments.Registry.description;
-  let t0 = Unix.gettimeofday () in (* lint: allow wall-clock — bench measures real elapsed time *)
-  let points = Experiments.Dedup_bench.run scale ~progress () in
-  List.iter
-    (fun (name, table) ->
-      print_string (Stats.render table);
-      print_newline ();
-      match csv_dir with
-      | Some dir ->
-          let path = Stats.write_csv ~dir ~name table in
-          Printf.printf "(csv written to %s)\n\n%!" path
-      | None -> ())
-    (Experiments.Dedup_bench.tables_of points);
-  let oc = open_out "BENCH_dedup.json" in
-  output_string oc (Experiments.Dedup_bench.json_of ~scale_name points);
-  close_out oc;
-  Printf.printf "(points written to BENCH_dedup.json)\n";
-  (* lint: allow wall-clock — bench measures real elapsed time *)
-  Printf.printf "(experiment wall time: %.1fs)\n\n%!" (Unix.gettimeofday () -. t0)
-
-(* The digest experiment likewise persists its raw points as
-   BENCH_digest.json at the repo root: the commit-path digest tax (bytes
-   digested during COMMIT vs over the whole epoch) across dirty
-   fractions, with and without the dirty-region digest cache. *)
-let run_digest scale scale_name csv_dir =
-  let e = Option.get (Experiments.Registry.find "digest") in
-  Printf.printf "### %s — %s\n    %s\n\n%!" e.Experiments.Registry.id
-    e.Experiments.Registry.paper_ref e.Experiments.Registry.description;
-  let t0 = Unix.gettimeofday () in (* lint: allow wall-clock — bench measures real elapsed time *)
-  let points = Experiments.Digest_bench.run scale ~progress () in
-  List.iter
-    (fun (name, table) ->
-      print_string (Stats.render table);
-      print_newline ();
-      match csv_dir with
-      | Some dir ->
-          let path = Stats.write_csv ~dir ~name table in
-          Printf.printf "(csv written to %s)\n\n%!" path
-      | None -> ())
-    (Experiments.Digest_bench.tables_of points);
-  let oc = open_out "BENCH_digest.json" in
-  output_string oc (Experiments.Digest_bench.json_of ~scale_name points);
-  close_out oc;
-  Printf.printf "(points written to BENCH_digest.json)\n";
-  (* lint: allow wall-clock — bench measures real elapsed time *)
-  Printf.printf "(experiment wall time: %.1fs)\n\n%!" (Unix.gettimeofday () -. t0)
-
-(* The precopy experiment persists its raw points as BENCH_precopy.json
-   at the repo root: guest-observed suspend window, checkpoint latency,
-   shipped/COW bytes and achieved writer throughput for stop-the-world vs
-   live (pre-copy + background commit) checkpoints. *)
-let run_precopy scale scale_name csv_dir =
-  let e = Option.get (Experiments.Registry.find "precopy") in
-  Printf.printf "### %s — %s\n    %s\n\n%!" e.Experiments.Registry.id
-    e.Experiments.Registry.paper_ref e.Experiments.Registry.description;
-  let t0 = Unix.gettimeofday () in (* lint: allow wall-clock — bench measures real elapsed time *)
-  let points = Experiments.Precopy.run scale ~progress () in
-  List.iter
-    (fun (name, table) ->
-      print_string (Stats.render table);
-      print_newline ();
-      match csv_dir with
-      | Some dir ->
-          let path = Stats.write_csv ~dir ~name table in
-          Printf.printf "(csv written to %s)\n\n%!" path
-      | None -> ())
-    (Experiments.Precopy.tables_of points);
-  let oc = open_out "BENCH_precopy.json" in
-  output_string oc (Experiments.Precopy.json_of ~scale_name points);
-  close_out oc;
-  Printf.printf "(points written to BENCH_precopy.json)\n";
-  (* lint: allow wall-clock — bench measures real elapsed time *)
-  Printf.printf "(experiment wall time: %.1fs)\n\n%!" (Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the core data structures *)
@@ -298,32 +213,24 @@ let micro () =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let rec parse named csv obs ids = function
+  let rec parse scale csv obs ids = function
     | "--scale" :: s :: rest -> (
         match Experiments.Scale.find s with
-        | Some scale -> parse (s, scale) csv obs ids rest
+        | Some scale -> parse scale csv obs ids rest
         | None ->
             Printf.eprintf "unknown scale %S (paper|quick)\n" s;
             exit 2)
-    | "--csv" :: dir :: rest -> parse named (Some dir) obs ids rest
-    | "--obs" :: rest -> parse named csv true ids rest
-    | id :: rest -> parse named csv obs (id :: ids) rest
-    | [] -> (named, csv, obs, List.rev ids)
+    | "--csv" :: dir :: rest -> parse scale (Some dir) obs ids rest
+    | "--obs" :: rest -> parse scale csv true ids rest
+    | id :: rest -> parse scale csv obs (id :: ids) rest
+    | [] -> (scale, csv, obs, List.rev ids)
   in
-  let (scale_name, scale), csv_dir, obs, ids =
-    parse ("paper", Experiments.Scale.paper) None false [] args
-  in
+  let scale, csv_dir, obs, ids = parse Experiments.Scale.paper None false [] args in
   let experiment_ids = [ "fig2a"; "fig2b"; "fig4"; "fig5a"; "fig6"; "table1" ] in
   let ablation_ids = [ "abl-prefetch"; "abl-stripe"; "abl-replication"; "abl-incremental" ] in
   let expand = function "ablations" -> ablation_ids | id -> [ id ] in
   let ids = List.concat_map expand ids in
-  let run_one = function
-    | "dedup" -> run_dedup scale scale_name csv_dir
-    | "digest" -> run_digest scale scale_name csv_dir
-    | "precopy" -> run_precopy scale scale_name csv_dir
-    | "micro" -> micro ()
-    | id -> run_experiment scale csv_dir obs id
-  in
+  let run_one = function "micro" -> micro () | id -> run_experiment scale csv_dir obs id in
   match ids with
   | [] ->
       (* Full regeneration: fig2a/fig2b emit fig3a/fig3b too, fig5a emits

@@ -10,16 +10,16 @@ open Cmdliner
 let scale_arg =
   let parse s =
     match Experiments.Scale.find s with
-    | Some scale -> Ok (s, scale)
+    | Some scale -> Ok scale
     | None -> Error (`Msg (Fmt.str "unknown scale %S (expected: paper, quick)" s))
   in
-  let print ppf (name, _) = Fmt.string ppf name in
+  let print ppf scale = Fmt.string ppf scale.Experiments.Scale.name in
   Arg.conv (parse, print)
 
 let scale_term =
   Arg.(
     value
-    & opt scale_arg ("paper", Experiments.Scale.paper)
+    & opt scale_arg Experiments.Scale.paper
     & info [ "s"; "scale" ] ~docv:"SCALE"
         ~doc:"Experiment scale: $(b,paper) (published testbed shape) or $(b,quick) (smoke run).")
 
@@ -61,33 +61,28 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List reproducible experiments (one per paper figure/table).")
     Term.(const run $ const ())
 
-let write_timeline run ~path =
-  let json = Obs.Export.chrome_trace run in
-  match Obs.Export.validate_json json with
-  | Error msg -> Fmt.epr "internal error: timeline JSON invalid (%s)@." msg
-  | Ok () ->
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
-      Fmt.pr "(timeline written to %s)@." path
-
-let run_one (_, scale) csv_dir quiet obs timeline id =
+let run_one scale csv_dir quiet obs timeline id =
   match Experiments.Registry.find id with
   | None -> Fmt.epr "unknown experiment %S; try `blobcr_cli list'@." id
   | Some e ->
       let progress line = if not quiet then Fmt.epr "    %s@." line in
       Fmt.pr "### %s — %s@.@." e.Experiments.Registry.id e.Experiments.Registry.paper_ref;
-      if obs || timeline <> None then begin
-        let rendered, run =
-          Experiments.Registry.run_observed e scale ?csv_dir:csv_dir ~progress ()
-        in
-        Fmt.pr "%s@." rendered;
-        if obs then Fmt.pr "%s@." (Experiments.Registry.render_observability run);
-        Option.iter (fun path -> write_timeline run ~path) timeline
-      end
-      else
-        Fmt.pr "%s@."
-          (Experiments.Registry.run_and_render e scale ?csv_dir:csv_dir ~progress ())
+      let result, run =
+        Experiments.Registry.execute e scale ~observe:(obs || timeline <> None) ~progress
+      in
+      Fmt.pr "%s@." (Experiments.Registry.render ?csv_dir result);
+      Option.iter
+        (Fmt.pr "(points written to %s)@.")
+        (Experiments.Registry.write_points e result);
+      Option.iter
+        (fun run ->
+          if obs then Fmt.pr "%s@." (Experiments.Registry.render_observability run);
+          Option.iter
+            (fun path ->
+              Obs.Export.write_chrome_trace run ~path;
+              Fmt.pr "(timeline written to %s)@." path)
+            timeline)
+        run
 
 let run_cmd =
   let ids_term =

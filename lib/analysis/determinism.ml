@@ -41,11 +41,9 @@ let compare_runs ~name ?(seed = 42) run =
     outputs_match = String.equal out_a out_b;
   }
 
-let render_outputs outputs =
+let render_outputs (result : Experiments.Registry.result) =
   String.concat "\n"
-    (List.map
-       (fun o -> o.Experiments.Registry.name ^ "\n" ^ Stats.render o.Experiments.Registry.table)
-       outputs)
+    (List.map (fun (name, table) -> name ^ "\n" ^ Stats.render table) result.tables)
 
 let check_experiment ~exp ~scale ~seed =
   let scale = { scale with Experiments.Scale.seed } in

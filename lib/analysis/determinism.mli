@@ -32,6 +32,10 @@ val compare_runs : name:string -> ?seed:int -> (unit -> string) -> report
     run's "final stats" and must also match. [seed] is report metadata —
     the thunk is responsible for actually applying it. *)
 
+val render_outputs : Experiments.Registry.result -> string
+(** Every result table, each preceded by its name: the surface
+    {!check_experiment} and schedule fuzzing compare across runs. *)
+
 val check_experiment :
   exp:Experiments.Registry.t -> scale:Experiments.Scale.t -> seed:int -> report
 (** Run a registry experiment twice at [scale] with the engine seed forced

@@ -372,11 +372,8 @@ let experiment exp =
         let (), trace =
           Trace.capture (fun () ->
               match
-                exp.Experiments.Registry.run scale ~progress:(fun _ -> ())
-                |> List.map (fun o ->
-                       o.Experiments.Registry.name ^ "\n"
-                       ^ Stats.render o.Experiments.Registry.table)
-                |> String.concat "\n"
+                Determinism.render_outputs
+                  (exp.Experiments.Registry.run scale ~progress:(fun _ -> ()))
               with
               | rendered -> result := Some (Ok rendered)
               | exception e -> result := Some (Error e))

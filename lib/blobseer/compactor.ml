@@ -21,11 +21,6 @@ let default_config =
 
 type crash_point = Before_flatten | Mid_retire | After_retire
 
-let pp_crash_point ppf = function
-  | Before_flatten -> Fmt.string ppf "before-flatten"
-  | Mid_retire -> Fmt.string ppf "mid-retire"
-  | After_retire -> Fmt.string ppf "after-retire"
-
 type refusal = { rblob : int; rversion : int; rsource : string }
 
 (* The journaled intent: appended before the first retire, committed after
@@ -35,48 +30,6 @@ type refusal = { rblob : int; rversion : int; rsource : string }
    youngest surviving version the flatten verified — informational, for
    journal dumps and tests. *)
 type intent = Compact of { blob : int; retire : int list; boundary : int }
-
-type event =
-  | Pass_started of { at : float; pass : int }
-  | Flattened of {
-      at : float;
-      blob : int;
-      boundary : int;
-      verified : int;
-      shared : int;
-      bytes_read : int;
-      bytes_local : int;
-    }
-  | Flatten_failed of { at : float; blob : int; reason : string }
-  | Refused of { at : float; refusal : refusal }
-  | Parity_failed of { at : float; blob : int; digest : int64 }
-  | Compacted of { at : float; blob : int; retired : int list }
-  | Reclaimed of { at : float; chunks : int; bytes : int }
-  | Crashed of { at : float; point : crash_point }
-  | Recovered of { at : float; rolled_forward : int; rolled_back : int }
-  | Pass_finished of { at : float; pass : int; retired : int }
-
-let pp_event ppf = function
-  | Pass_started { at; pass } -> Fmt.pf ppf "t=%.3f pass %d started" at pass
-  | Flattened { at; blob; boundary; verified; shared; bytes_read; bytes_local } ->
-      Fmt.pf ppf "t=%.3f flattened blob %d to v%d (%d verified, %d shared, %d B read, %d B local)"
-        at blob boundary verified shared bytes_read bytes_local
-  | Flatten_failed { at; blob; reason } ->
-      Fmt.pf ppf "t=%.3f flatten failed blob %d (%s)" at blob reason
-  | Refused { at; refusal = { rblob; rversion; rsource } } ->
-      Fmt.pf ppf "t=%.3f refused blob %d v%d (pinned by %s)" at rblob rversion rsource
-  | Parity_failed { at; blob; digest } ->
-      Fmt.pf ppf "t=%.3f parity failed blob %d (digest %Lx)" at blob digest
-  | Compacted { at; blob; retired } ->
-      Fmt.pf ppf "t=%.3f compacted blob %d (retired %a)" at blob Fmt.(list ~sep:comma int)
-        retired
-  | Reclaimed { at; chunks; bytes } ->
-      Fmt.pf ppf "t=%.3f reclaimed %d chunks (%d B)" at chunks bytes
-  | Crashed { at; point } -> Fmt.pf ppf "t=%.3f crashed at %a" at pp_crash_point point
-  | Recovered { at; rolled_forward; rolled_back } ->
-      Fmt.pf ppf "t=%.3f recovered (%d forward, %d back)" at rolled_forward rolled_back
-  | Pass_finished { at; pass; retired } ->
-      Fmt.pf ppf "t=%.3f pass %d finished (%d retired)" at pass retired
 
 type stats = {
   passes : int;
@@ -136,7 +89,6 @@ type t = {
   mutable crashes : int;
   mutable rolled_forward : int;
   mutable rolled_back : int;
-  mutable events_rev : event list;
   mutable refusals_rev : refusal list;
   mutable deleted_log : (int * int) list;
   mutable fiber : Engine.fiber option;
@@ -174,7 +126,6 @@ let create service ~home ?(config = default_config) () =
       crashes = 0;
       rolled_forward = 0;
       rolled_back = 0;
-      events_rev = [];
       refusals_rev = [];
       deleted_log = [];
       fiber = None;
@@ -185,8 +136,6 @@ let create service ~home ?(config = default_config) () =
 
 let service t = t.service
 let engine t = Client.engine t.service
-let now t = Engine.now (engine t)
-let record t e = t.events_rev <- e :: t.events_rev
 let is_alive t = t.alive
 let journal_pending t = Journal.pending_count t.journal
 let arm_crash t point = t.armed <- Some point
@@ -205,7 +154,6 @@ let maybe_crash t point =
       t.armed <- None;
       t.alive <- false;
       t.crashes <- t.crashes + 1;
-      record t (Crashed { at = now t; point });
       raise (Types.Service_crashed "compactor")
   | _ -> ()
 
@@ -219,8 +167,7 @@ let gather_pins t =
 let refuse t ~blob ~version ~source =
   let refusal = { rblob = blob; rversion = version; rsource = source } in
   t.refusal_count <- t.refusal_count + 1;
-  t.refusals_rev <- refusal :: t.refusals_rev;
-  record t (Refused { at = now t; refusal })
+  t.refusals_rev <- refusal :: t.refusals_rev
 
 let handle t blob =
   match Hashtbl.find_opt t.handles blob with
@@ -448,8 +395,7 @@ let sweep_aged t =
   if !chunks > 0 then begin
     t.chunks_reclaimed <- t.chunks_reclaimed + !chunks;
     t.bytes_reclaimed <- t.bytes_reclaimed + !bytes;
-    Obs.Metrics.add m_reclaimed (float_of_int !bytes);
-    record t (Reclaimed { at = now t; chunks = !chunks; bytes = !bytes })
+    Obs.Metrics.add m_reclaimed (float_of_int !bytes)
   end
 
 (* One blob's compaction transaction. The flatten passes simulated time
@@ -468,14 +414,12 @@ let compact_blob t ~blob ~(plan : Retention.plan) =
   | exception e when transient e ->
       Journal.abort t.journal jid;
       t.flatten_failures <- t.flatten_failures + 1;
-      record t (Flatten_failed { at = now t; blob; reason = Printexc.to_string e });
       0
   | exception (Types.Service_crashed _ as e) when t.alive ->
       (* The version manager (not us) died under the flatten: nothing was
          retired, so resolve the intent now instead of at recovery. *)
       Journal.abort t.journal jid;
       t.flatten_failures <- t.flatten_failures + 1;
-      record t (Flatten_failed { at = now t; blob; reason = Printexc.to_string e });
       raise e
   | verified, shared, bytes_read, bytes_local -> (
       t.flattens <- t.flattens + 1;
@@ -485,8 +429,6 @@ let compact_blob t ~blob ~(plan : Retention.plan) =
       t.flatten_bytes_local <- t.flatten_bytes_local + bytes_local;
       Obs.Metrics.add m_flatten_read (float_of_int bytes_read);
       Obs.Metrics.add m_flatten_local (float_of_int bytes_local);
-      record t
-        (Flattened { at = now t; blob; boundary; verified; shared; bytes_read; bytes_local });
       match parity_mismatch t ~trees:(List.filter_map
                                         (fun v ->
                                           match Version_manager.peek_tree vm ~blob ~version:v with
@@ -494,10 +436,9 @@ let compact_blob t ~blob ~(plan : Retention.plan) =
                                           | exception Not_found -> None)
                                         retire)
       with
-      | Some digest ->
+      | Some _ ->
           Journal.abort t.journal jid;
           t.parity_failures <- t.parity_failures + 1;
-          record t (Parity_failed { at = now t; blob; digest });
           0
       | None ->
           (* Atomic from here to the commit. *)
@@ -527,8 +468,6 @@ let compact_blob t ~blob ~(plan : Retention.plan) =
              (* Version manager down at the first retire: nothing mutated,
                 resolve the intent here. *)
              Journal.abort t.journal jid;
-             record t
-               (Flatten_failed { at = now t; blob; reason = "version manager down at retire" });
              raise e);
           maybe_crash t After_retire;
           let retired = List.rev !retired in
@@ -537,8 +476,7 @@ let compact_blob t ~blob ~(plan : Retention.plan) =
             release_and_queue t ~retired_trees:(List.rev !retired_trees);
             t.versions_retired <- t.versions_retired + List.length retired;
             Obs.Metrics.incr ~by:(List.length retired) m_retired;
-            Journal.commit t.journal jid;
-            record t (Compacted { at = now t; blob; retired })
+            Journal.commit t.journal jid
           end;
           List.length retired)
 
@@ -547,7 +485,6 @@ let scan t =
   let vm = Client.version_manager t.service in
   t.passes <- t.passes + 1;
   let pass = t.passes in
-  record t (Pass_started { at = now t; pass });
   sweep_aged t;
   let retired_total = ref 0 in
   List.iter
@@ -561,7 +498,6 @@ let scan t =
       if plan.Retention.retire <> [] then
         retired_total := !retired_total + compact_blob t ~blob ~plan)
     (Version_manager.blob_ids vm);
-  record t (Pass_finished { at = now t; pass; retired = !retired_total });
   Trace.emit (engine t) ~component:"compactor" "pass %d: %d retired, %d queued" pass
     !retired_total (Hashtbl.length t.pending_sweep)
 
@@ -612,8 +548,6 @@ let restart t =
     (Journal.pending t.journal);
   t.rolled_forward <- t.rolled_forward + !forward;
   t.rolled_back <- t.rolled_back + !back;
-  if !forward > 0 || !back > 0 then
-    record t (Recovered { at = now t; rolled_forward = !forward; rolled_back = !back });
   t.armed <- None;
   t.alive <- true
 
@@ -642,7 +576,10 @@ let stop t =
   | None -> ()
   | Some fiber ->
       t.fiber <- None;
-      Engine.Fiber.cancel fiber
+      Engine.Fiber.cancel fiber;
+      (* Wait for the pass in progress to unwind, so its abort handlers
+         (e.g. a metadata commit's journal abort) run before we return. *)
+      Engine.Fiber.join fiber
 
 let stats t =
   {
@@ -665,7 +602,6 @@ let stats t =
     rolled_back = t.rolled_back;
   }
 
-let events t = List.rev t.events_rev
 let refusals t = List.rev t.refusals_rev
 let boundary_roots t = List.rev t.boundary_roots_rev
 let reclaimed_chunks t = t.deleted_log

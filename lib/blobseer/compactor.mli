@@ -65,32 +65,6 @@ type refusal = { rblob : int; rversion : int; rsource : string }
     version and the name of the pin source that held it. *)
 
 (** Observable compactor history (deterministic under a fixed seed). *)
-type event =
-  | Pass_started of { at : float; pass : int }
-  | Flattened of {
-      at : float;
-      blob : int;
-      boundary : int;  (** youngest surviving version verified *)
-      verified : int;  (** cold chunks verified (locally or by read) *)
-      shared : int;  (** chunks skipped via tip-sharing or dedup memo *)
-      bytes_read : int;  (** bytes remotely verify-read (fallback path) *)
-      bytes_local : int;  (** bytes verified provider-locally, no read *)
-    }
-  | Flatten_failed of { at : float; blob : int; reason : string }
-      (** the transaction aborted before any retire (intent rolled back) *)
-  | Refused of { at : float; refusal : refusal }
-  | Parity_failed of { at : float; blob : int; digest : int64 }
-      (** dedup refcount parity gate vetoed the blob's compaction *)
-  | Compacted of { at : float; blob : int; retired : int list }
-  | Reclaimed of { at : float; chunks : int; bytes : int }
-      (** deferred sweep deleted chunks queued on an earlier pass *)
-  | Crashed of { at : float; point : crash_point }
-  | Recovered of { at : float; rolled_forward : int; rolled_back : int }
-  | Pass_finished of { at : float; pass : int; retired : int }
-
-val pp_event : Format.formatter -> event -> unit
-(** One-line rendering for traces and test transcripts. *)
-
 type stats = {
   passes : int;  (** compaction passes started *)
   flattens : int;  (** boundary flattens completed *)
@@ -136,8 +110,9 @@ val start : t -> unit
     scan, repeat. Idempotent while running. *)
 
 val stop : t -> unit
-(** Cancel the background fiber (pending journal intents stay for
-    {!restart}). *)
+(** Cancel the background fiber and wait until a pass in progress has
+    unwound. Intents a crash left pending stay for {!restart}. Call it
+    from a fiber other than the compactor's own. *)
 
 (** {1 Crash consistency} *)
 
@@ -171,9 +146,6 @@ val service : t -> Client.t
 
 val stats : t -> stats
 (** Lifetime counters. *)
-
-val events : t -> event list
-(** Event history in occurrence order. *)
 
 val refusals : t -> refusal list
 (** Every pin-vetoed retire, in occurrence order. *)

@@ -39,8 +39,6 @@ let fail t =
   Disk.free t.pdisk (Content_store.total_bytes t.pstore);
   t.pstore <- Content_store.create ()
 
-let recover t = t.alive <- true
-
 let check_alive t =
   if not t.alive then raise (Types.Provider_down t.pname)
 

@@ -33,14 +33,11 @@ val store : t -> Content_store.t
     audits). *)
 
 val is_alive : t -> bool
-(** [false] between {!fail} and {!recover}. *)
+(** [false] once {!fail} has been called. *)
 
 val fail : t -> unit
 (** Fail-stop: the provider stops serving and its locally stored data is
     considered lost (the paper's failure model). *)
-
-val recover : t -> unit
-(** Bring the provider back empty (a replacement node). *)
 
 val write_chunk : t -> from:Net.host -> Payload.t -> Content_store.chunk_id
 (** Ship the payload from [from] to the provider and persist it. Blocks for

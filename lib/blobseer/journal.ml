@@ -43,9 +43,5 @@ let pending t =
     (List.rev t.entries_rev)
 
 let pending_count t = List.length (pending t)
-let appended t = t.next_id
 let committed t = t.committed
 let aborted t = t.aborted
-
-let truncate t =
-  t.entries_rev <- List.filter (fun e -> e.status = Pending) t.entries_rev

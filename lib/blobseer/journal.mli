@@ -33,9 +33,6 @@ val pending_count : 'a t -> int
 (** [List.length (pending t)]; the journal-quiescence audit asserts this
     is 0 at teardown. *)
 
-val appended : 'a t -> int
-(** Total intents ever appended. *)
-
 val committed : 'a t -> int
 (** Total intents marked committed. *)
 
@@ -44,6 +41,3 @@ val aborted : 'a t -> int
 
 val name : 'a t -> string
 (** The name passed at creation. *)
-
-val truncate : 'a t -> unit
-(** Drop resolved entries (checkpoint the log). Pending entries survive. *)

@@ -9,7 +9,6 @@ type t = {
   providers : provider array;
   node_bytes : int;
   mutable cursor : int;
-  mutable stored : int;
   journal : int Journal.t; (* intent = node count of an in-flight commit *)
   mutable armed_crash : bool;
   mutable recovered : int;
@@ -33,7 +32,6 @@ let create engine net ~hosts ?(node_bytes = Types.default_params.metadata_node_b
     providers = Array.of_list (List.mapi mk hosts);
     node_bytes;
     cursor = 0;
-    stored = 0;
     journal = Journal.create ~name:"metadata" ();
     armed_crash = false;
     recovered = 0;
@@ -87,8 +85,8 @@ let run_batches t ~client ~towards_provider batches =
   Engine.all t.engine ~name:"metadata.batch" (List.map task batches)
 
 (* Node commits journal an intent first: a crash while the batches are in
-   flight leaves a pending intent and no [stored] bump, and
-   [recover_journal] rolls it back so the commit can be retried whole. *)
+   flight leaves a pending intent, and [recover_journal] rolls it back so
+   the commit can be retried whole. *)
 let commit_nodes t ~from n =
   if n < 0 then invalid_arg "Metadata_service.commit_nodes";
   if n > 0 then begin
@@ -98,9 +96,7 @@ let commit_nodes t ~from n =
       raise (Types.Service_crashed "metadata service")
     end;
     match run_batches t ~client:from ~towards_provider:true (spread t n) with
-    | () ->
-        t.stored <- t.stored + n;
-        Journal.commit t.journal jid
+    | () -> Journal.commit t.journal jid
     | exception e ->
         (* The service survived but the batch run failed client-visibly
            (e.g. no live metadata provider): abort our own intent so the
@@ -124,5 +120,3 @@ let recovered_intents t = t.recovered
 let fetch_nodes t ~to_ n =
   if n < 0 then invalid_arg "Metadata_service.fetch_nodes";
   if n > 0 then run_batches t ~client:to_ ~towards_provider:false (spread t n)
-
-let nodes_stored t = t.stored

@@ -61,6 +61,3 @@ val recovered_intents : t -> int
 
 val fetch_nodes : t -> to_:Net.host -> int -> unit
 (** Symmetric read path: retrieve [n] nodes to the client. *)
-
-val nodes_stored : t -> int
-(** Total nodes committed so far (capacity accounting). *)

@@ -36,14 +36,6 @@ let providers t = t.table
 let provider t i = t.table.(i)
 let dedup_index t = t.dedup
 
-let index_of t provider =
-  let rec find i =
-    if i >= Array.length t.table then raise Not_found
-    else if t.table.(i) == provider then i
-    else find (i + 1)
-  in
-  find 0
-
 let host_of t i = Net.host_id (Data_provider.host t.table.(i))
 
 (* Number of distinct hosts backed by at least one live provider — the real

@@ -27,10 +27,6 @@ val providers : t -> Data_provider.t array
 val provider : t -> int -> Data_provider.t
 (** Lookup by index (as stored in {!Types.replica}). *)
 
-val index_of : t -> Data_provider.t -> int
-(** Inverse of {!provider}. Raises [Not_found] for unregistered
-    providers. *)
-
 val allocate :
   t ->
   from:Net.host ->

@@ -5,10 +5,9 @@ open Storage
 type config = {
   interval : float;
   quorum : int option;
-  merkle_precheck : bool;
 }
 
-let default_config = { interval = 5.0; quorum = None; merkle_precheck = true }
+let default_config = { interval = 5.0; quorum = None }
 
 type event =
   | Scan_started of { at : float; pass : int }
@@ -205,21 +204,17 @@ let scan t =
      a subtree referenced by many versions is walked once per pass, not
      once per referencing version. *)
   let clean_leaves = ref 0 in
-  let version_clean =
-    if not t.config.merkle_precheck then fun _ -> false
-    else begin
-      let storage_memo = Hashtbl.create 512 in
-      let storage_leaf (desc : Types.chunk_desc) =
-        let good = List.filter (replica_good service desc) desc.replicas in
-        if List.length good = List.length desc.replicas && List.length good = replication
-        then Types.desc_content_digest desc
-        else Int64.lognot (Types.desc_content_digest desc)
-      in
-      fun tree ->
-        Client.with_merkle_metrics (fun () ->
-            Segment_tree.merkle_digest ~digest:Types.desc_content_digest tree
-            = Segment_tree.merkle_digest_with ~memo:storage_memo ~digest:storage_leaf tree)
-    end
+  let storage_memo = Hashtbl.create 512 in
+  let storage_leaf (desc : Types.chunk_desc) =
+    let good = List.filter (replica_good service desc) desc.replicas in
+    if List.length good = List.length desc.replicas && List.length good = replication
+    then Types.desc_content_digest desc
+    else Int64.lognot (Types.desc_content_digest desc)
+  in
+  let version_clean tree =
+    Client.with_merkle_metrics (fun () ->
+        Segment_tree.merkle_digest ~digest:Types.desc_content_digest tree
+        = Segment_tree.merkle_digest_with ~memo:storage_memo ~digest:storage_leaf tree)
   in
   let sites = ref [] in
   Version_manager.iter_live_trees vm (fun ~blob ~version tree ->
@@ -381,4 +376,7 @@ let stop t =
   | None -> ()
   | Some fiber ->
       t.fiber <- None;
-      Engine.Fiber.cancel fiber
+      Engine.Fiber.cancel fiber;
+      (* Wait for the pass in progress to unwind, so its abort handlers
+         (e.g. a metadata commit's journal abort) run before we return. *)
+      Engine.Fiber.join fiber

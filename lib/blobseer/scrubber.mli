@@ -18,6 +18,13 @@
     unrepairable — its (blob, version) is reported so the supervisor can
     pick an older rollback target.
 
+    Before enumerating a version's chunks, a pass compares its Merkle
+    root on the descriptor side with one over a storage-health leaf
+    function; a version whose roots agree is verified healthy wholesale
+    and skipped. Detection power is unchanged (any unhealthy replica set
+    poisons the storage root), and a per-pass memo walks shadow-shared
+    subtrees once per pass rather than once per referencing version.
+
     Structurally shared leaves are repaired once per pass (memoized by
     descriptor identity) and every referencing site is rewritten to the
     same new descriptor, so sharing survives repair.
@@ -32,14 +39,6 @@ type t
 type config = {
   interval : float;  (** seconds between background passes *)
   quorum : int option;  (** copies required to publish a repair; default majority *)
-  merkle_precheck : bool;
-      (** compare per-version Merkle roots (descriptor side vs. a
-          storage-health leaf function) before enumerating sites; a version
-          whose roots agree is verified healthy wholesale and skipped. A
-          per-pass memo verifies shadow-shared subtrees once per pass
-          rather than once per referencing version. Detection power is
-          unchanged — any unhealthy replica set poisons the storage root —
-          only the per-site walk on clean data is elided. *)
 }
 
 val default_config : config
@@ -96,7 +95,8 @@ val start : t -> unit
     seconds. No-op if already running. *)
 
 val stop : t -> unit
-(** Cancel the background fiber (a pass in progress unwinds). *)
+(** Cancel the background fiber and wait until a pass in progress has
+    unwound. Call it from a fiber other than the scrubber's own. *)
 
 val version_ok : t -> blob:int -> version:int -> bool
 (** [false] iff the most recent pass found an unrepairable (or

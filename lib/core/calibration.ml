@@ -64,5 +64,3 @@ let quick_test =
     metadata_providers = 2;
     loadvm_record = 64 * Size.kib;
   }
-
-let scale_image t image_capacity = { t with image_capacity }

@@ -51,6 +51,3 @@ val default : t
 val quick_test : t
 (** A small, fast variant for unit/integration tests: few nodes, small
     image, tiny boot profile. *)
-
-val scale_image : t -> int -> t
-(** Override the virtual disk size. *)

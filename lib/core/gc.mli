@@ -22,9 +22,9 @@ type report = {
 val collect : Client.t -> ?pins:(int * int) list -> keep_last:int -> unit -> report
 (** Requires [keep_last >= 1]. Runs as a background activity: no simulated
     time is charged. [pins] are (blob, version) pairs retention must never
-    drop, whatever their age: the supervisor's live rollback targets
-    ({!Supervisor.rollback_pins}) and versions the scrubber is repairing
-    ({!Blobseer.Scrubber.pins}). Without pins, a collection racing a
+    drop, whatever their age: the supervisor's live rollback targets and
+    versions the scrubber is repairing ({!Blobseer.Scrubber.pins}).
+    Without pins, a collection racing a
     rollback could prune the very snapshot the supervisor needs next. *)
 
 val live_chunk_refs : Client.t -> (int * int, int) Hashtbl.t

@@ -673,15 +673,6 @@ let snapshot_pins t =
   in
   List.filter_map of_snap t.snapshots @ List.filter_map of_snap t.snapshots_prev
 
-(* (blob, version) pairs the GC must not prune: the rollback snapshot sets
-   plus whatever the scrubber is mid-repair on. *)
-let rollback_pins t =
-  let scrub_pins = match t.scrubber with Some s -> Scrubber.pins s | None -> [] in
-  List.sort_uniq
-    (fun (b1, v1) (b2, v2) ->
-      match Int.compare b1 b2 with 0 -> Int.compare v1 v2 | c -> c)
-    (snapshot_pins t @ scrub_pins)
-
 let audit t =
   let unaccounted =
     List.filter

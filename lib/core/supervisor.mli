@@ -147,12 +147,6 @@ val cluster : t -> Cluster.t
 val scrubber : t -> Blobseer.Scrubber.t option
 (** The background scrubber, when [run] was given a [scrub] config. *)
 
-val rollback_pins : t -> (int * int) list
-(** (blob, version) pairs the supervisor may still restart from — both
-    committed snapshot sets — plus versions the scrubber is mid-repair on.
-    Pass to {!Gc.collect} as [pins] so collection cannot prune a needed
-    rollback target (the GC/rollback race). *)
-
 val audit : t -> string list
 (** Invariant check used by the teardown audit: every instance ever
     declared dead must have been restarted or accounted abandoned, and a

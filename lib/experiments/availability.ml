@@ -121,20 +121,6 @@ let sweep (scale : Scale.t) ?(progress = fun _ -> ()) () =
 
 let series_label kind mtbf = Fmt.str "%s mtbf=%g" (Approach.kind_name kind) mtbf
 
-let per_series points f =
-  List.concat_map
-    (fun kind ->
-      List.filter_map
-        (fun mtbf ->
-          match List.filter (fun p -> p.kind = kind && p.mtbf = mtbf) points with
-          | [] -> None
-          | ps ->
-              let s = Stats.series (series_label kind mtbf) in
-              List.iter (fun p -> Stats.add s ~x:(float_of_int p.interval) ~y:(f p)) ps;
-              Some s)
-        (List.sort_uniq Float.compare (List.map (fun p -> p.mtbf) points)))
-    kinds
-
 (* Young's first-order optimum T_opt = sqrt(2 C M): with the measured mean
    checkpoint cost C and host MTBF M, the interval (in work units) that
    minimizes expected lost plus checkpoint overhead. *)
@@ -154,21 +140,28 @@ let youngs_series points scale =
           Some s)
     kinds
 
+(* Series run in [kinds] order, each kind's MTBFs ascending. *)
+let series_order (k1, m1) (k2, m2) =
+  let rank k = Option.get (List.find_index (( = ) k) kinds) in
+  match Int.compare (rank k1) (rank k2) with 0 -> Float.compare m1 m2 | c -> c
+
 let tables (scale : Scale.t) ?progress () =
   let points = sweep scale ?progress () in
+  let table name ~title ~y_label y =
+    ( name,
+      Stats.table ~title ~x_label:"interval-units" ~y_label
+        (Stats.group ~order:series_order ~key:(fun p -> (p.kind, p.mtbf))
+           ~label:(fun (kind, mtbf) -> series_label kind mtbf)
+           ~x:(fun p -> float_of_int p.interval)
+           ~y points) )
+  in
   [
-    ( "availability",
-      Stats.table ~title:"Effective utilization vs checkpoint interval under host faults"
-        ~x_label:"interval-units" ~y_label:"utilization"
-        (per_series points (fun p -> p.utilization)) );
-    ( "availability-wasted",
-      Stats.table ~title:"Wasted (rolled-back) work time" ~x_label:"interval-units"
-        ~y_label:"seconds"
-        (per_series points (fun p -> p.wasted)) );
-    ( "availability-recovery",
-      Stats.table ~title:"Mean recovery latency (detection to resume)"
-        ~x_label:"interval-units" ~y_label:"seconds"
-        (per_series points (fun p -> p.mean_recovery_latency)) );
+    table "availability" ~title:"Effective utilization vs checkpoint interval under host faults"
+      ~y_label:"utilization" (fun p -> p.utilization);
+    table "availability-wasted" ~title:"Wasted (rolled-back) work time" ~y_label:"seconds"
+      (fun p -> p.wasted);
+    table "availability-recovery" ~title:"Mean recovery latency (detection to resume)"
+      ~y_label:"seconds" (fun p -> p.mean_recovery_latency);
     ( "availability-youngs",
       Stats.table
         ~title:"Young's-formula optimal checkpoint interval (from measured checkpoint cost)"

@@ -300,26 +300,15 @@ let tables (scale : Scale.t) ?progress () =
   let points =
     List.map (fun depth -> (depth, run_depth scale ?progress depth)) scale.Scale.chains_depths
   in
-  let labels =
-    match points with (_, vs) :: _ -> List.map (fun v -> v.label) vs | [] -> []
-  in
   let series ?(only = fun _ -> true) f =
-    List.filter_map
-      (fun label ->
-        let s = Stats.series label in
-        let keep = ref false in
-        List.iter
-          (fun (depth, vs) ->
-            List.iter
-              (fun v ->
-                if v.label = label && only v then begin
-                  keep := true;
-                  Stats.add s ~x:(float_of_int depth) ~y:(f v)
-                end)
-              vs)
-          points;
-        if !keep then Some s else None)
-      labels
+    Stats.group
+      ~key:(fun (_, v) -> v.label)
+      ~label:Fun.id
+      ~x:(fun (depth, _) -> float_of_int depth)
+      ~y:(fun (_, v) -> f v)
+      (List.concat_map
+         (fun (depth, vs) -> List.filter_map (fun v -> if only v then Some (depth, v) else None) vs)
+         points)
   in
   [
     ( "chains-restart",

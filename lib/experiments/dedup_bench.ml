@@ -131,58 +131,34 @@ let run (scale : Scale.t) ?(progress = fun _ -> ()) () =
         [ false; true ])
     [ `Dup_heavy; `Unique ]
 
-let per_series points f =
-  List.map
-    (fun workload ->
-      let s = Stats.series workload in
-      List.iter
-        (fun p -> if p.workload = workload then Stats.add s ~x:(if p.dedup then 1.0 else 0.0) ~y:(f p))
-        points;
-      s)
-    [ "dup-heavy"; "unique" ]
-
 let tables_of points =
+  let table name ~title ~y_label y =
+    ( name,
+      Stats.table ~title ~x_label:"dedup" ~y_label
+        (Stats.group ~key:(fun p -> p.workload) ~label:Fun.id
+           ~x:(fun p -> if p.dedup then 1.0 else 0.0)
+           ~y points) )
+  in
   [
-    ( "dedup-shipped",
-      Stats.table ~title:"Commit bytes physically shipped (x: dedup 0=off 1=on)"
-        ~x_label:"dedup" ~y_label:"bytes"
-        (per_series points (fun p -> float_of_int p.shipped_bytes)) );
-    ( "dedup-commit-time",
-      Stats.table ~title:"Mean commit completion time, first checkpoint (simulated seconds)"
-        ~x_label:"dedup" ~y_label:"seconds"
-        (per_series points (fun p -> p.commit_time)) );
-    ( "dedup-repo",
-      Stats.table ~title:"Repository growth over the base image"
-        ~x_label:"dedup" ~y_label:"bytes"
-        (per_series points (fun p -> float_of_int p.repository_bytes)) );
-    ( "dedup-rewrite-time",
-      Stats.table ~title:"Mean commit completion time, clean-rewrite checkpoint"
-        ~x_label:"dedup" ~y_label:"seconds"
-        (per_series points (fun p -> p.rewrite_time)) );
+    table "dedup-shipped" ~title:"Commit bytes physically shipped (x: dedup 0=off 1=on)"
+      ~y_label:"bytes" (fun p -> float_of_int p.shipped_bytes);
+    table "dedup-commit-time"
+      ~title:"Mean commit completion time, first checkpoint (simulated seconds)"
+      ~y_label:"seconds" (fun p -> p.commit_time);
+    table "dedup-repo" ~title:"Repository growth over the base image" ~y_label:"bytes"
+      (fun p -> float_of_int p.repository_bytes);
+    table "dedup-rewrite-time" ~title:"Mean commit completion time, clean-rewrite checkpoint"
+      ~y_label:"seconds" (fun p -> p.rewrite_time);
   ]
 
-let tables (scale : Scale.t) ?progress () = tables_of (run scale ?progress ())
-
-(* Hand-rolled JSON: the repo deliberately has no JSON dependency. *)
-let json_of ~scale_name points =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"scale\": %S,\n" scale_name);
-  Buffer.add_string buf "  \"points\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"dedup\": %b, \"instances\": %d,\n\
-           \     \"dirty_bytes_per_instance\": %d,\n\
-           \     \"commit_time_s\": %.6f, \"rewrite_time_s\": %.6f,\n\
-           \     \"shipped_bytes\": %d, \"deduped_bytes\": %d, \"suppressed_bytes\": %d,\n\
-           \     \"repository_bytes\": %d, \"dedup_hits\": %d,\n\
-           \     \"image_digest\": \"%Lx\"}%s\n"
-           p.workload p.dedup p.instances p.dirty_bytes_per_instance p.commit_time
-           p.rewrite_time p.shipped_bytes p.deduped_bytes p.suppressed_bytes
-           p.repository_bytes p.dedup_hits p.image_digest
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+let point_json p =
+  Printf.sprintf
+    "    {\"workload\": %S, \"dedup\": %b, \"instances\": %d,\n\
+    \     \"dirty_bytes_per_instance\": %d,\n\
+    \     \"commit_time_s\": %.6f, \"rewrite_time_s\": %.6f,\n\
+    \     \"shipped_bytes\": %d, \"deduped_bytes\": %d, \"suppressed_bytes\": %d,\n\
+    \     \"repository_bytes\": %d, \"dedup_hits\": %d,\n\
+    \     \"image_digest\": \"%Lx\"}"
+    p.workload p.dedup p.instances p.dirty_bytes_per_instance p.commit_time p.rewrite_time
+    p.shipped_bytes p.deduped_bytes p.suppressed_bytes p.repository_bytes p.dedup_hits
+    p.image_digest

@@ -29,9 +29,5 @@ val run : Scale.t -> ?progress:(string -> unit) -> unit -> point list
 val tables_of : point list -> (string * Stats.table) list
 (** Render already-collected points as the named result tables. *)
 
-val tables : Scale.t -> ?progress:(string -> unit) -> unit -> (string * Stats.table) list
-(** {!run} followed by {!tables_of}. *)
-
-val json_of : scale_name:string -> point list -> string
-(** Render points as the BENCH_dedup.json document (hand-rolled JSON; the
-    repo has no JSON dependency). *)
+val point_json : point -> string
+(** One point's entry in the BENCH_dedup.json document. *)

@@ -119,61 +119,34 @@ let config_label p =
     (if p.dedup then "dedup" else "nodedup")
     (if p.digest_cache then "cache" else "nocache")
 
-let per_series points f =
-  let keys = List.sort_uniq String.compare (List.map config_label points) in
-  List.map
-    (fun key ->
-      let s = Stats.series key in
-      List.iter
-        (fun p ->
-          if String.equal (config_label p) key then
-            Stats.add s ~x:p.dirty_fraction ~y:(f p))
-        points;
-      s)
-    keys
-
 let tables_of points =
+  let table name ~title ~y_label y =
+    ( name,
+      Stats.table ~title ~x_label:"dirty fraction" ~y_label
+        (Stats.group ~order:String.compare ~key:config_label ~label:Fun.id
+           ~x:(fun p -> p.dirty_fraction) ~y points) )
+  in
   [
-    ( "digest-commit-bytes",
-      Stats.table ~title:"Bytes digested during the COMMIT itself (blob.write digest tax)"
-        ~x_label:"dirty fraction" ~y_label:"bytes"
-        (per_series points (fun p -> float_of_int p.commit_digest_bytes)) );
-    ( "digest-total-bytes",
-      Stats.table ~title:"Bytes digested over the whole epoch (guest rewrite + commit)"
-        ~x_label:"dirty fraction" ~y_label:"bytes"
-        (per_series points (fun p -> float_of_int p.total_digest_bytes)) );
-    ( "digest-commit-time",
-      Stats.table ~title:"Measured commit completion time (simulated seconds)"
-        ~x_label:"dirty fraction" ~y_label:"seconds"
-        (per_series points (fun p -> p.commit_time)) );
-    ( "digest-shipped",
-      Stats.table ~title:"Commit bytes physically shipped"
-        ~x_label:"dirty fraction" ~y_label:"bytes"
-        (per_series points (fun p -> float_of_int p.shipped_bytes)) );
+    table "digest-commit-bytes"
+      ~title:"Bytes digested during the COMMIT itself (blob.write digest tax)"
+      ~y_label:"bytes" (fun p -> float_of_int p.commit_digest_bytes);
+    table "digest-total-bytes"
+      ~title:"Bytes digested over the whole epoch (guest rewrite + commit)"
+      ~y_label:"bytes" (fun p -> float_of_int p.total_digest_bytes);
+    table "digest-commit-time" ~title:"Measured commit completion time (simulated seconds)"
+      ~y_label:"seconds" (fun p -> p.commit_time);
+    table "digest-shipped" ~title:"Commit bytes physically shipped" ~y_label:"bytes"
+      (fun p -> float_of_int p.shipped_bytes);
   ]
 
-let tables (scale : Scale.t) ?progress () = tables_of (run scale ?progress ())
-
-(* Hand-rolled JSON: the repo deliberately has no JSON dependency. *)
-let json_of ~scale_name points =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"scale\": %S,\n" scale_name);
-  Buffer.add_string buf "  \"points\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"image_bytes\": %d, \"dirty_fraction\": %.2f, \"dedup\": %b, \
-            \"digest_cache\": %b,\n\
-           \     \"commit_time_s\": %.6f,\n\
-           \     \"commit_digest_bytes\": %d, \"total_digest_bytes\": %d,\n\
-           \     \"chunks_digested\": %d, \"chunks_cached\": %d, \"chunks_skipped\": %d,\n\
-           \     \"shipped_bytes\": %d, \"deduped_bytes\": %d, \"suppressed_bytes\": %d}%s\n"
-           p.image_bytes p.dirty_fraction p.dedup p.digest_cache p.commit_time
-           p.commit_digest_bytes p.total_digest_bytes p.chunks_digested p.chunks_cached
-           p.chunks_skipped p.shipped_bytes p.deduped_bytes p.suppressed_bytes
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+let point_json p =
+  Printf.sprintf
+    "    {\"image_bytes\": %d, \"dirty_fraction\": %.2f, \"dedup\": %b, \
+     \"digest_cache\": %b,\n\
+    \     \"commit_time_s\": %.6f,\n\
+    \     \"commit_digest_bytes\": %d, \"total_digest_bytes\": %d,\n\
+    \     \"chunks_digested\": %d, \"chunks_cached\": %d, \"chunks_skipped\": %d,\n\
+    \     \"shipped_bytes\": %d, \"deduped_bytes\": %d, \"suppressed_bytes\": %d}"
+    p.image_bytes p.dirty_fraction p.dedup p.digest_cache p.commit_time p.commit_digest_bytes
+    p.total_digest_bytes p.chunks_digested p.chunks_cached p.chunks_skipped p.shipped_bytes
+    p.deduped_bytes p.suppressed_bytes

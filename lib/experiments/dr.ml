@@ -117,11 +117,6 @@ let control_run (scale : Scale.t) ?(interval = 2) ?(gang = 2) ?(units = 6) () =
         ~policy:{ Supervisor.default_policy with checkpoint_interval = interval }
         ~id:"dr-ctl" ~gang ~units ~workload ())
 
-let mean_checkpoint_cost (report : Supervisor.report) =
-  if report.Supervisor.checkpoints > 0 then
-    report.Supervisor.checkpoint_time /. float_of_int report.Supervisor.checkpoints
-  else 0.0
-
 let committed_costs (report : Supervisor.report) =
   List.filter_map
     (fun e ->
@@ -236,42 +231,28 @@ let sweep (scale : Scale.t) ?(progress = fun _ -> ()) () =
 
 let series_label latency interval = Fmt.str "link=%gms int=%d" (latency *. 1000.0) interval
 
-let per_series points f =
-  List.filter_map
-    (fun (latency, interval) ->
-      match
-        List.filter (fun p -> p.link_latency = latency && p.interval = interval) points
-      with
-      | [] -> None
-      | ps ->
-          let s = Simcore.Stats.series (series_label latency interval) in
-          List.iter (fun p -> Simcore.Stats.add s ~x:(float_of_int p.window) ~y:(f p)) ps;
-          Some s)
-    (List.sort_uniq
-       (fun (l1, i1) (l2, i2) ->
-         match Float.compare l1 l2 with 0 -> Int.compare i1 i2 | c -> c)
-       (List.map (fun p -> (p.link_latency, p.interval)) points))
-
 let tables (scale : Scale.t) ?progress () =
   let points = sweep scale ?progress () in
+  let table name ~title ~y_label y =
+    ( name,
+      Simcore.Stats.table ~title ~x_label:"window" ~y_label
+        (Simcore.Stats.group
+           ~order:(fun (l1, i1) (l2, i2) ->
+             match Float.compare l1 l2 with 0 -> Int.compare i1 i2 | c -> c)
+           ~key:(fun p -> (p.link_latency, p.interval))
+           ~label:(fun (latency, interval) -> series_label latency interval)
+           ~x:(fun p -> float_of_int p.window)
+           ~y points) )
+  in
   [
-    ( "dr-rpo",
-      Simcore.Stats.table ~title:"RPO: versions lost at site failover vs replication window"
-        ~x_label:"window" ~y_label:"versions lost"
-        (per_series points (fun p -> float_of_int p.rpo_versions)) );
-    ( "dr-rpo-units",
-      Simcore.Stats.table ~title:"RPO: work units rolled back at site failover"
-        ~x_label:"window" ~y_label:"units"
-        (per_series points (fun p -> float_of_int p.rpo_units)) );
-    ( "dr-rto",
-      Simcore.Stats.table ~title:"RTO: failure detection to gang running on the standby"
-        ~x_label:"window" ~y_label:"seconds" (per_series points (fun p -> p.rto)) );
-    ( "dr-lag",
-      Simcore.Stats.table ~title:"Replication lag high-water mark (records)"
-        ~x_label:"window" ~y_label:"records"
-        (per_series points (fun p -> float_of_int p.max_lag)) );
-    ( "dr-overhead",
-      Simcore.Stats.table
-        ~title:"Primary committed-checkpoint overhead vs no-standby control"
-        ~x_label:"window" ~y_label:"percent" (per_series points (fun p -> p.overhead_pct)) );
+    table "dr-rpo" ~title:"RPO: versions lost at site failover vs replication window"
+      ~y_label:"versions lost" (fun p -> float_of_int p.rpo_versions);
+    table "dr-rpo-units" ~title:"RPO: work units rolled back at site failover"
+      ~y_label:"units" (fun p -> float_of_int p.rpo_units);
+    table "dr-rto" ~title:"RTO: failure detection to gang running on the standby"
+      ~y_label:"seconds" (fun p -> p.rto);
+    table "dr-lag" ~title:"Replication lag high-water mark (records)" ~y_label:"records"
+      (fun p -> float_of_int p.max_lag);
+    table "dr-overhead" ~title:"Primary committed-checkpoint overhead vs no-standby control"
+      ~y_label:"percent" (fun p -> p.overhead_pct);
   ]

@@ -59,9 +59,6 @@ val control_run :
 (** The same supervised run without a standby site and without a disaster
     — the primary-commit overhead baseline. *)
 
-val mean_checkpoint_cost : Supervisor.report -> float
-(** Mean committed-checkpoint duration, seconds; [0.] if none committed. *)
-
 val committed_costs : Supervisor.report -> float list
 (** Every committed checkpoint's duration in commit order, seconds. *)
 

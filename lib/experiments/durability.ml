@@ -180,39 +180,27 @@ let sweep (scale : Scale.t) ?(progress = fun _ -> ()) () =
 
 let series_label r interval = Fmt.str "r=%d scrub=%gs" r interval
 
-let per_series points f =
-  List.filter_map
-    (fun (r, interval) ->
-      match
-        List.filter (fun p -> p.replication = r && p.scrub_interval = interval) points
-      with
-      | [] -> None
-      | ps ->
-          let s = Stats.series (series_label r interval) in
-          List.iter (fun p -> Stats.add s ~x:(float_of_int p.corrupt_weight) ~y:(f p)) ps;
-          Some s)
-    (List.sort_uniq
-       (fun (r1, i1) (r2, i2) ->
-         match Int.compare r1 r2 with 0 -> Float.compare i1 i2 | c -> c)
-       (List.map (fun p -> (p.replication, p.scrub_interval)) points))
-
 let tables (scale : Scale.t) ?progress () =
   let points = sweep scale ?progress () in
+  let table name ~title ~y_label y =
+    ( name,
+      Stats.table ~title ~x_label:"corrupt-weight" ~y_label
+        (Stats.group
+           ~order:(fun (r1, i1) (r2, i2) ->
+             match Int.compare r1 r2 with 0 -> Float.compare i1 i2 | c -> c)
+           ~key:(fun p -> (p.replication, p.scrub_interval))
+           ~label:(fun (r, interval) -> series_label r interval)
+           ~x:(fun p -> float_of_int p.corrupt_weight)
+           ~y points) )
+  in
   [
-    ( "durability",
-      Stats.table ~title:"Restart success under silent corruption (1 = run completed)"
-        ~x_label:"corrupt-weight" ~y_label:"success"
-        (per_series points (fun p -> if p.finished then 1.0 else 0.0)) );
-    ( "durability-repair",
-      Stats.table ~title:"Scrub repair traffic (bytes re-replicated)"
-        ~x_label:"corrupt-weight" ~y_label:"bytes"
-        (per_series points (fun p -> float_of_int p.repair_bytes)) );
-    ( "durability-failover",
-      Stats.table ~title:"Client checksum failovers (corrupt replicas detected on read)"
-        ~x_label:"corrupt-weight" ~y_label:"failovers"
-        (per_series points (fun p -> float_of_int p.integrity_failovers)) );
-    ( "durability-overhead",
-      Stats.table ~title:"Mean committed checkpoint duration under scrub load"
-        ~x_label:"corrupt-weight" ~y_label:"seconds"
-        (per_series points (fun p -> p.checkpoint_cost)) );
+    table "durability" ~title:"Restart success under silent corruption (1 = run completed)"
+      ~y_label:"success" (fun p -> if p.finished then 1.0 else 0.0);
+    table "durability-repair" ~title:"Scrub repair traffic (bytes re-replicated)"
+      ~y_label:"bytes" (fun p -> float_of_int p.repair_bytes);
+    table "durability-failover"
+      ~title:"Client checksum failovers (corrupt replicas detected on read)"
+      ~y_label:"failovers" (fun p -> float_of_int p.integrity_failovers);
+    table "durability-overhead" ~title:"Mean committed checkpoint duration under scrub load"
+      ~y_label:"seconds" (fun p -> p.checkpoint_cost);
   ]

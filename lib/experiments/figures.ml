@@ -4,24 +4,8 @@ type progress = string -> unit
 
 let mib = float_of_int Size.mib
 
-let series_of_points points ~x ~y =
-  let by_combo = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun p ->
-      let label = (Synthetic_sweep.(p.combo)).Combos.label in
-      let s =
-        match Hashtbl.find_opt by_combo label with
-        | Some s -> s
-        | None ->
-            let s = Stats.series label in
-            Hashtbl.replace by_combo label s;
-            order := label :: !order;
-            s
-      in
-      Stats.add s ~x:(x p) ~y:(y p))
-    points;
-  List.rev_map (Hashtbl.find by_combo) !order
+(* One series per approach combination, in the order the sweep ran them. *)
+let by_combo combo = Stats.group ~key:(fun p -> (combo p).Combos.label) ~label:Fun.id
 
 let pp_point (p : Synthetic_sweep.point) =
   Fmt.str "%-16s n=%3d  checkpoint=%7.2fs  restart=%7.2fs  snapshot=%s"
@@ -39,15 +23,21 @@ let fig2_3 scale ~buffer ~tag ?(progress = fun _ -> ()) () =
     Stats.table
       ~title:(Fmt.str "Figure 2(%s): checkpoint completion time, %s buffer" tag buffer_label)
       ~x_label:"instances" ~y_label:"time (s)"
-      (series_of_points points ~x:(fun p -> float_of_int p.Synthetic_sweep.n)
-         ~y:(fun p -> p.Synthetic_sweep.checkpoint_time))
+      (by_combo
+         (fun p -> p.Synthetic_sweep.combo)
+         ~x:(fun p -> float_of_int p.Synthetic_sweep.n)
+         ~y:(fun p -> p.Synthetic_sweep.checkpoint_time)
+         points)
   in
   let restart =
     Stats.table
       ~title:(Fmt.str "Figure 3(%s): restart completion time, %s buffer" tag buffer_label)
       ~x_label:"hosts" ~y_label:"time (s)"
-      (series_of_points points ~x:(fun p -> float_of_int p.Synthetic_sweep.n)
-         ~y:(fun p -> p.Synthetic_sweep.restart_time))
+      (by_combo
+         (fun p -> p.Synthetic_sweep.combo)
+         ~x:(fun p -> float_of_int p.Synthetic_sweep.n)
+         ~y:(fun p -> p.Synthetic_sweep.restart_time)
+         points)
   in
   (ckpt, restart)
 
@@ -63,20 +53,13 @@ let fig4 (scale : Scale.t) ?(progress = fun _ -> ()) () =
           Combos.all)
       [ scale.Scale.buffer_small; scale.Scale.buffer_large ]
   in
-  let columns =
-    List.map
-      (fun (combo : Combos.t) ->
-        let s = Stats.series combo.label in
-        List.iter
-          (fun (buffer, (p : Synthetic_sweep.point)) ->
-            if p.combo.Combos.label = combo.label then
-              Stats.add s ~x:(float_of_int buffer /. mib) ~y:(p.snapshot_bytes /. mib))
-          points;
-        s)
-      Combos.all
-  in
   Stats.table ~title:"Figure 4: snapshot size per VM instance" ~x_label:"buffer (MB)"
-    ~y_label:"snapshot size (MB)" columns
+    ~y_label:"snapshot size (MB)"
+    (by_combo
+       (fun (_, p) -> p.Synthetic_sweep.combo)
+       ~x:(fun (buffer, _) -> float_of_int buffer /. mib)
+       ~y:(fun (_, p) -> p.Synthetic_sweep.snapshot_bytes /. mib)
+       points)
 
 let fig5 (scale : Scale.t) ?(progress = fun _ -> ()) () =
   let rounds = scale.Scale.successive_checkpoints in
@@ -128,20 +111,13 @@ let pp_cm1_point (p : Cm1_sweep.point) =
 
 let fig6 scale ?(progress = fun _ -> ()) () =
   let points = Cm1_sweep.sweep scale ~progress:(fun p -> progress (pp_cm1_point p)) () in
-  let columns =
-    List.map
-      (fun (combo : Combos.t) ->
-        let s = Stats.series combo.label in
-        List.iter
-          (fun (p : Cm1_sweep.point) ->
-            if p.combo.Combos.label = combo.label then
-              Stats.add s ~x:(float_of_int p.processes) ~y:p.checkpoint_time)
-          points;
-        s)
-      Combos.disk_only
-  in
   Stats.table ~title:"Figure 6: CM1 checkpoint performance" ~x_label:"processes"
-    ~y_label:"time (s)" columns
+    ~y_label:"time (s)"
+    (by_combo
+       (fun p -> p.Cm1_sweep.combo)
+       ~x:(fun p -> float_of_int p.Cm1_sweep.processes)
+       ~y:(fun p -> p.Cm1_sweep.checkpoint_time)
+       points)
 
 let table1 (scale : Scale.t) ?(progress = fun _ -> ()) () =
   let vms = List.hd scale.Scale.cm1_vm_counts in

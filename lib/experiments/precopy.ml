@@ -126,61 +126,35 @@ let run (scale : Scale.t) ?(progress = fun _ -> ()) () =
 
 let series_label p = Fmt.str "%s int=%gs d=%gMiB/s" p.mode p.interval p.dirty_mbps
 
-let per_series points f =
-  let keys = List.sort_uniq String.compare (List.map series_label points) in
-  List.map
-    (fun key ->
-      let s = Stats.series key in
-      List.iter
-        (fun p ->
-          if String.equal (series_label p) key then Stats.add s ~x:(float_of_int p.rounds) ~y:(f p))
-        points;
-      s)
-    keys
-
 let tables_of points =
+  let table name ~title ~y_label y =
+    ( name,
+      Stats.table ~title ~x_label:"pre-copy rounds" ~y_label
+        (Stats.group ~order:String.compare ~key:series_label ~label:Fun.id
+           ~x:(fun p -> float_of_int p.rounds)
+           ~y points) )
+  in
   [
-    ( "precopy-suspend",
-      Stats.table ~title:"Longest guest-observed stall (the stop-the-world window)"
-        ~x_label:"pre-copy rounds" ~y_label:"seconds"
-        (per_series points (fun p -> p.suspend_max)) );
-    ( "precopy-latency",
-      Stats.table ~title:"Mean checkpoint completion time (including background ship)"
-        ~x_label:"pre-copy rounds" ~y_label:"seconds"
-        (per_series points (fun p -> p.ckpt_latency)) );
-    ( "precopy-shipped",
-      Stats.table ~title:"Total commit bytes shipped (pre-copy overship included)"
-        ~x_label:"pre-copy rounds" ~y_label:"bytes"
-        (per_series points (fun p -> float_of_int p.shipped_bytes)) );
-    ( "precopy-interference",
-      Stats.table ~title:"Frozen-chunk copy-on-write traffic charged to the guest"
-        ~x_label:"pre-copy rounds" ~y_label:"bytes"
-        (per_series points (fun p -> float_of_int p.cow_bytes)) );
-    ( "precopy-throughput",
-      Stats.table ~title:"Writer throughput sustained across the run"
-        ~x_label:"pre-copy rounds" ~y_label:"MiB/s"
-        (per_series points (fun p -> p.achieved_mbps)) );
+    table "precopy-suspend" ~title:"Longest guest-observed stall (the stop-the-world window)"
+      ~y_label:"seconds" (fun p -> p.suspend_max);
+    table "precopy-latency"
+      ~title:"Mean checkpoint completion time (including background ship)"
+      ~y_label:"seconds" (fun p -> p.ckpt_latency);
+    table "precopy-shipped"
+      ~title:"Total commit bytes shipped (pre-copy overship included)" ~y_label:"bytes"
+      (fun p -> float_of_int p.shipped_bytes);
+    table "precopy-interference"
+      ~title:"Frozen-chunk copy-on-write traffic charged to the guest" ~y_label:"bytes"
+      (fun p -> float_of_int p.cow_bytes);
+    table "precopy-throughput" ~title:"Writer throughput sustained across the run"
+      ~y_label:"MiB/s" (fun p -> p.achieved_mbps);
   ]
 
-let tables (scale : Scale.t) ?progress () = tables_of (run scale ?progress ())
-
-(* Hand-rolled JSON: the repo deliberately has no JSON dependency. *)
-let json_of ~scale_name points =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"scale\": %S,\n" scale_name);
-  Buffer.add_string buf "  \"points\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"interval_s\": %g, \"dirty_mibps\": %g, \"rounds\": %d, \"mode\": %S,\n\
-           \     \"suspend_max_s\": %.6f, \"ckpt_latency_s\": %.6f,\n\
-           \     \"shipped_bytes\": %d, \"cow_bytes\": %d,\n\
-           \     \"achieved_mibps\": %.3f}%s\n"
-           p.interval p.dirty_mbps p.rounds p.mode p.suspend_max p.ckpt_latency
-           p.shipped_bytes p.cow_bytes p.achieved_mbps
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+let point_json p =
+  Printf.sprintf
+    "    {\"interval_s\": %g, \"dirty_mibps\": %g, \"rounds\": %d, \"mode\": %S,\n\
+    \     \"suspend_max_s\": %.6f, \"ckpt_latency_s\": %.6f,\n\
+    \     \"shipped_bytes\": %d, \"cow_bytes\": %d,\n\
+    \     \"achieved_mibps\": %.3f}"
+    p.interval p.dirty_mbps p.rounds p.mode p.suspend_max p.ckpt_latency p.shipped_bytes
+    p.cow_bytes p.achieved_mbps

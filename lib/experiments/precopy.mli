@@ -44,8 +44,5 @@ val tables_of : point list -> (string * Simcore.Stats.table) list
     ["precopy-latency"], ["precopy-shipped"], ["precopy-interference"],
     ["precopy-throughput"]. *)
 
-val tables : Scale.t -> ?progress:(string -> unit) -> unit -> (string * Simcore.Stats.table) list
-(** {!run} then {!tables_of}. *)
-
-val json_of : scale_name:string -> point list -> string
-(** The point list as a JSON document (hand-rolled; no JSON dependency). *)
+val point_json : point -> string
+(** One point's entry in the BENCH_precopy.json document. *)

@@ -1,20 +1,44 @@
 open Simcore
 
-type output = { name : string; table : Stats.table }
+type result = { tables : (string * Stats.table) list; points : string option }
 
 type t = {
   id : string;
   paper_ref : string;
   description : string;
-  run : Scale.t -> progress:(string -> unit) -> output list;
+  run : Scale.t -> progress:(string -> unit) -> result;
 }
 
-let fig2_3_outputs tag buffer_of scale ~progress =
+let tables_only tables = { tables; points = None }
+
+(* The BENCH_<id>.json document: the scale, then one entry per point.
+   Hand-rolled JSON, since the repo deliberately has no JSON dependency. *)
+let points_document (scale : Scale.t) point_json points =
+  let buf = Buffer.create 2048 in
+  Buffer.add_string buf (Printf.sprintf "{\n  \"scale\": %S,\n  \"points\": [\n" scale.Scale.name);
+  let last = List.length points - 1 in
+  List.iteri
+    (fun i p ->
+      Buffer.add_string buf (point_json p);
+      Buffer.add_string buf (if i = last then "\n" else ",\n"))
+    points;
+  Buffer.add_string buf "  ]\n}\n";
+  Buffer.contents buf
+
+(* An experiment that yields raw points: its tables and its points
+   document both come from one run. *)
+let with_points (run : Scale.t -> ?progress:(string -> unit) -> unit -> 'p list) tables_of
+    point_json scale ~progress =
+  let points = run scale ~progress () in
+  { tables = tables_of points; points = Some (points_document scale point_json points) }
+
+let fig2_3 tag buffer_of scale ~progress =
   let ckpt, restart =
     Figures.fig2_3 scale ~buffer:(buffer_of scale) ~tag ~progress ()
   in
-  [ { name = "fig2" ^ tag; table = ckpt }; { name = "fig3" ^ tag; table = restart } ]
+  [ ("fig2" ^ tag, ckpt); ("fig3" ^ tag, restart) ]
 
+let only name tables = List.filter (fun (n, _) -> n = name) tables
 let small (s : Scale.t) = s.Scale.buffer_small
 let large (s : Scale.t) = s.Scale.buffer_large
 
@@ -26,37 +50,34 @@ let all =
       description =
         "Checkpoint and restart completion time vs number of instances, 50 MB buffer, \
          all five approaches";
-      run = (fun scale ~progress -> fig2_3_outputs "a" small scale ~progress);
+      run = (fun scale ~progress -> tables_only (fig2_3 "a" small scale ~progress));
     };
     {
       id = "fig2b";
       paper_ref = "Figure 2(b) + Figure 3(b)";
       description =
         "Checkpoint and restart completion time vs number of instances, 200 MB buffer";
-      run = (fun scale ~progress -> fig2_3_outputs "b" large scale ~progress);
+      run = (fun scale ~progress -> tables_only (fig2_3 "b" large scale ~progress));
     };
     {
       id = "fig3a";
       paper_ref = "Figure 3(a)";
       description = "Restart completion time vs number of hosts, 50 MB buffer";
       run =
-        (fun scale ~progress ->
-          List.filter (fun o -> o.name = "fig3a") (fig2_3_outputs "a" small scale ~progress));
+        (fun scale ~progress -> tables_only (only "fig3a" (fig2_3 "a" small scale ~progress)));
     };
     {
       id = "fig3b";
       paper_ref = "Figure 3(b)";
       description = "Restart completion time vs number of hosts, 200 MB buffer";
       run =
-        (fun scale ~progress ->
-          List.filter (fun o -> o.name = "fig3b") (fig2_3_outputs "b" large scale ~progress));
+        (fun scale ~progress -> tables_only (only "fig3b" (fig2_3 "b" large scale ~progress)));
     };
     {
       id = "fig4";
       paper_ref = "Figure 4";
       description = "Snapshot size per VM instance, 50 MB and 200 MB buffers";
-      run =
-        (fun scale ~progress -> [ { name = "fig4"; table = Figures.fig4 scale ~progress () } ]);
+      run = (fun scale ~progress -> tables_only [ ("fig4", Figures.fig4 scale ~progress ()) ]);
     };
     {
       id = "fig5a";
@@ -67,7 +88,7 @@ let all =
       run =
         (fun scale ~progress ->
           let times, storage = Figures.fig5 scale ~progress () in
-          [ { name = "fig5a"; table = times }; { name = "fig5b"; table = storage } ]);
+          tables_only [ ("fig5a", times); ("fig5b", storage) ]);
     };
     {
       id = "fig5b";
@@ -76,22 +97,20 @@ let all =
       run =
         (fun scale ~progress ->
           let _, storage = Figures.fig5 scale ~progress () in
-          [ { name = "fig5b"; table = storage } ]);
+          tables_only [ ("fig5b", storage) ]);
     };
     {
       id = "fig6";
       paper_ref = "Figure 6";
       description = "CM1 checkpoint completion time for an increasing number of processes";
-      run =
-        (fun scale ~progress -> [ { name = "fig6"; table = Figures.fig6 scale ~progress () } ]);
+      run = (fun scale ~progress -> tables_only [ ("fig6", Figures.fig6 scale ~progress ()) ]);
     };
     {
       id = "table1";
       paper_ref = "Table 1";
       description = "CM1 per disk snapshot size";
       run =
-        (fun scale ~progress ->
-          [ { name = "table1"; table = Figures.table1 scale ~progress () } ]);
+        (fun scale ~progress -> tables_only [ ("table1", Figures.table1 scale ~progress ()) ]);
     };
     {
       id = "availability";
@@ -99,11 +118,7 @@ let all =
       description =
         "Effective utilization, wasted work and recovery latency for supervised CM1 \
          under injected host/provider faults, MTBF x checkpoint-interval sweep";
-      run =
-        (fun scale ~progress ->
-          List.map
-            (fun (name, table) -> { name; table })
-            (Availability.tables scale ~progress ()));
+      run = (fun scale ~progress -> tables_only (Availability.tables scale ~progress ()));
     };
     {
       id = "durability";
@@ -112,11 +127,7 @@ let all =
         "Restart success, scrub repair traffic and checkpoint overhead for supervised CM1 \
          under silent replica corruption, corruption-weight x replication x scrub-interval \
          sweep";
-      run =
-        (fun scale ~progress ->
-          List.map
-            (fun (name, table) -> { name; table })
-            (Durability.tables scale ~progress ()));
+      run = (fun scale ~progress -> tables_only (Durability.tables scale ~progress ()));
     };
     {
       id = "dr";
@@ -125,9 +136,7 @@ let all =
         "RPO/RTO, replication lag and primary checkpoint overhead for supervised CM1 on a \
          geo-replicated repository with a scripted primary-site disaster, link-latency x \
          checkpoint-interval x window sweep";
-      run =
-        (fun scale ~progress ->
-          List.map (fun (name, table) -> { name; table }) (Dr.tables scale ~progress ()));
+      run = (fun scale ~progress -> tables_only (Dr.tables scale ~progress ()));
     };
     {
       id = "dedup";
@@ -136,11 +145,7 @@ let all =
         "Commit bytes shipped, repository growth and commit latency for dup-heavy vs \
          unique gang checkpoints, content-addressed dedup on vs off, plus clean-rewrite \
          suppression";
-      run =
-        (fun scale ~progress ->
-          List.map
-            (fun (name, table) -> { name; table })
-            (Dedup_bench.tables scale ~progress ()));
+      run = with_points Dedup_bench.run Dedup_bench.tables_of Dedup_bench.point_json;
     };
     {
       id = "digest";
@@ -149,11 +154,7 @@ let all =
         "Bytes digested during COMMIT and over the whole epoch, commit latency and bytes \
          shipped for full-region rewrites at varying dirty fractions, dedup on/off plus a \
          digest-cache-off baseline";
-      run =
-        (fun scale ~progress ->
-          List.map
-            (fun (name, table) -> { name; table })
-            (Digest_bench.tables scale ~progress ()));
+      run = with_points Digest_bench.run Digest_bench.tables_of Digest_bench.point_json;
     };
     {
       id = "chains";
@@ -162,9 +163,7 @@ let all =
         "Restart latency, read amplification, reclaimed bytes and foreground interference \
          across snapshot-chain depths: BlobSeer retention/compaction vs qcow2 delta chains \
          with and without collapse";
-      run =
-        (fun scale ~progress ->
-          List.map (fun (name, table) -> { name; table }) (Chains.tables scale ~progress ()));
+      run = (fun scale ~progress -> tables_only (Chains.tables scale ~progress ()));
     };
     {
       id = "precopy";
@@ -173,11 +172,7 @@ let all =
         "Guest-observed suspend window, checkpoint latency, shipped bytes and \
          copy-on-write interference for live (pre-copy + background commit) vs \
          stop-the-world checkpoints, interval x dirty-rate x pre-copy-rounds sweep";
-      run =
-        (fun scale ~progress ->
-          List.map
-            (fun (name, table) -> { name; table })
-            (Precopy.tables scale ~progress ()));
+      run = with_points Precopy.run Precopy.tables_of Precopy.point_json;
     };
     {
       id = "abl-prefetch";
@@ -185,7 +180,7 @@ let all =
       description = "Restart time with adaptive prefetching enabled vs disabled";
       run =
         (fun scale ~progress ->
-          [ { name = "abl-prefetch"; table = Ablations.prefetch scale ~progress () } ]);
+          tables_only [ ("abl-prefetch", Ablations.prefetch scale ~progress ()) ]);
     };
     {
       id = "abl-stripe";
@@ -193,7 +188,7 @@ let all =
       description = "Checkpoint/restart time across BlobSeer stripe sizes";
       run =
         (fun scale ~progress ->
-          [ { name = "abl-stripe"; table = Ablations.stripe_size scale ~progress () } ]);
+          tables_only [ ("abl-stripe", Ablations.stripe_size scale ~progress ()) ]);
     };
     {
       id = "abl-replication";
@@ -201,7 +196,7 @@ let all =
       description = "Checkpoint cost of chunk replication factors 1-3";
       run =
         (fun scale ~progress ->
-          [ { name = "abl-replication"; table = Ablations.replication scale ~progress () } ]);
+          tables_only [ ("abl-replication", Ablations.replication scale ~progress ()) ]);
     };
     {
       id = "abl-incremental";
@@ -209,18 +204,17 @@ let all =
       description = "Incremental COMMIT vs whole-image re-commit across successive checkpoints";
       run =
         (fun scale ~progress ->
-          [ { name = "abl-incremental"; table = Ablations.incremental scale ~progress () } ]);
+          tables_only [ ("abl-incremental", Ablations.incremental scale ~progress ()) ]);
     };
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
 let ids = List.map (fun e -> e.id) all
 
-let run_and_render e scale ?csv_dir ~progress () =
-  let outputs = e.run scale ~progress in
+let render ?csv_dir result =
   let buf = Buffer.create 1024 in
   List.iter
-    (fun { name; table } ->
+    (fun (name, table) ->
       Buffer.add_string buf (Stats.render table);
       Buffer.add_char buf '\n';
       match csv_dir with
@@ -228,11 +222,23 @@ let run_and_render e scale ?csv_dir ~progress () =
           let path = Stats.write_csv ~dir ~name table in
           Buffer.add_string buf (Fmt.str "(csv written to %s)\n\n" path)
       | None -> ())
-    outputs;
+    result.tables;
   Buffer.contents buf
 
-let run_observed e scale ?csv_dir ?detail ~progress () =
-  Obs.Record.capture ?detail (fun () -> run_and_render e scale ?csv_dir ~progress ())
+let execute e scale ~observe ~progress =
+  if observe then
+    let result, run = Obs.Record.capture (fun () -> e.run scale ~progress) in
+    (result, Some run)
+  else (e.run scale ~progress, None)
+
+let write_points e result =
+  Option.map
+    (fun document ->
+      let path = Printf.sprintf "BENCH_%s.json" e.id in
+      let oc = open_out path in
+      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc document);
+      path)
+    result.points
 
 let render_observability run =
   let buf = Buffer.create 1024 in

@@ -1,16 +1,22 @@
 (** Registry of reproducible experiments, one entry per paper figure or
     table. The CLI and the bench harness both drive experiments through
-    this interface. *)
+    this interface, and it is their only path to an experiment's outputs:
+    rendered tables, CSV files and the [BENCH_<id>.json] points document. *)
 
 open Simcore
 
-type output = { name : string; table : Stats.table }
+type result = {
+  tables : (string * Stats.table) list;  (** named result tables, in render order *)
+  points : string option;
+      (** the [BENCH_<id>.json] document of the raw points, for experiments
+          that yield one (dedup, digest, precopy) *)
+}
 
 type t = {
   id : string;  (** e.g. ["fig2a"] *)
   paper_ref : string;  (** e.g. ["Figure 2(a)"] *)
   description : string;
-  run : Scale.t -> progress:(string -> unit) -> output list;
+  run : Scale.t -> progress:(string -> unit) -> result;
 }
 
 val all : t list
@@ -25,23 +31,19 @@ val find : string -> t option
 val ids : string list
 (** Ids of {!all}, in order. *)
 
-val run_and_render :
-  t -> Scale.t -> ?csv_dir:string -> progress:(string -> unit) -> unit -> string
-(** Run the experiment, optionally write each output as CSV under
-    [csv_dir], and return the rendered text tables. *)
+val render : ?csv_dir:string -> result -> string
+(** The rendered text tables of a result; with [csv_dir], also write each
+    table as CSV there and note the path after it. *)
 
-val run_observed :
-  t ->
-  Scale.t ->
-  ?csv_dir:string ->
-  ?detail:bool ->
-  progress:(string -> unit) ->
-  unit ->
-  string * Obs.Record.run
-(** Like {!run_and_render}, but under an observability capture: also
+val execute :
+  t -> Scale.t -> observe:bool -> progress:(string -> unit) -> result * Obs.Record.run option
+(** [run]; with [observe], under an observability capture that also
     returns the recorded spans, metric snapshot and labelled tracks (one
-    per simulated sweep point). [detail] additionally records per-chunk
-    spans — large timelines; off by default. *)
+    per simulated sweep point). *)
+
+val write_points : t -> result -> string option
+(** Write the result's points document, if it has one, to
+    [BENCH_<id>.json] in the working directory; returns the path. *)
 
 val render_observability : Obs.Record.run -> string
 (** Render a captured run as the flat metrics table followed by the

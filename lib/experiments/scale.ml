@@ -2,6 +2,7 @@ open Simcore
 open Blobcr
 
 type t = {
+  name : string;
   cal : Calibration.t;
   seed : int;
   schedule : Event_queue.schedule;
@@ -40,6 +41,7 @@ type t = {
 
 let paper =
   {
+    name = "paper";
     cal = Calibration.default;
     seed = 42;
     schedule = Event_queue.Fifo;
@@ -86,6 +88,7 @@ let paper =
 
 let quick =
   {
+    name = "quick";
     cal = Calibration.quick_test;
     seed = 42;
     schedule = Event_queue.Fifo;
@@ -129,7 +132,4 @@ let quick =
     precopy_write_bytes = 64 * Size.kib;
   }
 
-let find = function
-  | "paper" -> Some paper
-  | "quick" -> Some quick
-  | _ -> None
+let find name = List.find_opt (fun s -> String.equal s.name name) [ paper; quick ]

@@ -8,6 +8,7 @@
 open Blobcr
 
 type t = {
+  name : string;  (** ["paper"] or ["quick"]; {!find} looks presets up by it *)
   cal : Calibration.t;
   seed : int;  (** engine seed every cluster in the run is built with *)
   schedule : Simcore.Event_queue.schedule;

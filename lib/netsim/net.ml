@@ -124,11 +124,6 @@ let heal t =
       t.part <- None;
       release_partition p
 
-let partitioned t a b =
-  match t.part with
-  | Some p when Engine.now t.engine < p.until -> p.side a <> p.side b
-  | _ -> false
-
 let delivered_after_heal t = t.delivered_after_heal
 
 (* A transfer or message that would cross the cut stalls until the

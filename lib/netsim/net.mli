@@ -88,9 +88,6 @@ val heal : t -> unit
     cut resume immediately (at the heal instant, not the original
     deadline) and are counted in {!delivered_after_heal}. *)
 
-val partitioned : t -> host -> host -> bool
-(** Whether a message between the two hosts would currently stall. *)
-
 val delivered_after_heal : t -> int
 (** Deliveries (transfers or messages) that were stalled on a partition
     healed ahead of its deadline and then completed — the proof that an

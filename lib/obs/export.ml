@@ -98,7 +98,7 @@ let chrome_trace (run : Record.run) =
 (* ------------------------------------------------------------------ *)
 (* A minimal JSON well-formedness checker (no external deps): parses the
    full grammar without building a value, reporting the first offending
-   byte offset. Used by the exporter tests and the CLI --timeline path. *)
+   byte offset. Used by the exporter tests and [write_chrome_trace]. *)
 
 let validate_json s =
   let n = String.length s in
@@ -221,6 +221,14 @@ let validate_json s =
   | Ok () ->
       skip_ws ();
       if !pos = n then Ok () else error "trailing garbage"
+
+let write_chrome_trace run ~path =
+  let json = chrome_trace run in
+  (match validate_json json with
+  | Ok () -> ()
+  | Error msg -> failwith (Printf.sprintf "timeline JSON invalid (%s)" msg));
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json)
 
 (* ------------------------------------------------------------------ *)
 (* Tables *)

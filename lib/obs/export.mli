@@ -11,6 +11,11 @@ val validate_json : string -> (unit, string) result
 (** Check that a string is one well-formed JSON value (full grammar, no
     value built). [Error] carries the first offending byte offset. *)
 
+val write_chrome_trace : Record.run -> path:string -> unit
+(** Write {!chrome_trace} to [path] after checking it with
+    {!validate_json}. Raises [Failure], writing nothing, if the JSON is
+    malformed. *)
+
 val metrics_table : Record.run -> string
 (** Render the metric snapshot as an aligned text table, one row per
     registered metric: component, name, kind, samples, total, min, max,

@@ -2,12 +2,6 @@ open Simcore
 
 type value = Int of int | Bytes of int | Float of float | Str of string
 
-let pp_value ppf = function
-  | Int n -> Fmt.int ppf n
-  | Bytes n -> Fmt.string ppf (Size.to_string n)
-  | Float v -> Fmt.pf ppf "%.6g" v
-  | Str s -> Fmt.string ppf s
-
 type span = {
   id : int;
   parent : int option;

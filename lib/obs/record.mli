@@ -10,9 +10,6 @@
 type value = Int of int | Bytes of int | Float of float | Str of string
 (** A typed span attribute. [Bytes] renders with binary size units. *)
 
-val pp_value : Format.formatter -> value -> unit
-(** Render an attribute value ([Bytes] as ["12.5 MB"], floats with [%.6g]). *)
-
 type span = {
   id : int;  (** Unique per capture, in open order. *)
   parent : int option;  (** Enclosing span on the same fiber, if any. *)

@@ -65,7 +65,6 @@ let deploy engine net ?(params = default_params) ~metadata_host ~io_servers () =
 
 let engine t = t.engine
 let params t = t.prm
-let server_count t = Array.length t.servers
 
 let total_bytes t =
   (* lint: allow hashtbl-order — commutative sum *)

@@ -48,9 +48,6 @@ val engine : t -> Engine.t
 val params : t -> params
 (** The parameters the deployment was stood up with. *)
 
-val server_count : t -> int
-(** Number of I/O servers. *)
-
 val total_bytes : t -> int
 (** Physical bytes stored across all I/O servers. *)
 

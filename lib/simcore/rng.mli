@@ -10,9 +10,6 @@ val create : int -> t
 (** [create seed] is a fresh generator. Distinct seeds give independent
     streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of the remainder of [t]'s stream. *)

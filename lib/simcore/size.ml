@@ -1,7 +1,6 @@
 let kib = 1024
 let mib = 1024 * kib
 let gib = 1024 * mib
-let kib_n n = n * kib
 let mib_n n = n * mib
 let gib_n n = n * gib
 let to_mib bytes = float_of_int bytes /. float_of_int mib

@@ -13,9 +13,6 @@ val mib : int
 val gib : int
 (** 1 GiB = 1024 MiB. *)
 
-val kib_n : int -> int
-(** [kib_n n] is [n] KiB. *)
-
 val mib_n : int -> int
 (** [mib_n n] is [n] MiB. *)
 

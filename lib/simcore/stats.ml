@@ -1,12 +1,33 @@
 type series = { label : string; mutable points : (float * float) list (* reversed *) }
 
 let series label = { label; points = [] }
-let label s = s.label
 let add s ~x ~y = s.points <- (x, y) :: s.points
-let points s = List.rev s.points
 
 let y_at s ~x =
   List.find_map (fun (px, py) -> if px = x then Some py else None) s.points
+
+let group ?order ~key ~label ~x ~y points =
+  let groups = ref [] (* (key, series), newest key first *) in
+  List.iter
+    (fun p ->
+      let k = key p in
+      let s =
+        match List.assoc_opt k !groups with
+        | Some s -> s
+        | None ->
+            let s = series (label k) in
+            groups := (k, s) :: !groups;
+            s
+      in
+      add s ~x:(x p) ~y:(y p))
+    points;
+  let groups = List.rev !groups in
+  let groups =
+    match order with
+    | None -> groups
+    | Some order -> List.stable_sort (fun (a, _) (b, _) -> order a b) groups
+  in
+  List.map snd groups
 
 type table = {
   title : string;
@@ -19,7 +40,7 @@ let table ~title ~x_label ~y_label columns = { title; x_label; y_label; columns 
 
 let xs_of t =
   let xs =
-    List.concat_map (fun s -> List.map fst (points s)) t.columns
+    List.concat_map (fun s -> List.map fst s.points) t.columns
     |> List.sort_uniq Float.compare
   in
   xs
@@ -29,7 +50,7 @@ let format_cell v =
 
 let render t =
   let xs = xs_of t in
-  let header = t.x_label :: List.map label t.columns in
+  let header = t.x_label :: List.map (fun s -> s.label) t.columns in
   let rows =
     List.map
       (fun x ->
@@ -69,7 +90,8 @@ let to_csv t =
   let xs = xs_of t in
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (String.concat "," (List.map csv_escape (t.x_label :: List.map label t.columns)));
+    (String.concat ","
+       (List.map csv_escape (t.x_label :: List.map (fun s -> s.label) t.columns)));
   Buffer.add_char buf '\n';
   List.iter
     (fun x ->

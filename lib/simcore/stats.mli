@@ -10,17 +10,25 @@ type series
 val series : string -> series
 (** [series label] is a fresh, empty series. *)
 
-val label : series -> string
-(** The label passed to {!series}. *)
-
 val add : series -> x:float -> y:float -> unit
 (** Append one [(x, y)] point. *)
 
-val points : series -> (float * float) list
-(** In insertion order. *)
-
 val y_at : series -> x:float -> float option
 (** The [y] recorded for exactly this [x], if any. *)
+
+val group :
+  ?order:('k -> 'k -> int) ->
+  key:('p -> 'k) ->
+  label:('k -> string) ->
+  x:('p -> float) ->
+  y:('p -> float) ->
+  'p list ->
+  series list
+(** [group ~key ~label ~x ~y points] splits [points] into one series per
+    distinct [key] (structural equality), labelled [label key], holding
+    that key's [(x p, y p)] points in list order. Series come in the order
+    their keys first appear, stably sorted by [order] when given; no hash
+    table is iterated, so the result is deterministic. *)
 
 type table
 

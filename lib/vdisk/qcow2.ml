@@ -92,7 +92,6 @@ let create engine ~host ~local_disk ?(cluster_size = default_cluster_size) ~capa
 let name t = t.qname
 let capacity t = t.qcapacity
 let cluster_size t = t.qcluster_size
-let allocated_clusters t = t.next_phys
 let data_bytes t = t.next_phys * t.qcluster_size
 
 let file_size t =
@@ -377,7 +376,6 @@ let export t fs ~from ~path =
   }
 
 let remote_file_size r = Pvfs.size r.rfile
-let remote_capacity r = r.rcapacity
 
 let remote_vm_state r ~from ~snapshot_name =
   let _, _, (off, len) =

@@ -70,9 +70,6 @@ val file_size : t -> int
 val data_bytes : t -> int
 (** Allocated cluster bytes only. *)
 
-val allocated_clusters : t -> int
-(** Number of physically allocated clusters. *)
-
 val drop_local : t -> unit
 (** Release the image's local-disk footprint (instance terminated, node
     space reclaimed). The image must not be used afterwards. *)
@@ -121,9 +118,6 @@ val export : t -> Pvfs.t -> from:Net.host -> path:string -> remote_image
 
 val remote_file_size : remote_image -> int
 (** Size of the exported file on PVFS. *)
-
-val remote_capacity : remote_image -> int
-(** Guest-visible capacity recorded in the exported image. *)
 
 val remote_vm_state : remote_image -> from:Net.host -> snapshot_name:string -> Payload.t
 (** Fetch a stored VM state from the exported image (full-snapshot

@@ -384,23 +384,34 @@ let pinned_quick_tables =
     ("abl-incremental", "58e7e56811d825cc04ccc078238f707d");
   ]
 
+(* MD5 of every points document (BENCH_<id>.json) the registry yields at
+   quick scale, under the same rule as the table pins. *)
+let pinned_quick_points =
+  [
+    ("dedup", "d1a2f0f9546c1d5187de122ad242dc57");
+    ("digest", "27de00027e08c133690b5c2d38ac488c");
+    ("precopy", "a3a0de282546aa62cf4f48dc4178ac03");
+  ]
+
 let test_pinned_quick_tables () =
   Alcotest.(check (list string))
     "every experiment pinned" Experiments.Registry.ids (List.map fst pinned_quick_tables);
+  let md5 s = Digest.to_hex (Digest.string s) in
   let moved =
-    List.filter_map
+    List.concat_map
       (fun (id, expected) ->
         let exp = Option.get (Experiments.Registry.find id) in
-        let rendered =
-          Experiments.Registry.run_and_render exp Experiments.Scale.quick
-            ~progress:(fun _ -> ())
-            ()
-        in
-        let got = Digest.to_hex (Digest.string rendered) in
-        if got = expected then None else Some (Fmt.str "%s (%s)" id got))
+        let result = exp.Experiments.Registry.run Experiments.Scale.quick ~progress:(fun _ -> ()) in
+        let tables = md5 (Experiments.Registry.render result) in
+        let points = Option.map md5 result.Experiments.Registry.points in
+        (if tables = expected then [] else [ Fmt.str "%s (%s)" id tables ])
+        @
+        if points = List.assoc_opt id pinned_quick_points then []
+        else [ Fmt.str "%s points (%s)" id (Option.value points ~default:"none") ])
       pinned_quick_tables
   in
-  Alcotest.(check (list string)) "experiments whose quick-scale tables moved" [] moved
+  Alcotest.(check (list string))
+    "experiments whose quick-scale tables or points moved" [] moved
 
 let test_scrub_replay_deterministic () =
   let report = Determinism.check_scrub_replay ~seed:11 () in

@@ -426,6 +426,18 @@ let test_durability_chaos_replay_deterministic () =
   Alcotest.(check bool) "same final state" true (digests1 = digests2);
   Alcotest.(check bool) "same trace" true (trace1 = trace2)
 
+(* A chaos fuzz sample whose supervisor gives up while the background
+   scrubber is mid-repair. Stopping the scrubber must wait for that pass
+   to unwind, so its metadata commit aborts its journal intent before the
+   run tears down. The fifo replay must report no invariant finding. *)
+let test_chaos_abandoned_scrub_leaves_journal_quiescent () =
+  let open Analysis.Schedule_fuzz in
+  let _, findings = replay ~seed:1692496000 chaos in
+  Alcotest.(check (list string)) "no invariant findings" []
+    (List.filter_map
+       (fun f -> if f.kind = Invariant then Some (Fmt.str "%a" pp_finding f) else None)
+       findings)
+
 (* ------------------------------------------------------------------ *)
 (* Availability sweep smoke *)
 
@@ -485,6 +497,8 @@ let () =
             test_durability_chaos_replay_deterministic;
           Alcotest.test_case "chaos replay deterministic" `Quick
             test_chaos_recovery_replay_deterministic;
+          Alcotest.test_case "abandoned scrub leaves journal quiescent" `Quick
+            test_chaos_abandoned_scrub_leaves_journal_quiescent;
         ] );
       ( "availability",
         [ Alcotest.test_case "sweep smoke" `Quick test_availability_smoke ] );
