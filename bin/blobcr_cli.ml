@@ -61,28 +61,25 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List reproducible experiments (one per paper figure/table).")
     Term.(const run $ const ())
 
-let run_one scale csv_dir quiet obs timeline id =
-  match Experiments.Registry.find id with
-  | None -> Fmt.epr "unknown experiment %S; try `blobcr_cli list'@." id
-  | Some e ->
-      let progress line = if not quiet then Fmt.epr "    %s@." line in
-      Fmt.pr "### %s — %s@.@." e.Experiments.Registry.id e.Experiments.Registry.paper_ref;
-      let result, run =
-        Experiments.Registry.execute e scale ~observe:(obs || timeline <> None) ~progress
-      in
-      Fmt.pr "%s@." (Experiments.Registry.render ?csv_dir result);
+let run_one scale csv_dir quiet obs timeline (e : Experiments.Registry.t) =
+  let progress line = if not quiet then Fmt.epr "    %s@." line in
+  Fmt.pr "### %s — %s@.@." e.Experiments.Registry.id e.Experiments.Registry.paper_ref;
+  let result, run =
+    Experiments.Registry.execute e scale ~observe:(obs || timeline <> None) ~progress
+  in
+  Fmt.pr "%s@." (Experiments.Registry.render ?csv_dir result);
+  Option.iter
+    (Fmt.pr "(points written to %s)@.")
+    (Experiments.Registry.write_points e result);
+  Option.iter
+    (fun run ->
+      if obs then Fmt.pr "%s@." (Experiments.Registry.render_observability run);
       Option.iter
-        (Fmt.pr "(points written to %s)@.")
-        (Experiments.Registry.write_points e result);
-      Option.iter
-        (fun run ->
-          if obs then Fmt.pr "%s@." (Experiments.Registry.render_observability run);
-          Option.iter
-            (fun path ->
-              Obs.Export.write_chrome_trace run ~path;
-              Fmt.pr "(timeline written to %s)@." path)
-            timeline)
-        run
+        (fun path ->
+          Obs.Export.write_chrome_trace run ~path;
+          Fmt.pr "(timeline written to %s)@." path)
+        timeline)
+    run
 
 let run_cmd =
   let ids_term =
@@ -107,7 +104,20 @@ let run_cmd =
           Some (Fmt.str "%s.%s%s" base id ext)
       | other -> other
     in
-    List.iter (fun id -> run_one scale csv quiet obs (timeline_for id) id) ids
+    (* Check every id before running any, so a typo fails fast. *)
+    let exps =
+      List.map
+        (fun id ->
+          match Experiments.Registry.find id with
+          | Some e -> e
+          | None ->
+              Fmt.epr "unknown experiment %S; try `blobcr_cli list'@." id;
+              exit 2)
+        ids
+    in
+    List.iter
+      (fun e -> run_one scale csv quiet obs (timeline_for e.Experiments.Registry.id) e)
+      exps
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run experiments and print the paper-figure tables.")

@@ -3,7 +3,6 @@
      blobcr_lint lint [--root DIR] [DIR...]     source lint (determinism hazards)
      blobcr_lint docs [--root DIR]              doc coverage, markdown links, CHANGES log
      blobcr_lint invariants                     structural audits over a live scenario
-     blobcr_lint determinism --exp fig2a        replay-divergence check
      blobcr_lint durability                     corruption-chaos durability invariant
      blobcr_lint fuzz [--seed N]                schedule-fuzzing race detector / seed replay
      blobcr_lint all                            everything; exit 0 = clean *)
@@ -167,72 +166,50 @@ let invariants_cmd =
     Term.(const run_invariants $ const ())
 
 (* ------------------------------------------------------------------ *)
-(* determinism *)
+(* Shared options and the replay report *)
 
 let scale_arg =
   let parse s =
     match Experiments.Scale.find s with
-    | Some scale -> Ok (s, scale)
+    | Some scale -> Ok scale
     | None -> Error (`Msg (Fmt.str "unknown scale %S (expected: paper, quick)" s))
   in
-  let print ppf (name, _) = Fmt.string ppf name in
+  let print ppf scale = Fmt.string ppf scale.Experiments.Scale.name in
   Arg.conv (parse, print)
 
 let scale_term =
   Arg.(
     value
-    & opt scale_arg ("quick", Experiments.Scale.quick)
+    & opt scale_arg Experiments.Scale.quick
     & info [ "s"; "scale" ] ~docv:"SCALE" ~doc:"Experiment scale: $(b,quick) or $(b,paper).")
 
 let seed_term =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Engine seed for both runs.")
 
-let exp_term =
-  Arg.(
-    value & opt string "fig5a"
-    & info [ "exp" ] ~docv:"NAME" ~doc:"Experiment id from the registry (see blobcr_cli list).")
-
-let schedule_arg =
-  let parse s =
-    match Simcore.Event_queue.schedule_of_string s with
-    | Ok schedule -> Ok schedule
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, Simcore.Event_queue.pp_schedule)
-
-let schedule_term =
-  Arg.(
-    value
-    & opt schedule_arg Simcore.Event_queue.Fifo
-    & info [ "schedule" ] ~docv:"POLICY"
-        ~doc:
-          "Event-queue tie-break policy for both runs: $(b,fifo) (default, \
-           bit-identical to the historical behavior), $(b,lifo), or \
-           $(b,shuffle:<seed>).")
-
-let run_determinism (_, scale) seed exp_id schedule =
-  match Experiments.Registry.find exp_id with
-  | None ->
-      Fmt.epr "unknown experiment %S; try `blobcr_cli list'@." exp_id;
-      2
-  | Some exp ->
-      let scale = { scale with Experiments.Scale.schedule } in
-      let report = Determinism.check_experiment ~exp ~scale ~seed in
-      Fmt.pr "@[<v>%a@]@." Determinism.pp_report report;
-      if Determinism.identical report then 0 else 1
-
-let determinism_cmd =
-  Cmd.v
-    (Cmd.info "determinism"
-       ~doc:"Run an experiment twice with the same seed and diff the traces.")
-    Term.(const run_determinism $ scale_term $ seed_term $ exp_term $ schedule_term)
+(* Replay one sample (see Schedule_fuzz.replay) and print the verdict;
+   exit code 0 when both reruns match and the invariants hold. *)
+let run_replay ?(show_results = true) scale (scenario : Schedule_fuzz.scenario) seed =
+  Fmt.pr "replaying %s %a@." scenario.sname Schedule_fuzz.pp_sample
+    (Schedule_fuzz.sample_of_seed seed);
+  let outcome, findings = Schedule_fuzz.replay ~scale ~seed scenario in
+  Fmt.pr "trace: %d lines@." (List.length outcome.Schedule_fuzz.trace);
+  if show_results then Fmt.pr "results:@.%s@." outcome.Schedule_fuzz.results;
+  if findings = [] then begin
+    Fmt.pr "fuzz replay: clean (trace and results byte-identical across reruns)@.";
+    0
+  end
+  else begin
+    List.iter (fun f -> Fmt.pr "@[<v>%a@]@." Schedule_fuzz.pp_finding f) findings;
+    Fmt.pr "fuzz replay: %d finding(s)@." (List.length findings);
+    1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* durability: corruption chaos must end in a byte-identical restart or a
    typed, classified error — never an untyped [Failure _]/[Not_found]
    escape — and the scrub/repair log must replay identically. *)
 
-let run_durability (_, scale) seed =
+let run_durability scale seed =
   Invariants.install ();
   let scale = { scale with Experiments.Scale.seed } in
   let failures = ref [] in
@@ -272,10 +249,13 @@ let run_durability (_, scale) seed =
         chaos.Experiments.Durability.scrub_stats.Blobseer.Scrubber.repairs
         chaos.Experiments.Durability.integrity_failures
   | _ -> ());
-  (* Replay determinism of the scrub/repair log. *)
-  let replay = Determinism.check_scrub_replay ~scale ~seed () in
-  Fmt.pr "@[<v>%a@]@." Determinism.pp_report replay;
-  if not (Determinism.identical replay) then fail "scrub/repair log is not replay-identical";
+  (* Replay determinism of the scrub/repair log, at engine seed [seed]
+     under fifo (slot 0). *)
+  if
+    run_replay ~show_results:false scale Schedule_fuzz.scrub
+      (Schedule_fuzz.seed_of ~slot:0 ~fault_seed:seed)
+    <> 0
+  then fail "scrub/repair log is not replay-identical";
   match List.rev !failures with
   | [] ->
       Fmt.pr "durability: clean@.";
@@ -311,9 +291,11 @@ let replay_seed_term =
     value & opt (some int) None
     & info [ "seed" ] ~docv:"N"
         ~doc:
-          "Replay one sample reported by a finding instead of sampling a grid: runs \
-           the exact (schedule, fault stream) pair twice, requires byte-identical \
-           traces, and re-checks invariants and FIFO result parity.")
+          "Replay one sample instead of sampling a grid: runs the exact (schedule, \
+           fault stream) pair twice, requires byte-identical traces and results, and \
+           re-checks invariants and FIFO result parity. $(docv) is the fault stream \
+           times 1000 plus the schedule slot (0 = fifo), so $(b,--scenario exp:fig5a \
+           --seed 42000) runs fig5a twice at engine seed 42 under fifo.")
 
 let master_seed_term =
   Arg.(
@@ -331,8 +313,10 @@ let scenario_term =
            $(b,dr) (a site disaster with standby promotion at a fuzzed crash time \
            and window), $(b,chains) (the snapshot-chain compactor under compaction \
            crash points, service crashes and transient disk errors, checked against \
-           the settled retention fixed point), or $(b,exp:<id>) for any registry \
-           experiment.")
+           the settled retention fixed point), $(b,scrub) (the durability stage's \
+           scrub-log replay, with the fault seed as engine seed; its log carries event \
+           times, so only fifo replays are expected clean), or $(b,exp:<id>) \
+           for any registry experiment (likewise).")
 
 let verbose_term =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every sample as it runs.")
@@ -359,30 +343,16 @@ let write_fuzz_artifact scenario_name report =
     Fmt.pr "failing seeds written to %s@." path
   end
 
-let run_fuzz (_, scale) scenario_name rounds master_seed replay_seed verbose =
+let run_fuzz scale scenario_name rounds master_seed replay_seed verbose =
   match Schedule_fuzz.find_scenario scenario_name with
   | None ->
       Fmt.epr "unknown scenario %S (expected %s or exp:<id>)@." scenario_name
         (String.concat ", "
-           (List.map (fun ((s : Schedule_fuzz.scenario), _) -> s.sname) Schedule_fuzz.scenarios));
+           (List.map (fun (s : Schedule_fuzz.scenario) -> s.sname) Schedule_fuzz.named));
       2
   | Some scenario -> (
       match replay_seed with
-      | Some seed ->
-          let sample = Schedule_fuzz.sample_of_seed seed in
-          Fmt.pr "replaying %s %a@." scenario_name Schedule_fuzz.pp_sample sample;
-          let outcome, findings = Schedule_fuzz.replay ~scale ~seed scenario in
-          Fmt.pr "trace: %d lines; results:@.%s@." (List.length outcome.Schedule_fuzz.trace)
-            outcome.Schedule_fuzz.results;
-          if findings = [] then begin
-            Fmt.pr "fuzz replay: clean (trace byte-identical across reruns)@.";
-            0
-          end
-          else begin
-            List.iter (fun f -> Fmt.pr "@[<v>%a@]@." Schedule_fuzz.pp_finding f) findings;
-            Fmt.pr "fuzz replay: %d finding(s)@." (List.length findings);
-            1
-          end
+      | Some seed -> run_replay scale scenario seed
       | None ->
           let schedules = 5 in
           let fault_streams = max 1 ((rounds + schedules - 1) / schedules) in
@@ -417,23 +387,27 @@ let run_all root seed =
   let lint = stage "lint" (fun () -> run_lint root []) in
   let docs = stage "docs" (fun () -> run_docs root) in
   let inv = stage "invariants" (fun () -> run_invariants ()) in
+  (* Each experiment replayed at engine seed [seed] under fifo: the
+     sample seed [seed * 1000] of its fuzz scenario. *)
   let det =
     stage "determinism" (fun () ->
-        let fifo = Simcore.Event_queue.Fifo in
-        let fig = run_determinism ("quick", Experiments.Scale.quick) seed "fig5a" fifo in
-        let ded = run_determinism ("quick", Experiments.Scale.quick) seed "dedup" fifo in
-        let dr = run_determinism ("quick", Experiments.Scale.quick) seed "dr" fifo in
-        if fig = 0 && ded = 0 && dr = 0 then 0 else 1)
+        let sample = Schedule_fuzz.seed_of ~slot:0 ~fault_seed:seed in
+        let codes =
+          List.map
+            (fun id ->
+              run_replay ~show_results:false Experiments.Scale.quick
+                (Option.get (Schedule_fuzz.find_scenario ("exp:" ^ id)))
+                sample)
+            [ "fig5a"; "dedup"; "dr" ]
+        in
+        if List.for_all (( = ) 0) codes then 0 else 1)
   in
-  let dur =
-    stage "durability" (fun () -> run_durability ("quick", Experiments.Scale.quick) seed)
-  in
+  let dur = stage "durability" (fun () -> run_durability Experiments.Scale.quick seed) in
   let fuzz =
     List.map
       (fun ((s : Schedule_fuzz.scenario), rounds) ->
         let name = if s.sname = "chaos" then "fuzz" else "fuzz-" ^ s.sname in
-        stage name (fun () ->
-            run_fuzz ("quick", Experiments.Scale.quick) s.sname rounds seed None false))
+        stage name (fun () -> run_fuzz Experiments.Scale.quick s.sname rounds seed None false))
       Schedule_fuzz.scenarios
   in
   if lint = 0 && docs = 0 && inv = 0 && det = 0 && dur = 0 && List.for_all (( = ) 0) fuzz
@@ -447,10 +421,10 @@ let all_cmd =
   Cmd.v
     (Cmd.info "all"
        ~doc:
-         "Run lint, docs, invariants, determinism (including the DR sweep's replay \
-          check), durability and the bounded schedule-fuzz smoke passes (chaos, \
-          site-disaster, snapshot-chain and live-checkpoint scenarios); exit 0 when \
-          all clean.")
+         "Run lint, docs, invariants, determinism (fifo replays of fig5a, dedup and \
+          the DR sweep at $(b,--seed)), durability and the bounded schedule-fuzz \
+          smoke passes (chaos, site-disaster, snapshot-chain and live-checkpoint \
+          scenarios); exit 0 when all clean.")
     Term.(const run_all $ root_term $ seed_term)
 
 let () =
@@ -459,7 +433,4 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group info
-          [
-            lint_cmd; docs_cmd; invariants_cmd; determinism_cmd; durability_cmd; fuzz_cmd;
-            all_cmd;
-          ]))
+          [ lint_cmd; docs_cmd; invariants_cmd; durability_cmd; fuzz_cmd; all_cmd ]))

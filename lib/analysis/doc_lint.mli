@@ -19,22 +19,6 @@
     Like {!Lint}, this is a self-contained text-level scanner: no ppx, no
     compiler-libs, no markdown parser. *)
 
-val undocumented : file:string -> string -> Lint.finding list
-(** [mli-doc] over one [.mli]'s source text: one finding per top-level
-    [val] with no attached doc comment. [file] labels the findings. *)
-
-val heading_anchors : string -> string list
-(** The GitHub-style anchor slugs of every heading in a markdown
-    document, in order. Fenced code blocks are ignored. *)
-
-val link_targets : string -> (int * string) list
-(** [(line, target)] for every inline markdown link [[text](target)] in
-    the document, fenced code blocks excluded. *)
-
-val check_changes : file:string -> string -> Lint.finding list
-(** [changes-log] over CHANGES.md's text: every non-blank line must
-    match ["PR <n> ..."] with [n] counting 1, 2, 3, ... in order. *)
-
 val scan_repo : root:string -> Lint.finding list
 (** Run all three rule families over a repository checkout: [mli-doc]
     on every [.mli] under [root/lib], [md-link] on README.md, DESIGN.md,

@@ -55,22 +55,6 @@ val audit_client : Client.t -> violation list
     still alive to recover them — a fail-stopped site abandoned by a
     failover legitimately holds its intents forever. *)
 
-val audit_replicator : Replicator.t -> violation list
-(** Geo-replication audit: the in-flight window bound was never exceeded;
-    a promoted replicator has no half-tracked pending records; and (until
-    a promotion diverges the sites on purpose) every version present on
-    both sites carries identical logical content per leaf. *)
-
-val audit_compactor : Compactor.t -> violation list
-(** Maintenance-plane audit: the compaction journal is quiescent while
-    the compactor is alive (a dead compactor's pending intents await its
-    own recovery tick), and no chunk the sweep reclaimed is referenced by
-    any live tree (chunk ids are never reused, so this is exact). *)
-
-val audit_supervisor : Blobcr.Supervisor.t -> violation list
-(** Recovery accounting: every declared-dead instance was restarted or
-    abandoned, and a finished run is consistent. *)
-
 val audit_subject : Engine.audit_subject -> (string * violation list) option
 (** Dispatch over the registered subject kinds; [None] for foreign
     subjects. *)

@@ -21,9 +21,6 @@
 
 type finding = { rule : string; file : string; line : int; message : string }
 
-val rule_ids : (string * string) list
-(** [(id, description)] for every rule, in a fixed order. *)
-
 val scan_source : file:string -> string -> finding list
 (** Run all content rules over one compilation unit's source text. [file]
     is only used to label findings. *)

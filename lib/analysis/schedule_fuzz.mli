@@ -1,12 +1,15 @@
-(** Schedule-fuzzing race detector (deterministic simulation testing).
+(** Schedule-fuzzing race detector and replay checker (deterministic
+    simulation testing).
 
     The engine's determinism contract pins {e one} schedule: same seed,
-    same trace. This pass explores the schedules that contract never
-    exercises — alternative interleavings of {e simultaneous} events — by
-    sampling (tie-break policy x fault script) pairs and checking, after
-    every run, the full invariant battery plus {e schedule-independence of
-    results}: rendered results must be byte-identical across schedules
-    even though traces legitimately differ (see DESIGN.md section 13).
+    same trace. {!replay} enforces that contract — it runs a sample twice
+    and diffs the traces and the rendered results byte for byte. The fuzz
+    pass ({!run}) also explores the schedules the contract never exercises
+    — alternative interleavings of {e simultaneous} events — by sampling
+    (tie-break policy x fault script) pairs and checking, after every run,
+    the full invariant battery plus {e schedule-independence of results}:
+    rendered results must be byte-identical across schedules even though
+    traces legitimately differ (see DESIGN.md section 13).
 
     Every sample is a single integer seed encoding both the schedule slot
     and the fault stream, so each finding carries a one-line repro command
@@ -38,6 +41,17 @@ val sample_of_seed : int -> sample
 val pp_sample : Format.formatter -> sample -> unit
 (** ["seed=N (schedule P, fault stream F)"]. *)
 
+(** {1 Comparing runs} *)
+
+type divergence = {
+  line_no : int;  (** 1-based index of the first differing line *)
+  first : string option;  (** the line in run 1 ([None]: it ended) *)
+  second : string option;  (** the line in run 2 *)
+}
+
+val diff_traces : string list -> string list -> divergence option
+(** The first differing line of two traces; [None] when equal. *)
+
 (** {1 Scenarios} *)
 
 type outcome = {
@@ -50,10 +64,26 @@ type outcome = {
 
 type scenario = {
   sname : string;
-      (** ["chaos"], ["precopy"], ["dr"], ["chains"] or ["exp:<id>"] —
-          appears in repro commands *)
+      (** ["chaos"], ["precopy"], ["dr"], ["chains"], ["scrub"] or
+          ["exp:<id>"] — appears in repro commands *)
   srun : Experiments.Scale.t -> schedule:Event_queue.schedule -> fault_seed:int -> outcome;
 }
+
+val make_scenario :
+  ?strict:bool ->
+  string ->
+  run:(Experiments.Scale.t -> fault_seed:int -> 'a) ->
+  render:('a -> string) ->
+  audit:('a -> string list) ->
+  scenario
+(** [make_scenario name ~run ~render ~audit] is a scenario whose sample
+    runs [run] (its scale already carrying the sample's schedule) under
+    {!Simcore.Trace.capture}. An escaped exception is classified: an
+    untyped one or an audit failure is a violation, a typed failure
+    becomes the result — and, when [strict] (default [false]: the
+    scenario's faults may legitimately end the run), a violation too.
+    Otherwise [render] gives the result surface and [audit] the
+    violations. *)
 
 val chaos : scenario
 (** The durability chaos harness ({!Experiments.Durability.chaos_run})
@@ -101,17 +131,37 @@ val chains : scenario
     excluded. Violations come from the engine's full invariant battery,
     including the compactor audit. *)
 
+val scrub : scenario
+(** The durability stage's scrub-log replay:
+    {!Experiments.Durability.chaos_run} under its default fault script
+    (silent corruption, a mid-COMMIT service crash and a host crash, with
+    a background scrubber), with the fault seed as the engine seed. The result surface is the scrub/repair
+    event log and its counts. The log carries event times, so this is a
+    fifo-replay subject: non-fifo samples diverge from fifo by design.
+    Strict: the supervisor must absorb the script's faults, so any
+    escaped exception is a violation. *)
+
 val experiment : Experiments.Registry.t -> scenario
-(** A registry experiment as a scenario: no injected faults — the fault
-    seed doubles as the engine seed and the result surface is the rendered
-    stats tables. *)
+(** A registry experiment as a scenario: no injected faults, so strict
+    (any escaped exception is a violation) — the fault seed doubles as
+    the engine seed and the result surface is the rendered
+    stats tables. Slot 0 is fifo, so [replay ~seed:(n * 1000)] runs the
+    experiment twice at engine seed [n] and diffs traces and tables.
+    Those tables include timings, which legitimately move when
+    simultaneous events reorder: non-fifo samples of timing experiments
+    (e.g. [fig5a]) report [result-divergence] against fifo by design,
+    while count-only experiments (e.g. [dedup]) stay clean. *)
 
 val scenarios : (scenario * int) list
-(** The named scenarios with their smoke-pass sample counts, in the order
+(** The fuzz scenarios with their smoke-pass sample counts, in the order
     [blobcr_lint all] runs them: chaos 25, dr 5, chains 5, precopy 5. *)
 
+val named : scenario list
+(** Every scenario {!find_scenario} knows by name: {!scrub}, then those
+    of {!scenarios}. *)
+
 val find_scenario : string -> scenario option
-(** A scenario of {!scenarios} by name, or ["exp:<id>"] for any registry
+(** A scenario of {!named} by name, or ["exp:<id>"] for any registry
     experiment id. *)
 
 (** {1 Findings} *)
@@ -122,13 +172,11 @@ type kind =
   | Untyped_escape  (** the run died with an unclassified exception *)
   | Result_divergence
       (** results differ from the FIFO reference run of the same fault
-          stream — the code is schedule-dependent *)
+          stream — the code is schedule-dependent — or from a same-seed
+          rerun *)
   | Replay_divergence
       (** the same seed produced two different traces — the policy or the
           scenario leaks nondeterminism *)
-
-val kind_to_string : kind -> string
-(** Stable lower-case identifier, e.g. ["result-divergence"]. *)
 
 type finding = {
   scenario : string;
@@ -150,7 +198,8 @@ type report = {
   rscenario : string;
   samples : sample list;  (** every (schedule x fault) sample run, in order *)
   findings : finding list;
-  replays_checked : int;  (** samples additionally re-run for trace equality *)
+  replays_checked : int;
+      (** samples additionally re-run for trace and result equality *)
 }
 
 val clean : report -> bool
@@ -167,16 +216,17 @@ val run :
 (** Sample a [fault_streams x schedules] grid (defaults 5 x 5 = 25
     samples at [quick] scale). Per fault stream, the first schedule is
     always FIFO and serves as the result reference; the last schedule of
-    every stream is re-run to spot-check replay determinism. The grid is
+    every stream goes through {!replay}'s same-seed check. The grid is
     derived from [master_seed] (default 42), so the whole pass is itself
     deterministic. *)
 
 val replay :
   ?scale:Experiments.Scale.t -> seed:int -> scenario -> outcome * finding list
-(** Re-run one reported sample: executes it twice and diffs the traces
-    (byte-for-byte), re-checks the invariant battery, and — for non-FIFO
-    samples — compares results against a fresh FIFO reference of the same
-    fault stream. *)
+(** Re-run one sample: executes it twice and diffs the traces and the
+    rendered results (byte-for-byte), re-checks the invariant battery,
+    and — for non-FIFO samples — compares results against a fresh FIFO
+    reference of the same fault stream. Returns the first run's
+    outcome. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One line when clean; otherwise every finding with its repro command. *)

@@ -595,6 +595,11 @@ let publish_descs b ~from ~base ~base_tree descs =
       (fun () -> Metadata_service.commit_nodes t.md ~from created);
   Version_manager.publish t.vm ~from ~blob:(blob_id b) ~base tree
 
+(* Store several non-overlapping (offset, payload) runs and publish them
+   as a single new version. With [params.dedup] each chunk's digest is
+   resolved at the provider manager before placement, so already-stored
+   content references the existing replicas and ships zero bytes; chunks
+   stream through the client write window. *)
 let write_multi b ~from ?base runs =
   let t = b.service in
   List.iter

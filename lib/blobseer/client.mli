@@ -115,19 +115,6 @@ val read : blob -> from:Net.host -> version:int -> offset:int -> len:int -> Payl
     [from] (a local read costs no network). Raises
     {!Types.Provider_down} when all replicas of a needed chunk are dead. *)
 
-val write_multi : blob -> from:Net.host -> ?base:int -> (int * Payload.t) list -> int
-(** [write_multi blob ~from runs] stores several discontiguous
-    [(offset, payload)] runs and publishes them as a {e single} new
-    version — one incremental snapshot no matter how scattered the dirty
-    chunks are. Runs must not overlap.
-
-    With [params.dedup] (the default) every chunk's content digest is
-    resolved at the provider manager before placement: chunks whose
-    content is already stored reference the existing replicas and ship
-    zero bytes. Chunks stream through the client write window, so content
-    production, digesting, dedup lookups and replica writes of different
-    chunks overlap. *)
-
 (** Per-write accounting returned by {!write_chunks}: how many chunks
     (and payload bytes) were physically shipped, satisfied by the dedup
     index, or suppressed as clean rewrites. *)
@@ -193,9 +180,6 @@ type digest_stats = {
   bytes_cached : int;
   bytes_skipped : int;
 }
-
-val empty_digest_stats : digest_stats
-(** All counters zero. *)
 
 val digest_stats : t -> digest_stats
 (** Deployment-lifetime digest-work counters (also mirrored into the

@@ -46,9 +46,6 @@ val allocate :
     leaving the shortfall to the scrubber. Raises {!Types.Provider_down}
     when no provider is live at all. *)
 
-val live_distinct_hosts : t -> int
-(** Distinct hosts with at least one live provider. *)
-
 val degraded_allocations : t -> int
 (** Chunks placed with fewer than the requested number of replicas. *)
 

@@ -28,11 +28,8 @@ type plan = {
           with the pin source's name — ascending by version *)
 }
 
-val pp_policy : Format.formatter -> policy -> unit
-(** Renders as ["keep-all"], ["keep-last-k"] or ["thin-b"]. *)
-
 val policy_to_string : policy -> string
-(** Same rendering as {!pp_policy}, as a string (table series labels). *)
+(** ["keep-all"], ["keep-last-k"] or ["thin-b"] (table series labels). *)
 
 val plan : policy -> versions:int list -> latest:int -> pins:(int * string) list -> plan
 (** [plan policy ~versions ~latest ~pins] partitions [versions] (the

@@ -190,6 +190,10 @@ type q_outcome = {
   q_chain_levels : int;
 }
 
+(* One qcow2 run: a full export, [depth] dirty epochs each ending in an
+   incremental export, a chain collapse whenever the chain outgrows
+   [scale.chains_keep_last] (when [collapse]), then a timed restart read
+   on another node backed by the final chain. *)
 let q_run (scale : Scale.t) ~collapse ~depth () =
   let cluster =
     Cluster.build ~seed:scale.Scale.seed ~schedule:scale.Scale.schedule scale.Scale.cal

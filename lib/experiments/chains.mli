@@ -78,13 +78,6 @@ type q_outcome = {
   q_chain_levels : int;  (** levels of the final chain *)
 }
 
-val q_run : Scale.t -> collapse:bool -> depth:int -> unit -> q_outcome
-(** One deterministic qcow2 run: a full export, [depth] dirty epochs each
-    ending in {!Vdisk.Qcow2.export_incremental}, a
-    {!Vdisk.Qcow2.collapse_chain} whenever the chain outgrows
-    [scale.chains_keep_last] (when [collapse]), then a timed restart read
-    on a different node backed by the final chain. *)
-
 (** {1 Tables} *)
 
 val tables : Scale.t -> ?progress:(string -> unit) -> unit -> (string * Simcore.Stats.table) list

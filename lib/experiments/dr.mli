@@ -54,20 +54,6 @@ val dr_run :
     (default {!default_crash_at}). Same scale, config and crash time ⇒
     same outcome, byte for byte. *)
 
-val control_run :
-  Scale.t -> ?interval:int -> ?gang:int -> ?units:int -> unit -> Supervisor.report
-(** The same supervised run without a standby site and without a disaster
-    — the primary-commit overhead baseline. *)
-
-val committed_costs : Supervisor.report -> float list
-(** Every committed checkpoint's duration in commit order, seconds. *)
-
-val primary_checkpoint_costs : Supervisor.report -> float list
-(** Durations of the commits on the primary site only — at or before the
-    failover (all of them when no failover happened). Post-failover
-    commits run on the promoted standby and fold recovery recomputation
-    into their cost, which would misread as replication interference. *)
-
 type point = {
   link_latency : float;  (** WAN one-way latency, seconds *)
   window : int;  (** replication in-flight window *)

@@ -10,9 +10,9 @@
     (corrupt-weight, replication, scrub-interval) cell: restart success,
     repair traffic, checksum failovers and checkpoint overhead.
 
-    The {!chaos_run} harness is shared with the replay-determinism check
-    ({!Analysis.Determinism}), the [blobcr_lint durability] invariant and
-    the fault-injection tests. *)
+    The {!chaos_run} harness is shared with the schedule-fuzz scenarios and
+    replay checks ({!Analysis.Schedule_fuzz}), the [blobcr_lint durability]
+    invariant and the fault-injection tests. *)
 
 open Blobcr
 
@@ -32,10 +32,6 @@ type chaos = {
           still registered — schedule fuzzing audits it post-run *)
 }
 
-val acceptance_script : Faults.script
-(** Silent corruption at t=8.5, version-manager crash armed mid-apply of
-    the next COMMIT at t=9, host 0 crash-stopped at t=18. *)
-
 val final_subdomain_digests : Supervisor.t -> (string * int64) list
 (** (instance name, digest) of each surviving instance's restored state —
     compared across runs to prove recovery restored identical content. *)
@@ -52,9 +48,11 @@ val chaos_run :
   chaos
 (** One supervised chaos run on a fresh cluster seeded from the scale.
     [script] builds the fault script once the cluster exists (default:
-    {!acceptance_script}); [replication] overrides the calibration's chunk
-    replication (default 2); [scrub] is the background scrubber config
-    (default: 4 s passes, majority quorum); [policy] overrides the
+    silent corruption at t=8.5, a version-manager crash armed mid-apply
+    of the next COMMIT at t=9 and host 0 crash-stopped at t=18);
+    [replication] overrides the calibration's chunk replication (default
+    2); [scrub] is the background scrubber config (default: 4 s passes,
+    majority quorum); [policy] overrides the
     supervisor policy (e.g. live checkpoint mode for the precopy fuzz
     scenario). Same scale and script ⇒ same outcome, byte for byte. *)
 

@@ -106,10 +106,6 @@ val register_audit_subject : t -> audit_subject -> unit
 val audit_subjects : t -> audit_subject list
 (** All registered subjects, in registration order. *)
 
-val audit_violations : t -> (string * string list) list
-(** Run the installed auditor over every subject and return the non-clean
-    results as [(subject, violations)]. Does not raise. *)
-
 val set_subject_auditor : (audit_subject -> (string * string list) option) -> unit
 (** Install the global subject auditor (normally [Analysis.Invariants]'s;
     the function receives each subject and returns [None] when clean). *)

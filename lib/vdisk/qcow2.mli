@@ -67,9 +67,6 @@ val file_size : t -> int
     allocated clusters, plus internal-snapshot tables and VM states. This
     is what a disk snapshot must copy to PVFS. *)
 
-val data_bytes : t -> int
-(** Allocated cluster bytes only. *)
-
 val drop_local : t -> unit
 (** Release the image's local-disk footprint (instance terminated, node
     space reclaimed). The image must not be used afterwards. *)

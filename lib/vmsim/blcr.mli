@@ -8,9 +8,6 @@
 
 open Simcore
 
-val checkpoint_dir : string
-(** ["/ckpt/blcr"] — where dump files are written. *)
-
 val dump : Vm.t -> int
 (** Dump every process of the VM into the guest FS and [sync] (the paper's
     added step: flush before requesting the disk snapshot). Returns the
@@ -21,12 +18,6 @@ val restore : Vm.t -> int
 (** Read every dump file back (repopulating process memory on restart);
     re-registers each dumped process on the VM. Returns bytes read.
     Raises [Failure] if no dumps are present. *)
-
-val dump_payload : vm:string -> name:string -> mem:int -> epoch:int -> Payload.t
-(** The deterministic payload a dump writes for process [name] of VM [vm]
-    at its [epoch]-th dump — a stand-in for the process's memory image, so
-    it is unique per (VM, process) and changes between dumps (exposed so
-    tests can verify restored content byte-for-byte). *)
 
 val newest_dump : Vm.t -> name:string -> Payload.t
 (** The most recent context file dumped for the named process. Raises

@@ -107,9 +107,6 @@ val register_process : t -> name:string -> mem:int -> Process.t
 val processes : t -> Process.t list
 (** In registration order. *)
 
-val process_memory : t -> int
-(** Total tracked process memory. *)
-
 val ram_state_bytes : t -> int
 (** Size of a full VM snapshot's memory image: process memory plus OS
     overhead (used by savevm / qcow2-full). *)

@@ -44,16 +44,6 @@ val iterate : t -> int -> unit
 (** Run iterations: compute + halo exchange on every process in parallel,
     plus periodic summary output. *)
 
-val iterate_result : t -> int -> [ `Done | `Gang_down ]
-(** Like {!iterate}, but a rank whose VM fail-stops mid-run does not kill
-    the engine: its siblings are cancelled and the call reports
-    [`Gang_down] so a supervisor can recover. *)
-
-val set_steps : t -> int -> unit
-(** Rewind every rank's iteration counter to [n] — restart restores
-    subdomain content but the step count lives in the driver; resuming
-    from a checkpoint must reposition it to keep state deterministic. *)
-
 val dump_app : t -> Approach.instance -> unit
 (** CM1's own checkpointing: drain channels, then every local process
     writes its subdomain file; ends with a sync. Collective — the global

@@ -222,46 +222,78 @@ let test_segment_tree_audit () =
 
 let test_diff_traces () =
   Alcotest.(check bool) "equal traces" true
-    (Determinism.diff_traces [ "a"; "b" ] [ "a"; "b" ] = None);
-  (match Determinism.diff_traces [ "a"; "b" ] [ "a"; "c" ] with
+    (Schedule_fuzz.diff_traces [ "a"; "b" ] [ "a"; "b" ] = None);
+  (match Schedule_fuzz.diff_traces [ "a"; "b" ] [ "a"; "c" ] with
   | Some d ->
-      Alcotest.(check int) "divergence line" 2 d.Determinism.line_no;
-      Alcotest.(check (option string)) "first" (Some "b") d.Determinism.first;
-      Alcotest.(check (option string)) "second" (Some "c") d.Determinism.second
+      Alcotest.(check int) "divergence line" 2 d.Schedule_fuzz.line_no;
+      Alcotest.(check (option string)) "first" (Some "b") d.Schedule_fuzz.first;
+      Alcotest.(check (option string)) "second" (Some "c") d.Schedule_fuzz.second
   | None -> Alcotest.fail "expected a divergence");
-  match Determinism.diff_traces [ "a" ] [ "a"; "b" ] with
+  match Schedule_fuzz.diff_traces [ "a" ] [ "a"; "b" ] with
   | Some d ->
-      Alcotest.(check (option string)) "short run ended" None d.Determinism.first
+      Alcotest.(check (option string)) "short run ended" None d.Schedule_fuzz.first
   | None -> Alcotest.fail "expected a length divergence"
 
+(* Replaying [seed] of [scenario] must report nothing. *)
+let check_replay_clean what scenario seed =
+  let _, findings = Schedule_fuzz.replay ~seed scenario in
+  Alcotest.(check (list string)) (what ^ " replays clean") []
+    (List.map (Fmt.str "%a" Schedule_fuzz.pp_finding) findings)
+
+(* A scenario whose rendered result drifts on every rerun; its trace
+   drifts too when [trace_drifts]. Identical traces do not imply
+   identical results, so replay must flag the result drift either way. *)
 let test_compare_runs_catches_nondeterminism () =
-  let counter = ref 0 in
-  let report =
-    Determinism.compare_runs ~name:"drift" ~seed:1 (fun () ->
-        incr counter;
-        let engine = Engine.create () in
-        let _ =
-          Engine.Fiber.spawn engine (fun () ->
-              Trace.emit engine ~component:"drift" "run %d" !counter)
-        in
-        Engine.run engine;
-        string_of_int !counter)
+  let kinds ~trace_drifts =
+    let counter = ref 0 in
+    let drift =
+      Schedule_fuzz.make_scenario "drift"
+        ~run:(fun _ ~fault_seed:_ ->
+          incr counter;
+          let engine = Engine.create () in
+          let _ =
+            Engine.Fiber.spawn engine (fun () ->
+                Trace.emit engine ~component:"drift" "run %d"
+                  (if trace_drifts then !counter else 0))
+          in
+          Engine.run engine;
+          !counter)
+        ~render:string_of_int
+        ~audit:(fun _ -> [])
+    in
+    List.map (fun f -> f.Schedule_fuzz.kind) (snd (Schedule_fuzz.replay ~seed:1000 drift))
   in
-  Alcotest.(check bool) "divergence detected" false (Determinism.identical report);
-  Alcotest.(check bool) "trace divergence located" true
-    (report.Determinism.first_divergence <> None);
-  Alcotest.(check bool) "outputs differ" false report.Determinism.outputs_match
+  Alcotest.(check bool) "trace and output divergence located" true
+    (kinds ~trace_drifts:true
+    = [ Schedule_fuzz.Replay_divergence; Schedule_fuzz.Result_divergence ]);
+  Alcotest.(check bool) "output divergence under an identical trace" true
+    (kinds ~trace_drifts:false = [ Schedule_fuzz.Result_divergence ])
 
 let test_registry_experiment_deterministic () =
-  match Experiments.Registry.find "fig5a" with
-  | None -> Alcotest.fail "fig5a not registered"
-  | Some exp ->
-      let report =
-        Determinism.check_experiment ~exp ~scale:Experiments.Scale.quick ~seed:7
-      in
-      Alcotest.(check bool)
-        (Fmt.str "fig5a quick deterministic: %a" Determinism.pp_report report)
-        true (Determinism.identical report)
+  check_replay_clean "fig5a quick"
+    (Option.get (Schedule_fuzz.find_scenario "exp:fig5a"))
+    7000
+
+(* A fault-free experiment that deterministically dies with a typed error
+   replays identically, but it did not complete: replay must flag it. A
+   faulted scenario may end that way, so only strict ones are flagged. *)
+let test_strict_escape_fails_replay () =
+  let full _ ~progress:_ = raise (Disk.Full { disk = "d0"; need = 2; capacity = 1 }) in
+  let exp =
+    { Experiments.Registry.id = "full"; paper_ref = ""; description = ""; run = full }
+  in
+  let kinds scenario =
+    List.map (fun f -> f.Schedule_fuzz.kind) (snd (Schedule_fuzz.replay ~seed:13000 scenario))
+  in
+  Alcotest.(check bool) "escape from a fault-free experiment flagged" true
+    (kinds (Schedule_fuzz.experiment exp) = [ Schedule_fuzz.Invariant ]);
+  Alcotest.(check bool) "typed error of a faulted scenario is an outcome" true
+    (kinds
+       (Schedule_fuzz.make_scenario "faulted"
+          ~run:(fun scale ~fault_seed:_ -> full scale ~progress:ignore)
+          ~render:(fun _ -> "")
+          ~audit:(fun _ -> []))
+    = [])
 
 (* A synthetic engine workload whose log records every wake-up with its
    time: sleeps that end together, same-instant yields, semaphore and
@@ -414,10 +446,7 @@ let test_pinned_quick_tables () =
     "experiments whose quick-scale tables or points moved" [] moved
 
 let test_scrub_replay_deterministic () =
-  let report = Determinism.check_scrub_replay ~seed:11 () in
-  Alcotest.(check bool)
-    (Fmt.str "scrub replay deterministic: %a" Determinism.pp_report report)
-    true (Determinism.identical report)
+  check_replay_clean "scrub/repair log" Schedule_fuzz.scrub 11000
 
 (* ------------------------------------------------------------------ *)
 (* Schedule fuzzing *)
@@ -501,6 +530,8 @@ let () =
             test_compare_runs_catches_nondeterminism;
           Alcotest.test_case "fig5a quick run is deterministic" `Slow
             test_registry_experiment_deterministic;
+          Alcotest.test_case "escape from a strict scenario fails replay" `Quick
+            test_strict_escape_fails_replay;
           Alcotest.test_case "scrub/repair log replays identically" `Slow
             test_scrub_replay_deterministic;
           Alcotest.test_case "event order matches pinned digests" `Slow test_pinned_event_order;

@@ -324,16 +324,14 @@ let test_scrubber_merkle_precheck () =
 (* Determinism *)
 
 let test_digest_experiment_deterministic () =
-  match Experiments.Registry.find "digest" with
+  (* Engine seed 13 under fifo, run twice: traces and tables must match. *)
+  match Analysis.Schedule_fuzz.find_scenario "exp:digest" with
   | None -> Alcotest.fail "digest experiment not registered"
-  | Some exp ->
-      let report =
-        Analysis.Determinism.check_experiment ~exp ~scale:Experiments.Scale.quick ~seed:13
-      in
-      Alcotest.(check bool)
-        (Fmt.str "digest quick deterministic: %a" Analysis.Determinism.pp_report report)
-        true
-        (Analysis.Determinism.identical report)
+  | Some scenario ->
+      let _, findings = Analysis.Schedule_fuzz.replay ~seed:13000 scenario in
+      Alcotest.(check (list string))
+        "digest quick replays clean" []
+        (List.map (Fmt.str "%a" Analysis.Schedule_fuzz.pp_finding) findings)
 
 (* ------------------------------------------------------------------ *)
 
