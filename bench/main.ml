@@ -177,11 +177,57 @@ let micro () =
              ignore (Sparse_bytes.read s ~offset:(i * Size.mib) ~len:Size.mib)
            done))
   in
+  (* CM1's summary file as a BlobCR guest sees it: a 4 MiB log of 256
+     records of 16 KiB, one extent each, on a guest file system over a
+     mirror with 256 KiB chunks. Each run puts the log back to 4 MiB (page
+     cache only), appends one record and syncs, which re-emits every
+     extent as a partial-chunk write. *)
+  let engine = Engine.create () in
+  let in_sim f =
+    let result = ref None in
+    ignore (Engine.Fiber.spawn engine (fun () -> result := Some (f ())));
+    Engine.run engine;
+    Option.get !result
+  in
+  let record i = Payload.pattern ~seed:(Int64.of_int (-1 - i)) (16 * Size.kib) in
+  let log_fs, log =
+    let net = Net.create engine { Net.default_config with latency = 0.0 } in
+    let host = Net.add_host net ~name:"node" in
+    let disk = Storage.Disk.create engine ~name:"disk" () in
+    let service =
+      Blobseer.Client.deploy engine net
+        ~params:{ Blobseer.Types.default_params with stripe_size = chunk }
+        ~version_manager_host:host ~provider_manager_host:host ~metadata_hosts:[ host ]
+        ~data_providers:[ (host, disk) ] ()
+    in
+    in_sim (fun () ->
+        let capacity = Size.mib_n 16 in
+        let base = Blobseer.Client.create_blob service ~from:host ~capacity in
+        let v = Blobseer.Client.write base ~from:host ~offset:0 (Payload.zero capacity) in
+        let m =
+          Vdisk.Mirror.create engine ~host ~local_disk:disk ~base ~base_version:v ~name:"m" ()
+        in
+        let fs = Vmsim.Guest_fs.format (Vdisk.Mirror.device m) () in
+        for i = 0 to 255 do
+          Vmsim.Guest_fs.append_file fs ~path:"/log" (record i);
+          Vmsim.Guest_fs.sync fs
+        done;
+        (fs, Vmsim.Guest_fs.read_file fs ~path:"/log"))
+  in
+  let guest_log_sync =
+    Test.make
+      ~name:"guest-fs: sync of a 4 MiB append-only log after one 16 KiB append (mirror-backed)"
+      (Staged.stage (fun () ->
+           in_sim (fun () ->
+               Vmsim.Guest_fs.write_file log_fs ~path:"/log" log;
+               Vmsim.Guest_fs.append_file log_fs ~path:"/log" (record 256);
+               Vmsim.Guest_fs.sync log_fs)))
+  in
   let tests =
     Test.make_grouped ~name:"blobcr-core"
       [ seg_tree_update; seg_tree_bulk; payload_pattern_digest; payload_bytes_digest;
         payload_segment_digest; event_queue; engine_fibers; engine_handoff; qcow2_cow;
-        sparse_bytes ]
+        sparse_bytes; guest_log_sync ]
   in
   let benchmark () =
     let instances = Instance.[ monotonic_clock ] in

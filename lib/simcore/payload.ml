@@ -3,11 +3,16 @@ type seg =
   | Pattern of { seed : int64; off : int; len : int }
   | Bytes of { data : bytes; off : int; len : int }
 
+(* The whole payload's content digest, memoized on the value — payloads
+   are immutable, so once known the digest is valid for the payload's
+   lifetime. [Owed d] is a digest inherited from a value with the same
+   segments (see [splice]): [d] is right, but this value has not paid for
+   it yet, so its first [digest] still counts what a fold would hash. *)
+type memo = Unknown | Known of int64 | Owed of int64
+
 (* Segments in order, with [offs.(i)] the start offset of [segs.(i)], so
-   random access and slicing are O(log segments). [dig] memoizes the whole
-   payload's content digest — payloads are immutable, so once computed the
-   digest is valid for the payload's lifetime. *)
-type t = { len : int; segs : seg array; offs : int array; mutable dig : int64 option }
+   random access and slicing are O(log segments). *)
+type t = { len : int; segs : seg array; offs : int array; mutable dig : memo }
 
 let seg_len = function
   | Zero n -> n
@@ -15,11 +20,11 @@ let seg_len = function
   | Bytes { len; _ } -> len
 
 let length t = t.len
-let empty = { len = 0; segs = [||]; offs = [||]; dig = Some 0L }
+let empty = { len = 0; segs = [||]; offs = [||]; dig = Known 0L }
 
 let of_seg seg =
   let n = seg_len seg in
-  if n = 0 then empty else { len = n; segs = [| seg |]; offs = [| 0 |]; dig = None }
+  if n = 0 then empty else { len = n; segs = [| seg |]; offs = [| 0 |]; dig = Unknown }
 
 let zero len = of_seg (Zero len)
 let pattern ~seed len = of_seg (Pattern { seed; off = 0; len })
@@ -77,8 +82,16 @@ let seg_merge a b =
       Some (Bytes { p with len = p.len + q.len })
   | _ -> None
 
+let seg_equal_struct a b =
+  match (a, b) with
+  | Zero m, Zero n -> m = n
+  | Pattern p, Pattern q -> p.seed = q.seed && p.off = q.off && p.len = q.len
+  | Bytes p, Bytes q -> p.data == q.data && p.off = q.off && p.len = q.len
+  | _ -> false
+
 (* Build a payload from segments, dropping empties and merging adjacent
-   contiguous segments. *)
+   contiguous segments. Every payload is built here or holds one segment,
+   so none has two neighbours that would merge: it is normalized. *)
 let of_seg_seq iter =
   let buf = ref [] and n = ref 0 in
   iter (fun seg ->
@@ -102,7 +115,7 @@ let of_seg_seq iter =
       offs.(i) <- !total;
       total := !total + seg_len seg)
     segs;
-  { len = !total; segs; offs; dig = None }
+  { len = !total; segs; offs; dig = Unknown }
 
 let concat ts =
   (* When exactly one non-empty payload remains, return it unchanged so the
@@ -113,22 +126,83 @@ let concat ts =
   | [ t ] -> t
   | ts -> of_seg_seq (fun push -> List.iter (fun t -> Array.iter push t.segs) ts)
 
+(* [seg], starting at [sstart] in its payload, clipped to the stretch
+   [\[pos, pos+len)]; the segment itself when it lies inside. *)
+let clip seg sstart pos len =
+  let cut_from = max 0 (pos - sstart) and cut_to = min (seg_len seg) (pos + len - sstart) in
+  if cut_from = 0 && cut_to = seg_len seg then seg else seg_sub seg cut_from (cut_to - cut_from)
+
+(* Pushes the segments of [t] clipped to [\[pos, pos+len)]. *)
+let push_range t pos len push =
+  if len > 0 then
+    for k = seg_index t pos to seg_index t (pos + len - 1) do
+      push (clip t.segs.(k) t.offs.(k) pos len)
+    done
+
+(* Every payload is normalized (see [of_seg_seq]), and clipping the end
+   segments of a run does not make neighbours merge, so a slice takes the
+   clipped segments as they are. *)
 let sub t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Payload.sub";
   if len = 0 then empty
   else if pos = 0 && len = t.len then t
   else begin
     let first = seg_index t pos in
-    let last = seg_index t (pos + len - 1) in
-    of_seg_seq (fun push ->
-        for k = first to last do
-          let seg = t.segs.(k) in
-          let sstart = t.offs.(k) in
-          let cut_from = max 0 (pos - sstart) in
-          let cut_to = min (seg_len seg) (pos + len - sstart) in
-          push (seg_sub seg cut_from (cut_to - cut_from))
-        done)
+    let n = seg_index t (pos + len - 1) - first + 1 in
+    let segs = Array.init n (fun i -> clip t.segs.(first + i) t.offs.(first + i) pos len) in
+    let offs = Array.make n 0 in
+    for i = 1 to n - 1 do
+      offs.(i) <- offs.(i - 1) + seg_len segs.(i - 1)
+    done;
+    { len; segs; offs; dig = Unknown }
   end
+
+(* Whether [seg]'s slice [\[from, from+len)] is structurally [other]. *)
+let seg_slice_is seg from len other =
+  match (seg, other) with
+  | Zero _, Zero n -> n = len
+  | Pattern p, Pattern q -> Int64.equal p.seed q.seed && p.off + from = q.off && q.len = len
+  | Bytes p, Bytes q -> p.data == q.data && p.off + from = q.off && q.len = len
+  | _ -> false
+
+(* Whether [patch]'s segments are exactly [base]'s over [\[pos,
+   pos+length patch)], segment for segment; allocates nothing. Both are
+   normalized (no two adjacent segments merge), so this holds exactly when
+   [sub base ~pos ~len:(length patch)] has [patch]'s segments. *)
+let same_segments base pos patch =
+  let n = Array.length patch.segs in
+  n = 0
+  ||
+  let k0 = seg_index base pos and stop = pos + patch.len in
+  k0 + n <= Array.length base.segs
+  &&
+  let rec go j =
+    j = n
+    ||
+    let k = k0 + j in
+    let seg = base.segs.(k) and sstart = base.offs.(k) in
+    let cut_from = max 0 (pos - sstart) in
+    let cut_to = min (seg_len seg) (stop - sstart) in
+    seg_slice_is seg cut_from (cut_to - cut_from) patch.segs.(j) && go (j + 1)
+  in
+  go 0
+
+let splice base ~pos patch =
+  let plen = patch.len in
+  let rest = base.len - pos - plen in
+  if pos < 0 || rest < 0 then invalid_arg "Payload.splice";
+  if plen = 0 && (pos = 0 || rest = 0) then (if base.len = 0 then empty else base)
+  else if pos = 0 && rest = 0 then patch
+  else if same_segments base pos patch then
+    (* The rebuild would have [base]'s segments: share them, and the
+       digest, which the new value still has to pay for once. *)
+    let dig = match base.dig with Known d | Owed d -> Owed d | Unknown -> Unknown in
+    { base with dig }
+  else
+    of_seg_seq (fun push ->
+        push_range base 0 pos push;
+        Array.iter push patch.segs;
+        push_range base (pos + plen) rest push)
 
 (* Rolling content hash: h(s ++ c) = h(s) * b + code(c) mod 2^64; segment
    hashes combine as h(s1 ++ s2) = h(s1) * b^|s2| + h(s2). *)
@@ -269,40 +343,55 @@ let seg_digest seg =
       hashed_bytes_counter := !hashed_bytes_counter + len;
       fold_bytes data off len
 
-(* Cross-payload cache of [Pattern] segment digests, keyed by (seed, off,
-   len). Two generations bound its memory and keep it admitting: a miss
-   enters [young]; once [young] holds [cache_generation] entries it
-   becomes [old] and the previous [old] is dropped; a hit in [old] is
-   copied into [young]. A segment digested again within one generation's
-   worth of admissions is therefore always a hit. [young] never holds the
-   key being admitted, so [Hashtbl.add] suffices. *)
+(* Cross-payload cache of [Pattern] segment digests, keyed by the segment
+   itself, that is by (seed, off, len), with integer hashing and equality,
+   so a lookup allocates nothing. Two generations bound its memory and
+   keep it admitting: a miss enters [young]; once [young] holds
+   [cache_generation] entries it becomes [old] and the previous [old] is
+   dropped; a hit in [old] is copied into [young]. A segment digested again
+   within one generation's worth of admissions is therefore always a hit.
+   [young] never holds the key being admitted, so [add] suffices. Nothing
+   iterates the tables, so their order is never observed. *)
 let cache_generation = 150_000
 
+module Seg_table = Hashtbl.Make (struct
+  type t = seg
+
+  let equal = seg_equal_struct
+
+  let hash = function
+    | Pattern { seed; off; len } ->
+        let h = Int64.to_int seed + (off * 0x9E3779B97F4A7C1) + (len * 0x2545F4914F6CDD1D) in
+        let h = (h lxor (h lsr 29)) * 0x1CE4E5B9BF58476D in
+        h lxor (h lsr 32)
+    | Zero _ | Bytes _ -> 0
+end)
+
 type cache = {
-  mutable young : (int64 * int * int, int64) Hashtbl.t;
-  mutable old : (int64 * int * int, int64) Hashtbl.t;
+  mutable young : int64 Seg_table.t;
+  mutable old : int64 Seg_table.t;
   mutable hit_count : int;
   mutable miss_count : int;
 }
 
 let digest_cache =
-  { young = Hashtbl.create 256; old = Hashtbl.create 256; hit_count = 0; miss_count = 0 }
+  { young = Seg_table.create 256; old = Seg_table.create 256; hit_count = 0; miss_count = 0 }
 
 let cache_admit c key d =
-  if Hashtbl.length c.young >= cache_generation then begin
+  if Seg_table.length c.young >= cache_generation then begin
     let dropped = c.old in
-    Hashtbl.clear dropped;
+    Seg_table.clear dropped;
     c.old <- c.young;
     c.young <- dropped
   end;
-  Hashtbl.add c.young key d
+  Seg_table.add c.young key d
 
 (* The cached digest of [key], if any; a hit in [old] moves into [young]. *)
 let cache_find c key =
-  match Hashtbl.find_opt c.young key with
+  match Seg_table.find_opt c.young key with
   | Some _ as hit -> hit
   | None -> (
-      match Hashtbl.find_opt c.old key with
+      match Seg_table.find_opt c.old key with
       | Some d as hit ->
           cache_admit c key d;
           hit
@@ -310,10 +399,9 @@ let cache_find c key =
 
 let seg_digest_cached seg =
   match seg with
-  | Pattern { seed; off; len } -> (
+  | Pattern { len; _ } -> (
       let c = digest_cache in
-      let key = (seed, off, len) in
-      match cache_find c key with
+      match cache_find c seg with
       | Some d ->
           c.hit_count <- c.hit_count + 1;
           hashed_bytes_counter := !hashed_bytes_counter + len;
@@ -321,7 +409,7 @@ let seg_digest_cached seg =
       | None ->
           c.miss_count <- c.miss_count + 1;
           let d = seg_digest seg in
-          cache_admit c key d;
+          cache_admit c seg d;
           d)
   | _ -> seg_digest seg
 
@@ -330,25 +418,26 @@ type cache_stats = { hits : int; misses : int; generation : int }
 let segment_cache_stats () =
   { hits = digest_cache.hit_count; misses = digest_cache.miss_count; generation = cache_generation }
 
+(* Bytes a fold of [t] feeds the hash: every [Pattern] and [Bytes] byte. *)
+let hashable_bytes t =
+  Array.fold_left (fun n seg -> match seg with Zero _ -> n | _ -> n + seg_len seg) 0 t.segs
+
 let digest t =
   match t.dig with
-  | Some d -> d
-  | None ->
+  | Known d -> d
+  | Owed d ->
+      hashed_bytes_counter := !hashed_bytes_counter + hashable_bytes t;
+      t.dig <- Known d;
+      d
+  | Unknown ->
       let d =
         Array.fold_left
           (fun h seg ->
             Int64.add (Int64.mul h (pow_base (seg_len seg))) (seg_digest_cached seg))
           0L t.segs
       in
-      t.dig <- Some d;
+      t.dig <- Known d;
       d
-
-let seg_equal_struct a b =
-  match (a, b) with
-  | Zero m, Zero n -> m = n
-  | Pattern p, Pattern q -> p.seed = q.seed && p.off = q.off && p.len = q.len
-  | Bytes p, Bytes q -> p.data == q.data && p.off = q.off && p.len = q.len
-  | _ -> false
 
 (* Writes pattern positions [off, off+len) to [buf] at [pos], a whole
    aligned word at a time, a partial word at either end byte by byte. *)

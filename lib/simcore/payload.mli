@@ -43,6 +43,16 @@ val concat : t list -> t
     non-empty payload is given, it is returned unchanged, so its memoized
     digest survives reassembly. *)
 
+val splice : t -> pos:int -> t -> t
+(** [splice base ~pos patch] is [base] with [patch] written over its bytes
+    from [pos]: the payload [concat [sub base ~pos:0 ~len:pos; patch;
+    suffix]], with the same segments and the same degenerate cases ([base]
+    or [patch] itself when nothing else remains), built in one pass.
+    Requires [pos + length patch <= length base]. When [patch]'s segments
+    are exactly [base]'s over that range, found without allocating, the
+    result is a fresh value sharing [base]'s segments and owing [base]'s
+    digest: see {!digest}. *)
+
 val equal : t -> t -> bool
 (** Structural fast path (identical descriptors), falling back to
     byte-by-byte comparison. *)
@@ -63,16 +73,23 @@ val digest : t -> int64
     generations of at most 150 000 segments each and keeps admitting
     after it fills. The whole payload's digest is additionally memoized
     per value, so repeated digests of the same payload (verified reads,
-    commit-path dedup lookups) are O(1) after the first. *)
+    commit-path dedup lookups) are O(1) after the first.
+
+    A value that {!splice} built by sharing its base's segments carries
+    the base's digest, memoized or not, as owed: its first [digest]
+    returns it without folding but counts in {!hashed_bytes} exactly what
+    the fold would have; later calls are free. *)
 
 val hashed_bytes : unit -> int
 (** Monotonic count of bytes a real implementation would have fed through
     the hash since process start. Per-payload memo hits cost nothing (a
     value carrying its digest models reuse an implementation can actually
     perform); internal cross-payload segment caches are simulator
-    shortcuts and still count; [Zero] runs (O(log n) math) stay free. The
-    delta across an operation measures real digest work regardless of
-    payload representation. *)
+    shortcuts and still count; [Zero] runs (O(log n) math) stay free. An
+    owed digest (see {!splice}) counts on its first use as the fold would:
+    the length of every [Pattern] and [Bytes] segment. The delta across an
+    operation measures real digest work regardless of payload
+    representation. *)
 
 (** Cumulative counters of the cross-payload [Pattern] segment digest
     cache described under {!digest}. *)

@@ -46,13 +46,8 @@ let write t ~offset payload =
         if wstart = bstart && wend = bstart + bs then
           Payload.sub payload ~pos:(bstart - offset) ~len:bs
         else
-          let old = block_content t index in
-          Payload.concat
-            [
-              Payload.sub old ~pos:0 ~len:(wstart - bstart);
-              Payload.sub payload ~pos:(wstart - offset) ~len:(wend - wstart);
-              Payload.sub old ~pos:(wend - bstart) ~len:(bstart + bs - wend);
-            ]
+          Payload.splice (block_content t index) ~pos:(wstart - bstart)
+            (Payload.sub payload ~pos:(wstart - offset) ~len:(wend - wstart))
       in
       set_block t index content
     done

@@ -19,7 +19,9 @@ val create : ?block_size:int -> unit -> t
 
 val write : t -> offset:int -> Payload.t -> unit
 (** Store the payload's bytes at [offset], materializing blocks as
-    needed. *)
+    needed. A block written in part becomes {!Payload.splice} of its old
+    content, so rewriting a block's bytes with the same segments keeps its
+    segments and owes its digest. *)
 
 val read : t -> offset:int -> len:int -> Payload.t
 (** The [len] bytes at [offset]; unwritten ranges read as zeros. *)

@@ -9,6 +9,7 @@ type entry = {
   mutable size : int;
   mutable extents : (int * int) list; (* (offset, len), block-aligned, in order *)
   mutable cache : Payload.t option;
+  mutable appended : Payload.t list; (* appends not yet folded into [cache], newest first *)
   mutable dirty : bool;
   mutable persisted_size : int; (* bytes the on-disk extents actually cover *)
   mutable generation : int; (* bumped on every cache mutation *)
@@ -98,7 +99,15 @@ let mount dev =
   List.iter
     (fun (path, size, extents) ->
       Hashtbl.replace t.files path
-        { size; extents; cache = None; dirty = false; persisted_size = size; generation = 0 })
+        {
+          size;
+          extents;
+          cache = None;
+          appended = [];
+          dirty = false;
+          persisted_size = size;
+          generation = 0;
+        })
     persisted.p_files;
   t
 
@@ -146,6 +155,7 @@ let write_file t ~path payload =
   match Hashtbl.find_opt t.files path with
   | Some e ->
       e.cache <- Some payload;
+      e.appended <- [];
       e.size <- Payload.length payload;
       e.generation <- e.generation + 1;
       e.dirty <- true
@@ -155,22 +165,29 @@ let write_file t ~path payload =
           size = Payload.length payload;
           extents = [];
           cache = Some payload;
+          appended = [];
           dirty = true;
           persisted_size = 0;
           generation = 0;
         };
       t.meta_dirty <- true
 
-let load t e =
-  match e.cache with
-  | Some payload -> payload
-  | None ->
+(* The file's contents. Pending appends fold in with one [concat], which
+   merges exactly as the chain of one [concat] per append would. *)
+let rec load t e =
+  match (e.cache, e.appended) with
+  | Some payload, [] -> payload
+  | Some payload, appended ->
+      let payload = Payload.concat (payload :: List.rev appended) in
+      e.cache <- Some payload;
+      e.appended <- [];
+      payload
+  | None, _ ->
       let parts =
         List.map (fun (offset, len) -> Block_dev.read t.dev ~offset ~len) e.extents
       in
-      let payload = Payload.sub (Payload.concat parts) ~pos:0 ~len:e.persisted_size in
-      e.cache <- Some payload;
-      payload
+      e.cache <- Some (Payload.sub (Payload.concat parts) ~pos:0 ~len:e.persisted_size);
+      load t e
 
 let read_file t ~path = load t (find t path)
 
@@ -178,8 +195,10 @@ let append_file t ~path payload =
   match Hashtbl.find_opt t.files path with
   | None -> write_file t ~path payload
   | Some e ->
-      let current = load t e in
-      e.cache <- Some (Payload.concat [ current; payload ]);
+      (* An uncached file is loaded now, so its device reads land where
+         they always have; the append itself waits for the next [load]. *)
+      if Option.is_none e.cache then ignore (load t e);
+      e.appended <- payload :: e.appended;
       e.size <- e.size + Payload.length payload;
       e.generation <- e.generation + 1;
       e.dirty <- true

@@ -36,7 +36,13 @@ val write_file : t -> path:string -> Payload.t -> unit
 
 val append_file : t -> path:string -> Payload.t -> unit
 (** Extend a file (creating it if missing); page cache only until
-    {!sync}. *)
+    {!sync}. A file not yet in the page cache is loaded from the device
+    first. Appends are buffered and fold into the file's contents with one
+    {!Payload.concat} on the next {!read_file} or {!sync}, so a file
+    appended to [k] times between syncs costs O(k + segments) rather than
+    [k] copies of its segment array; the folded payload has exactly the
+    segments one [concat] per append would have built. {!write_file}
+    discards pending appends. *)
 
 val read_file : t -> path:string -> Payload.t
 (** From the page cache, or loaded from the device on first access.

@@ -65,6 +65,116 @@ let test_guest_fs_full () =
   Guest_fs.write_file fs ~path:"/huge" (Payload.zero (Size.mib_n 4));
   Alcotest.check_raises "fs full" Guest_fs.Fs_full (fun () -> Guest_fs.sync fs)
 
+(* qcheck: Guest_fs against a model. The model keeps each file's contents
+   and dirty flag, plus the files as of the last [sync], which is what a
+   [mount] of the device finds. Reads happen only on [Read] steps, so
+   buffered appends stay unfolded across the other steps. *)
+type fs_op =
+  | Write of int * int
+  | Append of int * int
+  | Sync
+  | Read of int
+  | Delete of int
+  | Mount
+
+let fs_path i = Fmt.str "/f%d" i
+
+(* Distinct short contents: [n] letters starting at letter [n mod 26]. *)
+let fs_content n = String.init n (fun i -> Char.chr (97 + ((n + i) mod 26)))
+
+let print_fs_op = function
+  | Write (f, n) -> Fmt.str "write %s %d" (fs_path f) n
+  | Append (f, n) -> Fmt.str "append %s %d" (fs_path f) n
+  | Sync -> "sync"
+  | Read f -> Fmt.str "read %s" (fs_path f)
+  | Delete f -> Fmt.str "delete %s" (fs_path f)
+  | Mount -> "mount"
+
+let fs_op_gen =
+  QCheck.Gen.(
+    let file = int_bound 2 and len = int_bound 40 in
+    frequency
+      [
+        (3, map2 (fun f n -> Write (f, n)) file len);
+        (5, map2 (fun f n -> Append (f, n)) file len);
+        (2, return Sync);
+        (3, map (fun f -> Read f) file);
+        (1, map (fun f -> Delete f) file);
+        (1, return Mount);
+      ])
+
+let prop_guest_fs_matches_model =
+  QCheck.Test.make ~name:"guest_fs: contents, sizes and dirty bytes match a model" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_fs_op)
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_bound 40) fs_op_gen))
+    (fun ops ->
+      let dev = Vdisk.Block_dev.in_memory ~capacity:(Size.mib_n 4) in
+      let fs = ref (Guest_fs.format dev ~meta_region:(Size.mib_n 1) ()) in
+      Guest_fs.sync !fs;
+      (* path -> (contents, dirty) live; path -> contents as last synced *)
+      let live = Hashtbl.create 4 and synced = Hashtbl.create 4 in
+      let failure = ref None in
+      let fail fmt = Fmt.kstr (fun msg -> if !failure = None then failure := Some msg) fmt in
+      let step op =
+        match op with
+        | Write (f, n) ->
+            Guest_fs.write_file !fs ~path:(fs_path f) (Payload.of_string (fs_content n));
+            Hashtbl.replace live (fs_path f) (fs_content n, true)
+        | Append (f, n) ->
+            Guest_fs.append_file !fs ~path:(fs_path f) (Payload.of_string (fs_content n));
+            let old = Option.fold ~none:"" ~some:fst (Hashtbl.find_opt live (fs_path f)) in
+            Hashtbl.replace live (fs_path f) (old ^ fs_content n, true)
+        | Sync ->
+            Guest_fs.sync !fs;
+            Hashtbl.reset synced;
+            Hashtbl.filter_map_inplace
+              (fun path (contents, _) ->
+                Hashtbl.replace synced path contents;
+                Some (contents, false))
+              live
+        | Read f -> (
+            let path = fs_path f in
+            match (Hashtbl.find_opt live path, Guest_fs.read_file !fs ~path) with
+            | Some (contents, _), got ->
+                if Payload.to_string got <> contents then
+                  fail "%s reads %S, model %S" path (Payload.to_string got) contents
+            | None, _ -> fail "%s read succeeded on a missing file" path
+            | exception Not_found ->
+                if Hashtbl.mem live path then fail "%s missing on read" path)
+        | Delete f -> (
+            let path = fs_path f in
+            match Guest_fs.delete_file !fs ~path with
+            | () -> Hashtbl.remove live path
+            | exception Not_found ->
+                if Hashtbl.mem live path then fail "%s missing on delete" path)
+        | Mount ->
+            fs := Guest_fs.mount dev;
+            Hashtbl.reset live;
+            Hashtbl.iter (fun path contents -> Hashtbl.replace live path (contents, false)) synced
+      in
+      let check op =
+        let files = Hashtbl.fold (fun path _ acc -> path :: acc) live [] |> List.sort compare in
+        if Guest_fs.list_files !fs <> files then fail "after %s: file list differs" (print_fs_op op);
+        Hashtbl.iter
+          (fun path (contents, _) ->
+            if Guest_fs.exists !fs ~path && Guest_fs.file_size !fs ~path <> String.length contents
+            then fail "after %s: %s size differs" (print_fs_op op) path)
+          live;
+        let dirty = Hashtbl.fold (fun _ (c, d) acc -> if d then acc + String.length c else acc) live 0 in
+        if Guest_fs.dirty_bytes !fs <> dirty then
+          fail "after %s: dirty_bytes %d, model %d" (print_fs_op op) (Guest_fs.dirty_bytes !fs) dirty
+      in
+      List.iter
+        (fun op ->
+          if !failure = None then begin
+            step op;
+            check op
+          end)
+        ops;
+      match !failure with None -> true | Some msg -> QCheck.Test.fail_report msg)
+
 (* ------------------------------------------------------------------ *)
 (* Deploy / checkpoint / restart per approach *)
 
@@ -559,7 +669,8 @@ let () =
             test_guest_fs_unsynced_writes_not_on_device;
           Alcotest.test_case "delete and reuse" `Quick test_guest_fs_delete_and_reuse;
           Alcotest.test_case "fs full" `Quick test_guest_fs_full;
-        ] );
+        ]
+        @ List.map (QCheck_alcotest.to_alcotest ~verbose:false) [ prop_guest_fs_matches_model ] );
       ("deploy", kind_cases "deploy and boot" test_deploy_and_boot);
       ( "checkpoint-restart",
         kind_cases "app-level roundtrip" test_checkpoint_restart_roundtrip

@@ -263,6 +263,103 @@ let prop_payload_pattern_to_string =
       let p = pattern_slice arg in
       Payload.to_string p = String.init (Payload.length p) (Payload.byte_at p))
 
+(* qcheck: [splice] against the three [sub]s and [concat] it replaces.
+   A generated payload is a list of stretches [(kind, start, len)]: kinds
+   0 and 1 are two pattern streams, 2 a shared buffer, 3 zeros, and 4
+   carries on the previous stretch's source where it stopped, so that
+   neighbours merge as they do in real payloads. *)
+let splice_buffer = Bytes.init 1024 (fun i -> Char.unsafe_chr ((i * 37) land 0xff))
+
+let payload_of_stretches stretches =
+  let source kind start len =
+    match kind with
+    | 0 | 1 -> Payload.sub (Payload.pattern ~seed:(Int64.of_int (kind + 11)) 1024) ~pos:start ~len
+    | 2 -> Payload.sub (Payload.of_bytes splice_buffer) ~pos:start ~len
+    | _ -> Payload.zero len
+  in
+  let _, parts =
+    List.fold_left
+      (fun (prev, parts) (kind, start, len) ->
+        let kind, start =
+          match (kind, prev) with
+          | 4, Some (k, stop) -> (k, stop)
+          | 4, None -> (3, start)
+          | _ -> (kind, start)
+        in
+        (Some (kind, start + len), source kind start len :: parts))
+      (None, []) stretches
+  in
+  Payload.concat (List.rev parts)
+
+(* The stretch boundaries: every segment edge is one of them. *)
+let stretch_edges stretches =
+  List.rev (List.fold_left (fun acc (_, _, len) -> (List.hd acc + len) :: acc) [ 0 ] stretches)
+
+let stretches_gen lo hi =
+  QCheck.Gen.(list_size (int_range lo hi) (triple (int_bound 4) (int_bound 64) (int_range 1 32)))
+
+(* [(base, patch source, (pos, stop, other) selectors, mode, digest base
+   first)]. Mode 0 cuts the patch from [base] at [pos], so the rebuild
+   has [base]'s segments; mode 1 cuts it from [base] elsewhere; mode 2
+   from an unrelated payload. *)
+let splice_case_gen =
+  QCheck.Gen.(
+    tup5 (stretches_gen 1 6) (stretches_gen 1 4) (triple nat nat nat) (int_bound 2) bool)
+
+(* An even selector picks a stretch edge at or after [lo] (or the end),
+   an odd one any offset in [\[lo, n\]]. *)
+let pick_offset edges n sel lo =
+  if sel land 1 = 0 then
+    let cands = List.filter (fun e -> e >= lo) edges in
+    List.nth cands (sel / 2 mod List.length cands)
+  else lo + (sel / 2 mod (n - lo + 1))
+
+let splice_case (base_st, patch_st, (pos_sel, stop_sel, other_sel), mode, digest_first) =
+  let base = payload_of_stretches base_st in
+  let n = Payload.length base and edges = stretch_edges base_st in
+  let pos = pick_offset edges n pos_sel 0 in
+  let plen = pick_offset edges n stop_sel pos - pos in
+  let patch =
+    match mode with
+    | 0 -> Payload.sub base ~pos ~len:plen
+    | 1 -> Payload.sub base ~pos:(other_sel mod (n - plen + 1)) ~len:plen
+    | _ ->
+        let src = payload_of_stretches patch_st in
+        Payload.sub src ~pos:0 ~len:(min plen (Payload.length src))
+  in
+  if digest_first then ignore (Payload.digest base);
+  (base, pos, patch)
+
+let print_splice_case case =
+  let base, pos, patch = splice_case case in
+  Fmt.str "base=%a pos=%d patch=%a" Payload.pp base pos Payload.pp patch
+
+let prop_payload_splice_matches_concat =
+  QCheck.Test.make ~name:"payload: splice matches the concat of three subs" ~count:1000
+    (QCheck.make ~print:print_splice_case splice_case_gen)
+    (fun case ->
+      let base, pos, patch = splice_case case in
+      let stop = pos + Payload.length patch in
+      let expected =
+        Payload.concat
+          [
+            Payload.sub base ~pos:0 ~len:pos;
+            patch;
+            Payload.sub base ~pos:stop ~len:(Payload.length base - stop);
+          ]
+      in
+      let actual = Payload.splice base ~pos patch in
+      (* The digest and what taking it adds to [hashed_bytes]. *)
+      let digest_cost p =
+        let before = Payload.hashed_bytes () in
+        let d = Payload.digest p in
+        (d, Payload.hashed_bytes () - before)
+      in
+      let show = Fmt.str "%a" Payload.pp in
+      Payload.to_string actual = Payload.to_string expected
+      && show actual = show expected
+      && (actual == expected || digest_cost actual = digest_cost expected))
+
 (* ------------------------------------------------------------------ *)
 (* Event_queue *)
 
@@ -965,7 +1062,7 @@ let () =
         @ qsuite
             [ prop_payload_slice_concat; prop_payload_digest_agrees_with_equal;
               prop_payload_pattern_digest_reference; prop_payload_bytes_digest_reference;
-              prop_payload_pattern_to_string ] );
+              prop_payload_pattern_to_string; prop_payload_splice_matches_concat ] );
       ( "event_queue",
         [
           Alcotest.test_case "time order" `Quick test_event_queue_order;
