@@ -15,6 +15,10 @@
                                      per-phase checkpoint/restart breakdown,
                                      and write a Chrome-trace timeline per
                                      experiment (OBS_<id>.trace.json)
+     bench/main.exe --profile FILE   sample the run's call stacks every 2 ms
+                                     of CPU time and write self,
+                                     per-compilation-unit and inclusive
+                                     tables to FILE
 
    Each experiment prints the same rows/series the corresponding paper
    figure plots (see EXPERIMENTS.md for the paper-vs-measured record). *)
@@ -142,6 +146,38 @@ let micro () =
            done;
            Engine.run e))
   in
+  (* Sixteen fibers never contend for a token, and their 1 ms sleeps are
+     offset so that every timer fires alone. *)
+  let engine_uncontended =
+    Test.make ~name:"engine: uncontended acquire/release and lone 1 ms sleeps (16 fibers)"
+      (Staged.stage (fun () ->
+           let e = Engine.create () in
+           let sem = Engine.Semaphore.create e 16 in
+           for i = 0 to 15 do
+             ignore
+               (Engine.Fiber.spawn e (fun () ->
+                    Engine.sleep e (float_of_int i *. 1e-3 /. 16.0);
+                    for _ = 1 to 20 do
+                      Engine.Semaphore.acquire sem;
+                      Engine.Semaphore.release sem;
+                      Engine.sleep e 1e-3
+                    done))
+           done;
+           Engine.run e))
+  in
+  let net_transfers =
+    Test.make ~name:"net: 1000 single-segment transfers between idle hosts"
+      (Staged.stage (fun () ->
+           let e = Engine.create () in
+           let net = Net.create e Net.default_config in
+           let a = Net.add_host net ~name:"a" and b = Net.add_host net ~name:"b" in
+           ignore
+             (Engine.Fiber.spawn e (fun () ->
+                  for _ = 1 to 1000 do
+                    Net.transfer net ~src:a ~dst:b (64 * Size.kib)
+                  done));
+           Engine.run e))
+  in
   let qcow2_cow =
     Test.make ~name:"qcow2: 64 cluster COW writes (in-sim)"
       (Staged.stage (fun () ->
@@ -226,7 +262,8 @@ let micro () =
   let tests =
     Test.make_grouped ~name:"blobcr-core"
       [ seg_tree_update; seg_tree_bulk; payload_pattern_digest; payload_bytes_digest;
-        payload_segment_digest; event_queue; engine_fibers; engine_handoff; qcow2_cow;
+        payload_segment_digest; event_queue; engine_fibers; engine_handoff; engine_uncontended;
+        net_transfers; qcow2_cow;
         sparse_bytes; guest_log_sync ]
   in
   let benchmark () =
@@ -256,9 +293,67 @@ let micro () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
+(* Sampling profiler *)
+
+(* SIGPROF fires every 2 ms of process CPU time and records the OCaml call
+   stack; the handler's own frames are dropped when the report is built.
+   Each table lists its 40 largest rows. *)
+let start_profile () =
+  let samples = ref [] in
+  Sys.set_signal Sys.sigprof
+    (Sys.Signal_handle (fun _ -> samples := Printexc.get_callstack 64 :: !samples));
+  ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.002; it_value = 0.002 });
+  samples
+
+let write_profile samples path =
+  ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.0; it_value = 0.0 });
+  Sys.set_signal Sys.sigprof Sys.Signal_ignore;
+  let frames stack =
+    Printexc.backtrace_slots stack |> Option.fold ~none:[] ~some:Array.to_list
+    |> List.filter_map Printexc.Slot.name
+    |> List.filter (fun name -> not (String.starts_with ~prefix:"Dune__exe__Main.start_profile" name))
+  in
+  let self = Hashtbl.create 256 and inclusive = Hashtbl.create 256 in
+  let by_module = Hashtbl.create 64 in
+  let bump table name =
+    Hashtbl.replace table name (1 + Option.value ~default:0 (Hashtbl.find_opt table name))
+  in
+  List.iter
+    (fun stack ->
+      match frames stack with
+      | [] -> bump self "(no OCaml frame)"
+      | innermost :: _ as names ->
+          bump self innermost;
+          bump by_module (List.hd (String.split_on_char '.' innermost));
+          List.iter (bump inclusive) (List.sort_uniq String.compare names))
+    !samples;
+  let total = List.length !samples in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc
+        "%d samples, one per 2 ms of CPU time. OCaml delivers signals at polling points\n\
+         (allocations, calls, loop back-edges), so samples are biased toward safepoints.\n"
+        total;
+      List.iter
+        (fun (title, table) ->
+          Printf.fprintf oc "\n%s\n%7s %8s  %s\n" title "share" "samples" "frame";
+          Hashtbl.fold (fun name n acc -> (n, name) :: acc) table []
+          |> List.sort (fun (a, x) (b, y) -> if a <> b then Int.compare b a else String.compare x y)
+          |> List.iteri (fun i (n, name) ->
+                 if i < 40 then
+                   Printf.fprintf oc "%6.1f%% %8d  %s\n"
+                     (100.0 *. float_of_int n /. float_of_int (max 1 total))
+                     n name))
+        [
+          ("self (innermost frame)", self);
+          ("self by compilation unit", by_module);
+          ("inclusive (anywhere on the stack)", inclusive);
+        ])
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
+  let profile = ref None in
   let rec parse scale csv obs ids = function
     | "--scale" :: s :: rest -> (
         match Experiments.Scale.find s with
@@ -268,19 +363,28 @@ let () =
             exit 2)
     | "--csv" :: dir :: rest -> parse scale (Some dir) obs ids rest
     | "--obs" :: rest -> parse scale csv true ids rest
+    | "--profile" :: file :: rest ->
+        profile := Some file;
+        parse scale csv obs ids rest
     | id :: rest -> parse scale csv obs (id :: ids) rest
     | [] -> (scale, csv, obs, List.rev ids)
   in
   let scale, csv_dir, obs, ids = parse Experiments.Scale.paper None false [] args in
+  let profiling = Option.map (fun path -> (path, start_profile ())) !profile in
   let experiment_ids = [ "fig2a"; "fig2b"; "fig4"; "fig5a"; "fig6"; "table1" ] in
   let ablation_ids = [ "abl-prefetch"; "abl-stripe"; "abl-replication"; "abl-incremental" ] in
   let expand = function "ablations" -> ablation_ids | id -> [ id ] in
   let ids = List.concat_map expand ids in
   let run_one = function "micro" -> micro () | id -> run_experiment scale csv_dir obs id in
-  match ids with
+  (match ids with
   | [] ->
       (* Full regeneration: fig2a/fig2b emit fig3a/fig3b too, fig5a emits
          fig5b, so the six runs below cover all nine paper artifacts. *)
       List.iter (run_experiment scale csv_dir obs) experiment_ids;
       micro ()
-  | ids -> List.iter run_one ids
+  | ids -> List.iter run_one ids);
+  Option.iter
+    (fun (path, samples) ->
+      write_profile samples path;
+      Printf.printf "(profile written to %s)\n" path)
+    profiling

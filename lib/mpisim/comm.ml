@@ -8,6 +8,10 @@ let () =
     | Draining -> Some "Comm.Draining: send attempted past the checkpoint marker"
     | _ -> None)
 
+(* Channels keyed by [src * size + dst]: an integer key, hashed without
+   the polymorphic hash or a tuple per lookup. *)
+module Channels = Hashtbl.Make (Int)
+
 type endpoint = {
   comm : t;
   erank : int;
@@ -20,7 +24,7 @@ and t = {
   net : Net.t;
   csize : int;
   endpoints : endpoint option array;
-  queues : (int * int, int Engine.Mailbox.t) Hashtbl.t; (* (src, dst) -> sizes *)
+  queues : int Engine.Mailbox.t Channels.t; (* src * csize + dst -> sizes *)
   mutable in_flight : int;
   mutable barrier_count : int;
   mutable barrier_signal : unit Engine.Ivar.t;
@@ -33,7 +37,7 @@ let create engine net ~size =
     net;
     csize = size;
     endpoints = Array.make size None;
-    queues = Hashtbl.create 64;
+    queues = Channels.create 64;
     in_flight = 0;
     barrier_count = 0;
     barrier_signal = Engine.Ivar.create engine;
@@ -57,11 +61,12 @@ let endpoint t r =
   | None -> failwith (Fmt.str "Comm: rank %d not attached" r)
 
 let queue t ~src ~dst =
-  match Hashtbl.find_opt t.queues (src, dst) with
+  let key = (src * t.csize) + dst in
+  match Channels.find_opt t.queues key with
   | Some mb -> mb
   | None ->
       let mb = Engine.Mailbox.create t.engine in
-      Hashtbl.replace t.queues (src, dst) mb;
+      Channels.replace t.queues key mb;
       mb
 
 let send ep ~dst ~bytes =

@@ -88,6 +88,9 @@ let host_name h = h.hname
 let host_id h = h.hid
 let hosts t = List.rev t.host_list
 let bytes_sent h = h.sent
+let uplink h = h.uplink
+let downlink h = h.downlink
+let fabric t = t.fabric
 let bytes_received h = h.received
 
 (* ------------------------------------------------------------------ *)
@@ -152,44 +155,83 @@ let degrade_delay t seg =
 
 type segment = Seg of int | Eof
 
-(* Segments are pushed through the source uplink, then handed to a forwarder
-   fiber that pushes them through the fabric (if any) and the destination
-   downlink — a two-stage pipeline, so a transfer between two idle hosts
-   runs at NIC rate, not half of it. *)
+(* The receiving half of a transfer: each segment crosses the fabric (if
+   any) and then the destination downlink, in order, while the sender
+   pushes the next one through its uplink — a two-stage pipeline, so a
+   transfer between two idle hosts runs at NIC rate, not half of it.
+
+   The stage is a chain of engine callbacks over [inbox], not a fiber: it
+   takes exactly the steps, at the same insertion indexes, that a
+   forwarder fiber draining a mailbox would. Its start is posted where
+   the fiber would be spawned; [waiting] is the fiber parked in an empty
+   [recv], and a segment [hand]ed to it is posted where the mailbox would
+   resume it; a segment already queued is taken through
+   [Engine.continue_now], the immediate resume. The stage belongs to no
+   sender, so a cancelled sender's segments in flight still cross the
+   receiver's downlink. *)
+type stage = {
+  net : t;
+  dst : host;
+  inbox : segment Queue.t;
+  mutable waiting : bool;
+  finished : unit Engine.Ivar.t;
+}
+
+let rec next_segment s =
+  if Queue.is_empty s.inbox then s.waiting <- true
+  else Engine.continue_now s.net.engine (fun () -> serve s (Queue.pop s.inbox))
+
+and serve s = function
+  | Eof -> Engine.Ivar.fill s.finished ()
+  | Seg seg -> (
+      let downlink () =
+        Rate_server.process_then s.dst.downlink seg (fun () ->
+            s.dst.received <- s.dst.received + seg;
+            next_segment s)
+      in
+      match s.net.fabric with
+      | Some fabric -> Rate_server.process_then fabric seg downlink
+      | None -> downlink ())
+
+let hand s segment =
+  if s.waiting then begin
+    s.waiting <- false;
+    Engine.post s.net.engine (fun () -> serve s segment)
+  end
+  else Queue.add segment s.inbox
+
 let transfer t ~src ~dst bytes =
   if bytes < 0 then invalid_arg "Net.transfer: negative size";
   if src != dst && bytes > 0 then begin
     wait_partition t src dst;
     Engine.sleep t.engine t.cfg.latency;
-    let mb = Engine.Mailbox.create t.engine in
-    let finished = Engine.Ivar.create t.engine in
-    let _ =
-      Engine.Fiber.spawn t.engine ~name:"net.forwarder" (fun () ->
-          let rec drain () =
-            match Engine.Mailbox.recv mb with
-            | Eof -> ()
-            | Seg seg ->
-                Option.iter (fun fabric -> Rate_server.process fabric seg) t.fabric;
-                Rate_server.process dst.downlink seg;
-                dst.received <- dst.received + seg;
-                drain ()
-          in
-          drain ();
-          Engine.Ivar.fill finished ())
+    let s =
+      {
+        net = t;
+        dst;
+        inbox = Queue.create ();
+        waiting = false;
+        finished = Engine.Ivar.create t.engine;
+      }
     in
-    Fun.protect
-      ~finally:(fun () -> Engine.Mailbox.send mb Eof)
-      (fun () ->
-        let remaining = ref bytes in
-        while !remaining > 0 do
-          let seg = min t.cfg.segment_size !remaining in
-          Rate_server.process src.uplink seg;
-          degrade_delay t seg;
-          src.sent <- src.sent + seg;
-          Engine.Mailbox.send mb (Seg seg);
-          remaining := !remaining - seg
-        done);
-    Engine.Ivar.read finished
+    Engine.post t.engine (fun () -> next_segment s);
+    (match
+       let remaining = ref bytes in
+       while !remaining > 0 do
+         let seg = min t.cfg.segment_size !remaining in
+         Rate_server.process src.uplink seg;
+         degrade_delay t seg;
+         src.sent <- src.sent + seg;
+         hand s (Seg seg);
+         remaining := !remaining - seg
+       done
+     with
+    | () -> hand s Eof
+    | exception exn ->
+        let bt = Printexc.get_raw_backtrace () in
+        hand s Eof;
+        Printexc.raise_with_backtrace exn bt);
+    Engine.Ivar.read s.finished
   end
 
 let message t ~src ~dst =

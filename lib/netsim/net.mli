@@ -52,7 +52,11 @@ val hosts : t -> host list
 
 val transfer : t -> src:host -> dst:host -> int -> unit
 (** [transfer t ~src ~dst bytes] blocks until the payload has fully arrived
-    at [dst]. Local transfers ([src == dst]) cost nothing. *)
+    at [dst]. Local transfers ([src == dst]) cost nothing. The calling
+    fiber pushes each segment through [src]'s uplink; the fabric and
+    [dst]'s downlink serve it in a receiving stage made of engine
+    callbacks, which belongs to no fiber: if the sender is cancelled,
+    segments it has already handed over still cross the downlink. *)
 
 val message : t -> src:host -> dst:host -> unit
 (** Small control message: propagation latency only. *)
@@ -62,6 +66,15 @@ val bytes_sent : host -> int
 
 val bytes_received : host -> int
 (** Total bytes delivered to this host's downlink. *)
+
+val uplink : host -> Rate_server.t
+(** The host's sending NIC server (occupancy and byte counters). *)
+
+val downlink : host -> Rate_server.t
+(** The host's receiving NIC server. *)
+
+val fabric : t -> Rate_server.t option
+(** The shared core server, when [fabric_bandwidth] is set. *)
 
 (** {1 Injected link faults}
 

@@ -69,6 +69,7 @@ and 'a ivar = { iengine : t; mutable istate : 'a ivar_state }
 
 type _ Effect.t +=
   | Suspend : ('a resumer -> unit) -> 'a Effect.t
+  | Sleep : float -> unit Effect.t
 
 let create ?(seed = 42) ?schedule () =
   {
@@ -99,6 +100,34 @@ let live_fibers t = t.live
 let blocked_fibers t = t.blocked
 let enqueue t ~time f = Event_queue.add t.queue ~time f
 let at t time f = enqueue t ~time f
+let post t f = enqueue t ~time:t.now f
+
+(* The in-place rule. An event added at [now] while no other event is due
+   at or before [now] is the next event popped under every schedule: the
+   lane is empty and the heap's top is later. Running its work here
+   instead, after consuming its insertion index with [Event_queue.skip],
+   therefore executes the same steps in the same order, and every later
+   event keeps its [(time, rank, seq)] key. It is only sound at the tail
+   of an event, where the queued event would have been popped next.
+   [in_place] answers whether the rule applies and, if so, consumes the
+   index. *)
+let in_place t =
+  if Event_queue.due_by t.queue t.now then false
+  else begin
+    Event_queue.skip t.queue;
+    true
+  end
+
+(* Whether a blocking primitive whose value is ready may return without
+   parking the calling fiber: parking would resume it at once, in the next
+   event. A cancel-requested fiber still parks, so it unwinds with
+   [Cancelled] as before. *)
+let ready_in_place t =
+  match t.current with
+  | Some fiber -> (not fiber.cancel_requested) && in_place t
+  | None -> false
+
+let continue_now t f = if Option.is_none t.current && in_place t then f () else post t f
 
 let set_error t name exn =
   if t.error = None then t.error <- Some (name, exn)
@@ -156,11 +185,30 @@ let resume_parked t fiber token k v =
     true
   end
 
+(* A [sleep]'s timer event. Its whole work is the resume, so a timer that
+   fires alone continues the fiber here (the in-place rule). *)
+let wake_sleeper t fiber token k =
+  if fiber.suspensions = token then begin
+    unpark t fiber;
+    if in_place t then run_resume t fiber k ()
+    else post t (fun () -> run_resume t fiber k ())
+  end
+
+let park t fiber k =
+  let token = fiber.suspensions + 1 in
+  fiber.suspensions <- token;
+  fiber.parked <- Parked k;
+  t.blocked <- t.blocked + 1;
+  token
+
 (* Runs [f] as the body of [fiber] under the effect handler that implements
-   blocking. Every blocking primitive performs [Suspend register]; the
-   handler parks the continuation in the fiber, hands [register] a one-shot
-   resumer, and returns to the scheduler. Resumers deliver the value by
-   scheduling an event that continues the parked continuation. *)
+   blocking. Every blocking primitive performs [Suspend register] (unless
+   its value is ready in place); the handler parks the continuation in the
+   fiber, hands [register] a one-shot resumer, and returns to the
+   scheduler. Resumers deliver the value by scheduling an event that
+   continues the parked continuation. [sleep] performs [Sleep d], whose
+   timer event resumes the fiber through [wake_sleeper] without a resumer
+   closure. *)
 let start_fiber t fiber f =
   let open Effect.Deep in
   let saved = t.current in
@@ -187,13 +235,14 @@ let start_fiber t fiber f =
                 Some
                   (fun (k : (a, _) continuation) ->
                     if fiber.cancel_requested then discontinue k Cancelled
-                    else begin
-                      let token = fiber.suspensions + 1 in
-                      fiber.suspensions <- token;
-                      fiber.parked <- Parked k;
-                      t.blocked <- t.blocked + 1;
-                      register (resume_parked t fiber token k)
-                    end)
+                    else register (resume_parked t fiber (park t fiber k) k))
+            | Sleep d ->
+                Some
+                  (fun (k : (a, _) continuation) ->
+                    if fiber.cancel_requested then discontinue k Cancelled
+                    else
+                      let token = park t fiber k in
+                      enqueue t ~time:(t.now +. d) (fun () -> wake_sleeper t fiber token k))
             | _ -> None);
       }
   with
@@ -231,10 +280,13 @@ let cancel_fiber fiber =
 
 let suspend (register : 'a resumer -> unit) : 'a = Effect.perform (Suspend register)
 
-let sleep t d =
+let sleep _t d =
   if d < 0.0 then invalid_arg "Engine.sleep: negative duration";
-  suspend (fun resume ->
-      enqueue t ~time:(t.now +. d) (fun () -> ignore (resume ())))
+  Effect.perform (Sleep d)
+
+let after t d f =
+  if d < 0.0 then invalid_arg "Engine.after: negative duration";
+  enqueue t ~time:(t.now +. d) (fun () -> continue_now t f)
 
 let yield t = sleep t 0.0
 
@@ -296,10 +348,13 @@ module Ivar = struct
   let fill = ivar_fill
 
   let read iv =
-    suspend (fun resume ->
-        match iv.istate with
-        | Ifull v -> ignore (resume v)
-        | Iempty waiters -> iv.istate <- Iempty (resume :: waiters))
+    match iv.istate with
+    | Ifull v when ready_in_place iv.iengine -> v
+    | Ifull _ | Iempty _ ->
+        suspend (fun resume ->
+            match iv.istate with
+            | Ifull v -> ignore (resume v)
+            | Iempty waiters -> iv.istate <- Iempty (resume :: waiters))
 
   let peek iv = match iv.istate with Ifull v -> Some v | Iempty _ -> None
   let is_filled iv = match iv.istate with Ifull _ -> true | Iempty _ -> false
@@ -334,26 +389,23 @@ module Mailbox = struct
   type nonrec 'a t = {
     engine : t;
     messages : 'a Queue.t;
-    mutable waiters : 'a resumer list; (* newest first *)
+    waiters : 'a resumer Queue.t;
   }
 
-  let create engine = { engine; messages = Queue.create (); waiters = [] }
+  let create engine = { engine; messages = Queue.create (); waiters = Queue.create () }
 
-  let send mb v =
-    (* Deliver to the oldest live waiter, else enqueue. *)
-    let rec deliver = function
-      | [] ->
-          Queue.add v mb.messages;
-          []
-      | oldest :: rest ->
-          if oldest v then rest else deliver rest
-    in
-    mb.waiters <- List.rev (deliver (List.rev mb.waiters))
+  (* Deliver to the oldest live waiter, dropping dead ones, else enqueue. *)
+  let rec send mb v =
+    if Queue.is_empty mb.waiters then Queue.add v mb.messages
+    else if not (Queue.pop mb.waiters v) then send mb v
 
   let recv mb =
-    suspend (fun resume ->
-        if Queue.is_empty mb.messages then mb.waiters <- resume :: mb.waiters
-        else ignore (resume (Queue.pop mb.messages)))
+    if (not (Queue.is_empty mb.messages)) && ready_in_place mb.engine then
+      Queue.pop mb.messages
+    else
+      suspend (fun resume ->
+          if Queue.is_empty mb.messages then Queue.add resume mb.waiters
+          else ignore (resume (Queue.pop mb.messages)))
 
   let length mb = Queue.length mb.messages
 end
@@ -370,12 +422,26 @@ module Semaphore = struct
     { engine; count; waiters = Queue.create () }
 
   let acquire s =
-    suspend (fun resume ->
-        if s.count > 0 then begin
-          s.count <- s.count - 1;
-          ignore (resume ())
-        end
-        else Queue.add resume s.waiters)
+    if s.count > 0 && ready_in_place s.engine then s.count <- s.count - 1
+    else
+      suspend (fun resume ->
+          if s.count > 0 then begin
+            s.count <- s.count - 1;
+            ignore (resume ())
+          end
+          else Queue.add resume s.waiters)
+
+  let acquire_then s f =
+    if s.count > 0 then begin
+      s.count <- s.count - 1;
+      continue_now s.engine f
+    end
+    else
+      Queue.add
+        (fun () ->
+          post s.engine f;
+          true)
+        s.waiters
 
   let release s =
     let rec wake () =

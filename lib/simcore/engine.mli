@@ -120,7 +120,11 @@ val set_audits_enabled : bool -> unit
 
 val sleep : t -> float -> unit
 (** [sleep t d] blocks the calling fiber for [d] simulated seconds.
-    Must be called from inside a fiber. Requires [d >= 0.]. *)
+    Must be called from inside a fiber of [t]. Requires [d >= 0.]. When
+    the timer fires with no other event due at that instant, the fiber
+    continues inside the timer's event instead of being queued again (the
+    in-place rule, see {!continue_now}); the order of execution is the
+    same either way. *)
 
 val suspend : (('a -> bool) -> unit) -> 'a
 (** [suspend register] blocks the calling fiber and calls [register resume]
@@ -138,6 +142,34 @@ val yield : t -> unit
 val at : t -> float -> (unit -> unit) -> unit
 (** [at t time f] schedules plain callback [f] (not a fiber; it must not
     block) at absolute simulated [time]. *)
+
+(** {1 Callback stages}
+
+    An event-driven stage is a chain of plain callbacks that takes the
+    same steps, at the same insertion indexes, as a fiber running the
+    corresponding blocking calls would: {!post} is a spawn or a resume,
+    {!continue_now} an immediate resume, {!after} a {!sleep} and
+    {!Semaphore.acquire_then} a {!Semaphore.acquire}. A stage costs no
+    fiber, so it is counted by neither {!live_fibers} nor
+    {!blocked_fibers}. *)
+
+val post : t -> (unit -> unit) -> unit
+(** [post t f] schedules callback [f] at the current time (one insertion
+    index, like a fiber resume). *)
+
+val continue_now : t -> (unit -> unit) -> unit
+(** [continue_now t f] runs [f] here when no other event is due at or
+    before the current time, and {!post}s it otherwise. An event added now
+    with nothing else due is the next event popped under every schedule,
+    so running it in place consumes its insertion index and changes no
+    order. It must therefore be the last action of a callback; called
+    from a fiber it always posts. *)
+
+val after : t -> float -> (unit -> unit) -> unit
+(** [after t d f] runs callback [f] [d] simulated seconds from now, with
+    the insertion indexes of a fiber's {!sleep}: a timer event at
+    [now + d] that continues with [f] through {!continue_now}. Requires
+    [d >= 0.]. *)
 
 module Group : sig
   (** A cancellation group: all fibers spawned into the group can be killed
@@ -233,6 +265,15 @@ module Semaphore : sig
 
   val create : engine -> int -> t
   val acquire : t -> unit
+  (** Take a token, blocking until one is free. Waiters are served in
+      arrival order. *)
+
+  val acquire_then : t -> (unit -> unit) -> unit
+  (** [acquire_then s f] is the callback form of {!acquire}: it takes a
+      token and continues with [f] through {!continue_now} when one is
+      free, or queues [f] as a waiter that a {!release} {!post}s. Like
+      {!continue_now}, it must be the last action of a callback. *)
+
   val release : t -> unit
   val with_held : t -> (unit -> 'a) -> 'a
   (** Acquire, run, release (also on exception). *)

@@ -217,6 +217,12 @@ let take t =
   end
   else invalid_arg "Event_queue.take: empty queue"
 
+let due_by t time =
+  (t.lane_len > 0 && t.lane_time <= time)
+  || (t.size > 0 && Float.Array.unsafe_get t.times 0 <= time)
+
+let skip t = t.seq <- t.seq + 1
+
 let pop t =
   if is_empty t then None
   else

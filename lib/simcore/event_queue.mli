@@ -59,6 +59,18 @@ val take : 'a t -> 'a
 (** Remove the earliest event (the one {!next_time} reports) and return its
     value. Raises [Invalid_argument] on an empty queue. *)
 
+val due_by : 'a t -> float -> bool
+(** [due_by t time] is [true] iff some pending event is due at or before
+    [time]. When none is due at or before the current instant, an event
+    added now would be the very next one popped under every {!schedule}. *)
+
+val skip : 'a t -> unit
+(** Consume one insertion index without adding an event: what {!add}
+    followed at once by {!take} of the same event leaves behind. Every
+    later event keeps the [(time, rank, insertion index)] key it would
+    have had, so an event that is run in place instead of queued leaves
+    the order of all others unchanged. *)
+
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event. *)
 

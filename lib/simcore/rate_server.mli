@@ -28,6 +28,14 @@ val process_many : t -> ?stream:int -> ops:int -> int -> unit
     operations totalling [bytes] as one FIFO occupancy (at most one
     seek). *)
 
+val process_then : t -> int -> (unit -> unit) -> unit
+(** [process_then t bytes k] is the callback form of {!process} (without
+    a stream) for event-driven stages: it queues for the server, serves
+    the request with the same service time and accounting, and continues
+    with [k] where {!process} would return, at the same insertion indexes
+    (see [Engine.after] and [Engine.Semaphore.acquire_then]). Like
+    [Engine.continue_now], it must be the last action of a callback. *)
+
 val seeks : t -> int
 (** Stream switches served so far. *)
 

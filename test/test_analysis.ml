@@ -332,6 +332,103 @@ let engine_order_digest schedule =
   Engine.run e;
   Digest.to_hex (Digest.string (Buffer.contents log))
 
+(* A second hand-off program, aimed at resumes that run in place: ready
+   values (a free semaphore token, a full ivar, a queued message) are taken
+   both when nothing else is due and when a plain callback shares the
+   instant; odd workers' sleeps fire alone, even workers' end together;
+   a fiber is cancelled during each kind of wait (a sleep, a contended
+   acquire, an empty ivar, an empty mailbox); and one fiber cancels itself
+   and then asks for a free token. *)
+let engine_shortcut_digest schedule =
+  let e = Engine.create ~schedule () in
+  let free = Engine.Semaphore.create e 64 and gate = Engine.Semaphore.create e 1 in
+  let full = Engine.Ivar.create e and late = Engine.Ivar.create e in
+  Engine.Ivar.fill full 7;
+  let mb = Engine.Mailbox.create e and quiet = Engine.Mailbox.create e in
+  let log = Buffer.create 65536 in
+  let note fmt =
+    Fmt.kstr (fun s -> Buffer.add_string log (Fmt.str "%h %s\n" (Engine.now e) s)) fmt
+  in
+  let sleep_until time = Engine.sleep e (Float.max 0.0 (time -. Engine.now e)) in
+  let worker i () =
+    for round = 0 to 11 do
+      sleep_until (float_of_int round +. if i mod 2 = 0 then 0.0 else float_of_int i *. 0.01);
+      note "%d.%d wake" i round;
+      let company what =
+        Engine.at e (Engine.now e) (fun () -> note "%d.%d at %s" i round what)
+      in
+      match (i + round) mod 5 with
+      | 0 ->
+          Engine.Semaphore.acquire free;
+          note "%d.%d token" i round;
+          Engine.Semaphore.release free
+      | 1 -> note "%d.%d read %d" i round (Engine.Ivar.read full)
+      | 2 ->
+          Engine.Mailbox.send mb (i, round);
+          let j, r = Engine.Mailbox.recv mb in
+          note "%d.%d got %d.%d" i round j r
+      | 3 ->
+          company "token";
+          Engine.Semaphore.acquire free;
+          note "%d.%d token past a callback" i round;
+          Engine.Semaphore.release free;
+          company "read";
+          note "%d.%d read %d past a callback" i round (Engine.Ivar.read full);
+          Engine.Mailbox.send mb (i, round);
+          company "recv";
+          let j, r = Engine.Mailbox.recv mb in
+          note "%d.%d got %d.%d past a callback" i round j r
+      | _ ->
+          Engine.Semaphore.with_held gate (fun () ->
+              note "%d.%d gate" i round;
+              Engine.sleep e 0.003)
+    done
+  in
+  for i = 0 to 11 do
+    ignore (Engine.Fiber.spawn e ~name:(string_of_int i) (worker i))
+  done;
+  let spawn name at wait =
+    Engine.Fiber.spawn e ~name (fun () ->
+        sleep_until at;
+        match wait () with
+        | v -> note "%s got %d" name v
+        | exception Engine.Cancelled ->
+            note "%s cancelled (%d free tokens)" name (Engine.Semaphore.available free);
+            raise Engine.Cancelled)
+  in
+  let victims =
+    [
+      spawn "sleeper" 0.0 (fun () ->
+          Engine.sleep e 100.0;
+          0);
+      spawn "gate-waiter" 3.25 (fun () -> Engine.Semaphore.with_held gate (fun () -> 1));
+      spawn "late-reader" 0.0 (fun () -> Engine.Ivar.read late);
+      spawn "quiet-receiver" 0.0 (fun () -> Engine.Mailbox.recv quiet);
+    ]
+  in
+  let _ =
+    spawn "gate-holder" 3.2 (fun () ->
+        Engine.Semaphore.with_held gate (fun () ->
+            Engine.sleep e 1.0;
+            2))
+  in
+  let _ = spawn "late-reader-2" 0.0 (fun () -> Engine.Ivar.read late) in
+  let _ = spawn "quiet-receiver-2" 0.0 (fun () -> Engine.Mailbox.recv quiet) in
+  let _ =
+    spawn "self" 1.5 (fun () ->
+        Option.iter Engine.Fiber.cancel (Engine.current_fiber e);
+        Engine.Semaphore.acquire free;
+        3)
+  in
+  Engine.at e 3.3 (fun () -> List.iter Engine.Fiber.cancel victims);
+  Engine.at e 5.0 (fun () -> Engine.Ivar.fill late 4);
+  Engine.at e 6.0 (fun () -> Engine.Mailbox.send quiet 5);
+  Engine.run e;
+  note "end: %d free, %d gate, %d queued, %d live, %d blocked" (Engine.Semaphore.available free)
+    (Engine.Semaphore.available gate) (Engine.Mailbox.length mb) (Engine.live_fibers e)
+    (Engine.blocked_fibers e);
+  Digest.to_hex (Digest.string (Buffer.contents log))
+
 (* Event-order digests, recorded with the single-heap event queue: the MD5
    of the quick-scale trace of two registry experiments, and of the
    synthetic hand-off log above under each kind of schedule. Fifo runs through the heap and the same-instant lane, the
@@ -362,6 +459,17 @@ let pinned_engine_digests =
     (Event_queue.Seeded_shuffle 7, "ee3644f8c4bd4c6cb08fb05b076451b8");
   ]
 
+(* Digests of the in-place program above, recorded before any resume ran
+   in place. Dropping the [Event_queue.skip] of an in-place resume moves
+   the shuffle digest; running one while another event is due moves the
+   fifo digest. *)
+let pinned_shortcut_digests =
+  [
+    (Event_queue.Fifo, "b5906c1a95aa062b032961b6c132219d");
+    (Event_queue.Lifo, "3b413e55e378c4516deba875996349b0");
+    (Event_queue.Seeded_shuffle 7, "cd2b2084e44287a0ab8263728735b8fd");
+  ]
+
 let test_pinned_event_order () =
   List.iter
     (fun (id, pins) ->
@@ -386,7 +494,13 @@ let test_pinned_event_order () =
       Alcotest.(check string)
         (Fmt.str "engine hand-off digest under %a" Event_queue.pp_schedule schedule)
         expected (engine_order_digest schedule))
-    pinned_engine_digests
+    pinned_engine_digests;
+  List.iter
+    (fun (schedule, expected) ->
+      Alcotest.(check string)
+        (Fmt.str "engine in-place digest under %a" Event_queue.pp_schedule schedule)
+        expected (engine_shortcut_digest schedule))
+    pinned_shortcut_digests
 
 (* MD5 of every registry experiment's rendered tables at quick scale.
    Engineering changes (simulator speedups, refactors) must leave

@@ -261,6 +261,130 @@ let test_net_transfer_zero_bytes () =
   Engine.run e;
   Alcotest.(check bool) "completes" true !done_
 
+let test_net_cancelled_sender_occupies_downlink () =
+  (* s sends one segment a -> c and is cancelled while that segment is on
+     c's downlink; t's segment b -> c, handed over in the meantime, still
+     queues behind it. Segment time tau = 1/16 s. *)
+  let e = Engine.create () in
+  let config =
+    {
+      Net.bandwidth = float_of_int Size.mib;
+      latency = 0.0;
+      segment_size = 64 * Size.kib;
+      fabric_bandwidth = None;
+    }
+  in
+  let tau = 0.0625 in
+  let net = Net.create e config in
+  let a = Net.add_host net ~name:"a" and b = Net.add_host net ~name:"b" in
+  let c = Net.add_host net ~name:"c" in
+  let s_cancelled = ref false in
+  let s =
+    Engine.Fiber.spawn e (fun () ->
+        match Net.transfer net ~src:a ~dst:c (64 * Size.kib) with
+        | () -> ()
+        | exception Engine.Cancelled ->
+            s_cancelled := true;
+            raise Engine.Cancelled)
+  in
+  let t_done = ref (-1.0) in
+  let _ =
+    Engine.Fiber.spawn e (fun () ->
+        Engine.sleep e (0.5 *. tau);
+        Net.transfer net ~src:b ~dst:c (64 * Size.kib);
+        t_done := Engine.now e)
+  in
+  Engine.at e (1.25 *. tau) (fun () -> Engine.Fiber.cancel s);
+  Engine.run e;
+  Alcotest.(check bool) "sender cancelled" true !s_cancelled;
+  check_float "t's segment waits for s's" (3.0 *. tau) !t_done;
+  Alcotest.(check int) "both segments arrived" (128 * Size.kib) (Net.bytes_received c);
+  check_float "downlink busy for both" (2.0 *. tau) (Rate_server.busy_time (Net.downlink c))
+
+(* Seeded sets of twelve concurrent transfers among five hosts: sizes
+   from one byte to three segments (segment edges drawn half the time),
+   shared sources and destinations, start times on a 20 ms grid so that
+   several start together, and one three-segment sender cancelled
+   mid-transfer. The log holds every completion instant, each host's byte
+   counts and every NIC and fabric server's busy time, ops and bytes,
+   floats in hex. *)
+let transfer_set_log ~fabric ~schedule seed =
+  let e = Engine.create ~schedule () in
+  let seg = 64 * Size.kib and bandwidth = float_of_int Size.mib in
+  let config =
+    {
+      Net.bandwidth;
+      latency = 1e-3;
+      segment_size = seg;
+      fabric_bandwidth = (if fabric then Some (2.5 *. bandwidth) else None);
+    }
+  in
+  let net = Net.create e config in
+  let hosts = Array.init 5 (fun i -> Net.add_host net ~name:(Fmt.str "h%d" i)) in
+  let rng = Rng.create seed in
+  let log = Buffer.create 4096 in
+  let note fmt =
+    Fmt.kstr (fun s -> Buffer.add_string log (Fmt.str "%h %s\n" (Engine.now e) s)) fmt
+  in
+  let edges = [| 1; seg - 1; seg; seg + 1; 2 * seg; 3 * seg |] in
+  for k = 0 to 11 do
+    let src = Rng.int rng 5 in
+    let dst = if k = 0 then (src + 1) mod 5 else Rng.int rng 5 in
+    let bytes =
+      if k = 0 then 3 * seg
+      else if Rng.bool rng then edges.(Rng.int rng (Array.length edges))
+      else 1 + Rng.int rng (3 * seg)
+    in
+    let start = float_of_int (Rng.int rng 6) *. 0.02 in
+    let fiber =
+      Engine.Fiber.spawn e (fun () ->
+          Engine.sleep e start;
+          match Net.transfer net ~src:hosts.(src) ~dst:hosts.(dst) bytes with
+          | () -> note "%d: h%d -> h%d, %d bytes, done" k src dst bytes
+          | exception Engine.Cancelled ->
+              note "%d: h%d -> h%d cancelled" k src dst;
+              raise Engine.Cancelled)
+    in
+    if k = 0 then Engine.at e (start +. 0.1) (fun () -> Engine.Fiber.cancel fiber)
+  done;
+  Engine.run e;
+  let server name r =
+    note "%s: busy %h, %d ops, %d bytes" name (Rate_server.busy_time r) (Rate_server.ops r)
+      (Rate_server.bytes_served r)
+  in
+  Array.iter
+    (fun h ->
+      let name = Net.host_name h in
+      note "%s: sent %d, received %d" name (Net.bytes_sent h) (Net.bytes_received h);
+      server (name ^ ".up") (Net.uplink h);
+      server (name ^ ".down") (Net.downlink h))
+    hosts;
+  Option.iter (server "fabric") (Net.fabric net);
+  Buffer.contents log
+
+(* MD5 of the logs of seeds 1-8 above, recorded with one forwarder fiber
+   per transfer. *)
+let pinned_transfer_sets =
+  [
+    ((false, Event_queue.Fifo), "ad46d35550be2a2d359f5bff608881c0");
+    ((true, Event_queue.Fifo), "b290c8a4a4224cc4172671a8ccae7809");
+    ((false, Event_queue.Seeded_shuffle 7), "8b1fb2b521ce89bfa1eb3f0e5e25f0f2");
+    ((true, Event_queue.Seeded_shuffle 7), "7c3c1c72945846f3baf81b8e43511fd4");
+  ]
+
+let test_net_transfer_sets_pinned () =
+  List.iter
+    (fun ((fabric, schedule), expected) ->
+      let log =
+        String.concat "" (List.init 8 (fun i -> transfer_set_log ~fabric ~schedule (i + 1)))
+      in
+      let digest = Digest.to_hex (Digest.string log) in
+      if digest <> expected then prerr_string log;
+      Alcotest.(check string)
+        (Fmt.str "transfer sets, fabric %b, %a" fabric Event_queue.pp_schedule schedule)
+        expected digest)
+    pinned_transfer_sets
+
 (* ------------------------------------------------------------------ *)
 (* Disk *)
 
@@ -389,6 +513,11 @@ let () =
           Alcotest.test_case "incast contention" `Quick test_net_incast_contention;
           Alcotest.test_case "fabric oversubscription" `Quick test_net_fabric_oversubscription;
           Alcotest.test_case "zero-byte transfer" `Quick test_net_transfer_zero_bytes;
+          Alcotest.test_case "seeded transfer sets match pinned digests" `Quick
+            test_net_transfer_sets_pinned;
+          Alcotest.test_case
+            "a cancelled sender's in-flight segment still occupies the receiver's downlink" `Quick
+            test_net_cancelled_sender_occupies_downlink;
           Alcotest.test_case "partition heal releases queued traffic" `Quick
             test_net_partition_heal_releases_queued;
         ] );

@@ -955,6 +955,67 @@ let test_blocked_fibers_counter () =
   Alcotest.(check int) "blocked" 3 (Engine.blocked_fibers e);
   Alcotest.(check int) "live" 3 (Engine.live_fibers e)
 
+(* Two pipelines push items through two shared rate servers, either as
+   fibers calling [Rate_server.process] or as callback chains posted at
+   the same point and built from [Rate_server.process_then]. Noise fibers
+   wake at instants the services end on. Both forms must log the same
+   steps at the same instants in the same order, under every schedule:
+   the callback forms take the fiber forms' insertion indexes. *)
+let stage_log ~callbacks schedule =
+  let e = Engine.create ~schedule () in
+  let a = Rate_server.create e ~rate:4.0 () and b = Rate_server.create e ~rate:2.0 () in
+  let log = Buffer.create 1024 in
+  let note fmt =
+    Fmt.kstr (fun s -> Buffer.add_string log (Fmt.str "%h %s\n" (Engine.now e) s)) fmt
+  in
+  for i = 0 to 3 do
+    ignore
+      (Engine.Fiber.spawn e (fun () ->
+           for r = 1 to 16 do
+             Engine.sleep e 0.25;
+             note "noise %d.%d" i r
+           done))
+  done;
+  let pipeline p items =
+    if callbacks then
+      Engine.post e (fun () ->
+          let rec go = function
+            | [] -> note "%d done" p
+            | n :: rest ->
+                Rate_server.process_then a n (fun () ->
+                    note "%d: a served %d" p n;
+                    Rate_server.process_then b n (fun () ->
+                        note "%d: b served %d" p n;
+                        go rest))
+          in
+          go items)
+    else
+      ignore
+        (Engine.Fiber.spawn e (fun () ->
+             List.iter
+               (fun n ->
+                 Rate_server.process a n;
+                 note "%d: a served %d" p n;
+                 Rate_server.process b n;
+                 note "%d: b served %d" p n)
+               items;
+             note "%d done" p))
+  in
+  pipeline 0 [ 1; 2; 1; 3; 1 ];
+  pipeline 1 [ 2; 1; 1; 1 ];
+  Engine.run e;
+  note "a: %h busy, %d ops; b: %h busy, %d ops" (Rate_server.busy_time a) (Rate_server.ops a)
+    (Rate_server.busy_time b) (Rate_server.ops b);
+  Buffer.contents log
+
+let test_callback_stage_matches_fiber () =
+  List.iter
+    (fun schedule ->
+      Alcotest.(check string)
+        (Fmt.str "same log under %a" Event_queue.pp_schedule schedule)
+        (stage_log ~callbacks:false schedule) (stage_log ~callbacks:true schedule))
+    [ Event_queue.Fifo; Event_queue.Lifo; Event_queue.Seeded_shuffle 7; Event_queue.Seeded_shuffle 8 ]
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -1093,6 +1154,8 @@ let () =
           Alcotest.test_case "blocked fiber count" `Quick test_blocked_fibers_counter;
           Alcotest.test_case "resumer is one-shot" `Quick test_resumer_one_shot;
           Alcotest.test_case "resume after cancel" `Quick test_resume_after_cancel;
+          Alcotest.test_case "callback stage takes the fiber's steps" `Quick
+            test_callback_stage_matches_fiber;
         ] );
       ( "ivar",
         [
