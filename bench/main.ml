@@ -84,6 +84,14 @@ let micro () =
            let p = Payload.pattern ~seed:!pattern_seed (Size.mib_n 2) in
            ignore (Payload.digest (Payload.sub p ~pos:12345 ~len:Size.mib))))
   in
+  (* One 256 KiB chunk, the unit the commit path digests: a single
+     segment above the split-fold threshold. *)
+  let payload_chunk_digest =
+    Test.make ~name:"payload: digest of a fresh 256 KiB pattern (one chunk)"
+      (Staged.stage (fun () ->
+           pattern_seed := Int64.succ !pattern_seed;
+           ignore (Payload.digest (Payload.pattern ~seed:!pattern_seed (256 * Size.kib)))))
+  in
   let bytes_data = Bytes.init Size.mib (fun i -> Char.unsafe_chr (i land 0xff)) in
   let payload_bytes_digest =
     Test.make ~name:"payload: digest of a fresh 1 MiB bytes payload"
@@ -102,7 +110,8 @@ let micro () =
   in
   (* Bytes each case digests per run, for the MiB/s column. *)
   let digested_bytes =
-    [ (payload_pattern_digest, Size.mib); (payload_bytes_digest, Size.mib);
+    [ (payload_pattern_digest, Size.mib); (payload_chunk_digest, 256 * Size.kib);
+      (payload_bytes_digest, Size.mib);
       (payload_segment_digest, 16 * 16 * Size.kib) ]
     |> List.map (fun (test, bytes) -> ("blobcr-core/" ^ Test.name test, bytes))
   in
@@ -261,8 +270,8 @@ let micro () =
   in
   let tests =
     Test.make_grouped ~name:"blobcr-core"
-      [ seg_tree_update; seg_tree_bulk; payload_pattern_digest; payload_bytes_digest;
-        payload_segment_digest; event_queue; engine_fibers; engine_handoff; engine_uncontended;
+      [ seg_tree_update; seg_tree_bulk; payload_pattern_digest; payload_chunk_digest;
+        payload_bytes_digest; payload_segment_digest; event_queue; engine_fibers; engine_handoff; engine_uncontended;
         net_transfers; qcow2_cow;
         sparse_bytes; guest_log_sync ]
   in
@@ -331,7 +340,9 @@ let write_profile samples path =
   Out_channel.with_open_text path (fun oc ->
       Printf.fprintf oc
         "%d samples, one per 2 ms of CPU time. OCaml delivers signals at polling points\n\
-         (allocations, calls, loop back-edges), so samples are biased toward safepoints.\n"
+         (allocations, calls, loop back-edges), so samples are biased toward safepoints.\n\
+         The time is the process's: a live split-fold helper domain's folds and idle\n\
+         spinning are sampled too, under Payload.helper_loop.\n"
         total;
       List.iter
         (fun (title, table) ->

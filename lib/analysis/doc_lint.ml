@@ -202,10 +202,15 @@ let check_changes ~file content =
       | _ -> None
     else None
   in
+  (* A [FOUND:] line names a fault seen and left open; [MENDED:] is the
+     same line once a later PR fixes it. Neither is a PR entry. *)
+  let note text =
+    String.starts_with ~prefix:"FOUND: " text || String.starts_with ~prefix:"MENDED: " text
+  in
   let _, findings =
     fold_md_lines content
       (fun (expected, acc) lineno text ->
-        if String.trim text = "" then (expected, acc)
+        if String.trim text = "" || note text then (expected, acc)
         else
           match pr_number text with
           | Some n when n = expected -> (expected + 1, acc)
@@ -216,7 +221,9 @@ let check_changes ~file content =
                 :: acc )
           | None ->
               ( expected,
-                mk "changes-log" file lineno "line does not start with \"PR <n> \"" :: acc ))
+                mk "changes-log" file lineno
+                  "line does not start with \"PR <n> \", \"FOUND: \" or \"MENDED: \""
+                :: acc ))
       (1, [])
   in
   List.rev findings

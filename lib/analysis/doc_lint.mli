@@ -14,7 +14,9 @@
       checked.
     - [changes-log]: CHANGES.md must hold exactly one line per PR,
       numbered sequentially from 1 — the contract the next session relies
-      on to know what is already done.
+      on to know what is already done. Between them, a line may start
+      with [FOUND: ] (a fault seen and left open) or [MENDED: ] (one a
+      later PR fixed); such lines take no PR number.
 
     Like {!Lint}, this is a self-contained text-level scanner: no ppx, no
     compiler-libs, no markdown parser. *)

@@ -85,6 +85,12 @@ val make_scenario :
     Otherwise [render] gives the result surface and [audit] the
     violations. *)
 
+val chaos_script :
+  Experiments.Scale.t -> fault_seed:int -> Blobcr.Cluster.t -> Faults.event list
+(** The fault script {!chaos} runs for a fault stream: an MTBF-profile
+    script drawn from [fault_seed], plus a version-manager crash armed
+    mid-COMMIT on half the streams. *)
+
 val chaos : scenario
 (** The durability chaos harness ({!Experiments.Durability.chaos_run})
     under an MTBF-profile fault script generated from the fault seed —

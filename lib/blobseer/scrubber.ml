@@ -293,7 +293,6 @@ let scan t =
             | `Unrepairable ->
                 Hashtbl.add repaired_memo key None;
                 incr unrepairable_count;
-                t.unrepairable <- t.unrepairable + 1;
                 record t (Unrepairable { at = now t; blob; version; index });
                 `Lost
             | `Quorum_failed good ->
@@ -327,6 +326,9 @@ let scan t =
     sites;
   t.bad_sites <- List.sort_uniq compare_site !bad_sites;
   t.pins <- [];
+  (* Counted only here: a pass cancelled mid-loop never reaches
+     [Scan_finished], and its partial count must not reach [stats]. *)
+  t.unrepairable <- t.unrepairable + !unrepairable_count;
   record t
     (Scan_finished
        {

@@ -75,6 +75,8 @@ type stats = {
   repair_bytes : int;  (** bytes re-replicated (repair traffic) *)
   quorum_failures : int;
   unrepairable : int;
+      (** the sum of the [unrepairable] counts of the {!Scan_finished}
+          events: a pass cancelled before it finished adds nothing *)
   merkle_clean_versions : int;
       (** versions skipped wholesale by the Merkle precheck (their occupied
           leaves still count into [chunks_checked]) *)

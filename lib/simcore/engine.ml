@@ -382,7 +382,8 @@ module Fiber = struct
 end
 
 let all t ?(name = "all") fs =
-  let fibers = List.mapi (fun i f -> Fiber.spawn t ~name:(Fmt.str "%s.%d" name i) f) fs in
+  let prefix = name ^ "." in
+  let fibers = List.mapi (fun i f -> Fiber.spawn t ~name:(prefix ^ string_of_int i) f) fs in
   List.iter Fiber.join fibers
 
 module Mailbox = struct

@@ -333,15 +333,120 @@ let fold_bytes data off len =
   done;
   !h
 
+let fold_seg = function
+  | Zero n -> Int64.mul (geom_sum n) (code '\000')
+  | Pattern { seed; off; len } -> fold_pattern seed off len
+  | Bytes { data; off; len } -> fold_bytes data off len
+
+(* Split folds. A [Pattern] or [Bytes] segment of at least [split_min]
+   bytes folds as two halves, h(a ++ b) = h(a) * b^|b| + h(b): the caller
+   folds the first while a helper domain folds the second. The helper
+   runs [fold_seg] on one immutable segment and writes one [int64]; the
+   caller is blocked in the fold meanwhile, so no [Bytes] segment can
+   change under it, and every counter, cache and memo stays on the
+   caller's domain. Digests and counts are those of a sequential fold.
+
+   The job is one slot whose state moves idle -> posted (caller) ->
+   claimed (helper) -> done (helper) -> idle (caller). A caller that
+   finishes its half while the job is still posted takes it back with a
+   compare-and-set and folds it itself, so it waits only for a helper
+   that has already started. The helper is spawned by the first long
+   fold that finds none alive, spins for the next job and exits after
+   [helper_idle_s] without one: while a second domain lives, every minor
+   collection stops both, so a helper lives for a burst of folds, not for
+   the process. *)
+let split_min = 64 * 1024
+let helper_idle_s = 0.002
+let job_idle = 0
+let job_posted = 1
+let job_claimed = 2
+let job_done = 3
+
+type job = {
+  state : int Atomic.t; (* lint: allow domains — the split-fold job slot *)
+  mutable half : seg;
+  mutable result : int64;
+}
+
+let job = { state = Atomic.make job_idle; half = Zero 0; result = 0L } (* lint: allow domains *)
+let[@inline] job_state () = Atomic.get job.state (* lint: allow domains *)
+let[@inline] set_job_state s = Atomic.set job.state s (* lint: allow domains *)
+let[@inline] take_job from into = Atomic.compare_and_set job.state from into (* lint: allow domains *)
+let[@inline] relax () = Domain.cpu_relax () (* lint: allow domains *)
+
+(* Whether a helper is running; the helper clears it as it exits. *)
+let helper_alive = Atomic.make false (* lint: allow domains *)
+
+(* Whether spawning a helper is worth trying: more than one CPU is
+   available and no spawn has failed. Caller's domain only. *)
+let may_spawn = ref (Domain.recommended_domain_count () > 1) (* lint: allow domains *)
+
+(* lint: allow wall-clock — the helper's idle timeout; nothing simulated reads it *)
+let idle_clock () = Unix.gettimeofday ()
+
+let rec helper_loop idle_since =
+  if job_state () = job_posted && take_job job_posted job_claimed then begin
+    job.result <- fold_seg job.half;
+    set_job_state job_done;
+    helper_loop (idle_clock ())
+  end
+  else if idle_clock () -. idle_since > helper_idle_s then
+    Atomic.set helper_alive false (* lint: allow domains *)
+  else begin
+    relax ();
+    helper_loop idle_since
+  end
+
+(* Whether a helper is alive, spawning one if none is and one may be. A
+   helper is never joined: it has nothing to return, and the runtime
+   frees a domain when it exits. *)
+let helper_ready () =
+  Atomic.get helper_alive (* lint: allow domains *)
+  || !may_spawn
+     &&
+     (Atomic.set helper_alive true; (* lint: allow domains *)
+      match Domain.spawn (fun () -> helper_loop (idle_clock ())) with (* lint: allow domains *)
+      | (_ : unit Domain.t) -> true (* lint: allow domains *)
+      | exception _ ->
+          Atomic.set helper_alive false; (* lint: allow domains *)
+          may_spawn := false;
+          false)
+
+let split_fold seg =
+  let len = seg_len seg in
+  let off = match seg with Pattern { off; _ } | Bytes { off; _ } -> off | Zero _ -> 0 in
+  (* The second half starts on a 16-byte boundary of the stream or
+     buffer, so it runs the two-word loop from its first byte. *)
+  let mid = ((off + (len / 2)) land lnot 15) - off in
+  let first = seg_sub seg 0 mid and second = seg_sub seg mid (len - mid) in
+  let posted = helper_ready () in
+  if posted then begin
+    job.half <- second;
+    set_job_state job_posted
+  end;
+  let h1 = fold_seg first in
+  (* With no helper, or with the job taken back, the caller folds the
+     second half: one path for both. *)
+  let h2 =
+    if posted && not (take_job job_posted job_idle) then begin
+      while job_state () <> job_done do
+        relax ()
+      done;
+      let h2 = job.result in
+      set_job_state job_idle;
+      h2
+    end
+    else fold_seg second
+  in
+  job.half <- Zero 0;
+  Int64.add (Int64.mul h1 (pow_base (len - mid))) h2
+
 let seg_digest seg =
   match seg with
-  | Zero n -> Int64.mul (geom_sum n) (code '\000')
-  | Pattern { seed; off; len } ->
+  | Zero _ -> fold_seg seg
+  | Pattern { len; _ } | Bytes { len; _ } ->
       hashed_bytes_counter := !hashed_bytes_counter + len;
-      fold_pattern seed off len
-  | Bytes { data; off; len } ->
-      hashed_bytes_counter := !hashed_bytes_counter + len;
-      fold_bytes data off len
+      if len >= split_min then split_fold seg else fold_seg seg
 
 (* Cross-payload cache of [Pattern] segment digests, keyed by the segment
    itself, that is by (seed, off, len), with integer hashing and equality,

@@ -67,7 +67,18 @@ val digest : t -> int64
     with b the 64-bit FNV prime). [Zero] runs digest in O(log n). [Pattern]
     and [Bytes] segments are hashed a 64-bit word at a time without
     allocating, at about 1.2 GiB/s (pattern) and 1.3 GiB/s (bytes) of
-    host time. A [Pattern] segment's digest is also kept in a process-wide
+    host time on one core. A segment of at least 64 KiB folds as two
+    halves, h(a ++ b) = h(a) * b^|b| + h(b): the caller folds the first
+    while a helper domain folds the second, or takes it back and folds it
+    itself when the helper has not started it. The helper is spawned on
+    the first long fold that finds none alive and exits after about 2 ms
+    without a job; none is spawned when
+    [Domain.recommended_domain_count () = 1]. It only reads the segment,
+    and every counter below stays on the caller's domain, so digests and
+    counts are those of a sequential fold. Call [digest] from one domain
+    only. Once a helper has been spawned, [Unix.fork] raises in the
+    process (OCaml 5.1 forbids it after any domain was created). A
+    [Pattern] segment's digest is also kept in a process-wide
     cache keyed by (seed, offset, length), so another payload slicing the
     same stretch of the same stream reuses it; the cache holds two
     generations of at most 150 000 segments each and keeps admitting

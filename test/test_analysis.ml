@@ -48,6 +48,25 @@ let test_lint_ambient_effects () =
   Alcotest.(check (list string)) "Obj.magic flagged" [ "obj-magic" ]
     (rules (scan "let x = Obj.magic y\n"))
 
+let test_lint_domains () =
+  Alcotest.(check (list string)) "every primitive flagged"
+    [ "domains"; "domains"; "domains"; "domains"; "domains" ]
+    (rules
+       (scan
+          "let d = Domain.spawn f\n\
+           let a = Atomic.make 0\n\
+           let m = Mutex.create ()\n\
+           let c = Condition.create ()\n\
+           let t = Thread.self ()\n"));
+  Alcotest.(check (list string)) "qualified path flagged" [ "domains" ]
+    (rules (scan "let () = Stdlib.Domain.cpu_relax ()\n"));
+  Alcotest.(check (list string)) "pragma with justification suppresses" []
+    (rules (scan "let a = Atomic.make 0 (* lint: allow domains — a fold's job slot *)\n"));
+  Alcotest.(check (list string)) "other modules accepted" []
+    (rules (scan "let d = Fault_domain.make ()\nlet x = Stats.Atomic_counter.zero\n"));
+  Alcotest.(check (list string)) "off outside lib and bin" []
+    (rules (Lint.scan_source ~domains:false ~file:"bench/x.ml" "let d = Domain.spawn f\n"))
+
 let test_lint_strings_and_comments_inert () =
   Alcotest.(check (list string)) "needle inside a string literal" []
     (rules (scan "let s = \"Hashtbl.iter is risky\"\n"));
@@ -69,6 +88,22 @@ let test_lint_missing_mli () =
     (rules (Lint.missing_mli ~dir:"lib/x" ~ml:[ "foo.ml" ] ~mli:[]));
   Alcotest.(check (list string)) "ml with mli accepted" []
     (rules (Lint.missing_mli ~dir:"lib/x" ~ml:[ "foo.ml" ] ~mli:[ "foo.mli" ]))
+
+(* CHANGES.md: PR lines in order, with FOUND/MENDED notes between them. *)
+let test_doc_lint_changes_log () =
+  let root = Filename.temp_dir "changes" "" in
+  let path = Filename.concat root "CHANGES.md" in
+  let changes lines =
+    Out_channel.with_open_bin path (fun oc -> output_string oc (String.concat "\n" lines));
+    List.map (fun f -> (f.Lint.rule, f.Lint.line)) (Doc_lint.scan_repo ~root)
+  in
+  Alcotest.(check (list (pair string int))) "notes take no PR number" []
+    (changes [ "PR 1 (a): x"; "FOUND: a fault"; "PR 2 (b): y"; "MENDED: a fault"; "" ]);
+  Alcotest.(check (list (pair string int))) "other lines flagged"
+    [ ("changes-log", 2); ("changes-log", 3) ]
+    (changes [ "PR 1 (a): x"; "Found: lower case"; "PR 3 (b): skips 2" ]);
+  Sys.remove path;
+  Sys.rmdir root
 
 (* ------------------------------------------------------------------ *)
 (* Invariants: each auditor catches a seeded defect *)
@@ -620,6 +655,8 @@ let () =
         [
           Alcotest.test_case "hashtbl-order rule" `Quick test_lint_hashtbl_order;
           Alcotest.test_case "ambient-effect rules" `Quick test_lint_ambient_effects;
+          Alcotest.test_case "domains rule" `Quick test_lint_domains;
+          Alcotest.test_case "changes-log notes" `Quick test_doc_lint_changes_log;
           Alcotest.test_case "strings and comments inert" `Quick
             test_lint_strings_and_comments_inert;
           Alcotest.test_case "poly-compare rule" `Quick test_lint_poly_compare;

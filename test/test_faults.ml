@@ -438,6 +438,28 @@ let test_chaos_abandoned_scrub_leaves_journal_quiescent () =
        (fun f -> if f.kind = Invariant then Some (Fmt.str "%a" pp_finding f) else None)
        findings)
 
+(* The same fifo sample: scrub pass 10 is cancelled mid-loop after it has
+   found unrepairable chunks, and never reaches [Scan_finished]. The
+   cumulative stat must count finished passes only. *)
+let test_chaos_cancelled_scrub_pass_not_counted () =
+  let sample = Analysis.Schedule_fuzz.sample_of_seed 1692496000 in
+  let scale = { Experiments.Scale.quick with Experiments.Scale.schedule = sample.schedule } in
+  let c =
+    Experiments.Durability.chaos_run scale
+      ~script:(Analysis.Schedule_fuzz.chaos_script scale ~fault_seed:sample.fault_seed)
+      ~gang:scale.Experiments.Scale.durability_gang
+      ~units:scale.Experiments.Scale.durability_units ()
+  in
+  let finished =
+    List.fold_left
+      (fun acc -> function
+        | Blobseer.Scrubber.Scan_finished { unrepairable; _ } -> acc + unrepairable
+        | _ -> acc)
+      0 c.Experiments.Durability.scrub_events
+  in
+  Alcotest.(check int) "unrepairable = sum over finished passes" finished
+    c.Experiments.Durability.scrub_stats.Blobseer.Scrubber.unrepairable
+
 (* ------------------------------------------------------------------ *)
 (* Availability sweep smoke *)
 
@@ -499,6 +521,8 @@ let () =
             test_chaos_recovery_replay_deterministic;
           Alcotest.test_case "abandoned scrub leaves journal quiescent" `Quick
             test_chaos_abandoned_scrub_leaves_journal_quiescent;
+          Alcotest.test_case "cancelled scrub pass not counted" `Quick
+            test_chaos_cancelled_scrub_pass_not_counted;
         ] );
       ( "availability",
         [ Alcotest.test_case "sweep smoke" `Quick test_availability_smoke ] );

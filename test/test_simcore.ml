@@ -218,14 +218,14 @@ let prop_payload_digest_agrees_with_equal =
 
 (* The digest's definition, one byte at a time: h <- h * b + (byte + 1)
    mod 2^64. The kernel folds whole words; this is what it must equal. *)
-let reference_digest p =
+let reference_of_string s =
   let h = ref 0L in
-  for i = 0 to Payload.length p - 1 do
-    h :=
-      Int64.add (Int64.mul !h 0x100000001B3L)
-        (Int64.of_int (Char.code (Payload.byte_at p i) + 1))
-  done;
+  String.iter
+    (fun c -> h := Int64.add (Int64.mul !h 0x100000001B3L) (Int64.of_int (Char.code c + 1)))
+    s;
   !h
+
+let reference_digest p = reference_of_string (String.init (Payload.length p) (Payload.byte_at p))
 
 (* Offsets 0-15 cover every alignment of a slice's first byte. Half the
    lengths are 0-64: slices shorter than a word, and heads and tails on
@@ -255,6 +255,86 @@ let prop_payload_bytes_digest_reference =
     (fun (s, (off, len)) ->
       let p = Payload.sub (Payload.of_string s) ~pos:off ~len in
       Payload.digest p = reference_digest p)
+
+(* Split folds: segments of at least 64 KiB fold as two halves, the second
+   on a helper domain. The per-byte fold of [to_string] (which the
+   to_string property below ties to [byte_at]) is what they must equal. *)
+let split_min = 64 * Size.kib
+
+let split_buffer =
+  Bytes.init ((4 * split_min) + 64) (fun i -> Char.unsafe_chr (((i * 131) lxor (i lsr 9)) land 0xff))
+
+(* Lengths within 40 bytes either side of the threshold half the time,
+   otherwise anywhere up to four times it. *)
+let split_len_gen =
+  QCheck.Gen.(
+    frequency
+      [ (1, int_range (split_min - 40) (split_min + 40)); (1, int_range 1 (4 * split_min)) ])
+
+(* A stretch of a payload: a pattern slice, a slice of [split_buffer] or a
+   zero run, each at an offset of 0-63 (odd ones included). *)
+let split_stretch_gen =
+  QCheck.Gen.(
+    map3
+      (fun kind off len ->
+        match kind with
+        | 0 -> Payload.sub (Payload.pattern ~seed:(Int64.of_int (off + 77)) (off + len)) ~pos:off ~len
+        | 1 -> Payload.sub (Payload.of_bytes split_buffer) ~pos:off ~len
+        | _ -> Payload.zero len)
+      (frequency [ (2, return 0); (2, return 1); (1, return 2) ])
+      (int_bound 63) split_len_gen)
+
+let prop_payload_split_digest_reference =
+  QCheck.Test.make ~name:"payload: split folds equal the per-byte fold" ~count:60
+    (QCheck.make
+       ~print:(fun parts -> Fmt.str "%a" Fmt.(list ~sep:semi Payload.pp) parts)
+       QCheck.Gen.(list_size (int_range 1 3) split_stretch_gen))
+    (fun parts ->
+      let p = Payload.concat parts in
+      Payload.digest p = reference_of_string (Payload.to_string p))
+
+(* What a sequential fold counts: every [Pattern] and [Bytes] byte in
+   [hashed_bytes], one miss per fresh pattern segment, then one hit per
+   pattern segment when another value has the same segments. *)
+let test_payload_split_fold_counts () =
+  let seed = 0x5EED_5B11L in
+  let parts () =
+    [ Payload.sub (Payload.pattern ~seed (3 * split_min)) ~pos:13 ~len:((2 * split_min) + 5);
+      Payload.zero 4096;
+      Payload.sub (Payload.of_bytes split_buffer) ~pos:7 ~len:(split_min + 1);
+      Payload.pattern ~seed:(Int64.succ seed) 100 ]
+  in
+  let hashed = (2 * split_min) + 5 + split_min + 1 + 100 in
+  let digest_delta p =
+    let bytes = Payload.hashed_bytes () and cache = Payload.segment_cache_stats () in
+    let d = Payload.digest p in
+    let cache' = Payload.segment_cache_stats () in
+    ( d,
+      Payload.hashed_bytes () - bytes,
+      cache'.Payload.hits - cache.Payload.hits,
+      cache'.Payload.misses - cache.Payload.misses )
+  in
+  let p = Payload.concat (parts ()) in
+  let d, bytes, hits, misses = digest_delta p in
+  Alcotest.(check int64) "digest" (reference_of_string (Payload.to_string p)) d;
+  Alcotest.(check (list int)) "first: bytes, hits, misses" [ hashed; 0; 2 ] [ bytes; hits; misses ];
+  let d', bytes, hits, misses = digest_delta (Payload.concat (parts ())) in
+  Alcotest.(check int64) "same digest" d d';
+  Alcotest.(check (list int)) "again: bytes, hits, misses" [ hashed; 2; 0 ] [ bytes; hits; misses ];
+  let _, bytes, hits, misses = digest_delta p in
+  Alcotest.(check (list int)) "memo: bytes, hits, misses" [ 0; 0; 0 ] [ bytes; hits; misses ]
+
+(* The helper exits after about 2 ms without a job; the next long fold
+   spawns another. A pause well past that window sits between two digests. *)
+let test_payload_split_fold_respawn () =
+  let digest_fresh seed =
+    let p = Payload.sub (Payload.pattern ~seed (5 * split_min)) ~pos:3 ~len:(4 * split_min) in
+    Alcotest.(check int64) "digest" (reference_of_string (Payload.to_string p)) (Payload.digest p)
+  in
+  digest_fresh 0x5EED_0001L;
+  Unix.sleepf 0.02;
+  digest_fresh 0x5EED_0002L;
+  digest_fresh 0x5EED_0003L
 
 let prop_payload_pattern_to_string =
   QCheck.Test.make ~name:"payload: pattern to_string matches byte_at" ~count:500
@@ -1119,11 +1199,16 @@ let () =
             test_payload_hashed_bytes_accounting;
           Alcotest.test_case "segment cache keeps admitting" `Quick
             test_payload_segment_cache_keeps_admitting;
+          Alcotest.test_case "split folds count as sequential ones" `Quick
+            test_payload_split_fold_counts;
+          Alcotest.test_case "split folds across a helper respawn" `Quick
+            test_payload_split_fold_respawn;
         ]
         @ qsuite
             [ prop_payload_slice_concat; prop_payload_digest_agrees_with_equal;
               prop_payload_pattern_digest_reference; prop_payload_bytes_digest_reference;
-              prop_payload_pattern_to_string; prop_payload_splice_matches_concat ] );
+              prop_payload_split_digest_reference; prop_payload_pattern_to_string;
+              prop_payload_splice_matches_concat ] );
       ( "event_queue",
         [
           Alcotest.test_case "time order" `Quick test_event_queue_order;
