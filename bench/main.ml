@@ -306,11 +306,16 @@ let micro () =
 
 (* SIGPROF fires every 2 ms of process CPU time and records the OCaml call
    stack; the handler's own frames are dropped when the report is built.
+   Only the main domain records: a split-fold helper domain may run the
+   handler too, and its ticks are dropped, so [samples] has one writer.
    Each table lists its 40 largest rows. *)
 let start_profile () =
   let samples = ref [] in
   Sys.set_signal Sys.sigprof
-    (Sys.Signal_handle (fun _ -> samples := Printexc.get_callstack 64 :: !samples));
+    (Sys.Signal_handle
+       (fun _ ->
+         (* lint: allow domains — the profiler keeps the main domain's stacks only *)
+         if Domain.is_main_domain () then samples := Printexc.get_callstack 64 :: !samples));
   ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.002; it_value = 0.002 });
   samples
 
@@ -339,10 +344,10 @@ let write_profile samples path =
   let total = List.length !samples in
   Out_channel.with_open_text path (fun oc ->
       Printf.fprintf oc
-        "%d samples, one per 2 ms of CPU time. OCaml delivers signals at polling points\n\
+        "%d samples, at most one per 2 ms of CPU time. OCaml delivers signals at polling points\n\
          (allocations, calls, loop back-edges), so samples are biased toward safepoints.\n\
-         The time is the process's: a live split-fold helper domain's folds and idle\n\
-         spinning are sampled too, under Payload.helper_loop.\n"
+         Only the main domain's stacks are kept: while a split-fold helper domain lives,\n\
+         its CPU time advances the timer too, and the ticks it handles are dropped.\n"
         total;
       List.iter
         (fun (title, table) ->

@@ -14,8 +14,8 @@ let rule_ids =
        physical equality of closures/lazies can raise" );
     ("missing-mli", "library module without a companion .mli interface");
     ( "domains",
-      "Domain / Atomic / Mutex / Condition / Thread in lib/ or bin/: the simulator runs on \
-       one domain, and only a pure fold may run off it" );
+      "Domain / Atomic / Mutex / Condition / Thread: the simulator runs on one domain, and \
+       only a pure fold may run off it" );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -219,7 +219,7 @@ let ends_with_definition code pos =
     in
     word before "let" || word before "and" || word before "rec"
 
-let scan_source ?(domains = true) ~file source =
+let scan_source ~file source =
   let lines = split_lines source in
   let code_lines = Array.of_list (List.map fst lines) in
   let comment_lines = Array.of_list (List.map snd lines) in
@@ -246,10 +246,6 @@ let scan_source ?(domains = true) ~file source =
     Array.exists
       (fun code -> has_token code "float" || has_float_literal code)
       code_lines
-  in
-  let needles_in_force =
-    if domains then module_qualified_needles
-    else List.remove_assoc "domains" module_qualified_needles
   in
   let findings = ref [] in
   let allowed rule line =
@@ -283,7 +279,7 @@ let scan_source ?(domains = true) ~file source =
                          sort_window)
               | _ -> emit rule i (Fmt.str "use of %s" needle))
           needles)
-      needles_in_force;
+      module_qualified_needles;
     if float_bearing then
       List.iter
         (fun pos ->
@@ -342,12 +338,11 @@ let scan_tree ~root dirs =
     (fun dir ->
       let full = Filename.concat root dir in
       let files = walk full in
-      let in_lib = String.starts_with ~prefix:"lib" dir in
-      let domains = in_lib || String.starts_with ~prefix:"bin" dir in
+      let in_lib = String.length dir >= 3 && String.sub dir 0 3 = "lib" in
       List.iter
         (fun path ->
           if Filename.check_suffix path ".ml" then
-            findings := scan_source ~domains ~file:path (read_file path) @ !findings)
+            findings := scan_source ~file:path (read_file path) @ !findings)
         files;
       if in_lib then begin
         let by_dir = List.sort_uniq compare (List.map Filename.dirname files) in

@@ -13,9 +13,9 @@
     - [poly-compare]: bare polymorphic [compare] in a module handling
       floats (NaN breaks ordering);
     - [missing-mli]: library [.ml] without a companion [.mli];
-    - [domains]: [Domain], [Atomic], [Mutex], [Condition] or [Thread] in
-      [lib] or [bin] — the simulator runs on one domain, and only a pure
-      fold may run off it.
+    - [domains]: [Domain], [Atomic], [Mutex], [Condition] or [Thread] —
+      the simulator runs on one domain, and only a pure fold may run off
+      it.
 
     Comments and string-literal contents are ignored, so rule names and
     banned tokens may appear freely in documentation. A finding is
@@ -24,10 +24,9 @@
 
 type finding = { rule : string; file : string; line : int; message : string }
 
-val scan_source : ?domains:bool -> file:string -> string -> finding list
+val scan_source : file:string -> string -> finding list
 (** Run all content rules over one compilation unit's source text. [file]
-    is only used to label findings. [domains] (default [true]) enables the
-    [domains] rule. *)
+    is only used to label findings. *)
 
 val missing_mli : dir:string -> ml:string list -> mli:string list -> finding list
 (** The missing-mli rule over one directory's basenames (pure, for
@@ -35,10 +34,9 @@ val missing_mli : dir:string -> ml:string list -> mli:string list -> finding lis
 
 val scan_tree : root:string -> string list -> finding list
 (** Scan the given directories (relative to [root]) recursively: content
-    rules over every [.ml] ([domains] only under [lib] and [bin]), plus
-    [missing-mli] for directories under [lib]. Findings are sorted by
-    file, line and rule; directories whose name starts with ['.'] or ['_']
-    are skipped. *)
+    rules over every [.ml], plus [missing-mli] for directories under
+    [lib]. Findings are sorted by file, line and rule; directories whose
+    name starts with ['.'] or ['_'] are skipped. *)
 
 val pp_finding : Format.formatter -> finding -> unit
 (** ["file:line: [rule] message"] — file:line is clickable in editors. *)

@@ -71,8 +71,8 @@ val digest : t -> int64
     halves, h(a ++ b) = h(a) * b^|b| + h(b): the caller folds the first
     while a helper domain folds the second, or takes it back and folds it
     itself when the helper has not started it. The helper is spawned on
-    the first long fold that finds none alive and exits after about 2 ms
-    without a job; none is spawned when
+    the first long fold that finds none alive and exits after a fixed
+    count of spins without a job (about 2 ms); none is spawned when
     [Domain.recommended_domain_count () = 1]. It only reads the segment,
     and every counter below stays on the caller's domain, so digests and
     counts are those of a sequential fold. Call [digest] from one domain

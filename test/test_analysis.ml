@@ -63,9 +63,7 @@ let test_lint_domains () =
   Alcotest.(check (list string)) "pragma with justification suppresses" []
     (rules (scan "let a = Atomic.make 0 (* lint: allow domains — a fold's job slot *)\n"));
   Alcotest.(check (list string)) "other modules accepted" []
-    (rules (scan "let d = Fault_domain.make ()\nlet x = Stats.Atomic_counter.zero\n"));
-  Alcotest.(check (list string)) "off outside lib and bin" []
-    (rules (Lint.scan_source ~domains:false ~file:"bench/x.ml" "let d = Domain.spawn f\n"))
+    (rules (scan "let d = Fault_domain.make ()\nlet x = Stats.Atomic_counter.zero\n"))
 
 let test_lint_strings_and_comments_inert () =
   Alcotest.(check (list string)) "needle inside a string literal" []

@@ -324,8 +324,9 @@ let test_payload_split_fold_counts () =
   let _, bytes, hits, misses = digest_delta p in
   Alcotest.(check (list int)) "memo: bytes, hits, misses" [ 0; 0; 0 ] [ bytes; hits; misses ]
 
-(* The helper exits after about 2 ms without a job; the next long fold
-   spawns another. A pause well past that window sits between two digests. *)
+(* The helper exits after a fixed count of spins without a job, about
+   2 ms; the next long fold spawns another. A pause well past that window
+   sits between two digests. *)
 let test_payload_split_fold_respawn () =
   let digest_fresh seed =
     let p = Payload.sub (Payload.pattern ~seed (5 * split_min)) ~pos:3 ~len:(4 * split_min) in
