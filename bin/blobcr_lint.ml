@@ -124,19 +124,13 @@ let run_invariants () =
         Workloads.Cm1.supervised_workload chaos_cluster scale.Experiments.Scale.cm1_config
           ~iters_per_unit:1
       in
-      let injector = ref None in
       let report =
-        Blobcr.Supervisor.run chaos_cluster ~kind:Blobcr.Approach.Blobcr
-          ~policy:{ Blobcr.Supervisor.default_policy with checkpoint_interval = 2 }
-          ~on_ready:(fun sup ->
-            injector :=
-              Some
-                (Faults.start chaos_cluster.Blobcr.Cluster.engine
-                   ~script:[ { Faults.at = 6.0; action = Faults.Crash_host 0 } ]
-                   ~handlers:(Blobcr.Supervisor.fault_handlers sup)))
-          ~id:"audit-sup" ~gang:2 ~units:6 ~workload ()
+        Blobcr.Supervisor.report
+          (Blobcr.Supervisor.run chaos_cluster ~kind:Blobcr.Approach.Blobcr
+             ~policy:{ Blobcr.Supervisor.default_policy with checkpoint_interval = 2 }
+             ~faults:[ { Faults.at = 6.0; action = Faults.Crash_host 0 } ]
+             ~id:"audit-sup" ~gang:2 ~units:6 ~workload ())
       in
-      (match !injector with Some inj -> Faults.stop inj | None -> ());
       if not (report.Blobcr.Supervisor.finished && report.Blobcr.Supervisor.recoveries > 0)
       then
         Fmt.epr "warning: chaos scenario finished=%b recoveries=%d@."

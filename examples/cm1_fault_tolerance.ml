@@ -32,8 +32,9 @@ let cm1_config =
 (* Scripted failures: crash the node hosting the first instance shortly
    after the second checkpoint lands, then fail-stop a surviving data
    provider while recovery is re-reading the snapshot — the restart rides
-   on replica failover. Times are relative to injector start. *)
-let script =
+   on replica failover. Times are relative to the injector's start, once
+   the supervisor's initial deploy and checkpoint are done. *)
+let faults =
   [
     { Faults.at = 18.0; action = Faults.Crash_host 0 };
     { Faults.at = 19.2; action = Faults.Fail_provider 2 };
@@ -56,18 +57,11 @@ let () =
       let policy =
         { Supervisor.default_policy with checkpoint_interval = checkpoint_every }
       in
-      let injector = ref None in
       let report =
-        Supervisor.run cluster ~kind:Approach.Blobcr ~policy
-          ~on_ready:(fun sup ->
-            injector :=
-              Some
-                (Faults.start cluster.Cluster.engine ~script
-                   ~handlers:(Supervisor.fault_handlers sup)))
-          ~id:"cm1" ~gang ~units:total_units ~workload ()
+        Supervisor.report
+          (Supervisor.run cluster ~kind:Approach.Blobcr ~policy ~faults ~id:"cm1" ~gang
+             ~units:total_units ~workload ())
       in
-      (match !injector with Some inj -> Faults.stop inj | None -> ());
-      let say fmt = Fmt.pr ("[t=%7.2fs] " ^^ fmt ^^ "@.") (Cluster.now cluster) in
       List.iter
         (fun event ->
           match event with

@@ -55,10 +55,6 @@ val audit_client : Client.t -> violation list
     still alive to recover them — a fail-stopped site abandoned by a
     failover legitimately holds its intents forever. *)
 
-val audit_subject : Engine.audit_subject -> (string * violation list) option
-(** Dispatch over the registered subject kinds; [None] for foreign
-    subjects. *)
-
 val audit_engine : Engine.t -> violation list
 (** Audit every subject registered with the engine. *)
 

@@ -124,7 +124,6 @@ let fresh_serial t =
 let engine t = t.engine
 let net t = t.net
 let params t = t.params
-let provider_count t = Provider_manager.provider_count t.pm
 let data_provider t i = Provider_manager.provider t.pm i
 let data_providers t = Provider_manager.providers t.pm
 let version_manager t = t.vm

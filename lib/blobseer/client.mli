@@ -43,9 +43,6 @@ val net : t -> Net.t
 val params : t -> Types.params
 (** The parameters the deployment was stood up with. *)
 
-val provider_count : t -> int
-(** Number of data providers. *)
-
 val data_provider : t -> int -> Data_provider.t
 (** The [i]-th data provider (deployment order). *)
 

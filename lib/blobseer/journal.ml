@@ -6,13 +6,9 @@ type 'a t = {
   jname : string;
   mutable entries_rev : 'a entry list; (* newest first *)
   mutable next_id : int;
-  mutable committed : int;
-  mutable aborted : int;
 }
 
-let create ~name () = { jname = name; entries_rev = []; next_id = 0; committed = 0; aborted = 0 }
-
-let name t = t.jname
+let create ~name () = { jname = name; entries_rev = []; next_id = 0 }
 
 let append t intent =
   let id = t.next_id in
@@ -28,14 +24,12 @@ let find t id =
 let commit t id =
   let e = find t id in
   if e.status <> Pending then invalid_arg (t.jname ^ ": entry already resolved");
-  e.status <- Committed;
-  t.committed <- t.committed + 1
+  e.status <- Committed
 
 let abort t id =
   let e = find t id in
   if e.status <> Pending then invalid_arg (t.jname ^ ": entry already resolved");
-  e.status <- Aborted;
-  t.aborted <- t.aborted + 1
+  e.status <- Aborted
 
 let pending t =
   List.filter_map
@@ -43,5 +37,3 @@ let pending t =
     (List.rev t.entries_rev)
 
 let pending_count t = List.length (pending t)
-let committed t = t.committed
-let aborted t = t.aborted

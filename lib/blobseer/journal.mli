@@ -32,12 +32,3 @@ val pending : 'a t -> (int * 'a) list
 val pending_count : 'a t -> int
 (** [List.length (pending t)]; the journal-quiescence audit asserts this
     is 0 at teardown. *)
-
-val committed : 'a t -> int
-(** Total intents marked committed. *)
-
-val aborted : 'a t -> int
-(** Total intents rolled back. *)
-
-val name : 'a t -> string
-(** The name passed at creation. *)

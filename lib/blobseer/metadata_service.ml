@@ -43,10 +43,6 @@ let fail t i =
   if i < 0 || i >= Array.length t.providers then invalid_arg "Metadata_service.fail";
   t.providers.(i).malive <- false
 
-let recover t i =
-  if i < 0 || i >= Array.length t.providers then invalid_arg "Metadata_service.recover";
-  t.providers.(i).malive <- true
-
 let alive_count t =
   Array.fold_left (fun acc p -> if p.malive then acc + 1 else acc) 0 t.providers
 

@@ -29,9 +29,6 @@ val fail : t -> int -> unit
 (** Fail-stop metadata provider [i]: batches route around it (tree nodes
     are replicated across the pool in the real system). *)
 
-val recover : t -> int -> unit
-(** Bring provider [i] back into rotation. *)
-
 val alive_count : t -> int
 (** Live providers. {!commit_nodes}/{!fetch_nodes} raise
     {!Types.Provider_down} when this reaches zero. *)

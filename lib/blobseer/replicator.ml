@@ -113,7 +113,6 @@ let config t = t.config
 let promoted t = t.promoted
 let primary t = t.primary
 let standby t = t.standby
-let inflight t = t.inflight
 
 (* The in-flight window as (blob, version) pins: every pending record
    still reads primary-side snapshot state (fetch walks the published

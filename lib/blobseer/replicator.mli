@@ -108,9 +108,6 @@ val stats : t -> stats
 val lag : t -> int
 (** Records announced but not yet fully applied — the replication lag. *)
 
-val inflight : t -> int
-(** Records currently inside the bounded fetch/ship window. *)
-
 val unsettled : t -> (int * int) list
 (** The in-flight window as [(blob, version)] pairs on the {e primary}
     that pending records still read from (published versions being

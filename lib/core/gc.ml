@@ -8,10 +8,8 @@ type report = {
   index_entries_dropped : int;
 }
 
-(* The mark-set computations live in {!Client} (shared with the
-   compactor's precise sweep); re-exported here for diagnostics/tests. *)
-let live_chunk_refs = Client.live_chunk_refs
-let live_digest_refs = Client.live_digest_refs
+(* The mark-set computations live in {!Client}, shared with the
+   compactor's precise sweep. *)
 
 let collect service ?(pins = []) ~keep_last () =
   if keep_last < 1 then invalid_arg "Gc.collect: keep_last must be >= 1";

@@ -26,13 +26,3 @@ val collect : Client.t -> ?pins:(int * int) list -> keep_last:int -> unit -> rep
     versions the scrubber is repairing ({!Blobseer.Scrubber.pins}).
     Without pins, a collection racing a
     rollback could prune the very snapshot the supervisor needs next. *)
-
-val live_chunk_refs : Client.t -> (int * int, int) Hashtbl.t
-(** For diagnostics and tests: map from physical chunk identity
-    [(provider, chunk_id)] to the number of retained snapshot references. *)
-
-val live_digest_refs : Client.t -> (int64 * (int * int * Types.replica list)) list
-(** Ground truth for dedup-index reconciliation: per live content digest
-    (sorted), the number of distinct descriptor serials referencing it
-    across all retained versions, its size and an exemplar replica set.
-    Collection resets the index to exactly this state. *)

@@ -46,6 +46,7 @@ type report = {
   recovery_latencies : float list;
   checkpoint_time : float;
   events : event list;
+  injected : Faults.event list;
 }
 
 type t = {
@@ -65,6 +66,7 @@ type t = {
   mutable snapshot_history : (Approach.snapshot list * int) list;
   scrub_config : Scrubber.config option;
   mutable scrubber : Scrubber.t option;
+  mutable injector : Faults.t option;
   mutable units_done : int;
   mutable checkpoints : int;
   mutable recoveries : int;
@@ -658,10 +660,10 @@ let report t =
     recovery_latencies = List.rev t.latencies_rev;
     checkpoint_time = t.ckpt_time;
     events = List.rev t.events_rev;
+    injected = (match t.injector with Some inj -> Faults.applied inj | None -> []);
   }
 
 let instances t = t.instances
-let cluster t = t.cluster
 let scrubber t = t.scrubber
 
 (* Snapshot versions recovery may still roll back to: both committed
@@ -685,8 +687,8 @@ let audit t =
        [ "run ended without finishing and without abandoning instances" ]
      else [])
 
-let run cluster ~kind ?(policy = default_policy) ?scrub ?compaction ?on_ready ~id ~gang ~units
-    ~workload () =
+let run cluster ~kind ?(policy = default_policy) ?scrub ?compaction ?(faults = []) ~id ~gang
+    ~units ~workload () =
   if gang < 1 then invalid_arg "Supervisor.run: gang must be >= 1";
   if units < 1 then invalid_arg "Supervisor.run: units must be >= 1";
   if policy.checkpoint_interval < 1 then
@@ -708,6 +710,7 @@ let run cluster ~kind ?(policy = default_policy) ?scrub ?compaction ?on_ready ~i
       snapshot_history = [];
       scrub_config = scrub;
       scrubber = None;
+      injector = None;
       units_done = 0;
       checkpoints = 0;
       recoveries = 0;
@@ -780,7 +783,8 @@ let run cluster ~kind ?(policy = default_policy) ?scrub ?compaction ?on_ready ~i
         Compactor.start c;
         Some c
   in
-  (match on_ready with Some f -> f t | None -> ());
+  if faults <> [] then
+    t.injector <- Some (Faults.start (engine t) ~script:faults ~handlers:(fault_handlers t));
   supervise t;
   (match t.scrubber with Some s -> Scrubber.stop s | None -> ());
   (match compactor with
@@ -791,5 +795,6 @@ let run cluster ~kind ?(policy = default_policy) ?scrub ?compaction ?on_ready ~i
       if not (Compactor.is_alive c) then Compactor.restart c;
       Compactor.stop c
   | None -> ());
+  Option.iter Faults.stop t.injector;
   t.done_ <- true;
-  report t
+  t

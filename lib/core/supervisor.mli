@@ -89,6 +89,9 @@ type report = {
   recovery_latencies : float list;  (** detection → resumed, per recovery *)
   checkpoint_time : float;  (** total time inside committed checkpoints *)
   events : event list;  (** chronological *)
+  injected : Faults.event list;
+      (** faults the run's injector applied, in order, [at] rewritten to
+          absolute simulation time; empty without [faults] *)
 }
 
 type t
@@ -101,19 +104,31 @@ val run :
   ?policy:policy ->
   ?scrub:Blobseer.Scrubber.config ->
   ?compaction:Blobseer.Compactor.config ->
-  ?on_ready:(t -> unit) ->
+  ?faults:Faults.script ->
   id:string ->
   gang:int ->
   units:int ->
   workload:workload ->
   unit ->
-  report
+  t
 (** Deploy [gang] instances named [id].[k], run [units] work units under
-    supervision, return the final report. Takes a mandatory initial
-    checkpoint before the first unit (recovery always has a snapshot set)
-    and a final one after the last. [on_ready] fires after the initial
-    deploy + checkpoint — the place to start a fault injector. Must be
-    called from within {!Cluster.run}.
+    supervision, and return the finished supervisor: read its outcome
+    with {!report}, {!instances}, {!scrubber} and {!audit}. Takes a
+    mandatory initial checkpoint before the first unit (recovery always
+    has a snapshot set) and a final one after the last. Must be called
+    from within {!Cluster.run}.
+
+    A non-empty [faults] script (default empty: no injector) starts a
+    {!Faults} injector once the initial deploy and checkpoint are done and
+    the background services run, so script times are relative to that
+    point. Its handlers resolve targets against this run: a host crash
+    hits a live node hosting the gang (the whole cluster when none is
+    placed), provider/metadata failures hit the BlobSeer services,
+    transient disk errors arm node-local disks, degradation/partitions hit
+    the network, service crashes hit the scrubber or compactor, and
+    targets are taken modulo the respective population size. The injector
+    is stopped just before [run] returns, after the compactor settles:
+    events due later are never applied, nor listed in [injected].
 
     With [scrub], a background {!Blobseer.Scrubber} runs on the supervisor
     host for the duration of the run, and every recovery scrubs the
@@ -128,21 +143,11 @@ val run :
     in-progress marks and the replicator's in-flight window. Its journal
     is settled (recovered if necessary) before teardown. *)
 
-val fault_handlers : t -> Faults.handlers
-(** Handlers wiring injector actions onto this cluster: host crashes
-    fail-stop compute nodes (and this supervisor's instances on them),
-    provider/metadata failures hit the BlobSeer services, transient disk
-    errors arm node-local disks, degradation/partitions hit the network.
-    Targets are taken modulo the respective population size. *)
-
 val report : t -> report
 (** Counters accumulated over the supervised run. *)
 
 val instances : t -> Approach.instance list
 (** The gang's current (possibly redeployed) instances. *)
-
-val cluster : t -> Cluster.t
-(** The cluster this supervisor drives. *)
 
 val scrubber : t -> Blobseer.Scrubber.t option
 (** The background scrubber, when [run] was given a [scrub] config. *)

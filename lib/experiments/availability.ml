@@ -50,38 +50,23 @@ let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~kind ~mtbf ~interval 
          deterministic function of the scale (never wall clock). *)
       let horizon = (nominal *. 4.0) +. 120.0 in
       let policy = { Supervisor.default_policy with checkpoint_interval = interval } in
-      let injector = ref None in
+      (* Drawn before the run: a derived stream depends on the seed alone. *)
+      let rng = Engine.derived_rng cluster.Cluster.engine "availability.fault-script" in
+      let faults =
+        Faults.of_profile ~rng ~mtbf ~horizon
+          ~hosts:(Cluster.node_count cluster)
+          ~providers:(Cluster.node_count cluster) ()
+      in
       let t0 = Cluster.now cluster in
       let report =
-        Supervisor.run cluster ~kind ~policy
-          ~on_ready:(fun sup ->
-            (* [on_ready] fires inside the run, racing gang-deploy events:
-               an order-keyed split here would make the fault script itself
-               schedule-dependent. *)
-            let rng = Engine.derived_rng cluster.Cluster.engine "availability.fault-script" in
-            let script =
-              Faults.of_profile ~rng ~mtbf ~horizon
-                ~hosts:(Cluster.node_count cluster)
-                ~providers:(Cluster.node_count cluster) ()
-            in
-            injector :=
-              Some
-                (Faults.start cluster.Cluster.engine ~script
-                   ~handlers:(Supervisor.fault_handlers sup)))
-          ~id:"avail" ~gang:scale.Scale.availability_gang ~units ~workload ()
+        Supervisor.report
+          (Supervisor.run cluster ~kind ~policy ~faults ~id:"avail"
+             ~gang:scale.Scale.availability_gang ~units ~workload ())
       in
-      let injected =
-        match !injector with
-        | Some inj ->
-            Faults.stop inj;
-            List.iter
-              (fun e -> progress (Fmt.str "    %a" Faults.pp_event e))
-              (Faults.applied inj);
-            List.length (Faults.applied inj)
-        | None -> 0
-      in
+      let injected = report.Supervisor.injected in
+      List.iter (fun e -> progress (Fmt.str "    %a" Faults.pp_event e)) injected;
       progress
-        (Fmt.str "  %d fault(s) injected, %d recover(ies), finished=%b" injected
+        (Fmt.str "  %d fault(s) injected, %d recover(ies), finished=%b" (List.length injected)
            report.Supervisor.recoveries report.Supervisor.finished);
       let makespan = Cluster.now cluster -. t0 in
       let completed_compute = float_of_int report.Supervisor.units_completed *. unit_time scale in

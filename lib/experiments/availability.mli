@@ -27,9 +27,6 @@ type point = {
   checkpoint_cost : float;  (** mean committed global-checkpoint duration *)
 }
 
-val kinds : Approach.kind list
-(** BlobCR-app and qcow2-disk-app — the two approaches the sweep compares. *)
-
 val sweep : Scale.t -> ?progress:(string -> unit) -> unit -> point list
 (** One supervised chaos run per (kind, mtbf, interval) cell, each on a
     fresh cluster seeded from the scale (same scale ⇒ same failure

@@ -30,10 +30,6 @@ let phys_read cluster =
 
 let reader_node cluster = Cluster.node cluster (min 1 (Cluster.node_count cluster - 1))
 
-let mean = function
-  | [] -> 0.0
-  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
 (* ------------------------------------------------------------------ *)
 (* BlobSeer side *)
 
@@ -111,7 +107,7 @@ let bs_harness (scale : Scale.t) ?policy ?(with_faults = fun _ _ -> None) ~depth
           restart_s;
           restart_digest = Payload.digest image;
           read_amp = float_of_int (phys_read cluster - pre) /. float_of_int capacity;
-          epoch_mean_s = mean !epoch_times;
+          epoch_mean_s = Stats.mean !epoch_times;
           reclaimed_bytes =
             (match compactor with
             | Some c -> (Blobseer.Compactor.stats c).Blobseer.Compactor.bytes_reclaimed
@@ -248,7 +244,7 @@ let q_run (scale : Scale.t) ~collapse ~depth () =
         q_restart_s;
         q_restart_digest = Payload.digest image;
         q_read_amp = float_of_int (phys_read cluster - pre) /. float_of_int capacity;
-        q_epoch_mean_s = mean !epoch_times;
+        q_epoch_mean_s = Stats.mean !epoch_times;
         q_reclaimed_bytes = !reclaimed;
         q_chain_levels = Vdisk.Qcow2.remote_chain_depth !tip;
       })

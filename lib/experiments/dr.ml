@@ -19,7 +19,6 @@ type outcome = {
   rpo_units : int;
   rto : float;
   integrity_failures : int;
-  injected : Faults.event list;
   engine : Simcore.Engine.t;
 }
 
@@ -51,27 +50,13 @@ let dr_run (scale : Scale.t) ?(config = Blobseer.Replicator.default_config) ?cra
   in
   Cluster.run cluster (fun () ->
       let workload = Cm1.supervised_workload cluster scale.Scale.cm1_config ~iters_per_unit:1 in
-      let injector = ref None and sup = ref None in
-      let report =
+      let sup =
         Supervisor.run cluster ~kind:Approach.Blobcr
           ~policy:{ Supervisor.default_policy with checkpoint_interval = interval }
-          ~on_ready:(fun s ->
-            sup := Some s;
-            injector :=
-              Some
-                (Faults.start cluster.Cluster.engine
-                   ~script:[ { Faults.at = crash_at; action = Faults.Crash_site } ]
-                   ~handlers:(Supervisor.fault_handlers s)))
+          ~faults:[ { Faults.at = crash_at; action = Faults.Crash_site } ]
           ~id:"dr" ~gang ~units ~workload ()
       in
-      let injected =
-        match !injector with
-        | Some inj ->
-            Faults.stop inj;
-            Faults.applied inj
-        | None -> []
-      in
-      let sup = Option.get !sup in
+      let report = Supervisor.report sup in
       let repl =
         match Cluster.replicator cluster with
         | Some r -> r
@@ -101,7 +86,6 @@ let dr_run (scale : Scale.t) ?(config = Blobseer.Replicator.default_config) ?cra
         rpo_units;
         rto;
         integrity_failures;
-        injected;
         engine = cluster.Cluster.engine;
       })
 
@@ -113,9 +97,10 @@ let control_run (scale : Scale.t) ?(interval = 2) ?(gang = 2) ?(units = 6) () =
   in
   Cluster.run cluster (fun () ->
       let workload = Cm1.supervised_workload cluster scale.Scale.cm1_config ~iters_per_unit:1 in
-      Supervisor.run cluster ~kind:Approach.Blobcr
-        ~policy:{ Supervisor.default_policy with checkpoint_interval = interval }
-        ~id:"dr-ctl" ~gang ~units ~workload ())
+      Supervisor.report
+        (Supervisor.run cluster ~kind:Approach.Blobcr
+           ~policy:{ Supervisor.default_policy with checkpoint_interval = interval }
+           ~id:"dr-ctl" ~gang ~units ~workload ()))
 
 let committed_costs (report : Supervisor.report) =
   List.filter_map
@@ -145,29 +130,27 @@ let primary_checkpoint_costs (report : Supervisor.report) =
       | _ -> None)
     report.Supervisor.events
 
-let mean = function
-  | [] -> 0.0
-  | cs -> List.fold_left ( +. ) 0.0 cs /. float_of_int (List.length cs)
-
 let rec take n = function x :: tl when n > 0 -> x :: take (n - 1) tl | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Sweep: link latency x checkpoint interval x window. *)
 
 type point = {
-  link_latency : float;
-  window : int;
-  interval : int;
+  link_latency : float;  (** WAN one-way latency, seconds *)
+  window : int;  (** replication in-flight window *)
+  interval : int;  (** checkpoint interval, work units *)
   finished : bool;
   failed_over : bool;
   rpo_versions : int;
   rpo_bytes : int;
   rpo_units : int;
   rto : float;
-  max_lag : int;
+  max_lag : int;  (** replication-lag high-water mark, records *)
   checkpoint_cost : float;
+      (** mean pre-failover committed-checkpoint duration with DR *)
   checkpoint_cost_nodr : float;
-  overhead_pct : float;
+      (** the control's mean over its commits at the same positions *)
+  overhead_pct : float;  (** (cost / control − 1) × 100 *)
 }
 
 let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~link_latency ~window ~interval
@@ -183,8 +166,10 @@ let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~link_latency ~window 
      against the control's commits at the same positions — not against the
      control's whole-run mean. *)
   let dr_costs = primary_checkpoint_costs o.report in
-  let checkpoint_cost = mean dr_costs in
-  let checkpoint_cost_nodr = mean (take (List.length dr_costs) (committed_costs control)) in
+  let checkpoint_cost = Simcore.Stats.mean dr_costs in
+  let checkpoint_cost_nodr =
+    Simcore.Stats.mean (take (List.length dr_costs) (committed_costs control))
+  in
   let overhead_pct =
     if checkpoint_cost_nodr > 0.0 then
       (checkpoint_cost /. checkpoint_cost_nodr -. 1.0) *. 100.0

@@ -28,7 +28,6 @@ type outcome = {
   rpo_units : int;  (** work units rolled back relative to the primary *)
   rto : float;  (** detection-to-running failover latency, seconds *)
   integrity_failures : int;  (** checksum-mismatch failovers, both sites *)
-  injected : Faults.event list;  (** faults actually applied, in order *)
   engine : Simcore.Engine.t;
       (** the quiesced engine the run executed on, with its audit subjects
           still registered — schedule fuzzing audits it post-run *)
@@ -53,42 +52,6 @@ val dr_run :
     with a single scripted {!Blobcr.Faults.Crash_site} at [crash_at]
     (default {!default_crash_at}). Same scale, config and crash time ⇒
     same outcome, byte for byte. *)
-
-type point = {
-  link_latency : float;  (** WAN one-way latency, seconds *)
-  window : int;  (** replication in-flight window *)
-  interval : int;  (** checkpoint interval, work units *)
-  finished : bool;
-  failed_over : bool;
-  rpo_versions : int;
-  rpo_bytes : int;
-  rpo_units : int;
-  rto : float;
-  max_lag : int;  (** replication-lag high-water mark, records *)
-  checkpoint_cost : float;
-      (** mean pre-failover committed-checkpoint duration with DR *)
-  checkpoint_cost_nodr : float;
-      (** the control's mean over its commits at the same positions *)
-  overhead_pct : float;  (** (cost / control − 1) × 100 *)
-}
-
-val run_point :
-  Scale.t ->
-  ?progress:(string -> unit) ->
-  link_latency:float ->
-  window:int ->
-  interval:int ->
-  control:Supervisor.report ->
-  unit ->
-  point
-(** One disaster run at the given cell. Overhead is positional: the DR
-    run's pre-failover commits against the control's commits at the same
-    positions (the first checkpoint ships the full image and is inherently
-    pricier than later incremental ones). *)
-
-val sweep : Scale.t -> ?progress:(string -> unit) -> unit -> point list
-(** The (link latency × window × interval) grid taken from the scale's dr
-    axes, with one control run per interval for the overhead baseline. *)
 
 val tables :
   Scale.t -> ?progress:(string -> unit) -> unit -> (string * Simcore.Stats.table) list

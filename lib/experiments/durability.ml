@@ -17,7 +17,6 @@ type chaos = {
   scrub_stats : Blobseer.Scrubber.stats;
   scrub_events : Blobseer.Scrubber.event list;
   integrity_failures : int;
-  injected : Faults.event list;
   engine : Engine.t;
 }
 
@@ -58,37 +57,19 @@ let chaos_run (scale : Scale.t) ?script ?(replication = 2)
   let cluster = Cluster.build ~seed:scale.Scale.seed ~schedule:scale.Scale.schedule cal in
   Cluster.run cluster (fun () ->
       let workload = Cm1.supervised_workload cluster scale.Scale.cm1_config ~iters_per_unit:1 in
-      let injector = ref None and sup = ref None in
-      let report =
-        Supervisor.run cluster ~kind:Approach.Blobcr ~policy ~scrub
-          ~on_ready:(fun s ->
-            sup := Some s;
-            let script =
-              match script with Some f -> f cluster | None -> acceptance_script
-            in
-            injector :=
-              Some
-                (Faults.start cluster.Cluster.engine ~script
-                   ~handlers:(Supervisor.fault_handlers s)))
-          ~id:"dur" ~gang ~units ~workload ()
+      let faults = match script with Some f -> f cluster | None -> acceptance_script in
+      let sup =
+        Supervisor.run cluster ~kind:Approach.Blobcr ~policy ~scrub ~faults ~id:"dur" ~gang
+          ~units ~workload ()
       in
-      let injected =
-        match !injector with
-        | Some inj ->
-            Faults.stop inj;
-            Faults.applied inj
-        | None -> []
-      in
-      let sup = Option.get !sup in
       let scrubber = Option.get (Supervisor.scrubber sup) in
       {
-        report;
+        report = Supervisor.report sup;
         digests = final_subdomain_digests sup;
         audit = Supervisor.audit sup;
         scrub_stats = Blobseer.Scrubber.stats scrubber;
         scrub_events = Blobseer.Scrubber.events scrubber;
         integrity_failures = Blobseer.Client.integrity_failures cluster.Cluster.service;
-        injected;
         engine = cluster.Cluster.engine;
       })
 
@@ -134,16 +115,17 @@ let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~corrupt_weight ~repli
       ~scrub:{ Blobseer.Scrubber.default_config with interval = scrub_interval }
       ~gang:scale.Scale.durability_gang ~units:scale.Scale.durability_units ()
   in
+  let injected = chaos.report.Supervisor.injected in
   let corruptions =
     List.length
       (List.filter
          (fun (e : Faults.event) ->
            match e.Faults.action with Faults.Silent_corruption _ -> true | _ -> false)
-         chaos.injected)
+         injected)
   in
   progress
     (Fmt.str "  %d fault(s) (%d corruption(s)), %d recover(ies), %d repair(s), finished=%b"
-       (List.length chaos.injected) corruptions chaos.report.Supervisor.recoveries
+       (List.length injected) corruptions chaos.report.Supervisor.recoveries
        chaos.scrub_stats.Blobseer.Scrubber.repairs chaos.report.Supervisor.finished);
   {
     corrupt_weight;

@@ -26,7 +26,6 @@ type chaos = {
   scrub_stats : Blobseer.Scrubber.stats;
   scrub_events : Blobseer.Scrubber.event list;  (** chronological scrub log *)
   integrity_failures : int;  (** client checksum-mismatch failovers *)
-  injected : Faults.event list;  (** faults actually applied, in order *)
   engine : Simcore.Engine.t;
       (** the quiesced engine the run executed on, with its audit subjects
           still registered — schedule fuzzing audits it post-run *)
@@ -73,17 +72,6 @@ type point = {
   unrepairable : int;
   checkpoint_cost : float;
 }
-
-val run_point :
-  Scale.t ->
-  ?progress:(string -> unit) ->
-  corrupt_weight:int ->
-  replication:int ->
-  scrub_interval:float ->
-  unit ->
-  point
-(** One profile-generated chaos run at the given corruption weight,
-    replication degree and scrub interval. *)
 
 val sweep : Scale.t -> ?progress:(string -> unit) -> unit -> point list
 (** The (corruption weight × replication × scrub interval) grid taken from

@@ -38,7 +38,6 @@ let fig2_3 tag buffer_of scale ~progress =
   in
   [ ("fig2" ^ tag, ckpt); ("fig3" ^ tag, restart) ]
 
-let only name tables = List.filter (fun (n, _) -> n = name) tables
 let small (s : Scale.t) = s.Scale.buffer_small
 let large (s : Scale.t) = s.Scale.buffer_large
 
@@ -60,20 +59,6 @@ let all =
       run = (fun scale ~progress -> tables_only (fig2_3 "b" large scale ~progress));
     };
     {
-      id = "fig3a";
-      paper_ref = "Figure 3(a)";
-      description = "Restart completion time vs number of hosts, 50 MB buffer";
-      run =
-        (fun scale ~progress -> tables_only (only "fig3a" (fig2_3 "a" small scale ~progress)));
-    };
-    {
-      id = "fig3b";
-      paper_ref = "Figure 3(b)";
-      description = "Restart completion time vs number of hosts, 200 MB buffer";
-      run =
-        (fun scale ~progress -> tables_only (only "fig3b" (fig2_3 "b" large scale ~progress)));
-    };
-    {
       id = "fig4";
       paper_ref = "Figure 4";
       description = "Snapshot size per VM instance, 50 MB and 200 MB buffers";
@@ -89,15 +74,6 @@ let all =
         (fun scale ~progress ->
           let times, storage = Figures.fig5 scale ~progress () in
           tables_only [ ("fig5a", times); ("fig5b", storage) ]);
-    };
-    {
-      id = "fig5b";
-      paper_ref = "Figure 5(b)";
-      description = "Cumulative storage across successive checkpoints";
-      run =
-        (fun scale ~progress ->
-          let _, storage = Figures.fig5 scale ~progress () in
-          tables_only [ ("fig5b", storage) ]);
     };
     {
       id = "fig6";

@@ -20,10 +20,11 @@ type t = {
 }
 
 val all : t list
-(** fig2a, fig2b, fig3a, fig3b, fig4, fig5a, fig5b, fig6, table1, plus the
-    ablation studies abl-prefetch, abl-stripe, abl-replication and
-    abl-incremental. Entries that share a sweep (fig2a/fig3a, fig5a/fig5b)
-    emit both outputs in one run. *)
+(** fig2a, fig2b, fig4, fig5a, fig6, table1, the experiments beyond the
+    paper, and the ablation studies abl-prefetch, abl-stripe,
+    abl-replication and abl-incremental. Figures measured in one sweep
+    share an entry: fig2a and fig2b also emit the fig3a and fig3b restart
+    tables, fig5a also emits the fig5b storage table. *)
 
 val find : string -> t option
 (** Look up an experiment by id, e.g. ["fig2a"]. *)

@@ -4,8 +4,8 @@
     failures, data/metadata-provider fail-stops, transient disk I/O errors
     and link degradation/partitions — against an embedder through a record
     of {!handlers}. Scripts are either written explicitly or generated from
-    an MTBF-parameterized profile with an engine-owned {!Simcore.Rng}, so
-    the same seed reproduces the exact failure timeline.
+    an MTBF-parameterized profile with a seeded {!Simcore.Rng}, so the same
+    seed reproduces the exact failure timeline.
 
     The injector is deliberately generic: it names targets by small integer
     indices and leaves their resolution (which host, which provider, which

@@ -43,7 +43,6 @@ let create engine net ~size =
     barrier_signal = Engine.Ivar.create engine;
   }
 
-let size t = t.csize
 
 let attach t ~rank ~vm =
   if rank < 0 || rank >= t.csize then invalid_arg "Comm.attach: rank out of range";
@@ -52,8 +51,6 @@ let attach t ~rank ~vm =
   t.endpoints.(rank) <- Some ep;
   ep
 
-let rank ep = ep.erank
-let vm ep = ep.evm
 
 let endpoint t r =
   match t.endpoints.(r) with

@@ -23,18 +23,9 @@ exception Draining
 val create : Engine.t -> Net.t -> size:int -> t
 (** A communicator with [size] ranks, initially unattached. *)
 
-val size : t -> int
-(** Number of ranks fixed at creation. *)
-
 val attach : t -> rank:int -> vm:Vmsim.Vm.t -> endpoint
 (** Bind a rank to the VM it runs in. Each rank must be attached exactly
     once before communicating. *)
-
-val rank : endpoint -> int
-(** The rank this endpoint was attached as. *)
-
-val vm : endpoint -> Vmsim.Vm.t
-(** The VM this endpoint was attached to. *)
 
 val send : endpoint -> dst:int -> bytes:int -> unit
 (** Blocking send: transfers [bytes] to the destination rank's host and

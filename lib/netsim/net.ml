@@ -66,7 +66,6 @@ let create engine cfg =
     delivered_after_heal = 0;
   }
 
-let engine t = t.engine
 let config t = t.cfg
 
 let add_host t ~name =

@@ -32,9 +32,6 @@ val default_config : config
 val create : Engine.t -> config -> t
 (** A fresh network with no hosts. *)
 
-val engine : t -> Engine.t
-(** The engine the network was created on. *)
-
 val config : t -> config
 (** The configuration passed at creation. *)
 
@@ -87,9 +84,6 @@ val degrade : t -> factor:float -> until:float -> unit
     simulation time [until]: every segment pays [factor - 1] extra
     serialization delays on the sender side. A new call replaces the
     previous degradation. *)
-
-val degradation : t -> float
-(** The factor currently in force (1.0 once expired). *)
 
 val partition : t -> side:(host -> bool) -> until:float -> unit
 (** Cut the network along [side] until absolute time [until]: transfers

@@ -1,8 +1,8 @@
 (** Observability collector: spans, metric cells and run snapshots.
 
     A {e collector} is installed for the duration of one {!capture} call (a
-    global, like {!Simcore.Trace.set_sink}); while installed, {!Span} and
-    {!Metrics} record into it. When no collector is installed every
+    global, like the sink {!Simcore.Trace.capture} installs); while
+    installed, {!Span} and {!Metrics} record into it. When no collector is installed every
     recording entry point is a no-op that reads neither the clock nor the
     RNG, so observability-off runs are bit-identical to uninstrumented
     ones. *)

@@ -74,7 +74,6 @@ let process_then t bytes k =
 let process t ?stream bytes = process_many t ?stream ~ops:1 bytes
 
 let name t = t.sname
-let rate t = t.rate
 let busy_time t = t.busy
 let ops t = t.ops
 let bytes_served t = t.bytes

@@ -42,9 +42,6 @@ val seeks : t -> int
 val name : t -> string
 (** The name passed at creation (for traces); [""] by default. *)
 
-val rate : t -> float
-(** Service rate in bytes/second. *)
-
 val busy_time : t -> float
 (** Total simulated seconds the server has spent serving requests. *)
 

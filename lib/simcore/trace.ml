@@ -1,7 +1,6 @@
 type sink = time:float -> component:string -> string -> unit
 
 let current_sink : sink option ref = ref None
-let set_sink s = current_sink := s
 let enabled () = !current_sink <> None
 
 let emit engine ~component fmt =
@@ -16,9 +15,9 @@ let capture f =
   let sink ~time ~component msg =
     lines := Fmt.str "t=%.6fs [%s] %s" time component msg :: !lines
   in
-  set_sink (Some sink);
+  current_sink := Some sink;
   Fun.protect
-    ~finally:(fun () -> set_sink saved)
+    ~finally:(fun () -> current_sink := saved)
     (fun () ->
       let result = f () in
       (result, List.rev !lines))

@@ -4,11 +4,6 @@
     off by default and cheap when disabled. Determinism tests capture the
     trace of two runs and compare them. *)
 
-type sink = time:float -> component:string -> string -> unit
-
-val set_sink : sink option -> unit
-(** Install (or remove) the global trace sink. *)
-
 val enabled : unit -> bool
 (** Whether a sink is currently installed. *)
 

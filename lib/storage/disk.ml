@@ -75,7 +75,6 @@ let reserve t bytes =
   t.used <- t.used + bytes
 
 let name t = t.dname
-let capacity t = t.capacity
 let used t = t.used
 let bytes_read t = t.bytes_read
 let bytes_written t = t.bytes_written

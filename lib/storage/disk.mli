@@ -54,9 +54,6 @@ val armed_faults : t -> int
 val name : t -> string
 (** The name passed at creation (for traces and error reports). *)
 
-val capacity : t -> int
-(** Total capacity in bytes. *)
-
 val used : t -> int
 (** Bytes currently accounted against capacity. *)
 

@@ -90,8 +90,6 @@ let create engine ~host ~local_disk ?(cluster_size = default_cluster_size) ~capa
   t
 
 let name t = t.qname
-let capacity t = t.qcapacity
-let cluster_size t = t.qcluster_size
 let data_bytes t = t.next_phys * t.qcluster_size
 
 let file_size t =

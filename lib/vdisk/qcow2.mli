@@ -44,12 +44,6 @@ val create :
 val name : t -> string
 (** The name passed at creation (for traces). *)
 
-val capacity : t -> int
-(** Guest-visible byte capacity. *)
-
-val cluster_size : t -> int
-(** Allocation and copy-on-write granularity. *)
-
 val read : t -> offset:int -> len:int -> Payload.t
 (** Allocated clusters read from the local disk; anything else falls
     through the backing chain (remote I/O through PVFS). *)

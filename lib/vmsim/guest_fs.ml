@@ -45,7 +45,6 @@ let format dev ?(block_size = 4 * Size.kib) ?(meta_region = 4 * Size.mib) () =
     meta_dirty = true;
   }
 
-let block_size t = t.block_size
 
 (* ------------------------------------------------------------------ *)
 (* Metadata persistence *)

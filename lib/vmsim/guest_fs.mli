@@ -28,9 +28,6 @@ val mount : Block_dev.t -> t
     device reads). Raises [Failure] if the device holds no valid file
     system. *)
 
-val block_size : t -> int
-(** Allocation granularity fixed at {!format} time. *)
-
 val write_file : t -> path:string -> Payload.t -> unit
 (** Create or replace a file (page cache only until {!sync}). *)
 

@@ -191,15 +191,6 @@ let restore_app t inst =
           failwith (Fmt.str "Cm1.restore_app: missing subdomain file for rank %d" rs.rank))
     (local_ranks t inst)
 
-let restore_blcr t inst =
-  List.iter
-    (fun rs ->
-      match Blcr.newest_dump inst.Approach.vm ~name:(Fmt.str "cm1.%d" rs.rank) with
-      | dump -> Process.set_mem rs.proc (Payload.length dump)
-      | exception Not_found ->
-          failwith (Fmt.str "Cm1.restore_blcr: missing dump for rank %d" rs.rank))
-    (local_ranks t inst)
-
 let subdomain_digests t inst =
   List.map (fun rs -> Payload.digest rs.content) (local_ranks t inst)
 

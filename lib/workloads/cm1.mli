@@ -57,10 +57,6 @@ val restore_app : t -> Approach.instance -> unit
 (** Read every local subdomain file back. Raises [Failure] when files are
     missing. *)
 
-val restore_blcr : t -> Approach.instance -> unit
-(** Reload the blcr dumps of {!dump_blcr}. Raises [Failure] when files are
-    missing. *)
-
 val subdomain_digests : t -> Approach.instance -> int64 list
 (** Digests of the locally held subdomain states (restart verification). *)
 

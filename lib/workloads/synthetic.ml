@@ -30,7 +30,6 @@ let start inst ~buffer_bytes =
 
 let instance t = t.inst
 let buffer t = t.content
-let epoch t = t.epoch
 
 let refill t =
   t.epoch <- t.epoch + 1;

@@ -25,9 +25,6 @@ val instance : t -> Approach.instance
 val buffer : t -> Payload.t
 (** The live data buffer (mutated by {!refill}). *)
 
-val epoch : t -> int
-(** Number of application-level dumps taken so far. *)
-
 val refill : t -> unit
 (** Fill the buffer with fresh random data (charges memory-bandwidth-bound
     CPU time). *)

@@ -476,7 +476,7 @@ let pinned_trace_digests =
         (Event_queue.Lifo, "4eb17027bf9481ebbf426ae276a783fa");
         (Event_queue.Seeded_shuffle 7, "b50b2a1f218c9105a00d0ec7ba0040e0");
       ] );
-    ( "fig3a",
+    ( "fig2a",
       [
         (Event_queue.Fifo, "74723ff4df0ff82bc9ba50a7a891a9e5");
         (Event_queue.Lifo, "b9623fe120e2345e4b75eda4329056ed");
@@ -543,11 +543,8 @@ let pinned_quick_tables =
   [
     ("fig2a", "df7313ca17b2d8380b5623c981fc2674");
     ("fig2b", "3db36fc13668a3b3cef5f2ae205b4332");
-    ("fig3a", "34de2ee47fe52e992ea3e4a4bf94ddb0");
-    ("fig3b", "ac9c970ff3a6fa2d7d2e69b1817e50d2");
     ("fig4", "71fafb387fccb400bd4ed4a00fd1cd82");
     ("fig5a", "136c3702ef52f30a7b94dc9858b7d8ce");
-    ("fig5b", "9cd715c22cc42c63bf903fe2fc7946c5");
     ("fig6", "1836c9693912c0afef375b40ad8d72d0");
     ("table1", "a764a17e9f1b51eb914c5c416586a1d2");
     ("availability", "a275ba7f20affde5156906fd2b974351");

@@ -302,51 +302,29 @@ let chaos_script =
     { Faults.at = 19.2; action = Faults.Fail_provider 2 };
   ]
 
-(* Digests of every dumped subdomain file across the final gang, keyed by
-   path: the restart-visible application state. *)
-let final_subdomain_digests sup =
-  List.concat_map
-    (fun (inst : Approach.instance) ->
-      let fs = Vm.fs inst.Approach.vm in
-      List.filter_map
-        (fun path ->
-          if String.starts_with ~prefix:"/ckpt/cm1/" path then
-            Some (path, Payload.digest (Guest_fs.read_file fs ~path))
-          else None)
-        (Guest_fs.list_files fs))
-    (Supervisor.instances sup)
-  |> List.sort compare
-
-let run_supervised ~script () =
-  let cal =
+let supervised_cluster () =
+  Cluster.build
     {
       quick with
       Calibration.blobseer = { quick.Calibration.blobseer with Blobseer.Types.replication = 2 };
     }
-  in
-  let cluster = Cluster.build cal in
+
+let supervise cluster ?faults () =
+  let workload = Cm1.supervised_workload cluster chaos_config ~iters_per_unit:1 in
+  Supervisor.run cluster ~kind:Approach.Blobcr
+    ~policy:{ Supervisor.default_policy with checkpoint_interval = 4 }
+    ?faults ~id:"cm1" ~gang:2 ~units:12 ~workload ()
+
+let run_supervised ?faults () =
+  let cluster = supervised_cluster () in
   Cluster.run cluster (fun () ->
-      let workload = Cm1.supervised_workload cluster chaos_config ~iters_per_unit:1 in
-      let sup = ref None in
-      let injector = ref None in
-      let report =
-        Supervisor.run cluster ~kind:Approach.Blobcr
-          ~policy:{ Supervisor.default_policy with checkpoint_interval = 4 }
-          ~on_ready:(fun s ->
-            sup := Some s;
-            if script <> [] then
-              injector :=
-                Some
-                  (Faults.start cluster.Cluster.engine ~script
-                     ~handlers:(Supervisor.fault_handlers s)))
-          ~id:"cm1" ~gang:2 ~units:12 ~workload ()
-      in
-      (match !injector with Some inj -> Faults.stop inj | None -> ());
-      let sup = Option.get !sup in
-      (report, final_subdomain_digests sup, Supervisor.audit sup))
+      let sup = supervise cluster ?faults () in
+      ( Supervisor.report sup,
+        Experiments.Durability.final_subdomain_digests sup,
+        Supervisor.audit sup ))
 
 let test_chaos_recovery_end_to_end () =
-  let report, digests, audit = run_supervised ~script:chaos_script () in
+  let report, digests, audit = run_supervised ~faults:chaos_script () in
   Alcotest.(check bool) "finished" true report.Supervisor.finished;
   Alcotest.(check int) "all units" 12 report.Supervisor.units_completed;
   Alcotest.(check int) "one recovery" 1 report.Supervisor.recoveries;
@@ -356,7 +334,7 @@ let test_chaos_recovery_end_to_end () =
   Alcotest.(check int) "all subdomains dumped" 4 (List.length digests);
   (* The recovered run's final application state matches a failure-free
      run byte for byte: rollback re-executed exactly the lost units. *)
-  let clean_report, clean_digests, clean_audit = run_supervised ~script:[] () in
+  let clean_report, clean_digests, clean_audit = run_supervised () in
   Alcotest.(check bool) "clean run finished" true clean_report.Supervisor.finished;
   Alcotest.(check int) "clean run recoveries" 0 clean_report.Supervisor.recoveries;
   Alcotest.(check (list string)) "clean supervisor invariants" [] clean_audit;
@@ -365,7 +343,7 @@ let test_chaos_recovery_end_to_end () =
 
 let test_chaos_recovery_replay_deterministic () =
   let capture () =
-    let (report, digests, _), trace = Trace.capture (fun () -> run_supervised ~script:chaos_script ()) in
+    let (report, digests, _), trace = Trace.capture (fun () -> run_supervised ~faults:chaos_script ()) in
     ( (report.Supervisor.units_completed, report.Supervisor.recoveries,
        report.Supervisor.checkpoints, report.Supervisor.wasted_time),
       digests, trace )
@@ -375,6 +353,38 @@ let test_chaos_recovery_replay_deterministic () =
   Alcotest.(check bool) "same summary" true (summary1 = summary2);
   Alcotest.(check bool) "same final state" true (digests1 = digests2);
   Alcotest.(check bool) "same trace" true (trace1 = trace2)
+
+(* The supervisor owns its injector: [injected] lists the applied script in
+   order, an event due after supervision ends is dropped without holding
+   the run open, and a run without [~faults] injects nothing. *)
+let test_supervisor_owns_injector () =
+  let late = { Faults.at = 300.0; action = Faults.Crash_host 1 } in
+  let cluster = supervised_cluster () in
+  let sup, ended =
+    Cluster.run cluster (fun () ->
+        let sup = supervise cluster ~faults:(chaos_script @ [ late ]) () in
+        (sup, Cluster.now cluster))
+  in
+  Alcotest.(check bool) "run ends before the late event is due" true (ended < late.Faults.at);
+  Alcotest.(check (float 0.0)) "clock stops where supervision ended" ended (Cluster.now cluster);
+  (* Drive the engine past the late event's due time: a stopped injector
+     never applies it. *)
+  Engine.run_until cluster.Cluster.engine (late.Faults.at +. ended);
+  let injected = (Supervisor.report sup).Supervisor.injected in
+  let action (e : Faults.event) = Fmt.str "%a" Faults.pp_action e.Faults.action in
+  Alcotest.(check (list string)) "applied script, in order"
+    (List.map action chaos_script) (List.map action injected);
+  (* [at] is absolute: offsets between applied events are the script's. *)
+  let offsets (es : Faults.event list) =
+    let t0 = (List.hd es).Faults.at in
+    List.map (fun (e : Faults.event) -> e.Faults.at -. t0) es
+  in
+  Alcotest.(check (list (float 1e-9))) "applied at the scripted offsets" (offsets chaos_script)
+    (offsets injected);
+  Alcotest.(check bool) "applied at absolute times" true
+    ((List.hd injected).Faults.at > (List.hd chaos_script).Faults.at);
+  let report, _, _ = run_supervised () in
+  Alcotest.(check int) "no faults, nothing injected" 0 (List.length report.Supervisor.injected)
 
 (* ------------------------------------------------------------------ *)
 (* Durability acceptance: a crash injected mid-COMMIT plus one silently
@@ -513,6 +523,7 @@ let () =
       ( "supervisor",
         [
           Alcotest.test_case "chaos recovery end to end" `Quick test_chaos_recovery_end_to_end;
+          Alcotest.test_case "supervisor owns its injector" `Quick test_supervisor_owns_injector;
           Alcotest.test_case "durability chaos acceptance" `Quick
             test_durability_chaos_acceptance;
           Alcotest.test_case "durability replay deterministic" `Quick
