@@ -1,60 +1,14 @@
-(* Benchmark harness.
+(* Bechamel microbenchmarks of the core data structures.
 
    Usage:
-     bench/main.exe                  regenerate every paper figure/table
-                                     (paper scale) then run microbenchmarks
-     bench/main.exe fig2a fig5a      run selected experiments
-     bench/main.exe ablations        the four design-choice ablations
-     bench/main.exe availability     MTBF x checkpoint-interval chaos sweep
-     bench/main.exe micro            only the Bechamel microbenchmarks
-     bench/main.exe --scale quick    fast smoke run of everything
-     bench/main.exe --csv DIR        also write CSV outputs
-     bench/main.exe dedup            experiments that yield raw points also
-                                     write them to BENCH_<id>.json
-     bench/main.exe --obs            also print the metrics table and the
-                                     per-phase checkpoint/restart breakdown,
-                                     and write a Chrome-trace timeline per
-                                     experiment (OBS_<id>.trace.json)
-     bench/main.exe --profile FILE   sample the run's call stacks every 2 ms
-                                     of CPU time and write self,
-                                     per-compilation-unit and inclusive
-                                     tables to FILE
+     bench/main.exe                  run every case and print ns/run (and
+                                     MiB/s for the digest cases)
 
-   Each experiment prints the same rows/series the corresponding paper
-   figure plots (see EXPERIMENTS.md for the paper-vs-measured record). *)
+   The paper's figures and tables are regenerated by `blobcr_cli run`
+   (see EXPERIMENTS.md). *)
 
 open Simcore
 open Netsim
-
-let progress line = Printf.eprintf "    %s\n%!" line
-
-let run_experiment scale csv_dir obs id =
-  match Experiments.Registry.find id with
-  | None ->
-      Printf.eprintf "unknown experiment %S (known: %s)\n%!" id
-        (String.concat ", " Experiments.Registry.ids);
-      exit 2
-  | Some e ->
-      Printf.printf "### %s — %s\n    %s\n\n%!" e.Experiments.Registry.id
-        e.Experiments.Registry.paper_ref e.Experiments.Registry.description;
-      let t0 = Unix.gettimeofday () in (* lint: allow wall-clock — bench measures real elapsed time *)
-      let result, run = Experiments.Registry.execute e scale ~observe:obs ~progress in
-      print_string (Experiments.Registry.render ?csv_dir result);
-      Option.iter
-        (Printf.printf "(points written to %s)\n")
-        (Experiments.Registry.write_points e result);
-      Option.iter
-        (fun run ->
-          print_string (Experiments.Registry.render_observability run);
-          let path = Printf.sprintf "OBS_%s.trace.json" id in
-          Obs.Export.write_chrome_trace run ~path;
-          Printf.printf "(timeline written to %s)\n%!" path)
-        run;
-      (* lint: allow wall-clock — bench measures real elapsed time *)
-      Printf.printf "(experiment wall time: %.1fs)\n\n%!" (Unix.gettimeofday () -. t0)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the core data structures *)
 
 let micro () =
   let open Bechamel in
@@ -301,106 +255,9 @@ let micro () =
          | _ -> Printf.printf "%-62s (no estimate)\n%!" name);
   print_newline ()
 
-(* ------------------------------------------------------------------ *)
-(* Sampling profiler *)
-
-(* SIGPROF fires every 2 ms of process CPU time and records the OCaml call
-   stack; the handler's own frames are dropped when the report is built.
-   Only the main domain records: a split-fold helper domain may run the
-   handler too, and its ticks are dropped, so [samples] has one writer.
-   Each table lists its 40 largest rows. *)
-let start_profile () =
-  let samples = ref [] in
-  Sys.set_signal Sys.sigprof
-    (Sys.Signal_handle
-       (fun _ ->
-         (* lint: allow domains — the profiler keeps the main domain's stacks only *)
-         if Domain.is_main_domain () then samples := Printexc.get_callstack 64 :: !samples));
-  ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.002; it_value = 0.002 });
-  samples
-
-let write_profile samples path =
-  ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.0; it_value = 0.0 });
-  Sys.set_signal Sys.sigprof Sys.Signal_ignore;
-  let frames stack =
-    Printexc.backtrace_slots stack |> Option.fold ~none:[] ~some:Array.to_list
-    |> List.filter_map Printexc.Slot.name
-    |> List.filter (fun name -> not (String.starts_with ~prefix:"Dune__exe__Main.start_profile" name))
-  in
-  let self = Hashtbl.create 256 and inclusive = Hashtbl.create 256 in
-  let by_module = Hashtbl.create 64 in
-  let bump table name =
-    Hashtbl.replace table name (1 + Option.value ~default:0 (Hashtbl.find_opt table name))
-  in
-  List.iter
-    (fun stack ->
-      match frames stack with
-      | [] -> bump self "(no OCaml frame)"
-      | innermost :: _ as names ->
-          bump self innermost;
-          bump by_module (List.hd (String.split_on_char '.' innermost));
-          List.iter (bump inclusive) (List.sort_uniq String.compare names))
-    !samples;
-  let total = List.length !samples in
-  Out_channel.with_open_text path (fun oc ->
-      Printf.fprintf oc
-        "%d samples, at most one per 2 ms of CPU time. OCaml delivers signals at polling points\n\
-         (allocations, calls, loop back-edges), so samples are biased toward safepoints.\n\
-         Only the main domain's stacks are kept: while a split-fold helper domain lives,\n\
-         its CPU time advances the timer too, and the ticks it handles are dropped.\n"
-        total;
-      List.iter
-        (fun (title, table) ->
-          Printf.fprintf oc "\n%s\n%7s %8s  %s\n" title "share" "samples" "frame";
-          Hashtbl.fold (fun name n acc -> (n, name) :: acc) table []
-          |> List.sort (fun (a, x) (b, y) -> if a <> b then Int.compare b a else String.compare x y)
-          |> List.iteri (fun i (n, name) ->
-                 if i < 40 then
-                   Printf.fprintf oc "%6.1f%% %8d  %s\n"
-                     (100.0 *. float_of_int n /. float_of_int (max 1 total))
-                     n name))
-        [
-          ("self (innermost frame)", self);
-          ("self by compilation unit", by_module);
-          ("inclusive (anywhere on the stack)", inclusive);
-        ])
-
-(* ------------------------------------------------------------------ *)
-
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let profile = ref None in
-  let rec parse scale csv obs ids = function
-    | "--scale" :: s :: rest -> (
-        match Experiments.Scale.find s with
-        | Some scale -> parse scale csv obs ids rest
-        | None ->
-            Printf.eprintf "unknown scale %S (paper|quick)\n" s;
-            exit 2)
-    | "--csv" :: dir :: rest -> parse scale (Some dir) obs ids rest
-    | "--obs" :: rest -> parse scale csv true ids rest
-    | "--profile" :: file :: rest ->
-        profile := Some file;
-        parse scale csv obs ids rest
-    | id :: rest -> parse scale csv obs (id :: ids) rest
-    | [] -> (scale, csv, obs, List.rev ids)
-  in
-  let scale, csv_dir, obs, ids = parse Experiments.Scale.paper None false [] args in
-  let profiling = Option.map (fun path -> (path, start_profile ())) !profile in
-  let experiment_ids = [ "fig2a"; "fig2b"; "fig4"; "fig5a"; "fig6"; "table1" ] in
-  let ablation_ids = [ "abl-prefetch"; "abl-stripe"; "abl-replication"; "abl-incremental" ] in
-  let expand = function "ablations" -> ablation_ids | id -> [ id ] in
-  let ids = List.concat_map expand ids in
-  let run_one = function "micro" -> micro () | id -> run_experiment scale csv_dir obs id in
-  (match ids with
-  | [] ->
-      (* Full regeneration: fig2a/fig2b emit fig3a/fig3b too, fig5a emits
-         fig5b, so the six runs below cover all nine paper artifacts. *)
-      List.iter (run_experiment scale csv_dir obs) experiment_ids;
-      micro ()
-  | ids -> List.iter run_one ids);
-  Option.iter
-    (fun (path, samples) ->
-      write_profile samples path;
-      Printf.printf "(profile written to %s)\n" path)
-    profiling
+  if Array.length Sys.argv > 1 then begin
+    prerr_endline "bench/main.exe takes no arguments; run experiments with `blobcr_cli run'";
+    exit 2
+  end;
+  micro ()

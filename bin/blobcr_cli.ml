@@ -2,8 +2,15 @@
 
      blobcr_cli list                         available experiments
      blobcr_cli run fig2a --scale quick      run one experiment
+     blobcr_cli run paper                    the six paper sweeps (all nine
+                                             figures/tables), then total wall time
+     blobcr_cli run ablations                the four design-choice ablations
      blobcr_cli run all --csv results/       run everything, write CSVs
-     blobcr_cli calibration                  show the simulated testbed *)
+     blobcr_cli run fig4 --profile prof.txt  sample call stacks every 2 ms of CPU
+     blobcr_cli calibration                  show the simulated testbed
+
+   Each experiment prints the same rows/series the corresponding paper
+   figure plots (see EXPERIMENTS.md for the paper-vs-measured record). *)
 
 open Cmdliner
 
@@ -61,9 +68,84 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List reproducible experiments (one per paper figure/table).")
     Term.(const run $ const ())
 
+let profile_term =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "profile" ] ~docv:"FILE"
+        ~doc:
+          "Sample the run's OCaml call stacks every 2 ms of CPU time and write self, \
+           per-compilation-unit and inclusive tables to $(docv).")
+
+(* Sampling profiler. SIGPROF fires every 2 ms of process CPU time and
+   records the OCaml call stack; the handler's own frames are dropped when
+   the report is built. Only the main domain records: a split-fold helper
+   domain may run the handler too, and its ticks are dropped, so [samples]
+   has one writer. Each table lists its 40 largest rows. *)
+let start_profile () =
+  let samples = ref [] in
+  Sys.set_signal Sys.sigprof
+    (Sys.Signal_handle
+       (fun _ ->
+         (* lint: allow domains — the profiler keeps the main domain's stacks only *)
+         if Domain.is_main_domain () then samples := Printexc.get_callstack 64 :: !samples));
+  ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.002; it_value = 0.002 });
+  samples
+
+let write_profile samples path =
+  ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.0; it_value = 0.0 });
+  Sys.set_signal Sys.sigprof Sys.Signal_ignore;
+  let handler_frame = __MODULE__ ^ ".start_profile" in
+  let frames stack =
+    Printexc.backtrace_slots stack |> Option.fold ~none:[] ~some:Array.to_list
+    |> List.filter_map Printexc.Slot.name
+    |> List.filter (fun name -> not (String.starts_with ~prefix:handler_frame name))
+  in
+  let self = Hashtbl.create 256 and inclusive = Hashtbl.create 256 in
+  let by_module = Hashtbl.create 64 in
+  let bump table name =
+    Hashtbl.replace table name (1 + Option.value ~default:0 (Hashtbl.find_opt table name))
+  in
+  List.iter
+    (fun stack ->
+      match frames stack with
+      | [] -> bump self "(no OCaml frame)"
+      | innermost :: _ as names ->
+          bump self innermost;
+          bump by_module (List.hd (String.split_on_char '.' innermost));
+          List.iter (bump inclusive) (List.sort_uniq String.compare names))
+    !samples;
+  let total = List.length !samples in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc
+        "%d samples, at most one per 2 ms of CPU time. OCaml delivers signals at polling points\n\
+         (allocations, calls, loop back-edges), so samples are biased toward safepoints.\n\
+         Only the main domain's stacks are kept: while a split-fold helper domain lives,\n\
+         its CPU time advances the timer too, and the ticks it handles are dropped.\n"
+        total;
+      List.iter
+        (fun (title, table) ->
+          Printf.fprintf oc "\n%s\n%7s %8s  %s\n" title "share" "samples" "frame";
+          Hashtbl.fold (fun name n acc -> (n, name) :: acc) table []
+          |> List.sort (fun (a, x) (b, y) -> if a <> b then Int.compare b a else String.compare x y)
+          |> List.iteri (fun i (n, name) ->
+                 if i < 40 then
+                   Printf.fprintf oc "%6.1f%% %8d  %s\n"
+                     (100.0 *. float_of_int n /. float_of_int (max 1 total))
+                     n name))
+        [
+          ("self (innermost frame)", self);
+          ("self by compilation unit", by_module);
+          ("inclusive (anywhere on the stack)", inclusive);
+        ])
+
+(* lint: allow wall-clock — the run reports the real time each experiment took *)
+let wall_clock () = Unix.gettimeofday ()
+
 let run_one scale csv_dir quiet obs timeline (e : Experiments.Registry.t) =
   let progress line = if not quiet then Fmt.epr "    %s@." line in
   Fmt.pr "### %s — %s@.@." e.Experiments.Registry.id e.Experiments.Registry.paper_ref;
+  let t0 = wall_clock () in
   let result, run =
     Experiments.Registry.execute e scale ~observe:(obs || timeline <> None) ~progress
   in
@@ -79,23 +161,31 @@ let run_one scale csv_dir quiet obs timeline (e : Experiments.Registry.t) =
           Obs.Export.write_chrome_trace run ~path;
           Fmt.pr "(timeline written to %s)@." path)
         timeline)
-    run
+    run;
+  Fmt.pr "(experiment wall time: %.1fs)@.@." (wall_clock () -. t0)
 
 let run_cmd =
   let ids_term =
     Arg.(
       non_empty & pos_all string []
       & info [] ~docv:"EXPERIMENT"
-          ~doc:"Experiment ids (see $(b,list)), or $(b,all) for every one.")
+          ~doc:
+            "Experiment ids (see $(b,list)), or a group: $(b,paper) (the six sweeps behind \
+             Figures 2-6 and Table 1), $(b,ablations) or $(b,all).")
   in
-  let run scale csv quiet obs timeline ids =
-    let ids =
-      if List.mem "all" ids then Experiments.Registry.ids else ids
+  let run scale csv quiet obs timeline profile names =
+    (* Resolve every name before running any, so a typo fails fast. *)
+    let exps =
+      match Experiments.Registry.select names with
+      | Ok exps -> exps
+      | Error msg ->
+          Fmt.epr "%s; try `blobcr_cli list'@." msg;
+          exit 2
     in
     (* One timeline file per experiment: suffix with the id when several run. *)
     let timeline_for id =
       match timeline with
-      | Some path when List.length ids > 1 ->
+      | Some path when List.length exps > 1 ->
           let base, ext =
             match Filename.chop_suffix_opt ~suffix:".json" path with
             | Some base -> (base, ".json")
@@ -104,24 +194,25 @@ let run_cmd =
           Some (Fmt.str "%s.%s%s" base id ext)
       | other -> other
     in
-    (* Check every id before running any, so a typo fails fast. *)
-    let exps =
-      List.map
-        (fun id ->
-          match Experiments.Registry.find id with
-          | Some e -> e
-          | None ->
-              Fmt.epr "unknown experiment %S; try `blobcr_cli list'@." id;
-              exit 2)
-        ids
-    in
+    let profiling = Option.map (fun path -> (path, start_profile ())) profile in
+    let t0 = wall_clock () in
     List.iter
       (fun e -> run_one scale csv quiet obs (timeline_for e.Experiments.Registry.id) e)
-      exps
+      exps;
+    if List.length exps > 1 then
+      Fmt.pr "(total wall time: %.1fs, %d experiments)@." (wall_clock () -. t0)
+        (List.length exps);
+    Option.iter
+      (fun (path, samples) ->
+        write_profile samples path;
+        Fmt.pr "(profile written to %s)@." path)
+      profiling
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run experiments and print the paper-figure tables.")
-    Term.(const run $ scale_term $ csv_term $ quiet_term $ obs_term $ timeline_term $ ids_term)
+    Term.(
+      const run $ scale_term $ csv_term $ quiet_term $ obs_term $ timeline_term $ profile_term
+      $ ids_term)
 
 let calibration_cmd =
   let run () =

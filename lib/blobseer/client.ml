@@ -594,61 +594,32 @@ let publish_descs b ~from ~base ~base_tree descs =
       (fun () -> Metadata_service.commit_nodes t.md ~from created);
   Version_manager.publish t.vm ~from ~blob:(blob_id b) ~base tree
 
-(* Store several non-overlapping (offset, payload) runs and publish them
-   as a single new version. With [params.dedup] each chunk's digest is
+(* Store [payload] at [offset] and publish it as a new version. Each
+   touched chunk takes its slice, overlaid on the chunk's old content when
+   the slice is partial. With [params.dedup] each chunk's digest is
    resolved at the provider manager before placement, so already-stored
    content references the existing replicas and ships zero bytes; chunks
    stream through the client write window. *)
-let write_multi b ~from ?base runs =
+let write b ~from ?base ~offset payload =
   let t = b.service in
-  List.iter
-    (fun (offset, payload) ->
-      if offset < 0 || offset + Payload.length payload > capacity b then
-        invalid_arg "Client.write: range out of bounds")
-    runs;
-  let sorted = List.sort (fun (a, _) (c, _) -> compare a c) runs in
-  let rec check_overlap = function
-    | (o1, p1) :: ((o2, _) :: _ as rest) ->
-        if o1 + Payload.length p1 > o2 then invalid_arg "Client.write_multi: overlapping runs";
-        check_overlap rest
-    | _ -> ()
-  in
-  check_overlap sorted;
+  let len = Payload.length payload in
+  if offset < 0 || offset + len > capacity b then
+    invalid_arg "Client.write: range out of bounds";
   let base = match base with Some v -> v | None -> latest_version b ~from in
   let base_tree = fetch_tree b ~from ~version:base in
-  let stripe = stripe_size b in
-  (* Collect, per touched chunk, the list of (chunk-relative offset, slice)
-     patches across all runs. *)
-  let patches : (int, (int * Payload.t) list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (offset, payload) ->
-      let len = Payload.length payload in
-      if len > 0 then begin
-        let first = offset / stripe and last = (offset + len - 1) / stripe in
-        for i = first to last do
-          let cstart = i * stripe in
-          let extent = chunk_extent b i in
-          let wstart = max cstart offset and wend = min (cstart + extent) (offset + len) in
-          let slice = Payload.sub payload ~pos:(wstart - offset) ~len:(wend - wstart) in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt patches i) in
-          Hashtbl.replace patches i ((wstart - cstart, slice) :: prev)
-        done
-      end)
-    sorted;
-  let chunk_ids = Hashtbl.fold (fun i _ acc -> i :: acc) patches [] |> List.sort compare in
-  if chunk_ids = [] then
-    Version_manager.publish t.vm ~from ~blob:(blob_id b) ~base base_tree
+  if len = 0 then Version_manager.publish t.vm ~from ~blob:(blob_id b) ~base base_tree
   else begin
-    let content_for i =
+    let stripe = stripe_size b in
+    let content_for i () =
+      let cstart = i * stripe in
       let extent = chunk_extent b i in
-      let segs = List.rev (Hashtbl.find patches i) in
-      match segs with
-      | [ (0, p) ] when Payload.length p = extent -> p
-      | segs ->
-          let old = current_chunk_content b ~from base_tree i in
-          List.fold_left (fun acc (at, patch) -> overlay acc ~at patch) old segs
+      let wstart = max cstart offset and wend = min (cstart + extent) (offset + len) in
+      let slice = Payload.sub payload ~pos:(wstart - offset) ~len:(wend - wstart) in
+      if wstart = cstart && wend - wstart = extent then slice
+      else overlay (current_chunk_content b ~from base_tree i) ~at:(wstart - cstart) slice
     in
-    let jobs = List.map (fun i -> (i, fun () -> content_for i)) chunk_ids in
+    let first = offset / stripe and last = (offset + len - 1) / stripe in
+    let jobs = List.init (last - first + 1) (fun k -> (first + k, content_for (first + k))) in
     let descs, _stats = write_chunk_core b ~from ~base_tree ~suppress_clean:false ~hints:[] jobs in
     publish_descs b ~from ~base ~base_tree descs
   end
@@ -694,8 +665,6 @@ let write_chunks b ~from ?base ?(suppress_clean = false) ?(hints = []) jobs =
         publish_descs b ~from ~base ~base_tree descs)
   in
   (version, stats)
-
-let write b ~from ?base ~offset payload = write_multi b ~from ?base [ (offset, payload) ]
 
 let clone b ~from ~version =
   let t = b.service in

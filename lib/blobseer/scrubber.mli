@@ -42,7 +42,8 @@ type config = {
 }
 
 val default_config : config
-(** 5 s interval, majority quorum, Merkle precheck on. *)
+(** 5 s interval, majority quorum. Every pass runs the Merkle precheck;
+    it has no switch. *)
 
 type event =
   | Scan_started of { at : float; pass : int }

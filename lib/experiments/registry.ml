@@ -187,6 +187,27 @@ let all =
 let find id = List.find_opt (fun e -> e.id = id) all
 let ids = List.map (fun e -> e.id) all
 
+(* The six distinct paper sweeps (they emit all nine paper artifacts) and
+   the four ablations. *)
+let groups =
+  [
+    ("all", fun _ -> true);
+    ("paper", fun e -> List.mem e.id [ "fig2a"; "fig2b"; "fig4"; "fig5a"; "fig6"; "table1" ]);
+    ("ablations", fun e -> String.starts_with ~prefix:"abl-" e.id);
+  ]
+
+let select names =
+  let rec go picked = function
+    | [] -> Ok (List.rev picked)
+    | name :: rest -> (
+        let add picked e = if List.memq e picked then picked else e :: picked in
+        match (List.assoc_opt name groups, find name) with
+        | Some member, _ -> go (List.fold_left add picked (List.filter member all)) rest
+        | None, Some e -> go (add picked e) rest
+        | None, None -> Error (Fmt.str "unknown experiment %S" name))
+  in
+  go [] names
+
 let render ?csv_dir result =
   let buf = Buffer.create 1024 in
   List.iter

@@ -1,7 +1,7 @@
 (** Registry of reproducible experiments, one entry per paper figure or
-    table. The CLI and the bench harness both drive experiments through
-    this interface, and it is their only path to an experiment's outputs:
-    rendered tables, CSV files and the [BENCH_<id>.json] points document. *)
+    table. The CLI drives experiments through this interface, and it is
+    the only path to an experiment's outputs: rendered tables, CSV files
+    and the [BENCH_<id>.json] points document. *)
 
 open Simcore
 
@@ -31,6 +31,14 @@ val find : string -> t option
 
 val ids : string list
 (** Ids of {!all}, in order. *)
+
+val select : string list -> (t list, string) Stdlib.result
+(** Resolve command-line names to experiments. A name is an id or a
+    group: [all] (every experiment), [paper] (fig2a, fig2b, fig4, fig5a,
+    fig6 and table1, the six sweeps that emit all nine paper artifacts) or
+    [ablations] (the four [abl-*]). A group expands in registry order; the
+    result follows the names' order and lists each experiment once.
+    [Error] describes the first unknown name. *)
 
 val render : ?csv_dir:string -> result -> string
 (** The rendered text tables of a result; with [csv_dir], also write each

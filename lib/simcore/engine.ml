@@ -37,6 +37,7 @@ type 'a resumer = 'a -> bool
 
 type t = {
   mutable now : float;
+  mutable prev_now : float;  (* [now] before the event being executed was popped *)
   queue : (unit -> unit) Event_queue.t;
   seed : int;
   rng : Rng.t;
@@ -74,6 +75,7 @@ type _ Effect.t +=
 let create ?(seed = 42) ?schedule () =
   {
     now = 0.0;
+    prev_now = 0.0;
     queue = Event_queue.create ?schedule ();
     seed;
     rng = Rng.create seed;
@@ -186,13 +188,18 @@ let resume_parked t fiber token k v =
   end
 
 (* A [sleep]'s timer event. Its whole work is the resume, so a timer that
-   fires alone continues the fiber here (the in-place rule). *)
+   fires alone continues the fiber here (the in-place rule). A stale token
+   means the sleeper was cancelled: the timer wakes nothing and puts the
+   clock back, so a drain does not end at a time at which nothing ran.
+   The queue's own record of the pop stays, so lane membership is
+   unchanged. *)
 let wake_sleeper t fiber token k =
   if fiber.suspensions = token then begin
     unpark t fiber;
     if in_place t then run_resume t fiber k ()
     else post t (fun () -> run_resume t fiber k ())
   end
+  else t.now <- t.prev_now
 
 let park t fiber k =
   let token = fiber.suspensions + 1 in
@@ -300,6 +307,7 @@ let check_error t =
 let step t =
   if Event_queue.is_empty t.queue then false
   else begin
+    t.prev_now <- t.now;
     t.now <- Event_queue.next_time t.queue;
     let ev = Event_queue.take t.queue in
     ev ();

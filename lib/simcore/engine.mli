@@ -206,7 +206,9 @@ module Fiber : sig
   val cancel : t -> unit
   (** Request cancellation. If the fiber is blocked, it is resumed with
       {!Cancelled} at the current time; if it is running or not yet started,
-      it is cancelled at its next blocking point (or before starting). *)
+      it is cancelled at its next blocking point (or before starting). A
+      cancelled sleeper's timer stays queued but, when popped, neither
+      wakes anything nor moves {!now}. *)
 
   val is_finished : t -> bool
 

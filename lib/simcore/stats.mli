@@ -44,7 +44,7 @@ val to_csv : table -> string
 val write_csv : dir:string -> name:string -> table -> string
 (** Write [to_csv] under [dir] (created if missing); returns the path. *)
 
-(** Basic descriptive statistics used by tests and the bench harness. *)
+(** Basic descriptive statistics used by tests and the experiments. *)
 
 val mean : float list -> float
 (** Arithmetic mean; [0.] for the empty list. *)

@@ -164,6 +164,24 @@ let test_durability_sweep_smoke () =
         Alcotest.(check bool) "corruption injected" true (p.Durability.corruptions > 0))
     points
 
+let test_registry_groups () =
+  let selected names =
+    match Registry.select names with
+    | Ok exps -> List.map (fun e -> e.Registry.id) exps
+    | Error msg -> Alcotest.fail msg
+  in
+  let ids = Alcotest.(check (list string)) in
+  ids "paper" [ "fig2a"; "fig2b"; "fig4"; "fig5a"; "fig6"; "table1" ] (selected [ "paper" ]);
+  ids "ablations"
+    [ "abl-prefetch"; "abl-stripe"; "abl-replication"; "abl-incremental" ]
+    (selected [ "ablations" ]);
+  ids "all" Registry.ids (selected [ "all" ]);
+  ids "names keep their order, each experiment once"
+    [ "fig4"; "fig2a"; "fig2b"; "fig5a"; "fig6"; "table1"; "dedup" ]
+    (selected [ "fig4"; "paper"; "dedup"; "fig2b" ]);
+  Alcotest.(check bool) "unknown id rejected" true
+    (Result.is_error (Registry.select [ "fig2a"; "no-such-experiment" ]))
+
 let test_sweep_is_deterministic () =
   let p1 =
     Synthetic_sweep.run_point scale ~combo:(combo "BlobCR-app") ~n:2
@@ -207,6 +225,7 @@ let () =
       ( "harness",
         [
           Alcotest.test_case "registry runs" `Slow test_registry_runs_everything;
+          Alcotest.test_case "registry groups" `Quick test_registry_groups;
           Alcotest.test_case "deterministic" `Slow test_sweep_is_deterministic;
         ] );
     ]

@@ -908,6 +908,40 @@ let test_fiber_cancel_blocked () =
   Alcotest.(check bool) "body aborted" false !reached;
   Alcotest.(check bool) "finished" true (Engine.Fiber.is_finished victim)
 
+(* A cancelled sleeper's timer stays queued; when a drain pops it, it
+   wakes nothing and leaves the clock where the last live event ran. The
+   queue still remembers the pop at 100 s, so events added after the
+   drain, at 1 s and at 100 s, must still run in (time, insertion) order. *)
+let test_cancelled_sleeper_keeps_clock () =
+  let e = Engine.create () in
+  let victim = Engine.Fiber.spawn e (fun () -> Engine.sleep e 100.0) in
+  let _ =
+    Engine.Fiber.spawn e (fun () ->
+        Engine.sleep e 1.0;
+        Engine.Fiber.cancel victim)
+  in
+  Engine.run e;
+  check_float "clock after drain" 1.0 (Engine.now e);
+  let log = ref [] in
+  let note name = log := (name, Engine.now e) :: !log in
+  Engine.at e 100.0 (fun () -> note "at-100");
+  let _ =
+    Engine.Fiber.spawn e (fun () ->
+        note "start";
+        Engine.sleep e 49.0;
+        note "slept-49";
+        Engine.at e 100.0 (fun () -> note "at-100-from-fiber");
+        Engine.sleep e 50.0;
+        note "slept-50")
+  in
+  Engine.run e;
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "order after the drain"
+    [ ("start", 1.0); ("slept-49", 50.0); ("at-100", 100.0); ("at-100-from-fiber", 100.0);
+      ("slept-50", 100.0) ]
+    (List.rev !log);
+  check_float "clock after second drain" 100.0 (Engine.now e)
+
 let test_fiber_cancel_before_start () =
   let e = Engine.create () in
   let ran = ref false in
@@ -1266,6 +1300,8 @@ let () =
         [
           Alcotest.test_case "join" `Quick test_fiber_join;
           Alcotest.test_case "cancel blocked fiber" `Quick test_fiber_cancel_blocked;
+          Alcotest.test_case "cancelled sleeper keeps clock" `Quick
+            test_cancelled_sleeper_keeps_clock;
           Alcotest.test_case "cancel before start" `Quick test_fiber_cancel_before_start;
           Alcotest.test_case "cancel outcome" `Quick test_fiber_cancel_outcome;
           Alcotest.test_case "group cancel" `Quick test_group_cancel;
