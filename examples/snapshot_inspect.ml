@@ -4,7 +4,7 @@
    that share unmodified content (shadowing), checkpoint images that look
    like standalone disk images a cloud client can open and read directly
    (the paper's "inspect and even manually modify" scenario), and the
-   garbage collector reclaiming obsoleted snapshots.
+   compactor reclaiming obsoleted snapshots.
 
      dune exec examples/snapshot_inspect.exe *)
 
@@ -65,10 +65,21 @@ let () =
       | _ -> assert false);
 
       Fmt.pr "@.== Garbage collection ==@.";
-      let before = Blobseer.Client.repository_bytes cluster.Cluster.service in
-      let report = Gc.collect cluster.Cluster.service ~keep_last:1 () in
-      let after = Blobseer.Client.repository_bytes cluster.Cluster.service in
-      say "dropped %d obsolete versions, deleted %d chunks" report.Gc.versions_dropped
-        report.Gc.chunks_deleted;
+      let open Blobseer in
+      let before = Client.repository_bytes cluster.Cluster.service in
+      (* Keep each blob's newest version only. The compactor deletes a
+         chunk one pass after it lost its last reference, so a second pass
+         runs the sweep. *)
+      let compactor =
+        Compactor.create cluster.Cluster.service ~home:cluster.Cluster.supervisor_host
+          ~config:{ Compactor.default_config with policy = Retention.Keep_last 1 }
+          ()
+      in
+      Compactor.scan compactor;
+      Compactor.scan compactor;
+      let report = Compactor.stats compactor in
+      let after = Client.repository_bytes cluster.Cluster.service in
+      say "retired %d obsolete versions, deleted %d chunks" report.Compactor.versions_retired
+        report.Compactor.chunks_reclaimed;
       say "repository: %a -> %a (reclaimed %a)" Size.pp before Size.pp after Size.pp
-        report.Gc.bytes_reclaimed)
+        report.Compactor.bytes_reclaimed)

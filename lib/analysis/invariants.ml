@@ -104,8 +104,8 @@ let audit_segment_tree ~subject ~chunks tree =
   shape @ tile 0 spans @ occupied_width
 
 (* ------------------------------------------------------------------ *)
-(* Version-manager audit: retention (GC keep-last, compactor thinning) may
-   punch holes in the live chain, but live and retired versions together
+(* Version-manager audit: the compactor's retention (keep-last, thinning)
+   may punch holes in the live chain, but live and retired versions together
    must still tile the dense range the manager minted — a version in
    neither set was lost, not retired — and no version may be both.
    [latest] is the newest live version, and every stored tree addresses
@@ -341,7 +341,7 @@ let audit_client c =
      equal the number of distinct descriptor serials carrying its digest
      across the live trees (0 for an entry registered by a write whose
      publication never landed). Maintained by publication-time increments
-     and GC reconciliation; drift means references leaked or were lost. *)
+     and compactor releases; drift means references leaked or were lost. *)
   let dedup_violations =
     List.filter_map
       (fun (digest, refs, _size, _replicas) ->

@@ -122,7 +122,6 @@ let fresh_serial t =
   s
 
 let engine t = t.engine
-let net t = t.net
 let params t = t.params
 let data_provider t i = Provider_manager.provider t.pm i
 let data_providers t = Provider_manager.providers t.pm
@@ -726,7 +725,7 @@ let distinct_bytes b =
   Hashtbl.fold (fun _ size acc -> acc + size) seen 0 (* lint: allow hashtbl-order — commutative sum *)
 
 (* ------------------------------------------------------------------ *)
-(* Live-reference views shared by the GC and the compactor *)
+(* Live-reference views for the compactor's sweeps and recovery *)
 
 let live_chunk_refs t =
   let refs = Hashtbl.create 1024 in

@@ -37,9 +37,6 @@ val deploy :
 val engine : t -> Engine.t
 (** The engine the deployment runs on. *)
 
-val net : t -> Net.t
-(** The network the services are attached to. *)
-
 val params : t -> Types.params
 (** The parameters the deployment was stood up with. *)
 
@@ -236,17 +233,17 @@ val distinct_bytes : blob -> int
     counting shared chunks once — what incremental snapshotting saves. *)
 
 val tree : blob -> version:int -> Version_manager.tree
-(** The snapshot's metadata root (used by the garbage collector and by
-    white-box tests). Free of simulated cost. *)
+(** The snapshot's metadata root (used by the mirror's digest re-seed and
+    by white-box tests). Free of simulated cost. *)
 
 val live_chunk_refs : t -> (int * int, int) Hashtbl.t
 (** Mark set over the whole repository: reference count per physical
     [(provider, chunk_id)] pair across every live version tree. Cost-free
-    metadata walk in deterministic (blob, version) order — the GC's and
-    the compactor's sweep input. *)
+    metadata walk in deterministic (blob, version) order — the
+    compactor's sweep input. *)
 
 val live_digest_refs : t -> (int64 * (int * int * Types.replica list)) list
 (** Live logical references per content digest: distinct descriptor
     serials carrying it across the live trees, with size and an exemplar
     replica set, sorted by digest. The ground truth the dedup index is
-    reconciled against after retention drops versions. Cost-free. *)
+    reconciled against when a compaction rolls forward. Cost-free. *)

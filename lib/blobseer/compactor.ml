@@ -450,7 +450,7 @@ let compact_blob t ~blob ~(plan : Retention.plan) =
                (fun version ->
                  (* The flatten passed simulated time: re-gather pins so a
                     version pinned since planning gets a typed refusal, and
-                    skip versions a concurrent GC already dropped. *)
+                    skip versions that are no longer live. *)
                  match List.assoc_opt (blob, version) (gather_pins t) with
                  | Some source -> refuse t ~blob ~version ~source
                  | None ->

@@ -21,11 +21,11 @@
     the repository mark-swept, so the committed outcome is reached).
 
     Retirement is gated: any pin source registered with
-    {!add_pin_source} (GC/rollback pins, the scrubber's in-progress
-    marks, the replicator's in-flight window) vetoes the retire of a
-    pinned version with a {e typed refusal} — never a silent skip — and
-    retires only proceed when the dedup index's refcounts agree with the
-    live trees for every digest involved (parity gate).
+    {!add_pin_source} (the supervisor's rollback pins, the scrubber's
+    in-progress marks, the replicator's in-flight window) vetoes the
+    retire of a pinned version with a {e typed refusal} — never a silent
+    skip — and retires only proceed when the dedup index's refcounts
+    agree with the live trees for every digest involved (parity gate).
 
     Physical reclamation is {e deferred}: chunks that lost their last
     live reference are queued and deleted one pass later, and their

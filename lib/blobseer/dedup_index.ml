@@ -53,7 +53,7 @@ let rec resolve t ~digest ~size ~validate =
       (* Stale mapping: replicas died, lost the chunk, or were corrupted
          (or a 64-bit digest collision across sizes). Drop it — stashing
          its refcount for a future re-registration — and treat the write
-         as a miss; GC reconciliation re-learns live content. *)
+         as a miss; compactor reconciliation re-learns live content. *)
       if entry.refs > 0 then
         Hashtbl.replace t.orphaned digest
           (entry.refs + Option.value ~default:0 (Hashtbl.find_opt t.orphaned digest));

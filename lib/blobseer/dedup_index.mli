@@ -12,9 +12,10 @@
     Reference counts are {e logical}: [refs d] is the number of distinct
     descriptor serials carrying digest [d] across all live (blob,
     version) segment trees. They are bumped by {!Version_manager.publish}
-    after the journal commit (so rolled-back publications never count)
-    and recomputed from the live trees by [Gc.collect]'s reconciliation —
-    which also drops entries no live version references, making the
+    after the journal commit (so rolled-back publications never count),
+    released by the compactor as it retires versions, and recomputed from
+    the live trees by its roll-forward reconciliation ({!reconcile}) —
+    either way an entry no live version references is dropped, making the
     physical chunk reclaimable. The invariant audit checks index
     refcounts against the live trees at teardown. *)
 
@@ -108,7 +109,7 @@ val update_replicas : t -> digest:int64 -> replicas:Types.replica list -> unit
 
 val reconcile : t -> (int64 * (int * int * Types.replica list)) list -> int
 (** [reconcile t live] resets the index to exactly the live state computed
-    by the GC from the surviving trees: [live] maps each digest to its
+    from the surviving trees: [live] maps each digest to its
     [(refs, size, exemplar replicas)]. Existing entries get their refs
     set; missing digests are (re-)inserted; entries for digests no live
     version references are dropped and their count returned — those

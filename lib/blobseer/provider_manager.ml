@@ -31,7 +31,6 @@ let register t provider =
   t.provider_list <- provider :: t.provider_list;
   t.table <- Array.of_list (List.rev t.provider_list)
 
-let provider_count t = Array.length t.table
 let providers t = t.table
 let provider t i = t.table.(i)
 let dedup_index t = t.dedup

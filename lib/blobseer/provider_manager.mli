@@ -18,9 +18,6 @@ val create : Engine.t -> Net.t -> host:Net.host -> ?allocate_cost:float -> unit 
 val register : t -> Data_provider.t -> unit
 (** Add a provider to the placement pool (deployment time). *)
 
-val provider_count : t -> int
-(** Number of registered providers. *)
-
 val providers : t -> Data_provider.t array
 (** All registered providers, in registration order. *)
 
@@ -115,4 +112,4 @@ val abandon_dedup : t -> digest:int64 -> unit
 (** Release an in-flight claim after a failed write (waiters retry). *)
 
 val dedup_index : t -> Dedup_index.t
-(** The deployment's index (GC reconciliation, scrub repair, audits). *)
+(** The deployment's index (compactor reconciliation, scrub repair, audits). *)

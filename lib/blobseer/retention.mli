@@ -5,7 +5,7 @@
     deterministic: the same version list, pins and policy always produce
     the same plan. The latest version of a blob is never retirable — a
     blob always stays restorable from its tip — and pinned versions
-    (GC/supervisor snapshots, scrub-in-progress marks, replicator
+    (supervisor rollback targets, scrub-in-progress marks, replicator
     in-flight windows) are forced into the keep set whatever the policy
     says. *)
 

@@ -71,7 +71,7 @@ type t = {
   mutable merkle_clean_versions : int;
   mutable events_rev : event list;
   mutable bad_sites : (int * int) list; (* (blob, version) with unrepairable chunks *)
-  mutable pins : (int * int) list; (* versions under repair: GC must not prune *)
+  mutable pins : (int * int) list; (* under repair: the compactor must not retire *)
   mutable fiber : Engine.fiber option;
 }
 

@@ -107,8 +107,8 @@ val version_ok : t -> blob:int -> version:int -> bool
     supervisor's rollback-target filter. *)
 
 val pins : t -> (int * int) list
-(** (blob, version) pairs currently under repair; the GC must not prune
-    them mid-pass. Empty between passes. *)
+(** (blob, version) pairs currently under repair; the compactor must not
+    retire them mid-pass. Empty between passes. *)
 
 val stats : t -> stats
 (** Cumulative pass/repair counters. *)

@@ -8,9 +8,9 @@ type blob_state = {
   info : blob_info;
   versions : (int, tree) Hashtbl.t;
   mutable latest : int;
-  (* Version numbers retired by retention/compaction (or dropped by the
-     GC): no longer readable, but remembered so audits can check that
-     live ∪ retired still tiles the dense range the manager minted. *)
+  (* Version numbers the compactor retired: no longer readable, but
+     remembered so audits can check that live ∪ retired still tiles the
+     dense range the manager minted. *)
   mutable retired : int list;
 }
 
@@ -233,17 +233,6 @@ let restart t =
 let journal_pending t = Journal.pending_count t.journal
 let recovered_intents t = t.recovered
 
-let mark_retired st version =
-  if not (List.mem version st.retired) then
-    st.retired <- List.sort Int.compare (version :: st.retired)
-
-let drop_version t ~blob ~version =
-  let st = state t blob in
-  if Hashtbl.mem st.versions version then begin
-    Hashtbl.remove st.versions version;
-    mark_retired st version
-  end
-
 (* Retire one version for the compactor: a cost-free atomic map move (the
    compactor journals the surrounding transaction itself). Returns the
    retired tree so the caller can release dedup references and sweep the
@@ -256,7 +245,8 @@ let retire_version t ~blob ~version =
   | None -> invalid_arg "Version_manager.retire_version: not a live version"
   | Some tree ->
       Hashtbl.remove st.versions version;
-      mark_retired st version;
+      if not (List.mem version st.retired) then
+        st.retired <- List.sort Int.compare (version :: st.retired);
       tree
 
 let retired_versions t ~blob = (state t blob).retired
@@ -281,8 +271,8 @@ let peek_latest t blob = (state t blob).latest
 let peek_tree t ~blob ~version = Hashtbl.find (state t blob).versions version
 
 (* Iterate in sorted (blob, version) order: callers fold arbitrary state
-   over the trees (the GC builds its mark set here), so hash order must not
-   escape into results. *)
+   over the trees (the compactor builds its mark sets here), so hash order
+   must not escape into results. *)
 let iter_live_trees t f =
   List.iter
     (fun blob ->

@@ -86,12 +86,6 @@ val clone : t -> from:Net.host -> blob:int -> version:int -> blob_info
 (** New BLOB whose version 0 is the given snapshot of the source blob —
     shares all chunks, diverges independently (design principle 3.1.3). *)
 
-val drop_version : t -> blob:int -> version:int -> unit
-(** Forget a version root (used by the garbage collector). Dropping the
-    latest version or version 0 of a blob is allowed; reads of dropped
-    versions raise [Not_found]. Dropped versions are recorded as retired
-    ({!retired_versions}) so audits can account for the hole. *)
-
 val retire_version : t -> blob:int -> version:int -> tree
 (** Compactor retire path: atomically move one version from the live set
     to the retired record and return its tree (the caller releases dedup
@@ -102,8 +96,8 @@ val retire_version : t -> blob:int -> version:int -> tree
     the service is down. *)
 
 val retired_versions : t -> blob:int -> int list
-(** Versions retired ({!retire_version}) or dropped ({!drop_version})
-    over the blob's lifetime, ascending. Cost-free audit view. *)
+(** Versions retired ({!retire_version}) over the blob's lifetime,
+    ascending. Cost-free audit view. *)
 
 val unsafe_forget_version : t -> blob:int -> version:int -> unit
 (** Test hook: remove a version root {e without} recording it as retired
@@ -119,8 +113,8 @@ val retention_plan :
     pairs for other blobs are ignored. Cost-free. *)
 
 val iter_live_trees : t -> (blob:int -> version:int -> tree -> unit) -> unit
-(** All live (blob, version) roots — the GC roots — in ascending
-    (blob, version) order, so iteration order is deterministic. *)
+(** All live (blob, version) roots — the compactor's mark roots — in
+    ascending (blob, version) order, so iteration order is deterministic. *)
 
 val chunk_count : capacity:int -> stripe_size:int -> int
 (** Number of segment-tree leaves a blob of this shape addresses. *)

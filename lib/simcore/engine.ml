@@ -96,7 +96,6 @@ let audit_violations t =
 let now t = t.now
 let rng t = t.rng
 let derived_rng t name = Rng.of_key ~seed:t.seed name
-let schedule t = Event_queue.schedule t.queue
 let current_fiber t = t.current
 let live_fibers t = t.live
 let blocked_fibers t = t.blocked

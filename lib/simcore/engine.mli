@@ -58,9 +58,6 @@ val derived_rng : t -> string -> Rng.t
     schedule change silently reassigns randomness between components
     (found by [blobcr_lint fuzz], see DESIGN.md section 13). *)
 
-val schedule : t -> Event_queue.schedule
-(** The tie-break policy the engine's event queue runs under. *)
-
 val current_fiber : t -> fiber option
 (** The fiber whose body is executing right now, or [None] between events
     (or inside a plain {!at} callback). Observability layers use this to

@@ -71,7 +71,6 @@ let create ?(schedule = Fifo) () =
     last_pop = nan;
   }
 
-let schedule t = t.schedule
 let is_empty t = t.size = 0 && t.lane_len = 0
 let length t = t.size + t.lane_len
 

@@ -39,9 +39,6 @@ val create : ?schedule:schedule -> unit -> 'a t
 (** An empty queue with the insertion counter at zero, breaking ties
     according to [schedule] (default {!Fifo}). *)
 
-val schedule : 'a t -> schedule
-(** The tie-break policy this queue was created with. *)
-
 val is_empty : 'a t -> bool
 (** [true] iff no events are pending. *)
 

@@ -42,7 +42,7 @@ val corrupt : t -> chunk_id -> Payload.t -> unit
 val mem : t -> chunk_id -> bool
 (** Whether the id refers to a live chunk. *)
 
-(** Live chunk ids, ascending (GC sweep enumeration). *)
+(** Live chunk ids, ascending (compactor recovery sweep enumeration). *)
 val ids : t -> chunk_id list
 
 val chunk_count : t -> int

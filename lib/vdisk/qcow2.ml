@@ -320,43 +320,26 @@ let effective_digests t =
     t.table;
   digests
 
-let export t fs ~from ~path =
+(* Replace the PVFS file at [path] with the metadata region, [clusters]
+   and every snapshot's VM state, padded to [size] bytes (snapshot tables
+   etc.), and describe the result. Runs inside the caller's export span. *)
+let write_remote t fs ~from ~path ~size ~clusters ~rtable ~rbacking ~rdelta =
   let meta_bytes = header_bytes ~capacity:t.qcapacity ~cluster_size:t.qcluster_size in
-  let size = file_size t in
-  Obs.Span.with_ t.engine ~component:"qcow2" ~name:"qcow2.export"
-    ~attrs:[ ("bytes", Obs.Record.Bytes size) ]
-  @@ fun () ->
-  Obs.Metrics.add m_export_bytes (float_of_int size);
-  (* Read the local file sequentially... *)
-  Disk.read t.local_disk ~stream:(local_stream t) size;
-  (* ...and stream it into a fresh PVFS file: metadata region, clusters in
-     physical order, then snapshot tables and VM states. *)
   if Pvfs.exists fs ~path then Pvfs.delete fs ~from ~path;
   let file = Pvfs.create fs ~from ~path in
-  let clusters =
-    List.init t.next_phys (fun phys ->
-        match Hashtbl.find_opt t.data phys with
-        | Some p ->
-            if Payload.length p = t.qcluster_size then p
-            else Payload.concat [ p; Payload.zero (t.qcluster_size - Payload.length p) ]
-        | None -> Payload.zero t.qcluster_size)
-  in
   let vm_states = List.rev_map (fun (_, s) -> s.svm_state) t.snapshots in
-  let image =
-    Payload.concat ((Payload.zero meta_bytes :: clusters) @ vm_states)
-  in
+  let image = Payload.concat ((Payload.zero meta_bytes :: clusters) @ vm_states) in
   Pvfs.write file ~from ~offset:0 image;
-  (* Pad the accounting to the full file size (snapshot tables etc.). *)
   let written = Payload.length image in
   if written < size then Pvfs.write file ~from ~offset:written (Payload.zero (size - written));
   (* VM state offsets within the exported file, oldest snapshot first. *)
   let snap_offsets =
-    let base = ref (meta_bytes + (t.next_phys * t.qcluster_size)) in
+    let pos = ref (meta_bytes + (List.length clusters * t.qcluster_size)) in
     List.rev_map
       (fun (sname, s) ->
-        let off = !base in
+        let off = !pos in
         let len = Payload.length s.svm_state in
-        base := !base + len;
+        pos := !pos + len;
         (sname, Hashtbl.copy s.stable, (off, len)))
       t.snapshots
   in
@@ -366,12 +349,30 @@ let export t fs ~from ~path =
     rcapacity = t.qcapacity;
     rcluster_size = t.qcluster_size;
     rmeta_bytes = meta_bytes;
-    rtable = Hashtbl.copy t.table;
+    rtable;
     rsnapshots = snap_offsets;
-    rbacking = t.backing;
-    rdelta = false;
+    rbacking;
+    rdelta;
     rdigests = effective_digests t;
   }
+
+let export t fs ~from ~path =
+  let size = file_size t in
+  Obs.Span.with_ t.engine ~component:"qcow2" ~name:"qcow2.export"
+    ~attrs:[ ("bytes", Obs.Record.Bytes size) ]
+  @@ fun () ->
+  Obs.Metrics.add m_export_bytes (float_of_int size);
+  (* Read the local file sequentially and stream it into a fresh PVFS
+     file, clusters in physical order. *)
+  Disk.read t.local_disk ~stream:(local_stream t) size;
+  let clusters =
+    List.init t.next_phys (fun phys ->
+        match Hashtbl.find_opt t.data phys with
+        | Some p -> pad_cluster t p
+        | None -> Payload.zero t.qcluster_size)
+  in
+  write_remote t fs ~from ~path ~size ~clusters ~rtable:(Hashtbl.copy t.table)
+    ~rbacking:t.backing ~rdelta:false
 
 let remote_file_size r = Pvfs.size r.rfile
 
@@ -429,47 +430,21 @@ let export_incremental t fs ~from ~path ~base =
       t.table []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  let meta_bytes = header_bytes ~capacity:t.qcapacity ~cluster_size:t.qcluster_size in
-  let size = meta_bytes + (List.length changed * t.qcluster_size) + t.snapshot_meta_bytes in
+  let size =
+    header_bytes ~capacity:t.qcapacity ~cluster_size:t.qcluster_size
+    + (List.length changed * t.qcluster_size)
+    + t.snapshot_meta_bytes
+  in
   Obs.Span.with_ t.engine ~component:"qcow2" ~name:"qcow2.export_incremental"
     ~attrs:[ ("bytes", Obs.Record.Bytes size) ]
   @@ fun () ->
   Obs.Metrics.add m_delta_bytes (float_of_int size);
   (* Read only what ships: tables plus the changed clusters. *)
   Disk.read t.local_disk ~stream:(local_stream t) size;
-  if Pvfs.exists fs ~path then Pvfs.delete fs ~from ~path;
-  let file = Pvfs.create fs ~from ~path in
-  let vm_states = List.rev_map (fun (_, s) -> s.svm_state) t.snapshots in
-  let image =
-    Payload.concat ((Payload.zero meta_bytes :: List.map snd changed) @ vm_states)
-  in
-  Pvfs.write file ~from ~offset:0 image;
-  let written = Payload.length image in
-  if written < size then Pvfs.write file ~from ~offset:written (Payload.zero (size - written));
   let rtable = Hashtbl.create (List.length changed) in
   List.iteri (fun pos (guest, _) -> Hashtbl.replace rtable guest pos) changed;
-  let snap_offsets =
-    let pos = ref (meta_bytes + (List.length changed * t.qcluster_size)) in
-    List.rev_map
-      (fun (sname, s) ->
-        let off = !pos in
-        let len = Payload.length s.svm_state in
-        pos := !pos + len;
-        (sname, Hashtbl.copy s.stable, (off, len)))
-      t.snapshots
-  in
-  {
-    rfs = fs;
-    rfile = file;
-    rcapacity = t.qcapacity;
-    rcluster_size = t.qcluster_size;
-    rmeta_bytes = meta_bytes;
-    rtable;
-    rsnapshots = snap_offsets;
-    rbacking = Qcow2_remote base;
-    rdelta = true;
-    rdigests = effective_digests t;
-  }
+  write_remote t fs ~from ~path ~size ~clusters:(List.map snd changed) ~rtable
+    ~rbacking:(Qcow2_remote base) ~rdelta:true
 
 type collapse_stats = {
   levels_collapsed : int;

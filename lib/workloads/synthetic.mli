@@ -32,8 +32,8 @@ val refill : t -> unit
 val dump_app : ?retain:int -> t -> unit
 (** Application-level checkpoint: write the buffer to a fresh checkpoint
     file and sync the file system. [retain] keeps only that many newest
-    checkpoint files (deleting older ones lets the snapshot garbage
-    collector reclaim their chunks); default: keep all. *)
+    checkpoint files (deleting older ones lets the compactor reclaim
+    their chunks); default: keep all. *)
 
 val dump_blcr : t -> unit
 (** Process-level checkpoint: blcr dumps all process memory, then sync. *)

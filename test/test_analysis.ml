@@ -229,9 +229,9 @@ let test_version_manager_audit_catches_version_hole () =
         write 'c';
         let vm = Client.version_manager rig.service in
         let clean = Invariants.audit_version_manager vm in
-        (* Retention punches accounted holes: a dropped middle version is
-           recorded as retired and the union check stays clean. *)
-        Version_manager.drop_version vm ~blob:(Client.blob_id blob) ~version:2;
+        (* Retention punches accounted holes: a retired middle version is
+           recorded as such and the union check stays clean. *)
+        ignore (Version_manager.retire_version vm ~blob:(Client.blob_id blob) ~version:2);
         let retained = Invariants.audit_version_manager vm in
         (* A version in neither the live nor the retired set was lost, not
            retired — the seeded defect the audit must catch. *)

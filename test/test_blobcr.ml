@@ -513,6 +513,21 @@ let test_cm1_blcr_dump_sizes () =
 (* ------------------------------------------------------------------ *)
 (* Garbage collection *)
 
+(* Retention down to each blob's newest version through a compactor. The
+   second pass runs the deferred sweep of the chunks the first one
+   queued. *)
+let compact_to_latest ?(pins = []) cluster =
+  let open Blobseer in
+  let c =
+    Compactor.create cluster.Cluster.service ~home:cluster.Cluster.supervisor_host
+      ~config:{ Compactor.default_config with policy = Retention.Keep_last 1 }
+      ()
+  in
+  Compactor.add_pin_source c ~name:"rollback" (fun () -> pins);
+  Compactor.scan c;
+  Compactor.scan c;
+  Compactor.stats c
+
 let test_gc_reclaims_obsolete_snapshots () =
   let cluster = build () in
   let before, report, after, still_readable =
@@ -528,7 +543,7 @@ let test_gc_reclaims_obsolete_snapshots () =
           last := Some (Approach.request_checkpoint cluster inst)
         done;
         let before = Blobseer.Client.repository_bytes cluster.Cluster.service in
-        let report = Gc.collect cluster.Cluster.service ~keep_last:1 () in
+        let report = compact_to_latest cluster in
         let after = Blobseer.Client.repository_bytes cluster.Cluster.service in
         (* The newest snapshot must remain fully readable. *)
         let readable =
@@ -543,9 +558,11 @@ let test_gc_reclaims_obsolete_snapshots () =
         in
         (before, report, after, readable))
   in
-  Alcotest.(check bool) "bytes reclaimed" true (report.Gc.bytes_reclaimed > 4 * mib);
+  Alcotest.(check bool) "bytes reclaimed" true
+    (report.Blobseer.Compactor.bytes_reclaimed > 4 * mib);
   Alcotest.(check bool) "storage shrank" true (after < before);
-  Alcotest.(check bool) "versions dropped" true (report.Gc.versions_dropped >= 3);
+  Alcotest.(check bool) "versions retired" true
+    (report.Blobseer.Compactor.versions_retired >= 3);
   Alcotest.(check bool) "latest snapshot intact" true still_readable
 
 let test_gc_keeps_shared_base_chunks () =
@@ -556,7 +573,7 @@ let test_gc_keeps_shared_base_chunks () =
         let bench = Synthetic.start inst ~buffer_bytes:mib in
         Synthetic.dump_app bench;
         let snapshot = Approach.request_checkpoint cluster inst in
-        ignore (Gc.collect cluster.Cluster.service ~keep_last:1 ());
+        ignore (compact_to_latest cluster);
         Approach.kill inst;
         (* Restart still works: base-image chunks shared with the snapshot
            must have survived the sweep. *)
@@ -586,9 +603,7 @@ let test_gc_pins_protect_rollback_target () =
                recovery may be about to restore — then collect keeping only
                the newest version. Without the pin this version would be
                retention's first casualty. *)
-            let report =
-              Gc.collect cluster.Cluster.service ~pins:[ (blob, oldest) ] ~keep_last:1 ()
-            in
+            let report = compact_to_latest ~pins:[ (blob, oldest) ] cluster in
             let p =
               Blobseer.Client.read image ~from:(Cluster.node cluster 1).Cluster.host
                 ~version:oldest ~offset:0 ~len:(1 * mib)
@@ -598,7 +613,8 @@ let test_gc_pins_protect_rollback_target () =
         | _ -> Alcotest.fail "expected blobcr snapshots")
   in
   (* Intermediate (unpinned, non-newest) versions still get reclaimed. *)
-  Alcotest.(check bool) "unpinned versions dropped" true (report.Gc.versions_dropped >= 2);
+  Alcotest.(check bool) "unpinned versions retired" true
+    (report.Blobseer.Compactor.versions_retired >= 2);
   Alcotest.(check int) "pinned version fully readable" (1 * mib) pinned_bytes;
   Alcotest.(check bool)
     "pinned version retained in version manager" true

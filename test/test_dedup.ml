@@ -136,6 +136,19 @@ let test_dedup_disabled_ships_everything () =
       Alcotest.(check string) "readback fine" content
         (Payload.to_string (Client.read b ~from ~version:vb ~offset:0 ~len:300)))
 
+(* Retention down to each blob's newest version through a compactor. The
+   second pass runs the deferred sweep of the chunks the first one
+   queued. *)
+let compact_to_latest rig =
+  let c =
+    Compactor.create rig.service ~home:rig.client_host
+      ~config:{ Compactor.default_config with policy = Retention.Keep_last 1 }
+      ()
+  in
+  Compactor.scan c;
+  Compactor.scan c;
+  Compactor.stats c
+
 let test_refcounted_gc_keeps_shared_chunks () =
   let rig = make_rig () in
   let from = rig.client_host in
@@ -148,17 +161,18 @@ let test_refcounted_gc_keeps_shared_chunks () =
       (* Overwrite [a]: its only reference to the shared chunks dies with
          retention, but [b] still holds them. *)
       ignore (Client.write a ~from ~offset:0 (payload_str (three_chunks 'p')));
-      let r1 = Blobcr.Gc.collect rig.service ~keep_last:1 () in
-      Alcotest.(check int) "shared chunks survive b's reference" 0 r1.Blobcr.Gc.chunks_deleted;
+      let r1 = compact_to_latest rig in
+      Alcotest.(check int) "shared chunks survive b's reference" 0 r1.Compactor.chunks_reclaimed;
       Alcotest.(check string) "b reads the shared content" shared
         (Payload.to_string (Client.read b ~from ~version:vb ~offset:0 ~len:300));
       (* Overwrite [b] too: now nothing references the shared chunks. *)
       ignore (Client.write b ~from ~offset:0 (payload_str (three_chunks 's')));
       let repo = Client.repository_bytes rig.service in
-      let r2 = Blobcr.Gc.collect rig.service ~keep_last:1 () in
-      Alcotest.(check int) "shared chunks reclaimed" 3 r2.Blobcr.Gc.chunks_deleted;
-      Alcotest.(check int) "index entries dropped with them" 3
-        r2.Blobcr.Gc.index_entries_dropped;
+      let entries () = (Client.dedup_stats rig.service).Dedup_index.entries in
+      let entries_before = entries () in
+      let r2 = compact_to_latest rig in
+      Alcotest.(check int) "shared chunks reclaimed" 3 r2.Compactor.chunks_reclaimed;
+      Alcotest.(check int) "index entries dropped with them" 3 (entries_before - entries ());
       Alcotest.(check int) "bytes reclaimed" (repo - 300) (Client.repository_bytes rig.service))
 
 let test_scrub_repair_heals_every_referencer () =
