@@ -70,7 +70,6 @@ let docs_cmd =
    audit the quiesced state. *)
 
 let run_invariants () =
-  Invariants.install ();
   let scale = Experiments.Scale.quick in
   let cluster = Blobcr.Cluster.build ~seed:scale.Experiments.Scale.seed scale.Experiments.Scale.cal in
   let engine = cluster.Blobcr.Cluster.engine in
@@ -135,16 +134,13 @@ let run_invariants () =
       then
         Fmt.epr "warning: chaos scenario finished=%b recoveries=%d@."
           report.Blobcr.Supervisor.finished report.Blobcr.Supervisor.recoveries);
-  let violations =
-    Invariants.audit_engine engine
-    @ Invariants.audit_engine chaos_cluster.Blobcr.Cluster.engine
-  in
-  List.iter (fun x -> Fmt.pr "%a@." Invariants.pp_violation x) violations;
+  let chaos_engine = chaos_cluster.Blobcr.Cluster.engine in
+  let violations = Simcore.Engine.audit engine @ Simcore.Engine.audit chaos_engine in
+  List.iter (fun x -> Fmt.pr "%a@." Simcore.Engine.pp_violation x) violations;
   match violations with
   | [] ->
       Fmt.pr "invariants: clean (%d subjects audited)@."
-        (List.length (Simcore.Engine.audit_subjects engine)
-        + List.length (Simcore.Engine.audit_subjects chaos_cluster.Blobcr.Cluster.engine));
+        (Simcore.Engine.audit_count engine + Simcore.Engine.audit_count chaos_engine);
       0
   | vs ->
       Fmt.pr "invariants: %d violation(s)@." (List.length vs);
@@ -204,7 +200,6 @@ let run_replay ?(show_results = true) scale (scenario : Schedule_fuzz.scenario) 
    escape — and the scrub/repair log must replay identically. *)
 
 let run_durability scale seed =
-  Invariants.install ();
   let scale = { scale with Experiments.Scale.seed } in
   let failures = ref [] in
   let fail fmt = Fmt.kstr (fun s -> failures := s :: !failures) fmt in

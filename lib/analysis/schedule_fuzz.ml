@@ -118,7 +118,7 @@ let make_scenario ?(strict = false) sname ~run ~render ~audit =
   }
 
 let engine_violations engine =
-  List.map (Fmt.str "%a" Invariants.pp_violation) (Invariants.audit_engine engine)
+  List.map (Fmt.str "%a" Engine.pp_violation) (Engine.audit engine)
 
 let render_digests header digests =
   String.concat "\n" (header :: List.map (fun (path, d) -> Fmt.str "%s %Lx" path d) digests)

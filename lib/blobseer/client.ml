@@ -38,8 +38,6 @@ type t = {
 
 type blob = { service : t; info : Version_manager.blob_info }
 
-type Engine.audit_subject += Audit_client of t
-
 (* Observability: repository traffic accounting, mirroring [write_stats]
    into the global metrics registry so every experiment's --obs snapshot
    reports commit-path volume without per-experiment code. *)
@@ -72,6 +70,113 @@ let with_merkle_metrics f =
   Obs.Metrics.add m_merkle_reuses (float_of_int (r1 - r0));
   r
 
+(* ------------------------------------------------------------------ *)
+(* Live-reference views for the compactor's sweeps and recovery *)
+
+let live_chunk_refs t =
+  let refs = Hashtbl.create 1024 in
+  Version_manager.iter_live_trees t.vm (fun ~blob:_ ~version:_ tr ->
+      Segment_tree.fold_set
+        (fun _ (desc : Types.chunk_desc) () ->
+          List.iter
+            (fun (r : Types.replica) ->
+              let key = (r.provider, r.chunk) in
+              Hashtbl.replace refs key (1 + Option.value ~default:0 (Hashtbl.find_opt refs key)))
+            desc.replicas)
+        tr ());
+  refs
+
+(* Live logical state per content digest: number of distinct descriptor
+   serials carrying it across the surviving trees, plus the size and an
+   exemplar replica set (the first encountered in sorted (blob, version)
+   order, so the result is deterministic). This is the ground truth the
+   dedup index is reconciled to after retention drops versions. *)
+let live_digest_refs t =
+  let seen : (int64 * int, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let acc : (int64, int * int * Types.replica list) Hashtbl.t = Hashtbl.create 1024 in
+  Version_manager.iter_live_trees t.vm (fun ~blob:_ ~version:_ tr ->
+      Segment_tree.fold_set
+        (fun _ (desc : Types.chunk_desc) () ->
+          if not (Hashtbl.mem seen (desc.digest, desc.serial)) then begin
+            Hashtbl.replace seen (desc.digest, desc.serial) ();
+            match Hashtbl.find_opt acc desc.digest with
+            | Some (refs, size, replicas) ->
+                Hashtbl.replace acc desc.digest (refs + 1, size, replicas)
+            | None -> Hashtbl.replace acc desc.digest (1, desc.size, desc.replicas)
+          end)
+        tr ());
+  Hashtbl.fold (fun digest v l -> (digest, v) :: l) acc [] (* lint: allow hashtbl-order — sorted below *)
+  |> List.sort (fun (d1, _) (d2, _) -> Int64.compare d1 d2)
+
+(* Deployment durability audit: replicas of a chunk must sit on pairwise
+   distinct hosts (a single machine crash may never eat every copy), the
+   checksum recorded provider-side at write time must agree with the
+   descriptor's digest for every reachable replica (the end-to-end
+   integrity contract — recorded metadata is compared, not payload bytes,
+   so deliberately corrupted test state does not trip teardown), each
+   dedup index entry's logical refcount must equal the live distinct
+   serials carrying its digest (0 for an entry registered by a write
+   whose publication never landed), and both metadata-plane journals must
+   be quiescent: a pending intent at teardown is a half-published commit
+   nobody recovered. *)
+let audit t =
+  let v invariant fmt = Engine.violation ~subject:"blobseer" invariant fmt in
+  let site_violations = ref [] in
+  let seen_descs : (Types.chunk_desc, unit) Hashtbl.t = Hashtbl.create 256 in
+  Version_manager.iter_live_trees t.vm (fun ~blob ~version tree ->
+      Segment_tree.fold_set
+        (fun index (desc : Types.chunk_desc) () ->
+          if not (Hashtbl.mem seen_descs desc) then begin
+            Hashtbl.replace seen_descs desc ();
+            let where = Fmt.str "blob %d v%d chunk %d" blob version index in
+            let provider (r : Types.replica) = Provider_manager.provider t.pm r.provider in
+            let hosts =
+              List.map (fun r -> Net.host_id (Data_provider.host (provider r))) desc.replicas
+            in
+            if List.length (List.sort_uniq Int.compare hosts) <> List.length hosts then
+              site_violations :=
+                v "replicas-distinct-hosts" "%s: replicas share a host (providers %a)" where
+                  Fmt.(list ~sep:comma int)
+                  (List.map (fun (r : Types.replica) -> r.provider) desc.replicas)
+                :: !site_violations;
+            List.iter
+              (fun (r : Types.replica) ->
+                let store = Data_provider.store (provider r) in
+                if
+                  Data_provider.is_alive (provider r)
+                  && Storage.Content_store.mem store r.chunk
+                  && Storage.Content_store.recorded_digest store r.chunk <> desc.digest
+                then
+                  site_violations :=
+                    v "checksum-metadata" "%s: provider %d recorded digest %Lx, descriptor %Lx"
+                      where r.provider
+                      (Storage.Content_store.recorded_digest store r.chunk)
+                      desc.digest
+                    :: !site_violations)
+              desc.replicas
+          end)
+        tree ());
+  let live = Hashtbl.of_seq (List.to_seq (live_digest_refs t)) in
+  let dedup_violations =
+    List.filter_map
+      (fun (digest, refs, _size, _replicas) ->
+        let n = match Hashtbl.find_opt live digest with Some (n, _, _) -> n | None -> 0 in
+        if refs <> n then
+          Some (v "dedup-refcount" "digest %Lx: index refcount %d, %d live reference(s)" digest refs n)
+        else None)
+      (Dedup_index.view (Provider_manager.dedup_index t.pm))
+  in
+  (* A fail-stopped version manager (a site disaster nobody will ever
+     recover) legitimately holds pending intents forever — quiescence is
+     only owed by services still alive to recover them. *)
+  let journal =
+    let n = Version_manager.journal_pending t.vm in
+    if n <> 0 && Version_manager.is_alive t.vm then
+      [ v "journal-quiescent" "version manager journal holds %d pending intent(s)" n ]
+    else []
+  in
+  List.rev !site_violations @ dedup_violations @ journal @ Metadata_service.audit t.md
+
 let deploy engine net ?(params = Types.default_params) ~version_manager_host
     ~provider_manager_host ~metadata_hosts ~data_providers () =
   if data_providers = [] then invalid_arg "Client.deploy: no data providers";
@@ -87,7 +192,6 @@ let deploy engine net ?(params = Types.default_params) ~version_manager_host
   in
   let md =
     Metadata_service.create engine net ~hosts:metadata_hosts
-      ~node_bytes:params.metadata_node_bytes ~node_cost:params.metadata_node_cost ()
   in
   List.iteri
     (fun i (host, disk) ->
@@ -110,7 +214,7 @@ let deploy engine net ?(params = Types.default_params) ~version_manager_host
     }
   in
   Version_manager.set_dedup_index vm (Provider_manager.dedup_index pm);
-  Engine.register_audit_subject engine (Audit_client t);
+  Engine.register_audit engine (fun () -> audit t);
   t
 
 (* Descriptor identity: distinguishes descriptors that reference the same
@@ -222,7 +326,12 @@ let replica_order t ~from (desc : Types.chunk_desc) =
    erroring after the provider-side transient retries) is skipped and the
    next one tried. When a whole round finds no working replica the client
    backs off and re-polls liveness — a provider-manager failure report may
-   still be propagating — for a bounded number of rounds. *)
+   still be propagating — for [read_retries] rounds, the delay doubling
+   from [retry_backoff] up to [retry_backoff_cap] seconds. *)
+let read_retries = 3
+let retry_backoff = 0.05
+let retry_backoff_cap = 1.0
+
 let read_chunk_payload b ~from (desc : Types.chunk_desc) =
   let t = b.service in
   let try_replica (r : Types.replica) =
@@ -250,13 +359,9 @@ let read_chunk_payload b ~from (desc : Types.chunk_desc) =
     match List.find_map try_replica (replica_order t ~from desc) with
     | Some payload -> payload
     | None ->
-        if n >= t.params.read_retries then
-          raise (Types.Provider_down "all replicas failed")
+        if n >= read_retries then raise (Types.Provider_down "all replicas failed")
         else begin
-          let delay =
-            Float.min t.params.retry_backoff_cap
-              (t.params.retry_backoff *. float_of_int (1 lsl n))
-          in
+          let delay = Float.min retry_backoff_cap (retry_backoff *. float_of_int (1 lsl n)) in
           Obs.Metrics.incr m_read_retry_rounds;
           Obs.Metrics.add m_read_backoff delay;
           Engine.sleep t.engine delay;
@@ -568,7 +673,7 @@ let write_chunk_core b ~from ~base_tree ~suppress_clean ~hints jobs =
    range of touched chunks), charge the metadata commit and publish. *)
 let publish_descs b ~from ~base ~base_tree descs =
   let t = b.service in
-  let chunk_ids = Hashtbl.fold (fun i _ acc -> i :: acc) descs [] |> List.sort compare in
+  let chunk_ids = Hashtbl.fold (fun i _ acc -> i :: acc) descs [] |> List.sort Int.compare in
   let rec ranges = function
     | [] -> []
     | i :: rest ->
@@ -634,7 +739,7 @@ let write_chunks b ~from ?base ?(suppress_clean = false) ?(hints = []) jobs =
         check_dups rest
     | _ -> ()
   in
-  check_dups (List.sort compare (List.map fst jobs));
+  check_dups (List.sort Int.compare (List.map fst jobs));
   let engine = b.service.engine in
   let base, base_tree =
     Obs.Span.with_ engine ~component:"blob" ~name:"blob.meta" (fun () ->
@@ -723,41 +828,3 @@ let distinct_bytes b =
         tr ())
     (versions b);
   Hashtbl.fold (fun _ size acc -> acc + size) seen 0 (* lint: allow hashtbl-order — commutative sum *)
-
-(* ------------------------------------------------------------------ *)
-(* Live-reference views for the compactor's sweeps and recovery *)
-
-let live_chunk_refs t =
-  let refs = Hashtbl.create 1024 in
-  Version_manager.iter_live_trees (version_manager t) (fun ~blob:_ ~version:_ tr ->
-      Segment_tree.fold_set
-        (fun _ (desc : Types.chunk_desc) () ->
-          List.iter
-            (fun (r : Types.replica) ->
-              let key = (r.provider, r.chunk) in
-              Hashtbl.replace refs key (1 + Option.value ~default:0 (Hashtbl.find_opt refs key)))
-            desc.replicas)
-        tr ());
-  refs
-
-(* Live logical state per content digest: number of distinct descriptor
-   serials carrying it across the surviving trees, plus the size and an
-   exemplar replica set (the first encountered in sorted (blob, version)
-   order, so the result is deterministic). This is the ground truth the
-   dedup index is reconciled to after retention drops versions. *)
-let live_digest_refs t =
-  let seen : (int64 * int, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let acc : (int64, int * int * Types.replica list) Hashtbl.t = Hashtbl.create 1024 in
-  Version_manager.iter_live_trees (version_manager t) (fun ~blob:_ ~version:_ tr ->
-      Segment_tree.fold_set
-        (fun _ (desc : Types.chunk_desc) () ->
-          if not (Hashtbl.mem seen (desc.digest, desc.serial)) then begin
-            Hashtbl.replace seen (desc.digest, desc.serial) ();
-            match Hashtbl.find_opt acc desc.digest with
-            | Some (refs, size, replicas) ->
-                Hashtbl.replace acc desc.digest (refs + 1, size, replicas)
-            | None -> Hashtbl.replace acc desc.digest (1, desc.size, desc.replicas)
-          end)
-        tr ());
-  Hashtbl.fold (fun digest v l -> (digest, v) :: l) acc [] (* lint: allow hashtbl-order — sorted below *)
-  |> List.sort (fun (d1, _) (d2, _) -> Int64.compare d1 d2)

@@ -32,7 +32,18 @@ val deploy :
   unit ->
   t
 (** Stand up a BlobSeer service. [data_providers] associates each provider
-    with the host it runs on and the local disk it stores chunks on. *)
+    with the host it runs on and the local disk it stores chunks on. The
+    deployment registers {!audit} with the engine's teardown audits. *)
+
+val audit : t -> Engine.violation list
+(** Durability audit: replicas of every live chunk descriptor sit on
+    pairwise distinct hosts; the digest recorded provider-side at write
+    time matches the descriptor's for every live, present replica
+    (metadata agreement — payloads are not re-hashed, so injected
+    corruption awaiting scrub does not fail teardown); every dedup index
+    entry's refcount equals the live distinct serials carrying its digest;
+    and the version-manager and metadata journals hold no pending intents
+    while their service is alive to recover them. *)
 
 val engine : t -> Engine.t
 (** The engine the deployment runs on. *)
@@ -59,10 +70,6 @@ val integrity_failures : t -> int
 (** Chunk reads whose payload digest did not match the descriptor's —
     silently corrupted replicas detected (and failed over) by clients of
     this deployment. *)
-
-type Engine.audit_subject += Audit_client of t
-(** Registered at {!deploy}; lets [Analysis.Invariants] audit replica
-    placement, checksum metadata and journal quiescence at teardown. *)
 
 val repository_bytes : t -> int
 (** Physical bytes held across all data providers — the storage-space

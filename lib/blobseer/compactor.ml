@@ -2,22 +2,9 @@ open Simcore
 open Netsim
 open Storage
 
-type config = {
-  interval : float;
-  policy : Retention.policy;
-  read_retries : int;
-  read_backoff : float;
-  deep_verify : bool;
-}
+type config = { interval : float; policy : Retention.policy; deep_verify : bool }
 
-let default_config =
-  {
-    interval = 10.0;
-    policy = Retention.Keep_last 4;
-    read_retries = 3;
-    read_backoff = 0.01;
-    deep_verify = false;
-  }
+let default_config = { interval = 10.0; policy = Retention.Keep_last 4; deep_verify = false }
 
 type crash_point = Before_flatten | Mid_retire | After_retire
 
@@ -94,7 +81,30 @@ type t = {
   mutable fiber : Engine.fiber option;
 }
 
-type Engine.audit_subject += Audit_compactor of t
+(* Journal and reclamation audit: the maintenance journal must be
+   quiescent while the compactor is alive (pending intents on a dead
+   compactor await its own recovery tick), and no chunk the deferred sweep
+   deleted may be referenced by a live tree — chunk ids are never reused,
+   so a hit here means compaction reclaimed data a live version still
+   needs. *)
+let audit t =
+  let v invariant fmt = Engine.violation ~subject:"compactor" invariant fmt in
+  let journal =
+    let n = Journal.pending_count t.journal in
+    if n <> 0 && t.alive then
+      [ v "journal-quiescent" "compactor journal holds %d pending intent(s)" n ]
+    else []
+  in
+  let live = Client.live_chunk_refs t.service in
+  journal
+  @ List.filter_map
+      (fun (provider, chunk) ->
+        if Hashtbl.mem live (provider, chunk) then
+          Some
+            (v "no-live-reclaimed" "live tree references reclaimed chunk %d on provider %d" chunk
+               provider)
+        else None)
+      (List.rev t.deleted_log)
 
 let create service ~home ?(config = default_config) () =
   let t =
@@ -131,10 +141,9 @@ let create service ~home ?(config = default_config) () =
       fiber = None;
     }
   in
-  Engine.register_audit_subject (Client.engine service) (Audit_compactor t);
+  Engine.register_audit (Client.engine service) (fun () -> audit t);
   t
 
-let service t = t.service
 let engine t = Client.engine t.service
 let is_alive t = t.alive
 let journal_pending t = Journal.pending_count t.journal
@@ -187,9 +196,7 @@ let transient = function
 let read_desc_retrying t h desc =
   let attempts = ref 0 in
   let payload =
-    Faults.with_retries (engine t) ~retries:t.config.read_retries
-      ~backoff:t.config.read_backoff ~label:"compactor"
-      (fun () ->
+    Faults.with_retries (engine t) ~label:"compactor" (fun () ->
         incr attempts;
         Client.read_desc h ~from:t.home desc)
   in

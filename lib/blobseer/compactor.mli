@@ -33,14 +33,11 @@
     writer that resolved a dedup hit on soon-dead replicas but has not
     yet published. *)
 
-open Simcore
 open Netsim
 
 type config = {
   interval : float;  (** seconds between background passes *)
   policy : Retention.policy;  (** evaluated per blob on every pass *)
-  read_retries : int;  (** flatten-read retry budget per chunk *)
-  read_backoff : float;  (** base backoff between flatten-read retries *)
   deep_verify : bool;
       (** force a full remote verify-read of every cold chunk during
           flattens, bypassing the Merkle subtree-digest compare and
@@ -48,10 +45,11 @@ type config = {
           ablation and for drills that need flatten reads to exercise the
           data path *)
 }
+(** A flatten verify-read that hits an injected transient error is
+    retried 3 times, backing off from 10 ms ({!Faults.with_retries}). *)
 
 val default_config : config
-(** 10 s interval, [Keep_last 4], 3 retries, 10 ms base backoff, Merkle
-    verification (no deep reads). *)
+(** 10 s interval, [Keep_last 4], Merkle verification (no deep reads). *)
 
 (** Armable crash points of the compaction transaction (fault-injection
     hooks; see {!arm_crash}). *)
@@ -91,7 +89,10 @@ type t
 
 val create : Client.t -> home:Net.host -> ?config:config -> unit -> t
 (** A compactor for the deployment, reading flatten traffic from [home].
-    Registers itself as an {!Audit_compactor} subject. *)
+    It registers its audit with the deployment's engine
+    ({!Simcore.Engine.register_audit}): the journal is quiescent while the
+    compactor is alive, and no live tree references a chunk the sweep
+    deleted. *)
 
 val add_pin_source : t -> name:string -> (unit -> (int * int) list) -> unit
 (** Register a pin source: a cost-free closure returning the
@@ -141,9 +142,6 @@ val journal_pending : t -> int
 
 (** {1 Introspection} *)
 
-val service : t -> Client.t
-(** The deployment this compactor maintains. *)
-
 val stats : t -> stats
 (** Lifetime counters. *)
 
@@ -163,7 +161,3 @@ val reclaimed_chunks : t -> (int * int) list
 
 val pending_reclaim : t -> int
 (** Chunks queued for the deferred sweep but not yet deleted. *)
-
-type Engine.audit_subject += Audit_compactor of t
-(** Registered at {!create}; lets [Analysis.Invariants] audit journal
-    quiescence and that no live version references a reclaimed chunk. *)

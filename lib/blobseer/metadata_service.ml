@@ -7,15 +7,17 @@ type t = {
   engine : Engine.t;
   net : Net.t;
   providers : provider array;
-  node_bytes : int;
   mutable cursor : int;
   journal : int Journal.t; (* intent = node count of an in-flight commit *)
   mutable armed_crash : bool;
   mutable recovered : int;
 }
 
-let create engine net ~hosts ?(node_bytes = Types.default_params.metadata_node_bytes)
-    ?(node_cost = Types.default_params.metadata_node_cost) () =
+(* Wire size of one tree node and its service cost at a provider. *)
+let node_bytes = 64
+let node_cost = 5e-5
+
+let create engine net ~hosts =
   if hosts = [] then invalid_arg "Metadata_service.create: no hosts";
   let mk i mhost =
     {
@@ -30,7 +32,6 @@ let create engine net ~hosts ?(node_bytes = Types.default_params.metadata_node_b
     engine;
     net;
     providers = Array.of_list (List.mapi mk hosts);
-    node_bytes;
     cursor = 0;
     journal = Journal.create ~name:"metadata" ();
     armed_crash = false;
@@ -68,7 +69,7 @@ let spread t n =
 
 let run_batches t ~client ~towards_provider batches =
   let task (provider, count) () =
-    let bytes = count * t.node_bytes in
+    let bytes = count * node_bytes in
     if towards_provider then begin
       Net.transfer t.net ~src:client ~dst:provider.mhost bytes;
       Rate_server.process_many provider.server ~ops:count 0
@@ -111,6 +112,18 @@ let recover_journal t =
     (Journal.pending t.journal)
 
 let journal_pending t = Journal.pending_count t.journal
+
+(* Checked as part of the deployment's audit: every provider down is a
+   site disaster nobody will ever recover, so its pending intents are
+   legitimately stuck forever. *)
+let audit t =
+  let n = journal_pending t in
+  if n <> 0 && alive_count t > 0 then
+    [
+      Engine.violation ~subject:"blobseer" "journal-quiescent"
+        "metadata journal holds %d pending intent(s)" n;
+    ]
+  else []
 let recovered_intents t = t.recovered
 
 let fetch_nodes t ~to_ n =

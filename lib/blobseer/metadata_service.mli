@@ -16,22 +16,18 @@ val create :
   Engine.t ->
   Net.t ->
   hosts:Net.host list ->
-  ?node_bytes:int ->
-  ?node_cost:float ->
-  unit ->
   t
-(** One metadata provider per host. Requires a non-empty host list. *)
+(** One metadata provider per host, each shipping 64-byte tree nodes and
+    serving them at 50 µs per node. Requires a non-empty host list. *)
 
 val provider_count : t -> int
 (** Size of the metadata provider pool. *)
 
 val fail : t -> int -> unit
 (** Fail-stop metadata provider [i]: batches route around it (tree nodes
-    are replicated across the pool in the real system). *)
-
-val alive_count : t -> int
-(** Live providers. {!commit_nodes}/{!fetch_nodes} raise
-    {!Types.Provider_down} when this reaches zero. *)
+    are replicated across the pool in the real system).
+    {!commit_nodes}/{!fetch_nodes} raise {!Types.Provider_down} once no
+    provider is alive. *)
 
 val commit_nodes : t -> from:Net.host -> int -> unit
 (** [commit_nodes t ~from n] ships [n] freshly created tree nodes from the
@@ -51,7 +47,12 @@ val recover_journal : t -> unit
     Idempotent. *)
 
 val journal_pending : t -> int
-(** In-flight commit intents; 0 when quiescent (audited at teardown). *)
+(** In-flight commit intents; 0 when quiescent. *)
+
+val audit : t -> Engine.violation list
+(** Journal quiescence, part of {!Client}'s deployment audit: pending
+    intents while any provider is alive are a half-applied commit nobody
+    recovered. Reported under the [blobseer] subject. *)
 
 val recovered_intents : t -> int
 (** Total intents rolled back by {!recover_journal}. *)

@@ -1,18 +1,9 @@
 open Simcore
 open Netsim
 
-type config = {
-  window : int;
-  link_latency : float;
-  ship_delay : float;
-  stall_retries : int;
-  backoff_base : float;
-  backoff_cap : float;
-}
+type config = { window : int; link_latency : float; ship_delay : float }
 
-let default_config =
-  { window = 4; link_latency = 0.05; ship_delay = 1.0; stall_retries = 8;
-    backoff_base = 0.02; backoff_cap = 2.0 }
+let default_config = { window = 4; link_latency = 0.05; ship_delay = 1.0 }
 
 type stats = {
   records_seen : int;
@@ -79,8 +70,6 @@ type t = {
   mutable max_lag : int;
 }
 
-type Engine.audit_subject += Audit_replicator of t
-
 let m_lag = Obs.Metrics.gauge ~component:"repl" ~name:"lag_records"
 let m_in_flight = Obs.Metrics.gauge ~component:"repl" ~name:"in_flight"
 let m_apply_lag = Obs.Metrics.histogram ~component:"repl" ~name:"apply_lag_s"
@@ -108,11 +97,6 @@ let stats t =
     max_lag = t.max_lag;
     lag = stats_lag t;
   }
-
-let config t = t.config
-let promoted t = t.promoted
-let primary t = t.primary
-let standby t = t.standby
 
 (* The in-flight window as (blob, version) pins: every pending record
    still reads primary-side snapshot state (fetch walks the published
@@ -146,23 +130,25 @@ let inject = enqueue
 
 (* ------------------------------------------------------------------ *)
 (* Retry discipline: transient link/provider/service errors back off
-   exponentially (with identity-keyed jitter) up to [backoff_cap] and
-   retry indefinitely — a partitioned or degraded link makes the
-   replicator lag, never fail. Past [stall_retries] attempts the record
-   is counted as stalled (the lagging degradation made visible). *)
+   exponentially from [backoff_base] (with identity-keyed jitter) up to
+   [backoff_cap] seconds and retry indefinitely — a partitioned or
+   degraded link makes the replicator lag, never fail. Past
+   [stall_retries] attempts the record is counted as stalled (the lagging
+   degradation made visible). *)
+let stall_retries = 8
+let backoff_base = 0.02
+let backoff_cap = 2.0
 
 let with_backoff t ~label f =
   let rec go n =
     try f ()
     with Types.Provider_down _ | Types.Service_crashed _ | Faults.Injected_error _ ->
-      if n = t.config.stall_retries then begin
+      if n = stall_retries then begin
         t.stalls <- t.stalls + 1;
         trace t "%s stalled after %d attempts; lagging" label n
       end;
-      let expo = t.config.backoff_base *. float_of_int (1 lsl min n 16) in
-      let delay =
-        Float.min t.config.backoff_cap expo *. (1.0 +. (0.25 *. Rng.float t.jitter 1.0))
-      in
+      let expo = backoff_base *. float_of_int (1 lsl min n 16) in
+      let delay = Float.min backoff_cap expo *. (1.0 +. (0.25 *. Rng.float t.jitter 1.0)) in
       t.retries <- t.retries + 1;
       t.backoff_time <- t.backoff_time +. delay;
       Obs.Metrics.incr m_retries;
@@ -325,12 +311,72 @@ let rec tail_loop t =
 
 (* ------------------------------------------------------------------ *)
 
+(* Window and agreement audit: the fetch/ship pipeline must honour its
+   in-flight window; a promoted replicator must have settled its pending
+   queue (the loss was accounted at promotion, nothing may linger
+   half-tracked); and until a promotion diverges the sites on purpose,
+   any version present on both must carry identical logical content — the
+   standby applies the primary's history verbatim, never an interleaving
+   of its own. *)
+let audit t =
+  let v invariant fmt = Engine.violation ~subject:"replicator" invariant fmt in
+  let window =
+    if t.max_inflight > t.config.window then
+      [ v "window-bound" "max in-flight %d exceeded window %d" t.max_inflight t.config.window ]
+    else []
+  in
+  let settled =
+    if t.promoted && lag t <> 0 then
+      [ v "promoted-settled" "%d record(s) still pending after promotion" (lag t) ]
+    else []
+  in
+  let agreement =
+    if t.promoted then []
+    else begin
+      let pvm = Client.version_manager t.primary in
+      let svm = Client.version_manager t.standby in
+      let leaves tree =
+        List.rev
+          (Segment_tree.fold_set
+             (fun i (d : Types.chunk_desc) acc -> (i, d.Types.digest, d.Types.size) :: acc)
+             tree [])
+      in
+      List.concat_map
+        (fun blob ->
+          if not (List.mem blob (Version_manager.blob_ids pvm)) then
+            [ v "no-divergent-standby" "standby holds blob %d the primary never made" blob ]
+          else
+            List.filter_map
+              (fun version ->
+                match Version_manager.peek_tree pvm ~blob ~version with
+                | exception Not_found -> None (* pruned on the primary; nothing to compare *)
+                | ptree ->
+                    let stree = Version_manager.peek_tree svm ~blob ~version in
+                    (* Merkle-root fast path: agreeing roots prove the
+                       logical content equal without materializing leaf
+                       lists (memoized across the shadow-shared subtrees
+                       of successive versions). Leaves are materialized
+                       only on a root mismatch, for the precise verdict. *)
+                    let roots_agree =
+                      Client.with_merkle_metrics (fun () ->
+                          Segment_tree.merkle_digest ~digest:Types.desc_content_digest ptree
+                          = Segment_tree.merkle_digest ~digest:Types.desc_content_digest stree)
+                    in
+                    if roots_agree || leaves ptree = leaves stree then None
+                    else
+                      Some
+                        (v "no-divergent-standby" "blob %d v%d differs between primary and standby"
+                           blob version))
+              (List.init (Version_manager.peek_latest svm blob) (fun i -> i + 1)))
+        (Version_manager.blob_ids svm)
+    end
+  in
+  window @ settled @ agreement
+
 let create engine net ~primary ~standby ~gateway_primary ~gateway_standby
     ?(config = default_config) () =
   if config.window < 1 then invalid_arg "Replicator.create: window must be >= 1";
   if config.ship_delay < 0.0 then invalid_arg "Replicator.create: ship_delay";
-  if config.backoff_base <= 0.0 || config.backoff_cap < config.backoff_base then
-    invalid_arg "Replicator.create: bad backoff bounds";
   let t =
     {
       engine;
@@ -362,7 +408,7 @@ let create engine net ~primary ~standby ~gateway_primary ~gateway_standby
       max_lag = 0;
     }
   in
-  Engine.register_audit_subject engine (Audit_replicator t);
+  Engine.register_audit engine (fun () -> audit t);
   ignore (Engine.Fiber.spawn engine ~name:"replicator.tail" ~group:t.group (fun () -> tail_loop t));
   ignore (Engine.Fiber.spawn engine ~name:"replicator.apply" ~group:t.group (fun () -> apply_loop t));
   t

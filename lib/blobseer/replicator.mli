@@ -28,16 +28,14 @@ type config = {
       (** batching delay before a committed record is fetched, seconds —
           defers replication reads past the checkpoint burst that produced
           the record (primary overhead down, RPO up) *)
-  stall_retries : int;
-      (** attempts before a record is counted as stalled (lagging made
-          visible in {!stats}); retrying continues regardless *)
-  backoff_base : float;  (** first retry delay, doubled per attempt *)
-  backoff_cap : float;  (** ceiling on the retry delay *)
 }
+(** Transient errors are retried indefinitely with a backoff that starts
+    at 20 ms, doubles per attempt up to 2 s and carries up to 25 % jitter;
+    a record still failing after 8 attempts is counted as stalled in
+    {!stats}. *)
 
 val default_config : config
-(** Window 4, 50 ms link latency, 1 s shipping delay, 8 attempts before a
-    stall is counted, 20 ms base backoff capped at 2 s. *)
+(** Window 4, 50 ms link latency, 1 s shipping delay. *)
 
 val create :
   Engine.t ->
@@ -51,7 +49,11 @@ val create :
   t
 (** Stand up the shipping pipeline (tail, per-record fetch, in-order
     apply fibers) between the two deployments. Nothing flows until
-    {!attach} installs the commit hook. *)
+    {!attach} installs the commit hook. The replicator registers its audit
+    with the engine ({!Engine.register_audit}): the in-flight window was
+    never exceeded, a promoted replicator holds no pending record, and
+    before promotion every version present on both sites carries the same
+    logical content. *)
 
 val attach : t -> unit
 (** Install the commit hook on the primary version manager and enqueue an
@@ -94,7 +96,7 @@ type stats = {
   skipped_repairs : int;  (** digest-preserving repairs (logical no-ops) *)
   bytes_shipped : int;  (** chunk bytes carried across the WAN link *)
   retries : int;  (** transient-error retries across fetch and apply *)
-  stalls : int;  (** records that exceeded [stall_retries] attempts *)
+  stalls : int;  (** records that exceeded 8 retry attempts *)
   backoff_time : float;  (** total seconds spent backing off *)
   max_inflight : int;  (** high-water mark of in-flight records *)
   max_lag : int;  (** high-water mark of announced-but-unapplied records *)
@@ -115,22 +117,3 @@ val unsettled : t -> (int * int) list
     this as a pin source so retention never retires a version out from
     under the replication pipeline. Cost-free. *)
 
-val config : t -> config
-(** The configuration passed at creation. *)
-
-val promoted : t -> bool
-(** Whether {!promote} has run. *)
-
-val primary : t -> Client.t
-(** The primary deployment (for audits and RPO accounting). *)
-
-val standby : t -> Client.t
-(** The standby deployment (for audits and post-promotion use). *)
-
-(** {1 Audit view}
-
-    Replicators register themselves with their engine as
-    {!Audit_replicator} subjects; [Analysis.Invariants] checks the window
-    bound and standby/primary tree agreement at teardown. *)
-
-type Engine.audit_subject += Audit_replicator of t

@@ -136,14 +136,46 @@ let shared_nodes a b =
   (* lint: allow hashtbl-order — commutative count *)
   Hashtbl.fold (fun id () acc -> if Hashtbl.mem ids_a id then acc + 1 else acc) ids_b 0
 
-let terminal_spans t =
-  let rec go node lo acc =
+(* Partition audit: the terminal spans of a version tree (occupied leaves
+   and shared empty runs) must tile the padded power-of-two chunk space
+   contiguously — a hole or overlap means shadowing produced a corrupt
+   version (paper §3.1.2). *)
+let audit ~subject ~chunks t =
+  let v invariant fmt = Simcore.Engine.violation ~subject invariant fmt in
+  let rec terminals node lo acc =
     match node with
     | Empty { espan; _ } -> (lo, espan, false) :: acc
     | Leaf _ -> (lo, 1, true) :: acc
-    | Branch { left; right; _ } -> go right (lo + span left) (go left lo acc)
+    | Branch { left; right; _ } -> terminals right (lo + span left) (terminals left lo acc)
   in
-  List.rev (go t.root 0 [])
+  let spans = List.rev (terminals t.root 0 []) in
+  let shape =
+    if t.chunks <> chunks then
+      [ v "tree-shape" "tree covers %d chunks, blob has %d" t.chunks chunks ]
+    else []
+  in
+  let rec tile expected = function
+    | [] ->
+        if expected >= chunks then []
+        else [ v "partition" "leaves end at %d, short of %d chunks" expected chunks ]
+    | (lo, extent, _) :: rest ->
+        if extent <= 0 then [ v "partition" "non-positive span %d at leaf offset %d" extent lo ]
+        else if lo <> expected then
+          [
+            v "partition" "leaf at offset %d where %d expected (%s)" lo expected
+              (if lo > expected then "gap" else "overlap");
+          ]
+        else tile (lo + extent) rest
+  in
+  let occupied_width =
+    List.filter_map
+      (fun (lo, extent, occupied) ->
+        if occupied && extent <> 1 then
+          Some (v "leaf-width" "occupied leaf at %d spans %d chunks" lo extent)
+        else None)
+      spans
+  in
+  shape @ tile 0 spans @ occupied_width
 
 (* ---- Incremental Merkle digests -------------------------------------- *)
 

@@ -46,11 +46,11 @@ val shared_nodes : 'a t -> 'a t -> int
 (** Number of physically shared nodes between two versions — evidence of
     shadowing in tests. *)
 
-val terminal_spans : 'a t -> (int * int * bool) list
-(** [(lo, extent, occupied)] for every terminal node — occupied leaves and
-    shared empty runs — in ascending [lo] order. A well-formed tree's spans
-    partition the padded power-of-two chunk space with no gaps or overlaps;
-    [Analysis.Invariants] audits exactly that. *)
+val audit : subject:string -> chunks:int -> 'a t -> Simcore.Engine.violation list
+(** Partition audit: the tree's terminal nodes (occupied leaves and shared
+    empty runs) tile the padded power-of-two chunk space with no gaps or
+    overlaps, occupied leaves span exactly one chunk, and the tree
+    addresses [chunks] leaves. Violations name [subject]. *)
 
 val diff_leaves : 'a t -> 'a t -> (int * 'a option * 'a option) list
 (** [(i, in_old, in_new)] for every leaf whose descriptor differs, cheap on

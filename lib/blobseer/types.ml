@@ -20,13 +20,8 @@ type params = {
   write_window : int;  (** outstanding chunk writes per client *)
   read_window : int;  (** outstanding chunk reads per client *)
   request_overhead : float;  (** per-chunk service cost at a data provider *)
-  metadata_node_bytes : int;  (** wire size of one tree node *)
-  metadata_node_cost : float;  (** per-node service cost at a metadata provider *)
   publish_cost : float;  (** serialized cost of one version publication *)
   allocate_cost : float;  (** per-chunk cost at the provider manager *)
-  read_retries : int;  (** failover rounds over surviving replicas *)
-  retry_backoff : float;  (** base delay between failover rounds, doubled per round *)
-  retry_backoff_cap : float;  (** ceiling on the per-round failover delay *)
   allow_degraded_writes : bool;
       (** place fewer than [replication] copies when live distinct hosts run
           short, leaving repair to the scrubber, instead of failing the write *)
@@ -48,13 +43,8 @@ let default_params =
     write_window = 8;
     read_window = 8;
     request_overhead = 3e-4;
-    metadata_node_bytes = 64;
-    metadata_node_cost = 5e-5;
     publish_cost = 1e-3;
     allocate_cost = 2e-5;
-    read_retries = 3;
-    retry_backoff = 0.05;
-    retry_backoff_cap = 1.0;
     allow_degraded_writes = true;
     dedup = true;
     digest_cache = true;

@@ -20,13 +20,8 @@ type params = {
   write_window : int;  (** outstanding chunk writes per client *)
   read_window : int;  (** outstanding chunk reads per client *)
   request_overhead : float;  (** per-chunk service cost at a data provider *)
-  metadata_node_bytes : int;  (** wire size of one tree node *)
-  metadata_node_cost : float;  (** per-node service cost at a metadata provider *)
   publish_cost : float;  (** serialized cost of one version publication *)
   allocate_cost : float;  (** per-chunk cost at the provider manager *)
-  read_retries : int;  (** failover rounds over surviving replicas *)
-  retry_backoff : float;  (** base delay between failover rounds, doubled per round *)
-  retry_backoff_cap : float;  (** ceiling on the per-round failover delay *)
   allow_degraded_writes : bool;
       (** place fewer than [replication] copies when live distinct hosts run
           short, leaving repair to the scrubber, instead of failing the write *)

@@ -49,10 +49,66 @@ type t = {
   mutable on_commit : (commit_record -> unit) option;
 }
 
-type Engine.audit_subject += Audit_version_manager of t
-
 let m_publishes = Obs.Metrics.counter ~component:"vmgr" ~name:"publishes"
 let m_journal_rollbacks = Obs.Metrics.counter ~component:"vmgr" ~name:"journal_rollbacks"
+
+let chunk_count ~capacity ~stripe_size = Size.div_ceil capacity stripe_size
+let sorted_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare
+
+(* Density audit: the compactor's retention (keep-last, thinning) may
+   punch holes in the live chain, but live and retired versions together
+   must still tile the dense range the manager minted — a version in
+   neither set was lost, not retired — and no version may be both.
+   [latest] is the newest live version, and every stored tree passes the
+   segment-tree partition audit for the blob's chunk count. *)
+let audit t =
+  List.concat_map
+    (fun blob ->
+      let subject = Fmt.str "version-manager:blob%d" blob in
+      let v invariant fmt = Engine.violation ~subject invariant fmt in
+      let st = Hashtbl.find t.blobs blob in
+      match sorted_keys st.versions with
+      | [] -> [ v "versions-dense" "blob has no live versions at all" ]
+      | first :: _ as versions ->
+          let newest = List.fold_left max first versions in
+          let disjoint =
+            match List.filter (fun r -> List.mem r versions) st.retired with
+            | [] -> []
+            | overlap ->
+                [
+                  v "retired-disjoint" "versions %a are both live and retired"
+                    Fmt.(list ~sep:comma int) overlap;
+                ]
+          in
+          let dense =
+            let all = List.sort_uniq Int.compare (versions @ st.retired) in
+            let lo = List.hd all in
+            if all <> List.init (List.length all) (fun i -> lo + i) then
+              [
+                v "versions-dense" "live %a + retired %a do not tile a dense range"
+                  Fmt.(list ~sep:comma int) versions
+                  Fmt.(list ~sep:comma int) st.retired;
+              ]
+            else []
+          in
+          let latest_ok =
+            if st.latest <> newest then
+              [ v "latest-is-max" "latest is %d, newest stored version is %d" st.latest newest ]
+            else []
+          in
+          let chunks =
+            chunk_count ~capacity:st.info.capacity ~stripe_size:st.info.stripe_size
+          in
+          let trees =
+            List.concat_map
+              (fun version ->
+                Segment_tree.audit
+                  ~subject:(Fmt.str "%s/v%d" subject version)
+                  ~chunks (Hashtbl.find st.versions version))
+              versions
+          in
+          disjoint @ dense @ latest_ok @ trees)
+    (sorted_keys t.blobs)
 
 let create engine net ~host ?(publish_cost = Types.default_params.publish_cost) () =
   let t =
@@ -71,14 +127,12 @@ let create engine net ~host ?(publish_cost = Types.default_params.publish_cost) 
       on_commit = None;
     }
   in
-  Engine.register_audit_subject engine (Audit_version_manager t);
+  Engine.register_audit engine (fun () -> audit t);
   t
 
 let set_dedup_index t index = t.dedup <- Some index
 let set_on_commit t f = t.on_commit <- Some f
 let notify t record = match t.on_commit with Some f -> f record | None -> ()
-
-let chunk_count ~capacity ~stripe_size = Size.div_ceil capacity stripe_size
 
 let is_alive t = t.alive
 let fail t = t.alive <- false
@@ -119,7 +173,7 @@ let create_blob t ~from ~capacity ~stripe_size =
 
 let state t blob = Hashtbl.find t.blobs blob
 let blob_info t blob = (state t blob).info
-let blob_ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.blobs [] |> List.sort compare
+let blob_ids t = sorted_keys t.blobs
 let latest t ~from blob = rpc t ~from (fun () -> (state t blob).latest)
 
 let get_tree t ~from ~blob ~version =
@@ -254,9 +308,7 @@ let retired_versions t ~blob = (state t blob).retired
 let unsafe_forget_version t ~blob ~version =
   Hashtbl.remove (state t blob).versions version
 
-let versions t ~blob =
-  let st = state t blob in
-  Hashtbl.fold (fun v _ acc -> v :: acc) st.versions [] |> List.sort compare
+let versions t ~blob = sorted_keys (state t blob).versions
 
 (* Retention planning lives with the version manager (it owns the version
    sets the policies partition); evaluation itself is {!Retention.plan}. *)

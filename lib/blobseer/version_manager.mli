@@ -24,7 +24,8 @@ type crash_point =
 
 val create : Engine.t -> Net.t -> host:Net.host -> ?publish_cost:float -> unit -> t
 (** A version manager on [host] with no blobs; [publish_cost] (default 0)
-    is charged per {!publish} on top of the round-trip. *)
+    is charged per {!publish} on top of the round-trip. It registers
+    {!audit} with the engine's teardown audits. *)
 
 val create_blob : t -> from:Net.host -> capacity:int -> stripe_size:int -> blob_info
 (** Registers a new BLOB whose version 0 is entirely unwritten. *)
@@ -116,9 +117,6 @@ val iter_live_trees : t -> (blob:int -> version:int -> tree -> unit) -> unit
 (** All live (blob, version) roots — the compactor's mark roots — in
     ascending (blob, version) order, so iteration order is deterministic. *)
 
-val chunk_count : capacity:int -> stripe_size:int -> int
-(** Number of segment-tree leaves a blob of this shape addresses. *)
-
 (** {1 Crash consistency}
 
     Every publication, clone and repair journals an intent before mutating
@@ -154,13 +152,16 @@ val journal_pending : t -> int
 val recovered_intents : t -> int
 (** Total intents rolled back by {!restart} over the service's lifetime. *)
 
-(** {1 Audit views}
+(** {1 Audit and cost-free views}
 
-    Read-only accessors for [Analysis.Invariants]; no simulated network or
-    service cost is charged. Version managers register themselves with
-    their engine as {!Audit_version_manager} subjects. *)
+    Read-only accessors; no simulated network or service cost is
+    charged. *)
 
-type Engine.audit_subject += Audit_version_manager of t
+val audit : t -> Engine.violation list
+(** Density audit, per blob: live and retired versions are disjoint and
+    together tile a dense range (retention punches holes, it never loses
+    versions), [latest] is the newest live version, and every stored tree
+    passes {!Segment_tree.audit} for the blob's chunk count. *)
 
 val peek_latest : t -> int -> int
 (** Like {!latest} but free of simulated cost. *)

@@ -84,8 +84,6 @@ type t = {
   mutable done_ : bool;
 }
 
-type Engine.audit_subject += Audit_supervisor of t
-
 let m_recoveries = Obs.Metrics.counter ~component:"sup" ~name:"recoveries"
 let m_abandoned = Obs.Metrics.counter ~component:"sup" ~name:"recoveries_abandoned"
 let m_failovers = Obs.Metrics.counter ~component:"sup" ~name:"failovers"
@@ -728,7 +726,10 @@ let run cluster ~kind ?(policy = default_policy) ?scrub ?compaction ?(faults = [
       done_ = false;
     }
   in
-  Engine.register_audit_subject cluster.Cluster.engine (Audit_supervisor t);
+  Engine.register_audit cluster.Cluster.engine (fun () ->
+      List.map
+        (fun detail -> { Engine.subject = "supervisor"; invariant = "dead-accounted"; detail })
+        (audit t));
   (* Kill our instances placed on a node the moment it crash-stops, so
      their guest fibers unwind at the next pause point. *)
   Cluster.on_node_crash cluster (fun node_index ->

@@ -26,7 +26,6 @@
     covered by a committed checkpoint is {e useful}; the
     detection-to-resume interval is recorded as recovery latency. *)
 
-open Simcore
 
 type policy = {
   heartbeat_period : float;  (** seconds between probe rounds *)
@@ -96,8 +95,6 @@ type report = {
 
 type t
 
-type Engine.audit_subject += Audit_supervisor of t
-
 val run :
   Cluster.t ->
   kind:Approach.kind ->
@@ -153,6 +150,7 @@ val scrubber : t -> Blobseer.Scrubber.t option
 (** The background scrubber, when [run] was given a [scrub] config. *)
 
 val audit : t -> string list
-(** Invariant check used by the teardown audit: every instance ever
+(** Invariant check that {!run} registers as the engine's teardown audit
+    (invariant [dead-accounted]): every instance ever
     declared dead must have been restarted or accounted abandoned, and a
     completed run must have either finished or abandoned instances. *)

@@ -29,7 +29,7 @@ type outcome = {
   rto : float;  (** detection-to-running failover latency, seconds *)
   integrity_failures : int;  (** checksum-mismatch failovers, both sites *)
   engine : Simcore.Engine.t;
-      (** the quiesced engine the run executed on, with its audit subjects
+      (** the quiesced engine the run executed on, with its audit checks
           still registered — schedule fuzzing audits it post-run *)
 }
 

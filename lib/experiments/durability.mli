@@ -27,7 +27,7 @@ type chaos = {
   scrub_events : Blobseer.Scrubber.event list;  (** chronological scrub log *)
   integrity_failures : int;  (** client checksum-mismatch failovers *)
   engine : Simcore.Engine.t;
-      (** the quiesced engine the run executed on, with its audit subjects
+      (** the quiesced engine the run executed on, with its audit checks
           still registered — schedule fuzzing audits it post-run *)
 }
 

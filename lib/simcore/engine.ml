@@ -11,15 +11,13 @@ let () =
           (Printf.sprintf "Audit_failure(%s: %s)" subject (String.concat "; " violations))
     | _ -> None)
 
-type audit_subject = ..
+type violation = { subject : string; invariant : string; detail : string }
 
-(* The subject auditor is installed by [Analysis.Invariants] (which lives
-   above the component libraries in the dependency order); until it is
-   installed, registered subjects are inert. *)
-let subject_auditor : (audit_subject -> (string * string list) option) ref =
-  ref (fun _ -> None)
+let violation ~subject invariant fmt =
+  Fmt.kstr (fun detail -> { subject; invariant; detail }) fmt
 
-let set_subject_auditor f = subject_auditor := f
+let pp_violation ppf x =
+  Fmt.pf ppf "%s: invariant %S violated: %s" x.subject x.invariant x.detail
 
 let audits_enabled_flag =
   ref (match Sys.getenv_opt "BLOBCR_AUDIT" with Some ("0" | "") | None -> false | Some _ -> true)
@@ -46,7 +44,7 @@ type t = {
   mutable live : int;
   mutable blocked : int;
   mutable next_id : int;
-  mutable audit_subjects : audit_subject list;
+  mutable audits : (unit -> violation list) list; (* newest first *)
 }
 
 and fiber = {
@@ -84,14 +82,12 @@ let create ?(seed = 42) ?schedule () =
     live = 0;
     blocked = 0;
     next_id = 0;
-    audit_subjects = [];
+    audits = [];
   }
 
-let register_audit_subject t s = t.audit_subjects <- s :: t.audit_subjects
-let audit_subjects t = List.rev t.audit_subjects
-
-let audit_violations t =
-  List.filter_map (fun s -> !subject_auditor s) (audit_subjects t)
+let register_audit t check = t.audits <- check :: t.audits
+let audit_count t = List.length t.audits
+let audit t = List.concat_map (fun check -> check ()) (List.rev t.audits)
 
 let now t = t.now
 let rng t = t.rng
@@ -318,12 +314,17 @@ let run t =
   while step t do
     ()
   done;
-  (* Teardown audit: at quiescence every registered subject's structural
-     invariants must hold (debug builds only, see BLOBCR_AUDIT). *)
+  (* Teardown audit: at quiescence every registered structural invariant
+     must hold (debug builds only, see BLOBCR_AUDIT). The first check that
+     reports violations names the failure. *)
   if audits_enabled () then
-    match audit_violations t with
-    | [] -> ()
-    | (subject, violations) :: _ -> raise (Audit_failure (subject, violations))
+    List.iter
+      (fun check ->
+        match check () with
+        | [] -> ()
+        | first :: _ as vs ->
+            raise (Audit_failure (first.subject, List.map (Fmt.str "%a" pp_violation) vs)))
+      (List.rev t.audits)
 
 let run_until t limit =
   let rec go () =

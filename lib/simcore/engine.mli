@@ -31,8 +31,8 @@ exception Fiber_failure of string * exn
 
 exception Audit_failure of string * string list
 (** Raised out of {!run} when teardown audits are enabled and a registered
-    audit subject violates a structural invariant; carries the subject name
-    and the violation descriptions. *)
+    check reports violations; carries the first violation's subject and
+    every violation of that check rendered by {!pp_violation}. *)
 
 val create : ?seed:int -> ?schedule:Event_queue.schedule -> unit -> t
 (** [create ~seed ()] is a fresh engine at time [0.0]. Default seed 42.
@@ -85,27 +85,33 @@ val blocked_fibers : t -> int
 (** {1 Teardown audits}
 
     Stateful components (disk images, mirrors, version managers, ...)
-    register themselves as {e audit subjects} at creation. When audits are
-    enabled, {!run} checks every subject's structural invariants once the
-    event queue drains and raises {!Audit_failure} on the first violation.
-    The actual invariant checks live above the component libraries (in
-    [Analysis.Invariants]) and are injected with {!set_subject_auditor};
-    until an auditor is installed, registered subjects are inert. *)
+    register a check of their own structural invariants at creation. When
+    audits are enabled, {!run} runs every registered check once the event
+    queue drains and raises {!Audit_failure} on the first one that reports
+    violations. *)
 
-type audit_subject = ..
-(** Extensible registry of auditable state. Component modules add their own
-    constructor (e.g. [Qcow2.Audit_image]) and register instances. *)
+type violation = { subject : string; invariant : string; detail : string }
+(** One broken invariant: the structure it was found in, the invariant's
+    name and what was seen. *)
 
-val register_audit_subject : t -> audit_subject -> unit
-(** Attach a subject to this engine's teardown audit. Cheap, and safe to
-    call even when audits are disabled. *)
+val violation : subject:string -> string -> ('a, Format.formatter, unit, violation) format4 -> 'a
+(** [violation ~subject invariant fmt ...] is a violation whose detail is
+    formatted from [fmt]. *)
 
-val audit_subjects : t -> audit_subject list
-(** All registered subjects, in registration order. *)
+val pp_violation : Format.formatter -> violation -> unit
+(** Renders [subject: invariant "name" violated: detail], the invariant's
+    name quoted. *)
 
-val set_subject_auditor : (audit_subject -> (string * string list) option) -> unit
-(** Install the global subject auditor (normally [Analysis.Invariants]'s;
-    the function receives each subject and returns [None] when clean). *)
+val register_audit : t -> (unit -> violation list) -> unit
+(** Attach an invariant check to this engine's teardown audit; it returns
+    [[]] when clean. Cheap, and safe to call even when audits are
+    disabled. *)
+
+val audit : t -> violation list
+(** Run every registered check now, in registration order. *)
+
+val audit_count : t -> int
+(** Number of registered checks. *)
 
 val audits_enabled : unit -> bool
 (** Whether {!run} performs teardown audits. Defaults to the [BLOBCR_AUDIT]

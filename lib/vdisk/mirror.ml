@@ -8,7 +8,7 @@ open Blobseer
    live count; iteration runs in ascending chunk order, so every view and
    the commit's chunk list come out sorted without a sort. The byte array
    is allocated on the first [add] and released by [clear]: the engine keeps
-   every mirror it ever created reachable as an audit subject, so the state
+   every mirror it ever created reachable through its audit, so the state
    of a dropped mirror must not stay [n]-sized. *)
 module Chunk_set = struct
   type t = { n : int; mutable marks : Bytes.t; mutable count : int }
@@ -128,8 +128,6 @@ type t = {
   mutable cow_bytes_total : int; (* ... the live-checkpoint interference cost *)
 }
 
-type Engine.audit_subject += Audit_mirror of t
-
 let m_chunks_fetched = Obs.Metrics.counter ~component:"mirror" ~name:"chunks_fetched"
 let m_bytes_fetched = Obs.Metrics.counter ~component:"mirror" ~name:"bytes_fetched"
 let m_local_bytes = Obs.Metrics.gauge ~component:"mirror" ~name:"local_bytes"
@@ -137,39 +135,6 @@ let m_commit_seconds = Obs.Metrics.histogram ~component:"mirror" ~name:"commit_s
 let m_frozen_chunks = Obs.Metrics.counter ~component:"mirror" ~name:"frozen_chunks"
 let m_cow_chunks = Obs.Metrics.counter ~component:"mirror" ~name:"cow_chunks"
 let m_cow_bytes = Obs.Metrics.counter ~component:"mirror" ~name:"cow_bytes"
-
-let create engine ~host ~local_disk ~base ~base_version ?prefetch ~name () =
-  let chunk_size = Client.stripe_size base in
-  let capacity = Client.capacity base in
-  let chunks = Size.div_ceil capacity chunk_size in
-  let t = {
-    engine;
-    host;
-    local_disk;
-    base;
-    base_version;
-    prefetch;
-    mname = name;
-    capacity;
-    chunk_size;
-    local = Sparse_bytes.create ~block_size:chunk_size ();
-    present = Chunk_set.create chunks;
-    dirty = Chunk_set.create chunks;
-    digests = Digest_map.create chunks;
-    use_cache = (Client.params (Client.service base)).Types.digest_cache;
-    skip_chunks = 0;
-    skip_bytes = 0;
-    ckpt = None;
-    reserved = 0;
-    last_stats = Client.empty_write_stats;
-    total_stats = Client.empty_write_stats;
-    frozen = None;
-    cow_chunks_total = 0;
-    cow_bytes_total = 0;
-  }
-  in
-  Engine.register_audit_subject engine (Audit_mirror t);
-  t
 
 let name t = t.mname
 let capacity t = t.capacity
@@ -222,6 +187,131 @@ let peek_frozen_payload t ~chunk =
   | Some f ->
       Sparse_bytes.read (frozen_source t f chunk) ~offset:(chunk * t.chunk_size)
         ~len:(chunk_extent t chunk)
+
+(* COW audit (paper §3.2): a chunk can only be dirty if it is locally
+   present — commit reads dirty chunks back from the local cache, so a
+   dirty absent chunk would push garbage into the checkpoint image. The
+   carried digest cache owes the same subset discipline, and its entries
+   must agree with a fresh digest of the chunk's current local bytes — a
+   stale entry would let the next commit suppress or dedup a chunk on the
+   wrong digest. Recomputation is sampled deterministically (every
+   stride-th entry, ≤ ~64 recomputes) to bound teardown cost. *)
+let sampled cache =
+  let stride = max 1 (List.length cache / 64) in
+  List.filteri (fun i _ -> i mod stride = 0) cache
+
+let audit t =
+  let v invariant fmt = Engine.violation ~subject:("mirror:" ^ t.mname) invariant fmt in
+  let present = Chunk_set.mem t.present in
+  let dirty =
+    List.filter_map
+      (fun chunk ->
+        if present chunk then None
+        else Some (v "dirty-subset-present" "chunk %d dirty but not locally present" chunk))
+      (dirty_view t)
+  in
+  let cache = digest_view t in
+  let subset =
+    List.filter_map
+      (fun (chunk, _) ->
+        if present chunk then None
+        else
+          Some (v "digest-subset-present" "chunk %d digest-cached but not locally present" chunk))
+      cache
+  in
+  let coherent =
+    List.filter_map
+      (fun (chunk, cached) ->
+        if not (present chunk) then None
+        else
+          let fresh = Payload.digest (peek_chunk_payload t ~chunk) in
+          if fresh = cached then None
+          else
+            Some
+              (v "digest-cache-coherent" "chunk %d cached digest %Lx, current bytes digest %Lx"
+                 chunk cached fresh))
+      (sampled cache)
+  in
+  (* Frozen-epoch liveness (live checkpointing, DESIGN.md §17): every
+     frozen-pending chunk must still be locally present, the diff log may
+     only hold chunks of the pending set, and digests captured at freeze
+     time must describe the frozen bytes — on both forks of the clone
+     boundary (diff log and live store). A teardown with a frozen epoch
+     still active means a background commit was neither finished nor
+     rolled back. *)
+  let frozen =
+    match t.frozen with
+    | None -> []
+    | Some f ->
+        let pending = Chunk_set.mem f.f_pending in
+        let pending_view = Chunk_set.elements f.f_pending in
+        v "frozen-resolved" "frozen epoch with %d chunk(s) never committed or aborted"
+          (List.length pending_view)
+        :: List.filter_map
+             (fun chunk ->
+               if present chunk then None
+               else
+                 Some
+                   (v "frozen-subset-present" "chunk %d frozen-pending but not locally present"
+                      chunk))
+             pending_view
+        @ List.filter_map
+            (fun chunk ->
+              if pending chunk then None
+              else
+                Some
+                  (v "copied-subset-frozen"
+                     "chunk %d in the frozen diff log but not frozen-pending" chunk))
+            (Chunk_set.elements f.f_copied)
+        @ List.filter_map
+            (fun (chunk, cached) ->
+              if not (pending chunk) then
+                Some
+                  (v "frozen-digest-subset" "chunk %d frozen-digest-cached but not frozen-pending"
+                     chunk)
+              else
+                let fresh = Payload.digest (peek_frozen_payload t ~chunk) in
+                if fresh = cached then None
+                else
+                  Some
+                    (v "frozen-digest-coherent"
+                       "chunk %d frozen digest %Lx, frozen bytes digest %Lx" chunk cached fresh))
+            (sampled (Digest_map.bindings f.f_digests))
+  in
+  dirty @ subset @ coherent @ frozen
+
+let create engine ~host ~local_disk ~base ~base_version ?prefetch ~name () =
+  let chunk_size = Client.stripe_size base in
+  let capacity = Client.capacity base in
+  let chunks = Size.div_ceil capacity chunk_size in
+  let t = {
+    engine;
+    host;
+    local_disk;
+    base;
+    base_version;
+    prefetch;
+    mname = name;
+    capacity;
+    chunk_size;
+    local = Sparse_bytes.create ~block_size:chunk_size ();
+    present = Chunk_set.create chunks;
+    dirty = Chunk_set.create chunks;
+    digests = Digest_map.create chunks;
+    use_cache = (Client.params (Client.service base)).Types.digest_cache;
+    skip_chunks = 0;
+    skip_bytes = 0;
+    ckpt = None;
+    reserved = 0;
+    last_stats = Client.empty_write_stats;
+    total_stats = Client.empty_write_stats;
+    frozen = None;
+    cow_chunks_total = 0;
+    cow_bytes_total = 0;
+  }
+  in
+  Engine.register_audit engine (fun () -> audit t);
+  t
 
 let local_stream t = Net.host_id t.host
 

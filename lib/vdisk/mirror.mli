@@ -32,7 +32,8 @@ val create :
   unit ->
   t
 (** A mirror of snapshot [base_version] of [base]. On restart, pass the
-    checkpoint image and the snapshot version to roll back to. *)
+    checkpoint image and the snapshot version to roll back to. The mirror
+    registers {!audit} with the engine's teardown audits. *)
 
 val name : t -> string
 (** The name passed at creation (for traces). *)
@@ -146,13 +147,19 @@ val drop_local_state : t -> unit
 (** Release the mirror's local-disk footprint (instance terminated and its
     node-local storage reclaimed). *)
 
-(** {1 Audit views}
+(** {1 Audit}
 
-    Read-only views for [Analysis.Invariants]; no simulated I/O charged.
-    Mirrors register themselves with their engine as {!Audit_mirror}
-    subjects. *)
+    The mirror's invariant check and read-only views of the state it
+    reads; none of these charge simulated I/O. *)
 
-type Engine.audit_subject += Audit_mirror of t
+val audit : t -> Engine.violation list
+(** COW and digest-cache audit: dirty chunks and digest-cache keys are
+    locally present, and on a deterministic sample of at most ~64 entries
+    every cached digest equals the digest recomputed from the chunk's
+    current local bytes. An active frozen epoch is itself a violation
+    (a background commit neither finished nor rolled back), checked
+    further for the same subset and coherence rules on both forks of the
+    clone boundary. *)
 
 val present_view : t -> int list
 (** Locally cached chunk indices, ascending. *)
@@ -168,8 +175,8 @@ val unsafe_mark_dirty : t -> chunk:int -> unit
 val digest_view : t -> (int * int64) list
 (** The carried digest cache [(chunk, digest)], ascending by chunk. The
     invariants are keys ⊆ {!present_view} and every entry equal to the
-    digest of the chunk's current local bytes — [Analysis.Invariants]
-    samples exactly that at teardown (the digest-cache coherence audit).
+    digest of the chunk's current local bytes — the mirror's audit
+    samples exactly that at teardown (the digest-cache coherence check).
     Empty when [params.digest_cache] is off. *)
 
 val peek_chunk_payload : t -> chunk:int -> Payload.t

@@ -46,8 +46,6 @@ type t = {
   mutable snapshot_meta_bytes : int; (* stored tables + vm states *)
 }
 
-type Engine.audit_subject += Audit_image of t
-
 let default_cluster_size = 64 * Size.kib
 
 let table_bytes ~capacity ~cluster_size =
@@ -58,6 +56,52 @@ let table_bytes ~capacity ~cluster_size =
 
 let header_bytes ~capacity ~cluster_size =
   cluster_size + table_bytes ~capacity ~cluster_size
+
+(* Refcount audit (paper §2.3 baseline mechanics): every physical
+   cluster's refcount must equal its references from the live table plus
+   all frozen snapshot tables, every referenced cluster must hold data,
+   and no data cluster may be orphaned. *)
+let sorted_bindings tbl =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let audit t =
+  let v invariant fmt = Engine.violation ~subject:("qcow2:" ^ t.qname) invariant fmt in
+  let refs = Hashtbl.create 256 in
+  let count table =
+    (* lint: allow hashtbl-order — commutative count *)
+    Hashtbl.iter
+      (fun _ phys ->
+        Hashtbl.replace refs phys (1 + Option.value ~default:0 (Hashtbl.find_opt refs phys)))
+      table
+  in
+  count t.table;
+  List.iter (fun (_, s) -> count s.stable) t.snapshots;
+  let expected = sorted_bindings refs in
+  let stored phys = match Hashtbl.find_opt t.refcounts phys with Some 0 | None -> None | m -> m in
+  List.filter_map
+    (fun (phys, n) ->
+      match stored phys with
+      | Some m when m = n -> None
+      | Some m ->
+          Some (v "refcount" "physical cluster %d: stored refcount %d, %d references" phys m n)
+      | None -> Some (v "refcount" "physical cluster %d: no refcount, %d references" phys n))
+    expected
+  @ List.filter_map
+      (fun (phys, m) ->
+        if m = 0 || Hashtbl.mem refs phys then None
+        else Some (v "refcount" "physical cluster %d: refcount %d but unreferenced" phys m))
+      (sorted_bindings t.refcounts)
+  @ List.filter_map
+      (fun (phys, _) ->
+        if Hashtbl.mem refs phys then None
+        else Some (v "no-orphans" "data cluster %d referenced by no table" phys))
+      (sorted_bindings t.data)
+  @ List.filter_map
+      (fun (phys, _) ->
+        if Hashtbl.mem t.data phys then None
+        else Some (v "data-present" "referenced cluster %d holds no data" phys))
+      expected
 
 let create engine ~host ~local_disk ?(cluster_size = default_cluster_size) ~capacity
     ~backing ~name () =
@@ -86,7 +130,7 @@ let create engine ~host ~local_disk ?(cluster_size = default_cluster_size) ~capa
   in
   (* The freshly created file holds header + empty tables. *)
   Disk.reserve local_disk (header_bytes ~capacity ~cluster_size);
-  Engine.register_audit_subject engine (Audit_image t);
+  Engine.register_audit engine (fun () -> audit t);
   t
 
 let name t = t.qname
@@ -261,22 +305,6 @@ let savevm t ~snapshot_name ~vm_state =
   t.snapshots <- (snapshot_name, { stable; svm_state = vm_state }) :: t.snapshots
 
 let snapshot_names t = List.rev_map fst t.snapshots
-
-(* ------------------------------------------------------------------ *)
-(* Read-only audit views *)
-
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
-
-let table_view t = sorted_bindings t.table
-
-let snapshot_table_views t =
-  List.rev_map (fun (sname, s) -> (sname, sorted_bindings s.stable)) t.snapshots
-
-let refcount_view t = sorted_bindings t.refcounts
-
-let data_phys_view t =
-  Hashtbl.fold (fun phys _ acc -> phys :: acc) t.data [] |> List.sort compare
 
 let unsafe_set_refcount t ~phys count = Hashtbl.replace t.refcounts phys count
 

@@ -39,7 +39,8 @@ val create :
   unit ->
   t
 (** Fresh image with no allocated clusters. Default cluster size 64 KiB.
-    [host] is the compute node, used for remote backing reads. *)
+    [host] is the compute node, used for remote backing reads. The image
+    registers {!audit} with the engine's teardown audits. *)
 
 val name : t -> string
 (** The name passed at creation (for traces). *)
@@ -74,27 +75,10 @@ val savevm : t -> snapshot_name:string -> vm_state:Payload.t -> unit
 val snapshot_names : t -> string list
 (** Internal snapshots, oldest first. *)
 
-(** {1 Audit views}
-
-    Read-only structural views for the invariant auditor
-    ([Analysis.Invariants]); none of these charge simulated I/O. Images
-    register themselves with their engine as {!Audit_image} subjects so
-    teardown audits (see {!Engine.audits_enabled}) cover them. *)
-
-type Engine.audit_subject += Audit_image of t
-
-val table_view : t -> (int * int) list
-(** Live [guest cluster -> physical cluster] mappings, sorted by guest
-    index. *)
-
-val snapshot_table_views : t -> (string * (int * int) list) list
-(** Frozen per-snapshot tables, oldest snapshot first. *)
-
-val refcount_view : t -> (int * int) list
-(** [physical cluster -> table references], sorted by physical index. *)
-
-val data_phys_view : t -> int list
-(** Physical clusters holding content, ascending. *)
+val audit : t -> Engine.violation list
+(** Refcount audit: every physical cluster's refcount equals its
+    references from the live table plus all snapshot tables, every
+    referenced cluster holds data and no data cluster is orphaned. *)
 
 val unsafe_set_refcount : t -> phys:int -> int -> unit
 (** Corrupt a refcount in place. Test-only: exists so tests can prove the

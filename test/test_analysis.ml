@@ -1,12 +1,8 @@
 (* Tests for the analysis subsystem: the source lint rules (positive and
-   pragma-suppressed cases), the runtime invariant auditors (each must
-   catch a seeded defect), and the replay-divergence checker. *)
+   pragma-suppressed cases) and the replay-divergence checker. *)
 
 open Simcore
-open Netsim
 open Storage
-open Blobseer
-open Vdisk
 open Analysis
 
 (* ------------------------------------------------------------------ *)
@@ -102,153 +98,6 @@ let test_doc_lint_changes_log () =
     (changes [ "PR 1 (a): x"; "Found: lower case"; "PR 3 (b): skips 2" ]);
   Sys.remove path;
   Sys.rmdir root
-
-(* ------------------------------------------------------------------ *)
-(* Invariants: each auditor catches a seeded defect *)
-
-type rig = {
-  engine : Engine.t;
-  service : Client.t;
-  nodes : (Net.host * Disk.t) array;
-}
-
-let make_rig ?(stripe = 256) () =
-  let engine = Engine.create () in
-  let net = Net.create engine { Net.default_config with latency = 1e-4 } in
-  let vm_host = Net.add_host net ~name:"vmanager" in
-  let pm_host = Net.add_host net ~name:"pmanager" in
-  let meta = [ Net.add_host net ~name:"meta0" ] in
-  let nodes =
-    Array.init 3 (fun i ->
-        ( Net.add_host net ~name:(Fmt.str "node%d" i),
-          Disk.create engine ~name:(Fmt.str "nodedisk%d" i) () ))
-  in
-  let service =
-    Client.deploy engine net
-      ~params:{ Types.default_params with stripe_size = stripe }
-      ~version_manager_host:vm_host ~provider_manager_host:pm_host
-      ~metadata_hosts:meta ~data_providers:(Array.to_list nodes) ()
-  in
-  { engine; service; nodes }
-
-let run rig f =
-  let result = ref None in
-  let _ = Engine.Fiber.spawn rig.engine (fun () -> result := Some (f ())) in
-  Engine.run rig.engine;
-  Option.get !result
-
-(* Tests that seed corruption and audit by hand must not also trip the
-   teardown audit (armed suite-wide via BLOBCR_AUDIT=1 in test/dune). *)
-let without_teardown_audits f =
-  let was = Engine.audits_enabled () in
-  Engine.set_audits_enabled false;
-  Fun.protect ~finally:(fun () -> Engine.set_audits_enabled was) f
-
-let make_qcow2 rig =
-  let host, disk = rig.nodes.(0) in
-  let q =
-    Qcow2.create rig.engine ~host ~local_disk:disk ~cluster_size:256 ~capacity:4096
-      ~backing:Qcow2.No_backing ~name:"q" ()
-  in
-  Qcow2.write q ~offset:0 (Payload.of_string (String.make 512 'a'));
-  Qcow2.savevm q ~snapshot_name:"s1" ~vm_state:(Payload.of_string "vm");
-  Qcow2.write q ~offset:0 (Payload.of_string (String.make 256 'b'));
-  q
-
-let test_qcow2_audit_catches_refcount_corruption () =
-  without_teardown_audits @@ fun () ->
-  let rig = make_rig () in
-  let clean, corrupted =
-    run rig (fun () ->
-        let q = make_qcow2 rig in
-        let clean = Invariants.audit_qcow2 q in
-        Qcow2.unsafe_set_refcount q ~phys:0 7;
-        (clean, Invariants.audit_qcow2 q))
-  in
-  Alcotest.(check int) "clean image audits clean" 0 (List.length clean);
-  Alcotest.(check bool) "corrupted refcount caught" true
-    (List.exists (fun v -> v.Invariants.invariant = "refcount") corrupted)
-
-let test_engine_teardown_audit () =
-  let was = Engine.audits_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Engine.set_audits_enabled was)
-    (fun () ->
-      Engine.set_audits_enabled true;
-      let rig = make_rig () in
-      let _ =
-        Engine.Fiber.spawn rig.engine (fun () ->
-            let q = make_qcow2 rig in
-            Qcow2.unsafe_set_refcount q ~phys:0 7)
-      in
-      match Engine.run rig.engine with
-      | () -> Alcotest.fail "expected Audit_failure at teardown"
-      | exception Engine.Audit_failure _ -> ())
-
-let test_mirror_audit_catches_uncached_dirty () =
-  without_teardown_audits @@ fun () ->
-  let rig = make_rig () in
-  let clean, corrupted =
-    run rig (fun () ->
-        let host, disk = rig.nodes.(1) in
-        let client_host, _ = rig.nodes.(0) in
-        let base =
-          Client.create_blob rig.service ~from:client_host ~capacity:2048
-        in
-        let v =
-          Client.write base ~from:client_host ~offset:0
-            (Payload.of_string (String.make 2048 'Z'))
-        in
-        let m =
-          Mirror.create rig.engine ~host ~local_disk:disk ~base ~base_version:v
-            ~name:"m" ()
-        in
-        Mirror.write m ~offset:0 (Payload.of_string (String.make 256 'w'));
-        let clean = Invariants.audit_mirror m in
-        Mirror.unsafe_mark_dirty m ~chunk:7;
-        (clean, Invariants.audit_mirror m))
-  in
-  Alcotest.(check int) "clean mirror audits clean" 0 (List.length clean);
-  Alcotest.(check bool) "dirty-not-present caught" true
-    (List.exists (fun v -> v.Invariants.invariant = "dirty-subset-present") corrupted)
-
-let test_version_manager_audit_catches_version_hole () =
-  without_teardown_audits @@ fun () ->
-  let rig = make_rig () in
-  let clean, holed =
-    run rig (fun () ->
-        let client_host, _ = rig.nodes.(0) in
-        let blob = Client.create_blob rig.service ~from:client_host ~capacity:1024 in
-        let write c =
-          ignore
-            (Client.write blob ~from:client_host ~offset:0
-               (Payload.of_string (String.make 1024 c)))
-        in
-        write 'a';
-        write 'b';
-        write 'c';
-        let vm = Client.version_manager rig.service in
-        let clean = Invariants.audit_version_manager vm in
-        (* Retention punches accounted holes: a retired middle version is
-           recorded as such and the union check stays clean. *)
-        ignore (Version_manager.retire_version vm ~blob:(Client.blob_id blob) ~version:2);
-        let retained = Invariants.audit_version_manager vm in
-        (* A version in neither the live nor the retired set was lost, not
-           retired — the seeded defect the audit must catch. *)
-        Version_manager.unsafe_forget_version vm ~blob:(Client.blob_id blob) ~version:1;
-        (clean @ retained, Invariants.audit_version_manager vm))
-  in
-  Alcotest.(check int) "live and retention-holed manager audit clean" 0 (List.length clean);
-  Alcotest.(check bool) "version hole caught" true
-    (List.exists (fun v -> v.Invariants.invariant = "versions-dense") holed)
-
-let test_segment_tree_audit () =
-  let tree = Segment_tree.create ~chunks:4 in
-  let tree, _ = Segment_tree.set_range tree ~start:1 [| Some 1; Some 2 |] in
-  Alcotest.(check int) "well-formed tree audits clean" 0
-    (List.length (Invariants.audit_segment_tree ~subject:"t" ~chunks:4 tree));
-  Alcotest.(check bool) "undersized tree caught" true
-    (Invariants.audit_segment_tree ~subject:"t" ~chunks:16 tree <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Determinism *)
@@ -657,18 +506,6 @@ let () =
             test_lint_strings_and_comments_inert;
           Alcotest.test_case "poly-compare rule" `Quick test_lint_poly_compare;
           Alcotest.test_case "missing-mli rule" `Quick test_lint_missing_mli;
-        ] );
-      ( "invariants",
-        [
-          Alcotest.test_case "qcow2 refcount corruption caught" `Quick
-            test_qcow2_audit_catches_refcount_corruption;
-          Alcotest.test_case "engine teardown raises Audit_failure" `Quick
-            test_engine_teardown_audit;
-          Alcotest.test_case "mirror dirty-not-present caught" `Quick
-            test_mirror_audit_catches_uncached_dirty;
-          Alcotest.test_case "version hole caught" `Quick
-            test_version_manager_audit_catches_version_hole;
-          Alcotest.test_case "segment-tree shape audit" `Quick test_segment_tree_audit;
         ] );
       ( "determinism",
         [

@@ -9,10 +9,6 @@ open Netsim
 open Storage
 open Blobseer
 
-(* Run every engine with teardown invariant audits armed (BLOBCR_AUDIT=1
-   in test/dune enables them; linking the auditor installs it). *)
-let () = Analysis.Invariants.install ()
-
 (* ------------------------------------------------------------------ *)
 (* Retention policy edges (pure planning, no engine) *)
 
@@ -251,8 +247,8 @@ let crash_forward_case point =
       Alcotest.(check int) "journal quiescent" 0 (Compactor.journal_pending c);
       Alcotest.(check (list string)) "engine audits clean" []
         (List.map
-           (fun v -> Fmt.str "%a" Analysis.Invariants.pp_violation v)
-           (Analysis.Invariants.audit_engine rig.engine)))
+           (fun v -> Fmt.str "%a" Engine.pp_violation v)
+           (Engine.audit rig.engine)))
 
 let test_crash_mid_retire_rolls_forward () = crash_forward_case Compactor.Mid_retire
 let test_crash_after_retire_rolls_forward () = crash_forward_case Compactor.After_retire
@@ -339,8 +335,8 @@ let test_retention_races_clone () =
       | None -> Alcotest.fail "cloner never ran");
       Alcotest.(check (list string)) "engine audits clean" []
         (List.map
-           (fun v -> Fmt.str "%a" Analysis.Invariants.pp_violation v)
-           (Analysis.Invariants.audit_engine rig.engine)))
+           (fun v -> Fmt.str "%a" Engine.pp_violation v)
+           (Engine.audit rig.engine)))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos acceptance: crashes and transients must not change the settled
@@ -374,8 +370,8 @@ let test_chaos_settles_byte_identical () =
     clean.Experiments.Chains.retired_versions co.Experiments.Chains.retired_versions;
   Alcotest.(check (list string)) "invariants hold under chaos" []
     (List.map
-       (fun v -> Fmt.str "%a" Analysis.Invariants.pp_violation v)
-       (Analysis.Invariants.audit_engine co.Experiments.Chains.engine))
+       (fun v -> Fmt.str "%a" Engine.pp_violation v)
+       (Engine.audit co.Experiments.Chains.engine))
 
 let test_fault_profile_targets_services () =
   let rng = Rng.create 7 in

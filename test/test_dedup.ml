@@ -9,10 +9,6 @@ open Netsim
 open Storage
 open Blobseer
 
-(* Run every engine with teardown invariant audits armed (BLOBCR_AUDIT=1
-   in test/dune enables them; linking the auditor installs it). *)
-let () = Analysis.Invariants.install ()
-
 type rig = {
   engine : Engine.t;
   service : Client.t;
@@ -316,16 +312,16 @@ let test_refcount_audit_catches_drift () =
         ignore (Client.write a ~from ~offset:0 (payload_str (three_chunks 'a')));
         let b = Client.create_blob rig.service ~from ~capacity:300 in
         ignore (Client.write b ~from ~offset:0 (payload_str (three_chunks 'a')));
-        let clean = Analysis.Invariants.audit_client rig.service in
+        let clean = Client.audit rig.service in
         let digest = (first_desc rig.service a).Types.digest in
         Dedup_index.unsafe_set_refs
           (Provider_manager.dedup_index (Client.provider_manager rig.service))
           ~digest 99;
-        (clean, Analysis.Invariants.audit_client rig.service))
+        (clean, Client.audit rig.service))
   in
   Alcotest.(check int) "shared-content deployment audits clean" 0 (List.length clean);
   Alcotest.(check bool) "refcount drift caught" true
-    (List.exists (fun v -> v.Analysis.Invariants.invariant = "dedup-refcount") drifted)
+    (List.exists (fun v -> v.Engine.invariant = "dedup-refcount") drifted)
 
 let test_dedup_experiment_deterministic () =
   (* Engine seed 13 under fifo, run twice: traces and tables must match. *)

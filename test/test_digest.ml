@@ -12,10 +12,6 @@ open Storage
 open Blobseer
 open Vdisk
 
-(* Run every engine with teardown invariant audits armed (BLOBCR_AUDIT=1
-   in test/dune enables them; linking the auditor installs it). *)
-let () = Analysis.Invariants.install ()
-
 type rig = {
   engine : Engine.t;
   service : Client.t;
@@ -264,16 +260,16 @@ let test_coherence_audit_catches_poke () =
       ignore (Mirror.commit m);
       Alcotest.(check (list string)) "clean mirror audits clean" []
         (List.map
-           (fun x -> x.Analysis.Invariants.invariant)
-           (Analysis.Invariants.audit_mirror m));
+           (fun (x : Engine.violation) -> x.invariant)
+           (Mirror.audit m));
       (* Corrupt one cache entry; the sampled recompute-from-bytes audit
          must flag it. *)
       let chunk, good = List.hd (Mirror.digest_view m) in
       Mirror.unsafe_poke_digest m ~chunk 0x5711L;
       let flagged =
         List.exists
-          (fun x -> x.Analysis.Invariants.invariant = "digest-cache-coherent")
-          (Analysis.Invariants.audit_mirror m)
+          (fun (x : Engine.violation) -> x.invariant = "digest-cache-coherent")
+          (Mirror.audit m)
       in
       Alcotest.(check bool) "stale digest caught" true flagged;
       (* Restore the entry so the engine's own teardown audit stays green. *)

@@ -9,10 +9,6 @@ open Simcore
 open Blobseer
 open Blobcr
 
-(* Run every engine with teardown invariant audits armed (BLOBCR_AUDIT=1
-   in test/dune enables them; linking the auditor installs it). *)
-let () = Analysis.Invariants.install ()
-
 let scale = Experiments.Scale.quick
 let quick_cal = scale.Experiments.Scale.cal
 

@@ -6,10 +6,6 @@
 open Simcore
 open Experiments
 
-(* Run every engine with teardown invariant audits armed (BLOBCR_AUDIT=1
-   in test/dune enables them; linking the auditor installs it). *)
-let () = Analysis.Invariants.install ()
-
 let scale = Scale.quick
 let combo label = Option.get (Combos.find label)
 

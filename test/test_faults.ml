@@ -10,10 +10,6 @@ open Vmsim
 open Blobcr
 open Workloads
 
-(* Run every engine with teardown invariant audits armed (BLOBCR_AUDIT=1
-   in test/dune enables them; linking the auditor installs it). *)
-let () = Analysis.Invariants.install ()
-
 let run engine f =
   let result = ref None in
   let _ = Engine.Fiber.spawn engine ~name:"test-main" (fun () -> result := Some (f ())) in

@@ -12,11 +12,6 @@ open Storage
 open Blobseer
 open Vdisk
 
-(* Run every engine with teardown invariant audits armed (BLOBCR_AUDIT=1
-   in test/dune enables them; linking the auditor installs it). A leaked
-   frozen epoch at teardown is itself a violation the audit reports. *)
-let () = Analysis.Invariants.install ()
-
 (* ------------------------------------------------------------------ *)
 (* Mirror-level rig: a small BlobSeer deployment and a 4-chunk mirror. *)
 
@@ -76,7 +71,7 @@ let check_cache_coherent ~msg m =
     (Mirror.digest_view m)
 
 let audit_invariants m =
-  List.map (fun x -> x.Analysis.Invariants.invariant) (Analysis.Invariants.audit_mirror m)
+  List.map (fun (x : Engine.violation) -> x.invariant) (Mirror.audit m)
 
 (* ------------------------------------------------------------------ *)
 (* Frozen epochs under racing guest writes *)

@@ -1,5 +1,6 @@
 (* Tests for the simulation kernel: sizes, RNG, payloads, event queue,
-   engine fibers, synchronization primitives, cancellation, stats. *)
+   engine fibers, synchronization primitives, cancellation, stats, and the
+   engine's teardown audit over a corrupted qcow2 image. *)
 
 open Simcore
 
@@ -1194,12 +1195,46 @@ let test_trace_disabled_is_silent () =
   Alcotest.(check bool) "disabled" false (Trace.enabled ())
 
 (* ------------------------------------------------------------------ *)
+(* Teardown audits: every structure registers its own check at creation,
+   so a corrupted image fails [Engine.run] in any binary. *)
+
+let test_engine_teardown_audit () =
+  let was = Engine.audits_enabled () in
+  Fun.protect ~finally:(fun () -> Engine.set_audits_enabled was) @@ fun () ->
+  Engine.set_audits_enabled true;
+  let engine = Engine.create () in
+  let host = Netsim.Net.add_host (Netsim.Net.create engine Netsim.Net.default_config) ~name:"n0" in
+  let local_disk = Storage.Disk.create engine ~name:"d0" () in
+  let _ =
+    Engine.Fiber.spawn engine (fun () ->
+        let q =
+          Vdisk.Qcow2.create engine ~host ~local_disk ~cluster_size:256 ~capacity:4096
+            ~backing:Vdisk.Qcow2.No_backing ~name:"q" ()
+        in
+        Vdisk.Qcow2.write q ~offset:0 (Payload.of_string (String.make 512 'a'));
+        Vdisk.Qcow2.unsafe_set_refcount q ~phys:0 7)
+  in
+  match Engine.run engine with
+  | () -> Alcotest.fail "expected Audit_failure at teardown"
+  | exception Engine.Audit_failure (subject, violations) ->
+      Alcotest.(check (pair string (list string))) "refcount violation named"
+        ( "qcow2:q",
+          [ {|qcow2:q: invariant "refcount" violated: physical cluster 0: stored refcount 7, 1 references|} ]
+        )
+        (subject, violations)
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
   Alcotest.run "simcore"
     [
+      ( "invariants",
+        [
+          Alcotest.test_case "engine teardown raises Audit_failure" `Quick
+            test_engine_teardown_audit;
+        ] );
       ( "size",
         [
           Alcotest.test_case "constants" `Quick test_size_constants;

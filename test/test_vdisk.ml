@@ -8,10 +8,6 @@ open Storage
 open Blobseer
 open Vdisk
 
-(* Run every engine with teardown invariant audits armed (BLOBCR_AUDIT=1
-   in test/dune enables them; linking the auditor installs it). *)
-let () = Analysis.Invariants.install ()
-
 (* ------------------------------------------------------------------ *)
 (* Sparse_bytes *)
 
@@ -834,11 +830,72 @@ let prop_mirror_state_matches_model =
       in
       match failure with None -> true | Some msg -> QCheck.Test.fail_report msg)
 
+(* ------------------------------------------------------------------ *)
+(* Invariants: each structure's audit catches a seeded defect *)
+
+(* Tests that seed corruption and audit by hand must not also trip the
+   teardown audit (armed suite-wide via BLOBCR_AUDIT=1 in test/dune). *)
+let without_teardown_audits f =
+  let was = Engine.audits_enabled () in
+  Engine.set_audits_enabled false;
+  Fun.protect ~finally:(fun () -> Engine.set_audits_enabled was) f
+
+let invariants violations = List.map (fun (v : Engine.violation) -> v.invariant) violations
+
+let test_qcow2_audit_catches_refcount_corruption () =
+  without_teardown_audits @@ fun () ->
+  let rig = make_rig () in
+  let host, disk = rig.nodes.(0) in
+  let clean, corrupted =
+    run rig (fun () ->
+        let q =
+          Qcow2.create rig.engine ~host ~local_disk:disk ~cluster_size:256 ~capacity:4096
+            ~backing:Qcow2.No_backing ~name:"q" ()
+        in
+        Qcow2.write q ~offset:0 (Payload.of_string (String.make 512 'a'));
+        Qcow2.savevm q ~snapshot_name:"s1" ~vm_state:(Payload.of_string "vm");
+        Qcow2.write q ~offset:0 (Payload.of_string (String.make 256 'b'));
+        let clean = Qcow2.audit q in
+        Qcow2.unsafe_set_refcount q ~phys:0 7;
+        (clean, Qcow2.audit q))
+  in
+  Alcotest.(check (list string)) "clean image audits clean" [] (invariants clean);
+  Alcotest.(check bool) "corrupted refcount caught" true
+    (List.mem "refcount" (invariants corrupted))
+
+let test_mirror_audit_catches_uncached_dirty () =
+  without_teardown_audits @@ fun () ->
+  let rig = make_rig ~stripe:256 () in
+  let clean, corrupted =
+    run rig (fun () ->
+        let host, disk = rig.nodes.(1) in
+        let client_host, _ = rig.nodes.(0) in
+        let base = Client.create_blob rig.service ~from:client_host ~capacity:2048 in
+        let v =
+          Client.write base ~from:client_host ~offset:0 (Payload.of_string (String.make 2048 'Z'))
+        in
+        let m = Mirror.create rig.engine ~host ~local_disk:disk ~base ~base_version:v ~name:"m" () in
+        Mirror.write m ~offset:0 (Payload.of_string (String.make 256 'w'));
+        let clean = Mirror.audit m in
+        Mirror.unsafe_mark_dirty m ~chunk:7;
+        (clean, Mirror.audit m))
+  in
+  Alcotest.(check (list string)) "clean mirror audits clean" [] (invariants clean);
+  Alcotest.(check bool) "dirty-not-present caught" true
+    (List.mem "dirty-subset-present" (invariants corrupted))
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
   Alcotest.run "vdisk"
     [
+      ( "invariants",
+        [
+          Alcotest.test_case "qcow2 refcount corruption caught" `Quick
+            test_qcow2_audit_catches_refcount_corruption;
+          Alcotest.test_case "mirror dirty-not-present caught" `Quick
+            test_mirror_audit_catches_uncached_dirty;
+        ] );
       ( "sparse_bytes",
         [
           Alcotest.test_case "roundtrip" `Quick test_sparse_bytes_roundtrip;
