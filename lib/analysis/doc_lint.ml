@@ -8,122 +8,13 @@ let mk rule file line fmt = Fmt.kstr (fun message -> { rule; file; line; message
 (* ------------------------------------------------------------------ *)
 (* mli-doc *)
 
-(* One pass over the source classifying every character as code, string
-   or comment, recording:
-   - doc comment extents (start_line, end_line) — depth-0 doc openers
-     that are not the stop comment "(**/**)";
-   - stop-comment lines ("(**/**)" toggles an odoc-hidden section);
-   - for each line, whether its column 0 is in code context (so an item
-     keyword there really starts an item). *)
-type mli_shape = {
-  docs : (int * int) list;
-  stops : int list;
-  code_start : bool array; (* index = line - 1 *)
-}
-
-let shape_of_mli content =
-  let n = String.length content in
-  let total_lines =
-    1 + String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 0 content
-  in
-  let code_start = Array.make total_lines false in
-  code_start.(0) <- true;
-  let docs = ref [] and stops = ref [] in
-  let line = ref 1 and depth = ref 0 and doc_start = ref 0 in
-  let i = ref 0 in
-  let skip_string () =
-    (* [!i] is at the opening quote; leaves [!i] past the closing one.
-       Newlines inside literals keep the line count honest. *)
-    incr i;
-    let fin = ref false in
-    while (not !fin) && !i < n do
-      (match content.[!i] with
-      | '\\' -> incr i
-      | '"' -> fin := true
-      | '\n' -> incr line
-      | _ -> ());
-      incr i
-    done
-  in
-  while !i < n do
-    let c = content.[!i] in
-    let next = if !i + 1 < n then content.[!i + 1] else '\x00' in
-    if c = '\n' then begin
-      incr line;
-      if !depth = 0 then code_start.(!line - 1) <- true;
-      incr i
-    end
-    else if c = '(' && next = '*' then begin
-      if !depth = 0 then begin
-        if !i + 6 < n && String.sub content !i 7 = "(**/**)" then
-          stops := !line :: !stops
-        else if !i + 2 < n && content.[!i + 2] = '*' then doc_start := !line
-      end;
-      incr depth;
-      i := !i + 2
-    end
-    else if !depth > 0 && c = '*' && next = ')' then begin
-      decr depth;
-      if !depth = 0 && !doc_start > 0 then begin
-        docs := (!doc_start, !line) :: !docs;
-        doc_start := 0
-      end;
-      i := !i + 2
-    end
-    else if c = '"' then skip_string ()
-    else incr i
-  done;
-  { docs = List.rev !docs; stops = List.rev !stops; code_start }
-
-let item_keywords =
-  [ "val"; "type"; "module"; "exception"; "open"; "include"; "external"; "class"; "end" ]
-
-let starts_with_keyword line kw =
-  let kl = String.length kw in
-  String.length line >= kl
-  && String.sub line 0 kl = kw
-  && (String.length line = kl
-     || match line.[kl] with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> false | _ -> true)
-
-let val_name line =
-  (* "val name : ..." or "val ( + ) : ..." — everything before the ':'. *)
-  let rest = String.sub line 3 (String.length line - 3) in
-  match String.index_opt rest ':' with
-  | Some j -> String.trim (String.sub rest 0 j)
-  | None -> String.trim rest
-
 let undocumented ~file content =
-  let shape = shape_of_mli content in
-  let lines = Array.of_list (String.split_on_char '\n' content) in
-  let item_at l =
-    (* 1-indexed; an item keyword at column 0 in code context. *)
-    l >= 1 && l <= Array.length lines
-    && shape.code_start.(l - 1)
-    && List.exists (starts_with_keyword lines.(l - 1)) item_keywords
-  in
-  let items = ref [] in
-  Array.iteri (fun idx _ -> if item_at (idx + 1) then items := (idx + 1) :: !items) lines;
-  let items = List.rev !items in
-  let is_val l = starts_with_keyword lines.(l - 1) "val" in
-  (* Assign each doc comment to exactly one item: the item directly below
-     its last line (leading style), else the closest item above its first
-     line (trailing style). *)
-  let documented = Hashtbl.create 16 in
-  List.iter
-    (fun (s, e) ->
-      if item_at (e + 1) then Hashtbl.replace documented (e + 1) ()
-      else
-        match List.filter (fun l -> l <= s) items with
-        | [] -> ()
-        | below -> Hashtbl.replace documented (List.fold_left max 0 below) ())
-    shape.docs;
-  let hidden l = List.length (List.filter (fun stop -> stop < l) shape.stops) mod 2 = 1 in
   List.filter_map
-    (fun l ->
-      if is_val l && (not (Hashtbl.mem documented l)) && not (hidden l) then
-        Some (mk "mli-doc" file l "val %s has no doc comment" (val_name lines.(l - 1)))
+    (fun (v : Lint.interface_val) ->
+      if v.doc = None && not v.hidden then
+        Some (mk "mli-doc" file v.decl_line "val %s has no doc comment" v.name)
       else None)
-    items
+    (Lint.interface_vals content)
 
 (* ------------------------------------------------------------------ *)
 (* md-link *)
@@ -196,7 +87,7 @@ let external_link target =
 
 let check_changes ~file content =
   let pr_number text =
-    if starts_with_keyword text "PR" then
+    if String.starts_with ~prefix:"PR " text then
       match String.split_on_char ' ' text with
       | "PR" :: n :: _ -> int_of_string_opt n
       | _ -> None

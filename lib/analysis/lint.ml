@@ -16,6 +16,9 @@ let rule_ids =
     ( "domains",
       "Domain / Atomic / Mutex / Condition / Thread: the simulator runs on one domain, and \
        only a pure fold may run off it" );
+    ( "unused-export",
+      "library val with no user outside its module, or only test users and no Test-only \
+       tag, or a Test-only tag on a val something else uses" );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -163,10 +166,9 @@ let contains_substring hay needle =
 
 let pragma_prefix = "lint: allow"
 
-(* Rule ids allowed by pragmas in this comment text. *)
-let allowances comment =
-  (* Everything after "lint: allow", split on spaces and commas, filtered
-     to known rule ids — trailing justification text is simply ignored. *)
+(* The words after "lint: allow" in this comment text, split on spaces and
+   commas: rule ids, then the justification. *)
+let pragma_words comment =
   let pl = String.length pragma_prefix in
   let rec find i =
     if i + pl > String.length comment then None
@@ -177,9 +179,26 @@ let allowances comment =
   | None -> []
   | Some start ->
       let rest = String.sub comment start (String.length comment - start) in
-      String.split_on_char ' ' rest
-      |> List.concat_map (String.split_on_char ',')
-      |> List.filter (fun w -> List.mem_assoc w rule_ids)
+      String.split_on_char ' ' rest |> List.concat_map (String.split_on_char ',')
+
+(* Rule ids allowed by pragmas in this comment text. With [~reason], only
+   when the pragma also gives a justification: a word that is not a rule
+   id. *)
+let allowances ?(reason = false) comment =
+  let words = pragma_words comment in
+  let rules, rest = List.partition (fun w -> List.mem_assoc w rule_ids) words in
+  let justified =
+    List.exists (String.exists (fun c -> Char.lowercase_ascii c <> Char.uppercase_ascii c)) rest
+  in
+  if reason && not justified then [] else rules
+
+(* A pragma suppresses the offending line itself or, when written as a
+   standalone comment, the line directly below it. *)
+let allowed ?reason ~code_lines ~comment_lines rule line =
+  List.mem rule (allowances ?reason comment_lines.(line))
+  || (line > 0
+     && String.trim code_lines.(line - 1) = ""
+     && List.mem rule (allowances ?reason comment_lines.(line - 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Per-file scan *)
@@ -248,16 +267,8 @@ let scan_source ~file source =
       code_lines
   in
   let findings = ref [] in
-  let allowed rule line =
-    (* A pragma suppresses the offending line itself or, when written as a
-       standalone comment, the line directly below it. *)
-    List.mem rule (allowances comment_lines.(line))
-    || (line > 0
-        && String.trim code_lines.(line - 1) = ""
-        && List.mem rule (allowances comment_lines.(line - 1)))
-  in
   let emit rule line message =
-    if not (allowed rule line) then
+    if not (allowed ~code_lines ~comment_lines rule line) then
       findings := { rule; file; line = line + 1; message } :: !findings
   in
   for i = 0 to nlines - 1 do
@@ -331,6 +342,241 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* ------------------------------------------------------------------ *)
+(* Interface shape *)
+
+(* One pass over an interface's source classifying every character as
+   code, string or comment, recording:
+   - doc comment extents (start_line, end_line) — depth-0 doc openers
+     that are not the stop comment "(**/**)";
+   - stop-comment lines ("(**/**)" toggles an odoc-hidden section);
+   - for each line, whether its column 0 is in code context (so an item
+     keyword there really starts an item). *)
+type mli_shape = {
+  docs : (int * int) list;
+  stops : int list;
+  code_start : bool array; (* index = line - 1 *)
+}
+
+let shape_of_mli content =
+  let n = String.length content in
+  let total_lines =
+    1 + String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 0 content
+  in
+  let code_start = Array.make total_lines false in
+  code_start.(0) <- true;
+  let docs = ref [] and stops = ref [] in
+  let line = ref 1 and depth = ref 0 and doc_start = ref 0 in
+  let i = ref 0 in
+  let skip_string () =
+    (* [!i] is at the opening quote; leaves [!i] past the closing one.
+       Newlines inside literals keep the line count honest. *)
+    incr i;
+    let fin = ref false in
+    while (not !fin) && !i < n do
+      (match content.[!i] with
+      | '\\' -> incr i
+      | '"' -> fin := true
+      | '\n' -> incr line
+      | _ -> ());
+      incr i
+    done
+  in
+  while !i < n do
+    let c = content.[!i] in
+    let next = if !i + 1 < n then content.[!i + 1] else '\x00' in
+    if c = '\n' then begin
+      incr line;
+      if !depth = 0 then code_start.(!line - 1) <- true;
+      incr i
+    end
+    else if c = '(' && next = '*' then begin
+      if !depth = 0 then begin
+        if !i + 6 < n && String.sub content !i 7 = "(**/**)" then
+          stops := !line :: !stops
+        else if !i + 2 < n && content.[!i + 2] = '*' then doc_start := !line
+      end;
+      incr depth;
+      i := !i + 2
+    end
+    else if !depth > 0 && c = '*' && next = ')' then begin
+      decr depth;
+      if !depth = 0 && !doc_start > 0 then begin
+        docs := (!doc_start, !line) :: !docs;
+        doc_start := 0
+      end;
+      i := !i + 2
+    end
+    else if c = '"' then skip_string ()
+    else incr i
+  done;
+  { docs = List.rev !docs; stops = List.rev !stops; code_start }
+
+let item_keywords =
+  [ "val"; "type"; "module"; "exception"; "open"; "include"; "external"; "class"; "end" ]
+
+let starts_with_keyword line kw =
+  let kl = String.length kw in
+  String.length line >= kl
+  && String.sub line 0 kl = kw
+  && (String.length line = kl || not (is_ident_char line.[kl]))
+
+type interface_val = { name : string; decl_line : int; doc : string option; hidden : bool }
+
+let interface_vals content =
+  let shape = shape_of_mli content in
+  let lines = Array.of_list (String.split_on_char '\n' content) in
+  let item_at l =
+    (* 1-indexed; an item keyword at column 0 in code context. *)
+    l >= 1 && l <= Array.length lines
+    && shape.code_start.(l - 1)
+    && List.exists (starts_with_keyword lines.(l - 1)) item_keywords
+  in
+  let items = ref [] in
+  Array.iteri (fun idx _ -> if item_at (idx + 1) then items := (idx + 1) :: !items) lines;
+  let items = List.rev !items in
+  (* Assign each doc comment to exactly one item: the item directly below
+     its last line (leading style), else the closest item above its first
+     line (trailing style). *)
+  let docs = Hashtbl.create 16 in
+  let attach l text =
+    Hashtbl.replace docs l
+      (match Hashtbl.find_opt docs l with Some d -> d ^ "\n" ^ text | None -> text)
+  in
+  List.iter
+    (fun (s, e) ->
+      let text = String.concat "\n" (Array.to_list (Array.sub lines (s - 1) (e - s + 1))) in
+      if item_at (e + 1) then attach (e + 1) text
+      else
+        match List.filter (fun l -> l <= s) items with
+        | [] -> ()
+        | above -> attach (List.fold_left max 0 above) text)
+    shape.docs;
+  let hidden l = List.length (List.filter (fun stop -> stop < l) shape.stops) mod 2 = 1 in
+  List.filter_map
+    (fun l ->
+      let line = lines.(l - 1) in
+      if starts_with_keyword line "val" then
+        (* "val name : ..." or "val ( + ) : ..." — everything before the ':'. *)
+        let rest = String.sub line 3 (String.length line - 3) in
+        let name =
+          String.trim
+            (match String.index_opt rest ':' with Some j -> String.sub rest 0 j | None -> rest)
+        in
+        Some { name; decl_line = l; doc = Hashtbl.find_opt docs l; hidden = hidden l }
+      else None)
+    items
+
+(* ------------------------------------------------------------------ *)
+(* unused-export *)
+
+let test_only_tag = "Test-only"
+
+(* What one implementation file can reach: every [M.x] step of a dotted
+   path, every bare identifier, and every module it opens ([open M],
+   [let open M in], [M.( ... )]). *)
+type refs = {
+  qualified : (string * string, unit) Hashtbl.t;
+  bare : (string, unit) Hashtbl.t;
+  opened : (string, unit) Hashtbl.t;
+}
+
+let refs_of_source source =
+  let code = String.concat "\n" (List.map fst (split_lines source)) in
+  let r = { qualified = Hashtbl.create 64; bare = Hashtbl.create 256; opened = Hashtbl.create 8 } in
+  let n = String.length code in
+  let last_component path =
+    match List.rev (List.filter (( <> ) "") (String.split_on_char '.' path)) with
+    | m :: _ -> m
+    | [] -> ""
+  in
+  let prev = ref "" and i = ref 0 in
+  while !i < n do
+    if is_ident_char code.[!i] then begin
+      let j = ref !i in
+      while !j < n && (is_ident_char code.[!j] || code.[!j] = '.') do
+        incr j
+      done;
+      let run = String.sub code !i (!j - !i) in
+      (match String.split_on_char '.' run with
+      | first :: rest when first <> "" && not (first.[0] >= '0' && first.[0] <= '9') ->
+          if Char.lowercase_ascii first.[0] = first.[0] then Hashtbl.replace r.bare first ();
+          ignore
+            (List.fold_left
+               (fun m x ->
+                 if m <> "" && x <> "" then Hashtbl.replace r.qualified (m, x) ();
+                 x)
+               first rest);
+          if !prev = "open" then Hashtbl.replace r.opened (last_component run) ();
+          if run.[String.length run - 1] = '.' && !j < n && code.[!j] = '(' then
+            Hashtbl.replace r.opened (last_component run) ()
+      | _ -> ());
+      prev := run;
+      i := !j
+    end
+    else incr i
+  done;
+  r
+
+let unused_exports ~root =
+  let under dir = walk (Filename.concat root dir) in
+  let users =
+    List.concat_map
+      (fun dir ->
+        List.filter_map
+          (fun path ->
+            if Filename.check_suffix path ".ml" then
+              Some (path, dir = "test", refs_of_source (read_file path))
+            else None)
+          (under dir))
+      [ "lib"; "bin"; "bench"; "examples"; "test" ]
+  in
+  List.concat_map
+    (fun mli ->
+      let source = read_file mli in
+      let lines = split_lines source in
+      let code_lines = Array.of_list (List.map fst lines) in
+      let comment_lines = Array.of_list (List.map snd lines) in
+      let own = Filename.remove_extension mli ^ ".ml" in
+      let unit_name = String.capitalize_ascii (Filename.basename (Filename.remove_extension mli)) in
+      List.filter_map
+        (fun v ->
+          let uses (path, _, r) =
+            path <> own
+            && (Hashtbl.mem r.qualified (unit_name, v.name)
+               || (Hashtbl.mem r.opened unit_name && Hashtbl.mem r.bare v.name))
+          in
+          let found = List.filter uses users in
+          let tagged =
+            match v.doc with Some d -> contains_substring d test_only_tag | None -> false
+          in
+          let problem =
+            if not (is_ident_char v.name.[0]) then None (* an operator *)
+            else
+              match (List.find_opt (fun (_, is_test, _) -> not is_test) found, tagged) with
+              | None, _ when found = [] -> Some "has no user outside its own module"
+              | None, false ->
+                  Some (Fmt.str "is used only by tests; tag its doc comment %s" test_only_tag)
+              | Some (path, _, _), true ->
+                  Some (Fmt.str "is tagged %s but %s uses it" test_only_tag path)
+              | _ -> None
+          in
+          match problem with
+          | Some problem
+            when not
+                   (allowed ~reason:true ~code_lines ~comment_lines "unused-export"
+                      (v.decl_line - 1)) ->
+              Some
+                {
+                  rule = "unused-export";
+                  file = mli;
+                  line = v.decl_line;
+                  message = Fmt.str "val %s.%s %s" unit_name v.name problem;
+                }
+          | _ -> None)
+        (interface_vals source))
+    (List.filter (fun p -> Filename.check_suffix p ".mli") (under "lib"))
+
 (* Group files per directory for the missing-mli rule. *)
 let scan_tree ~root dirs =
   let findings = ref [] in
@@ -356,6 +602,7 @@ let scan_tree ~root dirs =
           by_dir
       end)
     dirs;
+  if List.mem "lib" dirs then findings := unused_exports ~root @ !findings;
   List.sort compare !findings
 
 let pp_finding ppf f =

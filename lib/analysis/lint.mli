@@ -15,28 +15,51 @@
     - [missing-mli]: library [.ml] without a companion [.mli];
     - [domains]: [Domain], [Atomic], [Mutex], [Condition] or [Thread] —
       the simulator runs on one domain, and only a pure fold may run off
-      it.
+      it;
+    - [unused-export]: a top-level [val] of a library [.mli] that no other
+      compilation unit under [lib], [bin], [bench], [examples] or [test]
+      uses, or that only tests use while its doc comment lacks the tag
+      [Test-only], or that carries the tag although a non-test unit uses
+      it. A use is [Module.name] in code, or a bare [name] in a file that
+      opens [Module] ([open], [let open ... in], [Module.( ... )]).
 
     Comments and string-literal contents are ignored, so rule names and
     banned tokens may appear freely in documentation. A finding is
     suppressed by a [(* lint: allow <rule> ... *)] pragma in a comment on
-    the offending line; text after the rule ids serves as justification. *)
+    the offending line; text after the rule ids serves as justification,
+    and an [unused-export] pragma without one suppresses nothing. *)
 
 type finding = { rule : string; file : string; line : int; message : string }
 
 val scan_source : file:string -> string -> finding list
 (** Run all content rules over one compilation unit's source text. [file]
-    is only used to label findings. *)
+    is only used to label findings.
+    Test-only: the pure entry point the rule tests use. *)
 
 val missing_mli : dir:string -> ml:string list -> mli:string list -> finding list
 (** The missing-mli rule over one directory's basenames (pure, for
-    tests). *)
+    tests). Test-only: a test rig hook. *)
 
 val scan_tree : root:string -> string list -> finding list
 (** Scan the given directories (relative to [root]) recursively: content
     rules over every [.ml], plus [missing-mli] for directories under
-    [lib]. Findings are sorted by file, line and rule; directories whose
+    [lib] and, when [lib] is among them, [unused-export] over
+    [lib]'s interfaces with users from [lib], [bin], [bench], [examples]
+    and [test]. Findings are sorted by file, line and rule; directories whose
     name starts with ['.'] or ['_'] are skipped. *)
+
+type interface_val = {
+  name : string;
+  decl_line : int;  (** 1-based line of the [val] keyword *)
+  doc : string option;  (** the doc comment's source lines, if it has one *)
+  hidden : bool;  (** inside an odoc [(**/**)] stop section *)
+}
+
+val interface_vals : string -> interface_val list
+(** The top-level [val]s of an interface's source text, in order, each
+    with its doc comment: the [(** ... *)] ending on the line directly
+    above, else the closest one below it and before the next item.
+    Nested module signatures are not entered. *)
 
 val pp_finding : Format.formatter -> finding -> unit
 (** ["file:line: [rule] message"] — file:line is clickable in editors. *)

@@ -29,7 +29,7 @@ type sample = {
 
 val schedule_of_slot : int -> Event_queue.schedule
 (** Slot 0 is {!Event_queue.Fifo}, 1 is {!Event_queue.Lifo}, any other
-    slot is [Seeded_shuffle slot]. *)
+    slot is [Seeded_shuffle slot]. Test-only: a test rig hook. *)
 
 val seed_of : slot:int -> fault_seed:int -> int
 (** Encode a (slot, fault stream) pair into one replayable seed. Raises
@@ -50,7 +50,8 @@ type divergence = {
 }
 
 val diff_traces : string list -> string list -> divergence option
-(** The first differing line of two traces; [None] when equal. *)
+(** The first differing line of two traces; [None] when equal.
+    Test-only: a test rig hook. *)
 
 (** {1 Scenarios} *)
 
@@ -83,13 +84,13 @@ val make_scenario :
     becomes the result — and, when [strict] (default [false]: the
     scenario's faults may legitimately end the run), a violation too.
     Otherwise [render] gives the result surface and [audit] the
-    violations. *)
+    violations. Test-only: a test rig hook. *)
 
 val chaos_script :
   Experiments.Scale.t -> fault_seed:int -> Blobcr.Cluster.t -> Faults.event list
 (** The fault script {!chaos} runs for a fault stream: an MTBF-profile
     script drawn from [fault_seed], plus a version-manager crash armed
-    mid-COMMIT on half the streams. *)
+    mid-COMMIT on half the streams. Test-only: a test rig hook. *)
 
 val chaos : scenario
 (** The durability chaos harness ({!Experiments.Durability.chaos_run})
@@ -101,41 +102,8 @@ val chaos : scenario
     application-state digests; cost metrics (repairs performed, bytes
     shipped) are excluded because they legitimately vary with tie order.
     Violations come from the supervisor audit and the engine's full
-    invariant battery. *)
-
-val precopy : scenario
-(** The chaos harness again, but supervised with the {e live} checkpoint
-    policy ([Approach.Live { rounds = 2; background = true }]) and a fault
-    script that always arms at least one version-manager crash mid-COMMIT
-    — so crashes land during pre-copy rounds and background ships. The
-    abort path must fold the frozen epoch back into the dirty set, the
-    supervisor must roll back to the last {e fully committed} snapshot
-    set, and the teardown audit checks frozen clone/diff-log liveness
-    (no leaked frozen epoch, pending/copied subset and digest coherence).
-    Result surface and violation sources are the same as {!chaos}. *)
-
-val dr : scenario
-(** The disaster-recovery harness ({!Experiments.Dr.dr_run}): a
-    supervised gang on a two-site cluster with the primary-site crash
-    time and the replication window drawn from the fault seed, so
-    different streams catch the shipping pipeline in different in-flight
-    states. The result surface keeps outcomes only — completion,
-    recoveries, whether the failover happened, integrity failures and the
-    restored-state digests; RPO/RTO and lag are excluded because which
-    commits beat the disaster into the standby legitimately shifts when
-    simultaneous events reorder. *)
-
-val chains : scenario
-(** The snapshot-chain maintenance harness
-    ({!Experiments.Chains.chaos_run}): epoch writes with a background
-    compactor under a fault script of compaction crash points,
-    background-service crashes and transient disk errors drawn from the
-    fault seed. The result surface is the {e settled} end state — the
-    restored image digest and the live/retired version sets after a
-    no-fault settle, which are the retention policy's fixed point
-    whatever mid-run crashes did; retry counts and reclaim timing are
-    excluded. Violations come from the engine's full invariant battery,
-    including the compactor audit. *)
+    invariant battery.
+    Test-only: the CLI reaches it through {!find_scenario}. *)
 
 val scrub : scenario
 (** The durability stage's scrub-log replay:
@@ -156,7 +124,8 @@ val experiment : Experiments.Registry.t -> scenario
     Those tables include timings, which legitimately move when
     simultaneous events reorder: non-fifo samples of timing experiments
     (e.g. [fig5a]) report [result-divergence] against fifo by design,
-    while count-only experiments (e.g. [dedup]) stay clean. *)
+    while count-only experiments (e.g. [dedup]) stay clean.
+    Test-only: the CLI reaches it through {!find_scenario}. *)
 
 val scenarios : (scenario * int) list
 (** The fuzz scenarios with their smoke-pass sample counts, in the order
@@ -193,7 +162,7 @@ type finding = {
 
 val repro_command : finding -> string
 (** ["blobcr_lint fuzz --scenario S --seed N"] — replays this exact
-    sample. *)
+    sample. Test-only: a test rig hook. *)
 
 val pp_finding : Format.formatter -> finding -> unit
 (** Multi-line rendering: kind, sample, detail and the repro command. *)

@@ -33,17 +33,9 @@ val deploy :
   t
 (** Stand up a BlobSeer service. [data_providers] associates each provider
     with the host it runs on and the local disk it stores chunks on. The
-    deployment registers {!audit} with the engine's teardown audits. *)
-
-val audit : t -> Engine.violation list
-(** Durability audit: replicas of every live chunk descriptor sit on
-    pairwise distinct hosts; the digest recorded provider-side at write
-    time matches the descriptor's for every live, present replica
-    (metadata agreement — payloads are not re-hashed, so injected
-    corruption awaiting scrub does not fail teardown); every dedup index
-    entry's refcount equals the live distinct serials carrying its digest;
-    and the version-manager and metadata journals hold no pending intents
-    while their service is alive to recover them. *)
+    deployment registers its durability audit (replica placement,
+    checksums, dedup refcounts, journal quiescence) with the engine's
+    teardown audits ({!Engine.audit}). *)
 
 val engine : t -> Engine.t
 (** The engine the deployment runs on. *)
@@ -237,7 +229,8 @@ val delta_bytes : blob -> base:int -> version:int -> int
 
 val distinct_bytes : blob -> int
 (** Physical bytes consumed by all versions of this blob together,
-    counting shared chunks once — what incremental snapshotting saves. *)
+    counting shared chunks once — what incremental snapshotting saves.
+    Test-only: an observer. *)
 
 val tree : blob -> version:int -> Version_manager.tree
 (** The snapshot's metadata root (used by the mirror's digest re-seed and

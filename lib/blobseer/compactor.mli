@@ -138,7 +138,7 @@ val restart : t -> unit
 
 val journal_pending : t -> int
 (** Intents neither committed nor rolled back; 0 whenever the compactor
-    is quiescent (audited at teardown while alive). *)
+    is quiescent (audited at teardown while alive). Test-only: an observer. *)
 
 (** {1 Introspection} *)
 
@@ -146,18 +146,19 @@ val stats : t -> stats
 (** Lifetime counters. *)
 
 val refusals : t -> refusal list
-(** Every pin-vetoed retire, in occurrence order. *)
+(** Every pin-vetoed retire, in occurrence order. Test-only: an observer. *)
 
 val boundary_roots : t -> (int * int * int64) list
 (** [(blob, version, merkle_root)] recorded for every boundary version a
     flatten verified, in occurrence order — the content fingerprint a
     restart from that boundary must still agree with ({!Client.merkle_root}
-    over the same leaf function). *)
+    over the same leaf function). Test-only: an observer. *)
 
 val reclaimed_chunks : t -> (int * int) list
 (** Physical [(provider, chunk_id)] pairs the sweep deleted, newest
     first. Chunk ids are never reused, so the audit can assert no live
-    tree references any of them. *)
+    tree references any of them. Test-only: an observer. *)
 
 val pending_reclaim : t -> int
-(** Chunks queued for the deferred sweep but not yet deleted. *)
+(** Chunks queued for the deferred sweep but not yet deleted.
+    Test-only: an observer. *)

@@ -23,7 +23,7 @@ let create engine net ~host ~disk ?(request_overhead = Types.default_params.requ
     pdisk = disk;
     pstore = Content_store.create ();
     service =
-      Rate_server.create engine ~rate:1e12 ~per_op:request_overhead ~name:(name ^ ".svc") ();
+      Rate_server.create engine ~rate:1e12 ~per_op:request_overhead ();
     alive = true;
   }
 

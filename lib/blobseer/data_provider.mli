@@ -26,7 +26,7 @@ val host : t -> Net.host
 (** The host the provider serves from. *)
 
 val disk : t -> Disk.t
-(** The local disk chunks are persisted on. *)
+(** The local disk chunks are persisted on. Test-only: an observer. *)
 
 val store : t -> Content_store.t
 (** The in-memory content plane (white-box access for tests and
@@ -65,7 +65,7 @@ val delete_chunk : t -> Content_store.chunk_id -> unit
     cost is charged (reclamation is a background activity). *)
 
 val chunk_count : t -> int
-(** Live chunks currently stored. *)
+(** Live chunks currently stored. Test-only: an observer. *)
 
 val stored_bytes : t -> int
 (** Logical bytes of live chunks currently stored. *)

@@ -124,4 +124,4 @@ val stats : t -> stats
 (** Deployment-lifetime hit/miss/savings counters. *)
 
 val unsafe_set_refs : t -> digest:int64 -> int -> unit
-(** Test hook: corrupt a refcount to exercise the invariant audit. *)
+(** Test-only: corrupt a refcount to exercise the invariant audit. *)

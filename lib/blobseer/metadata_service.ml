@@ -19,19 +19,17 @@ let node_cost = 5e-5
 
 let create engine net ~hosts =
   if hosts = [] then invalid_arg "Metadata_service.create: no hosts";
-  let mk i mhost =
+  let mk mhost =
     {
       mhost;
-      server =
-        Rate_server.create engine ~rate:1e12 ~per_op:node_cost
-          ~name:(Fmt.str "metadata.%d" i) ();
+      server = Rate_server.create engine ~rate:1e12 ~per_op:node_cost ();
       malive = true;
     }
   in
   {
     engine;
     net;
-    providers = Array.of_list (List.mapi mk hosts);
+    providers = Array.of_list (List.map mk hosts);
     cursor = 0;
     journal = Journal.create ~name:"metadata" ();
     armed_crash = false;

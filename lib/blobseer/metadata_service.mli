@@ -40,14 +40,14 @@ val commit_nodes : t -> from:Net.host -> int -> unit
 val arm_crash : t -> unit
 (** One-shot: the next {!commit_nodes} crashes with
     {!Types.Service_crashed} after journaling its intent and before
-    applying anything. *)
+    applying anything. Test-only: a test rig hook. *)
 
 val recover_journal : t -> unit
 (** Roll back every pending commit intent (nothing was applied for them).
     Idempotent. *)
 
 val journal_pending : t -> int
-(** In-flight commit intents; 0 when quiescent. *)
+(** In-flight commit intents; 0 when quiescent. Test-only: an observer. *)
 
 val audit : t -> Engine.violation list
 (** Journal quiescence, part of {!Client}'s deployment audit: pending

@@ -19,7 +19,7 @@ let create engine net ~host ?(allocate_cost = Types.default_params.allocate_cost
     engine;
     net;
     host;
-    server = Rate_server.create engine ~rate:1e12 ~per_op:allocate_cost ~name:"pmanager" ();
+    server = Rate_server.create engine ~rate:1e12 ~per_op:allocate_cost ();
     dedup = Dedup_index.create engine;
     provider_list = [];
     table = [||];

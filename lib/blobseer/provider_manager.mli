@@ -44,7 +44,8 @@ val allocate :
     when no provider is live at all. *)
 
 val degraded_allocations : t -> int
-(** Chunks placed with fewer than the requested number of replicas. *)
+(** Chunks placed with fewer than the requested number of replicas.
+    Test-only: an observer. *)
 
 (** {1 Content-addressed deduplication}
 

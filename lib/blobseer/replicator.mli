@@ -62,13 +62,14 @@ val attach : t -> unit
 
 val inject : t -> Version_manager.commit_record -> unit
 (** Enqueue one record as if the primary had just committed it — the test
-    hook for duplicate-delivery and idempotence scenarios. *)
+    hook for duplicate-delivery and idempotence scenarios.
+    Test-only: a test rig hook. *)
 
 val quiesce : t -> unit
 (** Block the calling fiber (in simulated time) until every announced
     record has been applied — replication lag zero, or the replicator
     promoted. The drain step tests and operators use before comparing the
-    two sites. *)
+    two sites. Test-only: a test rig hook. *)
 
 type promotion = {
   promoted_at : float;  (** simulation time of the promotion *)
@@ -108,7 +109,8 @@ val stats : t -> stats
     without an active metrics capture). *)
 
 val lag : t -> int
-(** Records announced but not yet fully applied — the replication lag. *)
+(** Records announced but not yet fully applied — the replication lag.
+    Test-only: an observer. *)
 
 val unsettled : t -> (int * int) list
 (** The in-flight window as [(blob, version)] pairs on the {e primary}

@@ -55,11 +55,6 @@ let get t i =
   in
   go t.root i
 
-let get_range t ~start ~len =
-  if start < 0 || len < 0 || start + len > t.chunks then
-    invalid_arg "Segment_tree.get_range";
-  Array.init len (fun k -> get t (start + k))
-
 let set_range t ~start leaves =
   let len = Array.length leaves in
   if start < 0 || start + len > t.chunks then invalid_arg "Segment_tree.set_range";

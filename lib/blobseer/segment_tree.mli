@@ -19,14 +19,11 @@ val create : chunks:int -> 'a t
     [chunks >= 1]. *)
 
 val chunks : 'a t -> int
-(** Number of addressable leaves. *)
+(** Number of addressable leaves. Test-only: an observer. *)
 
 val get : 'a t -> int -> 'a option
 (** [get t i] is the descriptor at leaf [i], if ever set in this version's
     history. Requires [0 <= i < chunks t]. *)
-
-val get_range : 'a t -> start:int -> len:int -> 'a option array
-(** The descriptors of leaves [\[start, start+len)], in order. *)
 
 val set_range : 'a t -> start:int -> 'a option array -> 'a t * int
 (** [set_range t ~start leaves] is a new version with
@@ -40,7 +37,7 @@ val fold_set : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 
 val live_nodes : 'a t -> int
 (** Number of distinct nodes reachable from this root (for sharing
-    diagnostics and metadata accounting). *)
+    diagnostics and metadata accounting). Test-only: an observer. *)
 
 val shared_nodes : 'a t -> 'a t -> int
 (** Number of physically shared nodes between two versions — evidence of

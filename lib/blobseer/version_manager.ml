@@ -116,7 +116,7 @@ let create engine net ~host ?(publish_cost = Types.default_params.publish_cost) 
       engine;
       net;
       host;
-      server = Rate_server.create engine ~rate:1e12 ~per_op:publish_cost ~name:"vmanager" ();
+      server = Rate_server.create engine ~rate:1e12 ~per_op:publish_cost ();
       blobs = Hashtbl.create 64;
       next_blob = 0;
       journal = Journal.create ~name:"vmanager" ();

@@ -25,7 +25,8 @@ type crash_point =
 val create : Engine.t -> Net.t -> host:Net.host -> ?publish_cost:float -> unit -> t
 (** A version manager on [host] with no blobs; [publish_cost] (default 0)
     is charged per {!publish} on top of the round-trip. It registers
-    {!audit} with the engine's teardown audits. *)
+    its density audit with the engine's teardown audits
+    ({!Engine.audit}). *)
 
 val create_blob : t -> from:Net.host -> capacity:int -> stripe_size:int -> blob_info
 (** Registers a new BLOB whose version 0 is entirely unwritten. *)
@@ -101,7 +102,7 @@ val retired_versions : t -> blob:int -> int list
     ascending. Cost-free audit view. *)
 
 val unsafe_forget_version : t -> blob:int -> version:int -> unit
-(** Test hook: remove a version root {e without} recording it as retired
+(** Test-only: remove a version root {e without} recording it as retired
     — seeds the lost-version defect the invariant audit must catch. *)
 
 val versions : t -> blob:int -> int list
@@ -152,16 +153,10 @@ val journal_pending : t -> int
 val recovered_intents : t -> int
 (** Total intents rolled back by {!restart} over the service's lifetime. *)
 
-(** {1 Audit and cost-free views}
+(** {1 Cost-free views}
 
     Read-only accessors; no simulated network or service cost is
     charged. *)
-
-val audit : t -> Engine.violation list
-(** Density audit, per blob: live and retired versions are disjoint and
-    together tile a dense range (retention punches holes, it never loses
-    versions), [latest] is the newest live version, and every stored tree
-    passes {!Segment_tree.audit} for the blob's chunk count. *)
 
 val peek_latest : t -> int -> int
 (** Like {!latest} but free of simulated cost. *)

@@ -35,7 +35,8 @@ val request :
     epoch back). *)
 
 val failures : t -> int
-(** Requests whose snapshot action ultimately failed. *)
+(** Requests whose snapshot action ultimately failed. Test-only: an observer. *)
 
 val transient_retries : t -> int
-(** Snapshot attempts repeated after an injected transient error. *)
+(** Snapshot attempts repeated after an injected transient error.
+    Test-only: an observer. *)

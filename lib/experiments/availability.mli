@@ -30,7 +30,7 @@ type point = {
 val sweep : Scale.t -> ?progress:(string -> unit) -> unit -> point list
 (** One supervised chaos run per (kind, mtbf, interval) cell, each on a
     fresh cluster seeded from the scale (same scale ⇒ same failure
-    timeline ⇒ same results). *)
+    timeline ⇒ same results). Test-only: a test rig hook. *)
 
 val tables : Scale.t -> ?progress:(string -> unit) -> unit -> (string * Stats.table) list
 (** Named result tables: ["availability"] (utilization),

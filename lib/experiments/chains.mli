@@ -39,7 +39,7 @@ val bs_run :
     dirty epochs each followed by a synchronous compactor pass (when
     [policy] is given — omitting it disables compaction), two settling
     passes so the deferred sweep completes, then a timed restart read
-    from a different node. *)
+    from a different node. Test-only: a test rig hook. *)
 
 (** {1 Chaos harness}
 

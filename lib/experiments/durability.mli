@@ -75,7 +75,7 @@ type point = {
 
 val sweep : Scale.t -> ?progress:(string -> unit) -> unit -> point list
 (** The (corruption weight × replication × scrub interval) grid taken from
-    the scale's durability axes. *)
+    the scale's durability axes. Test-only: a test rig hook. *)
 
 val tables : Scale.t -> ?progress:(string -> unit) -> unit -> (string * Simcore.Stats.table) list
 (** Named result tables: ["durability"] (restart success),

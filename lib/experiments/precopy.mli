@@ -32,7 +32,8 @@ val run_point :
   unit ->
   point
 (** One run on a fresh cluster: [mode] is ["stw"], ["live-sync"] or
-    ["live-bg"]; [rounds] is the pre-copy budget (ignored for ["stw"]). *)
+    ["live-bg"]; [rounds] is the pre-copy budget (ignored for ["stw"]).
+    Test-only: a test rig hook. *)
 
 val run : Scale.t -> ?progress:(string -> unit) -> unit -> point list
 (** The full grid from the scale's precopy axes: one stop-the-world anchor

@@ -185,8 +185,6 @@ let all =
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
-let ids = List.map (fun e -> e.id) all
-
 (* The six distinct paper sweeps (they emit all nine paper artifacts) and
    the four ablations. *)
 let groups =

@@ -29,9 +29,6 @@ val all : t list
 val find : string -> t option
 (** Look up an experiment by id, e.g. ["fig2a"]. *)
 
-val ids : string list
-(** Ids of {!all}, in order. *)
-
 val select : string list -> (t list, string) Stdlib.result
 (** Resolve command-line names to experiments. A name is an id or a
     group: [all] (every experiment), [paper] (fig2a, fig2b, fig4, fig5a,

@@ -58,7 +58,8 @@ type event = { at : float; action : action }
 type script = event list
 
 val pp_action : Format.formatter -> action -> unit
-(** One-line rendering of an action, e.g. ["crash-host 3"]. *)
+(** One-line rendering of an action, e.g. ["crash-host 3"].
+    Test-only: a printer for test output. *)
 
 val pp_event : Format.formatter -> event -> unit
 (** ["t=+<at>s <action>"] — for traces and test transcripts. *)

@@ -102,18 +102,6 @@ let barrier ep =
     else Engine.Ivar.read t.barrier_signal
   end
 
-let allreduce ep ~bytes =
-  let t = ep.comm in
-  let self = Vmsim.Vm.host ep.evm in
-  for round = 0 to log2_ceil t.csize - 1 do
-    let partner = ep.erank lxor (1 lsl round) in
-    if partner < t.csize then begin
-      let other = endpoint t partner in
-      Net.transfer t.net ~src:self ~dst:(Vmsim.Vm.host other.evm) bytes
-    end
-  done;
-  barrier ep
-
 let in_flight t = t.in_flight
 
 let drain_channels ep =

@@ -38,11 +38,8 @@ val recv : endpoint -> src:int -> int
 val barrier : endpoint -> unit
 (** Dissemination barrier: O(log n) latency rounds. *)
 
-val allreduce : endpoint -> bytes:int -> unit
-(** Butterfly exchange of [bytes] per round, O(log n) rounds. *)
-
 val in_flight : t -> int
-(** Messages sent but not yet received. *)
+(** Messages sent but not yet received. Test-only: an observer. *)
 
 val drain_channels : endpoint -> unit
 (** Coordinated-checkpoint step 1: every rank calls this; a marker is

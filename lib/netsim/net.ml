@@ -16,15 +16,9 @@ type config = {
   fabric_bandwidth : float option;
 }
 
-(* One partition epoch. Waiters block on [release] instead of sleeping to
-   the deadline, so an early [heal] wakes them immediately; [healed_early]
-   lets a released waiter know whether it owes its delivery to a heal. *)
-type partition_state = {
-  side : host -> bool;
-  until : float;
-  release : unit Engine.Ivar.t;
-  mutable healed_early : bool;
-}
+(* One partition epoch. Waiters block on [release], filled at the
+   deadline or when a new partition replaces this one. *)
+type partition_state = { side : host -> bool; until : float; release : unit Engine.Ivar.t }
 
 type t = {
   engine : Engine.t;
@@ -35,7 +29,6 @@ type t = {
   mutable degrade_factor : float;
   mutable degrade_until : float;
   mutable part : partition_state option;
-  mutable delivered_after_heal : int;
 }
 
 let default_config =
@@ -51,7 +44,7 @@ let create engine cfg =
   if cfg.segment_size <= 0 then invalid_arg "Net.create: segment_size";
   let fabric =
     Option.map
-      (fun rate -> Rate_server.create engine ~rate ~name:"fabric" ())
+      (fun rate -> Rate_server.create engine ~rate ())
       cfg.fabric_bandwidth
   in
   {
@@ -63,7 +56,6 @@ let create engine cfg =
     degrade_factor = 1.0;
     degrade_until = 0.0;
     part = None;
-    delivered_after_heal = 0;
   }
 
 let config t = t.cfg
@@ -73,8 +65,8 @@ let add_host t ~name =
     {
       hid = t.next_id;
       hname = name;
-      uplink = Rate_server.create t.engine ~rate:t.cfg.bandwidth ~name:(name ^ ".up") ();
-      downlink = Rate_server.create t.engine ~rate:t.cfg.bandwidth ~name:(name ^ ".down") ();
+      uplink = Rate_server.create t.engine ~rate:t.cfg.bandwidth ();
+      downlink = Rate_server.create t.engine ~rate:t.cfg.bandwidth ();
       sent = 0;
       received = 0;
     }
@@ -110,7 +102,7 @@ let partition t ~side ~until =
      against the new epoch. *)
   (match t.part with Some p -> release_partition p | None -> ());
   if until > Engine.now t.engine then begin
-    let p = { side; until; release = Engine.Ivar.create t.engine; healed_early = false } in
+    let p = { side; until; release = Engine.Ivar.create t.engine } in
     t.part <- Some p;
     Engine.at t.engine until (fun () ->
         (match t.part with Some q when q == p -> t.part <- None | _ -> ());
@@ -118,31 +110,17 @@ let partition t ~side ~until =
   end
   else t.part <- None
 
-let heal t =
-  match t.part with
-  | None -> ()
-  | Some p ->
-      p.healed_early <- true;
-      t.part <- None;
-      release_partition p
-
-let delivered_after_heal t = t.delivered_after_heal
-
 (* A transfer or message that would cross the cut stalls until the
    partition clears — the deterministic model of packets timing out and
    being retransmitted once connectivity returns. Waiters block on the
-   epoch's release ivar, so an early {!heal} wakes them at the heal
-   instant instead of the original deadline; deliveries owed to an early
-   heal are counted so tests can assert none were silently dropped. *)
-let wait_partition t a b =
-  let rec wait healed =
-    match t.part with
-    | Some p when Engine.now t.engine < p.until && p.side a <> p.side b ->
-        Engine.Ivar.read p.release;
-        wait (healed || p.healed_early)
-    | _ -> if healed then t.delivered_after_heal <- t.delivered_after_heal + 1
-  in
-  wait false
+   epoch's release ivar and re-check against whatever partition is active
+   when it fills. *)
+let rec wait_partition t a b =
+  match t.part with
+  | Some p when Engine.now t.engine < p.until && p.side a <> p.side b ->
+      Engine.Ivar.read p.release;
+      wait_partition t a b
+  | _ -> ()
 
 (* Degradation is modelled as extra sender-side serialization time per
    segment: factor f makes the effective per-link bandwidth cfg.bandwidth/f

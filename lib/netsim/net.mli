@@ -62,16 +62,18 @@ val bytes_sent : host -> int
 (** Total bytes this host has put on its uplink. *)
 
 val bytes_received : host -> int
-(** Total bytes delivered to this host's downlink. *)
+(** Total bytes delivered to this host's downlink. Test-only: an observer. *)
 
 val uplink : host -> Rate_server.t
-(** The host's sending NIC server (occupancy and byte counters). *)
+(** The host's sending NIC server (occupancy and byte counters).
+    Test-only: an observer. *)
 
 val downlink : host -> Rate_server.t
-(** The host's receiving NIC server. *)
+(** The host's receiving NIC server. Test-only: an observer. *)
 
 val fabric : t -> Rate_server.t option
-(** The shared core server, when [fabric_bandwidth] is set. *)
+(** The shared core server, when [fabric_bandwidth] is set.
+    Test-only: an observer. *)
 
 (** {1 Injected link faults}
 
@@ -87,15 +89,7 @@ val degrade : t -> factor:float -> until:float -> unit
 
 val partition : t -> side:(host -> bool) -> until:float -> unit
 (** Cut the network along [side] until absolute time [until]: transfers
-    and messages crossing the cut stall and complete after the heal.
-    Transfers already past their initial handshake are not interrupted. *)
-
-val heal : t -> unit
-(** Remove the partition ahead of its deadline. Deliveries stalled on the
-    cut resume immediately (at the heal instant, not the original
-    deadline) and are counted in {!delivered_after_heal}. *)
-
-val delivered_after_heal : t -> int
-(** Deliveries (transfers or messages) that were stalled on a partition
-    healed ahead of its deadline and then completed — the proof that an
-    early {!heal} releases queued traffic instead of dropping it. *)
+    and messages crossing the cut stall and complete after the heal. A new
+    call replaces the active partition, and its stalled traffic re-checks
+    against the new cut. Transfers already past their initial handshake
+    are not interrupted. *)

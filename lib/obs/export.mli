@@ -9,7 +9,8 @@ val chrome_trace : Record.run -> string
 
 val validate_json : string -> (unit, string) result
 (** Check that a string is one well-formed JSON value (full grammar, no
-    value built). [Error] carries the first offending byte offset. *)
+    value built). [Error] carries the first offending byte offset.
+    Test-only: checks exported documents in tests. *)
 
 val write_chrome_trace : Record.run -> path:string -> unit
 (** Write {!chrome_trace} to [path] after checking it with
@@ -37,7 +38,7 @@ val breakdown : Record.run -> root:string -> breakdown list
     descendants. Because every branch starts together and simulated time
     only advances inside instrumented blocking operations, the leaf phases
     tile the root: [b_leaf_total] matches the root duration up to
-    uninstrumented residual. *)
+    uninstrumented residual. Test-only: an observer. *)
 
 val phase_table : Record.run -> root:string -> string
 (** Render {!breakdown} as aligned text tables, one per track: phase,

@@ -59,7 +59,8 @@ val capture : ?detail:bool -> (unit -> 'a) -> 'a * run
 
 val recording : unit -> bool
 (** Whether a collector is currently installed. Instrumentation uses this to
-    skip attribute computation entirely when observability is off. *)
+    skip attribute computation entirely when observability is off.
+    Test-only: an observer. *)
 
 val detail_enabled : unit -> bool
 (** Whether the installed collector wants high-volume per-chunk spans.

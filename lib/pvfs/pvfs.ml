@@ -42,13 +42,11 @@ and t = {
 
 let deploy engine net ?(params = default_params) ~metadata_host ~io_servers () =
   if io_servers = [] then invalid_arg "Pvfs.deploy: no I/O servers";
-  let mk i (shost, sdisk) =
+  let mk (shost, sdisk) =
     {
       shost;
       sdisk;
-      service =
-        Rate_server.create engine ~rate:1e12 ~per_op:params.request_overhead
-          ~name:(Fmt.str "pvfs.io%d" i) ();
+      service = Rate_server.create engine ~rate:1e12 ~per_op:params.request_overhead ();
     }
   in
   {
@@ -57,8 +55,8 @@ let deploy engine net ?(params = default_params) ~metadata_host ~io_servers () =
     prm = params;
     metadata_host;
     metadata =
-      Rate_server.create engine ~rate:1e12 ~per_op:params.metadata_op_cost ~name:"pvfs.md" ();
-    servers = Array.of_list (List.mapi mk io_servers);
+      Rate_server.create engine ~rate:1e12 ~per_op:params.metadata_op_cost ();
+    servers = Array.of_list (List.map mk io_servers);
     files = Hashtbl.create 256;
     next_start = 0;
   }
@@ -89,12 +87,6 @@ let create t ~from ~path =
   t.next_start <- (t.next_start + 1) mod Array.length t.servers;
   Hashtbl.replace t.files path file;
   file
-
-let open_file t ~from ~path =
-  metadata_op t ~from;
-  match Hashtbl.find_opt t.files path with
-  | Some file -> file
-  | None -> raise Not_found
 
 let exists t ~path = Hashtbl.mem t.files path
 

@@ -55,9 +55,6 @@ val create : t -> from:Net.host -> path:string -> file
 (** Namespace operation through the metadata server. Raises
     [Invalid_argument] if the path already exists. *)
 
-val open_file : t -> from:Net.host -> path:string -> file
-(** Raises [Not_found] for missing paths. *)
-
 val exists : t -> path:string -> bool
 (** Cost-free namespace peek (tests and idempotence checks). *)
 

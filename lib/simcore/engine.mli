@@ -48,7 +48,7 @@ val rng : t -> Rng.t
     in {e event execution order}, so a stream obtained from it inside a
     fiber depends on how same-timestamp ties were broken. Components that
     need schedule-independent randomness must use {!derived_rng}
-    instead. *)
+    instead. Test-only: a test rig hook. *)
 
 val derived_rng : t -> string -> Rng.t
 (** [derived_rng t name] is a private random stream keyed by the engine
@@ -71,16 +71,17 @@ val run : t -> unit
 
 val run_until : t -> float -> unit
 (** [run_until t limit] processes all events with time [<= limit] and then
-    advances the clock to [limit]. *)
+    advances the clock to [limit]. Test-only: a test rig hook. *)
 
 val step : t -> bool
 (** Execute a single event. Returns [false] when the queue is empty. *)
 
 val live_fibers : t -> int
-(** Number of fibers spawned and not yet finished. *)
+(** Number of fibers spawned and not yet finished. Test-only: an observer. *)
 
 val blocked_fibers : t -> int
-(** Number of live fibers currently suspended on a blocking operation. *)
+(** Number of live fibers currently suspended on a blocking operation.
+    Test-only: an observer. *)
 
 (** {1 Teardown audits}
 
@@ -115,11 +116,13 @@ val audit_count : t -> int
 
 val audits_enabled : unit -> bool
 (** Whether {!run} performs teardown audits. Defaults to the [BLOBCR_AUDIT]
-    environment variable (unset, empty or ["0"] means disabled). *)
+    environment variable (unset, empty or ["0"] means disabled).
+    Test-only: a test rig hook. *)
 
 val set_audits_enabled : bool -> unit
 (** Override the audit toggle for the current process (tests use this to
-    force audits on regardless of the environment). *)
+    force audits on regardless of the environment).
+    Test-only: a test rig hook. *)
 
 val sleep : t -> float -> unit
 (** [sleep t d] blocks the calling fiber for [d] simulated seconds.
@@ -136,7 +139,8 @@ val suspend : (('a -> bool) -> unit) -> 'a
     continue with [v] at the current time and returns [true]. A resumer is
     one-shot: calling it again, or after the fiber was cancelled, returns
     [false] and does nothing, so resources can skip dead waiters. Must be
-    called from inside a fiber. *)
+    called from inside a fiber.
+    Test-only outside this module: tests build blocking primitives from it. *)
 
 val yield : t -> unit
 (** Reschedule the calling fiber at the current time, letting other ready

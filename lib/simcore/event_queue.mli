@@ -29,6 +29,7 @@ val schedule_to_string : schedule -> string
 (** Same rendering as {!pp_schedule}, as a string — the inverse of
     {!schedule_of_string}. *)
 
+(* lint: allow unused-export — the inverse of schedule_to_string, kept with its round-trip test *)
 val schedule_of_string : string -> (schedule, string) result
 (** Parse ["fifo"], ["lifo"] or ["shuffle:<seed>"]; [Error] carries a
     human-readable message. *)
@@ -43,7 +44,7 @@ val is_empty : 'a t -> bool
 (** [true] iff no events are pending. *)
 
 val length : 'a t -> int
-(** Number of pending events. *)
+(** Number of pending events. Test-only: an observer. *)
 
 val add : 'a t -> time:float -> 'a -> unit
 (** Insert an event at the given simulated time. *)

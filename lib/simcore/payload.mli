@@ -32,7 +32,8 @@ val of_string : string -> t
 (** Copy of the string's bytes as a payload. *)
 
 val byte_at : t -> int -> char
-(** [byte_at p i] is the [i]-th byte. Requires [0 <= i < length p]. *)
+(** [byte_at p i] is the [i]-th byte. Requires [0 <= i < length p].
+    Test-only: an observer. *)
 
 val sub : t -> pos:int -> len:int -> t
 (** [sub p ~pos ~len] is the slice [\[pos, pos+len)]. O(parts) and shares
@@ -55,7 +56,7 @@ val splice : t -> pos:int -> t -> t
 
 val equal : t -> t -> bool
 (** Structural fast path (identical descriptors), falling back to
-    byte-by-byte comparison. *)
+    byte-by-byte comparison. Test-only: a comparison for test assertions. *)
 
 val to_string : t -> string
 (** Materializes the payload. Raises [Invalid_argument] above 64 MiB as a
@@ -111,7 +112,8 @@ type cache_stats = {
 }
 
 val segment_cache_stats : unit -> cache_stats
-(** test-only *)
+(** The segment cache's counters so far. Test-only: an observer. *)
 
 val pp : Format.formatter -> t -> unit
-(** Structural summary, e.g. ["pattern(seed=3,len=1024)"]. *)
+(** Structural summary, e.g. ["pattern(seed=3,len=1024)"].
+    Test-only: a printer for test output. *)

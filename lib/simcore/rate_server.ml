@@ -1,6 +1,5 @@
 type t = {
   engine : Engine.t;
-  sname : string;
   rate : float;
   per_op : float;
   seek : float;
@@ -13,12 +12,11 @@ type t = {
   mutable seek_count : int;
 }
 
-let create engine ~rate ?(per_op = 0.0) ?(seek = 0.0) ?(name = "rate-server") () =
+let create engine ~rate ?(per_op = 0.0) ?(seek = 0.0) () =
   if rate <= 0.0 then invalid_arg "Rate_server.create: rate must be positive";
   if per_op < 0.0 || seek < 0.0 then invalid_arg "Rate_server.create: negative cost";
   {
     engine;
-    sname = name;
     rate;
     per_op;
     seek;
@@ -73,7 +71,6 @@ let process_then t bytes k =
 
 let process t ?stream bytes = process_many t ?stream ~ops:1 bytes
 
-let name t = t.sname
 let busy_time t = t.busy
 let ops t = t.ops
 let bytes_served t = t.bytes

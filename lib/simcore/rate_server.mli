@@ -9,7 +9,7 @@
 type t
 
 val create :
-  Engine.t -> rate:float -> ?per_op:float -> ?seek:float -> ?name:string -> unit -> t
+  Engine.t -> rate:float -> ?per_op:float -> ?seek:float -> unit -> t
 (** [create engine ~rate ~per_op ~seek ()] serves requests at [rate]
     bytes/second, charging an additional [per_op] seconds (default 0) of
     service time per operation, plus [seek] seconds (default 0) whenever a
@@ -37,19 +37,16 @@ val process_then : t -> int -> (unit -> unit) -> unit
     [Engine.continue_now], it must be the last action of a callback. *)
 
 val seeks : t -> int
-(** Stream switches served so far. *)
-
-val name : t -> string
-(** The name passed at creation (for traces); [""] by default. *)
+(** Stream switches served so far. Test-only: an observer. *)
 
 val busy_time : t -> float
 (** Total simulated seconds the server has spent serving requests. *)
 
 val ops : t -> int
-(** Operations served so far. *)
+(** Operations served so far. Test-only: an observer. *)
 
 val bytes_served : t -> int
-(** Total bytes served so far. *)
+(** Total bytes served so far. Test-only: an observer. *)
 
 val utilization : t -> float
-(** [busy_time / now], 0 at time 0. *)
+(** [busy_time / now], 0 at time 0. Test-only: an observer. *)

@@ -12,10 +12,11 @@ val create : int -> t
 
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
-    statistically independent of the remainder of [t]'s stream. *)
+    statistically independent of the remainder of [t]'s stream.
+    Test-only: a test rig hook. *)
 
 val int64 : t -> int64
-(** Next raw 64-bit output. *)
+(** Next raw 64-bit output. Test-only: an observer. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
@@ -30,6 +31,7 @@ val exponential : t -> float -> float
 (** [exponential t mean] draws from an exponential distribution with the
     given mean. Used for failure inter-arrival times. *)
 
+(* lint: allow unused-export — a general primitive kept with its permutation test *)
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

@@ -3,7 +3,6 @@ let mib = 1024 * kib
 let gib = 1024 * mib
 let mib_n n = n * mib
 let gib_n n = n * gib
-let to_mib bytes = float_of_int bytes /. float_of_int mib
 
 let pp ppf bytes =
   let b = float_of_int bytes in

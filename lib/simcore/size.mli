@@ -19,9 +19,6 @@ val mib_n : int -> int
 val gib_n : int -> int
 (** [gib_n n] is [n] GiB. *)
 
-val to_mib : int -> float
-(** [to_mib bytes] is the size in MiB as a float. *)
-
 val pp : Format.formatter -> int -> unit
 (** Human-readable size, e.g. ["52.0 MB"]. *)
 

@@ -27,7 +27,8 @@ val read : t -> offset:int -> len:int -> Payload.t
 (** The [len] bytes at [offset]; unwritten ranges read as zeros. *)
 
 val written_bytes : t -> int
-(** Number of bytes covered by materialized blocks (block-granular). *)
+(** Number of bytes covered by materialized blocks (block-granular).
+    Test-only: an observer. *)
 
 val clear : t -> unit
 (** Drop every block, returning the space to all-zeros and releasing the

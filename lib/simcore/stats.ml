@@ -119,14 +119,3 @@ let write_csv ~dir ~name t =
 let mean = function
   | [] -> 0.0
   | vs -> List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs)
-
-let stddev = function
-  | [] | [ _ ] -> 0.0
-  | vs ->
-      let m = mean vs in
-      let sq = List.fold_left (fun acc v -> acc +. ((v -. m) ** 2.0)) 0.0 vs in
-      sqrt (sq /. float_of_int (List.length vs - 1))
-
-let min_max = function
-  | [] -> invalid_arg "Stats.min_max: empty"
-  | v :: vs -> List.fold_left (fun (lo, hi) x -> (Float.min lo x, Float.max hi x)) (v, v) vs

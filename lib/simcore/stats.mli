@@ -14,7 +14,7 @@ val add : series -> x:float -> y:float -> unit
 (** Append one [(x, y)] point. *)
 
 val y_at : series -> x:float -> float option
-(** The [y] recorded for exactly this [x], if any. *)
+(** The [y] recorded for exactly this [x], if any. Test-only: an observer. *)
 
 val group :
   ?order:('k -> 'k -> int) ->
@@ -39,7 +39,8 @@ val render : table -> string
 (** Aligned text table: one row per distinct [x], one column per series. *)
 
 val to_csv : table -> string
-(** The same rows as {!render}, comma-separated with a header line. *)
+(** The same rows as {!render}, comma-separated with a header line.
+    Test-only: shows tests what {!write_csv} writes. *)
 
 val write_csv : dir:string -> name:string -> table -> string
 (** Write [to_csv] under [dir] (created if missing); returns the path. *)
@@ -48,9 +49,3 @@ val write_csv : dir:string -> name:string -> table -> string
 
 val mean : float list -> float
 (** Arithmetic mean; [0.] for the empty list. *)
-
-val stddev : float list -> float
-(** Population standard deviation; [0.] for fewer than two points. *)
-
-val min_max : float list -> float * float
-(** Smallest and largest element. Requires a non-empty list. *)

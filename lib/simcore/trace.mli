@@ -5,7 +5,7 @@
     trace of two runs and compare them. *)
 
 val enabled : unit -> bool
-(** Whether a sink is currently installed. *)
+(** Whether a sink is currently installed. Test-only: an observer. *)
 
 val emit : Engine.t -> component:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** [emit engine ~component fmt ...] sends a formatted trace point to the

@@ -26,10 +26,6 @@ let get t id =
   let entry = Hashtbl.find t.table id in
   entry.payload
 
-let incr_ref t id =
-  let entry = Hashtbl.find t.table id in
-  entry.refs <- entry.refs + 1
-
 let decr_ref t id =
   let entry = Hashtbl.find t.table id in
   entry.refs <- entry.refs - 1;

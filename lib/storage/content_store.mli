@@ -19,14 +19,11 @@ val put : t -> Payload.t -> chunk_id
 val get : t -> chunk_id -> Payload.t
 (** Raises [Not_found] for dead or unknown ids. *)
 
-val incr_ref : t -> chunk_id -> unit
-(** Add one reference to a live chunk. *)
-
 val decr_ref : t -> chunk_id -> unit
 (** Drops the chunk when the count reaches zero. *)
 
 val refs : t -> chunk_id -> int
-(** 0 for dead/unknown chunks. *)
+(** 0 for dead/unknown chunks. Test-only: an observer. *)
 
 val recorded_digest : t -> chunk_id -> int64
 (** The {!Simcore.Payload.digest} recorded when the chunk was stored. Silent

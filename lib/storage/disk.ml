@@ -28,7 +28,7 @@ let create engine ?(rate = default_rate) ?(per_op = default_per_op) ?(seek = def
   {
     engine;
     dname = name;
-    server = Rate_server.create engine ~rate ~per_op ~seek ~name ();
+    server = Rate_server.create engine ~rate ~per_op ~seek ();
     capacity;
     used = 0;
     bytes_read = 0;
@@ -74,7 +74,6 @@ let reserve t bytes =
     raise (Full { disk = t.dname; need = t.used + bytes; capacity = t.capacity });
   t.used <- t.used + bytes
 
-let name t = t.dname
 let used t = t.used
 let bytes_read t = t.bytes_read
 let bytes_written t = t.bytes_written

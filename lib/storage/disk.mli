@@ -49,13 +49,10 @@ val inject_transient : t -> ops:int -> unit
     time, no state change). Fault-injection hook. *)
 
 val armed_faults : t -> int
-(** Transient faults still armed. *)
-
-val name : t -> string
-(** The name passed at creation (for traces and error reports). *)
+(** Transient faults still armed. Test-only: an observer. *)
 
 val used : t -> int
-(** Bytes currently accounted against capacity. *)
+(** Bytes currently accounted against capacity. Test-only: an observer. *)
 
 val bytes_read : t -> int
 (** Total bytes read over the disk's lifetime. *)

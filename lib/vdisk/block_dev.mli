@@ -23,4 +23,4 @@ val flush : t -> unit
 (** Durability barrier (delegates to the implementation). *)
 
 val in_memory : capacity:int -> t
-(** Cost-free in-memory device for tests. *)
+(** Cost-free in-memory device for tests. Test-only: a test rig hook. *)

@@ -136,7 +136,6 @@ let m_frozen_chunks = Obs.Metrics.counter ~component:"mirror" ~name:"frozen_chun
 let m_cow_chunks = Obs.Metrics.counter ~component:"mirror" ~name:"cow_chunks"
 let m_cow_bytes = Obs.Metrics.counter ~component:"mirror" ~name:"cow_bytes"
 
-let name t = t.mname
 let capacity t = t.capacity
 let chunk_size t = t.chunk_size
 let checkpoint_image t = t.ckpt

@@ -33,10 +33,8 @@ val create :
   t
 (** A mirror of snapshot [base_version] of [base]. On restart, pass the
     checkpoint image and the snapshot version to roll back to. The mirror
-    registers {!audit} with the engine's teardown audits. *)
-
-val name : t -> string
-(** The name passed at creation (for traces). *)
+    registers its COW, digest-cache and frozen-epoch audit with the
+    engine's teardown audits ({!Engine.audit}). *)
 
 val capacity : t -> int
 (** Byte capacity of the mirrored image. *)
@@ -49,7 +47,7 @@ val device : t -> Block_dev.t
 
 val read : t -> offset:int -> len:int -> Payload.t
 (** Read through the cache, lazily fetching missing chunks from the base
-    snapshot. *)
+    snapshot. Test-only: an observer. *)
 
 val write : t -> offset:int -> Payload.t -> unit
 (** Copy-on-write update kept on the local disk; partial chunk writes
@@ -57,7 +55,8 @@ val write : t -> offset:int -> Payload.t -> unit
 
 val clone : t -> unit
 (** The [CLONE] ioctl: create this instance's checkpoint image as a clone
-    of the base snapshot. Idempotent; {!commit} calls it on demand. *)
+    of the base snapshot. Idempotent; {!commit} calls it on demand.
+    Test-only: tests clone ahead of a fault. *)
 
 val commit : t -> int
 (** The [COMMIT] ioctl: write every chunk dirtied since the previous commit
@@ -111,7 +110,8 @@ val frozen_active : t -> bool
 
 val cow_chunks : t -> int
 (** Cumulative frozen-chunk copies made to preserve overwritten frozen
-    content — the live-checkpointing interference, in chunks. *)
+    content — the live-checkpointing interference, in chunks.
+    Test-only: an observer. *)
 
 val cow_bytes : t -> int
 (** Cumulative bytes copied into frozen diff logs (interference cost). *)
@@ -132,16 +132,18 @@ val taint_all : t -> unit
     isolates the value of incremental snapshotting. *)
 
 val dirty_chunks : t -> int
-(** Number of chunks modified since the last commit. *)
+(** Number of chunks modified since the last commit. Test-only: an observer. *)
 
 val dirty_bytes : t -> int
 (** Size of the diff the next {!commit} will push (chunk-granular). *)
 
 val cached_chunks : t -> int
-(** Chunks fetched from the repository so far (lazy-transfer footprint). *)
+(** Chunks fetched from the repository so far (lazy-transfer footprint).
+    Test-only: an observer. *)
 
 val local_bytes : t -> int
-(** Local-disk bytes used by cache plus COW differences. *)
+(** Local-disk bytes used by cache plus COW differences.
+    Test-only: an observer. *)
 
 val drop_local_state : t -> unit
 (** Release the mirror's local-disk footprint (instance terminated and its
@@ -149,24 +151,15 @@ val drop_local_state : t -> unit
 
 (** {1 Audit}
 
-    The mirror's invariant check and read-only views of the state it
-    reads; none of these charge simulated I/O. *)
-
-val audit : t -> Engine.violation list
-(** COW and digest-cache audit: dirty chunks and digest-cache keys are
-    locally present, and on a deterministic sample of at most ~64 entries
-    every cached digest equals the digest recomputed from the chunk's
-    current local bytes. An active frozen epoch is itself a violation
-    (a background commit neither finished nor rolled back), checked
-    further for the same subset and coherence rules on both forks of the
-    clone boundary. *)
+    Read-only views of the state the mirror's teardown audit reads, and
+    the corrupters its tests use; none of these charge simulated I/O. *)
 
 val present_view : t -> int list
-(** Locally cached chunk indices, ascending. *)
+(** Locally cached chunk indices, ascending. Test-only: an observer. *)
 
 val dirty_view : t -> int list
 (** Chunk indices modified since the last commit, ascending. The COW
-    invariant is [dirty_view ⊆ present_view]. *)
+    invariant is [dirty_view ⊆ present_view]. Test-only: an observer. *)
 
 val unsafe_mark_dirty : t -> chunk:int -> unit
 (** Mark a chunk dirty without caching it — breaks the COW invariant.
@@ -177,11 +170,12 @@ val digest_view : t -> (int * int64) list
     invariants are keys ⊆ {!present_view} and every entry equal to the
     digest of the chunk's current local bytes — the mirror's audit
     samples exactly that at teardown (the digest-cache coherence check).
-    Empty when [params.digest_cache] is off. *)
+    Empty when [params.digest_cache] is off. Test-only: an observer. *)
 
 val peek_chunk_payload : t -> chunk:int -> Payload.t
 (** A chunk's current local bytes, free of simulated cost — the coherence
-    audit's ground truth for recomputing cached digests. *)
+    audit's ground truth for recomputing cached digests.
+    Test-only: an observer. *)
 
 val unsafe_poke_digest : t -> chunk:int -> int64 -> unit
 (** Corrupt a digest-cache entry — breaks the coherence invariant.
@@ -189,20 +183,20 @@ val unsafe_poke_digest : t -> chunk:int -> int64 -> unit
 
 val frozen_pending_view : t -> int list
 (** Chunk indices of the active frozen epoch, ascending (empty when none).
-    Invariant: frozen pending ⊆ {!present_view}. *)
+    Invariant: frozen pending ⊆ {!present_view}. Test-only: an observer. *)
 
 val frozen_copied_view : t -> int list
 (** Frozen chunks whose bytes were preserved in the diff log, ascending.
-    Invariant: copied ⊆ {!frozen_pending_view}. *)
+    Invariant: copied ⊆ {!frozen_pending_view}. Test-only: an observer. *)
 
 val frozen_digest_view : t -> (int * int64) list
 (** Digests captured at freeze time [(chunk, digest)], ascending by chunk.
     Invariants: keys ⊆ {!frozen_pending_view}, and every entry equals the
     digest of the chunk's frozen bytes ({!peek_frozen_payload}) — audited
-    at teardown on both forks of the clone boundary. *)
+    at teardown on both forks of the clone boundary. Test-only: an observer. *)
 
 val peek_frozen_payload : t -> chunk:int -> Payload.t
 (** A frozen chunk's content as {!commit_frozen} would ship it (diff log
     if preserved, live store otherwise), free of simulated cost — the
     coherence audit's ground truth. Raises [Invalid_argument] without an
-    active frozen epoch. *)
+    active frozen epoch. Test-only: an observer. *)

@@ -13,9 +13,10 @@ type remote_image = {
       (* name, table, (vm_state offset, len) in file *)
   rbacking : backing;
   rdelta : bool; (* incremental export: rtable covers only changed clusters *)
-  rdigests : (int, int64) Hashtbl.t;
+  rdigests : (int, int64) Hashtbl.t Lazy.t;
       (* guest cluster -> effective content digest through the chain, for
-         delta detection by the next export_incremental *)
+         delta detection by the next export_incremental; built only when
+         one asks *)
 }
 
 and backing = No_backing | Raw_pvfs of Pvfs.file | Qcow2_remote of remote_image
@@ -36,11 +37,6 @@ type t = {
   data : (int, Payload.t) Hashtbl.t; (* physical cluster -> content *)
   mutable table : (int, int) Hashtbl.t; (* guest cluster -> physical *)
   refcounts : (int, int) Hashtbl.t; (* physical -> table references *)
-  (* Padded-content digest of each locally allocated guest cluster,
-     invalidated on writes and refilled lazily by exports — so per-export
-     digest work is proportional to clusters written since the last
-     export, not to allocated image size. *)
-  gdigests : (int, int64) Hashtbl.t;
   mutable snapshots : (string * snapshot) list; (* newest first *)
   mutable next_phys : int;
   mutable snapshot_meta_bytes : int; (* stored tables + vm states *)
@@ -122,7 +118,6 @@ let create engine ~host ~local_disk ?(cluster_size = default_cluster_size) ~capa
       data = Hashtbl.create 256;
       table = Hashtbl.create 256;
       refcounts = Hashtbl.create 256;
-      gdigests = Hashtbl.create 256;
       snapshots = [];
       next_phys = 0;
       snapshot_meta_bytes = 0;
@@ -133,7 +128,6 @@ let create engine ~host ~local_disk ?(cluster_size = default_cluster_size) ~capa
   Engine.register_audit engine (fun () -> audit t);
   t
 
-let name t = t.qname
 let data_bytes t = t.next_phys * t.qcluster_size
 
 let file_size t =
@@ -145,7 +139,6 @@ let drop_local t =
   Hashtbl.reset t.data;
   Hashtbl.reset t.table;
   Hashtbl.reset t.refcounts;
-  Hashtbl.reset t.gdigests;
   t.snapshots <- []
 
 let local_stream t = Net.host_id t.host
@@ -222,7 +215,6 @@ let refs t phys = Option.value ~default:0 (Hashtbl.find_opt t.refcounts phys)
 let write_cluster t index content =
   let extent = cluster_extent t index in
   assert (Payload.length content = extent);
-  Hashtbl.remove t.gdigests index;
   match local_cluster t index with
   | Some phys when refs t phys <= 1 ->
       (* Sole reference: overwrite in place. *)
@@ -311,42 +303,38 @@ let unsafe_set_refcount t ~phys count = Hashtbl.replace t.refcounts phys count
 (* ------------------------------------------------------------------ *)
 (* Export to PVFS *)
 
-let pad_cluster t p =
-  if Payload.length p = t.qcluster_size then p
-  else Payload.concat [ p; Payload.zero (t.qcluster_size - Payload.length p) ]
+let pad_to cluster_size p =
+  if Payload.length p = cluster_size then p
+  else Payload.concat [ p; Payload.zero (cluster_size - Payload.length p) ]
 
-let m_digest_fresh = Obs.Metrics.counter ~component:"qcow2" ~name:"digest_clusters_digested"
-let m_digest_cached = Obs.Metrics.counter ~component:"qcow2" ~name:"digest_clusters_cached"
-
-(* Padded-content digest of guest cluster [guest] (mapped to [phys]),
-   served from the carried cache when the cluster hasn't been written since
-   it was last digested. *)
-let guest_digest t guest phys =
-  match Hashtbl.find_opt t.gdigests guest with
-  | Some d ->
-      Obs.Metrics.incr m_digest_cached;
-      d
-  | None ->
-      let d = Payload.digest (pad_cluster t (Hashtbl.find t.data phys)) in
-      Obs.Metrics.incr m_digest_fresh;
-      Hashtbl.replace t.gdigests guest d;
-      d
+(* Digests are always of the cluster-size-padded content, so a short tail
+   cluster compares equal across levels. A full cluster's digest is
+   memoized on its payload, which [t.data] never mutates. *)
+let guest_digest t phys = Payload.digest (pad_to t.qcluster_size (Hashtbl.find t.data phys))
 
 (* Effective guest-cluster digests of the image as exported: the backing
    chain's digests overlaid with the digests of every locally allocated
-   cluster. Digests are always of the cluster-size-padded content, so a
-   short tail cluster compares equal across levels. *)
+   cluster. Built on first use from the (guest, payload) pairs captured
+   here, never from [t], which later writes overwrite in place. *)
 let effective_digests t =
-  let digests =
-    match t.backing with
-    | Qcow2_remote r -> Hashtbl.copy r.rdigests
-    | No_backing | Raw_pvfs _ -> Hashtbl.create 256
+  let backing =
+    match t.backing with Qcow2_remote r -> Some r.rdigests | No_backing | Raw_pvfs _ -> None
   in
-  (* lint: allow hashtbl-order — independent per-key replaces *)
-  Hashtbl.iter
-    (fun guest phys -> Hashtbl.replace digests guest (guest_digest t guest phys))
-    t.table;
-  digests
+  let cluster_size = t.qcluster_size in
+  let local =
+    (* lint: allow hashtbl-order — independent per-key replaces below *)
+    Hashtbl.fold (fun guest phys acc -> (guest, Hashtbl.find t.data phys) :: acc) t.table []
+  in
+  lazy
+    (let digests =
+       match backing with
+       | Some r -> Hashtbl.copy (Lazy.force r)
+       | None -> Hashtbl.create 256
+     in
+     List.iter
+       (fun (guest, p) -> Hashtbl.replace digests guest (Payload.digest (pad_to cluster_size p)))
+       local;
+     digests)
 
 (* Replace the PVFS file at [path] with the metadata region, [clusters]
    and every snapshot's VM state, padded to [size] bytes (snapshot tables
@@ -396,19 +384,13 @@ let export t fs ~from ~path =
   let clusters =
     List.init t.next_phys (fun phys ->
         match Hashtbl.find_opt t.data phys with
-        | Some p -> pad_cluster t p
+        | Some p -> pad_to t.qcluster_size p
         | None -> Payload.zero t.qcluster_size)
   in
   write_remote t fs ~from ~path ~size ~clusters ~rtable:(Hashtbl.copy t.table)
     ~rbacking:t.backing ~rdelta:false
 
 let remote_file_size r = Pvfs.size r.rfile
-
-let remote_vm_state r ~from ~snapshot_name =
-  let _, _, (off, len) =
-    List.find (fun (n, _, _) -> n = snapshot_name) r.rsnapshots
-  in
-  Pvfs.read r.rfile ~from ~offset:off ~len
 
 let remote_vm_state_streamed r ~from ~snapshot_name ~record =
   if record <= 0 then invalid_arg "Qcow2.remote_vm_state_streamed: record";
@@ -453,8 +435,8 @@ let export_incremental t fs ~from ~path ~base =
     (* lint: allow hashtbl-order — result sorted by guest index below *)
     Hashtbl.fold
       (fun guest phys acc ->
-        if Hashtbl.find_opt base.rdigests guest = Some (guest_digest t guest phys) then acc
-        else (guest, pad_cluster t (Hashtbl.find t.data phys)) :: acc)
+        if Hashtbl.find_opt (Lazy.force base.rdigests) guest = Some (guest_digest t phys) then acc
+        else (guest, pad_to t.qcluster_size (Hashtbl.find t.data phys)) :: acc)
       t.table []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
@@ -538,7 +520,7 @@ let collapse_chain tip ~from ~path =
       rsnapshots = [];
       rbacking = base_backing;
       rdelta = false;
-      rdigests = Hashtbl.copy tip.rdigests;
+      rdigests = tip.rdigests;
     },
     {
       levels_collapsed = List.length levels;

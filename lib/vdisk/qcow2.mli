@@ -40,10 +40,8 @@ val create :
   t
 (** Fresh image with no allocated clusters. Default cluster size 64 KiB.
     [host] is the compute node, used for remote backing reads. The image
-    registers {!audit} with the engine's teardown audits. *)
-
-val name : t -> string
-(** The name passed at creation (for traces). *)
+    registers its refcount audit with the engine's teardown audits
+    ({!Engine.audit}). *)
 
 val read : t -> offset:int -> len:int -> Payload.t
 (** Allocated clusters read from the local disk; anything else falls
@@ -60,7 +58,7 @@ val device : t -> Block_dev.t
 val file_size : t -> int
 (** Bytes the image file occupies locally: header and lookup tables,
     allocated clusters, plus internal-snapshot tables and VM states. This
-    is what a disk snapshot must copy to PVFS. *)
+    is what a disk snapshot must copy to PVFS. Test-only: an observer. *)
 
 val drop_local : t -> unit
 (** Release the image's local-disk footprint (instance terminated, node
@@ -73,12 +71,7 @@ val savevm : t -> snapshot_name:string -> vm_state:Payload.t -> unit
     state in the image (charged as a local disk write). *)
 
 val snapshot_names : t -> string list
-(** Internal snapshots, oldest first. *)
-
-val audit : t -> Engine.violation list
-(** Refcount audit: every physical cluster's refcount equals its
-    references from the live table plus all snapshot tables, every
-    referenced cluster holds data and no data cluster is orphaned. *)
+(** Internal snapshots, oldest first. Test-only: an observer. *)
 
 val unsafe_set_refcount : t -> phys:int -> int -> unit
 (** Corrupt a refcount in place. Test-only: exists so tests can prove the
@@ -94,15 +87,12 @@ val export : t -> Pvfs.t -> from:Net.host -> path:string -> remote_image
 val remote_file_size : remote_image -> int
 (** Size of the exported file on PVFS. *)
 
-val remote_vm_state : remote_image -> from:Net.host -> snapshot_name:string -> Payload.t
-(** Fetch a stored VM state from the exported image (full-snapshot
-    restart). Raises [Not_found] if there is no such snapshot. *)
-
 val remote_vm_state_streamed :
   remote_image -> from:Net.host -> snapshot_name:string -> record:int -> Payload.t
-(** Like {!remote_vm_state} but reading the state the way a resuming
-    hypervisor does: sequentially, [record] bytes per request, paying the
-    file-system request path on each record. *)
+(** Fetch a stored VM state from the exported image (full-snapshot
+    restart) the way a resuming hypervisor reads it: sequentially,
+    [record] bytes per request, paying the file-system request path on
+    each record. Raises [Not_found] if there is no such snapshot. *)
 
 val remote_table_of_snapshot : remote_image -> snapshot_name:string -> remote_image
 (** View of the exported image as of an internal snapshot: reads resolve
@@ -131,7 +121,7 @@ val export_incremental :
 
 val remote_is_delta : remote_image -> bool
 (** Whether the image is an incremental export (its table covers only the
-    clusters changed relative to its backing). *)
+    clusters changed relative to its backing). Test-only: an observer. *)
 
 val remote_chain_depth : remote_image -> int
 (** Number of qcow2 levels a miss-everything read walks: 1 for a

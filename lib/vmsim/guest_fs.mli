@@ -63,7 +63,7 @@ val sync : t -> unit
     image. *)
 
 val dirty_bytes : t -> int
-(** Bytes the next {!sync} will write (data only). *)
+(** Bytes the next {!sync} will write (data only). Test-only: an observer. *)
 
 val used_bytes : t -> int
-(** Device bytes allocated to files (block-granular). *)
+(** Device bytes allocated to files (block-granular). Test-only: an observer. *)

@@ -63,7 +63,7 @@ val state : t -> state
 (** Current lifecycle state. *)
 
 val device : t -> Block_dev.t
-(** The virtual disk attached at creation. *)
+(** The virtual disk attached at creation. Test-only: an observer. *)
 
 val engine : t -> Engine.t
 (** The engine the VM runs on. *)
@@ -112,4 +112,5 @@ val ram_state_bytes : t -> int
     overhead (used by savevm / qcow2-full). *)
 
 val group : t -> Engine.Group.t
-(** The VM's fiber group (for attaching auxiliary guest activity). *)
+(** The VM's fiber group (for attaching auxiliary guest activity).
+    Test-only: an observer. *)

@@ -83,6 +83,65 @@ let test_lint_missing_mli () =
   Alcotest.(check (list string)) "ml with mli accepted" []
     (rules (Lint.missing_mli ~dir:"lib/x" ~ml:[ "foo.ml" ] ~mli:[ "foo.mli" ]))
 
+(* unused-export over a planted tree: one library interface whose values
+   are used from another library unit, bin/ and test/ in every form the
+   rule recognises, plus mentions it must ignore. *)
+let test_lint_unused_export () =
+  let root = Filename.temp_dir "unused_export" "" in
+  let write rel contents =
+    let path = Filename.concat root rel in
+    let rec mkdir d =
+      if not (Sys.file_exists d) then begin
+        mkdir (Filename.dirname d);
+        Sys.mkdir d 0o755
+      end
+    in
+    mkdir (Filename.dirname path);
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+  in
+  write "lib/a/alpha.mli"
+    "val unused : int\n\
+     (** No user outside this module. *)\n\n\
+     val only_tests : int\n\
+     (** Read by tests alone. *)\n\n\
+     val stale : int\n\
+     (** Test-only: but bin/ reads it. *)\n\n\
+     val tagged : int\n\
+     (** Test-only: an observer. *)\n\n\
+     val via_open : int\n\
+     (** Read through [open Alpha]. *)\n\n\
+     val via_local_open : int\n\
+     (** Read through [Alpha.( ... )]. *)\n\n\
+     val excused : int (* lint: allow unused-export — kept for a stated reason *)\n\
+     (** No user, but a reasoned pragma. *)\n\n\
+     val unexcused : int (* lint: allow unused-export *)\n\
+     (** No user, and a pragma without a reason. *)\n";
+  write "lib/a/alpha.ml"
+    "let unused = 1\nlet only_tests = unused\nlet stale = 3\nlet tagged = 4\n\
+     let via_open = 5\nlet via_local_open = 6\nlet excused = 7\nlet unexcused = 8\n";
+  write "lib/b/beta.ml" "open Alpha\n\nlet x = via_open\n";
+  write "bin/main.ml"
+    "(* Alpha.unused in a comment *)\n\
+     let s = \"Alpha.unused in a string\"\n\
+     let y = Alpha.stale + Alpha.(via_local_open * 2)\n";
+  write "test/t.ml" "let z = Alpha.only_tests + A.Alpha.tagged\n";
+  let found =
+    List.filter_map
+      (fun (f : Lint.finding) ->
+        if f.rule = "unused-export" then Some (Fmt.str "%d: %s" f.line f.message) else None)
+      (Lint.scan_tree ~root [ "lib" ])
+  in
+  Alcotest.(check (list string))
+    "three findings, a use through open or Module.( ... ) is a use"
+    [
+      "1: val Alpha.unused has no user outside its own module";
+      "4: val Alpha.only_tests is used only by tests; tag its doc comment Test-only";
+      Fmt.str "7: val Alpha.stale is tagged Test-only but %s uses it"
+        (Filename.concat (Filename.concat root "bin") "main.ml");
+      "22: val Alpha.unexcused has no user outside its own module";
+    ]
+    found
+
 (* CHANGES.md: PR lines in order, with FOUND/MENDED notes between them. *)
 let test_doc_lint_changes_log () =
   let root = Filename.temp_dir "changes" "" in
@@ -421,7 +480,9 @@ let pinned_quick_points =
 
 let test_pinned_quick_tables () =
   Alcotest.(check (list string))
-    "every experiment pinned" Experiments.Registry.ids (List.map fst pinned_quick_tables);
+    "every experiment pinned"
+    (List.map (fun e -> e.Experiments.Registry.id) Experiments.Registry.all)
+    (List.map fst pinned_quick_tables);
   let md5 s = Digest.to_hex (Digest.string s) in
   let moved =
     List.concat_map
@@ -506,6 +567,7 @@ let () =
             test_lint_strings_and_comments_inert;
           Alcotest.test_case "poly-compare rule" `Quick test_lint_poly_compare;
           Alcotest.test_case "missing-mli rule" `Quick test_lint_missing_mli;
+          Alcotest.test_case "unused-export rule" `Quick test_lint_unused_export;
         ] );
       ( "determinism",
         [

@@ -171,7 +171,7 @@ let test_registry_groups () =
   ids "ablations"
     [ "abl-prefetch"; "abl-stripe"; "abl-replication"; "abl-incremental" ]
     (selected [ "ablations" ]);
-  ids "all" Registry.ids (selected [ "all" ]);
+  ids "all" (List.map (fun e -> e.Registry.id) Registry.all) (selected [ "all" ]);
   ids "names keep their order, each experiment once"
     [ "fig4"; "fig2a"; "fig2b"; "fig5a"; "fig6"; "table1"; "dedup" ]
     (selected [ "fig4"; "paper"; "dedup"; "fig2b" ]);

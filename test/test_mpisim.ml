@@ -157,20 +157,6 @@ let test_attach_validations () =
   Alcotest.check_raises "bad rank" (Invalid_argument "Comm.attach: rank out of range")
     (fun () -> ignore (Comm.attach comm ~rank:7 ~vm:(List.nth vms 1)))
 
-let test_allreduce_completes () =
-  let engine, net, vms = mk_world () in
-  let comm = Comm.create engine net ~size:2 in
-  let done_ = ref 0 in
-  let _ =
-    run engine (fun () ->
-        let eps =
-          List.mapi (fun rank vm -> Comm.attach comm ~rank ~vm) vms
-        in
-        Engine.all engine
-          (List.map (fun ep () -> Comm.allreduce ep ~bytes:4096; incr done_) eps))
-  in
-  Alcotest.(check int) "all ranks" 2 !done_
-
 (* ------------------------------------------------------------------ *)
 (* Vm + Blcr *)
 
@@ -237,7 +223,6 @@ let () =
           Alcotest.test_case "drain quiesces" `Quick test_drain_channels_quiesces;
           Alcotest.test_case "send during drain rejected" `Quick test_send_during_drain_rejected;
           Alcotest.test_case "attach validations" `Quick test_attach_validations;
-          Alcotest.test_case "allreduce completes" `Quick test_allreduce_completes;
         ] );
       ( "vm_blcr",
         [

@@ -70,8 +70,11 @@ let check_cache_coherent ~msg m =
         cached)
     (Mirror.digest_view m)
 
-let audit_invariants m =
-  List.map (fun (x : Engine.violation) -> x.invariant) (Mirror.audit m)
+(* The teardown audit's findings for the mirror named [name], run now. *)
+let audit_invariants engine name =
+  List.filter_map
+    (fun (x : Engine.violation) -> if x.subject = "mirror:" ^ name then Some x.invariant else None)
+    (Engine.audit engine)
 
 (* ------------------------------------------------------------------ *)
 (* Frozen epochs under racing guest writes *)
@@ -104,7 +107,7 @@ let test_freeze_cow_preserves_frozen_bytes () =
          epoch still active *at teardown* is a leak); the subset and
          coherence checks over both forks must pass. *)
       Alcotest.(check (list string)) "frozen epoch audits clean" [ "frozen-resolved" ]
-        (audit_invariants m);
+        (audit_invariants rig.engine "m");
       (* The background commit publishes the *frozen* content — the bytes
          at the clone point, not what the guest wrote since. *)
       let v1 = Mirror.commit_frozen m in
@@ -120,7 +123,7 @@ let test_freeze_cow_preserves_frozen_bytes () =
         (String.make 256 'X' ^ String.make 256 'A' ^ String.make 256 'C'
        ^ String.make 256 'Z')
         (read_ckpt rig m ~version:v2 ~offset:0 ~len:1024);
-      Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants m))
+      Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants rig.engine "m"))
 
 let test_frozen_digest_cache_coherent_on_both_forks () =
   let rig = make_rig () in
@@ -143,7 +146,7 @@ let test_frozen_digest_cache_coherent_on_both_forks () =
         (List.assoc 0 (Mirror.frozen_digest_view m));
       check_cache_coherent ~msg:"live fork before commit" m;
       Alcotest.(check (list string)) "both forks audit clean" [ "frozen-resolved" ]
-        (audit_invariants m);
+        (audit_invariants rig.engine "m");
       ignore (Mirror.commit_frozen m);
       (* The commit must not re-seed the live cache for the guest-overwritten
          chunk: the descriptor it minted describes the frozen bytes, while
@@ -155,7 +158,7 @@ let test_frozen_digest_cache_coherent_on_both_forks () =
       check_cache_coherent ~msg:"live fork after commit" m;
       ignore (Mirror.commit m);
       check_cache_coherent ~msg:"after draining the live set" m;
-      Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants m))
+      Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants rig.engine "m"))
 
 let test_abort_frozen_folds_back () =
   let rig = make_rig () in
@@ -180,7 +183,7 @@ let test_abort_frozen_folds_back () =
         (Mirror.local_bytes m);
       Alcotest.(check int) "only the new chunk beyond the pre-freeze set"
         (local_before + 256) (Mirror.local_bytes m);
-      Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants m);
+      Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants rig.engine "m");
       let v = Mirror.commit m in
       Alcotest.(check string) "retry ships current bytes"
         (String.make 256 'X' ^ String.make 256 'A' ^ String.make 256 'C'
@@ -225,7 +228,7 @@ let test_failed_commit_rolls_back () =
          leaks, and the dirty set is exactly what it was before. *)
       Alcotest.(check bool) "no leaked frozen epoch" false (Mirror.frozen_active m);
       Alcotest.(check (list int)) "dirty set as it was" dirty (Mirror.dirty_view m);
-      Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants m);
+      Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants rig.engine "m");
       Version_manager.restart vmgr;
       let v = Mirror.commit m in
       Alcotest.(check string) "retry publishes the same bytes"
@@ -303,7 +306,7 @@ let crash_mid_commit_rolls_back ~mode () =
       Alcotest.(check bool) "delta folded back" true (Mirror.dirty_chunks mirror > 0);
       Alcotest.(check bool) "vm running after failed commit" true
         (Vmsim.Vm.state inst.Approach.vm = Vmsim.Vm.Running);
-      Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants mirror);
+      Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants cluster.Cluster.engine "vm0.mirror");
       (* Heal the service; the previous snapshot set stays authoritative —
          a restart from it boots while the failed epoch is still unshipped. *)
       Version_manager.restart (Client.version_manager cluster.Cluster.service);

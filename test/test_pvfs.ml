@@ -85,19 +85,16 @@ let test_sparse_holes_read_zero () =
 let test_namespace_operations () =
   let rig = make_rig () in
   let from = rig.client in
-  let exists_before, exists_after, reopened =
+  let exists_before, exists_after =
     run rig (fun () ->
         let f = Pvfs.create rig.fs ~from ~path:"/a" in
         Pvfs.write f ~from ~offset:0 (Payload.of_string "data");
         let exists_before = Pvfs.exists rig.fs ~path:"/a" in
-        let g = Pvfs.open_file rig.fs ~from ~path:"/a" in
-        let reopened = Payload.to_string (Pvfs.read g ~from ~offset:0 ~len:4) in
         Pvfs.delete rig.fs ~from ~path:"/a";
-        (exists_before, Pvfs.exists rig.fs ~path:"/a", reopened))
+        (exists_before, Pvfs.exists rig.fs ~path:"/a"))
   in
   Alcotest.(check bool) "exists" true exists_before;
-  Alcotest.(check bool) "deleted" false exists_after;
-  Alcotest.(check string) "reopen" "data" reopened
+  Alcotest.(check bool) "deleted" false exists_after
 
 let test_create_duplicate_rejected () =
   let rig = make_rig () in
@@ -111,18 +108,6 @@ let test_create_duplicate_rejected () =
         with Invalid_argument _ -> true)
   in
   Alcotest.(check bool) "duplicate rejected" true raised
-
-let test_open_missing_raises () =
-  let rig = make_rig () in
-  let from = rig.client in
-  let raised =
-    run rig (fun () ->
-        try
-          let _ = Pvfs.open_file rig.fs ~from ~path:"/nope" in
-          false
-        with Not_found -> true)
-  in
-  Alcotest.(check bool) "not found" true raised
 
 let test_read_past_eof_rejected () =
   let rig = make_rig () in
@@ -214,7 +199,6 @@ let () =
           Alcotest.test_case "sparse holes" `Quick test_sparse_holes_read_zero;
           Alcotest.test_case "namespace ops" `Quick test_namespace_operations;
           Alcotest.test_case "duplicate create rejected" `Quick test_create_duplicate_rejected;
-          Alcotest.test_case "open missing" `Quick test_open_missing_raises;
           Alcotest.test_case "read past eof" `Quick test_read_past_eof_rejected;
           Alcotest.test_case "striping spreads data" `Quick test_striping_spreads_data;
           Alcotest.test_case "delete frees disks" `Quick test_delete_frees_disks;

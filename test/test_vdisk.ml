@@ -252,7 +252,8 @@ let test_qcow2_export_vm_state_roundtrip () =
         Qcow2.write q ~offset:0 (Payload.of_string (String.make 256 'd'));
         Qcow2.savevm q ~snapshot_name:"full" ~vm_state:(Payload.of_string "RAMSTATE");
         let remote = Qcow2.export q rig.fs ~from:host ~path:"/snap/full" in
-        Payload.to_string (Qcow2.remote_vm_state remote ~from:host ~snapshot_name:"full"))
+        Payload.to_string
+          (Qcow2.remote_vm_state_streamed remote ~from:host ~snapshot_name:"full" ~record:3))
   in
   Alcotest.(check string) "vm state preserved" "RAMSTATE" state
 
@@ -842,6 +843,10 @@ let without_teardown_audits f =
 
 let invariants violations = List.map (fun (v : Engine.violation) -> v.invariant) violations
 
+(* The teardown audit's findings for one structure, run now. *)
+let audit_of engine subject =
+  List.filter (fun (v : Engine.violation) -> v.subject = subject) (Engine.audit engine)
+
 let test_qcow2_audit_catches_refcount_corruption () =
   without_teardown_audits @@ fun () ->
   let rig = make_rig () in
@@ -855,9 +860,9 @@ let test_qcow2_audit_catches_refcount_corruption () =
         Qcow2.write q ~offset:0 (Payload.of_string (String.make 512 'a'));
         Qcow2.savevm q ~snapshot_name:"s1" ~vm_state:(Payload.of_string "vm");
         Qcow2.write q ~offset:0 (Payload.of_string (String.make 256 'b'));
-        let clean = Qcow2.audit q in
+        let clean = audit_of rig.engine "qcow2:q" in
         Qcow2.unsafe_set_refcount q ~phys:0 7;
-        (clean, Qcow2.audit q))
+        (clean, audit_of rig.engine "qcow2:q"))
   in
   Alcotest.(check (list string)) "clean image audits clean" [] (invariants clean);
   Alcotest.(check bool) "corrupted refcount caught" true
@@ -876,9 +881,9 @@ let test_mirror_audit_catches_uncached_dirty () =
         in
         let m = Mirror.create rig.engine ~host ~local_disk:disk ~base ~base_version:v ~name:"m" () in
         Mirror.write m ~offset:0 (Payload.of_string (String.make 256 'w'));
-        let clean = Mirror.audit m in
+        let clean = audit_of rig.engine "mirror:m" in
         Mirror.unsafe_mark_dirty m ~chunk:7;
-        (clean, Mirror.audit m))
+        (clean, audit_of rig.engine "mirror:m"))
   in
   Alcotest.(check (list string)) "clean mirror audits clean" [] (invariants clean);
   Alcotest.(check bool) "dirty-not-present caught" true
