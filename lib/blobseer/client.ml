@@ -509,17 +509,11 @@ let write_chunk_core b ~from ~base_tree ~suppress_clean ~hints jobs =
     | Some (d : Types.chunk_desc) -> d.digest = digest && d.size = size
     | None -> digest = Payload.digest (Payload.zero size)
   in
-  let chunk_span i body =
-    Obs.Span.with_detail t.engine ~component:"blob" ~name:"blob.chunk"
-      ~attrs:[ ("chunk", Obs.Record.Int i) ]
-      body
-  in
   (* Blocking per-chunk path. [digest], when given, is a carried hint: the
      produced content is verified against it (an O(1) memo check when the
      mirror's stored payload flows through unchanged) instead of being
      digested fresh. *)
   let one ?digest (i, produce) () =
-    chunk_span i @@ fun () ->
     let content = produce () in
     let size = Payload.length content in
     if size <> chunk_extent b i then invalid_arg "Client: chunk content size mismatch";
@@ -578,7 +572,6 @@ let write_chunk_core b ~from ~base_tree ~suppress_clean ~hints jobs =
      the hint, ship. The claim is already held, so every failure path must
      release it or concurrent writers of the digest deadlock. *)
   let ship_claimed ~digest ~placement (i, produce) () =
-    chunk_span i @@ fun () ->
     let content = produce () in
     let size = Payload.length content in
     if size <> chunk_extent b i || Payload.digest content <> digest then begin
@@ -609,11 +602,11 @@ let write_chunk_core b ~from ~base_tree ~suppress_clean ~hints jobs =
       | None -> pending := `Plain job :: !pending
       | Some digest ->
           let size = chunk_extent b i in
-          if clean_by_digest i ~size digest then
-            chunk_span i (fun () ->
-                note_digest_skipped t ~chunks:1 ~bytes:size;
-                note_suppressed size;
-                outcome "clean")
+          if clean_by_digest i ~size digest then begin
+            note_digest_skipped t ~chunks:1 ~bytes:size;
+            note_suppressed size;
+            outcome "clean"
+          end
           else if t.params.dedup then lookups := (job, digest) :: !lookups
           else pending := `Hinted (job, digest) :: !pending)
     jobs;
@@ -634,11 +627,10 @@ let write_chunk_core b ~from ~base_tree ~suppress_clean ~hints jobs =
       | Provider_manager.Batch_dedup replicas ->
           (* Dedup hit on the carried digest: no produce, no payload read. *)
           let size = chunk_extent b i in
-          chunk_span i (fun () ->
-              note_cached t size;
-              note_deduped size;
-              outcome "dedup";
-              finish_desc i ~size ~digest replicas)
+          note_cached t size;
+          note_deduped size;
+          outcome "dedup";
+          finish_desc i ~size ~digest replicas
       | Provider_manager.Batch_fresh placement ->
           pending := `Ship (job, digest, placement) :: !pending
       | Provider_manager.Batch_busy ->

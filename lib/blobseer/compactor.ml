@@ -2,13 +2,11 @@ open Simcore
 open Netsim
 open Storage
 
-type config = { interval : float; policy : Retention.policy; deep_verify : bool }
+type config = { policy : Retention.policy; deep_verify : bool }
 
-let default_config = { interval = 10.0; policy = Retention.Keep_last 4; deep_verify = false }
+let default_config = { policy = Retention.Keep_last 4; deep_verify = false }
 
 type crash_point = Before_flatten | Mid_retire | After_retire
-
-type refusal = { rblob : int; rversion : int; rsource : string }
 
 (* The journaled intent: appended before the first retire, committed after
    the sweep queue is updated. [retire] names the exact versions, so
@@ -31,7 +29,6 @@ type stats = {
   versions_retired : int;
   chunks_reclaimed : int;
   bytes_reclaimed : int;
-  refusals : int;
   parity_failures : int;
   crashes : int;
   rolled_forward : int;
@@ -48,7 +45,6 @@ type t = {
   home : Net.host;
   config : config;
   journal : intent Journal.t;
-  mutable pin_sources : (string * (unit -> (int * int) list)) list;
   handles : (int, Client.blob) Hashtbl.t;
   (* Deferred physical reclamation: (provider, chunk) -> pass at which the
      chunk lost its last live reference. Deletion happens one full pass
@@ -71,19 +67,16 @@ type t = {
   mutable versions_retired : int;
   mutable chunks_reclaimed : int;
   mutable bytes_reclaimed : int;
-  mutable refusal_count : int;
   mutable parity_failures : int;
   mutable crashes : int;
   mutable rolled_forward : int;
   mutable rolled_back : int;
-  mutable refusals_rev : refusal list;
   mutable deleted_log : (int * int) list;
-  mutable fiber : Engine.fiber option;
 }
 
 (* Journal and reclamation audit: the maintenance journal must be
    quiescent while the compactor is alive (pending intents on a dead
-   compactor await its own recovery tick), and no chunk the deferred sweep
+   compactor await its {!restart}), and no chunk the deferred sweep
    deleted may be referenced by a live tree — chunk ids are never reused,
    so a hit here means compaction reclaimed data a live version still
    needs. *)
@@ -113,7 +106,6 @@ let create service ~home ?(config = default_config) () =
       home;
       config;
       journal = Journal.create ~name:"compactor" ();
-      pin_sources = [];
       handles = Hashtbl.create 8;
       pending_sweep = Hashtbl.create 64;
       alive = true;
@@ -131,14 +123,11 @@ let create service ~home ?(config = default_config) () =
       versions_retired = 0;
       chunks_reclaimed = 0;
       bytes_reclaimed = 0;
-      refusal_count = 0;
       parity_failures = 0;
       crashes = 0;
       rolled_forward = 0;
       rolled_back = 0;
-      refusals_rev = [];
       deleted_log = [];
-      fiber = None;
     }
   in
   Engine.register_audit (Client.engine service) (fun () -> audit t);
@@ -165,18 +154,6 @@ let maybe_crash t point =
       t.crashes <- t.crashes + 1;
       raise (Types.Service_crashed "compactor")
   | _ -> ()
-
-let add_pin_source t ~name f = t.pin_sources <- t.pin_sources @ [ (name, f) ]
-
-(* All pins right now, labelled by source; registration order, so the
-   first source pinning a version names the refusal. *)
-let gather_pins t =
-  List.concat_map (fun (name, f) -> List.map (fun site -> (site, name)) (f ())) t.pin_sources
-
-let refuse t ~blob ~version ~source =
-  let refusal = { rblob = blob; rversion = version; rsource = source } in
-  t.refusal_count <- t.refusal_count + 1;
-  t.refusals_rev <- refusal :: t.refusals_rev
 
 let handle t blob =
   match Hashtbl.find_opt t.handles blob with
@@ -455,21 +432,17 @@ let compact_blob t ~blob ~(plan : Retention.plan) =
           (try
              List.iter
                (fun version ->
-                 (* The flatten passed simulated time: re-gather pins so a
-                    version pinned since planning gets a typed refusal, and
-                    skip versions that are no longer live. *)
-                 match List.assoc_opt (blob, version) (gather_pins t) with
-                 | Some source -> refuse t ~blob ~version ~source
-                 | None ->
-                     if List.mem version (Version_manager.versions vm ~blob) then begin
-                       let tree = Version_manager.retire_version vm ~blob ~version in
-                       retired_trees := tree :: !retired_trees;
-                       retired := version :: !retired;
-                       if !first then begin
-                         first := false;
-                         maybe_crash t Mid_retire
-                       end
-                     end)
+                 (* The flatten passed simulated time: skip versions that
+                    are no longer live. *)
+                 if List.mem version (Version_manager.versions vm ~blob) then begin
+                   let tree = Version_manager.retire_version vm ~blob ~version in
+                   retired_trees := tree :: !retired_trees;
+                   retired := version :: !retired;
+                   if !first then begin
+                     first := false;
+                     maybe_crash t Mid_retire
+                   end
+                 end)
                retire
            with (Types.Service_crashed _ as e) when t.alive && !retired = [] ->
              (* Version manager down at the first retire: nothing mutated,
@@ -496,12 +469,7 @@ let scan t =
   let retired_total = ref 0 in
   List.iter
     (fun blob ->
-      let plan =
-        Version_manager.retention_plan vm ~blob ~policy:t.config.policy ~pins:(gather_pins t)
-      in
-      List.iter
-        (fun (version, source) -> refuse t ~blob ~version ~source)
-        plan.Retention.pinned_kept;
+      let plan = Version_manager.retention_plan vm ~blob ~policy:t.config.policy in
       if plan.Retention.retire <> [] then
         retired_total := !retired_total + compact_blob t ~blob ~plan)
     (Version_manager.blob_ids vm);
@@ -510,8 +478,7 @@ let scan t =
 
 (* Recovery. A pending intent whose every named version is still live
    never mutated: roll back. One that already lost versions from the live
-   set rolls forward — retire the rest (honouring pins that appeared since
-   with typed refusals), then reconcile the dedup index against the live
+   set rolls forward — retire the rest, then reconcile the dedup index against the live
    trees and queue every unreferenced chunk for the deferred sweep: the
    crash destroyed the precise per-tree bookkeeping, so recovery reclaims
    by mark-sweep instead. *)
@@ -529,12 +496,9 @@ let restart t =
       else begin
         List.iter
           (fun version ->
-            match List.assoc_opt (blob, version) (gather_pins t) with
-            | Some source -> refuse t ~blob ~version ~source
-            | None ->
-                ignore (Version_manager.retire_version vm ~blob ~version);
-                t.versions_retired <- t.versions_retired + 1;
-                Obs.Metrics.incr m_retired)
+            ignore (Version_manager.retire_version vm ~blob ~version);
+            t.versions_retired <- t.versions_retired + 1;
+            Obs.Metrics.incr m_retired)
           still_live;
         let dedup = Provider_manager.dedup_index (Client.provider_manager t.service) in
         ignore (Dedup_index.reconcile dedup (Client.live_digest_refs t.service));
@@ -558,36 +522,6 @@ let restart t =
   t.armed <- None;
   t.alive <- true
 
-let start t =
-  match t.fiber with
-  | Some _ -> ()
-  | None ->
-      let body () =
-        try
-          while true do
-            Engine.sleep (engine t) t.config.interval;
-            try
-              if not t.alive then restart t;
-              scan t
-            with Types.Service_crashed _ ->
-              (* Either our own armed crash fired (recovered on the next
-                 tick) or the version manager is down (retried then). *)
-              ()
-          done
-        with Engine.Cancelled -> ()
-      in
-      t.fiber <- Some (Engine.Fiber.spawn (engine t) ~name:"compactor" body)
-
-let stop t =
-  match t.fiber with
-  | None -> ()
-  | Some fiber ->
-      t.fiber <- None;
-      Engine.Fiber.cancel fiber;
-      (* Wait for the pass in progress to unwind, so its abort handlers
-         (e.g. a metadata commit's journal abort) run before we return. *)
-      Engine.Fiber.join fiber
-
 let stats t =
   {
     passes = t.passes;
@@ -602,14 +536,12 @@ let stats t =
     versions_retired = t.versions_retired;
     chunks_reclaimed = t.chunks_reclaimed;
     bytes_reclaimed = t.bytes_reclaimed;
-    refusals = t.refusal_count;
     parity_failures = t.parity_failures;
     crashes = t.crashes;
     rolled_forward = t.rolled_forward;
     rolled_back = t.rolled_back;
   }
 
-let refusals t = List.rev t.refusals_rev
 let boundary_roots t = List.rev t.boundary_roots_rev
 let reclaimed_chunks t = t.deleted_log
 let pending_reclaim t = Hashtbl.length t.pending_sweep

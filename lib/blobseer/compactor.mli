@@ -1,7 +1,7 @@
-(** Background snapshot-chain compactor: crash-safe retention enforcement.
+(** Snapshot-chain compactor: crash-safe retention enforcement.
 
     The compactor is the maintenance plane of the repository. On every
-    pass it evaluates the configured {!Retention.policy} against each
+    {!scan} it evaluates the configured {!Retention.policy} against each
     blob's live version chain (through
     {!Version_manager.retention_plan}), {e flattens} across every chain
     segment the plan retires — verifying the surviving boundary versions'
@@ -20,12 +20,9 @@
     live set — the remainder is retired, the dedup index reconciled and
     the repository mark-swept, so the committed outcome is reached).
 
-    Retirement is gated: any pin source registered with
-    {!add_pin_source} (the supervisor's rollback pins, the scrubber's
-    in-progress marks, the replicator's in-flight window) vetoes the
-    retire of a pinned version with a {e typed refusal} — never a silent
-    skip — and retires only proceed when the dedup index's refcounts
-    agree with the live trees for every digest involved (parity gate).
+    Retirement is gated: retires only proceed when the dedup index's
+    refcounts agree with the live trees for every digest involved (parity
+    gate).
 
     Physical reclamation is {e deferred}: chunks that lost their last
     live reference are queued and deleted one pass later, and their
@@ -36,7 +33,6 @@
 open Netsim
 
 type config = {
-  interval : float;  (** seconds between background passes *)
   policy : Retention.policy;  (** evaluated per blob on every pass *)
   deep_verify : bool;
       (** force a full remote verify-read of every cold chunk during
@@ -49,7 +45,7 @@ type config = {
     retried 3 times, backing off from 10 ms ({!Faults.with_retries}). *)
 
 val default_config : config
-(** 10 s interval, [Keep_last 4], Merkle verification (no deep reads). *)
+(** [Keep_last 4], Merkle verification (no deep reads). *)
 
 (** Armable crash points of the compaction transaction (fault-injection
     hooks; see {!arm_crash}). *)
@@ -57,10 +53,6 @@ type crash_point =
   | Before_flatten  (** intent journaled, nothing read or retired *)
   | Mid_retire  (** after the first version left the live set *)
   | After_retire  (** all retires applied; refs not yet released *)
-
-type refusal = { rblob : int; rversion : int; rsource : string }
-(** A retire the policy wanted that a pin vetoed: the blob, the pinned
-    version and the name of the pin source that held it. *)
 
 (** Observable compactor history (deterministic under a fixed seed). *)
 type stats = {
@@ -78,7 +70,6 @@ type stats = {
   versions_retired : int;  (** versions moved out of the live set *)
   chunks_reclaimed : int;  (** physical chunks deleted by the sweep *)
   bytes_reclaimed : int;  (** physical bytes deleted by the sweep *)
-  refusals : int;  (** pin-vetoed retires (typed, counted) *)
   parity_failures : int;  (** blobs vetoed by the parity gate *)
   crashes : int;  (** armed crashes fired *)
   rolled_forward : int;  (** recoveries that completed the intent *)
@@ -94,26 +85,11 @@ val create : Client.t -> home:Net.host -> ?config:config -> unit -> t
     compactor is alive, and no live tree references a chunk the sweep
     deleted. *)
 
-val add_pin_source : t -> name:string -> (unit -> (int * int) list) -> unit
-(** Register a pin source: a cost-free closure returning the
-    [(blob, version)] pairs currently pinned. Consulted at planning time
-    and re-consulted immediately before every retire; [name] is carried
-    in the {!refusal} it causes. Sources are consulted in registration
-    order and the first pin of a version wins. *)
-
 val scan : t -> unit
-(** One synchronous compaction pass over every blob (the background
-    fiber calls this every [interval]). Raises {!Types.Service_crashed}
-    if the compactor is down or an armed crash fires mid-pass. *)
-
-val start : t -> unit
-(** Spawn the background fiber: sleep [interval], recover if crashed,
-    scan, repeat. Idempotent while running. *)
-
-val stop : t -> unit
-(** Cancel the background fiber and wait until a pass in progress has
-    unwound. Intents a crash left pending stay for {!restart}. Call it
-    from a fiber other than the compactor's own. *)
+(** One synchronous compaction pass over every blob; callers decide when
+    passes run. Raises {!Types.Service_crashed} if the compactor is down
+    or an armed crash fires mid-pass; intents a crash left pending stay
+    for {!restart}. *)
 
 (** {1 Crash consistency} *)
 
@@ -125,13 +101,13 @@ val arm_crash : t -> crash_point -> unit
     transaction. *)
 
 val crash : t -> unit
-(** Fail-stop the compactor immediately (fault-injection hook); the
-    background fiber recovers it on its next tick. *)
+(** Fail-stop the compactor immediately (fault-injection hook); it serves
+    again after {!restart}. *)
 
 val restart : t -> unit
 (** Journal recovery. For each pending intent: if no named version has
     left the live set the intent rolls {e back} (abort, state
-    untouched); otherwise it rolls {e forward} — the remaining non-pinned
+    untouched); otherwise it rolls {e forward} — the remaining named
     versions are retired, the dedup index is reconciled against the live
     trees and every unreferenced chunk is queued for the deferred sweep,
     then the intent commits. Idempotent; resumes serving. *)
@@ -144,9 +120,6 @@ val journal_pending : t -> int
 
 val stats : t -> stats
 (** Lifetime counters. *)
-
-val refusals : t -> refusal list
-(** Every pin-vetoed retire, in occurrence order. Test-only: an observer. *)
 
 val boundary_roots : t -> (int * int * int64) list
 (** [(blob, version, merkle_root)] recorded for every boundary version a

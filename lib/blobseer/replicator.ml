@@ -98,21 +98,6 @@ let stats t =
     lag = stats_lag t;
   }
 
-(* The in-flight window as (blob, version) pins: every pending record
-   still reads primary-side snapshot state (fetch walks the published
-   tree; a clone's apply reads the source snapshot), so the compactor
-   must not retire these versions out from under the pipeline. *)
-let unsettled t =
-  Queue.fold
-    (fun acc (record : Version_manager.commit_record) ->
-      match record with
-      | Published { blob; version } -> (blob, version) :: acc
-      | Cloned { src_blob; version; _ } -> (src_blob, version) :: acc
-      | Repaired { blob; version; _ } -> (blob, version) :: acc
-      | Blob_created _ -> acc)
-    [] t.pending_q
-  |> List.rev
-
 (* ------------------------------------------------------------------ *)
 (* Intake: runs synchronously inside the primary's committing operation,
    so it must never block — availability over consistency, the primary

@@ -112,10 +112,3 @@ val lag : t -> int
 (** Records announced but not yet fully applied — the replication lag.
     Test-only: an observer. *)
 
-val unsettled : t -> (int * int) list
-(** The in-flight window as [(blob, version)] pairs on the {e primary}
-    that pending records still read from (published versions being
-    fetched, clone sources, repaired versions) — the compactor registers
-    this as a pin source so retention never retires a version out from
-    under the replication pipeline. Cost-free. *)
-

@@ -6,7 +6,6 @@ type policy =
 type plan = {
   keep : int list;
   retire : int list;
-  pinned_kept : (int * string) list;
 }
 
 let pp_policy ppf = function
@@ -16,7 +15,7 @@ let pp_policy ppf = function
 
 let policy_to_string p = Fmt.str "%a" pp_policy p
 
-(* Which versions the policy itself keeps, ignoring pins. Ages are
+(* Which versions the policy keeps. Ages are
    measured down the chain from [latest] (age 0), so the policy is stable
    as the chain grows: a version's bucket only ever moves outward.
 
@@ -51,23 +50,16 @@ let policy_keeps policy ~latest ~versions version =
              versions)
       end
 
-let plan policy ~versions ~latest ~pins =
+let plan policy ~versions ~latest =
   (match policy with
   | Keep_last k when k < 0 -> invalid_arg "Retention.plan: negative keep_last"
   | Thin_exponential { base } when base < 2 ->
       invalid_arg "Retention.plan: thinning base must be >= 2"
   | _ -> ());
   let versions = List.sort_uniq Int.compare versions in
-  let keep = ref [] and retire = ref [] and pinned = ref [] in
-  List.iter
-    (fun version ->
-      if version = latest || policy_keeps policy ~latest ~versions version then
-        keep := version :: !keep
-      else
-        match List.assoc_opt version pins with
-        | Some source ->
-            keep := version :: !keep;
-            pinned := (version, source) :: !pinned
-        | None -> retire := version :: !retire)
-    versions;
-  { keep = List.rev !keep; retire = List.rev !retire; pinned_kept = List.rev !pinned }
+  let keep, retire =
+    List.partition
+      (fun version -> version = latest || policy_keeps policy ~latest ~versions version)
+      versions
+  in
+  { keep; retire }

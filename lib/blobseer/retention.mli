@@ -2,12 +2,9 @@
 
     A policy decides, per blob, which published versions of a chain stay
     and which the compactor may retire. Evaluation is pure and
-    deterministic: the same version list, pins and policy always produce
-    the same plan. The latest version of a blob is never retirable — a
-    blob always stays restorable from its tip — and pinned versions
-    (supervisor rollback targets, scrub-in-progress marks, replicator
-    in-flight windows) are forced into the keep set whatever the policy
-    says. *)
+    deterministic: the same version list and policy always produce the
+    same plan. The latest version of a blob is never retirable — a blob
+    always stays restorable from its tip. *)
 
 type policy =
   | Keep_all  (** retire nothing — compaction disabled *)
@@ -23,17 +20,13 @@ type policy =
 type plan = {
   keep : int list;  (** surviving versions, ascending *)
   retire : int list;  (** versions the policy retires, ascending *)
-  pinned_kept : (int * string) list;
-      (** versions the policy would have retired but a pin saved,
-          with the pin source's name — ascending by version *)
 }
 
 val policy_to_string : policy -> string
 (** ["keep-all"], ["keep-last-k"] or ["thin-b"] (table series labels). *)
 
-val plan : policy -> versions:int list -> latest:int -> pins:(int * string) list -> plan
-(** [plan policy ~versions ~latest ~pins] partitions [versions] (the
-    blob's live version numbers, any order) into keep and retire sets.
-    [latest] is always kept; [pins] maps pinned version numbers to the
-    name of the pin's source. Raises [Invalid_argument] on a
+val plan : policy -> versions:int list -> latest:int -> plan
+(** [plan policy ~versions ~latest] partitions [versions] (the blob's
+    live version numbers, any order) into keep and retire sets. [latest]
+    is always kept. Raises [Invalid_argument] on a
     [Thin_exponential] base < 2 or a negative [Keep_last]. *)

@@ -71,7 +71,6 @@ type t = {
   mutable merkle_clean_versions : int;
   mutable events_rev : event list;
   mutable bad_sites : (int * int) list; (* (blob, version) with unrepairable chunks *)
-  mutable pins : (int * int) list; (* under repair: the compactor must not retire *)
   mutable fiber : Engine.fiber option;
 }
 
@@ -89,11 +88,10 @@ let create service ~home ?(config = default_config) () =
     merkle_clean_versions = 0;
     events_rev = [];
     bad_sites = [];
-    pins = [];
     fiber = None;
   }
 
-(* Typed (blob, version) ordering for pin and bad-site lists. *)
+(* Typed (blob, version) ordering for the bad-site list. *)
 let compare_site (b1, v1) (b2, v2) =
   match Int.compare b1 b2 with 0 -> Int.compare v1 v2 | c -> c
 
@@ -229,16 +227,6 @@ let scan t =
           tree ());
   let sites = List.rev !sites in
   t.chunks_checked <- t.chunks_checked + !clean_leaves;
-  (* Pin every version with a damaged chunk for the duration of the pass. *)
-  let damaged (desc : Types.chunk_desc) =
-    let good = List.filter (replica_good service desc) desc.replicas in
-    List.length good < List.length desc.replicas || List.length good < replication
-  in
-  t.pins <-
-    List.sort_uniq compare_site
-      (List.filter_map
-         (fun (blob, version, _, desc) -> if damaged desc then Some (blob, version) else None)
-         sites);
   (* Repair work memo, keyed by the chunk's physical identity: every
      descriptor carrying the same digest over the same replica set shares
      one data-plane repair (and one repair_bytes charge), whatever its
@@ -325,7 +313,6 @@ let scan t =
               bad_sites := (blob, version) :: !bad_sites))
     sites;
   t.bad_sites <- List.sort_uniq compare_site !bad_sites;
-  t.pins <- [];
   (* Counted only here: a pass cancelled mid-loop never reaches
      [Scan_finished], and its partial count must not reach [stats]. *)
   t.unrepairable <- t.unrepairable + !unrepairable_count;
@@ -344,7 +331,6 @@ let scan t =
     !clean_leaves !repaired_count !unrepairable_count
 
 let version_ok t ~blob ~version = not (List.mem (blob, version) t.bad_sites)
-let pins t = t.pins
 
 let stats t =
   {

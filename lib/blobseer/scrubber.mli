@@ -106,10 +106,6 @@ val version_ok : t -> blob:int -> version:int -> bool
     quorum-failed, or unpublishable) chunk in this snapshot — the
     supervisor's rollback-target filter. *)
 
-val pins : t -> (int * int) list
-(** (blob, version) pairs currently under repair; the compactor must not
-    retire them mid-pass. Empty between passes. *)
-
 val stats : t -> stats
 (** Cumulative pass/repair counters. *)
 

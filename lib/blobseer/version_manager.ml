@@ -312,12 +312,8 @@ let versions t ~blob = sorted_keys (state t blob).versions
 
 (* Retention planning lives with the version manager (it owns the version
    sets the policies partition); evaluation itself is {!Retention.plan}. *)
-let retention_plan t ~blob ~policy ~pins =
-  let st = state t blob in
-  let pins =
-    List.filter_map (fun ((b, v), source) -> if b = blob then Some (v, source) else None) pins
-  in
-  Retention.plan policy ~versions:(versions t ~blob) ~latest:st.latest ~pins
+let retention_plan t ~blob ~policy =
+  Retention.plan policy ~versions:(versions t ~blob) ~latest:(state t blob).latest
 
 let peek_latest t blob = (state t blob).latest
 let peek_tree t ~blob ~version = Hashtbl.find (state t blob).versions version

@@ -108,11 +108,9 @@ val unsafe_forget_version : t -> blob:int -> version:int -> unit
 val versions : t -> blob:int -> int list
 (** Published (non-dropped) version numbers, ascending. *)
 
-val retention_plan :
-  t -> blob:int -> policy:Retention.policy -> pins:((int * int) * string) list -> Retention.plan
+val retention_plan : t -> blob:int -> policy:Retention.policy -> Retention.plan
 (** Evaluate a retention policy against the blob's live versions.
-    [pins] maps pinned [(blob, version)] pairs to the pin source's name;
-    pairs for other blobs are ignored. Cost-free. *)
+    Cost-free. *)
 
 val iter_live_trees : t -> (blob:int -> version:int -> tree -> unit) -> unit
 (** All live (blob, version) roots — the compactor's mark roots — in

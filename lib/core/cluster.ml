@@ -31,10 +31,6 @@ type t = {
   mutable failed_nodes : int list;
   mutable crash_hooks : (int -> unit) list;
   mutable dr : dr option;
-  (* The deployment's background compactor, when the embedding layer runs
-     one (supervised runs, the chains harness): registered here so fault
-     handlers can reach it by role rather than by closure threading. *)
-  mutable compactor : Compactor.t option;
 }
 
 (* The base image content: a deterministic pattern standing in for the
@@ -102,7 +98,7 @@ let build ?(seed = 42) ?schedule ?dr:dr_config (cal : Calibration.t) =
   let base_blob, base_version, base_raw = Option.get !uploaded in
   let t =
     { engine; net; cal; nodes; service; pvfs; prefetch; base_blob; base_version; base_raw;
-      supervisor_host; failed_nodes = []; crash_hooks = []; dr = None; compactor = None }
+      supervisor_host; failed_nodes = []; crash_hooks = []; dr = None }
   in
   (* Optional standby site: a mirror deployment on its own nodes and
      service hosts, fed by the journal-shipping replicator through a WAN
@@ -177,8 +173,6 @@ let crash_node t i =
 (* Disaster recovery *)
 
 let replicator t = Option.map (fun dr -> dr.replicator) t.dr
-let set_compactor t c = t.compactor <- Some c
-let compactor t = t.compactor
 let site_failed t = match t.dr with Some dr -> dr.site_failed | None -> false
 let promoted t = match t.dr with Some dr -> dr.promoted | None -> false
 

@@ -43,8 +43,6 @@ type t = {
   mutable failed_nodes : int list;  (** crash-stopped compute nodes *)
   mutable crash_hooks : (int -> unit) list;  (** run on each node crash *)
   mutable dr : dr option;  (** standby site, when built with [?dr] *)
-  mutable compactor : Blobseer.Compactor.t option;
-      (** background compactor, when registered via {!set_compactor} *)
 }
 
 val build :
@@ -99,13 +97,6 @@ val promoted : t -> bool
 
 val replicator : t -> Replicator.t option
 (** The journal-shipping pipeline, when built with [?dr]. *)
-
-val set_compactor : t -> Blobseer.Compactor.t -> unit
-(** Register the deployment's background compactor so fault handlers can
-    target it by role ([Faults.Crash_compaction] / [Crash_service]). *)
-
-val compactor : t -> Blobseer.Compactor.t option
-(** The registered compactor, if any. *)
 
 val run : t -> (unit -> 'a) -> 'a
 (** [run t f] executes [f] inside a fresh fiber and drives the engine until

@@ -100,20 +100,8 @@ let trace t msg = Trace.emit (engine t) ~component:"supervisor" "%s" msg
 let fault_handlers t =
   let cluster = t.cluster in
   let nodes = Cluster.node_count cluster in
-  (* Rotates through the compactor's three crash points across successive
-     [Crash_service 2] draws, so one chaos run exercises all of them. *)
-  let compaction_point = ref 0 in
-  let arm_compactor point =
-    match Cluster.compactor cluster with
-    | None -> ()
-    | Some c ->
-        Compactor.arm_crash c
-          (match point mod 3 with
-          | 0 -> Compactor.Before_flatten
-          | 1 -> Compactor.Mid_retire
-          | _ -> Compactor.After_retire)
-  in
   {
+    Faults.null_handlers with
     (* Crash targets index into the nodes currently hosting the gang: a
        host MTBF spread over idle spares would never take the application
        down. Falls back to the whole cluster when nothing is placed. *)
@@ -167,27 +155,17 @@ let fault_handlers t =
         Version_manager.arm_crash
           (Client.version_manager cluster.Cluster.service)
           (if point = 0 then Version_manager.Before_apply else Version_manager.Mid_apply));
-    crash_compaction = (fun ~point -> arm_compactor point);
     (* Background-service hosts: the scrubber restarts from scratch (its
-       fiber is killed mid-pass and respawned), the compactor either
-       fail-stops (its own loop recovers it next tick) or gets an armed
-       crash point rotated across draws. *)
+       fiber is killed mid-pass and respawned). A supervised run has no
+       compactor, so service targets 1 and 2, like [Crash_compaction],
+       keep the null handler's no-op. *)
     crash_service =
       (fun i ->
-        match i mod 3 with
-        | 0 -> (
-            match t.scrubber with
-            | Some s ->
-                Scrubber.stop s;
-                Scrubber.start s
-            | None -> ())
-        | 1 -> (
-            match Cluster.compactor cluster with
-            | Some c -> Compactor.crash c
-            | None -> ())
-        | _ ->
-            arm_compactor !compaction_point;
-            incr compaction_point);
+        match (i mod 3, t.scrubber) with
+        | 0, Some s ->
+            Scrubber.stop s;
+            Scrubber.start s
+        | _ -> ());
     crash_site = (fun () -> Cluster.crash_site cluster);
   }
 
@@ -664,15 +642,6 @@ let report t =
 let instances t = t.instances
 let scrubber t = t.scrubber
 
-(* Snapshot versions recovery may still roll back to: both committed
-   snapshot sets (current and the demotion fallback). *)
-let snapshot_pins t =
-  let of_snap = function
-    | Approach.Blobcr_snapshot { image; version } -> Some (Client.blob_id image, version)
-    | Approach.Qcow2_snapshot _ | Approach.Full_snapshot _ -> None
-  in
-  List.filter_map of_snap t.snapshots @ List.filter_map of_snap t.snapshots_prev
-
 let audit t =
   let unaccounted =
     List.filter
@@ -685,7 +654,7 @@ let audit t =
        [ "run ended without finishing and without abandoning instances" ]
      else [])
 
-let run cluster ~kind ?(policy = default_policy) ?scrub ?compaction ?(faults = []) ~id ~gang
+let run cluster ~kind ?(policy = default_policy) ?scrub ?(faults = []) ~id ~gang
     ~units ~workload () =
   if gang < 1 then invalid_arg "Supervisor.run: gang must be >= 1";
   if units < 1 then invalid_arg "Supervisor.run: units must be >= 1";
@@ -762,40 +731,10 @@ let run cluster ~kind ?(policy = default_policy) ?scrub ?compaction ?(faults = [
       in
       Scrubber.start s;
       t.scrubber <- Some s);
-  (* Background retention/compaction: pin sources keep every version the
-     supervisor can still roll back to, the scrubber is mid-repair on, or
-     the replicator has in flight, so maintenance never races them. *)
-  let compactor =
-    match compaction with
-    | None -> None
-    | Some config ->
-        let c =
-          Compactor.create cluster.Cluster.service ~home:cluster.Cluster.supervisor_host
-            ~config ()
-        in
-        Compactor.add_pin_source c ~name:"rollback" (fun () -> snapshot_pins t);
-        Compactor.add_pin_source c ~name:"scrub" (fun () ->
-            match t.scrubber with Some s -> Scrubber.pins s | None -> []);
-        Compactor.add_pin_source c ~name:"repl" (fun () ->
-            match Cluster.replicator cluster with
-            | Some r -> Replicator.unsettled r
-            | None -> []);
-        Cluster.set_compactor cluster c;
-        Compactor.start c;
-        Some c
-  in
   if faults <> [] then
     t.injector <- Some (Faults.start (engine t) ~script:faults ~handlers:(fault_handlers t));
   supervise t;
   (match t.scrubber with Some s -> Scrubber.stop s | None -> ());
-  (match compactor with
-  | Some c ->
-      (* Settle the maintenance journal before teardown: a crash the
-         background loop has not yet recovered would otherwise leave
-         pending intents behind. *)
-      if not (Compactor.is_alive c) then Compactor.restart c;
-      Compactor.stop c
-  | None -> ());
   Option.iter Faults.stop t.injector;
   t.done_ <- true;
   t

@@ -100,7 +100,6 @@ val run :
   kind:Approach.kind ->
   ?policy:policy ->
   ?scrub:Blobseer.Scrubber.config ->
-  ?compaction:Blobseer.Compactor.config ->
   ?faults:Faults.script ->
   id:string ->
   gang:int ->
@@ -122,23 +121,18 @@ val run :
     hits a live node hosting the gang (the whole cluster when none is
     placed), provider/metadata failures hit the BlobSeer services,
     transient disk errors arm node-local disks, degradation/partitions hit
-    the network, service crashes hit the scrubber or compactor, and
-    targets are taken modulo the respective population size. The injector
-    is stopped just before [run] returns, after the compactor settles:
-    events due later are never applied, nor listed in [injected].
+    the network, a [Crash_service] whose target is 0 mod 3 restarts the
+    scrubber, and targets are taken modulo the respective population size.
+    A supervised run has no compactor: [Crash_compaction] and the other
+    [Crash_service] targets are no-ops. The injector is stopped just
+    before [run] returns: events due later are never applied, nor listed
+    in [injected].
 
     With [scrub], a background {!Blobseer.Scrubber} runs on the supervisor
     host for the duration of the run, and every recovery scrubs the
     repository before picking its rollback target: repairs run first, and
     a snapshot set that still contains an unrepairable chunk is demoted to
-    the previous committed set ({!event.Rollback_demoted}).
-
-    With [compaction], a background {!Blobseer.Compactor} enforces the
-    given retention policy for the duration of the run, registered with
-    the cluster (so fault handlers can crash it) and gated on pin
-    sources: the supervisor's rollback snapshot sets, the scrubber's
-    in-progress marks and the replicator's in-flight window. Its journal
-    is settled (recovered if necessary) before teardown. *)
+    the previous committed set ({!event.Rollback_demoted}). *)
 
 val report : t -> report
 (** Counters accumulated over the supervised run. *)

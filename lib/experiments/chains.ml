@@ -64,13 +64,9 @@ let bs_harness (scale : Scale.t) ?policy ?(with_faults = fun _ _ -> None) ~depth
       let compactor =
         Option.map
           (fun policy ->
-            let c =
-              Blobseer.Compactor.create service ~home:cluster.Cluster.supervisor_host
-                ~config:{ Blobseer.Compactor.default_config with policy }
-                ()
-            in
-            Cluster.set_compactor cluster c;
-            c)
+            Blobseer.Compactor.create service ~home:cluster.Cluster.supervisor_host
+              ~config:{ Blobseer.Compactor.default_config with policy }
+              ())
           policy
       in
       let injector = Option.bind compactor (fun c -> with_faults cluster c) in

@@ -36,10 +36,7 @@ let run_point (scale : Scale.t) ~(combo : Combos.t) ~vms =
         snapshot_bytes;
       })
 
-let sweep scale ?(combos = Combos.disk_only) ?vm_counts ?(progress = fun _ -> ()) () =
-  let vm_counts =
-    match vm_counts with Some v -> v | None -> scale.Scale.cm1_vm_counts
-  in
+let sweep (scale : Scale.t) ?(progress = fun _ -> ()) () =
   List.concat_map
     (fun combo ->
       List.map
@@ -47,5 +44,5 @@ let sweep scale ?(combos = Combos.disk_only) ?vm_counts ?(progress = fun _ -> ()
           let point = run_point scale ~combo ~vms in
           progress point;
           point)
-        vm_counts)
-    combos
+        scale.Scale.cm1_vm_counts)
+    Combos.disk_only

@@ -76,8 +76,7 @@ let run_point (scale : Scale.t) ~(combo : Combos.t) ~n ~buffer =
         storage_bytes = Approach.storage_total cluster;
       })
 
-let sweep scale ~buffer ?(combos = Combos.all) ?ns ?(progress = fun _ -> ()) () =
-  let ns = match ns with Some ns -> ns | None -> scale.Scale.instance_counts in
+let sweep (scale : Scale.t) ~buffer ?(progress = fun _ -> ()) () =
   List.concat_map
     (fun combo ->
       List.map
@@ -85,8 +84,8 @@ let sweep scale ~buffer ?(combos = Combos.all) ?ns ?(progress = fun _ -> ()) () 
           let point = run_point scale ~combo ~n ~buffer in
           progress point;
           point)
-        ns)
-    combos
+        scale.Scale.instance_counts)
+    Combos.all
 
 let run_successive (scale : Scale.t) ~(combo : Combos.t) ~rounds ~buffer =
   let cluster = Cluster.build ~seed:scale.Scale.seed ~schedule:scale.Scale.schedule scale.Scale.cal in

@@ -23,11 +23,9 @@ val run_point : Scale.t -> combo:Combos.t -> n:int -> buffer:int -> point
 (** One checkpoint/restart cycle on a fresh cluster with [n] instances and
     a [buffer]-byte application state each. *)
 
-val sweep :
-  Scale.t -> buffer:int -> ?combos:Combos.t list -> ?ns:int list ->
-  ?progress:(point -> unit) -> unit -> point list
-(** {!run_point} over every (combo × instance count); defaults come from
-    the scale. *)
+val sweep : Scale.t -> buffer:int -> ?progress:(point -> unit) -> unit -> point list
+(** {!run_point} over every combo ({!Combos.all}) × the scale's instance
+    counts. *)
 
 type successive = {
   round_times : float list;  (** per-checkpoint completion time *)

@@ -44,9 +44,8 @@ let pp_event ppf e = Fmt.pf ppf "t=%.3f %a" e.at pp_action e.action
 (* ------------------------------------------------------------------ *)
 (* Profile-driven script generation *)
 
-let of_profile ~rng ~mtbf ?(start = 0.0) ~horizon ~hosts ~providers
-    ?(weights = (5, 3, 2, 1)) ?(corrupt_weight = 0) ?(service_weight = 0)
-    ?(transient_ops = 3) ?(degrade_factor = 4.0) ?(degrade_duration = 10.0) () =
+let of_profile ~rng ~mtbf ~horizon ~hosts ~providers ?(weights = (5, 3, 2, 1))
+    ?(corrupt_weight = 0) ?(service_weight = 0) () =
   if mtbf <= 0.0 then invalid_arg "Faults.of_profile: mtbf must be positive";
   if hosts < 1 then invalid_arg "Faults.of_profile: hosts must be positive";
   let wc, wp, wt, wd = weights in
@@ -58,12 +57,11 @@ let of_profile ~rng ~mtbf ?(start = 0.0) ~horizon ~hosts ~providers
     else if roll < wc + wp then
       Fail_provider (Rng.int rng (max 1 providers))
     else if roll < wc + wp + wt then
-      Transient_disk { target = Rng.int rng hosts; ops = 1 + Rng.int rng transient_ops }
-    else if roll < wc + wp + wt + wd then
-      Degrade_links { factor = degrade_factor; duration = degrade_duration }
+      Transient_disk { target = Rng.int rng hosts; ops = 1 + Rng.int rng 3 }
+    else if roll < wc + wp + wt + wd then Degrade_links { factor = 4.0; duration = 10.0 }
     else if roll < wc + wp + wt + wd + service_weight then
       (* Background-service hosts: 0 = scrubber, 1 = compactor fail-stop,
-         2 = compactor armed crash point (the handler rotates the point). *)
+         2 = compactor armed crash point; the embedder resolves each. *)
       Crash_service (Rng.int rng 3)
     else
       (* [chunk] is an abstract ordinal the handler resolves against the
@@ -77,7 +75,7 @@ let of_profile ~rng ~mtbf ?(start = 0.0) ~horizon ~hosts ~providers
     if t >= horizon then List.rev acc
     else go t ({ at = t; action = pick_action () } :: acc)
   in
-  go start []
+  go 0.0 []
 
 (* ------------------------------------------------------------------ *)
 (* Injection *)
@@ -155,13 +153,13 @@ let applied t = List.rev !(t.applied_rev)
 (* ------------------------------------------------------------------ *)
 (* Transient-fault retry discipline *)
 
-let with_retries engine ?(retries = 3) ?(backoff = 0.01) ~label f =
+let with_retries engine ?(retries = 3) ~label f =
   let rec go attempt =
     try f ()
     with Injected_error what when attempt < retries ->
       Trace.emit engine ~component:label "transient fault (%s), retry %d/%d" what
         (attempt + 1) retries;
-      Engine.sleep engine (backoff *. float_of_int (1 lsl attempt));
+      Engine.sleep engine (0.01 *. float_of_int (1 lsl attempt));
       go (attempt + 1)
   in
   go 0

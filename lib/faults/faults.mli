@@ -43,7 +43,7 @@ type action =
           transaction *)
   | Crash_service of int
       (** fail-stop a background-service host: 0 = scrubber, 1 = compactor
-          (fail-stop, recovered by its own next tick), 2 = compactor armed
+          (fail-stop until its owner restarts it), 2 = compactor armed
           crash (the handler rotates the crash point) — a no-op for
           embedders without the named service *)
   | Crash_site
@@ -67,26 +67,23 @@ val pp_event : Format.formatter -> event -> unit
 val of_profile :
   rng:Rng.t ->
   mtbf:float ->
-  ?start:float ->
   horizon:float ->
   hosts:int ->
   providers:int ->
   ?weights:int * int * int * int ->
   ?corrupt_weight:int ->
   ?service_weight:int ->
-  ?transient_ops:int ->
-  ?degrade_factor:float ->
-  ?degrade_duration:float ->
   unit ->
   script
 (** Generate a failure timeline: inter-arrival times are exponential with
-    mean [mtbf], starting at [start] (default 0) and stopping at [horizon].
+    mean [mtbf], starting at 0 and stopping at [horizon].
     Each event picks its class by the [weights] quadruple
     [(crash, provider, transient, degrade)] (default [(5, 3, 2, 1)]),
     extended by [corrupt_weight] (default 0) for {!Silent_corruption} and
     [service_weight] (default 0) for {!Crash_service} draws targeting the
     background-service hosts (scrubber/compactor), and a uniform target
-    below [hosts] / [providers]. All randomness is drawn
+    below [hosts] / [providers]. A transient-disk draw fails 1–3
+    operations; a degrade draw slows links 4× for 10 s. All randomness is drawn
     from [rng]: the same generator state yields the same script. *)
 
 (** Callbacks through which events reach the simulated platform. Handlers
@@ -124,11 +121,9 @@ val applied : t -> event list
 (** Events applied so far, in application order, with [at] rewritten to the
     absolute simulation time of application. *)
 
-val with_retries :
-  Engine.t -> ?retries:int -> ?backoff:float -> label:string -> (unit -> 'a) -> 'a
+val with_retries : Engine.t -> ?retries:int -> label:string -> (unit -> 'a) -> 'a
 (** [with_retries engine ~label f] runs [f], retrying up to [retries]
     (default 3) additional times when it raises {!Injected_error} — the
-    transient-fault recovery discipline. Waits [backoff * 2^attempt]
-    (default base 0.01 s) between attempts and emits a trace line per
-    retry. Any other exception, including {!Engine.Cancelled}, passes
+    transient-fault recovery discipline. Waits [0.01 s * 2^attempt]
+    between attempts and emits a trace line per retry. Any other exception, including {!Engine.Cancelled}, passes
     through untouched. *)

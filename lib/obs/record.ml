@@ -91,15 +91,13 @@ type collector = {
   (* Innermost-first stacks of open spans, one per (track, fiber). *)
   stacks : (int * int, open_span list) Hashtbl.t;
   cells : (string * string, cell) Hashtbl.t;
-  with_detail : bool;
 }
 
 let current : collector option ref = ref None
 
 let recording () = !current <> None
-let detail_enabled () = match !current with Some c -> c.with_detail | None -> false
 
-let fresh_collector ~detail =
+let fresh_collector () =
   {
     spans_rev = [];
     next_span = 0;
@@ -108,7 +106,6 @@ let fresh_collector ~detail =
     next_track = 0;
     stacks = Hashtbl.create 64;
     cells = Hashtbl.create 64;
-    with_detail = detail;
   }
 
 let track_of c engine =
@@ -286,9 +283,9 @@ let snapshot c =
     tracks = List.rev c.track_labels;
   }
 
-let capture ?(detail = false) f =
+let capture f =
   let saved = !current in
-  let c = fresh_collector ~detail in
+  let c = fresh_collector () in
   current := Some c;
   Fun.protect
     ~finally:(fun () -> current := saved)

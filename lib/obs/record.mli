@@ -49,11 +49,9 @@ type run = {
 }
 (** Everything one {!capture} observed. *)
 
-val capture : ?detail:bool -> (unit -> 'a) -> 'a * run
+val capture : (unit -> 'a) -> 'a * run
 (** [capture f] installs a fresh collector, runs [f], and returns its result
-    with the recorded {!run}. [detail] (default [false]) additionally enables
-    per-chunk spans (see {!detail_enabled}); leave it off for timelines of
-    manageable size. Captures nest: the previous collector is restored on
+    with the recorded {!run}. Captures nest: the previous collector is restored on
     exit, including on exception. Spans still open when [f] returns (fibers
     left blocked at quiescence) are dropped from the snapshot. *)
 
@@ -61,10 +59,6 @@ val recording : unit -> bool
 (** Whether a collector is currently installed. Instrumentation uses this to
     skip attribute computation entirely when observability is off.
     Test-only: an observer. *)
-
-val detail_enabled : unit -> bool
-(** Whether the installed collector wants high-volume per-chunk spans.
-    [false] when not recording. *)
 
 val label_track : Simcore.Engine.t -> string -> unit
 (** [label_track engine l] names the timeline of [engine] (e.g.

@@ -5,7 +5,3 @@ let with_ engine ~component ~name ?(attrs = []) f =
       Fun.protect ~finally:(fun () -> Record.close_span engine o) f
 
 let add_attr engine key value = Record.add_attr engine key value
-
-let with_detail engine ~component ~name ?attrs f =
-  if Record.detail_enabled () then with_ engine ~component ~name ?attrs f
-  else f ()

@@ -22,14 +22,3 @@ val with_ :
 val add_attr : Simcore.Engine.t -> string -> Record.value -> unit
 (** Attach an attribute to the innermost open span of the calling fiber.
     No-op when not recording or when no span is open. *)
-
-val with_detail :
-  Simcore.Engine.t ->
-  component:string ->
-  name:string ->
-  ?attrs:(string * Record.value) list ->
-  (unit -> 'a) ->
-  'a
-(** Like {!with_}, but only records when the capture asked for per-chunk
-    detail ([Record.capture ~detail:true]); otherwise runs [f] bare. Use
-    for high-volume spans (per-chunk stages) that would swamp a timeline. *)

@@ -33,11 +33,11 @@ type persisted = {
   p_files : (string * int * (int * int) list) list;
 }
 
-let format dev ?(block_size = 4 * Size.kib) ?(meta_region = 4 * Size.mib) () =
+let format dev ?(meta_region = 4 * Size.mib) () =
   if meta_region >= dev.Block_dev.capacity then invalid_arg "Guest_fs.format: device too small";
   {
     dev;
-    block_size;
+    block_size = 4 * Size.kib;
     meta_region;
     files = Hashtbl.create 64;
     next_free = meta_region;

@@ -516,14 +516,13 @@ let test_cm1_blcr_dump_sizes () =
 (* Retention down to each blob's newest version through a compactor. The
    second pass runs the deferred sweep of the chunks the first one
    queued. *)
-let compact_to_latest ?(pins = []) cluster =
+let compact_to_latest cluster =
   let open Blobseer in
   let c =
     Compactor.create cluster.Cluster.service ~home:cluster.Cluster.supervisor_host
       ~config:{ Compactor.default_config with policy = Retention.Keep_last 1 }
       ()
   in
-  Compactor.add_pin_source c ~name:"rollback" (fun () -> pins);
   Compactor.scan c;
   Compactor.scan c;
   Compactor.stats c
@@ -583,42 +582,6 @@ let test_gc_keeps_shared_base_chunks () =
         Vm.state inst'.Approach.vm = Vm.Running)
   in
   Alcotest.(check bool) "restart after gc" true boots_after_gc
-
-let test_gc_pins_protect_rollback_target () =
-  let cluster = build () in
-  let report, pinned_bytes, surviving_versions =
-    Cluster.run cluster (fun () ->
-        let inst = fresh_instance cluster Approach.Blobcr ~node_index:0 ~id:"vm0" in
-        let bench = Synthetic.start inst ~buffer_bytes:(2 * mib) in
-        let snaps = ref [] in
-        for _ = 1 to 4 do
-          Synthetic.refill bench;
-          Synthetic.dump_app ~retain:1 bench;
-          snaps := Approach.request_checkpoint cluster inst :: !snaps
-        done;
-        match List.rev !snaps with
-        | Approach.Blobcr_snapshot { image; version = oldest } :: _ ->
-            let blob = Blobseer.Client.blob_id image in
-            (* Pin the oldest snapshot — the rollback target a concurrent
-               recovery may be about to restore — then collect keeping only
-               the newest version. Without the pin this version would be
-               retention's first casualty. *)
-            let report = compact_to_latest ~pins:[ (blob, oldest) ] cluster in
-            let p =
-              Blobseer.Client.read image ~from:(Cluster.node cluster 1).Cluster.host
-                ~version:oldest ~offset:0 ~len:(1 * mib)
-            in
-            let vm = Blobseer.Client.version_manager cluster.Cluster.service in
-            (report, Payload.length p, Blobseer.Version_manager.versions vm ~blob)
-        | _ -> Alcotest.fail "expected blobcr snapshots")
-  in
-  (* Intermediate (unpinned, non-newest) versions still get reclaimed. *)
-  Alcotest.(check bool) "unpinned versions retired" true
-    (report.Blobseer.Compactor.versions_retired >= 2);
-  Alcotest.(check int) "pinned version fully readable" (1 * mib) pinned_bytes;
-  Alcotest.(check bool)
-    "pinned version retained in version manager" true
-    (List.length surviving_versions >= 2)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism *)
@@ -719,8 +682,6 @@ let () =
           Alcotest.test_case "reclaims obsolete snapshots" `Quick
             test_gc_reclaims_obsolete_snapshots;
           Alcotest.test_case "keeps shared base chunks" `Quick test_gc_keeps_shared_base_chunks;
-          Alcotest.test_case "pins protect rollback target" `Quick
-            test_gc_pins_protect_rollback_target;
         ] );
       ( "determinism",
         [

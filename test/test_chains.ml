@@ -1,6 +1,6 @@
 (* Tests for snapshot-chain retention and compaction: retention-policy
-   edge cases, the compactor's journaled crash-safe transaction (typed
-   refusals, all three crash points, transient-read retries, the deferred
+   edge cases, the compactor's journaled crash-safe transaction (all
+   three crash points, transient-read retries, the deferred
    sweep, racing clones), the chaos acceptance surface, and the qcow2
    delta-chain baseline (incremental export + chain collapse). *)
 
@@ -20,40 +20,30 @@ let test_keep_last_edges () =
   let versions = [ 0; 1; 2; 3; 4; 5 ] in
   (* keep_last_0 and keep_last_1 both clamp to keeping only the tip. *)
   check_plan "keep_last_0"
-    (Retention.plan (Retention.Keep_last 0) ~versions ~latest:5 ~pins:[])
+    (Retention.plan (Retention.Keep_last 0) ~versions ~latest:5)
     ~keep:[ 5 ] ~retire:[ 0; 1; 2; 3; 4 ];
   check_plan "keep_last_1"
-    (Retention.plan (Retention.Keep_last 1) ~versions ~latest:5 ~pins:[])
+    (Retention.plan (Retention.Keep_last 1) ~versions ~latest:5)
     ~keep:[ 5 ] ~retire:[ 0; 1; 2; 3; 4 ];
   (* A keep budget larger than the chain keeps everything. *)
   check_plan "keep_last_9"
-    (Retention.plan (Retention.Keep_last 9) ~versions ~latest:5 ~pins:[])
+    (Retention.plan (Retention.Keep_last 9) ~versions ~latest:5)
     ~keep:versions ~retire:[];
   Alcotest.check_raises "negative budget rejected"
     (Invalid_argument "Retention.plan: negative keep_last") (fun () ->
-      ignore (Retention.plan (Retention.Keep_last (-1)) ~versions ~latest:5 ~pins:[]))
+      ignore (Retention.plan (Retention.Keep_last (-1)) ~versions ~latest:5))
 
 let test_thinning_short_chain () =
   (* A chain shorter than the base is kept whole... *)
   check_plan "short chain"
     (Retention.plan (Retention.Thin_exponential { base = 4 }) ~versions:[ 0; 1; 2 ]
-       ~latest:2 ~pins:[])
+       ~latest:2)
     ~keep:[ 0; 1; 2 ] ~retire:[];
   (* ...and a single-version chain is untouchable under any policy. *)
   check_plan "single version"
     (Retention.plan (Retention.Thin_exponential { base = 2 }) ~versions:[ 0 ] ~latest:0
-       ~pins:[])
+      )
     ~keep:[ 0 ] ~retire:[]
-
-let test_pins_force_keep () =
-  let plan =
-    Retention.plan (Retention.Keep_last 1) ~versions:[ 0; 1; 2; 3 ] ~latest:3
-      ~pins:[ (1, "rollback") ]
-  in
-  Alcotest.(check (list int)) "pinned version survives" [ 1; 3 ] plan.Retention.keep;
-  Alcotest.(check (list int)) "others retire" [ 0; 2 ] plan.Retention.retire;
-  Alcotest.(check (list (pair int string))) "pin attributed" [ (1, "rollback") ]
-    plan.Retention.pinned_kept
 
 (* ------------------------------------------------------------------ *)
 (* Compactor rig *)
@@ -96,8 +86,7 @@ let content tag = String.concat "" (List.init 3 (fun i -> String.make 100 (Char.
 
 let make_compactor ?(deep = false) rig ~keep =
   Compactor.create rig.service ~home:rig.client_host
-    ~config:
-      { Compactor.default_config with policy = Retention.Keep_last keep; deep_verify = deep }
+    ~config:{ Compactor.policy = Retention.Keep_last keep; deep_verify = deep }
     ()
 
 (* A blob with [writes] full-image rewrites of pairwise distinct content:
@@ -147,25 +136,6 @@ let test_compaction_end_to_end () =
       Alcotest.check_raises "retired version unreadable" Not_found (fun () ->
           ignore (read_str blob ~from ~version:2));
       Alcotest.(check int) "journal quiescent" 0 (Compactor.journal_pending c))
-
-let test_retire_while_pinned_refuses () =
-  let rig = make_rig () in
-  run_rig rig (fun () ->
-      let blob = seeded_blob rig ~writes:3 in
-      let c = make_compactor rig ~keep:1 in
-      Compactor.add_pin_source c ~name:"rollback" (fun () -> [ (Client.blob_id blob, 1) ]);
-      Compactor.scan c;
-      Alcotest.(check (list int)) "pinned version survives" [ 1; 3 ] (Client.versions blob);
-      let refusal =
-        match Compactor.refusals c with
-        | [ r ] -> r
-        | rs -> Alcotest.failf "expected one refusal, got %d" (List.length rs)
-      in
-      Alcotest.(check int) "refused blob" (Client.blob_id blob) refusal.Compactor.rblob;
-      Alcotest.(check int) "refused version" 1 refusal.Compactor.rversion;
-      Alcotest.(check string) "refusing source" "rollback" refusal.Compactor.rsource;
-      (* Unpin: the next pass retires it. *)
-      ())
 
 let test_merkle_flatten_skips_reads () =
   (* The default flatten verifies the boundary version with one
@@ -494,14 +464,11 @@ let () =
         [
           Alcotest.test_case "keep_last edges" `Quick test_keep_last_edges;
           Alcotest.test_case "thinning short chain" `Quick test_thinning_short_chain;
-          Alcotest.test_case "pins force keep" `Quick test_pins_force_keep;
         ] );
       ( "compactor",
         [
           Alcotest.test_case "end to end with deferred sweep" `Quick
             test_compaction_end_to_end;
-          Alcotest.test_case "retire while pinned refuses" `Quick
-            test_retire_while_pinned_refuses;
           Alcotest.test_case "merkle flatten skips remote reads" `Quick
             test_merkle_flatten_skips_reads;
           Alcotest.test_case "crash before flatten rolls back" `Quick
