@@ -96,8 +96,8 @@ let verify_chunk t chunk =
 let delete_chunk t chunk =
   if t.alive && Content_store.mem t.pstore chunk then begin
     let bytes = Payload.length (Content_store.get t.pstore chunk) in
-    Content_store.decr_ref t.pstore chunk;
-    if not (Content_store.mem t.pstore chunk) then Disk.free t.pdisk bytes
+    Content_store.remove t.pstore chunk;
+    Disk.free t.pdisk bytes
   end
 
 let chunk_count t = Content_store.chunk_count t.pstore

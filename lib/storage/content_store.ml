@@ -5,7 +5,7 @@ type chunk_id = int
 (* [digest] is recorded once at [put] time and deliberately NOT refreshed by
    [corrupt]: it models the checksum the provider wrote alongside the chunk,
    which silent media corruption does not update. *)
-type entry = { mutable payload : Payload.t; digest : int64; mutable refs : int }
+type entry = { mutable payload : Payload.t; digest : int64 }
 
 type t = {
   table : (chunk_id, entry) Hashtbl.t;
@@ -18,7 +18,7 @@ let create () = { table = Hashtbl.create 1024; next_id = 0; total_bytes = 0 }
 let put t payload =
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
-  Hashtbl.replace t.table id { payload; digest = Payload.digest payload; refs = 1 };
+  Hashtbl.replace t.table id { payload; digest = Payload.digest payload };
   t.total_bytes <- t.total_bytes + Payload.length payload;
   id
 
@@ -26,15 +26,10 @@ let get t id =
   let entry = Hashtbl.find t.table id in
   entry.payload
 
-let decr_ref t id =
+let remove t id =
   let entry = Hashtbl.find t.table id in
-  entry.refs <- entry.refs - 1;
-  if entry.refs <= 0 then begin
-    Hashtbl.remove t.table id;
-    t.total_bytes <- t.total_bytes - Payload.length entry.payload
-  end
-
-let refs t id = match Hashtbl.find_opt t.table id with Some e -> e.refs | None -> 0
+  Hashtbl.remove t.table id;
+  t.total_bytes <- t.total_bytes - Payload.length entry.payload
 
 let recorded_digest t id =
   let entry = Hashtbl.find t.table id in

@@ -1,8 +1,9 @@
-(** In-memory chunk content store with reference counting.
+(** In-memory chunk content store.
 
-    Holds the payload of every stored chunk. Chunks are immutable;
-    structural sharing across snapshots is expressed by multiple references
-    to the same chunk id. The store tracks logical bytes held, which is what
+    Holds the payload of every stored chunk. Chunks are immutable, and
+    each has one owner: the data provider that stored it removes it.
+    Structural sharing across snapshots is expressed by descriptors naming
+    the same chunk id. The store tracks logical bytes held, which is what
     the storage-utilization experiments report. *)
 
 open Simcore
@@ -14,16 +15,13 @@ val create : unit -> t
 (** An empty store. *)
 
 val put : t -> Payload.t -> chunk_id
-(** Store a payload with reference count 1. *)
+(** Store a payload under a fresh id. *)
 
 val get : t -> chunk_id -> Payload.t
 (** Raises [Not_found] for dead or unknown ids. *)
 
-val decr_ref : t -> chunk_id -> unit
-(** Drops the chunk when the count reaches zero. *)
-
-val refs : t -> chunk_id -> int
-(** 0 for dead/unknown chunks. Test-only: an observer. *)
+val remove : t -> chunk_id -> unit
+(** Drop a live chunk. Raises [Not_found] for dead or unknown ids. *)
 
 val recorded_digest : t -> chunk_id -> int64
 (** The {!Simcore.Payload.digest} recorded when the chunk was stored. Silent

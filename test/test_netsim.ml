@@ -479,14 +479,15 @@ let test_content_store_roundtrip () =
   Alcotest.(check int) "bytes" 5 (Content_store.total_bytes cs);
   Alcotest.(check int) "count" 1 (Content_store.chunk_count cs)
 
-let test_content_store_refcounting () =
+let test_content_store_put_remove_mem () =
   let cs = Content_store.create () in
   let id = Content_store.put cs (Payload.of_string "abc") in
-  Alcotest.(check int) "one reference" 1 (Content_store.refs cs id);
-  Content_store.decr_ref cs id;
-  Alcotest.(check bool) "dead" false (Content_store.mem cs id);
+  Alcotest.(check bool) "live after put" true (Content_store.mem cs id);
+  Content_store.remove cs id;
+  Alcotest.(check bool) "dead after remove" false (Content_store.mem cs id);
   Alcotest.(check int) "bytes freed" 0 (Content_store.total_bytes cs);
-  Alcotest.(check int) "refs of dead" 0 (Content_store.refs cs id)
+  Alcotest.(check int) "count" 0 (Content_store.chunk_count cs);
+  Alcotest.check_raises "remove of dead" Not_found (fun () -> Content_store.remove cs id)
 
 let test_content_store_distinct_ids () =
   let cs = Content_store.create () in
@@ -536,7 +537,7 @@ let () =
       ( "content_store",
         [
           Alcotest.test_case "roundtrip" `Quick test_content_store_roundtrip;
-          Alcotest.test_case "refcounting" `Quick test_content_store_refcounting;
+          Alcotest.test_case "put remove mem" `Quick test_content_store_put_remove_mem;
           Alcotest.test_case "distinct ids" `Quick test_content_store_distinct_ids;
         ] );
     ]
