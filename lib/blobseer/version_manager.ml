@@ -231,6 +231,11 @@ let publish t ~from ~blob ~base tree =
 let clone t ~from ~blob ~version =
   rpc t ~from (fun () ->
       Rate_server.process t.server 0;
+      (* A clone queued behind one that crashed the service must not
+         apply: the crashed clone's pending intent names the blob id the
+         next registration takes, so its rollback would delete this
+         clone's blob. *)
+      check_alive t;
       let st = state t blob in
       let snapshot = Hashtbl.find st.versions version in
       let jid =

@@ -773,6 +773,32 @@ let test_clone_crash_rolls_back () =
   in
   Alcotest.(check bool) "clone retried after recovery" true ok
 
+(* Two clones queue on the version manager; the first crashes it before
+   applying. The second, served after the crash, must fail too: applied,
+   it would register the blob id the crashed intent names, and journal
+   recovery would then delete the blob it just handed out. *)
+let test_clone_queued_behind_crash_not_applied () =
+  let rig = make_rig ~stripe:100 () in
+  let from = rig.client_host in
+  let forks, blobs_before, blobs_after =
+    run_rig rig (fun () ->
+        let vm = Client.version_manager rig.service in
+        let blob = Client.create_blob rig.service ~from ~capacity:1000 in
+        let v1 = Client.write blob ~from ~offset:0 (payload_str (String.make 100 'a')) in
+        let blobs_before = List.length (Version_manager.blob_ids vm) in
+        Version_manager.arm_crash vm Version_manager.Before_apply;
+        let forks = ref [] in
+        Engine.all rig.engine
+          (List.init 2 (fun _ () ->
+               match Client.clone blob ~from ~version:v1 with
+               | fork -> forks := fork :: !forks
+               | exception Types.Service_crashed _ -> ()));
+        Version_manager.restart vm;
+        (!forks, blobs_before, List.length (Version_manager.blob_ids vm)))
+  in
+  Alcotest.(check int) "no clone applied on a crashed service" 0 (List.length forks);
+  Alcotest.(check int) "no blob registered" blobs_before blobs_after
+
 let test_metadata_crash_recovery () =
   let rig = make_rig ~stripe:100 () in
   let from = rig.client_host in
@@ -1057,6 +1083,8 @@ let () =
           Alcotest.test_case "publish crash mid apply" `Quick
             test_publish_crash_mid_apply_rolls_back;
           Alcotest.test_case "clone crash rolls back" `Quick test_clone_crash_rolls_back;
+          Alcotest.test_case "clone queued behind a crash not applied" `Quick
+            test_clone_queued_behind_crash_not_applied;
           Alcotest.test_case "metadata crash recovery" `Quick test_metadata_crash_recovery;
         ] );
       ( "scrubber",
