@@ -235,7 +235,7 @@ let run_durability scale seed =
          fault-free run@."
         chaos.Experiments.Durability.report.Blobcr.Supervisor.finished
         chaos.Experiments.Durability.report.Blobcr.Supervisor.recoveries
-        chaos.Experiments.Durability.scrub_stats.Blobseer.Scrubber.repairs
+        (Blobseer.Scrubber.stats chaos.Experiments.Durability.scrubber).Blobseer.Scrubber.repairs
         chaos.Experiments.Durability.integrity_failures
   | _ -> ());
   (* Replay determinism of the scrub/repair log, at engine seed [seed]
@@ -286,9 +286,11 @@ let replay_seed_term =
            times 1000 plus the schedule slot (0 = fifo), so $(b,--scenario exp:fig5a \
            --seed 42000) runs fig5a twice at engine seed 42 under fifo.")
 
+let default_master_seed = 42
+
 let master_seed_term =
   Arg.(
-    value & opt int 42
+    value & opt int default_master_seed
     & info [ "master-seed" ] ~docv:"N" ~doc:"Seed the sampling grid is derived from.")
 
 let scenario_term =
@@ -313,13 +315,16 @@ let verbose_term =
 (* Failing seeds are preserved as a per-scenario artifact file so CI can
    upload them: the report embeds each finding's replay command, letting a
    red fuzz stage be reproduced byte-for-byte without rerunning the grid.
-   A clean grid removes any stale artifact from a previous run. *)
-let fuzz_artifact_path scenario_name =
+   A clean grid removes any stale artifact from a previous run. A grid from
+   another master seed keeps its own file, so two grids of one scenario in
+   one battery do not remove each other's findings. *)
+let fuzz_artifact_path scenario_name master_seed =
   let safe = String.map (fun c -> if c = ':' then '-' else c) scenario_name in
-  Fmt.str "FUZZ_FAILURES.%s.txt" safe
+  if master_seed = default_master_seed then Fmt.str "FUZZ_FAILURES.%s.txt" safe
+  else Fmt.str "FUZZ_FAILURES.%s.seed%d.txt" safe master_seed
 
-let write_fuzz_artifact scenario_name report =
-  let path = fuzz_artifact_path scenario_name in
+let write_fuzz_artifact scenario_name master_seed report =
+  let path = fuzz_artifact_path scenario_name master_seed in
   if Schedule_fuzz.clean report then begin
     if Sys.file_exists path then Sys.remove path
   end
@@ -351,7 +356,7 @@ let run_fuzz scale scenario_name rounds master_seed replay_seed verbose =
               scenario
           in
           Fmt.pr "@[<v>%a@]@." Schedule_fuzz.pp_report report;
-          write_fuzz_artifact scenario_name report;
+          write_fuzz_artifact scenario_name master_seed report;
           if Schedule_fuzz.clean report then 0 else 1)
 
 let fuzz_cmd =
@@ -399,7 +404,14 @@ let run_all root seed =
         stage name (fun () -> run_fuzz Experiments.Scale.quick s.sname rounds seed None false))
       Schedule_fuzz.scenarios
   in
-  if lint = 0 && docs = 0 && inv = 0 && det = 0 && dur = 0 && List.for_all (( = ) 0) fuzz
+  (* The chaos grid again from a second master seed, so a second set of
+     fault streams runs under the same schedules. *)
+  let fuzz7 =
+    stage "fuzz-seed7" (fun () -> run_fuzz Experiments.Scale.quick "chaos" 25 7 None false)
+  in
+  if
+    lint = 0 && docs = 0 && inv = 0 && det = 0 && dur = 0
+    && List.for_all (( = ) 0) (fuzz7 :: fuzz)
   then begin
     Fmt.pr "--- all clean ---@.";
     0
@@ -413,7 +425,7 @@ let all_cmd =
          "Run lint, docs, invariants, determinism (fifo replays of fig5a, dedup and \
           the DR sweep at $(b,--seed)), durability and the bounded schedule-fuzz \
           smoke passes (chaos, site-disaster, snapshot-chain and live-checkpoint \
-          scenarios); exit 0 when all clean.")
+          scenarios, plus the chaos grid from master seed 7); exit 0 when all clean.")
     Term.(const run_all $ root_term $ seed_term)
 
 let () =

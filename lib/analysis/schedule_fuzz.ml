@@ -177,19 +177,24 @@ let precopy_script scale ~fault_seed cluster =
     (profile @ List.init (1 + Rng.int rng 2) (fun _ -> commit_crash rng ~within:horizon))
 
 (* The result surface compared across schedules: *outcomes* — did the
-   application finish, how often did it restart, was data lost, and the
-   restart-visible application state. Trace timings and *cost* metrics
-   (scrub repairs performed, bytes shipped) are deliberately absent: both
-   may legitimately differ when simultaneous events reorder — e.g. the
-   commit that arrives second gets the dedup hit, which moves replica
+   application finish, how often did it restart, which snapshots were
+   lost (the scrubber's final bad (blob, version) sites, which the
+   rollback-target filter reads), and the restart-visible application
+   state. Trace timings and *cost* metrics (scrub repairs performed,
+   unrepairable chunks counted, bytes shipped) are deliberately absent:
+   they may legitimately differ when simultaneous events reorder — e.g.
+   the commit that arrives second gets the dedup hit, which moves replica
    layout and with it the scrubber's work — while outcomes must not (see
    DESIGN.md section 13). *)
 let render_chaos (c : Experiments.Durability.chaos) =
   render_digests
-    (Fmt.str "finished=%b recoveries=%d unrepairable=%d integrity_failovers=%d"
+    (Fmt.str "finished=%b recoveries=%d bad_sites={%s} integrity_failovers=%d"
        c.Experiments.Durability.report.Blobcr.Supervisor.finished
        c.Experiments.Durability.report.Blobcr.Supervisor.recoveries
-       c.Experiments.Durability.scrub_stats.Blobseer.Scrubber.unrepairable
+       (String.concat " "
+          (List.map
+             (fun (blob, version) -> Fmt.str "(%d,%d)" blob version)
+             (Blobseer.Scrubber.bad_sites c.Experiments.Durability.scrubber)))
        c.Experiments.Durability.integrity_failures)
     c.Experiments.Durability.digests
 
@@ -236,12 +241,12 @@ let scrub =
         { scale with Experiments.Scale.seed = fault_seed }
         ())
     ~render:(fun c ->
+      let stats = Blobseer.Scrubber.stats c.Experiments.Durability.scrubber in
       Experiments.Durability.render_scrub_log c
       ^ Fmt.str "\nfinished=%b recoveries=%d repairs=%d repair_bytes=%d"
           c.Experiments.Durability.report.Blobcr.Supervisor.finished
           c.Experiments.Durability.report.Blobcr.Supervisor.recoveries
-          c.Experiments.Durability.scrub_stats.Blobseer.Scrubber.repairs
-          c.Experiments.Durability.scrub_stats.Blobseer.Scrubber.repair_bytes)
+          stats.Blobseer.Scrubber.repairs stats.Blobseer.Scrubber.repair_bytes)
     ~audit:chaos_audit
 
 (* The disaster-recovery scenario: a supervised gang on a two-site

@@ -331,6 +331,7 @@ let scan t =
     !clean_leaves !repaired_count !unrepairable_count
 
 let version_ok t ~blob ~version = not (List.mem (blob, version) t.bad_sites)
+let bad_sites t = t.bad_sites
 
 let stats t =
   {

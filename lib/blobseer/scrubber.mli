@@ -106,6 +106,11 @@ val version_ok : t -> blob:int -> version:int -> bool
     quorum-failed, or unpublishable) chunk in this snapshot — the
     supervisor's rollback-target filter. *)
 
+val bad_sites : t -> (int * int) list
+(** The [(blob, version)] pairs {!version_ok} rejects, ascending: the
+    sites the most recent pass found an unrepairable, quorum-failed or
+    unpublishable chunk in. *)
+
 val stats : t -> stats
 (** Cumulative pass/repair counters. *)
 

@@ -7,15 +7,14 @@ open Workloads
    runs to completion while a fault script corrupts replicas, crashes the
    version manager mid-COMMIT and crash-stops hosts. Returns everything
    the callers assert on: the supervisor report, the restart-visible
-   application state (digests of every dumped subdomain file), the scrub
-   log and the client's integrity-failover count. *)
+   application state (digests of every dumped subdomain file), the
+   stopped scrubber and the client's integrity-failover count. *)
 
 type chaos = {
   report : Supervisor.report;
   digests : (string * int64) list;  (** dumped subdomain files, sorted by path *)
   audit : string list;
-  scrub_stats : Blobseer.Scrubber.stats;
-  scrub_events : Blobseer.Scrubber.event list;
+  scrubber : Blobseer.Scrubber.t;
   integrity_failures : int;
   engine : Engine.t;
 }
@@ -62,19 +61,18 @@ let chaos_run (scale : Scale.t) ?script ?(replication = 2)
         Supervisor.run cluster ~kind:Approach.Blobcr ~policy ~scrub ~faults ~id:"dur" ~gang
           ~units ~workload ()
       in
-      let scrubber = Option.get (Supervisor.scrubber sup) in
       {
         report = Supervisor.report sup;
         digests = final_subdomain_digests sup;
         audit = Supervisor.audit sup;
-        scrub_stats = Blobseer.Scrubber.stats scrubber;
-        scrub_events = Blobseer.Scrubber.events scrubber;
+        scrubber = Option.get (Supervisor.scrubber sup);
         integrity_failures = Blobseer.Client.integrity_failures cluster.Cluster.service;
         engine = cluster.Cluster.engine;
       })
 
 let render_scrub_log chaos =
-  String.concat "\n" (List.map (Fmt.str "%a" Blobseer.Scrubber.pp_event) chaos.scrub_events)
+  String.concat "\n"
+    (List.map (Fmt.str "%a" Blobseer.Scrubber.pp_event) (Blobseer.Scrubber.events chaos.scrubber))
 
 (* ------------------------------------------------------------------ *)
 (* Sweep: corruption intensity x replication x scrub interval. *)
@@ -123,10 +121,11 @@ let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~corrupt_weight ~repli
            match e.Faults.action with Faults.Silent_corruption _ -> true | _ -> false)
          injected)
   in
+  let scrub = Blobseer.Scrubber.stats chaos.scrubber in
   progress
     (Fmt.str "  %d fault(s) (%d corruption(s)), %d recover(ies), %d repair(s), finished=%b"
        (List.length injected) corruptions chaos.report.Supervisor.recoveries
-       chaos.scrub_stats.Blobseer.Scrubber.repairs chaos.report.Supervisor.finished);
+       scrub.Blobseer.Scrubber.repairs chaos.report.Supervisor.finished);
   {
     corrupt_weight;
     replication;
@@ -135,9 +134,9 @@ let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~corrupt_weight ~repli
     recoveries = chaos.report.Supervisor.recoveries;
     corruptions;
     integrity_failovers = chaos.integrity_failures;
-    repairs = chaos.scrub_stats.Blobseer.Scrubber.repairs;
-    repair_bytes = chaos.scrub_stats.Blobseer.Scrubber.repair_bytes;
-    unrepairable = chaos.scrub_stats.Blobseer.Scrubber.unrepairable;
+    repairs = scrub.Blobseer.Scrubber.repairs;
+    repair_bytes = scrub.Blobseer.Scrubber.repair_bytes;
+    unrepairable = scrub.Blobseer.Scrubber.unrepairable;
     checkpoint_cost =
       (if chaos.report.Supervisor.checkpoints > 0 then
          chaos.report.Supervisor.checkpoint_time

@@ -23,8 +23,9 @@ type chaos = {
           keyed and sorted by guest path — the restart-visible application
           state (byte-identical iff these match) *)
   audit : string list;  (** supervisor accounting violations (empty = clean) *)
-  scrub_stats : Blobseer.Scrubber.stats;
-  scrub_events : Blobseer.Scrubber.event list;  (** chronological scrub log *)
+  scrubber : Blobseer.Scrubber.t;
+      (** the run's background scrubber, stopped: its stats, its
+          chronological scrub log and its final bad-site set *)
   integrity_failures : int;  (** client checksum-mismatch failovers *)
   engine : Simcore.Engine.t;
       (** the quiesced engine the run executed on, with its audit checks

@@ -405,7 +405,8 @@ let test_durability_chaos_acceptance () =
   Alcotest.(check bool) "journal recovery rolled back a pending intent" true
     (journal_intents >= 1);
   Alcotest.(check bool) "scrubber repaired corrupted or lost replicas" true
-    (chaos.Experiments.Durability.scrub_stats.Blobseer.Scrubber.repairs > 0);
+    ((Blobseer.Scrubber.stats chaos.Experiments.Durability.scrubber).Blobseer.Scrubber.repairs
+    > 0);
   Alcotest.(check (list string)) "supervisor invariants clean" []
     chaos.Experiments.Durability.audit;
   (* Byte-identical to a fault-free run of the same workload: recovery
@@ -461,10 +462,11 @@ let test_chaos_cancelled_scrub_pass_not_counted () =
       (fun acc -> function
         | Blobseer.Scrubber.Scan_finished { unrepairable; _ } -> acc + unrepairable
         | _ -> acc)
-      0 c.Experiments.Durability.scrub_events
+      0
+      (Blobseer.Scrubber.events c.Experiments.Durability.scrubber)
   in
   Alcotest.(check int) "unrepairable = sum over finished passes" finished
-    c.Experiments.Durability.scrub_stats.Blobseer.Scrubber.unrepairable
+    (Blobseer.Scrubber.stats c.Experiments.Durability.scrubber).Blobseer.Scrubber.unrepairable
 
 (* ------------------------------------------------------------------ *)
 (* Availability sweep smoke *)
