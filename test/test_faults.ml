@@ -468,6 +468,57 @@ let test_chaos_cancelled_scrub_pass_not_counted () =
   Alcotest.(check int) "unrepairable = sum over finished passes" finished
     (Blobseer.Scrubber.stats c.Experiments.Durability.scrubber).Blobseer.Scrubber.unrepairable
 
+(* A supervised run has a scrubber but no compactor. [Crash_service 0]
+   restarts the scrubber; the compactor actions ([Crash_service 1] and
+   [2], [Crash_compaction]) find nothing to hit, so adding them to the
+   script changes neither the report nor the restored state. *)
+let test_service_crashes_in_supervised_run () =
+  let at t action = { Faults.at = t; action } in
+  let run script =
+    Experiments.Durability.chaos_run durability_scale ~script:(fun _ -> script) ()
+  in
+  let scrubber_only = run [ at 5.0 (Faults.Crash_service 0) ] in
+  let all_four =
+    run
+      [
+        at 5.0 (Faults.Crash_service 0);
+        at 6.0 (Faults.Crash_service 1);
+        at 7.0 (Faults.Crash_service 2);
+        at 8.0 (Faults.Crash_compaction { point = 1 });
+      ]
+  in
+  let report (c : Experiments.Durability.chaos) =
+    { c.Experiments.Durability.report with Supervisor.injected = [] }
+  in
+  Alcotest.(check int) "all four applied" 4
+    (List.length all_four.Experiments.Durability.report.Supervisor.injected);
+  let restarted_at =
+    match all_four.Experiments.Durability.report.Supervisor.injected with
+    | e :: _ -> e.Faults.at
+    | [] -> Alcotest.fail "no fault applied"
+  in
+  (* The restarted fiber sleeps one full interval (4 s in [chaos_run])
+     before its first pass. *)
+  let next_pass =
+    List.find_map
+      (function
+        | Blobseer.Scrubber.Scan_started { at; _ } when at > restarted_at -> Some at
+        | _ -> None)
+      (Blobseer.Scrubber.events all_four.Experiments.Durability.scrubber)
+  in
+  Alcotest.(check (option (float 1e-9))) "scrub passes resume one interval after the restart"
+    (Some (restarted_at +. 4.0)) next_pass;
+  Alcotest.(check bool) "report unchanged by the compactor actions" true
+    (report all_four = report scrubber_only);
+  Alcotest.(check bool) "restored state unchanged" true
+    (all_four.Experiments.Durability.digests = scrubber_only.Experiments.Durability.digests);
+  Alcotest.(check bool) "run finished" true
+    all_four.Experiments.Durability.report.Supervisor.finished;
+  Alcotest.(check (list string)) "teardown audits clean" []
+    (List.map
+       (Fmt.str "%a" Engine.pp_violation)
+       (Engine.audit all_four.Experiments.Durability.engine))
+
 (* ------------------------------------------------------------------ *)
 (* Availability sweep smoke *)
 
@@ -532,6 +583,8 @@ let () =
             test_chaos_abandoned_scrub_leaves_journal_quiescent;
           Alcotest.test_case "cancelled scrub pass not counted" `Quick
             test_chaos_cancelled_scrub_pass_not_counted;
+          Alcotest.test_case "service crashes in a supervised run" `Quick
+            test_service_crashes_in_supervised_run;
         ] );
       ( "availability",
         [ Alcotest.test_case "sweep smoke" `Quick test_availability_smoke ] );
