@@ -478,10 +478,10 @@ let scan t =
 
 (* Recovery. A pending intent whose every named version is still live
    never mutated: roll back. One that already lost versions from the live
-   set rolls forward — retire the rest, then reconcile the dedup index against the live
-   trees and queue every unreferenced chunk for the deferred sweep: the
-   crash destroyed the precise per-tree bookkeeping, so recovery reclaims
-   by mark-sweep instead. *)
+   set rolls forward — retire the rest, then reconcile the dedup index
+   against the live trees and queue every unreferenced chunk for the
+   deferred sweep: the crash destroyed the precise per-tree bookkeeping,
+   so recovery reclaims by mark-sweep instead. *)
 let restart t =
   let vm = Client.version_manager t.service in
   let forward = ref 0 and back = ref 0 in

@@ -15,9 +15,9 @@ let pp_policy ppf = function
 
 let policy_to_string p = Fmt.str "%a" pp_policy p
 
-(* Which versions the policy keeps. Ages are
-   measured down the chain from [latest] (age 0), so the policy is stable
-   as the chain grows: a version's bucket only ever moves outward.
+(* Which versions the policy keeps. Ages are measured down the chain from
+   [latest] (age 0), so the policy is stable as the chain grows: a
+   version's bucket only ever moves outward.
 
    Thinning keeps the youngest *live* version of each power-of-base age
    bucket (not exact power-of-base ages): on a chain already thinned by
