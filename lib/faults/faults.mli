@@ -83,8 +83,9 @@ val of_profile :
     [service_weight] (default 0) for {!Crash_service} draws targeting the
     background-service hosts (scrubber/compactor), and a uniform target
     below [hosts] / [providers]. A transient-disk draw fails 1–3
-    operations; a degrade draw slows links 4× for 10 s. All randomness is drawn
-    from [rng]: the same generator state yields the same script. *)
+    operations; a degrade draw slows links 4× for 10 s. All randomness
+    is drawn from [rng]: the same generator state yields the same
+    script. *)
 
 (** Callbacks through which events reach the simulated platform. Handlers
     must be total — applying a fault to an already-failed target is a
@@ -125,5 +126,6 @@ val with_retries : Engine.t -> ?retries:int -> label:string -> (unit -> 'a) -> '
 (** [with_retries engine ~label f] runs [f], retrying up to [retries]
     (default 3) additional times when it raises {!Injected_error} — the
     transient-fault recovery discipline. Waits [0.01 s * 2^attempt]
-    between attempts and emits a trace line per retry. Any other exception, including {!Engine.Cancelled}, passes
+    between attempts and emits a trace line per retry. Any other
+    exception, including {!Engine.Cancelled}, passes
     through untouched. *)

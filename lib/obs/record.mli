@@ -51,9 +51,10 @@ type run = {
 
 val capture : (unit -> 'a) -> 'a * run
 (** [capture f] installs a fresh collector, runs [f], and returns its result
-    with the recorded {!run}. Captures nest: the previous collector is restored on
-    exit, including on exception. Spans still open when [f] returns (fibers
-    left blocked at quiescence) are dropped from the snapshot. *)
+    with the recorded {!run}. Captures nest: the previous collector is
+    restored on exit, including on exception. Spans still open when [f]
+    returns (fibers left blocked at quiescence) are dropped from the
+    snapshot. *)
 
 val recording : unit -> bool
 (** Whether a collector is currently installed. Instrumentation uses this to

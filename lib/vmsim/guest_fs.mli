@@ -21,7 +21,8 @@ exception Fs_full
 
 val format : Block_dev.t -> ?meta_region:int -> unit -> t
 (** Create an empty file system with 4 KiB blocks and (by default) a
-    4 MiB metadata region. Writes the initial superblock (buffered until {!sync}). *)
+    4 MiB metadata region. Writes the initial superblock (buffered until
+    {!sync}). *)
 
 val mount : Block_dev.t -> t
 (** Read the superblock and file table back from the device (charging the

@@ -1,8 +1,8 @@
 (* Tests for snapshot-chain retention and compaction: retention-policy
    edge cases, the compactor's journaled crash-safe transaction (all
-   three crash points, transient-read retries, the deferred
-   sweep, racing clones), the chaos acceptance surface, and the qcow2
-   delta-chain baseline (incremental export + chain collapse). *)
+   three crash points, transient-read retries, the deferred sweep, racing
+   clones), the chaos acceptance surface, and the qcow2 delta-chain
+   baseline (incremental export + chain collapse). *)
 
 open Simcore
 open Netsim
@@ -36,13 +36,11 @@ let test_keep_last_edges () =
 let test_thinning_short_chain () =
   (* A chain shorter than the base is kept whole... *)
   check_plan "short chain"
-    (Retention.plan (Retention.Thin_exponential { base = 4 }) ~versions:[ 0; 1; 2 ]
-       ~latest:2)
+    (Retention.plan (Retention.Thin_exponential { base = 4 }) ~versions:[ 0; 1; 2 ] ~latest:2)
     ~keep:[ 0; 1; 2 ] ~retire:[];
   (* ...and a single-version chain is untouchable under any policy. *)
   check_plan "single version"
-    (Retention.plan (Retention.Thin_exponential { base = 2 }) ~versions:[ 0 ] ~latest:0
-      )
+    (Retention.plan (Retention.Thin_exponential { base = 2 }) ~versions:[ 0 ] ~latest:0)
     ~keep:[ 0 ] ~retire:[]
 
 (* ------------------------------------------------------------------ *)

@@ -405,8 +405,7 @@ let test_durability_chaos_acceptance () =
   Alcotest.(check bool) "journal recovery rolled back a pending intent" true
     (journal_intents >= 1);
   Alcotest.(check bool) "scrubber repaired corrupted or lost replicas" true
-    ((Blobseer.Scrubber.stats chaos.Experiments.Durability.scrubber).Blobseer.Scrubber.repairs
-    > 0);
+    ((Blobseer.Scrubber.stats chaos.Experiments.Durability.scrubber).Blobseer.Scrubber.repairs > 0);
   Alcotest.(check (list string)) "supervisor invariants clean" []
     chaos.Experiments.Durability.audit;
   (* Byte-identical to a fault-free run of the same workload: recovery
