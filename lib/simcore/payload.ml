@@ -235,25 +235,25 @@ let code c = Int64.of_int (Char.code c + 1)
 (* Bytes a real implementation would have fed through the hash since
    process start. A payload whose digest is already memoized on the value
    ([dig]) costs nothing — that memo models digest reuse an implementation
-   can actually perform (the value carries its digest). The cross-payload
-   [Pattern] segment cache below is a pure simulator shortcut with no
-   real-world counterpart, so its hits still count here; [Zero] runs are a
-   representation choice and stay free. The delta of this counter across
-   an operation is the honest measure of digest work done. *)
+   can actually perform (the value carries its digest). A [Pattern] run
+   digested by its identity still counts its length, as a content hash of
+   those bytes would; [Zero] runs are a representation choice and stay
+   free. The delta of this counter across an operation is the honest
+   measure of digest work done. *)
 let hashed_bytes_counter = ref 0
 let hashed_bytes () = !hashed_bytes_counter
 
-(* The digest kernel folds a word's 8 bytes at once. With [c] the bytes
+(* The [Bytes] kernel folds a word's 8 bytes at once. With [c] the bytes
    read as base-[b] digits, c = sum_k byte_k * b^(7-k), eight per-byte
    steps collapse to h * b^8 + c + (1 + b + ... + b^7): the last term is
    the [+1] of every [code]. [c] is eight products by constants, summed
    in a tree, so no multiply waits on another, and [c] does not depend on
-   [h]; the loops fold two words per step, h * b^16 + (c0 + K) * b^8 +
+   [h]; the loop folds two words per step, h * b^16 + (c0 + K) * b^8 +
    (c1 + K), so the only chain carried from step to step is one multiply
    and one add per 16 bytes. Nothing allocates.
 
    K = 1 + b + ... + b^7 and the powers b^2 .. b^8, b^16 (mod 2^64) are
-   written out so that they stay immediate operands in the loops; the
+   written out so that they stay immediate operands in the loop; the
    golden vectors and the per-byte reference properties pin them. *)
 let word_codes = 0x573F50F01835A390L
 let b2 = 0x000366000002E329L
@@ -286,37 +286,6 @@ let[@inline] fold_word h w = Int64.add (Int64.mul h b8) (word_term w)
 let[@inline] fold_word2 h w0 w1 =
   Int64.add (Int64.mul h b16) (Int64.add (Int64.mul (word_term w0) b8) (word_term w1))
 
-(* Stream positions [off, off+len) of pattern [seed]: a partial word at
-   either end byte by byte, the aligned words between two at a time. *)
-let fold_pattern seed off len =
-  let h = ref 0L and i = ref off and stop = off + len in
-  if !i land 7 <> 0 then begin
-    let w = pattern_word seed (!i lsr 3) in
-    let head_stop = Int.min stop ((!i lor 7) + 1) in
-    while !i < head_stop do
-      h := fold_byte !h (word_byte w (!i land 7));
-      incr i
-    done
-  end;
-  let body_stop = !i + ((stop - !i) land lnot 7) in
-  while !i + 16 <= body_stop do
-    let w = !i lsr 3 in
-    h := fold_word2 !h (pattern_word seed w) (pattern_word seed (w + 1));
-    i := !i + 16
-  done;
-  if !i < body_stop then begin
-    h := fold_word !h (pattern_word seed (!i lsr 3));
-    i := !i + 8
-  end;
-  if !i < stop then begin
-    let w = pattern_word seed (!i lsr 3) in
-    while !i < stop do
-      h := fold_byte !h (word_byte w (!i land 7));
-      incr i
-    done
-  end;
-  !h
-
 let fold_bytes data off len =
   let h = ref 0L and i = ref off and stop = off + len in
   while !i + 16 <= stop do
@@ -333,195 +302,51 @@ let fold_bytes data off len =
   done;
   !h
 
-let fold_seg = function
-  | Zero n -> Int64.mul (geom_sum n) (code '\000')
-  | Pattern { seed; off; len } -> fold_pattern seed off len
-  | Bytes { data; off; len } -> fold_bytes data off len
+(* A maximal run of [Pattern] bytes is digested by its identity, not its
+   bytes. Stream [seed] at position [off] is stream [seed + off/8] at
+   [off mod 8] (word [w] of [seed] is the mix of [seed + w]), so a run is
+   named by that canonical (word seed, byte offset 0..7) and its length,
+   and two segments continue one run when the first ends where the
+   second starts in those coordinates. The mix of the mixed word seed
+   plus (length, offset) packed into one word separates distinct runs. *)
+let pattern_run_digest seed r len =
+  pattern_word (Int64.add (pattern_word seed 0) (Int64.of_int ((len lsl 3) lor r))) 0
 
-(* Split folds. A [Pattern] or [Bytes] segment of at least [split_min]
-   bytes folds as two halves, h(a ++ b) = h(a) * b^|b| + h(b): the caller
-   folds the first while a helper domain folds the second. The helper
-   runs [fold_seg] on one immutable segment and writes one [int64]; the
-   caller is blocked in the fold meanwhile, so no [Bytes] segment can
-   change under it, and every counter, cache and memo stays on the
-   caller's domain. Digests and counts are those of a sequential fold.
-
-   The job is one slot whose state moves idle -> posted (caller) ->
-   claimed (helper) -> done (helper) -> idle (caller). A caller that
-   finishes its half while the job is still posted takes it back with a
-   compare-and-set and folds it itself, so it waits only for a helper
-   that has already started. The helper is spawned by the first long
-   fold that finds none alive, spins for the next job and exits after
-   [helper_idle_spins] spins without one: while a second domain lives,
-   every minor collection stops both, so a helper lives for a burst of
-   folds, not for the process. Its spin allocates nothing, so it adds no
-   minor collection of its own. *)
-let split_min = 64 * 1024
-
-(* About 2 ms of [Domain.cpu_relax] on a 2-core Xeon host (25 ns each). *)
-let helper_idle_spins = 80_000
-
-let job_idle = 0
-let job_posted = 1
-let job_claimed = 2
-let job_done = 3
-
-type job = {
-  state : int Atomic.t; (* lint: allow domains — the split-fold job slot *)
-  mutable half : seg;
-  mutable result : int64;
-}
-
-let job = { state = Atomic.make job_idle; half = Zero 0; result = 0L } (* lint: allow domains *)
-let[@inline] job_state () = Atomic.get job.state (* lint: allow domains *)
-let[@inline] set_job_state s = Atomic.set job.state s (* lint: allow domains *)
-let[@inline] take_job from into = Atomic.compare_and_set job.state from into (* lint: allow domains *)
-let[@inline] relax () = Domain.cpu_relax () (* lint: allow domains *)
-
-(* Whether a helper is running; the helper clears it as it exits. *)
-let helper_alive = Atomic.make false (* lint: allow domains *)
-
-(* Whether spawning a helper is worth trying: more than one CPU is
-   available and no spawn has failed. Caller's domain only. *)
-let may_spawn = ref (Domain.recommended_domain_count () > 1) (* lint: allow domains *)
-
-let rec helper_loop spins_left =
-  if job_state () = job_posted && take_job job_posted job_claimed then begin
-    job.result <- fold_seg job.half;
-    set_job_state job_done;
-    helper_loop helper_idle_spins
-  end
-  else if spins_left = 0 then Atomic.set helper_alive false (* lint: allow domains *)
-  else begin
-    relax ();
-    helper_loop (spins_left - 1)
-  end
-
-(* Whether a helper is alive, spawning one if none is and one may be. A
-   helper is never joined: it has nothing to return, and the runtime
-   frees a domain when it exits. *)
-let helper_ready () =
-  Atomic.get helper_alive (* lint: allow domains *)
-  || !may_spawn
-     &&
-     (Atomic.set helper_alive true; (* lint: allow domains *)
-      match Domain.spawn (fun () -> helper_loop helper_idle_spins) with (* lint: allow domains *)
-      | (_ : unit Domain.t) -> true (* lint: allow domains *)
-      | exception _ ->
-          Atomic.set helper_alive false; (* lint: allow domains *)
-          may_spawn := false;
-          false)
-
-let split_fold seg =
-  let len = seg_len seg in
-  let off = match seg with Pattern { off; _ } | Bytes { off; _ } -> off | Zero _ -> 0 in
-  (* The second half starts on a 16-byte boundary of the stream or
-     buffer, so it runs the two-word loop from its first byte. *)
-  let mid = ((off + (len / 2)) land lnot 15) - off in
-  let first = seg_sub seg 0 mid and second = seg_sub seg mid (len - mid) in
-  let posted = helper_ready () in
-  if posted then begin
-    job.half <- second;
-    set_job_state job_posted
-  end;
-  let h1 = fold_seg first in
-  (* With no helper, or with the job taken back, the caller folds the
-     second half: one path for both. *)
-  let h2 =
-    if posted && not (take_job job_posted job_idle) then begin
-      while job_state () <> job_done do
-        relax ()
-      done;
-      let h2 = job.result in
-      set_job_state job_idle;
-      h2
+(* The digest of segments in order: [Zero] and [Bytes] by content,
+   [Pattern] runs by [pattern_run_digest], each combined as
+   h * b^len + run. The open run starts at canonical ([rs], [rr]) and
+   holds [rl] bytes, none when [rl = 0]. *)
+let fold_segs segs =
+  let h = ref 0L and rs = ref 0L and rr = ref 0 and rl = ref 0 in
+  let push len d = h := Int64.add (Int64.mul !h (pow_base len)) d in
+  let close_run () =
+    if !rl > 0 then begin
+      push !rl (pattern_run_digest !rs !rr !rl);
+      rl := 0
     end
-    else fold_seg second
   in
-  job.half <- Zero 0;
-  Int64.add (Int64.mul h1 (pow_base (len - mid))) h2
-
-let seg_digest seg =
-  match seg with
-  | Zero _ -> fold_seg seg
-  | Pattern { len; _ } | Bytes { len; _ } ->
-      hashed_bytes_counter := !hashed_bytes_counter + len;
-      if len >= split_min then split_fold seg else fold_seg seg
-
-(* Cross-payload cache of [Pattern] segment digests, keyed by the segment
-   itself, that is by (seed, off, len), with integer hashing and equality,
-   so a lookup allocates nothing. Two generations bound its memory and
-   keep it admitting: a miss enters [young]; once [young] holds
-   [cache_generation] entries it becomes [old] and the previous [old] is
-   dropped; a hit in [old] is copied into [young]. A segment digested again
-   within one generation's worth of admissions is therefore always a hit.
-   [young] never holds the key being admitted, so [add] suffices. Nothing
-   iterates the tables, so their order is never observed. *)
-let cache_generation = 150_000
-
-module Seg_table = Hashtbl.Make (struct
-  type t = seg
-
-  let equal = seg_equal_struct
-
-  let hash = function
-    | Pattern { seed; off; len } ->
-        let h = Int64.to_int seed + (off * 0x9E3779B97F4A7C1) + (len * 0x2545F4914F6CDD1D) in
-        let h = (h lxor (h lsr 29)) * 0x1CE4E5B9BF58476D in
-        h lxor (h lsr 32)
-    | Zero _ | Bytes _ -> 0
-end)
-
-type cache = {
-  mutable young : int64 Seg_table.t;
-  mutable old : int64 Seg_table.t;
-  mutable hit_count : int;
-  mutable miss_count : int;
-}
-
-let digest_cache =
-  { young = Seg_table.create 256; old = Seg_table.create 256; hit_count = 0; miss_count = 0 }
-
-let cache_admit c key d =
-  if Seg_table.length c.young >= cache_generation then begin
-    let dropped = c.old in
-    Seg_table.clear dropped;
-    c.old <- c.young;
-    c.young <- dropped
-  end;
-  Seg_table.add c.young key d
-
-(* The cached digest of [key], if any; a hit in [old] moves into [young]. *)
-let cache_find c key =
-  match Seg_table.find_opt c.young key with
-  | Some _ as hit -> hit
-  | None -> (
-      match Seg_table.find_opt c.old key with
-      | Some d as hit ->
-          cache_admit c key d;
-          hit
-      | None -> None)
-
-let seg_digest_cached seg =
-  match seg with
-  | Pattern { len; _ } -> (
-      let c = digest_cache in
-      match cache_find c seg with
-      | Some d ->
-          c.hit_count <- c.hit_count + 1;
-          hashed_bytes_counter := !hashed_bytes_counter + len;
-          d
-      | None ->
-          c.miss_count <- c.miss_count + 1;
-          let d = seg_digest seg in
-          cache_admit c seg d;
-          d)
-  | _ -> seg_digest seg
-
-type cache_stats = { hits : int; misses : int; generation : int }
-
-let segment_cache_stats () =
-  { hits = digest_cache.hit_count; misses = digest_cache.miss_count; generation = cache_generation }
+  Array.iter
+    (function
+      | Pattern { seed; off; len } ->
+          let s = Int64.add seed (Int64.of_int (off lsr 3)) and r = off land 7 in
+          let e = !rr + !rl in
+          if !rl > 0 && r = e land 7 && Int64.equal s (Int64.add !rs (Int64.of_int (e lsr 3)))
+          then rl := !rl + len
+          else begin
+            close_run ();
+            rs := s;
+            rr := r;
+            rl := len
+          end
+      | Zero n ->
+          close_run ();
+          push n (Int64.mul (geom_sum n) (code '\000'))
+      | Bytes { data; off; len } ->
+          close_run ();
+          push len (fold_bytes data off len))
+    segs;
+  close_run ();
+  !h
 
 (* Bytes a fold of [t] feeds the hash: every [Pattern] and [Bytes] byte. *)
 let hashable_bytes t =
@@ -530,17 +355,9 @@ let hashable_bytes t =
 let digest t =
   match t.dig with
   | Known d -> d
-  | Owed d ->
+  | (Owed _ | Unknown) as memo ->
       hashed_bytes_counter := !hashed_bytes_counter + hashable_bytes t;
-      t.dig <- Known d;
-      d
-  | Unknown ->
-      let d =
-        Array.fold_left
-          (fun h seg ->
-            Int64.add (Int64.mul h (pow_base (seg_len seg))) (seg_digest_cached seg))
-          0L t.segs
-      in
+      let d = match memo with Owed d -> d | _ -> fold_segs t.segs in
       t.dig <- Known d;
       d
 

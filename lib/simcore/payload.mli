@@ -63,29 +63,23 @@ val to_string : t -> string
     guard against accidentally materializing benchmark-scale payloads. *)
 
 val digest : t -> int64
-(** Content digest: equal payloads have equal digests (collisions aside —
-    the digest is a 64-bit rolling hash, h <- h * b + (byte + 1) mod 2^64
-    with b the 64-bit FNV prime). [Zero] runs digest in O(log n). [Pattern]
-    and [Bytes] segments are hashed a 64-bit word at a time without
-    allocating, at about 1.2 GiB/s (pattern) and 1.3 GiB/s (bytes) of
-    host time on one core. A segment of at least 64 KiB folds as two
-    halves, h(a ++ b) = h(a) * b^|b| + h(b): the caller folds the first
-    while a helper domain folds the second, or takes it back and folds it
-    itself when the helper has not started it. The helper is spawned on
-    the first long fold that finds none alive and exits after a fixed
-    count of spins without a job (about 2 ms); none is spawned when
-    [Domain.recommended_domain_count () = 1]. It only reads the segment,
-    and every counter below stays on the caller's domain, so digests and
-    counts are those of a sequential fold. Call [digest] from one domain
-    only. Once a helper has been spawned, [Unix.fork] raises in the
-    process (OCaml 5.1 forbids it after any domain was created). A
-    [Pattern] segment's digest is also kept in a process-wide
-    cache keyed by (seed, offset, length), so another payload slicing the
-    same stretch of the same stream reuses it; the cache holds two
-    generations of at most 150 000 segments each and keeps admitting
-    after it fills. The whole payload's digest is additionally memoized
-    per value, so repeated digests of the same payload (verified reads,
-    commit-path dedup lookups) are O(1) after the first.
+(** Content digest: payloads with equal bytes have equal digests
+    (collisions aside) as long as neither holds, in a [Bytes] segment,
+    bytes that the other holds as [Pattern] bytes: [Pattern] content is
+    digested by its identity, not by its bytes. Each maximal run of
+    [Pattern] bytes, taken in canonical coordinates ([pattern ~seed] at
+    [off] is the stream of [seed + off/8] at [off mod 8], since word [w]
+    of stream [seed] is the mix of [seed + w]), contributes a mixed hash
+    of its (canonical seed, offset, length) in O(1). [Zero] and [Bytes]
+    stretches are folded by content with a 64-bit rolling hash,
+    h <- h * b + (byte + 1) mod 2^64 with b the 64-bit FNV prime: [Zero]
+    runs in O(log n), [Bytes] a 64-bit word at a time without allocating,
+    at about 1.3 GiB/s of host time on one core. Stretches combine as
+    h(a ++ c) = h(a) * b^|c| + h(c). So a digest costs O(segments) plus
+    the [Bytes] bytes, and [Bytes]-against-[Bytes] and [Zero] equalities
+    are exact. The whole payload's digest is memoized per value, so
+    repeated digests of the same payload (verified reads, commit-path
+    dedup lookups) are O(1) after the first.
 
     A value that {!splice} built by sharing its base's segments carries
     the base's digest, memoized or not, as owed: its first [digest]
@@ -94,25 +88,14 @@ val digest : t -> int64
 
 val hashed_bytes : unit -> int
 (** Monotonic count of bytes a real implementation would have fed through
-    the hash since process start. Per-payload memo hits cost nothing (a
-    value carrying its digest models reuse an implementation can actually
-    perform); internal cross-payload segment caches are simulator
-    shortcuts and still count; [Zero] runs (O(log n) math) stay free. An
-    owed digest (see {!splice}) counts on its first use as the fold would:
-    the length of every [Pattern] and [Bytes] segment. The delta across an
-    operation measures real digest work regardless of payload
-    representation. *)
-
-(** Cumulative counters of the cross-payload [Pattern] segment digest
-    cache described under {!digest}. *)
-type cache_stats = {
-  hits : int;  (** lookups answered by the segment cache *)
-  misses : int;  (** segments hashed and then admitted *)
-  generation : int;  (** entries per generation; at most two are held *)
-}
-
-val segment_cache_stats : unit -> cache_stats
-(** The segment cache's counters so far. Test-only: an observer. *)
+    the hash since process start: the length of every [Pattern] and
+    [Bytes] segment of each payload whose digest is not yet memoized on
+    the value, whether owed (see {!splice}) or computed. Per-payload memo
+    hits cost nothing (a value carrying its digest models reuse an
+    implementation can actually perform); [Pattern] runs digested by
+    identity still count their length; [Zero] runs (O(log n) math) stay
+    free. The delta across an operation measures real digest work
+    regardless of payload representation. *)
 
 val pp : Format.formatter -> t -> unit
 (** Structural summary, e.g. ["pattern(seed=3,len=1024)"].

@@ -473,7 +473,7 @@ let pinned_quick_tables =
    quick scale, under the same rule as the table pins. *)
 let pinned_quick_points =
   [
-    ("dedup", "d1a2f0f9546c1d5187de122ad242dc57");
+    ("dedup", "566431d7b0ca45748bd5aade48e6e1e5");
     ("digest", "27de00027e08c133690b5c2d38ac488c");
     ("precopy", "a3a0de282546aa62cf4f48dc4178ac03");
   ]

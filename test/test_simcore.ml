@@ -141,16 +141,19 @@ let test_payload_pattern_byte_at_pure () =
   done;
   Alcotest.(check bool) "seeds differ" true (!distinct > 200)
 
-(* Digests and pattern bytes pinned before the word-at-a-time kernel
-   replaced the per-byte fold: dedup, Merkle roots and determinism
-   digests all depend on these exact values. *)
+(* Digests and pattern bytes pinned: dedup, Merkle roots and every
+   rendered digest depend on these exact values. A [Pattern] run digests
+   by its canonical identity, so stream 8 at offset 11 is stream 9 at
+   offset 3; [Bytes] and [Zero] stretches fold by content. *)
 let test_payload_golden_digests () =
   let check name expected p = Alcotest.(check int64) name expected (Payload.digest p) in
-  check "pattern 42, 1 MiB" 5132634833737507018L (Payload.pattern ~seed:42L (1024 * 1024));
-  check "unaligned pattern slice" (-1688783944622322291L)
+  check "pattern 42, 1 MiB" 3602855446077422069L (Payload.pattern ~seed:42L (1024 * 1024));
+  check "unaligned pattern slice" 6164329285894362720L
     (Payload.sub (Payload.pattern ~seed:9L 3_000_000) ~pos:3 ~len:1_000_003);
+  check "seed-shifted alias" 6164329285894362720L
+    (Payload.sub (Payload.pattern ~seed:8L 3_000_000) ~pos:11 ~len:1_000_003);
   check "13-byte bytes" (-4109545233550990002L) (Payload.of_string "hello, world!");
-  check "zero/pattern/bytes concat" (-729508023010127968L)
+  check "zero/pattern/bytes concat" (-1295856664501039112L)
     (Payload.concat
        [ Payload.zero 1000; Payload.sub (Payload.pattern ~seed:11L 5000) ~pos:5 ~len:777;
          Payload.of_string "blobcr-checkpoint"; Payload.zero 3; Payload.pattern ~seed:12L 4099 ]);
@@ -169,28 +172,9 @@ let test_payload_hashed_bytes_accounting () =
   in
   let p = fresh () in
   Alcotest.(check int) "first digest" n (delta (fun () -> ignore (Payload.digest p)));
-  Alcotest.(check int) "segment cache hit" n
+  Alcotest.(check int) "another value, same segment" n
     (delta (fun () -> ignore (Payload.digest (fresh ()))));
   Alcotest.(check int) "per-value memo" 0 (delta (fun () -> ignore (Payload.digest p)))
-
-(* Once more distinct segments than a generation holds have gone through
-   the cross-payload cache, it still admits: a segment digested now is a
-   hit the next time another payload slices it. *)
-let test_payload_segment_cache_keeps_admitting () =
-  let stats = Payload.segment_cache_stats in
-  let digest_fresh seed = ignore (Payload.digest (Payload.pattern ~seed 8)) in
-  let first = 0x5EED_CAC4E_0000L in
-  let n = (2 * (stats ()).Payload.generation) + 1 in
-  for i = 0 to n - 1 do
-    digest_fresh (Int64.add first (Int64.of_int i))
-  done;
-  let recent = Int64.add first (Int64.of_int n) in
-  digest_fresh recent;
-  let before = stats () in
-  digest_fresh recent;
-  let after = stats () in
-  Alcotest.(check int) "recent segment is a hit" (before.hits + 1) after.hits;
-  Alcotest.(check int) "and not hashed again" before.misses after.misses
 
 let test_payload_to_string_guard () =
   Alcotest.check_raises "guard" (Invalid_argument "Payload.to_string: payload too large")
@@ -240,13 +224,6 @@ let slice_gen =
 let pattern_slice (seed, (off, len)) =
   Payload.sub (Payload.pattern ~seed (off + len)) ~pos:off ~len
 
-let prop_payload_pattern_digest_reference =
-  QCheck.Test.make ~name:"payload: pattern digest equals the per-byte fold" ~count:500
-    QCheck.(pair int64 slice_gen)
-    (fun arg ->
-      let p = pattern_slice arg in
-      Payload.digest p = reference_digest p)
-
 (* The offset is also the slice's start inside the buffer, so the
    kernel's 8-byte reads land at every alignment. *)
 let prop_payload_bytes_digest_reference =
@@ -255,87 +232,6 @@ let prop_payload_bytes_digest_reference =
     (fun (s, (off, len)) ->
       let p = Payload.sub (Payload.of_string s) ~pos:off ~len in
       Payload.digest p = reference_digest p)
-
-(* Split folds: segments of at least 64 KiB fold as two halves, the second
-   on a helper domain. The per-byte fold of [to_string] (which the
-   to_string property below ties to [byte_at]) is what they must equal. *)
-let split_min = 64 * Size.kib
-
-let split_buffer =
-  Bytes.init ((4 * split_min) + 64) (fun i -> Char.unsafe_chr (((i * 131) lxor (i lsr 9)) land 0xff))
-
-(* Lengths within 40 bytes either side of the threshold half the time,
-   otherwise anywhere up to four times it. *)
-let split_len_gen =
-  QCheck.Gen.(
-    frequency
-      [ (1, int_range (split_min - 40) (split_min + 40)); (1, int_range 1 (4 * split_min)) ])
-
-(* A stretch of a payload: a pattern slice, a slice of [split_buffer] or a
-   zero run, each at an offset of 0-63 (odd ones included). *)
-let split_stretch_gen =
-  QCheck.Gen.(
-    map3
-      (fun kind off len ->
-        match kind with
-        | 0 -> Payload.sub (Payload.pattern ~seed:(Int64.of_int (off + 77)) (off + len)) ~pos:off ~len
-        | 1 -> Payload.sub (Payload.of_bytes split_buffer) ~pos:off ~len
-        | _ -> Payload.zero len)
-      (frequency [ (2, return 0); (2, return 1); (1, return 2) ])
-      (int_bound 63) split_len_gen)
-
-let prop_payload_split_digest_reference =
-  QCheck.Test.make ~name:"payload: split folds equal the per-byte fold" ~count:60
-    (QCheck.make
-       ~print:(fun parts -> Fmt.str "%a" Fmt.(list ~sep:semi Payload.pp) parts)
-       QCheck.Gen.(list_size (int_range 1 3) split_stretch_gen))
-    (fun parts ->
-      let p = Payload.concat parts in
-      Payload.digest p = reference_of_string (Payload.to_string p))
-
-(* What a sequential fold counts: every [Pattern] and [Bytes] byte in
-   [hashed_bytes], one miss per fresh pattern segment, then one hit per
-   pattern segment when another value has the same segments. *)
-let test_payload_split_fold_counts () =
-  let seed = 0x5EED_5B11L in
-  let parts () =
-    [ Payload.sub (Payload.pattern ~seed (3 * split_min)) ~pos:13 ~len:((2 * split_min) + 5);
-      Payload.zero 4096;
-      Payload.sub (Payload.of_bytes split_buffer) ~pos:7 ~len:(split_min + 1);
-      Payload.pattern ~seed:(Int64.succ seed) 100 ]
-  in
-  let hashed = (2 * split_min) + 5 + split_min + 1 + 100 in
-  let digest_delta p =
-    let bytes = Payload.hashed_bytes () and cache = Payload.segment_cache_stats () in
-    let d = Payload.digest p in
-    let cache' = Payload.segment_cache_stats () in
-    ( d,
-      Payload.hashed_bytes () - bytes,
-      cache'.Payload.hits - cache.Payload.hits,
-      cache'.Payload.misses - cache.Payload.misses )
-  in
-  let p = Payload.concat (parts ()) in
-  let d, bytes, hits, misses = digest_delta p in
-  Alcotest.(check int64) "digest" (reference_of_string (Payload.to_string p)) d;
-  Alcotest.(check (list int)) "first: bytes, hits, misses" [ hashed; 0; 2 ] [ bytes; hits; misses ];
-  let d', bytes, hits, misses = digest_delta (Payload.concat (parts ())) in
-  Alcotest.(check int64) "same digest" d d';
-  Alcotest.(check (list int)) "again: bytes, hits, misses" [ hashed; 2; 0 ] [ bytes; hits; misses ];
-  let _, bytes, hits, misses = digest_delta p in
-  Alcotest.(check (list int)) "memo: bytes, hits, misses" [ 0; 0; 0 ] [ bytes; hits; misses ]
-
-(* The helper exits after a fixed count of spins without a job, about
-   2 ms; the next long fold spawns another. A pause well past that window
-   sits between two digests. *)
-let test_payload_split_fold_respawn () =
-  let digest_fresh seed =
-    let p = Payload.sub (Payload.pattern ~seed (5 * split_min)) ~pos:3 ~len:(4 * split_min) in
-    Alcotest.(check int64) "digest" (reference_of_string (Payload.to_string p)) (Payload.digest p)
-  in
-  digest_fresh 0x5EED_0001L;
-  Unix.sleepf 0.02;
-  digest_fresh 0x5EED_0002L;
-  digest_fresh 0x5EED_0003L
 
 let prop_payload_pattern_to_string =
   QCheck.Test.make ~name:"payload: pattern to_string matches byte_at" ~count:500
@@ -351,26 +247,31 @@ let prop_payload_pattern_to_string =
    neighbours merge as they do in real payloads. *)
 let splice_buffer = Bytes.init 1024 (fun i -> Char.unsafe_chr ((i * 37) land 0xff))
 
-let payload_of_stretches stretches =
-  let source kind start len =
-    match kind with
-    | 0 | 1 -> Payload.sub (Payload.pattern ~seed:(Int64.of_int (kind + 11)) 1024) ~pos:start ~len
-    | 2 -> Payload.sub (Payload.of_bytes splice_buffer) ~pos:start ~len
-    | _ -> Payload.zero len
-  in
-  let _, parts =
+let stretch_source kind start len =
+  match kind with
+  | 0 | 1 -> Payload.sub (Payload.pattern ~seed:(Int64.of_int (kind + 11)) 1024) ~pos:start ~len
+  | 2 -> Payload.sub (Payload.of_bytes splice_buffer) ~pos:start ~len
+  | _ -> Payload.zero len
+
+(* The stretches with every kind 4 replaced by the source it carries on. *)
+let resolve_stretches stretches =
+  let _, resolved =
     List.fold_left
-      (fun (prev, parts) (kind, start, len) ->
+      (fun (prev, acc) (kind, start, len) ->
         let kind, start =
           match (kind, prev) with
           | 4, Some (k, stop) -> (k, stop)
           | 4, None -> (3, start)
           | _ -> (kind, start)
         in
-        (Some (kind, start + len), source kind start len :: parts))
+        (Some (kind, start + len), (kind, start, len) :: acc))
       (None, []) stretches
   in
-  Payload.concat (List.rev parts)
+  List.rev resolved
+
+let payload_of_stretches stretches =
+  Payload.concat
+    (List.map (fun (kind, start, len) -> stretch_source kind start len) (resolve_stretches stretches))
 
 (* The stretch boundaries: every segment edge is one of them. *)
 let stretch_edges stretches =
@@ -440,6 +341,50 @@ let prop_payload_splice_matches_concat =
       Payload.to_string actual = Payload.to_string expected
       && show actual = show expected
       && (actual == expected || digest_cost actual = digest_cost expected))
+
+(* qcheck: the digest contract across structures. The stretches of
+   [payload_of_stretches] are built a second way: each pattern stretch
+   from an alias, stream [seed - k] at [start + 8k] with k in 0..3 (the
+   same bytes, see [Payload.pattern]; the two streams, seeds 11 and 12,
+   alias each other too), spliced into zeros in reverse order, inside
+   padding that a final [sub] cuts away. *)
+let aliased_build (stretches, (shifts, padded)) =
+  let resolved = resolve_stretches stretches in
+  let n = List.fold_left (fun n (_, _, len) -> n + len) 0 resolved in
+  let pad = if padded then 5 else 0 in
+  let placed, _ =
+    List.fold_left
+      (fun (acc, (pos, i)) (kind, start, len) ->
+        let piece =
+          match kind with
+          | 0 | 1 ->
+              let k = (shifts lsr (2 * i)) land 3 in
+              Payload.sub
+                (Payload.pattern ~seed:(Int64.of_int (kind + 11 - k)) (start + (8 * k) + len))
+                ~pos:(start + (8 * k))
+                ~len
+          | _ -> stretch_source kind start len
+        in
+        ((pad + pos, piece) :: acc, (pos + len, i + 1)))
+      ([], (0, 0))
+      resolved
+  in
+  let frame =
+    Payload.concat [ Payload.pattern ~seed:99L pad; Payload.zero n; Payload.of_string "tail" ]
+  in
+  let spliced = List.fold_left (fun p (pos, piece) -> Payload.splice p ~pos piece) frame placed in
+  Payload.sub spliced ~pos:pad ~len:n
+
+let prop_payload_equal_bytes_equal_digest =
+  QCheck.Test.make ~name:"payload: equal bytes give equal digests across builds" ~count:500
+    (QCheck.make
+       ~print:(fun ((stretches, _) as case) ->
+         Fmt.str "%a vs %a" Payload.pp (payload_of_stretches stretches) Payload.pp
+           (aliased_build case))
+       QCheck.Gen.(pair (stretches_gen 1 8) (pair (int_bound 0xFFFF) bool)))
+    (fun ((stretches, _) as case) ->
+      let a = payload_of_stretches stretches and b = aliased_build case in
+      Payload.to_string a = Payload.to_string b && Payload.digest a = Payload.digest b)
 
 (* ------------------------------------------------------------------ *)
 (* Event_queue *)
@@ -1263,18 +1208,11 @@ let () =
           Alcotest.test_case "golden digests" `Quick test_payload_golden_digests;
           Alcotest.test_case "hashed_bytes accounting" `Quick
             test_payload_hashed_bytes_accounting;
-          Alcotest.test_case "segment cache keeps admitting" `Quick
-            test_payload_segment_cache_keeps_admitting;
-          Alcotest.test_case "split folds count as sequential ones" `Quick
-            test_payload_split_fold_counts;
-          Alcotest.test_case "split folds across a helper respawn" `Quick
-            test_payload_split_fold_respawn;
         ]
         @ qsuite
             [ prop_payload_slice_concat; prop_payload_digest_agrees_with_equal;
-              prop_payload_pattern_digest_reference; prop_payload_bytes_digest_reference;
-              prop_payload_split_digest_reference; prop_payload_pattern_to_string;
-              prop_payload_splice_matches_concat ] );
+              prop_payload_equal_bytes_equal_digest; prop_payload_bytes_digest_reference;
+              prop_payload_pattern_to_string; prop_payload_splice_matches_concat ] );
       ( "event_queue",
         [
           Alcotest.test_case "time order" `Quick test_event_queue_order;
