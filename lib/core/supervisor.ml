@@ -263,22 +263,28 @@ let take_checkpoint t =
       if not snapshot_only then degrade_checkpoint t "dump stage failed"
       else begin
         ignore (recover_services t partial);
-        let retried =
-          List.filter_map
+        (* [Error None] is a cancelled retry, [Error (Some exn)] a failed one. *)
+        let retries =
+          List.map
             (fun (e : Protocol.branch_error) ->
               let inst = List.nth t.instances e.index in
               match Approach.request_checkpoint ~mode:t.policy.ckpt_mode t.cluster inst with
-              | snap -> Some (e.index, snap)
-              | exception Engine.Cancelled -> None
-              | exception _ -> None)
+              | snap -> Ok (e.index, snap)
+              | exception Engine.Cancelled -> Error None
+              | exception exn -> Error (Some exn))
             partial.failed
         in
+        let retried = List.filter_map Result.to_option retries in
         if List.length retried = List.length partial.failed then
           partial.completed @ retried
           |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
           |> List.map snd
           |> commit
-        else degrade_checkpoint t "snapshot retry failed"
+        else
+          degrade_checkpoint t
+            (match List.find_map (function Error cause -> cause | Ok _ -> None) retries with
+            | Some exn -> "snapshot retry failed: " ^ Printexc.to_string exn
+            | None -> "snapshot retry failed")
       end
 
 (* ------------------------------------------------------------------ *)

@@ -305,11 +305,19 @@ let supervised_cluster () =
       Calibration.blobseer = { quick.Calibration.blobseer with Blobseer.Types.replication = 2 };
     }
 
-let supervise cluster ?faults () =
+(* [after_dump n] runs after the gang's [n]-th instance dump, counted
+   from 1 over the whole run. *)
+let supervise cluster ?faults ?(after_dump = ignore) () =
   let workload = Cm1.supervised_workload cluster chaos_config ~iters_per_unit:1 in
+  let dumps = ref 0 in
+  let dump inst =
+    workload.Supervisor.dump inst;
+    incr dumps;
+    after_dump !dumps
+  in
   Supervisor.run cluster ~kind:Approach.Blobcr
     ~policy:{ Supervisor.default_policy with checkpoint_interval = 4 }
-    ?faults ~id:"cm1" ~gang:2 ~units:12 ~workload ()
+    ?faults ~id:"cm1" ~gang:2 ~units:12 ~workload:{ workload with Supervisor.dump } ()
 
 let run_supervised ?faults () =
   let cluster = supervised_cluster () in
@@ -381,6 +389,32 @@ let test_supervisor_owns_injector () =
     ((List.hd injected).Faults.at > (List.hd chaos_script).Faults.at);
   let report, _, _ = run_supervised () in
   Alcotest.(check int) "no faults, nothing injected" 0 (List.length report.Supervisor.injected)
+
+(* A degraded checkpoint names its cause. Every data provider fails once
+   both instances of the second checkpoint have dumped (dumps 1 and 2 are
+   the initial checkpoint's), so the snapshot stage and the per-instance
+   retry both raise, and the degrade reason carries the retry's
+   exception. *)
+let test_degraded_checkpoint_names_cause () =
+  let cluster = supervised_cluster () in
+  let fail_providers n =
+    if n = 4 then
+      for i = 0 to Cluster.node_count cluster - 1 do
+        Blobseer.Data_provider.fail (Blobseer.Client.data_provider cluster.Cluster.service i)
+      done
+  in
+  let report =
+    Cluster.run cluster (fun () ->
+        Supervisor.report (supervise cluster ~after_dump:fail_providers ()))
+  in
+  let reasons =
+    List.filter_map
+      (function Supervisor.Checkpoint_degraded { reason; _ } -> Some reason | _ -> None)
+      report.Supervisor.events
+  in
+  Alcotest.(check (option string)) "first degrade reason"
+    (Some "snapshot retry failed: Blobseer.Types.Provider_down(\"no live provider\")")
+    (List.nth_opt reasons 0)
 
 (* ------------------------------------------------------------------ *)
 (* Durability acceptance: a crash injected mid-COMMIT plus one silently
@@ -572,6 +606,8 @@ let () =
         [
           Alcotest.test_case "chaos recovery end to end" `Quick test_chaos_recovery_end_to_end;
           Alcotest.test_case "supervisor owns its injector" `Quick test_supervisor_owns_injector;
+          Alcotest.test_case "degraded checkpoint names its cause" `Quick
+            test_degraded_checkpoint_names_cause;
           Alcotest.test_case "durability chaos acceptance" `Quick
             test_durability_chaos_acceptance;
           Alcotest.test_case "durability replay deterministic" `Quick
