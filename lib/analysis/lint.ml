@@ -14,8 +14,10 @@ let rule_ids =
        physical equality of closures/lazies can raise" );
     ("missing-mli", "library module without a companion .mli interface");
     ( "domains",
-      "Domain / Atomic / Mutex / Condition / Thread: the simulator runs on one domain, and \
-       only a pure fold may run off it" );
+      "Domain / Atomic / Mutex / Condition / Thread: the simulator runs on one domain" );
+    ( "catch-all",
+      "exception _ -> / with _ -> matches every exception and drops it: bind it, then \
+       re-raise, return or report it" );
     ( "unused-export",
       "library val with no user outside its module, or only test users and no Test-only \
        tag, or a Test-only tag on a val something else uses" );
@@ -203,7 +205,9 @@ let allowed ?reason ~code_lines ~comment_lines rule line =
 (* ------------------------------------------------------------------ *)
 (* Per-file scan *)
 
-let module_qualified_needles =
+(* Tokens flagged wherever they occur in code; most are module-qualified
+   paths. *)
+let needles =
   [
     ( "hashtbl-order",
       [
@@ -216,7 +220,9 @@ let module_qualified_needles =
     ("ambient-random", [ "Random." ]);
     ("wall-clock", [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]);
     ("obj-magic", [ "Obj.magic"; "Obj.repr"; "Obj.obj" ]);
-    ("domains", [ "Domain."; "Atomic."; "Mutex."; "Condition."; "Thread." ]);
+    ( "domains",
+      List.map (fun m -> m ^ ".") [ "Domain"; "Atomic"; "Mutex"; "Condition"; "Thread" ] );
+    ("catch-all", [ "exception _ ->"; "with _ ->" ]);
   ]
 
 (* The hashtbl-order rule forgives an iteration whose result is explicitly
@@ -290,7 +296,7 @@ let scan_source ~file source =
                          sort_window)
               | _ -> emit rule i (Fmt.str "use of %s" needle))
           needles)
-      module_qualified_needles;
+      needles;
     if float_bearing then
       List.iter
         (fun pos ->

@@ -57,9 +57,23 @@ let test_lint_domains () =
   Alcotest.(check (list string)) "qualified path flagged" [ "domains" ]
     (rules (scan "let () = Stdlib.Domain.cpu_relax ()\n"));
   Alcotest.(check (list string)) "pragma with justification suppresses" []
-    (rules (scan "let a = Atomic.make 0 (* lint: allow domains — a fold's job slot *)\n"));
+    (rules (scan "let a = Atomic.make 0 (* lint: allow domains — a planted exception *)\n"));
   Alcotest.(check (list string)) "other modules accepted" []
     (rules (scan "let d = Fault_domain.make ()\nlet x = Stats.Atomic_counter.zero\n"))
+
+let test_lint_catch_all () =
+  Alcotest.(check (list string)) "both handler forms flagged" [ "catch-all"; "catch-all" ]
+    (rules
+       (scan
+          "let a = try f () with _ -> 0\n\
+           let b = match f () with v -> Some v | exception _ -> None\n"));
+  Alcotest.(check (list string)) "named or bound handlers accepted" []
+    (rules
+       (scan
+          "let a = try f () with Not_found -> 0\n\
+           let b = match f () with v -> Ok v | exception e -> Error e\n"));
+  Alcotest.(check (list string)) "pragma with justification suppresses" []
+    (rules (scan "let a = try f () with _ -> 0 (* lint: allow catch-all — a planted case *)\n"))
 
 let test_lint_strings_and_comments_inert () =
   Alcotest.(check (list string)) "needle inside a string literal" []
@@ -562,6 +576,7 @@ let () =
           Alcotest.test_case "hashtbl-order rule" `Quick test_lint_hashtbl_order;
           Alcotest.test_case "ambient-effect rules" `Quick test_lint_ambient_effects;
           Alcotest.test_case "domains rule" `Quick test_lint_domains;
+          Alcotest.test_case "catch-all rule" `Quick test_lint_catch_all;
           Alcotest.test_case "changes-log notes" `Quick test_doc_lint_changes_log;
           Alcotest.test_case "strings and comments inert" `Quick
             test_lint_strings_and_comments_inert;
