@@ -72,7 +72,7 @@ let () =
          runs the sweep. *)
       let compactor =
         Compactor.create cluster.Cluster.service ~home:cluster.Cluster.supervisor_host
-          ~config:{ Compactor.default_config with policy = Retention.Keep_last 1 }
+          ~config:{ Compactor.policy = Retention.Keep_last 1 }
           ()
       in
       Compactor.scan compactor;

@@ -2,9 +2,9 @@ open Simcore
 open Netsim
 open Storage
 
-type config = { policy : Retention.policy; deep_verify : bool }
+type config = { policy : Retention.policy }
 
-let default_config = { policy = Retention.Keep_last 4; deep_verify = false }
+let default_config = { policy = Retention.Keep_last 4 }
 
 type crash_point = Before_flatten | Mid_retire | After_retire
 
@@ -215,9 +215,7 @@ let replica_ok t (desc : Types.chunk_desc) (r : Types.replica) =
    per-flatten memo verifies shadow-shared subtrees once. On a root
    mismatch the per-chunk path runs (memoized by physical identity):
    provider-local verification first, a full remote verify-read only as
-   fallback. [deep_verify] forces the remote-read path for every cold
-   chunk — the pre-Merkle behavior. Returns
-   (verified, shared, bytes_read, bytes_local). *)
+   fallback. Returns (verified, shared, bytes_read, bytes_local). *)
 let flatten t ~blob ~bounds =
   let vm = Client.version_manager t.service in
   let h = handle t blob in
@@ -237,10 +235,9 @@ let flatten t ~blob ~bounds =
       let occupied = Segment_tree.fold_set (fun _ _ n -> n + 1) tree 0 in
       let root = Client.merkle_root h ~version in
       let clean =
-        (not t.config.deep_verify)
-        && Client.with_merkle_metrics (fun () ->
-               Segment_tree.merkle_digest_with ~memo:storage_memo ~digest:storage_leaf tree)
-           = root
+        Client.with_merkle_metrics (fun () ->
+            Segment_tree.merkle_digest_with ~memo:storage_memo ~digest:storage_leaf tree)
+        = root
       in
       if clean then t.merkle_clean_bounds <- t.merkle_clean_bounds + 1;
       let cold = ref 0 in
@@ -255,11 +252,8 @@ let flatten t ~blob ~bounds =
               else begin
                 Hashtbl.replace seen key ();
                 incr verified;
-                if
-                  clean
-                  || ((not t.config.deep_verify)
-                     && List.exists (replica_ok t desc) desc.replicas)
-                then local_bytes := !local_bytes + desc.size
+                if clean || List.exists (replica_ok t desc) desc.replicas then
+                  local_bytes := !local_bytes + desc.size
                 else begin
                   ignore (read_desc_retrying t h desc);
                   bytes := !bytes + desc.size

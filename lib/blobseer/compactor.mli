@@ -34,18 +34,9 @@ open Netsim
 
 type config = {
   policy : Retention.policy;  (** evaluated per blob on every pass *)
-  deep_verify : bool;
-      (** force a full remote verify-read of every cold chunk during
-          flattens, bypassing the Merkle subtree-digest compare and
-          provider-local verification — the pre-Merkle behavior, kept for
-          ablation and for drills that need flatten reads to exercise the
-          data path *)
 }
 (** A flatten verify-read that hits an injected transient error is
     retried 3 times, backing off from 10 ms ({!Faults.with_retries}). *)
-
-val default_config : config
-(** [Keep_last 4], Merkle verification (no deep reads). *)
 
 (** Armable crash points of the compaction transaction (fault-injection
     hooks; see {!arm_crash}). *)
@@ -79,8 +70,8 @@ type stats = {
 type t
 
 val create : Client.t -> home:Net.host -> ?config:config -> unit -> t
-(** A compactor for the deployment, reading flatten traffic from [home].
-    It registers its audit with the deployment's engine
+(** A compactor for the deployment, reading flatten traffic from [home];
+    [config] defaults to [{ policy = Keep_last 4 }]. It registers its audit with the deployment's engine
     ({!Simcore.Engine.register_audit}): the journal is quiescent while the
     compactor is alive, and no live tree references a chunk the sweep
     deleted. *)

@@ -65,7 +65,7 @@ let bs_harness (scale : Scale.t) ?policy ?(with_faults = fun _ _ -> None) ~depth
         Option.map
           (fun policy ->
             Blobseer.Compactor.create service ~home:cluster.Cluster.supervisor_host
-              ~config:{ Blobseer.Compactor.default_config with policy }
+              ~config:{ Blobseer.Compactor.policy }
               ())
           policy
       in

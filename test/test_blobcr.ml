@@ -520,7 +520,7 @@ let compact_to_latest cluster =
   let open Blobseer in
   let c =
     Compactor.create cluster.Cluster.service ~home:cluster.Cluster.supervisor_host
-      ~config:{ Compactor.default_config with policy = Retention.Keep_last 1 }
+      ~config:{ Compactor.policy = Retention.Keep_last 1 }
       ()
   in
   Compactor.scan c;

@@ -82,9 +82,9 @@ let run_rig rig f =
 (* 300-byte payload of three distinct 100-byte chunks, unique per tag. *)
 let content tag = String.concat "" (List.init 3 (fun i -> String.make 100 (Char.chr (tag + i))))
 
-let make_compactor ?(deep = false) rig ~keep =
+let make_compactor rig ~keep =
   Compactor.create rig.service ~home:rig.client_host
-    ~config:{ Compactor.policy = Retention.Keep_last keep; deep_verify = deep }
+    ~config:{ Compactor.policy = Retention.Keep_last keep }
     ()
 
 (* A blob with [writes] full-image rewrites of pairwise distinct content:
@@ -136,20 +136,17 @@ let test_compaction_end_to_end () =
       Alcotest.(check int) "journal quiescent" 0 (Compactor.journal_pending c))
 
 let test_merkle_flatten_skips_reads () =
-  (* The default flatten verifies the boundary version with one
-     subtree-digest compare plus provider-local replica checks — no remote
-     verify-reads of cold data; [deep_verify] restores the full-read
-     behavior for drills that need the data path exercised. *)
-  let flatten_stats deep =
+  (* The flatten verifies the boundary version with one subtree-digest
+     compare plus provider-local replica checks — no remote verify-reads
+     of cold data. *)
+  let c, s =
     let rig = make_rig () in
     run_rig rig (fun () ->
-        let blob = seeded_blob rig ~writes:4 in
-        let c = make_compactor ~deep rig ~keep:2 in
+        ignore (seeded_blob rig ~writes:4);
+        let c = make_compactor rig ~keep:2 in
         Compactor.scan c;
-        let s = Compactor.stats c in
-        (blob, c, s))
+        (c, Compactor.stats c))
   in
-  let _, c, s = flatten_stats false in
   Alcotest.(check bool) "cold chunks verified" true (s.Compactor.chunks_verified > 0);
   Alcotest.(check int) "no remote verify-reads" 0 s.Compactor.flatten_bytes_read;
   Alcotest.(check bool) "verified provider-locally" true
@@ -160,12 +157,7 @@ let test_merkle_flatten_skips_reads () =
   | [] -> Alcotest.fail "no boundary root recorded"
   | (blob_id, version, root) :: _ ->
       Alcotest.(check bool) "root recorded for boundary" true
-        (blob_id >= 0 && version > 0 && root <> 0L));
-  let _, _, deep = flatten_stats true in
-  Alcotest.(check bool) "deep_verify reads cold data" true
-    (deep.Compactor.flatten_bytes_read > 0);
-  Alcotest.(check int) "deep_verify skips the merkle compare" 0
-    deep.Compactor.merkle_clean_bounds
+        (blob_id >= 0 && version > 0 && root <> 0L))
 
 let expect_crash name f =
   match f () with
@@ -225,44 +217,63 @@ let test_transient_reads_absorbed () =
   let rig = make_rig () in
   run_rig rig (fun () ->
       let blob = seeded_blob rig ~writes:4 in
-      let c = make_compactor ~deep:true rig ~keep:2 in
-      (* One transient per provider disk: the provider-side disk retries
-         absorb it and the pass completes without aborting anything. *)
+      let c = make_compactor rig ~keep:2 in
+      (* One transient per provider disk. Every cold chunk verifies
+         provider-locally, so the flatten reads nothing: the pass completes
+         and leaves each fault armed, and the next client read absorbs them
+         in the provider-side disk retries. *)
       List.iter (fun disk -> Disk.inject_transient disk ~ops:1) rig.disks;
       Compactor.scan c;
       let s = Compactor.stats c in
       Alcotest.(check int) "no aborted transactions" 0 s.Compactor.flatten_failures;
-      Alcotest.(check (list int)) "compaction completed" [ 3; 4 ] (Client.versions blob))
+      Alcotest.(check (list int)) "compaction completed" [ 3; 4 ] (Client.versions blob);
+      Alcotest.(check (list int)) "faults still armed" [ 1; 1; 1; 1 ]
+        (List.map Disk.armed_faults rig.disks);
+      Alcotest.(check string) "latest read absorbs them" (content (Char.code 'a' + 16))
+        (read_str blob ~from:rig.client_host ~version:4))
 
+(* Corrupts the only replica of chunk [index] of [version]. *)
+let corrupt_chunk rig blob ~version ~index =
+  let tree =
+    Version_manager.peek_tree (Client.version_manager rig.service) ~blob:(Client.blob_id blob)
+      ~version
+  in
+  match Segment_tree.get tree index with
+  | Some { Types.replicas = [ r ]; _ } ->
+      Alcotest.(check bool) "corruption landed" true
+        (Data_provider.corrupt_chunk (Client.data_provider rig.service r.Types.provider) ~salt:1
+           r.Types.chunk)
+  | _ -> Alcotest.fail "expected one replica"
+
+(* The remote verify-read fallback. The boundary version's first chunk is
+   cold and its only replica is corrupt, so no replica verifies it
+   provider-locally and the flatten reads it remotely. 16 armed transients
+   per disk exhaust that read's retry budget (4 client failover rounds x
+   4 provider disk attempts) and the transaction aborts: intent rolled
+   back, nothing retired. Each later pass retries; once the transients
+   drain, the read fails its checksum instead, and the pass still aborts
+   rather than retire what a restart of the boundary would need. *)
 let test_transient_exhaustion_aborts_then_retries () =
   let rig = make_rig () in
   run_rig rig (fun () ->
       let blob = seeded_blob rig ~writes:4 in
-      let c = make_compactor ~deep:true rig ~keep:2 in
-      (* 16 armed transients exhaust one chunk read's full retry budget:
-         4 client failover rounds x 4 provider disk attempts. The flatten
-         verify-read fails, the transaction aborts (intent rolled back,
-         nothing retired) and later passes drain the faults and compact. *)
+      let c = make_compactor rig ~keep:2 in
+      corrupt_chunk rig blob ~version:3 ~index:0;
       List.iter (fun disk -> Disk.inject_transient disk ~ops:16) rig.disks;
       Compactor.scan c;
-      Alcotest.(check bool) "transaction aborted" true
-        ((Compactor.stats c).Compactor.flatten_failures > 0);
+      let s = Compactor.stats c in
+      Alcotest.(check int) "transaction aborted" 1 s.Compactor.flatten_failures;
+      Alcotest.(check int) "no clean boundary compare" 0 s.Compactor.merkle_clean_bounds;
       Alcotest.(check int) "aborted intent resolved" 0 (Compactor.journal_pending c);
-      Alcotest.(check (list int)) "nothing retired" [ 0; 1; 2; 3; 4 ]
-        (Client.versions blob);
-      let rec drain n =
-        if Client.versions blob <> [ 3; 4 ] then begin
-          if n > 8 then Alcotest.fail "compaction never recovered from transients";
-          Compactor.scan c;
-          drain (n + 1)
-        end
-      in
-      drain 0;
-      for _ = 1 to 2 do
+      Alcotest.(check (list int)) "nothing retired" [ 0; 1; 2; 3; 4 ] (Client.versions blob);
+      for _ = 1 to 6 do
         Compactor.scan c
       done;
-      Alcotest.(check int) "chunks reclaimed after recovery" 6
-        (Compactor.stats c).Compactor.chunks_reclaimed;
+      Alcotest.(check int) "every pass retried and aborted" 7
+        (Compactor.stats c).Compactor.flatten_failures;
+      Alcotest.(check (list int)) "still nothing retired" [ 0; 1; 2; 3; 4 ]
+        (Client.versions blob);
+      Alcotest.(check int) "journal quiescent" 0 (Compactor.journal_pending c);
       (* Disks holding only tip chunks still carry armed transients the
          flatten never touched; each failed attempt drains some. *)
       let rec read_eventually n =
@@ -278,29 +289,35 @@ let test_retention_races_clone () =
   let from = rig.client_host in
   run_rig rig (fun () ->
       let blob = seeded_blob rig ~writes:4 in
-      let c = make_compactor ~deep:true rig ~keep:2 in
+      let c = make_compactor rig ~keep:2 in
       let cloned = ref None in
-      (* A concurrent CLONE of a version the policy retires, landing while
-         the pass is mid-flight (the flatten reads pass simulated time). *)
+      (* A CLONE of a version the policy retires. A pass whose cold chunks
+         all verify provider-locally takes no simulated time, so a clone
+         applies wholly before or after it. This one has applied at the
+         version manager 1.15 ms in (its reply lands at 1.2 ms), and the
+         passes run while that reply is still in flight. *)
       let _ =
         Engine.Fiber.spawn rig.engine ~name:"cloner" (fun () ->
-            Engine.sleep rig.engine 5e-4;
             match Client.clone blob ~from ~version:1 with
             | b -> cloned := Some (Ok b)
             | exception Not_found -> cloned := Some (Error "already retired"))
       in
+      Engine.sleep rig.engine 1.15e-3;
+      Alcotest.(check bool) "clone reply in flight" true (Option.is_none !cloned);
       Compactor.scan c;
       Compactor.scan c;
       Compactor.scan c;
+      Alcotest.(check (list int)) "version 1 retired" [ 3; 4 ] (Client.versions blob);
+      Engine.sleep rig.engine 1e-3;
       (match !cloned with
       | Some (Ok clone) ->
-          (* The clone shares the retired version's chunks: the deferred
-             sweep's liveness recheck must have spared them. *)
+          (* The clone shares the retired version's chunks, so the sweeps
+             must have spared them. *)
           Alcotest.(check string) "clone readable after sweeps"
             (content (Char.code 'a' + 4))
             (read_str clone ~from ~version:0)
-      | Some (Error _) -> ()
-      | None -> Alcotest.fail "cloner never ran");
+      | Some (Error e) -> Alcotest.failf "clone failed: %s" e
+      | None -> Alcotest.fail "clone still in flight after the passes");
       Alcotest.(check (list string)) "engine audits clean" []
         (List.map
            (fun v -> Fmt.str "%a" Engine.pp_violation v)

@@ -138,7 +138,7 @@ let test_dedup_disabled_ships_everything () =
 let compact_to_latest rig =
   let c =
     Compactor.create rig.service ~home:rig.client_host
-      ~config:{ Compactor.default_config with policy = Retention.Keep_last 1 }
+      ~config:{ Compactor.policy = Retention.Keep_last 1 }
       ()
   in
   Compactor.scan c;
