@@ -28,23 +28,19 @@ let micro () =
              (Blobseer.Segment_tree.set_range tree ~start:1024
                 (Array.init 256 (fun i -> Some i)))))
   in
-  (* A new seed every run, so neither the per-value memo nor the
-     cross-payload segment cache can answer the digest. *)
-  let pattern_seed = ref 0L in
+  (* Each run builds a new payload value, so the per-value memo never
+     answers; a [Pattern] run digests by identity, so the pattern cases
+     time the segment walk, not a byte fold. *)
   let payload_pattern_digest =
     Test.make ~name:"payload: slice + digest of a fresh 1 MiB pattern"
       (Staged.stage (fun () ->
-           pattern_seed := Int64.succ !pattern_seed;
-           let p = Payload.pattern ~seed:!pattern_seed (Size.mib_n 2) in
+           let p = Payload.pattern ~seed:1L (Size.mib_n 2) in
            ignore (Payload.digest (Payload.sub p ~pos:12345 ~len:Size.mib))))
   in
-  (* One 256 KiB chunk, the unit the commit path digests: a single
-     segment above the split-fold threshold. *)
+  (* One 256 KiB chunk, the unit the commit path digests. *)
   let payload_chunk_digest =
     Test.make ~name:"payload: digest of a fresh 256 KiB pattern (one chunk)"
-      (Staged.stage (fun () ->
-           pattern_seed := Int64.succ !pattern_seed;
-           ignore (Payload.digest (Payload.pattern ~seed:!pattern_seed (256 * Size.kib)))))
+      (Staged.stage (fun () -> ignore (Payload.digest (Payload.pattern ~seed:2L (256 * Size.kib)))))
   in
   let bytes_data = Bytes.init Size.mib (fun i -> Char.unsafe_chr (i land 0xff)) in
   let payload_bytes_digest =
@@ -52,14 +48,12 @@ let micro () =
       (Staged.stage (fun () -> ignore (Payload.digest (Payload.of_bytes bytes_data))))
   in
   (* A 256 KiB chunk of a CM1 summary file: sixteen 16 KiB pattern
-     segments of distinct seeds. Each run builds a new payload, so the
-     per-value memo misses and every segment comes from the cross-payload
-     segment cache. *)
+     segments of distinct seeds, so sixteen runs. *)
   let summary_segments =
     List.init 16 (fun i -> Payload.pattern ~seed:(Int64.of_int (-1 - i)) (16 * Size.kib))
   in
   let payload_segment_digest =
-    Test.make ~name:"payload: digest of 16 cached 16 KiB segments"
+    Test.make ~name:"payload: digest of 16 distinct 16 KiB pattern segments"
       (Staged.stage (fun () -> ignore (Payload.digest (Payload.concat summary_segments))))
   in
   (* Bytes each case digests per run, for the MiB/s column. *)

@@ -56,7 +56,8 @@ val splice : t -> pos:int -> t -> t
 
 val equal : t -> t -> bool
 (** Structural fast path (identical descriptors), falling back to
-    byte-by-byte comparison. Test-only: a comparison for test assertions. *)
+    byte-by-byte comparison up to 4 MiB and to {!digest} above it.
+    Test-only: a comparison for test assertions. *)
 
 val to_string : t -> string
 (** Materializes the payload. Raises [Invalid_argument] above 64 MiB as a
