@@ -205,9 +205,9 @@ let allowed ?reason ~code_lines ~comment_lines rule line =
 (* ------------------------------------------------------------------ *)
 (* Per-file scan *)
 
-(* Tokens flagged wherever they occur in code; most are module-qualified
-   paths. *)
-let needles =
+(* Per rule, the tokens flagged wherever they occur in code; most are
+   module-qualified paths. *)
+let token_rules =
   [
     ( "hashtbl-order",
       [
@@ -296,7 +296,7 @@ let scan_source ~file source =
                          sort_window)
               | _ -> emit rule i (Fmt.str "use of %s" needle))
           needles)
-      needles;
+      token_rules;
     if float_bearing then
       List.iter
         (fun pos ->
