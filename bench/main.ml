@@ -145,7 +145,7 @@ let micro () =
            let _ =
              Engine.Fiber.spawn e (fun () ->
                  let q =
-                   Vdisk.Qcow2.create e ~host ~local_disk:disk ~cluster_size:(64 * Size.kib)
+                   Vdisk.Qcow2.create e ~host ~local_disk:disk
                      ~capacity:(Size.mib_n 64) ~backing:Vdisk.Qcow2.No_backing ~name:"q" ()
                  in
                  for i = 0 to 63 do
@@ -200,7 +200,7 @@ let micro () =
         let m =
           Vdisk.Mirror.create engine ~host ~local_disk:disk ~base ~base_version:v ~name:"m" ()
         in
-        let fs = Vmsim.Guest_fs.format (Vdisk.Mirror.device m) () in
+        let fs = Vmsim.Guest_fs.format (Vdisk.Mirror.device m) in
         for i = 0 to 255 do
           Vmsim.Guest_fs.append_file fs ~path:"/log" (record i);
           Vmsim.Guest_fs.sync fs

@@ -1,27 +1,9 @@
 type finding = { rule : string; file : string; line : int; message : string }
 
+(* The rule ids a pragma may name; lint.mli describes each rule. *)
 let rule_ids =
-  [
-    ( "hashtbl-order",
-      "Hashtbl.iter/fold/to_seq whose result may escape without a sort: hash iteration \
-       order is arbitrary and breaks trace determinism" );
-    ( "ambient-random",
-      "stdlib Random instead of Simcore.Rng: ambient PRNG state escapes the engine seed" );
-    ("wall-clock", "wall-clock reads (Unix.gettimeofday / Unix.time / Sys.time) in simulated code");
-    ("obj-magic", "Obj.magic / Obj.repr / Obj.obj defeat the type system");
-    ( "poly-compare",
-      "bare polymorphic compare in a float-bearing module: NaN breaks ordering and \
-       physical equality of closures/lazies can raise" );
-    ("missing-mli", "library module without a companion .mli interface");
-    ( "domains",
-      "Domain / Atomic / Mutex / Condition / Thread: the simulator runs on one domain" );
-    ( "catch-all",
-      "exception _ -> / with _ -> matches every exception and drops it: bind it, then \
-       re-raise, return or report it" );
-    ( "unused-export",
-      "library val with no user outside its module, or only test users and no Test-only \
-       tag, or a Test-only tag on a val something else uses" );
-  ]
+  [ "hashtbl-order"; "ambient-random"; "wall-clock"; "obj-magic"; "poly-compare"; "missing-mli";
+    "domains"; "catch-all"; "unused-export"; "unused-option" ]
 
 (* ------------------------------------------------------------------ *)
 (* Comment- and string-aware line stripping.
@@ -188,7 +170,7 @@ let pragma_words comment =
    id. *)
 let allowances ?(reason = false) comment =
   let words = pragma_words comment in
-  let rules, rest = List.partition (fun w -> List.mem_assoc w rule_ids) words in
+  let rules, rest = List.partition (fun w -> List.mem w rule_ids) words in
   let justified =
     List.exists (String.exists (fun c -> Char.lowercase_ascii c <> Char.uppercase_ascii c)) rest
   in
@@ -474,9 +456,11 @@ let interface_vals content =
     items
 
 (* ------------------------------------------------------------------ *)
-(* unused-export *)
+(* unused-export and unused-option *)
 
-let test_only_tag = "Test-only"
+(* [Test-only:] tags a val; [Test-only [?name]:] tags one of its options. *)
+let val_tag = "Test-only:"
+let option_tag name = Fmt.str "Test-only [?%s]:" name
 
 (* What one implementation file can reach: every [M.x] step of a dotted
    path, every bare identifier, and every module it opens ([open M],
@@ -487,8 +471,7 @@ type refs = {
   opened : (string, unit) Hashtbl.t;
 }
 
-let refs_of_source source =
-  let code = String.concat "\n" (List.map fst (split_lines source)) in
+let refs_of_code code =
   let r = { qualified = Hashtbl.create 64; bare = Hashtbl.create 256; opened = Hashtbl.create 8 } in
   let n = String.length code in
   let last_component path =
@@ -524,64 +507,223 @@ let refs_of_source source =
   done;
   r
 
-let unused_exports ~root =
-  let under dir = walk (Filename.concat root dir) in
-  let users =
-    List.concat_map
-      (fun dir ->
-        List.filter_map
-          (fun path ->
-            if Filename.check_suffix path ".ml" then
-              Some (path, dir = "test", refs_of_source (read_file path))
-            else None)
-          (under dir))
-      [ "lib"; "bin"; "bench"; "examples"; "test" ]
+(* An implementation file under [lib], [bin], [bench], [examples] or
+   [test], with its code (comments and strings blanked) as one string. *)
+type user = { path : string; is_test : bool; code : string; refs : refs }
+
+(* A library interface: its own implementation, whose uses do not count. *)
+type interface = {
+  mli : string;
+  own : string;
+  unit_name : string;
+  code_lines : string array;
+  comment_lines : string array;
+  vals : interface_val list;
+}
+
+let interface_of mli =
+  let source = read_file mli in
+  let lines = split_lines source in
+  {
+    mli;
+    own = Filename.remove_extension mli ^ ".ml";
+    unit_name = String.capitalize_ascii (Filename.basename (Filename.remove_extension mli));
+    code_lines = Array.of_list (List.map fst lines);
+    comment_lines = Array.of_list (List.map snd lines);
+    vals = interface_vals source;
+  }
+
+(* A finding, unless a pragma that gives a reason allows it. *)
+let report itf rule line message =
+  let { code_lines; comment_lines; _ } = itf in
+  if allowed ~reason:true ~code_lines ~comment_lines rule (line - 1) then None
+  else Some { rule; file = itf.mli; line; message }
+
+let uses_val itf u name =
+  u.path <> itf.own
+  && (Hashtbl.mem u.refs.qualified (itf.unit_name, name)
+     || (Hashtbl.mem u.refs.opened itf.unit_name && Hashtbl.mem u.refs.bare name))
+
+let has_tag tag = function Some doc -> contains_substring doc tag | None -> false
+
+let unused_exports users itf =
+  List.filter_map
+    (fun v ->
+      let found = List.filter (fun u -> uses_val itf u v.name) users in
+      let problem =
+        match (List.find_opt (fun u -> not u.is_test) found, has_tag val_tag v.doc) with
+        | _ when not (is_ident_char v.name.[0]) -> None (* an operator *)
+        | None, _ when found = [] -> Some "has no user outside its own module"
+        | None, false -> Some "is used only by tests; tag its doc comment Test-only"
+        | Some u, true -> Some (Fmt.str "is tagged Test-only but %s uses it" u.path)
+        | _ -> None
+      in
+      Option.bind problem (fun p ->
+          report itf "unused-export" v.decl_line (Fmt.str "val %s.%s %s" itf.unit_name v.name p)))
+    itf.vals
+
+(* The [?name:] options of a val's signature (its [val] line and the
+   indented lines below it), with their lines. *)
+let val_options itf v =
+  let rec go l acc =
+    let code = if l <= Array.length itf.code_lines then itf.code_lines.(l - 1) else "end" in
+    if l > v.decl_line && code <> "" && code.[0] <> ' ' then List.rev acc
+    else
+      go (l + 1)
+        (List.fold_left
+           (fun acc s ->
+             match String.index_opt s ':' with
+             | Some j when j > 0 && String.for_all is_ident_char (String.sub s 0 j) ->
+                 (String.sub s 0 j, l) :: acc
+             | _ -> acc)
+           acc
+           (List.tl (String.split_on_char '?' code)))
   in
+  go v.decl_line []
+
+let is_space c = c = ' ' || c = '\n' || c = '\t' || c = '\r'
+
+(* The start of the dotted path that ends at the name at [pos], and the
+   end of the code before it. *)
+let rec path_start code pos =
+  if pos > 0 && (is_ident_char code.[pos - 1] || code.[pos - 1] = '.') then
+    path_start code (pos - 1)
+  else pos
+
+let rec space_back code i = if i > 0 && is_space code.[i - 1] then space_back code (i - 1) else i
+
+(* Keywords that end an application. *)
+let stop_words =
+  [ "in"; "let"; "and"; "then"; "else"; "with"; "do"; "done"; "to"; "downto"; "of"; "when";
+    "match"; "if"; "fun"; "function"; "try"; "begin"; "end"; "lazy"; "assert"; "or"; "mod" ]
+
+(* The labels applied at bracket depth 0 after [pos], a function's name, up
+   to an unmatched closing bracket, a separator, an infix operator or a
+   keyword. A name that is itself an argument, a function passed as a
+   value (the code before it ends an expression), applies [all]. *)
+let applied_labels code pos ~all =
+  let n = String.length code in
+  let word_end i =
+    let j = ref i in
+    while !j < n && (is_ident_char code.[!j] || code.[!j] = '.') do
+      incr j
+    done;
+    !j
+  in
+  let rec go i depth acc =
+    if i >= n then acc
+    else
+      match code.[i] with
+      | '(' | '[' | '{' -> go (i + 1) (depth + 1) acc
+      | ')' | ']' | '}' -> if depth = 0 then acc else go (i + 1) (depth - 1) acc
+      | c when depth = 0 && String.contains ";,=<>@^|&+-*/$%" c -> acc
+      | ('~' | '?') when depth = 0 && i + 1 < n && is_ident_char code.[i + 1] ->
+          let j = word_end (i + 1) in
+          go j depth (String.sub code (i + 1) (j - i - 1) :: acc)
+      | c when is_ident_char c ->
+          let j = word_end i in
+          if depth = 0 && List.mem (String.sub code i (j - i)) stop_words then acc
+          else go j depth acc
+      | _ -> go (i + 1) depth acc
+  in
+  let start = path_start code pos in
+  let b = space_back code start in
+  let before = String.sub code (path_start code b) (b - path_start code b) in
+  if b > 0 && (String.contains ")]}" code.[b - 1] || (before <> "" && not (List.mem before stop_words)))
+  then all
+  else go (word_end start) 0 []
+
+let unused_options users itf =
   List.concat_map
-    (fun mli ->
-      let source = read_file mli in
-      let lines = split_lines source in
-      let code_lines = Array.of_list (List.map fst lines) in
-      let comment_lines = Array.of_list (List.map snd lines) in
-      let own = Filename.remove_extension mli ^ ".ml" in
-      let unit_name = String.capitalize_ascii (Filename.basename (Filename.remove_extension mli)) in
-      List.filter_map
-        (fun v ->
-          let uses (path, _, r) =
-            path <> own
-            && (Hashtbl.mem r.qualified (unit_name, v.name)
-               || (Hashtbl.mem r.opened unit_name && Hashtbl.mem r.bare v.name))
-          in
-          let found = List.filter uses users in
-          let tagged =
-            match v.doc with Some d -> contains_substring d test_only_tag | None -> false
-          in
-          let problem =
-            if not (is_ident_char v.name.[0]) then None (* an operator *)
+    (fun v ->
+      let opts = val_options itf v in
+      let all = List.map fst opts in
+      (* Per user that names the val: whether it is a test, and the labels
+         it applies wherever it names [Unit.name], or a bare [name] when it
+         opens the unit. *)
+      let passed =
+        List.filter_map
+          (fun u ->
+            let at needle =
+              List.concat_map
+                (fun p -> applied_labels u.code p ~all)
+                (token_positions ~allow_dot_before:true u.code needle)
+            in
+            if opts = [] || not (uses_val itf u v.name) then None
             else
-              match (List.find_opt (fun (_, is_test, _) -> not is_test) found, tagged) with
-              | None, _ when found = [] -> Some "has no user outside its own module"
-              | None, false ->
-                  Some (Fmt.str "is used only by tests; tag its doc comment %s" test_only_tag)
-              | Some (path, _, _), true ->
-                  Some (Fmt.str "is tagged %s but %s uses it" test_only_tag path)
-              | _ -> None
-          in
-          match problem with
-          | Some problem
-            when not
-                   (allowed ~reason:true ~code_lines ~comment_lines "unused-export"
-                      (v.decl_line - 1)) ->
               Some
-                {
-                  rule = "unused-export";
-                  file = mli;
-                  line = v.decl_line;
-                  message = Fmt.str "val %s.%s %s" unit_name v.name problem;
-                }
-          | _ -> None)
-        (interface_vals source))
-    (List.filter (fun p -> Filename.check_suffix p ".mli") (under "lib"))
+                ( u.is_test,
+                  at (itf.unit_name ^ "." ^ v.name)
+                  @ if Hashtbl.mem u.refs.opened itf.unit_name then at v.name else [] ))
+          users
+      in
+      List.filter_map
+        (fun (name, line) ->
+          let passers = List.filter (fun (_, labels) -> List.mem name labels) passed in
+          let problem =
+            if passers = [] then Some (Fmt.str "no call site passes ?%s" name)
+            else if List.for_all fst passers && not (has_tag val_tag v.doc || has_tag (option_tag name) v.doc)
+            then Some (Fmt.str "only tests pass ?%s; state why in a %s tag" name (option_tag name))
+            else None
+          in
+          Option.bind problem (fun p ->
+              report itf "unused-option" line (Fmt.str "val %s.%s: %s" itf.unit_name v.name p)))
+        opts)
+    itf.vals
+
+(* The fields of the interface's [type config = {] and [type params = {]
+   records, one per line, with their lines. *)
+let config_fields itf =
+  let record = ref None in
+  List.concat
+    (List.mapi
+       (fun i code ->
+         match (!record, String.trim code) with
+         | None, ("type config = {" | "type params = {") ->
+             record := Some (String.sub (String.trim code) 5 6);
+             []
+         | Some _, "}" ->
+             record := None;
+             []
+         | Some ty, code -> (
+             match String.index_opt code ':' with
+             | Some j when j > 0 && String.for_all is_ident_char (String.trim (String.sub code 0 j)) ->
+                 [ (ty, String.trim (String.sub code 0 j), i + 1) ]
+             | _ -> [])
+         | None, _ -> [])
+       (Array.to_list itf.code_lines))
+
+(* Whether the field named at [pos] is set there: [f =], [M.f =] or a
+   punned [f] right after [{], [;] or [with]. *)
+let sets_field code pos f =
+  let n = String.length code in
+  let rec ahead i = if i < n && is_space code.[i] then ahead (i + 1) else i in
+  let a = ahead (pos + String.length f) in
+  let b = space_back code (path_start code pos) in
+  a + 1 < n
+  && (code.[a] = ';' || code.[a] = '}' || (code.[a] = '=' && code.[a + 1] <> '='))
+  && b > 0
+  && (code.[b - 1] = '{' || code.[b - 1] = ';'
+     || (b >= 4 && String.sub code (b - 4) 4 = "with" && path_start code b = b - 4))
+
+let test_only_fields users itf =
+  List.filter_map
+    (fun (ty, f, line) ->
+      let setters =
+        List.filter
+          (fun u ->
+            u.path <> itf.own
+            && (Hashtbl.mem u.refs.bare f || Hashtbl.mem u.refs.qualified (itf.unit_name, f))
+            && List.exists
+                 (fun p -> sets_field u.code p f)
+                 (token_positions ~allow_dot_before:true u.code f))
+          users
+      in
+      if setters <> [] && List.for_all (fun u -> u.is_test) setters then
+        report itf "unused-option" line
+          (Fmt.str "field %s.%s.%s is set only by tests" itf.unit_name ty f)
+      else None)
+    (config_fields itf)
 
 (* Group files per directory for the missing-mli rule. *)
 let scan_tree ~root dirs =
@@ -608,7 +750,28 @@ let scan_tree ~root dirs =
           by_dir
       end)
     dirs;
-  if List.mem "lib" dirs then findings := unused_exports ~root @ !findings;
+  if List.mem "lib" dirs then begin
+    let under dir = walk (Filename.concat root dir) in
+    let users =
+      List.concat_map
+        (fun dir ->
+          List.filter_map
+            (fun path ->
+              if not (Filename.check_suffix path ".ml") then None
+              else
+                let code = String.concat "\n" (List.map fst (split_lines (read_file path))) in
+                Some { path; is_test = dir = "test"; code; refs = refs_of_code code })
+            (under dir))
+        [ "lib"; "bin"; "bench"; "examples"; "test" ]
+    in
+    List.iter
+      (fun mli ->
+        let itf = interface_of mli in
+        findings :=
+          unused_exports users itf @ unused_options users itf @ test_only_fields users itf
+          @ !findings)
+      (List.filter (fun p -> Filename.check_suffix p ".mli") (under "lib"))
+  end;
   List.sort compare !findings
 
 let pp_finding ppf f =

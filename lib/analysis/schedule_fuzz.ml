@@ -103,7 +103,7 @@ let outcome_of_exn ~strict trace = function
 
 (* The one place a scenario runs: capture the engine trace around the
    run, classify an escaped exception, otherwise render and audit. *)
-let make_scenario ?(strict = false) sname ~run ~render ~audit =
+let scenario_of ~strict sname ~run ~render ~audit =
   {
     sname;
     srun =
@@ -116,6 +116,8 @@ let make_scenario ?(strict = false) sname ~run ~render ~audit =
         | Error e, trace -> outcome_of_exn ~strict trace e
         | Ok r, trace -> { results = render r; trace; violations = audit r });
   }
+
+let make_scenario sname = scenario_of ~strict:false sname
 
 let engine_violations engine =
   List.map (Fmt.str "%a" Engine.pp_violation) (Engine.audit engine)
@@ -235,7 +237,7 @@ let precopy =
    samples diverge from fifo by design. The supervisor must absorb the
    script's faults, so the scenario is strict. *)
 let scrub =
-  make_scenario ~strict:true "scrub"
+  scenario_of ~strict:true "scrub"
     ~run:(fun scale ~fault_seed ->
       Experiments.Durability.chaos_run
         { scale with Experiments.Scale.seed = fault_seed }
@@ -324,7 +326,7 @@ let chains =
    fault seed doubles as the engine seed, and the result surface is the
    experiment's rendered stats tables. *)
 let experiment exp =
-  make_scenario ~strict:true ("exp:" ^ exp.Experiments.Registry.id)
+  scenario_of ~strict:true ("exp:" ^ exp.Experiments.Registry.id)
     ~run:(fun scale ~fault_seed ->
       exp.Experiments.Registry.run
         { scale with Experiments.Scale.seed = fault_seed }

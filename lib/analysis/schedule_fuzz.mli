@@ -71,7 +71,6 @@ type scenario = {
 }
 
 val make_scenario :
-  ?strict:bool ->
   string ->
   run:(Experiments.Scale.t -> fault_seed:int -> 'a) ->
   render:('a -> string) ->
@@ -81,8 +80,9 @@ val make_scenario :
     runs [run] (its scale already carrying the sample's schedule) under
     {!Simcore.Trace.capture}. An escaped exception is classified: an
     untyped one or an audit failure is a violation, a typed failure
-    becomes the result — and, when [strict] (default [false]: the
-    scenario's faults may legitimately end the run), a violation too.
+    becomes the result (the scenario's faults may legitimately end the
+    run; the built-in [scrub] and registry-experiment scenarios also count
+    it a violation).
     Otherwise [render] gives the result surface and [audit] the
     violations. Test-only: a test rig hook. *)
 

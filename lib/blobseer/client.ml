@@ -535,8 +535,7 @@ let write_chunk_core b ~from ~base_tree ~suppress_clean ~hints jobs =
     else if t.params.dedup then begin
       match
         Provider_manager.resolve_or_allocate t.pm ~from ~digest ~size
-          ~replication:t.params.replication
-          ~allow_degraded:t.params.allow_degraded_writes ()
+          ~replication:t.params.replication ()
       with
       | Provider_manager.Dedup replicas ->
           note_deduped size;
@@ -559,8 +558,7 @@ let write_chunk_core b ~from ~base_tree ~suppress_clean ~hints jobs =
     else begin
       let placement =
         List.hd
-          (Provider_manager.allocate t.pm ~from ~count:1 ~replication:t.params.replication
-             ~allow_degraded:t.params.allow_degraded_writes ())
+          (Provider_manager.allocate t.pm ~from ~count:1 ~replication:t.params.replication ())
       in
       let replicas = ship_replicas t ~from content placement in
       note_shipped size;
@@ -569,18 +567,18 @@ let write_chunk_core b ~from ~base_tree ~suppress_clean ~hints jobs =
     end
   in
   (* Hinted chunk holding a batch-claimed placement: produce, verify against
-     the hint, ship. The claim is already held, so every failure path must
-     release it or concurrent writers of the digest deadlock. *)
+     the hint, ship. The claim is already held, so a failure anywhere in
+     there (a local-disk error in [produce] included) must release it, or
+     every later writer of the digest blocks on it forever. *)
   let ship_claimed ~digest ~placement (i, produce) () =
-    let content = produce () in
-    let size = Payload.length content in
-    if size <> chunk_extent b i || Payload.digest content <> digest then begin
-      Provider_manager.abandon_dedup t.pm ~digest;
-      invalid_arg "Client: digest hint does not match produced content"
-    end;
-    note_cached t size;
-    let replicas =
-      try ship_replicas t ~from content placement
+    let size, replicas =
+      try
+        let content = produce () in
+        let size = Payload.length content in
+        if size <> chunk_extent b i || Payload.digest content <> digest then
+          invalid_arg "Client: digest hint does not match produced content";
+        note_cached t size;
+        (size, ship_replicas t ~from content placement)
       with e ->
         Provider_manager.abandon_dedup t.pm ~digest;
         raise e
@@ -618,8 +616,7 @@ let write_chunk_core b ~from ~base_tree ~suppress_clean ~hints jobs =
     | _ ->
         Provider_manager.resolve_many t.pm ~from
           ~chunks:(List.map (fun ((i, _), digest) -> (digest, chunk_extent b i)) lookups)
-          ~replication:t.params.replication
-          ~allow_degraded:t.params.allow_degraded_writes ()
+          ~replication:t.params.replication ()
   in
   List.iter2
     (fun ((i, _) as job, digest) oc ->
@@ -696,12 +693,12 @@ let publish_descs b ~from ~base ~base_tree descs =
    resolved at the provider manager before placement, so already-stored
    content references the existing replicas and ships zero bytes; chunks
    stream through the client write window. *)
-let write b ~from ?base ~offset payload =
+let write b ~from ~offset payload =
   let t = b.service in
   let len = Payload.length payload in
   if offset < 0 || offset + len > capacity b then
     invalid_arg "Client.write: range out of bounds";
-  let base = match base with Some v -> v | None -> latest_version b ~from in
+  let base = latest_version b ~from in
   let base_tree = fetch_tree b ~from ~version:base in
   if len = 0 then Version_manager.publish t.vm ~from ~blob:(blob_id b) ~base base_tree
   else begin

@@ -96,10 +96,10 @@ val latest_version : blob -> from:Net.host -> int
 val versions : blob -> int list
 (** Every published version, ascending. Cost-free metadata peek. *)
 
-val write : blob -> from:Net.host -> ?base:int -> offset:int -> Payload.t -> int
+val write : blob -> from:Net.host -> offset:int -> Payload.t -> int
 (** [write blob ~from ~offset payload] stores the payload (striped,
     replicated, in parallel up to the client window) as a snapshot derived
-    from [base] (default: current latest) and returns the new version
+    from the current latest version and returns the new version
     number. Partial-stripe updates read–modify–write the affected chunks.
     Raises [Invalid_argument] when the range exceeds the blob capacity. *)
 

@@ -3,7 +3,6 @@ open Netsim
 open Storage
 
 type t = {
-  engine : Engine.t;
   net : Net.t;
   host : Net.host;
   server : Rate_server.t;
@@ -16,7 +15,6 @@ type t = {
 
 let create engine net ~host ?(allocate_cost = Types.default_params.allocate_cost) () =
   {
-    engine;
     net;
     host;
     server = Rate_server.create engine ~rate:1e12 ~per_op:allocate_cost ();
@@ -51,12 +49,10 @@ let live_distinct_hosts t =
 (* One bounded sweep of the table per chunk: round-robin from the cursor,
    skipping dead providers and hosts already holding a copy. Since
    [want <= hosts], a full sweep always finds [want] distinct hosts. *)
-let placement_for_chunk t ~replication ~allow_degraded =
+let placement_for_chunk t ~replication =
   let n = Array.length t.table in
   let hosts = live_distinct_hosts t in
   if hosts = 0 then raise (Types.Provider_down "no live provider");
-  if hosts < replication && not allow_degraded then
-    raise (Types.Provider_down "not enough live failure domains");
   let want = min replication hosts in
   let rec pick acc used k inspected =
     if k = 0 || inspected >= n then List.rev acc
@@ -74,12 +70,12 @@ let placement_for_chunk t ~replication ~allow_degraded =
   if List.length placement < replication then t.degraded_allocs <- t.degraded_allocs + 1;
   placement
 
-let allocate t ~from ~count ~replication ?(allow_degraded = false) () =
+let allocate t ~from ~count ~replication () =
   if count < 0 || replication < 1 then invalid_arg "Provider_manager.allocate";
   Net.message t.net ~src:from ~dst:t.host;
   Rate_server.process_many t.server ~ops:count 0;
   let placements =
-    List.init count (fun _ -> placement_for_chunk t ~replication ~allow_degraded)
+    List.init count (fun _ -> placement_for_chunk t ~replication)
   in
   Net.message t.net ~src:t.host ~dst:from;
   placements
@@ -104,7 +100,7 @@ type chunk_alloc =
   | Dedup of Types.replica list
   | Fresh of int list
 
-let resolve_or_allocate t ~from ~digest ~size ~replication ?(allow_degraded = false) () =
+let resolve_or_allocate t ~from ~digest ~size ~replication () =
   if replication < 1 then invalid_arg "Provider_manager.resolve_or_allocate";
   Net.message t.net ~src:from ~dst:t.host;
   Rate_server.process t.server 0;
@@ -117,7 +113,7 @@ let resolve_or_allocate t ~from ~digest ~size ~replication ?(allow_degraded = fa
     | Dedup_index.Claimed -> (
         (* A failed placement must release the in-flight claim, or every
            concurrent writer of the same content deadlocks on it. *)
-        try Fresh (placement_for_chunk t ~replication ~allow_degraded)
+        try Fresh (placement_for_chunk t ~replication)
         with e ->
           Dedup_index.abandon t.dedup ~digest;
           raise e)
@@ -130,7 +126,7 @@ type batch_alloc =
   | Batch_fresh of int list
   | Batch_busy
 
-let resolve_many t ~from ~chunks ~replication ?(allow_degraded = false) () =
+let resolve_many t ~from ~chunks ~replication () =
   if replication < 1 then invalid_arg "Provider_manager.resolve_many";
   match chunks with
   | [] -> []
@@ -150,7 +146,7 @@ let resolve_many t ~from ~chunks ~replication ?(allow_degraded = false) () =
               | Dedup_index.Now_busy -> Batch_busy
               | Dedup_index.Now_claimed ->
                   claimed := digest :: !claimed;
-                  Batch_fresh (placement_for_chunk t ~replication ~allow_degraded))
+                  Batch_fresh (placement_for_chunk t ~replication))
             chunks
         with e ->
           (* A failed placement mid-batch must release every claim the batch

@@ -29,7 +29,6 @@ val allocate :
   from:Net.host ->
   count:int ->
   replication:int ->
-  ?allow_degraded:bool ->
   unit ->
   int list list
 (** [allocate t ~from ~count ~replication ()] returns, for each of [count]
@@ -37,11 +36,10 @@ val allocate :
     {e distinct hosts} (so no single machine crash can take every copy).
     Blocks for the control round-trip and per-chunk allocation cost.
 
-    When fewer than [replication] distinct hosts are live: raises
-    {!Types.Provider_down} by default; with [~allow_degraded:true] instead
-    places one copy per live host (counted in {!degraded_allocations}),
-    leaving the shortfall to the scrubber. Raises {!Types.Provider_down}
-    when no provider is live at all. *)
+    When fewer than [replication] distinct hosts are live, places one copy
+    per live host (counted in {!degraded_allocations}) and leaves the
+    shortfall to the scrubber. Raises {!Types.Provider_down} when no
+    provider is live at all. *)
 
 val degraded_allocations : t -> int
 (** Chunks placed with fewer than the requested number of replicas.
@@ -71,7 +69,6 @@ val resolve_or_allocate :
   digest:int64 ->
   size:int ->
   replication:int ->
-  ?allow_degraded:bool ->
   unit ->
   chunk_alloc
 (** One control round trip covering dedup lookup and (on miss) placement.
@@ -92,7 +89,6 @@ val resolve_many :
   from:Net.host ->
   chunks:(int64 * int) list ->
   replication:int ->
-  ?allow_degraded:bool ->
   unit ->
   batch_alloc list
 (** Batched {!resolve_or_allocate}: one control round trip resolving every

@@ -2,12 +2,9 @@ open Simcore
 open Netsim
 open Storage
 
-type config = {
-  interval : float;
-  quorum : int option;
-}
+type config = { interval : float }
 
-let default_config = { interval = 5.0; quorum = None }
+let default_config = { interval = 5.0 }
 
 type event =
   | Scan_started of { at : float; pass : int }
@@ -99,9 +96,7 @@ let engine t = Client.engine t.service
 let now t = Engine.now (engine t)
 let record t e = t.events_rev <- e :: t.events_rev
 
-let quorum t =
-  let replication = (Client.params t.service).Types.replication in
-  match t.config.quorum with Some q -> max 1 q | None -> (replication / 2) + 1
+let quorum t = ((Client.params t.service).Types.replication / 2) + 1
 
 (* A replica is good when its provider is live, still holds the chunk, the
    stored bytes match the digest recorded at write time, and that record

@@ -12,8 +12,8 @@
 
     Repairs follow a quorum-write policy: the new replica set is published
     (an in-place, journaled descriptor swap — no new version number) only
-    when good + freshly written copies reach the quorum (default
-    ⌈(replication+1)/2⌉); otherwise the chunk is counted a quorum failure
+    when good + freshly written copies reach the majority quorum
+    ⌈(replication+1)/2⌉; otherwise the chunk is counted a quorum failure
     and retried next pass. A chunk with {e zero} good copies is
     unrepairable — its (blob, version) is reported so the supervisor can
     pick an older rollback target.
@@ -36,14 +36,7 @@ open Netsim
 
 type t
 
-type config = {
-  interval : float;  (** seconds between background passes *)
-  quorum : int option;  (** copies required to publish a repair; default majority *)
-}
-
-val default_config : config
-(** 5 s interval, majority quorum. Every pass runs the Merkle precheck;
-    it has no switch. *)
+type config = { interval : float  (** seconds between background passes *) }
 
 type event =
   | Scan_started of { at : float; pass : int }
@@ -85,7 +78,8 @@ type stats = {
 
 val create : Client.t -> home:Net.host -> ?config:config -> unit -> t
 (** [home] is the host the scrubber runs on; metadata commits for repaired
-    descriptors are charged from it. *)
+    descriptors are charged from it. [config] defaults to a 5 s interval.
+    Every pass runs the Merkle precheck; it has no switch. *)
 
 val scan : t -> unit
 (** One synchronous scrub pass. Blocks for the simulated cost of repair

@@ -22,9 +22,6 @@ type params = {
   request_overhead : float;  (** per-chunk service cost at a data provider *)
   publish_cost : float;  (** serialized cost of one version publication *)
   allocate_cost : float;  (** per-chunk cost at the provider manager *)
-  allow_degraded_writes : bool;
-      (** place fewer than [replication] copies when live distinct hosts run
-          short, leaving repair to the scrubber, instead of failing the write *)
   dedup : bool;
       (** consult the provider manager's content-addressed index before
           allocating placements: a digest hit reuses the existing replicas
@@ -45,7 +42,6 @@ let default_params =
     request_overhead = 3e-4;
     publish_cost = 1e-3;
     allocate_cost = 2e-5;
-    allow_degraded_writes = true;
     dedup = true;
     digest_cache = true;
   }

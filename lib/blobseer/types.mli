@@ -22,9 +22,6 @@ type params = {
   request_overhead : float;  (** per-chunk service cost at a data provider *)
   publish_cost : float;  (** serialized cost of one version publication *)
   allocate_cost : float;  (** per-chunk cost at the provider manager *)
-  allow_degraded_writes : bool;
-      (** place fewer than [replication] copies when live distinct hosts run
-          short, leaving repair to the scrubber, instead of failing the write *)
   dedup : bool;
       (** consult the provider manager's content-addressed index before
           allocating placements: a digest hit reuses the existing replicas

@@ -89,7 +89,7 @@ let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~kind ~mtbf ~interval 
            else 0.0);
       })
 
-let sweep (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let sweep (scale : Scale.t) ~progress =
   List.concat_map
     (fun kind ->
       List.concat_map
@@ -130,8 +130,8 @@ let series_order (k1, m1) (k2, m2) =
   let rank k = Option.get (List.find_index (( = ) k) kinds) in
   match Int.compare (rank k1) (rank k2) with 0 -> Float.compare m1 m2 | c -> c
 
-let tables (scale : Scale.t) ?progress () =
-  let points = sweep scale ?progress () in
+let tables (scale : Scale.t) ?(progress = ignore) () =
+  let points = sweep scale ~progress in
   let table name ~title ~y_label y =
     ( name,
       Stats.table ~title ~x_label:"interval-units" ~y_label

@@ -27,7 +27,7 @@ type point = {
   checkpoint_cost : float;  (** mean committed global-checkpoint duration *)
 }
 
-val sweep : Scale.t -> ?progress:(string -> unit) -> unit -> point list
+val sweep : Scale.t -> progress:(string -> unit) -> point list
 (** One supervised chaos run per (kind, mtbf, interval) cell, each on a
     fresh cluster seeded from the scale (same scale ⇒ same failure
     timeline ⇒ same results). Test-only: a test rig hook. *)

@@ -155,12 +155,8 @@ let chains_handlers cluster compactor =
         | _ -> ());
   }
 
-let chaos_run (scale : Scale.t) ~script ?policy ~depth () =
-  let policy =
-    match policy with
-    | Some p -> p
-    | None -> Blobseer.Retention.Keep_last scale.Scale.chains_keep_last
-  in
+let chaos_run (scale : Scale.t) ~script ~depth () =
+  let policy = Blobseer.Retention.Keep_last scale.Scale.chains_keep_last in
   let with_faults cluster compactor =
     Some
       (Faults.start cluster.Cluster.engine

@@ -59,12 +59,11 @@ type chaos = {
 val chaos_run :
   Scale.t ->
   script:(Cluster.t -> Blobseer.Compactor.t -> Faults.script) ->
-  ?policy:Blobseer.Retention.policy ->
   depth:int ->
   unit ->
   chaos
-(** Like {!bs_run} with compaction forced on ([policy] defaults to
-    [Keep_last scale.chains_keep_last]) and [script] (built once the
+(** Like {!bs_run} with compaction on under
+    [Keep_last scale.chains_keep_last] and [script] (built once the
     cluster and compactor exist) injected while the epochs run. *)
 
 (** {1 qcow2 side} *)

@@ -139,18 +139,13 @@ type point = {
   link_latency : float;  (** WAN one-way latency, seconds *)
   window : int;  (** replication in-flight window *)
   interval : int;  (** checkpoint interval, work units *)
-  finished : bool;
-  failed_over : bool;
   rpo_versions : int;
-  rpo_bytes : int;
   rpo_units : int;
   rto : float;
   max_lag : int;  (** replication-lag high-water mark, records *)
-  checkpoint_cost : float;
-      (** mean pre-failover committed-checkpoint duration with DR *)
-  checkpoint_cost_nodr : float;
-      (** the control's mean over its commits at the same positions *)
-  overhead_pct : float;  (** (cost / control − 1) × 100 *)
+  overhead_pct : float;
+      (** mean pre-failover committed-checkpoint duration with DR over the
+          control's mean at the same positions: (cost / control − 1) × 100 *)
 }
 
 let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~link_latency ~window ~interval
@@ -185,15 +180,10 @@ let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~link_latency ~window 
     link_latency;
     window;
     interval;
-    finished = o.report.Supervisor.finished;
-    failed_over = o.failed_over;
     rpo_versions = o.rpo_versions;
-    rpo_bytes = o.rpo_bytes;
     rpo_units = o.rpo_units;
     rto = o.rto;
     max_lag = o.repl_stats.Blobseer.Replicator.max_lag;
-    checkpoint_cost;
-    checkpoint_cost_nodr;
     overhead_pct;
   }
 

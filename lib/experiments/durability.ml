@@ -43,9 +43,7 @@ let final_subdomain_digests sup =
     (Supervisor.instances sup)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let chaos_run (scale : Scale.t) ?script ?(replication = 2)
-    ?(scrub = { Blobseer.Scrubber.default_config with interval = 4.0 }) ?(gang = 2) ?(units = 12)
-    ?(policy = Supervisor.default_policy) () =
+let supervised (scale : Scale.t) ~script ~replication ~scrub_interval ~gang ~units ~policy =
   let cal =
     {
       scale.Scale.cal with
@@ -56,10 +54,10 @@ let chaos_run (scale : Scale.t) ?script ?(replication = 2)
   let cluster = Cluster.build ~seed:scale.Scale.seed ~schedule:scale.Scale.schedule cal in
   Cluster.run cluster (fun () ->
       let workload = Cm1.supervised_workload cluster scale.Scale.cm1_config ~iters_per_unit:1 in
-      let faults = match script with Some f -> f cluster | None -> acceptance_script in
       let sup =
-        Supervisor.run cluster ~kind:Approach.Blobcr ~policy ~scrub ~faults ~id:"dur" ~gang
-          ~units ~workload ()
+        Supervisor.run cluster ~kind:Approach.Blobcr ~policy
+          ~scrub:{ Blobseer.Scrubber.interval = scrub_interval }
+          ~faults:(script cluster) ~id:"dur" ~gang ~units ~workload ()
       in
       {
         report = Supervisor.report sup;
@@ -69,6 +67,10 @@ let chaos_run (scale : Scale.t) ?script ?(replication = 2)
         integrity_failures = Blobseer.Client.integrity_failures cluster.Cluster.service;
         engine = cluster.Cluster.engine;
       })
+
+let chaos_run scale ?(script = fun _ -> acceptance_script) ?(gang = 2) ?(units = 12)
+    ?(policy = Supervisor.default_policy) () =
+  supervised scale ~script ~replication:2 ~scrub_interval:4.0 ~gang ~units ~policy
 
 let render_scrub_log chaos =
   String.concat "\n"
@@ -109,9 +111,9 @@ let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~corrupt_weight ~repli
       ~weights:(3, 1, 0, 0) ~corrupt_weight ()
   in
   let chaos =
-    chaos_run scale ~script:profile ~replication
-      ~scrub:{ Blobseer.Scrubber.default_config with interval = scrub_interval }
-      ~gang:scale.Scale.durability_gang ~units:scale.Scale.durability_units ()
+    supervised scale ~script:profile ~replication ~scrub_interval
+      ~gang:scale.Scale.durability_gang ~units:scale.Scale.durability_units
+      ~policy:Supervisor.default_policy
   in
   let injected = chaos.report.Supervisor.injected in
   let corruptions =
@@ -144,7 +146,7 @@ let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~corrupt_weight ~repli
        else 0.0);
   }
 
-let sweep (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let sweep (scale : Scale.t) ~progress =
   List.concat_map
     (fun replication ->
       List.concat_map
@@ -161,8 +163,8 @@ let sweep (scale : Scale.t) ?(progress = fun _ -> ()) () =
 
 let series_label r interval = Fmt.str "r=%d scrub=%gs" r interval
 
-let tables (scale : Scale.t) ?progress () =
-  let points = sweep scale ?progress () in
+let tables (scale : Scale.t) ?(progress = ignore) () =
+  let points = sweep scale ~progress in
   let table name ~title ~y_label y =
     ( name,
       Stats.table ~title ~x_label:"corrupt-weight" ~y_label

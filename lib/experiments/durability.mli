@@ -39,8 +39,6 @@ val final_subdomain_digests : Supervisor.t -> (string * int64) list
 val chaos_run :
   Scale.t ->
   ?script:(Cluster.t -> Faults.script) ->
-  ?replication:int ->
-  ?scrub:Blobseer.Scrubber.config ->
   ?gang:int ->
   ?units:int ->
   ?policy:Supervisor.policy ->
@@ -49,10 +47,8 @@ val chaos_run :
 (** One supervised chaos run on a fresh cluster seeded from the scale.
     [script] builds the fault script once the cluster exists (default:
     silent corruption at t=8.5, a version-manager crash armed mid-apply
-    of the next COMMIT at t=9 and host 0 crash-stopped at t=18);
-    [replication] overrides the calibration's chunk replication (default
-    2); [scrub] is the background scrubber config (default: 4 s passes,
-    majority quorum); [policy] overrides the
+    of the next COMMIT at t=9 and host 0 crash-stopped at t=18), with
+    chunk replication 2 and 4 s scrub passes; [policy] overrides the
     supervisor policy (e.g. live checkpoint mode for the precopy fuzz
     scenario). Same scale and script ⇒ same outcome, byte for byte. *)
 
@@ -74,7 +70,7 @@ type point = {
   checkpoint_cost : float;
 }
 
-val sweep : Scale.t -> ?progress:(string -> unit) -> unit -> point list
+val sweep : Scale.t -> progress:(string -> unit) -> point list
 (** The (corruption weight × replication × scrub interval) grid taken from
     the scale's durability axes. Test-only: a test rig hook. *)
 

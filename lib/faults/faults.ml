@@ -110,7 +110,6 @@ let null_handlers =
   }
 
 type t = {
-  engine : Engine.t;
   fiber : Engine.fiber;
   applied_rev : event list ref; (* newest first *)
 }
@@ -145,7 +144,7 @@ let start engine ~script ~handlers =
       ordered
   in
   let fiber = Engine.Fiber.spawn engine ~name:"faults.injector" injector in
-  { engine; fiber; applied_rev }
+  { fiber; applied_rev }
 
 let stop t = Engine.Fiber.cancel t.fiber
 let applied t = List.rev !(t.applied_rev)

@@ -140,7 +140,7 @@ val suspend : (('a -> bool) -> unit) -> 'a
     one-shot: calling it again, or after the fiber was cancelled, returns
     [false] and does nothing, so resources can skip dead waiters. Must be
     called from inside a fiber.
-    Test-only outside this module: tests build blocking primitives from it. *)
+    Test-only: outside this module, tests build blocking primitives from it. *)
 
 val yield : t -> unit
 (** Reschedule the calling fiber at the current time, letting other ready

@@ -7,19 +7,6 @@ let pp_schedule ppf = function
 
 let schedule_to_string s = Fmt.str "%a" pp_schedule s
 
-let schedule_of_string s =
-  match s with
-  | "fifo" -> Ok Fifo
-  | "lifo" -> Ok Lifo
-  | _ -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "shuffle" -> (
-          let rest = String.sub s (i + 1) (String.length s - i - 1) in
-          match int_of_string_opt rest with
-          | Some seed -> Ok (Seeded_shuffle seed)
-          | None -> Error (Fmt.str "bad shuffle seed %S" rest))
-      | _ -> Error (Fmt.str "unknown schedule %S (expected fifo, lifo or shuffle:<seed>)" s))
-
 (* Two structures hold the pending events.
 
    The timer heap is a binary min-heap over [(time, rank, seq)] stored as

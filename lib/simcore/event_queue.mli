@@ -26,13 +26,7 @@ val pp_schedule : Format.formatter -> schedule -> unit
 (** ["fifo"], ["lifo"] or ["shuffle:<seed>"]. *)
 
 val schedule_to_string : schedule -> string
-(** Same rendering as {!pp_schedule}, as a string — the inverse of
-    {!schedule_of_string}. *)
-
-(* lint: allow unused-export — the inverse of schedule_to_string, kept with its round-trip test *)
-val schedule_of_string : string -> (schedule, string) result
-(** Parse ["fifo"], ["lifo"] or ["shuffle:<seed>"]; [Error] carries a
-    human-readable message. *)
+(** Same rendering as {!pp_schedule}, as a string. *)
 
 type 'a t
 

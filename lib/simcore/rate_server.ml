@@ -53,7 +53,7 @@ let finish_service t service ~ops bytes =
   t.ops <- t.ops + ops;
   t.bytes <- t.bytes + bytes
 
-let process_many t ?stream ~ops bytes =
+let serve t stream ~ops bytes =
   check_request ~ops bytes;
   Engine.Semaphore.with_held t.lock (fun () ->
       let service = start_service t stream ~ops bytes in
@@ -69,7 +69,8 @@ let process_then t bytes k =
           Engine.Semaphore.release t.lock;
           k ()))
 
-let process t ?stream bytes = process_many t ?stream ~ops:1 bytes
+let process_many t ~ops bytes = serve t None ~ops bytes
+let process t ?stream bytes = serve t stream ~ops:1 bytes
 
 let busy_time t = t.busy
 let ops t = t.ops

@@ -23,10 +23,10 @@ val process : t -> ?stream:int -> int -> unit
     [seek] if [stream] differs from the previously served stream.
     Requests without a [stream] never pay or trigger seeks. *)
 
-val process_many : t -> ?stream:int -> ops:int -> int -> unit
+val process_many : t -> ops:int -> int -> unit
 (** [process_many t ~ops bytes] serves a batch of [ops] back-to-back
-    operations totalling [bytes] as one FIFO occupancy (at most one
-    seek). *)
+    operations totalling [bytes] as one FIFO occupancy, without a stream
+    (no seek). *)
 
 val process_then : t -> int -> (unit -> unit) -> unit
 (** [process_then t bytes k] is the callback form of {!process} (without

@@ -31,14 +31,6 @@ let exponential t mean =
   let u = if u <= 0.0 then 1e-12 else u in
   -.mean *. log u
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let of_key ~seed name =
   (* Fold the name into the seed one byte at a time, mixing at every
      step; the resulting stream depends only on (seed, name), never on

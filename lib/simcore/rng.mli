@@ -31,10 +31,6 @@ val exponential : t -> float -> float
 (** [exponential t mean] draws from an exponential distribution with the
     given mean. Used for failure inter-arrival times. *)
 
-(* lint: allow unused-export — a general primitive kept with its permutation test *)
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val of_key : seed:int -> string -> t
 (** [of_key ~seed name] is a generator whose stream is a pure function of
     [(seed, name)]. Unlike {!split}, it consumes nothing from any parent

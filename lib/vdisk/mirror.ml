@@ -86,6 +86,17 @@ end
    the guest overwrites them. [f_digests] are the frozen chunks' digests
    captured from the live cache, so the background commit can hint the
    client without re-reading guest-mutated bytes. *)
+type snapshot = {
+  present : int list;
+  dirty : int list;
+  digests : (int * int64) list;
+  frozen_pending : int list;
+  frozen_copied : int list;
+  frozen_digests : (int * int64) list;
+  cow_chunks : int;
+  local_bytes : int;
+}
+
 type frozen = {
   f_pending : Chunk_set.t; (* frozen chunks not yet shipped *)
   f_digests : Digest_map.t; (* digest of frozen content *)
@@ -139,7 +150,6 @@ let m_cow_bytes = Obs.Metrics.counter ~component:"mirror" ~name:"cow_bytes"
 let capacity t = t.capacity
 let chunk_size t = t.chunk_size
 let checkpoint_image t = t.ckpt
-let dirty_chunks t = Chunk_set.cardinal t.dirty
 
 let chunk_extent t index =
   min t.capacity ((index + 1) * t.chunk_size) - (index * t.chunk_size)
@@ -150,42 +160,33 @@ let dirty_bytes t =
   (Chunk_set.cardinal t.dirty * t.chunk_size)
   - if last >= 0 && Chunk_set.mem t.dirty last then t.chunk_size - chunk_extent t last else 0
 
-let cached_chunks t = Chunk_set.cardinal t.present
-let local_bytes t = t.reserved
 let frozen_active t = t.frozen <> None
-
-let cow_chunks t = t.cow_chunks_total
 let cow_bytes t = t.cow_bytes_total
 
-let present_view t = Chunk_set.elements t.present
-let dirty_view t = Chunk_set.elements t.dirty
+let snapshot t : snapshot =
+  let frozen view = match t.frozen with None -> [] | Some f -> view f in
+  {
+    present = Chunk_set.elements t.present;
+    dirty = Chunk_set.elements t.dirty;
+    digests = Digest_map.bindings t.digests;
+    frozen_pending = frozen (fun f -> Chunk_set.elements f.f_pending);
+    frozen_copied = frozen (fun f -> Chunk_set.elements f.f_copied);
+    frozen_digests = frozen (fun f -> Digest_map.bindings f.f_digests);
+    cow_chunks = t.cow_chunks_total;
+    local_bytes = t.reserved;
+  }
+
 let unsafe_mark_dirty t ~chunk = Chunk_set.add t.dirty chunk
-let digest_view t = Digest_map.bindings t.digests
-
-let peek_chunk_payload t ~chunk =
-  Sparse_bytes.read t.local ~offset:(chunk * t.chunk_size) ~len:(chunk_extent t chunk)
-
 let unsafe_poke_digest t ~chunk digest = Digest_map.set t.digests chunk digest
-
-let frozen_pending_view t =
-  match t.frozen with None -> [] | Some f -> Chunk_set.elements f.f_pending
-
-let frozen_copied_view t =
-  match t.frozen with None -> [] | Some f -> Chunk_set.elements f.f_copied
-
-let frozen_digest_view t =
-  match t.frozen with None -> [] | Some f -> Digest_map.bindings f.f_digests
 
 (* Where a frozen chunk's freeze-time bytes live: the diff log once the
    guest overwrote it, the live store (still identical) otherwise. *)
 let frozen_source t f index = if Chunk_set.mem f.f_copied index then f.f_store else t.local
 
-let peek_frozen_payload t ~chunk =
-  match t.frozen with
-  | None -> invalid_arg "Mirror.peek_frozen_payload: no frozen epoch"
-  | Some f ->
-      Sparse_bytes.read (frozen_source t f chunk) ~offset:(chunk * t.chunk_size)
-        ~len:(chunk_extent t chunk)
+(* A chunk's bytes in [store], free of simulated cost: the audit's ground
+   truth for recomputing cached digests. *)
+let peek_chunk t store chunk =
+  Sparse_bytes.read store ~offset:(chunk * t.chunk_size) ~len:(chunk_extent t chunk)
 
 (* COW audit (paper §3.2): a chunk can only be dirty if it is locally
    present — commit reads dirty chunks back from the local cache, so a
@@ -207,9 +208,9 @@ let audit t =
       (fun chunk ->
         if present chunk then None
         else Some (v "dirty-subset-present" "chunk %d dirty but not locally present" chunk))
-      (dirty_view t)
+      (Chunk_set.elements t.dirty)
   in
-  let cache = digest_view t in
+  let cache = Digest_map.bindings t.digests in
   let subset =
     List.filter_map
       (fun (chunk, _) ->
@@ -223,7 +224,7 @@ let audit t =
       (fun (chunk, cached) ->
         if not (present chunk) then None
         else
-          let fresh = Payload.digest (peek_chunk_payload t ~chunk) in
+          let fresh = Payload.digest (peek_chunk t t.local chunk) in
           if fresh = cached then None
           else
             Some
@@ -269,7 +270,7 @@ let audit t =
                   (v "frozen-digest-subset" "chunk %d frozen-digest-cached but not frozen-pending"
                      chunk)
               else
-                let fresh = Payload.digest (peek_frozen_payload t ~chunk) in
+                let fresh = Payload.digest (peek_chunk t (frozen_source t f chunk) chunk) in
                 if fresh = cached then None
                 else
                   Some

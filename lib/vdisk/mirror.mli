@@ -108,11 +108,6 @@ val abort_frozen : t -> unit
 val frozen_active : t -> bool
 (** Whether a frozen epoch is currently pending. *)
 
-val cow_chunks : t -> int
-(** Cumulative frozen-chunk copies made to preserve overwritten frozen
-    content — the live-checkpointing interference, in chunks.
-    Test-only: an observer. *)
-
 val cow_bytes : t -> int
 (** Cumulative bytes copied into frozen diff logs (interference cost). *)
 
@@ -131,19 +126,8 @@ val taint_all : t -> unit
     re-push the whole local image state — the ablation baseline that
     isolates the value of incremental snapshotting. *)
 
-val dirty_chunks : t -> int
-(** Number of chunks modified since the last commit. Test-only: an observer. *)
-
 val dirty_bytes : t -> int
 (** Size of the diff the next {!commit} will push (chunk-granular). *)
-
-val cached_chunks : t -> int
-(** Chunks fetched from the repository so far (lazy-transfer footprint).
-    Test-only: an observer. *)
-
-val local_bytes : t -> int
-(** Local-disk bytes used by cache plus COW differences.
-    Test-only: an observer. *)
 
 val drop_local_state : t -> unit
 (** Release the mirror's local-disk footprint (instance terminated and its
@@ -151,52 +135,36 @@ val drop_local_state : t -> unit
 
 (** {1 Audit}
 
-    Read-only views of the state the mirror's teardown audit reads, and
-    the corrupters its tests use; none of these charge simulated I/O. *)
+    A snapshot of the state the mirror's teardown audit reads, and the
+    corrupters its tests use; none of these charge simulated I/O. *)
 
-val present_view : t -> int list
-(** Locally cached chunk indices, ascending. Test-only: an observer. *)
+(** The mirror's per-chunk state. Chunk lists are ascending, digest lists
+    ascending by chunk. The audit checks [dirty ⊆ present] (the COW
+    invariant); [digests] keys ⊆ [present], each entry the digest of the
+    chunk's current local bytes; [frozen_pending ⊆ present];
+    [frozen_copied ⊆ frozen_pending]; [frozen_digests] keys ⊆
+    [frozen_pending], each entry the digest of the chunk's frozen bytes. *)
+type snapshot = {
+  present : int list;  (** locally cached chunks *)
+  dirty : int list;  (** chunks modified since the last commit *)
+  digests : (int * int64) list;
+      (** the carried digest cache; empty when [params.digest_cache] is off *)
+  frozen_pending : int list;  (** the active frozen epoch's chunks; empty when none *)
+  frozen_copied : int list;  (** frozen chunks whose bytes sit in the diff log *)
+  frozen_digests : (int * int64) list;  (** digests captured at freeze time *)
+  cow_chunks : int;
+      (** cumulative frozen-chunk copies made to preserve overwritten frozen
+          content: the live-checkpointing interference, in chunks *)
+  local_bytes : int;  (** local-disk bytes used by cache plus COW differences *)
+}
 
-val dirty_view : t -> int list
-(** Chunk indices modified since the last commit, ascending. The COW
-    invariant is [dirty_view ⊆ present_view]. Test-only: an observer. *)
+val snapshot : t -> snapshot
+(** The mirror's state now. Test-only: an observer. *)
 
 val unsafe_mark_dirty : t -> chunk:int -> unit
 (** Mark a chunk dirty without caching it — breaks the COW invariant.
     Test-only: used to verify the auditor catches corruption. *)
 
-val digest_view : t -> (int * int64) list
-(** The carried digest cache [(chunk, digest)], ascending by chunk. The
-    invariants are keys ⊆ {!present_view} and every entry equal to the
-    digest of the chunk's current local bytes — the mirror's audit
-    samples exactly that at teardown (the digest-cache coherence check).
-    Empty when [params.digest_cache] is off. Test-only: an observer. *)
-
-val peek_chunk_payload : t -> chunk:int -> Payload.t
-(** A chunk's current local bytes, free of simulated cost — the coherence
-    audit's ground truth for recomputing cached digests.
-    Test-only: an observer. *)
-
 val unsafe_poke_digest : t -> chunk:int -> int64 -> unit
 (** Corrupt a digest-cache entry — breaks the coherence invariant.
     Test-only: used to verify the auditor catches it. *)
-
-val frozen_pending_view : t -> int list
-(** Chunk indices of the active frozen epoch, ascending (empty when none).
-    Invariant: frozen pending ⊆ {!present_view}. Test-only: an observer. *)
-
-val frozen_copied_view : t -> int list
-(** Frozen chunks whose bytes were preserved in the diff log, ascending.
-    Invariant: copied ⊆ {!frozen_pending_view}. Test-only: an observer. *)
-
-val frozen_digest_view : t -> (int * int64) list
-(** Digests captured at freeze time [(chunk, digest)], ascending by chunk.
-    Invariants: keys ⊆ {!frozen_pending_view}, and every entry equals the
-    digest of the chunk's frozen bytes ({!peek_frozen_payload}) — audited
-    at teardown on both forks of the clone boundary. Test-only: an observer. *)
-
-val peek_frozen_payload : t -> chunk:int -> Payload.t
-(** A frozen chunk's content as {!commit_frozen} would ship it (diff log
-    if preserved, live store otherwise), free of simulated cost — the
-    coherence audit's ground truth. Raises [Invalid_argument] without an
-    active frozen epoch. Test-only: an observer. *)

@@ -41,7 +41,8 @@ val create :
 (** Fresh image with no allocated clusters. Default cluster size 64 KiB.
     [host] is the compute node, used for remote backing reads. The image
     registers its refcount audit with the engine's teardown audits
-    ({!Engine.audit}). *)
+    ({!Engine.audit}). Test-only [?cluster_size]: fast tests use 128-byte
+    to 1 KiB clusters. *)
 
 val read : t -> offset:int -> len:int -> Payload.t
 (** Allocated clusters read from the local disk; anything else falls

@@ -18,13 +18,14 @@ type entry = {
 type t = {
   dev : Block_dev.t;
   block_size : int;
-  meta_region : int;
   files : (string, entry) Hashtbl.t;
   mutable next_free : int;
   mutable free_list : (int * int) list;
   mutable meta_dirty : bool;
 }
 
+(* The on-disk superblock. [p_meta_region] always holds [meta_region]; it
+   keeps the superblock's layout, and so the size of every metadata write. *)
 type persisted = {
   p_block_size : int;
   p_meta_region : int;
@@ -33,12 +34,14 @@ type persisted = {
   p_files : (string * int * (int * int) list) list;
 }
 
-let format dev ?(meta_region = 4 * Size.mib) () =
+(* Bytes at the start of the device that hold the superblock and file table. *)
+let meta_region = 4 * Size.mib
+
+let format dev =
   if meta_region >= dev.Block_dev.capacity then invalid_arg "Guest_fs.format: device too small";
   {
     dev;
     block_size = 4 * Size.kib;
-    meta_region;
     files = Hashtbl.create 64;
     next_free = meta_region;
     free_list = [];
@@ -60,7 +63,7 @@ let serialize t =
   let persisted =
     {
       p_block_size = t.block_size;
-      p_meta_region = t.meta_region;
+      p_meta_region = meta_region;
       p_next_free = t.next_free;
       p_free_list = t.free_list;
       p_files = files;
@@ -74,7 +77,7 @@ let serialize t =
 
 let write_metadata t =
   let meta = serialize t in
-  if Payload.length meta > t.meta_region then failwith "Guest_fs: metadata region overflow";
+  if Payload.length meta > meta_region then failwith "Guest_fs: metadata region overflow";
   Block_dev.write t.dev ~offset:0 meta;
   t.meta_dirty <- false
 
@@ -88,7 +91,6 @@ let mount dev =
     {
       dev;
       block_size = persisted.p_block_size;
-      meta_region = persisted.p_meta_region;
       files = Hashtbl.create 64;
       next_free = persisted.p_next_free;
       free_list = persisted.p_free_list;

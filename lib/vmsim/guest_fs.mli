@@ -19,9 +19,10 @@ type t
 
 exception Fs_full
 
-val format : Block_dev.t -> ?meta_region:int -> unit -> t
-(** Create an empty file system with 4 KiB blocks and (by default) a
-    4 MiB metadata region. Writes the initial superblock (buffered until
+val format : Block_dev.t -> t
+(** Create an empty file system with 4 KiB blocks and a 4 MiB metadata
+    region; raises [Invalid_argument] on a device no larger than that.
+    Writes the initial superblock (buffered until
     {!sync}). *)
 
 val mount : Block_dev.t -> t

@@ -122,7 +122,7 @@ let boot t ~format_fs =
   done;
   Engine.sleep t.engine (p.boot_cpu_time +. Rng.float t.rng p.boot_jitter);
   let fs =
-    if format_fs then Guest_fs.format t.vdevice ()
+    if format_fs then Guest_fs.format t.vdevice
     else Guest_fs.mount t.vdevice
   in
   t.vfs <- Some fs;

@@ -28,7 +28,6 @@ type rank_state = {
   rank : int;
   inst : Approach.instance;
   endpoint : Comm.endpoint;
-  proc : Process.t;
   mutable content : Payload.t;
   mutable step : int;
 }
@@ -36,7 +35,6 @@ type rank_state = {
 type t = {
   cluster : Cluster.t;
   cfg : config;
-  comm : Comm.t;
   ranks : rank_state array;
   grid_w : int;
   grid_h : int;
@@ -61,21 +59,18 @@ let setup (cluster : Cluster.t) ~instances cfg =
         List.init cfg.procs_per_vm (fun j ->
             let rank = (i * cfg.procs_per_vm) + j in
             let endpoint = Comm.attach comm ~rank ~vm:inst.Approach.vm in
-            let proc =
-              Vm.register_process inst.Approach.vm ~name:(Fmt.str "cm1.%d" rank) ~mem
-            in
+            ignore (Vm.register_process inst.Approach.vm ~name:(Fmt.str "cm1.%d" rank) ~mem);
             {
               rank;
               inst;
               endpoint;
-              proc;
               content = Payload.pattern ~seed:(state_seed rank 0) cfg.subdomain_state_bytes;
               step = 0;
             }))
       (List.mapi (fun i inst -> (i, inst)) instances)
   in
   let grid_w, grid_h = near_square nprocs in
-  { cluster; cfg; comm; ranks = Array.of_list ranks; grid_w; grid_h }
+  { cluster; cfg; ranks = Array.of_list ranks; grid_w; grid_h }
 
 let config t = t.cfg
 let process_count t = Array.length t.ranks

@@ -18,7 +18,7 @@ let build () = Cluster.build ~seed:7 quick
 
 let test_guest_fs_basics () =
   let dev = Vdisk.Block_dev.in_memory ~capacity:(Size.mib_n 16) in
-  let fs = Guest_fs.format dev ~meta_region:(Size.mib_n 1) () in
+  let fs = Guest_fs.format dev in
   Guest_fs.write_file fs ~path:"/a" (Payload.of_string "alpha");
   Guest_fs.append_file fs ~path:"/a" (Payload.of_string "beta");
   Alcotest.(check string) "read" "alphabeta" (Payload.to_string (Guest_fs.read_file fs ~path:"/a"));
@@ -27,7 +27,7 @@ let test_guest_fs_basics () =
 
 let test_guest_fs_persistence_via_mount () =
   let dev = Vdisk.Block_dev.in_memory ~capacity:(Size.mib_n 16) in
-  let fs = Guest_fs.format dev ~meta_region:(Size.mib_n 1) () in
+  let fs = Guest_fs.format dev in
   Guest_fs.write_file fs ~path:"/data/x" (Payload.of_string "persisted");
   Guest_fs.write_file fs ~path:"/data/y" (Payload.pattern ~seed:5L 10000);
   Guest_fs.sync fs;
@@ -40,7 +40,7 @@ let test_guest_fs_persistence_via_mount () =
 
 let test_guest_fs_unsynced_writes_not_on_device () =
   let dev = Vdisk.Block_dev.in_memory ~capacity:(Size.mib_n 16) in
-  let fs = Guest_fs.format dev ~meta_region:(Size.mib_n 1) () in
+  let fs = Guest_fs.format dev in
   Guest_fs.sync fs;
   Guest_fs.write_file fs ~path:"/late" (Payload.of_string "in cache only");
   Alcotest.(check int) "dirty" 13 (Guest_fs.dirty_bytes fs);
@@ -49,7 +49,7 @@ let test_guest_fs_unsynced_writes_not_on_device () =
 
 let test_guest_fs_delete_and_reuse () =
   let dev = Vdisk.Block_dev.in_memory ~capacity:(Size.mib_n 16) in
-  let fs = Guest_fs.format dev ~meta_region:(Size.mib_n 1) () in
+  let fs = Guest_fs.format dev in
   Guest_fs.write_file fs ~path:"/big" (Payload.pattern ~seed:1L (Size.mib_n 2));
   Guest_fs.sync fs;
   let used = Guest_fs.used_bytes fs in
@@ -60,8 +60,8 @@ let test_guest_fs_delete_and_reuse () =
   Alcotest.(check bool) "old gone" false (Guest_fs.exists fs ~path:"/big")
 
 let test_guest_fs_full () =
-  let dev = Vdisk.Block_dev.in_memory ~capacity:(Size.mib_n 2) in
-  let fs = Guest_fs.format dev ~meta_region:(Size.mib_n 1) () in
+  let dev = Vdisk.Block_dev.in_memory ~capacity:(Size.mib_n 6) in
+  let fs = Guest_fs.format dev in
   Guest_fs.write_file fs ~path:"/huge" (Payload.zero (Size.mib_n 4));
   Alcotest.check_raises "fs full" Guest_fs.Fs_full (fun () -> Guest_fs.sync fs)
 
@@ -110,8 +110,8 @@ let prop_guest_fs_matches_model =
        ~shrink:QCheck.Shrink.list
        QCheck.Gen.(list_size (int_bound 40) fs_op_gen))
     (fun ops ->
-      let dev = Vdisk.Block_dev.in_memory ~capacity:(Size.mib_n 4) in
-      let fs = ref (Guest_fs.format dev ~meta_region:(Size.mib_n 1) ()) in
+      let dev = Vdisk.Block_dev.in_memory ~capacity:(Size.mib_n 8) in
+      let fs = ref (Guest_fs.format dev) in
       Guest_fs.sync !fs;
       (* path -> (contents, dirty) live; path -> contents as last synced *)
       let live = Hashtbl.create 4 and synced = Hashtbl.create 4 in
@@ -491,7 +491,6 @@ let test_cm1_blcr_dump_sizes () =
             Cm1.default_config with
             procs_per_vm = 2;
             subdomain_state_bytes = 2 * Size.mib;
-            process_mem_factor = 2.9;
           }
         in
         let inst_a = mk "a" 0 in

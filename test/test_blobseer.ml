@@ -424,21 +424,22 @@ let test_blob_unreplicated_loss_raises () =
   Alcotest.(check bool) "provider_down" true raised
 
 let test_blob_concurrent_writers_merge () =
-  (* Two clients write disjoint ranges concurrently from the same base
-     version; both updates survive in the final version. *)
+  (* Two clients write disjoint ranges concurrently: both read the same
+     latest version as their base, and both updates survive in the final
+     version. *)
   let rig = make_rig ~stripe:100 () in
   let from = rig.client_host in
   let final =
     run_rig rig (fun () ->
         let blob = Client.create_blob rig.service ~from ~capacity:1000 in
-        let base = Client.write blob ~from ~offset:0 (payload_str (String.make 400 '.')) in
+        ignore (Client.write blob ~from ~offset:0 (payload_str (String.make 400 '.')));
         Engine.all rig.engine
           [
             (fun () ->
-              ignore (Client.write blob ~from ~base ~offset:0 (payload_str (String.make 100 'A'))));
+              ignore (Client.write blob ~from ~offset:0 (payload_str (String.make 100 'A'))));
             (fun () ->
               ignore
-                (Client.write blob ~from ~base ~offset:200 (payload_str (String.make 100 'B'))));
+                (Client.write blob ~from ~offset:200 (payload_str (String.make 100 'B'))));
           ];
         let latest = Client.latest_version blob ~from in
         Payload.to_string (Client.read blob ~from ~version:latest ~offset:0 ~len:400))
@@ -527,7 +528,7 @@ let prop_blob_matches_reference =
    in which naive round-robin would happily co-locate two replicas of the
    same chunk. *)
 let make_colocated_rig ?(hosts = 2) ?(providers_per_host = 2) ?(replication = 2)
-    ?(allow_degraded = true) ?(stripe = 100) () =
+    ?(stripe = 100) () =
   let engine = Engine.create () in
   let net = Net.create engine { Net.default_config with latency = 1e-4 } in
   let vm_host = Net.add_host net ~name:"vmanager" in
@@ -541,14 +542,7 @@ let make_colocated_rig ?(hosts = 2) ?(providers_per_host = 2) ?(replication = 2)
                (host, Disk.create engine ~name:(Fmt.str "disk%d.%d" h k) ()))))
   in
   let client_host = Net.add_host net ~name:"client" in
-  let params =
-    {
-      Types.default_params with
-      stripe_size = stripe;
-      replication;
-      allow_degraded_writes = allow_degraded;
-    }
-  in
+  let params = { Types.default_params with stripe_size = stripe; replication } in
   let service =
     Client.deploy engine net ~params ~version_manager_host:vm_host
       ~provider_manager_host:pm_host ~metadata_hosts:md_hosts ~data_providers:data ()
@@ -613,21 +607,6 @@ let test_placement_degraded_when_hosts_short () =
     (fun (i, (desc : Types.chunk_desc)) ->
       Alcotest.(check int) (Fmt.str "chunk %d single copy" i) 1 (List.length desc.replicas))
     descs
-
-let test_placement_strict_raises_when_hosts_short () =
-  let rig = make_colocated_rig ~allow_degraded:false () in
-  let from = rig.client_host in
-  let raised =
-    run_rig rig (fun () ->
-        Data_provider.fail (Client.data_provider rig.service 2);
-        Data_provider.fail (Client.data_provider rig.service 3);
-        let blob = Client.create_blob rig.service ~from ~capacity:500 in
-        try
-          ignore (Client.write blob ~from ~offset:0 (payload_str (String.make 500 'x')));
-          false
-        with Types.Provider_down _ -> true)
-  in
-  Alcotest.(check bool) "strict placement refuses degraded write" true raised
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end chunk integrity *)
@@ -929,19 +908,17 @@ let test_scrubber_unrepairable_reported () =
            (Scrubber.events scrub)))
 
 let test_scrubber_quorum_failure_defers_repair () =
-  (* Replication 3 on 3 machines with one dead: 2 good copies remain and no
-     spare failure domain exists, so a quorum of 3 cannot be met — the
-     chunk stays degraded and is retried, not force-published. *)
+  (* Replication 3 on 3 machines with two dead: 1 good copy remains and no
+     spare failure domain exists, so the majority quorum of 2 cannot be
+     met — the chunk stays degraded and is retried, not force-published. *)
   let rig = make_rig ~providers:3 ~replication:3 ~stripe:100 () in
   let from = rig.client_host in
   run_rig rig (fun () ->
       let blob = Client.create_blob rig.service ~from ~capacity:300 in
       let v = Client.write blob ~from ~offset:0 (payload_str (String.make 100 'q')) in
       Data_provider.fail (Client.data_provider rig.service 0);
-      let scrub =
-        Scrubber.create rig.service ~home:rig.client_host
-          ~config:{ Scrubber.default_config with Scrubber.quorum = Some 3 } ()
-      in
+      Data_provider.fail (Client.data_provider rig.service 1);
+      let scrub = Scrubber.create rig.service ~home:rig.client_host () in
       Scrubber.scan scrub;
       let stats = Scrubber.stats scrub in
       Alcotest.(check bool) "quorum failures counted" true (stats.Scrubber.quorum_failures > 0);
@@ -1067,8 +1044,6 @@ let () =
             test_placement_never_colocates_replicas;
           Alcotest.test_case "degraded when hosts short" `Quick
             test_placement_degraded_when_hosts_short;
-          Alcotest.test_case "strict mode raises when hosts short" `Quick
-            test_placement_strict_raises_when_hosts_short;
         ] );
       ( "integrity",
         [

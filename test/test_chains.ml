@@ -341,7 +341,7 @@ let test_chaos_settles_byte_identical () =
       { Faults.at = 0.010; action = Faults.Crash_compaction { point = 2 } };
     ]
   in
-  let chaos = Experiments.Chains.chaos_run scale ~script ~policy ~depth () in
+  let chaos = Experiments.Chains.chaos_run scale ~script ~depth () in
   let clean = Experiments.Chains.bs_run scale ~policy ~depth () in
   let co = chaos.Experiments.Chains.c_outcome in
   Alcotest.(check bool) "faults were injected" true

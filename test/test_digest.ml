@@ -57,16 +57,10 @@ let make_mirror rig ~node ~base ~version ~name =
   let host, disk = rig.nodes.(node) in
   Mirror.create rig.engine ~host ~local_disk:disk ~base ~base_version:version ~name ()
 
-(* Every digest-cache entry must equal the digest of the chunk's current
-   local bytes — the coherence invariant the teardown audit samples. *)
-let check_cache_coherent ~msg m =
-  List.iter
-    (fun (chunk, cached) ->
-      Alcotest.(check int64)
-        (Fmt.str "%s: chunk %d cache coherent" msg chunk)
-        (Payload.digest (Mirror.peek_chunk_payload m ~chunk))
-        cached)
-    (Mirror.digest_view m)
+(* The teardown audits' findings, run now. Test mirrors cache fewer than
+   64 digests, so the mirror's digest-cache-coherent check recomputes
+   every entry from the chunk's current local bytes. *)
+let audit rig = List.map (fun (x : Engine.violation) -> x.invariant) (Engine.audit rig.engine)
 
 (* ------------------------------------------------------------------ *)
 (* Payload digest memoization *)
@@ -140,22 +134,22 @@ let test_partial_write_invalidates_cache () =
       let m = make_mirror rig ~node:0 ~base ~version:v ~name:"m" in
       (* Full-chunk write: digest computed inline at write time. *)
       Mirror.write m ~offset:0 (Payload.of_string (String.make 256 'A'));
-      Alcotest.(check (list int)) "chunk 0 dirty" [ 0 ] (Mirror.dirty_view m);
+      Alcotest.(check (list int)) "chunk 0 dirty" [ 0 ] (Mirror.snapshot m).Mirror.dirty;
       Alcotest.(check bool) "chunk 0 cached" true
-        (List.mem_assoc 0 (Mirror.digest_view m));
-      check_cache_coherent ~msg:"after full write" m;
+        (List.mem_assoc 0 (Mirror.snapshot m).Mirror.digests);
+      Alcotest.(check (list string)) "after full write: audits clean" [] (audit rig);
       (* Partial overwrite: caching the merged digest would cost a
          read-modify-digest, so the entry must be invalidated instead. *)
       Mirror.write m ~offset:64 (Payload.of_string (String.make 32 'B'));
       Alcotest.(check bool) "chunk 0 entry invalidated" false
-        (List.mem_assoc 0 (Mirror.digest_view m));
-      check_cache_coherent ~msg:"after partial write" m;
+        (List.mem_assoc 0 (Mirror.snapshot m).Mirror.digests);
+      Alcotest.(check (list string)) "after partial write: audits clean" [] (audit rig);
       (* Commit re-digests it once and re-seeds the cache from the
          published descriptor; the spliced bytes round-trip. *)
       let version = Mirror.commit m in
       Alcotest.(check bool) "re-seeded after commit" true
-        (List.mem_assoc 0 (Mirror.digest_view m));
-      check_cache_coherent ~msg:"after commit" m;
+        (List.mem_assoc 0 (Mirror.snapshot m).Mirror.digests);
+      Alcotest.(check (list string)) "after commit: audits clean" [] (audit rig);
       let ckpt = Option.get (Mirror.checkpoint_image m) in
       Alcotest.(check string) "spliced bytes published"
         (String.make 64 'A' ^ String.make 32 'B' ^ String.make 160 'A')
@@ -172,7 +166,7 @@ let test_clean_rewrite_skips_digest_work () =
       (* A full-chunk rewrite of exactly the committed bytes hits the
          carried cache at the device: never dirtied, no commit work. *)
       Mirror.write m ~offset:256 (Payload.of_string (String.make 256 'C'));
-      Alcotest.(check (list int)) "stays clean" [] (Mirror.dirty_view m);
+      Alcotest.(check (list int)) "stays clean" [] (Mirror.snapshot m).Mirror.dirty;
       let after = Client.digest_stats rig.service in
       Alcotest.(check int) "skip accounted" (before.Client.chunks_skipped + 1)
         after.Client.chunks_skipped;
@@ -190,27 +184,28 @@ let test_dirty_set_exact_across_clone_rollback () =
       let base, v = setup_base rig ~content:(String.make 1024 'Z') in
       let m = make_mirror rig ~node:0 ~base ~version:v ~name:"m" in
       Mirror.write m ~offset:0 (Payload.of_string (String.make 300 'D'));
-      Alcotest.(check (list int)) "two dirty chunks" [ 0; 1 ] (Mirror.dirty_view m);
+      Alcotest.(check (list int)) "two dirty chunks" [ 0; 1 ] (Mirror.snapshot m).Mirror.dirty;
       (* CLONE materializes the checkpoint image; the dirty set is
          untouched. *)
       Mirror.clone m;
-      Alcotest.(check (list int)) "clone preserves dirty set" [ 0; 1 ] (Mirror.dirty_view m);
+      Alcotest.(check (list int)) "clone preserves dirty set" [ 0; 1 ]
+        (Mirror.snapshot m).Mirror.dirty;
       let good = Mirror.commit m in
-      Alcotest.(check (list int)) "commit drains dirty set" [] (Mirror.dirty_view m);
-      check_cache_coherent ~msg:"after commit" m;
+      Alcotest.(check (list int)) "commit drains dirty set" [] (Mirror.snapshot m).Mirror.dirty;
+      Alcotest.(check (list string)) "after commit: audits clean" [] (audit rig);
       (* Post-checkpoint damage, then rollback via a fresh mirror of the
          snapshot: the new instance starts with an empty, exact dirty set
          and a clean cache. *)
       Mirror.write m ~offset:512 (Payload.of_string (String.make 17 '!'));
-      Alcotest.(check (list int)) "damage tracked exactly" [ 2 ] (Mirror.dirty_view m);
+      Alcotest.(check (list int)) "damage tracked exactly" [ 2 ] (Mirror.snapshot m).Mirror.dirty;
       let ckpt = Option.get (Mirror.checkpoint_image m) in
       let m' = make_mirror rig ~node:1 ~base:ckpt ~version:good ~name:"m-rb" in
-      Alcotest.(check (list int)) "rollback starts clean" [] (Mirror.dirty_view m');
+      Alcotest.(check (list int)) "rollback starts clean" [] (Mirror.snapshot m').Mirror.dirty;
       Alcotest.(check (list (pair int int64))) "rollback cache empty" []
-        (Mirror.digest_view m');
+        (Mirror.snapshot m').Mirror.digests;
       Mirror.write m' ~offset:256 (Payload.of_string (String.make 256 'E'));
-      Alcotest.(check (list int)) "exact after rollback" [ 1 ] (Mirror.dirty_view m');
-      check_cache_coherent ~msg:"after rollback write" m')
+      Alcotest.(check (list int)) "exact after rollback" [ 1 ] (Mirror.snapshot m').Mirror.dirty;
+      Alcotest.(check (list string)) "after rollback write: audits clean" [] (audit rig))
 
 let test_taint_all_clears_cache () =
   let rig = make_rig () in
@@ -219,12 +214,14 @@ let test_taint_all_clears_cache () =
       let m = make_mirror rig ~node:0 ~base ~version:v ~name:"m" in
       Mirror.write m ~offset:0 (Payload.of_string (String.make 1024 'F'));
       ignore (Mirror.commit m);
-      Alcotest.(check bool) "cache populated" true (Mirror.digest_view m <> []);
+      Alcotest.(check bool) "cache populated" true ((Mirror.snapshot m).Mirror.digests <> []);
       (* The whole-image ablation baseline must pay the full re-digest and
          re-ship cost: carried digests would suppress everything. *)
       Mirror.taint_all m;
-      Alcotest.(check (list (pair int int64))) "cache cleared" [] (Mirror.digest_view m);
-      Alcotest.(check int) "all present chunks dirty" 4 (Mirror.dirty_chunks m);
+      Alcotest.(check (list (pair int int64))) "cache cleared" []
+        (Mirror.snapshot m).Mirror.digests;
+      Alcotest.(check int) "all present chunks dirty" 4
+        (List.length (Mirror.snapshot m).Mirror.dirty);
       let before = Client.digest_stats rig.service in
       ignore (Mirror.commit m);
       let after = Client.digest_stats rig.service in
@@ -258,21 +255,13 @@ let test_coherence_audit_catches_poke () =
       let m = make_mirror rig ~node:0 ~base ~version:v ~name:"m" in
       Mirror.write m ~offset:0 (Payload.of_string (String.make 256 'P'));
       ignore (Mirror.commit m);
-      let mirror_audit () =
-        List.filter (fun (x : Engine.violation) -> x.subject = "mirror:m") (Engine.audit rig.engine)
-      in
-      Alcotest.(check (list string)) "clean mirror audits clean" []
-        (List.map (fun (x : Engine.violation) -> x.invariant) (mirror_audit ()));
+      Alcotest.(check (list string)) "clean mirror audits clean" [] (audit rig);
       (* Corrupt one cache entry; the sampled recompute-from-bytes audit
          must flag it. *)
-      let chunk, good = List.hd (Mirror.digest_view m) in
+      let chunk, good = List.hd (Mirror.snapshot m).Mirror.digests in
       Mirror.unsafe_poke_digest m ~chunk 0x5711L;
-      let flagged =
-        List.exists
-          (fun (x : Engine.violation) -> x.invariant = "digest-cache-coherent")
-          (mirror_audit ())
-      in
-      Alcotest.(check bool) "stale digest caught" true flagged;
+      Alcotest.(check bool) "stale digest caught" true
+        (List.mem "digest-cache-coherent" (audit rig));
       (* Restore the entry so the engine's own teardown audit stays green. *)
       Mirror.unsafe_poke_digest m ~chunk good)
 

@@ -143,7 +143,7 @@ let test_durability_sweep_smoke () =
   (* One cell per (corrupt-weight, replication, scrub-interval) at quick
      scale: the corruption-free cell must finish and never trip a checksum
      failover; the corrupting cell must actually inject corruption. *)
-  let points = Durability.sweep scale () in
+  let points = Durability.sweep scale ~progress:ignore in
   Alcotest.(check int) "cells"
     (List.length scale.Scale.durability_corrupt_weights
     * List.length scale.Scale.durability_replications

@@ -416,6 +416,30 @@ let test_degraded_checkpoint_names_cause () =
     (Some "snapshot retry failed: Blobseer.Types.Provider_down(\"no live provider\")")
     (List.nth_opt reasons 0)
 
+(* A transient local-disk error while a snapshot ships a batch-claimed
+   chunk must release the claim. Three errors armed on node 0's disk right
+   after the third dump all fire in the first snapshot attempt; the proxy
+   retries, and the retry resolves the same digests, so a leaked claim
+   would block it forever. The run is bounded in simulated time (the
+   fault-free run ends near 29 s), so a leak fails the test instead of
+   hanging it. *)
+let test_snapshot_retry_after_disk_errors () =
+  let cluster = supervised_cluster () in
+  let arm n = if n = 3 then Disk.inject_transient (Cluster.node cluster 0).Cluster.disk ~ops:3 in
+  let report = ref None in
+  let _ =
+    Engine.Fiber.spawn cluster.Cluster.engine (fun () ->
+        report := Some (Supervisor.report (supervise cluster ~after_dump:arm ())))
+  in
+  while !report = None && Cluster.now cluster < 120.0 && Engine.step cluster.Cluster.engine do
+    ()
+  done;
+  match !report with
+  | None -> Alcotest.failf "no result after %.0f s of simulated time" (Cluster.now cluster)
+  | Some report ->
+      Alcotest.(check bool) "finished" true report.Supervisor.finished;
+      Alcotest.(check int) "all units" 12 report.Supervisor.units_completed
+
 (* ------------------------------------------------------------------ *)
 (* Durability acceptance: a crash injected mid-COMMIT plus one silently
    corrupted replica; the supervised restart must restore byte-identical
@@ -563,7 +587,7 @@ let test_availability_smoke () =
       availability_intervals = [ 2 ];
     }
   in
-  let points = Experiments.Availability.sweep scale () in
+  let points = Experiments.Availability.sweep scale ~progress:ignore in
   Alcotest.(check int) "one cell per kind" 2 (List.length points);
   List.iter
     (fun (p : Experiments.Availability.point) ->
@@ -608,6 +632,8 @@ let () =
           Alcotest.test_case "supervisor owns its injector" `Quick test_supervisor_owns_injector;
           Alcotest.test_case "degraded checkpoint names its cause" `Quick
             test_degraded_checkpoint_names_cause;
+          Alcotest.test_case "snapshot retry after disk errors" `Quick
+            test_snapshot_retry_after_disk_errors;
           Alcotest.test_case "durability chaos acceptance" `Quick
             test_durability_chaos_acceptance;
           Alcotest.test_case "durability replay deterministic" `Quick

@@ -61,15 +61,6 @@ let read_ckpt rig m ~version ~offset ~len =
   let ckpt = Option.get (Mirror.checkpoint_image m) in
   Payload.to_string (Client.read ckpt ~from:rig.client_host ~version ~offset ~len)
 
-let check_cache_coherent ~msg m =
-  List.iter
-    (fun (chunk, cached) ->
-      Alcotest.(check int64)
-        (Fmt.str "%s: chunk %d cache coherent" msg chunk)
-        (Payload.digest (Mirror.peek_chunk_payload m ~chunk))
-        cached)
-    (Mirror.digest_view m)
-
 (* The teardown audit's findings for the mirror named [name], run now. *)
 let audit_invariants engine name =
   List.filter_map
@@ -84,25 +75,25 @@ let test_freeze_cow_preserves_frozen_bytes () =
   run_rig rig (fun () ->
       let m = setup_mirror rig ~content:(String.make 1024 'Z') ~name:"m" in
       Mirror.write m ~offset:0 (Payload.of_string (String.make 512 'A'));
-      Alcotest.(check (list int)) "two dirty chunks" [ 0; 1 ] (Mirror.dirty_view m);
+      Alcotest.(check (list int)) "two dirty chunks" [ 0; 1 ] (Mirror.snapshot m).Mirror.dirty;
       (* Freeze: the dirty set becomes the frozen epoch, the live set
          restarts empty — this is the CLONE boundary. *)
       Mirror.freeze m;
       Alcotest.(check bool) "frozen active" true (Mirror.frozen_active m);
-      Alcotest.(check (list int)) "epoch captured" [ 0; 1 ] (Mirror.frozen_pending_view m);
-      Alcotest.(check (list int)) "live set restarts empty" [] (Mirror.dirty_view m);
+      Alcotest.(check (list int)) "epoch captured" [ 0; 1 ]
+        (Mirror.snapshot m).Mirror.frozen_pending;
+      Alcotest.(check (list int)) "live set restarts empty" [] (Mirror.snapshot m).Mirror.dirty;
       (* The guest races the background ship: chunk 0 is overwritten (its
          frozen bytes must be preserved copy-on-write), chunk 2 is new
          post-clone damage. *)
       Mirror.write m ~offset:0 (Payload.of_string (String.make 256 'X'));
       Mirror.write m ~offset:512 (Payload.of_string (String.make 256 'C'));
-      Alcotest.(check (list int)) "only chunk 0 copied" [ 0 ] (Mirror.frozen_copied_view m);
-      Alcotest.(check int) "one COW chunk charged" 1 (Mirror.cow_chunks m);
+      Alcotest.(check (list int)) "only chunk 0 copied" [ 0 ]
+        (Mirror.snapshot m).Mirror.frozen_copied;
+      Alcotest.(check int) "one COW chunk charged" 1 (Mirror.snapshot m).Mirror.cow_chunks;
       Alcotest.(check int) "COW bytes charged" 256 (Mirror.cow_bytes m);
-      Alcotest.(check (list int)) "post-clone writes tracked" [ 0; 2 ] (Mirror.dirty_view m);
-      Alcotest.(check string) "frozen bytes survive the overwrite"
-        (String.make 256 'A')
-        (Payload.to_string (Mirror.peek_frozen_payload m ~chunk:0));
+      Alcotest.(check (list int)) "post-clone writes tracked" [ 0; 2 ]
+        (Mirror.snapshot m).Mirror.dirty;
       (* Mid-epoch, the only violation is the liveness marker itself (an
          epoch still active *at teardown* is a leak); the subset and
          coherence checks over both forks must pass. *)
@@ -116,7 +107,7 @@ let test_freeze_cow_preserves_frozen_bytes () =
         (String.make 512 'A' ^ String.make 512 'Z')
         (read_ckpt rig m ~version:v1 ~offset:0 ~len:1024);
       Alcotest.(check (list int)) "dirty set exact across the boundary" [ 0; 2 ]
-        (Mirror.dirty_view m);
+        (Mirror.snapshot m).Mirror.dirty;
       (* The next (classic) commit ships the guest's current bytes. *)
       let v2 = Mirror.commit m in
       Alcotest.(check string) "next snapshot has live bytes"
@@ -131,20 +122,16 @@ let test_frozen_digest_cache_coherent_on_both_forks () =
       let m = setup_mirror rig ~content:(String.make 1024 'Z') ~name:"m" in
       (* Full-chunk writes seed the live digest cache inline. *)
       Mirror.write m ~offset:0 (Payload.of_string (String.make 512 'B'));
-      let frozen_digest = List.assoc 0 (Mirror.digest_view m) in
+      let frozen_digest = List.assoc 0 (Mirror.snapshot m).Mirror.digests in
       Mirror.freeze m;
       (* Freeze captured the digests; a partial overwrite then invalidates
          the *live* entry and preserves the frozen bytes copy-on-write.
          The frozen fork's digest must keep describing the frozen bytes. *)
       Mirror.write m ~offset:0 (Payload.of_string (String.make 32 '!'));
       Alcotest.(check bool) "live entry invalidated" false
-        (List.mem_assoc 0 (Mirror.digest_view m));
-      Alcotest.(check int64) "frozen digest describes frozen bytes"
-        (Payload.digest (Mirror.peek_frozen_payload m ~chunk:0))
-        (List.assoc 0 (Mirror.frozen_digest_view m));
+        (List.mem_assoc 0 (Mirror.snapshot m).Mirror.digests);
       Alcotest.(check int64) "frozen digest carried from freeze time" frozen_digest
-        (List.assoc 0 (Mirror.frozen_digest_view m));
-      check_cache_coherent ~msg:"live fork before commit" m;
+        (List.assoc 0 (Mirror.snapshot m).Mirror.frozen_digests);
       Alcotest.(check (list string)) "both forks audit clean" [ "frozen-resolved" ]
         (audit_invariants rig.engine "m");
       ignore (Mirror.commit_frozen m);
@@ -152,12 +139,12 @@ let test_frozen_digest_cache_coherent_on_both_forks () =
          chunk: the descriptor it minted describes the frozen bytes, while
          the live bytes have moved on. Untouched chunk 1 may re-seed. *)
       Alcotest.(check bool) "no stale re-seed for the copied chunk" false
-        (List.mem_assoc 0 (Mirror.digest_view m));
+        (List.mem_assoc 0 (Mirror.snapshot m).Mirror.digests);
       Alcotest.(check bool) "untouched frozen chunk re-seeded" true
-        (List.mem_assoc 1 (Mirror.digest_view m));
-      check_cache_coherent ~msg:"live fork after commit" m;
+        (List.mem_assoc 1 (Mirror.snapshot m).Mirror.digests);
+      Alcotest.(check (list string)) "live fork audits clean after commit" []
+        (audit_invariants rig.engine "m");
       ignore (Mirror.commit m);
-      check_cache_coherent ~msg:"after draining the live set" m;
       Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants rig.engine "m"))
 
 let test_abort_frozen_folds_back () =
@@ -165,24 +152,24 @@ let test_abort_frozen_folds_back () =
   run_rig rig (fun () ->
       let m = setup_mirror rig ~content:(String.make 1024 'Z') ~name:"m" in
       Mirror.write m ~offset:0 (Payload.of_string (String.make 512 'A'));
-      let local_before = Mirror.local_bytes m in
+      let local_before = (Mirror.snapshot m).Mirror.local_bytes in
       Mirror.freeze m;
       Mirror.write m ~offset:0 (Payload.of_string (String.make 256 'X'));
       Mirror.write m ~offset:512 (Payload.of_string (String.make 256 'C'));
-      let with_frozen = Mirror.local_bytes m in
+      let with_frozen = (Mirror.snapshot m).Mirror.local_bytes in
       (* Abort: the snapshot will never complete — frozen chunks fold back
          into the dirty set, the preserved copies and their disk reservation
          are dropped, and the next commit ships the *current* bytes. *)
       Mirror.abort_frozen m;
       Alcotest.(check bool) "epoch resolved" false (Mirror.frozen_active m);
       Alcotest.(check (list int)) "union of frozen and post-clone damage" [ 0; 1; 2 ]
-        (Mirror.dirty_view m);
+        (Mirror.snapshot m).Mirror.dirty;
       (* Only the 256-byte COW copy is released; the post-clone write to
          chunk 2 legitimately stays cached locally. *)
       Alcotest.(check int) "diff-log reservation released" (with_frozen - 256)
-        (Mirror.local_bytes m);
+        (Mirror.snapshot m).Mirror.local_bytes;
       Alcotest.(check int) "only the new chunk beyond the pre-freeze set"
-        (local_before + 256) (Mirror.local_bytes m);
+        (local_before + 256) (Mirror.snapshot m).Mirror.local_bytes;
       Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants rig.engine "m");
       let v = Mirror.commit m in
       Alcotest.(check string) "retry ships current bytes"
@@ -204,7 +191,7 @@ let test_frozen_epoch_guards () =
         (Invalid_argument "Mirror.freeze: a frozen epoch is already active") (fun () ->
           ignore (Mirror.commit m));
       Alcotest.(check (list int)) "epoch in flight untouched" [ 0 ]
-        (Mirror.frozen_pending_view m);
+        (Mirror.snapshot m).Mirror.frozen_pending;
       Alcotest.check_raises "double freeze refused"
         (Invalid_argument "Mirror.freeze: a frozen epoch is already active") (fun () ->
           Mirror.freeze m);
@@ -218,7 +205,7 @@ let test_failed_commit_rolls_back () =
       Mirror.clone m;
       Mirror.write m ~offset:0 (Payload.of_string (String.make 512 'A'));
       Mirror.write m ~offset:768 (Payload.of_string (String.make 128 'D'));
-      let dirty = Mirror.dirty_view m in
+      let dirty = (Mirror.snapshot m).Mirror.dirty in
       let vmgr = Client.version_manager rig.service in
       Version_manager.arm_crash vmgr Version_manager.Mid_apply;
       (match Mirror.commit m with
@@ -227,14 +214,14 @@ let test_failed_commit_rolls_back () =
       (* The commit's abort handler folds the frozen epoch back: nothing
          leaks, and the dirty set is exactly what it was before. *)
       Alcotest.(check bool) "no leaked frozen epoch" false (Mirror.frozen_active m);
-      Alcotest.(check (list int)) "dirty set as it was" dirty (Mirror.dirty_view m);
+      Alcotest.(check (list int)) "dirty set as it was" dirty (Mirror.snapshot m).Mirror.dirty;
       Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants rig.engine "m");
       Version_manager.restart vmgr;
       let v = Mirror.commit m in
       Alcotest.(check string) "retry publishes the same bytes"
         (String.make 512 'A' ^ String.make 256 'Z' ^ String.make 128 'D' ^ String.make 128 'Z')
         (read_ckpt rig m ~version:v ~offset:0 ~len:1024);
-      Alcotest.(check (list int)) "dirty set drained" [] (Mirror.dirty_view m))
+      Alcotest.(check (list int)) "dirty set drained" [] (Mirror.snapshot m).Mirror.dirty)
 
 (* ------------------------------------------------------------------ *)
 (* Stack-level: live checkpoints through Approach / Ckpt_proxy *)
@@ -303,7 +290,8 @@ let crash_mid_commit_rolls_back ~mode () =
       (* The abort path must leave the mirror retryable: no leaked frozen
          epoch, the delta folded back into the dirty set, the VM running. *)
       Alcotest.(check bool) "no leaked frozen epoch" false (Mirror.frozen_active mirror);
-      Alcotest.(check bool) "delta folded back" true (Mirror.dirty_chunks mirror > 0);
+      Alcotest.(check bool) "delta folded back" true
+        ((Mirror.snapshot mirror).Mirror.dirty <> []);
       Alcotest.(check bool) "vm running after failed commit" true
         (Vmsim.Vm.state inst.Approach.vm = Vmsim.Vm.Running);
       Alcotest.(check (list string)) "mirror audits clean" [] (audit_invariants cluster.Cluster.engine "vm0.mirror");

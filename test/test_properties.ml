@@ -224,7 +224,7 @@ let prop_guest_fs_matches_reference =
     (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_fs_op ops)) gen)
     (fun ops ->
       let dev = Block_dev.in_memory ~capacity:(Size.mib_n 8) in
-      let fs = ref (Guest_fs.format dev ~meta_region:(Size.mib_n 1) ()) in
+      let fs = ref (Guest_fs.format dev) in
       Guest_fs.sync !fs;
       (* [synced] is what a remount must see; [live] is the page-cache
          view. *)

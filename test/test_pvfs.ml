@@ -148,7 +148,7 @@ let test_delete_frees_disks () =
 
 let test_metadata_serializes_creates () =
   (* 10 concurrent creates must take at least 10 × metadata_op_cost. *)
-  let params = { Pvfs.default_params with stripe_size = 100; metadata_op_cost = 0.01 } in
+  let params = { Pvfs.default_params with stripe_size = 100 } in
   let rig = make_rig ~params () in
   let from = rig.client in
   let elapsed =
@@ -159,7 +159,8 @@ let test_metadata_serializes_creates () =
                ignore (Pvfs.create rig.fs ~from ~path:(Fmt.str "/c%d" i))));
         Engine.now rig.engine -. t0)
   in
-  Alcotest.(check bool) (Fmt.str "serialized (%.3fs)" elapsed) true (elapsed >= 0.1)
+  Alcotest.(check bool) (Fmt.str "serialized (%.3fs)" elapsed) true
+    (elapsed >= 10.0 *. params.Pvfs.metadata_op_cost)
 
 let prop_pvfs_matches_reference =
   let gen =

@@ -64,14 +64,6 @@ let test_rng_split_independent () =
   let b = Rng.split a in
   Alcotest.(check bool) "diverge" false (Rng.int64 a = Rng.int64 b)
 
-let test_rng_shuffle_permutation () =
-  let rng = Rng.create 11 in
-  let a = Array.init 50 Fun.id in
-  Rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
-
 (* ------------------------------------------------------------------ *)
 (* Payload *)
 
@@ -494,16 +486,6 @@ let test_schedule_shuffle_deterministic () =
   let orders = List.map (fun s -> pops (Event_queue.Seeded_shuffle s)) [ 1; 2; 3; 4; 5 ] in
   Alcotest.(check bool) "distinct seeds can disagree" true
     (List.exists (fun o -> o <> List.hd orders) orders)
-
-let test_schedule_parse_roundtrip () =
-  List.iter
-    (fun s ->
-      match Event_queue.schedule_of_string (Event_queue.schedule_to_string s) with
-      | Ok s' -> Alcotest.(check bool) "roundtrip" true (s = s')
-      | Error m -> Alcotest.fail m)
-    [ Event_queue.Fifo; Event_queue.Lifo; Event_queue.Seeded_shuffle 503 ];
-  Alcotest.(check bool) "garbage rejected" true
-    (match Event_queue.schedule_of_string "random" with Error _ -> true | Ok _ -> false)
 
 (* Differential check of the queue against a reference: a list kept in
    [(time, rank, seq)] order. The operations mix adds at exactly the last
@@ -1190,7 +1172,6 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "exponential positive" `Quick test_rng_exponential_positive;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
-          Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
         ] );
       ( "payload",
         [
@@ -1224,7 +1205,6 @@ let () =
             test_schedule_shuffle_permutes_within_ties;
           Alcotest.test_case "shuffle deterministic per seed" `Quick
             test_schedule_shuffle_deterministic;
-          Alcotest.test_case "schedule parse roundtrip" `Quick test_schedule_parse_roundtrip;
           Alcotest.test_case "popped values released" `Quick test_event_queue_releases_popped;
         ]
         @ qsuite

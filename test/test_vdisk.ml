@@ -410,7 +410,7 @@ let test_mirror_reads_base_lazily () =
           Mirror.create rig.engine ~host ~local_disk:disk ~base ~base_version:v ~name:"m" ()
         in
         let first = Payload.to_string (Mirror.read m ~offset:100 ~len:4) in
-        (first, Mirror.cached_chunks m))
+        (first, List.length (Mirror.snapshot m).Mirror.present))
   in
   Alcotest.(check string) "base content" "ZZZZ" first;
   Alcotest.(check int) "only touched chunk cached" 1 cached
@@ -557,9 +557,9 @@ let test_mirror_local_footprint_and_drop () =
         in
         ignore (Mirror.read m ~offset:0 ~len:512);
         Mirror.write m ~offset:512 (Payload.of_string (String.make 256 'w'));
-        let during = Mirror.local_bytes m in
+        let during = (Mirror.snapshot m).Mirror.local_bytes in
         Mirror.drop_local_state m;
-        (during, Mirror.local_bytes m))
+        (during, (Mirror.snapshot m).Mirror.local_bytes))
   in
   Alcotest.(check int) "cache + cow" 768 during;
   Alcotest.(check int) "released" 0 after
@@ -573,10 +573,10 @@ let log_rounds ~rounds =
   let rig = make_rig ~stripe:chunk () in
   let host, disk = rig.nodes.(1) in
   run rig (fun () ->
-      let base = Client.create_blob rig.service ~from:host ~capacity:(Size.mib_n 4) in
-      let v = Client.write base ~from:host ~offset:0 (Payload.zero (Size.mib_n 4)) in
+      let base = Client.create_blob rig.service ~from:host ~capacity:(Size.mib_n 8) in
+      let v = Client.write base ~from:host ~offset:0 (Payload.zero (Size.mib_n 8)) in
       let m = Mirror.create rig.engine ~host ~local_disk:disk ~base ~base_version:v ~name:"m" () in
-      let fs = Vmsim.Guest_fs.format (Mirror.device m) ~meta_region:chunk () in
+      let fs = Vmsim.Guest_fs.format (Mirror.device m) in
       let log = Payload.pattern ~seed:0x106L (Size.mib_n 4) in
       List.init rounds (fun r ->
           let hashed = Payload.hashed_bytes () in
@@ -785,15 +785,14 @@ let prop_mirror_state_matches_model =
               let pending, copied, fd =
                 match md.frozen with Some f -> f | None -> ([], [], [])
               in
-              agree "present_view" (keyed (Mirror.present_view m)) (keyed md.present);
-              agree "dirty_view" (keyed (Mirror.dirty_view m)) (keyed md.dirty);
-              agree "digest_view" (Mirror.digest_view m) md.digests;
-              agree "frozen_pending_view" (keyed (Mirror.frozen_pending_view m)) (keyed pending);
-              agree "frozen_copied_view" (keyed (Mirror.frozen_copied_view m)) (keyed copied);
-              agree "frozen_digest_view" (Mirror.frozen_digest_view m) fd;
+              let s = Mirror.snapshot m in
+              agree "present" (keyed s.Mirror.present) (keyed md.present);
+              agree "dirty" (keyed s.Mirror.dirty) (keyed md.dirty);
+              agree "digests" s.Mirror.digests md.digests;
+              agree "frozen_pending" (keyed s.Mirror.frozen_pending) (keyed pending);
+              agree "frozen_copied" (keyed s.Mirror.frozen_copied) (keyed copied);
+              agree "frozen_digests" s.Mirror.frozen_digests fd;
               if Mirror.frozen_active m <> (md.frozen <> None) then failwith "frozen_active";
-              if Mirror.cached_chunks m <> List.length md.present then failwith "cached_chunks";
-              if Mirror.dirty_chunks m <> List.length md.dirty then failwith "dirty_chunks";
               if Mirror.dirty_bytes m <> List.fold_left (fun acc c -> acc + extent c) 0 md.dirty
               then failwith "dirty_bytes"
             in
