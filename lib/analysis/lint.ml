@@ -293,21 +293,21 @@ let scan_source ~file source =
 (* ------------------------------------------------------------------ *)
 (* Tree scan *)
 
-let missing_mli ~dir ~ml ~mli =
-  let mli_stems = List.map Filename.remove_extension mli in
+let missing_mli files =
   List.filter_map
-    (fun f ->
-      let stem = Filename.remove_extension f in
-      if List.mem stem mli_stems then None
+    (fun path ->
+      if (not (Filename.check_suffix path ".ml")) || List.mem (path ^ "i") files then None
       else
+        let f = Filename.basename path in
         Some
           {
             rule = "missing-mli";
-            file = Filename.concat dir f;
+            file = path;
             line = 1;
-            message = Fmt.str "%s has no companion %s.mli interface" f (Filename.basename stem);
+            message =
+              Fmt.str "%s has no companion %s.mli interface" f (Filename.remove_extension f);
           })
-    (List.sort compare ml)
+    files
 
 let rec walk dir =
   match Sys.readdir dir with
@@ -460,7 +460,6 @@ let interface_vals content =
 
 (* [Test-only:] tags a val; [Test-only [?name]:] tags one of its options. *)
 let val_tag = "Test-only:"
-let option_tag name = Fmt.str "Test-only [?%s]:" name
 
 (* What one implementation file can reach: every [M.x] step of a dotted
    path, every bare identifier, and every module it opens ([open M],
@@ -511,85 +510,16 @@ let refs_of_code code =
    [test], with its code (comments and strings blanked) as one string. *)
 type user = { path : string; is_test : bool; code : string; refs : refs }
 
-(* A library interface: its own implementation, whose uses do not count. *)
-type interface = {
-  mli : string;
-  own : string;
-  unit_name : string;
-  code_lines : string array;
-  comment_lines : string array;
-  vals : interface_val list;
-}
-
-let interface_of mli =
-  let source = read_file mli in
-  let lines = split_lines source in
-  {
-    mli;
-    own = Filename.remove_extension mli ^ ".ml";
-    unit_name = String.capitalize_ascii (Filename.basename (Filename.remove_extension mli));
-    code_lines = Array.of_list (List.map fst lines);
-    comment_lines = Array.of_list (List.map snd lines);
-    vals = interface_vals source;
-  }
-
-(* A finding, unless a pragma that gives a reason allows it. *)
-let report itf rule line message =
-  let { code_lines; comment_lines; _ } = itf in
-  if allowed ~reason:true ~code_lines ~comment_lines rule (line - 1) then None
-  else Some { rule; file = itf.mli; line; message }
-
-let uses_val itf u name =
-  u.path <> itf.own
-  && (Hashtbl.mem u.refs.qualified (itf.unit_name, name)
-     || (Hashtbl.mem u.refs.opened itf.unit_name && Hashtbl.mem u.refs.bare name))
-
 let has_tag tag = function Some doc -> contains_substring doc tag | None -> false
-
-let unused_exports users itf =
-  List.filter_map
-    (fun v ->
-      let found = List.filter (fun u -> uses_val itf u v.name) users in
-      let problem =
-        match (List.find_opt (fun u -> not u.is_test) found, has_tag val_tag v.doc) with
-        | _ when not (is_ident_char v.name.[0]) -> None (* an operator *)
-        | None, _ when found = [] -> Some "has no user outside its own module"
-        | None, false -> Some "is used only by tests; tag its doc comment Test-only"
-        | Some u, true -> Some (Fmt.str "is tagged Test-only but %s uses it" u.path)
-        | _ -> None
-      in
-      Option.bind problem (fun p ->
-          report itf "unused-export" v.decl_line (Fmt.str "val %s.%s %s" itf.unit_name v.name p)))
-    itf.vals
-
-(* The [?name:] options of a val's signature (its [val] line and the
-   indented lines below it), with their lines. *)
-let val_options itf v =
-  let rec go l acc =
-    let code = if l <= Array.length itf.code_lines then itf.code_lines.(l - 1) else "end" in
-    if l > v.decl_line && code <> "" && code.[0] <> ' ' then List.rev acc
-    else
-      go (l + 1)
-        (List.fold_left
-           (fun acc s ->
-             match String.index_opt s ':' with
-             | Some j when j > 0 && String.for_all is_ident_char (String.sub s 0 j) ->
-                 (String.sub s 0 j, l) :: acc
-             | _ -> acc)
-           acc
-           (List.tl (String.split_on_char '?' code)))
-  in
-  go v.decl_line []
-
 let is_space c = c = ' ' || c = '\n' || c = '\t' || c = '\r'
 
-(* The start of the dotted path that ends at the name at [pos], and the
-   end of the code before it. *)
+(* The start of the dotted path that ends at the name at [pos]. *)
 let rec path_start code pos =
   if pos > 0 && (is_ident_char code.[pos - 1] || code.[pos - 1] = '.') then
     path_start code (pos - 1)
   else pos
 
+(* The end of the code before [i], skipping white space. *)
 let rec space_back code i = if i > 0 && is_space code.[i - 1] then space_back code (i - 1) else i
 
 (* Keywords that end an application. *)
@@ -633,66 +563,6 @@ let applied_labels code pos ~all =
   then all
   else go (word_end start) 0 []
 
-let unused_options users itf =
-  List.concat_map
-    (fun v ->
-      let opts = val_options itf v in
-      let all = List.map fst opts in
-      (* Per user that names the val: whether it is a test, and the labels
-         it applies wherever it names [Unit.name], or a bare [name] when it
-         opens the unit. *)
-      let passed =
-        List.filter_map
-          (fun u ->
-            let at needle =
-              List.concat_map
-                (fun p -> applied_labels u.code p ~all)
-                (token_positions ~allow_dot_before:true u.code needle)
-            in
-            if opts = [] || not (uses_val itf u v.name) then None
-            else
-              Some
-                ( u.is_test,
-                  at (itf.unit_name ^ "." ^ v.name)
-                  @ if Hashtbl.mem u.refs.opened itf.unit_name then at v.name else [] ))
-          users
-      in
-      List.filter_map
-        (fun (name, line) ->
-          let passers = List.filter (fun (_, labels) -> List.mem name labels) passed in
-          let problem =
-            if passers = [] then Some (Fmt.str "no call site passes ?%s" name)
-            else if List.for_all fst passers && not (has_tag val_tag v.doc || has_tag (option_tag name) v.doc)
-            then Some (Fmt.str "only tests pass ?%s; state why in a %s tag" name (option_tag name))
-            else None
-          in
-          Option.bind problem (fun p ->
-              report itf "unused-option" line (Fmt.str "val %s.%s: %s" itf.unit_name v.name p)))
-        opts)
-    itf.vals
-
-(* The fields of the interface's [type config = {] and [type params = {]
-   records, one per line, with their lines. *)
-let config_fields itf =
-  let record = ref None in
-  List.concat
-    (List.mapi
-       (fun i code ->
-         match (!record, String.trim code) with
-         | None, ("type config = {" | "type params = {") ->
-             record := Some (String.sub (String.trim code) 5 6);
-             []
-         | Some _, "}" ->
-             record := None;
-             []
-         | Some ty, code -> (
-             match String.index_opt code ':' with
-             | Some j when j > 0 && String.for_all is_ident_char (String.trim (String.sub code 0 j)) ->
-                 [ (ty, String.trim (String.sub code 0 j), i + 1) ]
-             | _ -> [])
-         | None, _ -> [])
-       (Array.to_list itf.code_lines))
-
 (* Whether the field named at [pos] is set there: [f =], [M.f =] or a
    punned [f] right after [{], [;] or [with]. *)
 let sets_field code pos f =
@@ -706,26 +576,124 @@ let sets_field code pos f =
   && (code.[b - 1] = '{' || code.[b - 1] = ';'
      || (b >= 4 && String.sub code (b - 4) 4 = "with" && path_start code b = b - 4))
 
-let test_only_fields users itf =
-  List.filter_map
-    (fun (ty, f, line) ->
-      let setters =
-        List.filter
-          (fun u ->
-            u.path <> itf.own
-            && (Hashtbl.mem u.refs.bare f || Hashtbl.mem u.refs.qualified (itf.unit_name, f))
-            && List.exists
-                 (fun p -> sets_field u.code p f)
-                 (token_positions ~allow_dot_before:true u.code f))
-          users
-      in
-      if setters <> [] && List.for_all (fun u -> u.is_test) setters then
-        report itf "unused-option" line
-          (Fmt.str "field %s.%s.%s is set only by tests" itf.unit_name ty f)
-      else None)
-    (config_fields itf)
+(* The unused-export and unused-option findings of one library interface.
+   Uses in its own implementation do not count. *)
+let interface_findings users mli =
+  let source = read_file mli in
+  let lines = split_lines source in
+  let code_lines = Array.of_list (List.map fst lines) in
+  let comment_lines = Array.of_list (List.map snd lines) in
+  let own = Filename.remove_extension mli ^ ".ml" in
+  let unit_name = String.capitalize_ascii (Filename.basename (Filename.remove_extension mli)) in
+  (* A finding, unless a pragma that gives a reason allows it. *)
+  let report rule line =
+    Fmt.kstr (fun message ->
+        if allowed ~reason:true ~code_lines ~comment_lines rule (line - 1) then None
+        else Some { rule; file = mli; line; message })
+  in
+  let users_of name =
+    List.filter
+      (fun u ->
+        u.path <> own
+        && (Hashtbl.mem u.refs.qualified (unit_name, name)
+           || (Hashtbl.mem u.refs.opened unit_name && Hashtbl.mem u.refs.bare name)))
+      users
+  in
+  let export v =
+    let found = users_of v.name in
+    match (List.find_opt (fun u -> not u.is_test) found, has_tag val_tag v.doc) with
+    | _ when not (is_ident_char v.name.[0]) -> None (* an operator *)
+    | None, _ when found = [] ->
+        report "unused-export" v.decl_line "val %s.%s has no user outside its own module"
+          unit_name v.name
+    | None, false ->
+        report "unused-export" v.decl_line
+          "val %s.%s is used only by tests; tag its doc comment Test-only" unit_name v.name
+    | Some u, true ->
+        report "unused-export" v.decl_line "val %s.%s is tagged Test-only but %s uses it"
+          unit_name v.name u.path
+    | _ -> None
+  in
+  (* The [?name:] options of the val's signature, its [val] line and the
+     indented lines below it, with their lines. *)
+  let rec val_options v l acc =
+    let code = if l <= Array.length code_lines then code_lines.(l - 1) else "end" in
+    if l > v.decl_line && code <> "" && code.[0] <> ' ' then List.rev acc
+    else
+      val_options v (l + 1)
+        (List.fold_left
+           (fun acc s ->
+             match String.index_opt s ':' with
+             | Some j when j > 0 && String.for_all is_ident_char (String.sub s 0 j) ->
+                 (String.sub s 0 j, l) :: acc
+             | _ -> acc)
+           acc
+           (List.tl (String.split_on_char '?' code)))
+  in
+  let options v =
+    let opts = val_options v v.decl_line [] in
+    let all = List.map fst opts in
+    (* Per user: whether it is a test, and the labels it applies wherever it
+       names [Unit.name], or a bare [name] when it opens the unit. *)
+    let passed =
+      List.map
+        (fun u ->
+          let at needle =
+            List.concat_map
+              (fun p -> applied_labels u.code p ~all)
+              (token_positions ~allow_dot_before:true u.code needle)
+          in
+          ( u.is_test,
+            at (unit_name ^ "." ^ v.name)
+            @ if Hashtbl.mem u.refs.opened unit_name then at v.name else [] ))
+        (if opts = [] then [] else users_of v.name)
+    in
+    List.filter_map
+      (fun (name, line) ->
+        let passers = List.filter (fun (_, labels) -> List.mem name labels) passed in
+        let tag = Fmt.str "Test-only [?%s]:" name in
+        if passers = [] then
+          report "unused-option" line "val %s.%s: no call site passes ?%s" unit_name v.name name
+        else if List.for_all fst passers && not (has_tag val_tag v.doc || has_tag tag v.doc) then
+          report "unused-option" line "val %s.%s: only tests pass ?%s; state why in a %s tag"
+            unit_name v.name name tag
+        else None)
+      opts
+  in
+  (* The fields of [type config = {] and [type params = {] records, one per
+     line, that only tests set. *)
+  let record = ref None in
+  let field i code =
+    match (!record, String.trim code) with
+    | None, (("type config = {" | "type params = {") as decl) ->
+        record := Some (String.sub decl 5 6);
+        None
+    | Some _, "}" ->
+        record := None;
+        None
+    | Some ty, code -> (
+        match String.index_opt code ':' with
+        | Some j when j > 0 && String.for_all is_ident_char (String.trim (String.sub code 0 j)) ->
+            let f = String.trim (String.sub code 0 j) in
+            let setters =
+              List.filter
+                (fun u ->
+                  u.path <> own
+                  && (Hashtbl.mem u.refs.bare f || Hashtbl.mem u.refs.qualified (unit_name, f))
+                  && List.exists
+                       (fun p -> sets_field u.code p f)
+                       (token_positions ~allow_dot_before:true u.code f))
+                users
+            in
+            if setters <> [] && List.for_all (fun u -> u.is_test) setters then
+              report "unused-option" (i + 1) "field %s.%s.%s is set only by tests" unit_name ty f
+            else None
+        | _ -> None)
+    | None, _ -> None
+  in
+  List.concat_map (fun v -> Option.to_list (export v) @ options v) (interface_vals source)
+  @ List.concat (List.mapi (fun i code -> Option.to_list (field i code)) (Array.to_list code_lines))
 
-(* Group files per directory for the missing-mli rule. *)
 let scan_tree ~root dirs =
   let findings = ref [] in
   List.iter
@@ -738,17 +706,7 @@ let scan_tree ~root dirs =
           if Filename.check_suffix path ".ml" then
             findings := scan_source ~file:path (read_file path) @ !findings)
         files;
-      if in_lib then begin
-        let by_dir = List.sort_uniq compare (List.map Filename.dirname files) in
-        List.iter
-          (fun d ->
-            let here = List.filter (fun p -> Filename.dirname p = d) files in
-            let base = List.map Filename.basename here in
-            let ml = List.filter (fun f -> Filename.check_suffix f ".ml") base in
-            let mli = List.filter (fun f -> Filename.check_suffix f ".mli") base in
-            findings := missing_mli ~dir:d ~ml ~mli @ !findings)
-          by_dir
-      end)
+      if in_lib then findings := missing_mli files @ !findings)
     dirs;
   if List.mem "lib" dirs then begin
     let under dir = walk (Filename.concat root dir) in
@@ -765,14 +723,10 @@ let scan_tree ~root dirs =
         [ "lib"; "bin"; "bench"; "examples"; "test" ]
     in
     List.iter
-      (fun mli ->
-        let itf = interface_of mli in
-        findings :=
-          unused_exports users itf @ unused_options users itf @ test_only_fields users itf
-          @ !findings)
+      (fun mli -> findings := interface_findings users mli @ !findings)
       (List.filter (fun p -> Filename.check_suffix p ".mli") (under "lib"))
   end;
-  List.sort compare !findings
+  List.sort (fun a b -> compare (a.file, a.line, a.rule) (b.file, b.line, b.rule)) !findings
 
 let pp_finding ppf f =
   Fmt.pf ppf "%s:%d: [%s] %s" f.file f.line f.rule f.message

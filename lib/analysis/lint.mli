@@ -14,20 +14,27 @@
       floats (NaN breaks ordering);
     - [missing-mli]: library [.ml] without a companion [.mli];
     - [domains]: [Domain], [Atomic], [Mutex], [Condition] or [Thread] —
-      the simulator runs on one domain, and only a pure fold may run off
-      it;
+      the simulator runs on one domain;
     - [unused-export]: a top-level [val] of a library [.mli] that no other
       compilation unit under [lib], [bin], [bench], [examples] or [test]
       uses, or that only tests use while its doc comment lacks the tag
-      [Test-only], or that carries the tag although a non-test unit uses
+      [Test-only:], or that carries the tag although a non-test unit uses
       it. A use is [Module.name] in code, or a bare [name] in a file that
-      opens [Module] ([open], [let open ... in], [Module.( ... )]).
+      opens [Module] ([open], [let open ... in], [Module.( ... )]);
+    - [unused-option]: an optional parameter of such a [val] that no call
+      site in another unit passes ([~name] or [?name] among the labels
+      applied to the val; a val handed on as a value passes them all), or
+      that only tests pass while the doc lacks [Test-only [?name]:] (or the
+      val's own tag); and a field of a [type config] or [type params]
+      record that only tests set ([f =] or a punned [f] after [{], [;] or
+      [with]).
 
     Comments and string-literal contents are ignored, so rule names and
     banned tokens may appear freely in documentation. A finding is
     suppressed by a [(* lint: allow <rule> ... *)] pragma in a comment on
     the offending line; text after the rule ids serves as justification,
-    and an [unused-export] pragma without one suppresses nothing. *)
+    and an [unused-export] or [unused-option] pragma without one
+    suppresses nothing. *)
 
 type finding = { rule : string; file : string; line : int; message : string }
 
@@ -36,16 +43,16 @@ val scan_source : file:string -> string -> finding list
     is only used to label findings.
     Test-only: the pure entry point the rule tests use. *)
 
-val missing_mli : dir:string -> ml:string list -> mli:string list -> finding list
-(** The missing-mli rule over one directory's basenames (pure, for
-    tests). Test-only: a test rig hook. *)
+val missing_mli : string list -> finding list
+(** The missing-mli rule over a list of paths: each [.ml] whose [.mli] is
+    not in the list (pure). Test-only: a test rig hook. *)
 
 val scan_tree : root:string -> string list -> finding list
 (** Scan the given directories (relative to [root]) recursively: content
     rules over every [.ml], plus [missing-mli] for directories under
-    [lib] and, when [lib] is among them, [unused-export] over
-    [lib]'s interfaces with users from [lib], [bin], [bench], [examples]
-    and [test]. Findings are sorted by file, line and rule; directories whose
+    [lib] and, when [lib] is among them, [unused-export] and
+    [unused-option] over [lib]'s interfaces with users from [lib], [bin],
+    [bench], [examples] and [test]. Findings are sorted by file, line and rule; directories whose
     name starts with ['.'] or ['_'] are skipped. *)
 
 type interface_val = {

@@ -103,7 +103,7 @@ let outcome_of_exn ~strict trace = function
 
 (* The one place a scenario runs: capture the engine trace around the
    run, classify an escaped exception, otherwise render and audit. *)
-let scenario_of ~strict sname ~run ~render ~audit =
+let make_scenario ~strict sname ~run ~render ~audit =
   {
     sname;
     srun =
@@ -116,8 +116,6 @@ let scenario_of ~strict sname ~run ~render ~audit =
         | Error e, trace -> outcome_of_exn ~strict trace e
         | Ok r, trace -> { results = render r; trace; violations = audit r });
   }
-
-let make_scenario sname = scenario_of ~strict:false sname
 
 let engine_violations engine =
   List.map (Fmt.str "%a" Engine.pp_violation) (Engine.audit engine)
@@ -206,7 +204,7 @@ let chaos_audit (c : Experiments.Durability.chaos) =
 (* [chaos] and [precopy] differ only in their fault script and their
    supervisor policy. *)
 let supervised sname ?policy script =
-  make_scenario sname
+  make_scenario ~strict:false sname
     ~run:(fun scale ~fault_seed ->
       Experiments.Durability.chaos_run scale ~script:(script scale ~fault_seed)
         ~gang:scale.Experiments.Scale.durability_gang
@@ -237,7 +235,7 @@ let precopy =
    samples diverge from fifo by design. The supervisor must absorb the
    script's faults, so the scenario is strict. *)
 let scrub =
-  scenario_of ~strict:true "scrub"
+  make_scenario ~strict:true "scrub"
     ~run:(fun scale ~fault_seed ->
       Experiments.Durability.chaos_run
         { scale with Experiments.Scale.seed = fault_seed }
@@ -259,7 +257,7 @@ let scrub =
    disaster into the standby legitimately shifts when simultaneous events
    reorder, while finishing on the standby with intact state must not. *)
 let dr =
-  make_scenario "dr"
+  make_scenario ~strict:false "dr"
     ~run:(fun scale ~fault_seed ->
       let rng = Rng.create fault_seed in
       let interval = 2 in
@@ -307,7 +305,7 @@ let chains_script ~depth ~fault_seed cluster _compactor =
       ])
 
 let chains =
-  make_scenario "chains"
+  make_scenario ~strict:false "chains"
     ~run:(fun scale ~fault_seed ->
       let depth = List.fold_left max 2 scale.Experiments.Scale.chains_depths in
       Experiments.Chains.chaos_run scale
@@ -326,7 +324,7 @@ let chains =
    fault seed doubles as the engine seed, and the result surface is the
    experiment's rendered stats tables. *)
 let experiment exp =
-  scenario_of ~strict:true ("exp:" ^ exp.Experiments.Registry.id)
+  make_scenario ~strict:true ("exp:" ^ exp.Experiments.Registry.id)
     ~run:(fun scale ~fault_seed ->
       exp.Experiments.Registry.run
         { scale with Experiments.Scale.seed = fault_seed }
@@ -489,7 +487,7 @@ let run ?(scale = Experiments.Scale.quick) ?(fault_streams = 5) ?(schedules = 5)
                 []
             | Some (ref_sample, ref_outcome) ->
                 result_divergence scenario sample
-                  ~against:(Event_queue.schedule_to_string ref_sample.schedule)
+                  ~against:(Fmt.str "%a" Event_queue.pp_schedule ref_sample.schedule)
                   ref_outcome.results outcome.results
           in
           findings :=

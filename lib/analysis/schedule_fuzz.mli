@@ -71,18 +71,18 @@ type scenario = {
 }
 
 val make_scenario :
+  strict:bool ->
   string ->
   run:(Experiments.Scale.t -> fault_seed:int -> 'a) ->
   render:('a -> string) ->
   audit:('a -> string list) ->
   scenario
-(** [make_scenario name ~run ~render ~audit] is a scenario whose sample
+(** [make_scenario ~strict name ~run ~render ~audit] is a scenario whose sample
     runs [run] (its scale already carrying the sample's schedule) under
     {!Simcore.Trace.capture}. An escaped exception is classified: an
     untyped one or an audit failure is a violation, a typed failure
-    becomes the result (the scenario's faults may legitimately end the
-    run; the built-in [scrub] and registry-experiment scenarios also count
-    it a violation).
+    becomes the result and, when [strict], a violation too (a scenario
+    whose faults may legitimately end the run is not strict).
     Otherwise [render] gives the result surface and [audit] the
     violations. Test-only: a test rig hook. *)
 

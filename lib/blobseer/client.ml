@@ -571,14 +571,14 @@ let write_chunk_core b ~from ~base_tree ~suppress_clean ~hints jobs =
      there (a local-disk error in [produce] included) must release it, or
      every later writer of the digest blocks on it forever. *)
   let ship_claimed ~digest ~placement (i, produce) () =
-    let size, replicas =
+    let size = chunk_extent b i in
+    let replicas =
       try
         let content = produce () in
-        let size = Payload.length content in
-        if size <> chunk_extent b i || Payload.digest content <> digest then
+        if Payload.length content <> size || Payload.digest content <> digest then
           invalid_arg "Client: digest hint does not match produced content";
         note_cached t size;
-        (size, ship_replicas t ~from content placement)
+        ship_replicas t ~from content placement
       with e ->
         Provider_manager.abandon_dedup t.pm ~digest;
         raise e

@@ -4,8 +4,6 @@ open Storage
 
 type config = { interval : float }
 
-let default_config = { interval = 5.0 }
-
 type event =
   | Scan_started of { at : float; pass : int }
   | Repaired of {
@@ -71,7 +69,7 @@ type t = {
   mutable fiber : Engine.fiber option;
 }
 
-let create service ~home ?(config = default_config) () =
+let create service ~home ?(config = { interval = 5.0 }) () =
   {
     service;
     home;

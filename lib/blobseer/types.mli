@@ -34,8 +34,8 @@ type params = {
 }
 
 val default_params : params
-(** 256 KiB stripes, replication 1, window 8, strict placement, dedup
-    on — overridden per experiment by the calibration layer. *)
+(** 256 KiB stripes, replication 1, window 8, dedup on — overridden per
+    experiment by the calibration layer. *)
 
 val desc_content_digest : chunk_desc -> int64
 (** Merkle leaf input of a descriptor: a hash of its logical content

@@ -156,13 +156,13 @@ let chains_handlers cluster compactor =
   }
 
 let chaos_run (scale : Scale.t) ~script ~depth () =
-  let policy = Blobseer.Retention.Keep_last scale.Scale.chains_keep_last in
   let with_faults cluster compactor =
     Some
       (Faults.start cluster.Cluster.engine
          ~script:(script cluster compactor)
          ~handlers:(chains_handlers cluster compactor))
   in
+  let policy = Blobseer.Retention.Keep_last scale.Scale.chains_keep_last in
   let outcome, injected = bs_harness scale ~policy ~with_faults ~depth () in
   { c_outcome = outcome; c_injected = injected }
 

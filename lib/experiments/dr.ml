@@ -15,7 +15,6 @@ type outcome = {
   repl_stats : Blobseer.Replicator.stats;
   failed_over : bool;
   rpo_versions : int;
-  rpo_bytes : int;
   rpo_units : int;
   rto : float;
   integrity_failures : int;
@@ -26,8 +25,8 @@ let failover_of_events events =
   List.fold_left
     (fun acc e ->
       match e with
-      | Supervisor.Failed_over { rpo_versions; rpo_bytes; rpo_units; rto; _ } ->
-          Some (rpo_versions, rpo_bytes, rpo_units, rto)
+      | Supervisor.Failed_over { rpo_versions; rpo_units; rto; _ } ->
+          Some (rpo_versions, rpo_units, rto)
       | _ -> acc)
     None events
 
@@ -62,10 +61,10 @@ let dr_run (scale : Scale.t) ?(config = Blobseer.Replicator.default_config) ?cra
         | Some r -> r
         | None -> invalid_arg "Dr.dr_run: cluster has no standby site"
       in
-      let rpo_versions, rpo_bytes, rpo_units, rto =
+      let rpo_versions, rpo_units, rto =
         match failover_of_events report.Supervisor.events with
         | Some f -> f
-        | None -> (0, 0, 0, 0.0)
+        | None -> (0, 0, 0.0)
       in
       let integrity_failures =
         Blobseer.Client.integrity_failures cluster.Cluster.service
@@ -82,7 +81,6 @@ let dr_run (scale : Scale.t) ?(config = Blobseer.Replicator.default_config) ?cra
         repl_stats = Blobseer.Replicator.stats repl;
         failed_over = failover_of_events report.Supervisor.events <> None;
         rpo_versions;
-        rpo_bytes;
         rpo_units;
         rto;
         integrity_failures;

@@ -7,7 +7,7 @@
     fail-stops the entire primary site mid-run. The supervisor promotes
     the standby, restarts the gang from the newest fully replicated
     checkpoint set, and the run completes on the surviving site. Reported
-    per cell: RPO (versions, bytes and work units lost), RTO
+    per cell: RPO (versions and work units lost), RTO
     (detection-to-running failover latency), the replication-lag
     high-water mark, and the primary committed-checkpoint overhead
     relative to a no-standby control at the same interval. *)
@@ -24,7 +24,6 @@ type outcome = {
   repl_stats : Blobseer.Replicator.stats;  (** shipper counters at teardown *)
   failed_over : bool;  (** the run survived a site disaster via promotion *)
   rpo_versions : int;  (** publications lost in flight at failover *)
-  rpo_bytes : int;  (** delta bytes of the lost publications *)
   rpo_units : int;  (** work units rolled back relative to the primary *)
   rto : float;  (** detection-to-running failover latency, seconds *)
   integrity_failures : int;  (** checksum-mismatch failovers, both sites *)

@@ -38,7 +38,6 @@ type t = {
   mutable prev_now : float;  (* [now] before the event being executed was popped *)
   queue : (unit -> unit) Event_queue.t;
   seed : int;
-  rng : Rng.t;
   mutable current : fiber option;
   mutable error : (string * exn) option;
   mutable live : int;
@@ -76,7 +75,6 @@ let create ?(seed = 42) ?schedule () =
     prev_now = 0.0;
     queue = Event_queue.create ?schedule ();
     seed;
-    rng = Rng.create seed;
     current = None;
     error = None;
     live = 0;
@@ -90,7 +88,6 @@ let audit_count t = List.length t.audits
 let audit t = List.concat_map (fun check -> check ()) (List.rev t.audits)
 
 let now t = t.now
-let rng t = t.rng
 let derived_rng t name = Rng.of_key ~seed:t.seed name
 let current_fiber t = t.current
 let live_fibers t = t.live

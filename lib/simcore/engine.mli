@@ -43,17 +43,10 @@ val create : ?seed:int -> ?schedule:Event_queue.schedule -> unit -> t
 val now : t -> float
 (** Current simulated time in seconds. *)
 
-val rng : t -> Rng.t
-(** The engine's root random stream. Draws (and {!Rng.split}s) consume it
-    in {e event execution order}, so a stream obtained from it inside a
-    fiber depends on how same-timestamp ties were broken. Components that
-    need schedule-independent randomness must use {!derived_rng}
-    instead. Test-only: a test rig hook. *)
-
 val derived_rng : t -> string -> Rng.t
 (** [derived_rng t name] is a private random stream keyed by the engine
-    seed and [name] — a pure function of the two, consuming nothing from
-    {!rng}. Identity-keyed streams are what keep simulation {e results}
+    seed and [name] — a pure function of the two, so it does not depend
+    on how same-timestamp ties were broken. Identity-keyed streams are what keep simulation {e results}
     independent of the tie-break {!schedule}: with order-keyed streams a
     schedule change silently reassigns randomness between components
     (found by [blobcr_lint fuzz], see DESIGN.md section 13). *)

@@ -5,8 +5,6 @@ let pp_schedule ppf = function
   | Lifo -> Fmt.string ppf "lifo"
   | Seeded_shuffle seed -> Fmt.pf ppf "shuffle:%d" seed
 
-let schedule_to_string s = Fmt.str "%a" pp_schedule s
-
 (* Two structures hold the pending events.
 
    The timer heap is a binary min-heap over [(time, rank, seq)] stored as

@@ -25,9 +25,6 @@ type schedule =
 val pp_schedule : Format.formatter -> schedule -> unit
 (** ["fifo"], ["lifo"] or ["shuffle:<seed>"]. *)
 
-val schedule_to_string : schedule -> string
-(** Same rendering as {!pp_schedule}, as a string. *)
-
 type 'a t
 
 val create : ?schedule:schedule -> unit -> 'a t

@@ -76,7 +76,3 @@ let busy_time t = t.busy
 let ops t = t.ops
 let bytes_served t = t.bytes
 let seeks t = t.seek_count
-
-let utilization t =
-  let now = Engine.now t.engine in
-  if now <= 0.0 then 0.0 else t.busy /. now

@@ -47,6 +47,3 @@ val ops : t -> int
 
 val bytes_served : t -> int
 (** Total bytes served so far. Test-only: an observer. *)
-
-val utilization : t -> float
-(** [busy_time / now], 0 at time 0. Test-only: an observer. *)

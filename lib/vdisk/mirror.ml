@@ -79,13 +79,6 @@ module Digest_map = struct
   let bindings m = List.map (fun i -> (i, get m i)) (Chunk_set.elements m.keys)
 end
 
-(* A frozen epoch: the dirty set captured copy-on-write at FREEZE time
-   (DESIGN.md §17). [f_pending] are the chunks the snapshot must ship;
-   their content at freeze time is either still in [local] (untouched
-   since) or preserved in [f_store] (the frozen diff log) the first time
-   the guest overwrites them. [f_digests] are the frozen chunks' digests
-   captured from the live cache, so the background commit can hint the
-   client without re-reading guest-mutated bytes. *)
 type snapshot = {
   present : int list;
   dirty : int list;
@@ -97,6 +90,13 @@ type snapshot = {
   local_bytes : int;
 }
 
+(* A frozen epoch: the dirty set captured copy-on-write at FREEZE time
+   (DESIGN.md §17). [f_pending] are the chunks the snapshot must ship;
+   their content at freeze time is either still in [local] (untouched
+   since) or preserved in [f_store] (the frozen diff log) the first time
+   the guest overwrites them. [f_digests] are the frozen chunks' digests
+   captured from the live cache, so the background commit can hint the
+   client without re-reading guest-mutated bytes. *)
 type frozen = {
   f_pending : Chunk_set.t; (* frozen chunks not yet shipped *)
   f_digests : Digest_map.t; (* digest of frozen content *)

@@ -43,11 +43,8 @@ val chunk_size : t -> int
 (** Equals the repository stripe size: COW granularity. *)
 
 val device : t -> Block_dev.t
-(** The raw block-device view handed to the hypervisor. *)
-
-val read : t -> offset:int -> len:int -> Payload.t
-(** Read through the cache, lazily fetching missing chunks from the base
-    snapshot. Test-only: an observer. *)
+(** The raw block-device view handed to the hypervisor. Reads go through
+    the cache, lazily fetching missing chunks from the base snapshot. *)
 
 val write : t -> offset:int -> Payload.t -> unit
 (** Copy-on-write update kept on the local disk; partial chunk writes

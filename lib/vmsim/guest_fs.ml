@@ -17,15 +17,15 @@ type entry = {
 
 type t = {
   dev : Block_dev.t;
-  block_size : int;
   files : (string, entry) Hashtbl.t;
   mutable next_free : int;
   mutable free_list : (int * int) list;
   mutable meta_dirty : bool;
 }
 
-(* The on-disk superblock. [p_meta_region] always holds [meta_region]; it
-   keeps the superblock's layout, and so the size of every metadata write. *)
+(* The on-disk superblock. [p_block_size] and [p_meta_region] always hold
+   [block_size] and [meta_region]; they keep the superblock's layout, and
+   so the size of every metadata write. *)
 type persisted = {
   p_block_size : int;
   p_meta_region : int;
@@ -34,14 +34,15 @@ type persisted = {
   p_files : (string * int * (int * int) list) list;
 }
 
-(* Bytes at the start of the device that hold the superblock and file table. *)
+(* Bytes at the start of the device that hold the superblock and file
+   table, and the allocation unit of the data after them. *)
 let meta_region = 4 * Size.mib
+let block_size = 4 * Size.kib
 
 let format dev =
   if meta_region >= dev.Block_dev.capacity then invalid_arg "Guest_fs.format: device too small";
   {
     dev;
-    block_size = 4 * Size.kib;
     files = Hashtbl.create 64;
     next_free = meta_region;
     free_list = [];
@@ -62,7 +63,7 @@ let serialize t =
   in
   let persisted =
     {
-      p_block_size = t.block_size;
+      p_block_size = block_size;
       p_meta_region = meta_region;
       p_next_free = t.next_free;
       p_free_list = t.free_list;
@@ -90,7 +91,6 @@ let mount dev =
   let t =
     {
       dev;
-      block_size = persisted.p_block_size;
       files = Hashtbl.create 64;
       next_free = persisted.p_next_free;
       free_list = persisted.p_free_list;
@@ -120,7 +120,7 @@ let extent_bytes extents = List.fold_left (fun acc (_, len) -> acc + len) 0 exte
 (* First fit from the free list, else bump allocation. Returns a list of
    extents totalling exactly [bytes] (block-aligned). *)
 let allocate t bytes =
-  assert (bytes mod t.block_size = 0);
+  assert (bytes mod block_size = 0);
   let rec take_free acc needed = function
     | [] -> (acc, needed, [])
     | (off, len) :: rest when needed = 0 -> (acc, 0, (off, len) :: rest)
@@ -226,7 +226,7 @@ let flush_file t e =
   let generation = e.generation in
   let payload = load t e in
   let size = Payload.length payload in
-  let needed = Size.round_up size t.block_size in
+  let needed = Size.round_up size block_size in
   let have = extent_bytes e.extents in
   if needed > have then e.extents <- e.extents @ allocate t (needed - have)
   else if needed < have then begin

@@ -93,9 +93,9 @@ let test_lint_poly_compare () =
 
 let test_lint_missing_mli () =
   Alcotest.(check (list string)) "ml without mli flagged" [ "missing-mli" ]
-    (rules (Lint.missing_mli ~dir:"lib/x" ~ml:[ "foo.ml" ] ~mli:[]));
+    (rules (Lint.missing_mli [ "lib/x/foo.ml" ]));
   Alcotest.(check (list string)) "ml with mli accepted" []
-    (rules (Lint.missing_mli ~dir:"lib/x" ~ml:[ "foo.ml" ] ~mli:[ "foo.mli" ]))
+    (rules (Lint.missing_mli [ "lib/x/foo.ml"; "lib/x/foo.mli" ]))
 
 (* unused-export over a planted tree: one library interface whose values
    are used from another library unit, bin/ and test/ in every form the
@@ -156,6 +156,64 @@ let test_lint_unused_export () =
     ]
     found
 
+(* unused-option over a planted tree: one option per finding kind, and
+   the passes, tags and pragmas that keep the others quiet. *)
+let test_lint_unused_option () =
+  let root = Filename.temp_dir "unused_option" "" in
+  let write rel contents =
+    let path = Filename.concat root rel in
+    let rec mkdir d =
+      if not (Sys.file_exists d) then begin
+        mkdir (Filename.dirname d);
+        Sys.mkdir d 0o755
+      end
+    in
+    mkdir (Filename.dirname path);
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+  in
+  write "lib/a/alpha.mli"
+    "val f :\n\
+    \  ?never:int ->\n\
+    \  ?tested:int ->\n\
+    \  ?used:int ->\n\
+    \  ?reasoned:int (* lint: allow unused-option — kept for a stated reason *) ->\n\
+    \  ?unreasoned:int (* lint: allow unused-option *) ->\n\
+    \  unit ->\n\
+    \  int\n\
+     (** Five options. *)\n\n\
+     val g : ?tagged:int -> unit -> int\n\
+     (** Test-only [?tagged]: a planted reason. *)\n\n\
+     val h : ?as_value:int -> unit -> int\n\
+     (** Handed to a higher-order function. *)\n\n\
+     type config = {\n\
+    \  only_tests : int;\n\
+    \  both : int;\n\
+     }\n\n\
+     val default : config\n\
+     (** The defaults. *)\n";
+  write "lib/b/beta.ml"
+    "let apply k = k ~as_value:1 ()\n\
+     let x = Alpha.f ~used:1 () + Alpha.g () + apply Alpha.h\n\
+     let c = { Alpha.default with both = 2 }\n";
+  write "test/t.ml"
+    "let z = Alpha.f ~tested:1 () + Alpha.g ~tagged:1 ()\n\
+     let c = { Alpha.default with Alpha.only_tests = 3; both = 4 }\n";
+  let found =
+    List.filter_map
+      (fun (f : Lint.finding) ->
+        if f.rule = "unused-option" then Some (Fmt.str "%d: %s" f.line f.message) else None)
+      (Lint.scan_tree ~root [ "lib" ])
+  in
+  Alcotest.(check (list string))
+    "an unpassed option, a test-only option, a test-only field, an unreasoned pragma"
+    [
+      "2: val Alpha.f: no call site passes ?never";
+      "3: val Alpha.f: only tests pass ?tested; state why in a Test-only [?tested]: tag";
+      "6: val Alpha.f: no call site passes ?unreasoned";
+      "18: field Alpha.config.only_tests is set only by tests";
+    ]
+    found
+
 (* CHANGES.md: PR lines in order, with FOUND/MENDED notes between them. *)
 let test_doc_lint_changes_log () =
   let root = Filename.temp_dir "changes" "" in
@@ -202,7 +260,7 @@ let test_compare_runs_catches_nondeterminism () =
   let kinds ~trace_drifts =
     let counter = ref 0 in
     let drift =
-      Schedule_fuzz.make_scenario "drift"
+      Schedule_fuzz.make_scenario ~strict:false "drift"
         ~run:(fun _ ~fault_seed:_ ->
           incr counter;
           let engine = Engine.create () in
@@ -244,7 +302,7 @@ let test_strict_escape_fails_replay () =
     (kinds (Schedule_fuzz.experiment exp) = [ Schedule_fuzz.Invariant ]);
   Alcotest.(check bool) "typed error of a faulted scenario is an outcome" true
     (kinds
-       (Schedule_fuzz.make_scenario "faulted"
+       (Schedule_fuzz.make_scenario ~strict:false "faulted"
           ~run:(fun scale ~fault_seed:_ -> full scale ~progress:ignore)
           ~render:(fun _ -> "")
           ~audit:(fun _ -> []))
@@ -583,6 +641,7 @@ let () =
           Alcotest.test_case "poly-compare rule" `Quick test_lint_poly_compare;
           Alcotest.test_case "missing-mli rule" `Quick test_lint_missing_mli;
           Alcotest.test_case "unused-export rule" `Quick test_lint_unused_export;
+          Alcotest.test_case "unused-option rule" `Quick test_lint_unused_option;
         ] );
       ( "determinism",
         [

@@ -22,10 +22,7 @@ let run engine f =
 (* Injector: scripts and determinism *)
 
 let profile_script ~seed =
-  let engine = Engine.create ~seed () in
-  Faults.of_profile
-    ~rng:(Rng.split (Engine.rng engine))
-    ~mtbf:5.0 ~horizon:60.0 ~hosts:4 ~providers:4 ()
+  Faults.of_profile ~rng:(Rng.create seed) ~mtbf:5.0 ~horizon:60.0 ~hosts:4 ~providers:4 ()
 
 let test_profile_deterministic () =
   let s1 = profile_script ~seed:13 and s2 = profile_script ~seed:13 in
@@ -42,11 +39,8 @@ let test_profile_respects_horizon () =
   Alcotest.(check bool) "sorted by time" true (List.sort Float.compare times = times)
 
 let test_profile_weights () =
-  let engine = Engine.create ~seed:3 () in
   let s =
-    Faults.of_profile
-      ~rng:(Rng.split (Engine.rng engine))
-      ~mtbf:2.0 ~horizon:60.0 ~hosts:4 ~providers:4 ~weights:(1, 0, 0, 0) ()
+    Faults.of_profile ~rng:(Rng.create 3) ~mtbf:2.0 ~horizon:60.0 ~hosts:4 ~providers:4 ~weights:(1, 0, 0, 0) ()
   in
   Alcotest.(check bool) "some events" true (List.length s > 5);
   List.iter

@@ -54,7 +54,7 @@ let test_rate_server_accounting () =
   Alcotest.(check int) "ops" 2 (Rate_server.ops s);
   Alcotest.(check int) "bytes" 150 (Rate_server.bytes_served s);
   check_float "busy" 3.0 (Rate_server.busy_time s);
-  check_float "utilization" 1.0 (Rate_server.utilization s)
+  check_float "busy the whole run" 3.0 (Engine.now e)
 
 let test_rate_server_rejects_bad_args () =
   let e = Engine.create () in

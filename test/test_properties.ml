@@ -151,7 +151,8 @@ let prop_mirror_commit_restores_reference =
             Mirror.create rig.engine ~host:host1 ~local_disk:disk1 ~base:ckpt
               ~base_version:version ~name:"m2" ()
           in
-          Payload.to_string (Mirror.read m2 ~offset:0 ~len:3000) = Bytes.to_string reference))
+          Payload.to_string (Block_dev.read (Mirror.device m2) ~offset:0 ~len:3000)
+          = Bytes.to_string reference))
 
 let prop_mirror_uncommitted_writes_roll_back =
   QCheck.Test.make ~name:"mirror: uncommitted writes never reach the snapshot" ~count:40
@@ -185,7 +186,8 @@ let prop_mirror_uncommitted_writes_roll_back =
             Mirror.create rig.engine ~host:host1 ~local_disk:disk1 ~base:ckpt
               ~base_version:version ~name:"m2" ()
           in
-          Payload.to_string (Mirror.read m2 ~offset:0 ~len:2000) = Bytes.to_string reference))
+          Payload.to_string (Block_dev.read (Mirror.device m2) ~offset:0 ~len:2000)
+          = Bytes.to_string reference))
 
 (* ------------------------------------------------------------------ *)
 (* Guest FS: random op sequences vs a reference map, across remounts *)

@@ -409,7 +409,7 @@ let test_mirror_reads_base_lazily () =
         let m =
           Mirror.create rig.engine ~host ~local_disk:disk ~base ~base_version:v ~name:"m" ()
         in
-        let first = Payload.to_string (Mirror.read m ~offset:100 ~len:4) in
+        let first = Payload.to_string (Block_dev.read (Mirror.device m) ~offset:100 ~len:4) in
         (first, List.length (Mirror.snapshot m).Mirror.present))
   in
   Alcotest.(check string) "base content" "ZZZZ" first;
@@ -514,7 +514,7 @@ let test_mirror_rollback_via_new_mirror () =
           Mirror.create rig.engine ~host:host2 ~local_disk:disk2 ~base:ckpt
             ~base_version:good ~name:"m'" ()
         in
-        Payload.to_string (Mirror.read m' ~offset:0 ~len:512))
+        Payload.to_string (Block_dev.read (Mirror.device m') ~offset:0 ~len:512))
   in
   Alcotest.(check string) "rolled back" (String.make 256 'G' ^ String.make 256 'Z') restored
 
@@ -538,8 +538,8 @@ let test_mirror_shared_chunks_prefetched_once () =
         let m1 = mk 1 and m2 = mk 2 in
         Engine.all rig.engine
           [
-            (fun () -> ignore (Mirror.read m1 ~offset:0 ~len:1024));
-            (fun () -> ignore (Mirror.read m2 ~offset:0 ~len:1024));
+            (fun () -> ignore (Block_dev.read (Mirror.device m1) ~offset:0 ~len:1024));
+            (fun () -> ignore (Block_dev.read (Mirror.device m2) ~offset:0 ~len:1024));
           ];
         (Prefetch.distinct_fetches prefetch, Prefetch.coalesced_fetches prefetch))
   in
@@ -555,7 +555,7 @@ let test_mirror_local_footprint_and_drop () =
         let m =
           Mirror.create rig.engine ~host ~local_disk:disk ~base ~base_version:v ~name:"m" ()
         in
-        ignore (Mirror.read m ~offset:0 ~len:512);
+        ignore (Block_dev.read (Mirror.device m) ~offset:0 ~len:512);
         Mirror.write m ~offset:512 (Payload.of_string (String.make 256 'w'));
         let during = (Mirror.snapshot m).Mirror.local_bytes in
         Mirror.drop_local_state m;
@@ -750,7 +750,9 @@ let prop_mirror_state_matches_model =
                   for c = offset / cs to (offset + len - 1) / cs do
                     fetch c
                   done;
-                  let got = Payload.to_string (Mirror.read m ~offset ~len) in
+                  let got =
+                    Payload.to_string (Block_dev.read (Mirror.device m) ~offset ~len)
+                  in
                   if got <> Bytes.sub_string md.content offset len then failwith "read content"
               | Freeze -> if md.frozen = None then freeze ()
               | Commit_frozen -> if md.frozen <> None then commit_frozen ()
