@@ -191,7 +191,7 @@ let micro () =
       Blobseer.Client.deploy engine net
         ~params:{ Blobseer.Types.default_params with stripe_size = chunk }
         ~version_manager_host:host ~provider_manager_host:host ~metadata_hosts:[ host ]
-        ~data_providers:[ (host, disk) ] ()
+        ~data_providers:[ (host, disk) ]
     in
     in_sim (fun () ->
         let capacity = Size.mib_n 16 in

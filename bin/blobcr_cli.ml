@@ -132,6 +132,13 @@ let write_profile samples path =
           ("inclusive (anywhere on the stack)", inclusive);
         ])
 
+(* [mkdir -p]: create [dir] and its missing parents. *)
+let rec make_dirs dir =
+  if not (Sys.file_exists dir) then begin
+    make_dirs (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
 (* lint: allow wall-clock — the run reports the real time each experiment took *)
 let wall_clock () = Unix.gettimeofday ()
 
@@ -175,6 +182,18 @@ let run_cmd =
           Fmt.epr "%s; try `blobcr_cli list'@." msg;
           exit 2
     in
+    (* Likewise create the CSV directory before the first experiment runs. *)
+    Option.iter
+      (fun dir ->
+        match make_dirs dir with
+        | () when Sys.is_directory dir -> ()
+        | () ->
+            Fmt.epr "--csv: %s: not a directory@." dir;
+            exit 2
+        | exception Sys_error msg ->
+            Fmt.epr "--csv: %s@." msg;
+            exit 2)
+      csv;
     (* One timeline file per experiment: suffix with the id when several run. *)
     let timeline_for id =
       match timeline with

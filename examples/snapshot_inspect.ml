@@ -73,7 +73,6 @@ let () =
       let compactor =
         Compactor.create cluster.Cluster.service ~home:cluster.Cluster.supervisor_host
           ~config:{ Compactor.policy = Retention.Keep_last 1 }
-          ()
       in
       Compactor.scan compactor;
       Compactor.scan compactor;

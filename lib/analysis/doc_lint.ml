@@ -12,7 +12,9 @@ let undocumented ~file content =
   List.filter_map
     (fun (v : Lint.interface_val) ->
       if v.doc = None && not v.hidden then
-        Some (mk "mli-doc" file v.decl_line "val %s has no doc comment" v.name)
+        Some
+          (mk "mli-doc" file v.decl_line "val %s has no doc comment"
+             (String.concat "." (Option.to_list v.parent @ [ v.name ])))
       else None)
     (Lint.interface_vals content)
 

@@ -3,8 +3,8 @@
     Three rule families, all reported as {!Lint.finding}s so the CLI can
     render them uniformly:
 
-    - [mli-doc]: every top-level [val] in a library [.mli] must carry a
-      doc comment — either a [(** ... *)] ending on the line directly
+    - [mli-doc]: every [val] in a library [.mli], top-level or in a
+      [module X : sig ... end], must carry a doc comment — either a [(** ... *)] ending on the line directly
       above the declaration, or a trailing one after it. Sections fenced
       by the odoc stop comment [(**/**)] are exempt (internal plumbing).
     - [md-link]: relative links in the operator-facing markdown

@@ -409,23 +409,64 @@ let starts_with_keyword line kw =
   && String.sub line 0 kl = kw
   && (String.length line = kl || not (is_ident_char line.[kl]))
 
-type interface_val = { name : string; decl_line : int; doc : string option; hidden : bool }
+type interface_val = {
+  name : string;
+  parent : string option;
+  decl_line : int;
+  doc : string option;
+  hidden : bool;
+}
+
+let indentation line =
+  let n = String.length line in
+  let rec go i = if i < n && line.[i] = ' ' then go (i + 1) else i in
+  go 0
+
+(* The [X] of a [module X : sig] line. *)
+let sig_opener text =
+  match String.split_on_char ' ' text with
+  | [ "module"; x; ":"; "sig" ] -> Some x
+  | _ -> None
 
 let interface_vals content =
   let shape = shape_of_mli content in
   let lines = Array.of_list (String.split_on_char '\n' content) in
-  let item_at l =
-    (* 1-indexed; an item keyword at column 0 in code context. *)
-    l >= 1 && l <= Array.length lines
-    && shape.code_start.(l - 1)
-    && List.exists (starts_with_keyword lines.(l - 1)) item_keywords
-  in
-  let items = ref [] in
-  Array.iteri (fun idx _ -> if item_at (idx + 1) then items := (idx + 1) :: !items) lines;
-  let items = List.rev !items in
+  (* Items are item keywords in code context at their signature's item
+     indentation: column 0 at top level, else that of the first code line
+     inside the [module X : sig]. Each maps to the [X] it sits in. The
+     stack holds each open nested signature's name, the indentation of its
+     opener and, once seen, that of its items. *)
+  let parents = Hashtbl.create 64 in
+  let stack = ref [] in
+  Array.iteri
+    (fun idx line ->
+      let text = String.trim line and indent = indentation line in
+      if shape.code_start.(idx) && text <> "" then begin
+        (match !stack with
+        | (x, opener, None) :: rest when indent > opener ->
+            stack := (x, opener, Some indent) :: rest
+        | _ -> ());
+        match !stack with
+        | (_, opener, _) :: rest when indent = opener && starts_with_keyword text "end" ->
+            stack := rest;
+            Hashtbl.replace parents (idx + 1) None
+        | _ ->
+            let parent, expected =
+              match !stack with
+              | (x, _, items_at) :: _ -> (Some x, Option.value items_at ~default:(-1))
+              | [] -> (None, 0)
+            in
+            if indent = expected && List.exists (starts_with_keyword text) item_keywords then begin
+              Hashtbl.replace parents (idx + 1) parent;
+              Option.iter (fun x -> stack := (x, indent, None) :: !stack) (sig_opener text)
+            end
+      end)
+    lines;
+  let item_at l = Hashtbl.mem parents l in
+  let items = List.sort compare (List.of_seq (Hashtbl.to_seq_keys parents)) in
   (* Assign each doc comment to exactly one item: the item directly below
-     its last line (leading style), else the closest item above its first
-     line (trailing style). *)
+     its last line (leading style) unless that closes a signature, else the
+     closest item above its first line (trailing style). *)
   let docs = Hashtbl.create 16 in
   let attach l text =
     Hashtbl.replace docs l
@@ -434,7 +475,8 @@ let interface_vals content =
   List.iter
     (fun (s, e) ->
       let text = String.concat "\n" (Array.to_list (Array.sub lines (s - 1) (e - s + 1))) in
-      if item_at (e + 1) then attach (e + 1) text
+      if item_at (e + 1) && not (starts_with_keyword (String.trim lines.(e)) "end") then
+        attach (e + 1) text
       else
         match List.filter (fun l -> l <= s) items with
         | [] -> ()
@@ -443,15 +485,22 @@ let interface_vals content =
   let hidden l = List.length (List.filter (fun stop -> stop < l) shape.stops) mod 2 = 1 in
   List.filter_map
     (fun l ->
-      let line = lines.(l - 1) in
-      if starts_with_keyword line "val" then
+      let text = String.trim lines.(l - 1) in
+      if starts_with_keyword text "val" then
         (* "val name : ..." or "val ( + ) : ..." — everything before the ':'. *)
-        let rest = String.sub line 3 (String.length line - 3) in
+        let rest = String.sub text 3 (String.length text - 3) in
         let name =
           String.trim
             (match String.index_opt rest ':' with Some j -> String.sub rest 0 j | None -> rest)
         in
-        Some { name; decl_line = l; doc = Hashtbl.find_opt docs l; hidden = hidden l }
+        Some
+          {
+            name;
+            parent = Hashtbl.find parents l;
+            decl_line = l;
+            doc = Hashtbl.find_opt docs l;
+            hidden = hidden l;
+          }
       else None)
     items
 
@@ -529,9 +578,10 @@ let stop_words =
 
 (* The labels applied at bracket depth 0 after [pos], a function's name, up
    to an unmatched closing bracket, a separator, an infix operator or a
-   keyword. A name that is itself an argument, a function passed as a
-   value (the code before it ends an expression), applies [all]. *)
-let applied_labels code pos ~all =
+   keyword, each with its sigil ([~name] or [?name]). [None] for a name
+   that is itself an argument, a function handed on as a value (the code
+   before it ends an expression). *)
+let applied_labels code pos =
   let n = String.length code in
   let word_end i =
     let j = ref i in
@@ -549,7 +599,7 @@ let applied_labels code pos ~all =
       | c when depth = 0 && String.contains ";,=<>@^|&+-*/$%" c -> acc
       | ('~' | '?') when depth = 0 && i + 1 < n && is_ident_char code.[i + 1] ->
           let j = word_end (i + 1) in
-          go j depth (String.sub code (i + 1) (j - i - 1) :: acc)
+          go j depth (String.sub code i (j - i) :: acc)
       | c when is_ident_char c ->
           let j = word_end i in
           if depth = 0 && List.mem (String.sub code i (j - i)) stop_words then acc
@@ -560,8 +610,8 @@ let applied_labels code pos ~all =
   let b = space_back code start in
   let before = String.sub code (path_start code b) (b - path_start code b) in
   if b > 0 && (String.contains ")]}" code.[b - 1] || (before <> "" && not (List.mem before stop_words)))
-  then all
-  else go (word_end start) 0 []
+  then None
+  else Some (go (word_end start) 0 [])
 
 (* Whether the field named at [pos] is set there: [f =], [M.f =] or a
    punned [f] right after [{], [;] or [with]. *)
@@ -577,86 +627,99 @@ let sets_field code pos f =
      || (b >= 4 && String.sub code (b - 4) 4 = "with" && path_start code b = b - 4))
 
 (* The unused-export and unused-option findings of one library interface.
-   Uses in its own implementation do not count. *)
+   A val nested in [module X : sig] is judged with [X] as its unit name.
+   Uses in its own implementation do not count; call sites there do. *)
 let interface_findings users mli =
   let source = read_file mli in
   let lines = split_lines source in
   let code_lines = Array.of_list (List.map fst lines) in
   let comment_lines = Array.of_list (List.map snd lines) in
   let own = Filename.remove_extension mli ^ ".ml" in
-  let unit_name = String.capitalize_ascii (Filename.basename (Filename.remove_extension mli)) in
+  let file_unit = String.capitalize_ascii (Filename.basename (Filename.remove_extension mli)) in
   (* A finding, unless a pragma that gives a reason allows it. *)
   let report rule line =
     Fmt.kstr (fun message ->
         if allowed ~reason:true ~code_lines ~comment_lines rule (line - 1) then None
         else Some { rule; file = mli; line; message })
   in
-  let users_of name =
-    List.filter
-      (fun u ->
-        u.path <> own
-        && (Hashtbl.mem u.refs.qualified (unit_name, name)
-           || (Hashtbl.mem u.refs.opened unit_name && Hashtbl.mem u.refs.bare name)))
-      users
+  (* Whether [u] may name the val: [Unit.name], or [name] with [Unit] open. *)
+  let mentions unit_name v u =
+    Hashtbl.mem u.refs.qualified (unit_name, v.name)
+    || (Hashtbl.mem u.refs.opened unit_name && Hashtbl.mem u.refs.bare v.name)
   in
-  let export v =
-    let found = users_of v.name in
+  let export v unit_name path =
+    let found = List.filter (fun u -> u.path <> own && mentions unit_name v u) users in
     match (List.find_opt (fun u -> not u.is_test) found, has_tag val_tag v.doc) with
     | _ when not (is_ident_char v.name.[0]) -> None (* an operator *)
     | None, _ when found = [] ->
-        report "unused-export" v.decl_line "val %s.%s has no user outside its own module"
-          unit_name v.name
+        report "unused-export" v.decl_line "val %s has no user outside its own module" path
     | None, false ->
         report "unused-export" v.decl_line
-          "val %s.%s is used only by tests; tag its doc comment Test-only" unit_name v.name
+          "val %s is used only by tests; tag its doc comment Test-only" path
     | Some u, true ->
-        report "unused-export" v.decl_line "val %s.%s is tagged Test-only but %s uses it"
-          unit_name v.name u.path
+        report "unused-export" v.decl_line "val %s is tagged Test-only but %s uses it" path u.path
     | _ -> None
   in
   (* The [?name:] options of the val's signature, its [val] line and the
-     indented lines below it, with their lines. *)
-  let rec val_options v l acc =
-    let code = if l <= Array.length code_lines then code_lines.(l - 1) else "end" in
-    if l > v.decl_line && code <> "" && code.[0] <> ' ' then List.rev acc
+     lines below it indented deeper, with their lines. *)
+  let rec val_options v indent l acc =
+    if l > Array.length code_lines then List.rev acc
     else
-      val_options v (l + 1)
-        (List.fold_left
-           (fun acc s ->
-             match String.index_opt s ':' with
-             | Some j when j > 0 && String.for_all is_ident_char (String.sub s 0 j) ->
-                 (String.sub s 0 j, l) :: acc
-             | _ -> acc)
-           acc
-           (List.tl (String.split_on_char '?' code)))
+      let code = code_lines.(l - 1) in
+      if l > v.decl_line && String.trim code <> "" && indentation code <= indent then List.rev acc
+      else
+        val_options v indent (l + 1)
+          (List.fold_left
+             (fun acc s ->
+               match String.index_opt s ':' with
+               | Some j when j > 0 && String.for_all is_ident_char (String.sub s 0 j) ->
+                   (String.sub s 0 j, l) :: acc
+               | _ -> acc)
+             acc
+             (List.tl (String.split_on_char '?' code)))
   in
-  let options v =
-    let opts = val_options v v.decl_line [] in
-    let all = List.map fst opts in
-    (* Per user: whether it is a test, and the labels it applies wherever it
-       names [Unit.name], or a bare [name] when it opens the unit. *)
-    let passed =
-      List.map
-        (fun u ->
-          let at needle =
-            List.concat_map
-              (fun p -> applied_labels u.code p ~all)
-              (token_positions ~allow_dot_before:true u.code needle)
-          in
-          ( u.is_test,
-            at (unit_name ^ "." ^ v.name)
-            @ if Hashtbl.mem u.refs.opened unit_name then at v.name else [] ))
-        (if opts = [] then [] else users_of v.name)
-    in
+  (* Every call site of the val: [Unit.name] anywhere, a bare [name] in a
+     file that opens the unit or, for a top-level val, in its own
+     implementation (but not its definition), each with whether it is in a
+     test and the labels it applies ([None]: handed on as a value). *)
+  let sites v unit_name =
+    List.concat_map
+      (fun u ->
+        let at ~allow_dot_before needle =
+          List.filter_map
+            (fun p ->
+              if u.path = own && ends_with_definition u.code p then None
+              else Some (u.is_test, applied_labels u.code p))
+            (token_positions ~allow_dot_before u.code needle)
+        in
+        let bare =
+          if u.path = own then v.parent = None
+          else Hashtbl.mem u.refs.opened unit_name
+        in
+        at ~allow_dot_before:true (unit_name ^ "." ^ v.name)
+        @ if bare then at ~allow_dot_before:(u.path <> own) v.name else [])
+      (List.filter (fun u -> u.path = own || mentions unit_name v u) users)
+  in
+  let options v unit_name path =
+    let opts = val_options v (indentation code_lines.(v.decl_line - 1)) v.decl_line [] in
+    let sites = if opts = [] then [] else sites v unit_name in
     List.filter_map
       (fun (name, line) ->
-        let passers = List.filter (fun (_, labels) -> List.mem name labels) passed in
+        (* A hand-off as a value passes every option, but never as [~name]. *)
+        let passes ~forward (_, labels) =
+          match labels with
+          | None -> forward
+          | Some ls -> List.mem ("~" ^ name) ls || (forward && List.mem ("?" ^ name) ls)
+        in
+        let passers = List.filter (passes ~forward:true) sites in
         let tag = Fmt.str "Test-only [?%s]:" name in
-        if passers = [] then
-          report "unused-option" line "val %s.%s: no call site passes ?%s" unit_name v.name name
+        if passers = [] then report "unused-option" line "val %s: no call site passes ?%s" path name
         else if List.for_all fst passers && not (has_tag val_tag v.doc || has_tag tag v.doc) then
-          report "unused-option" line "val %s.%s: only tests pass ?%s; state why in a %s tag"
-            unit_name v.name name tag
+          report "unused-option" line "val %s: only tests pass ?%s; state why in a %s tag" path
+            name tag
+        else if List.for_all (passes ~forward:false) sites then
+          report "unused-option" line "val %s: every call site passes ~%s; its default never runs"
+            path name
         else None)
       opts
   in
@@ -679,19 +742,24 @@ let interface_findings users mli =
               List.filter
                 (fun u ->
                   u.path <> own
-                  && (Hashtbl.mem u.refs.bare f || Hashtbl.mem u.refs.qualified (unit_name, f))
+                  && (Hashtbl.mem u.refs.bare f || Hashtbl.mem u.refs.qualified (file_unit, f))
                   && List.exists
                        (fun p -> sets_field u.code p f)
                        (token_positions ~allow_dot_before:true u.code f))
                 users
             in
             if setters <> [] && List.for_all (fun u -> u.is_test) setters then
-              report "unused-option" (i + 1) "field %s.%s.%s is set only by tests" unit_name ty f
+              report "unused-option" (i + 1) "field %s.%s.%s is set only by tests" file_unit ty f
             else None
         | _ -> None)
     | None, _ -> None
   in
-  List.concat_map (fun v -> Option.to_list (export v) @ options v) (interface_vals source)
+  List.concat_map
+    (fun v ->
+      let unit_name = Option.value v.parent ~default:file_unit in
+      let path = String.concat "." (file_unit :: Option.to_list v.parent @ [ v.name ]) in
+      Option.to_list (export v unit_name path) @ options v unit_name path)
+    (interface_vals source)
   @ List.concat (List.mapi (fun i code -> Option.to_list (field i code)) (Array.to_list code_lines))
 
 let scan_tree ~root dirs =

@@ -15,19 +15,23 @@
     - [missing-mli]: library [.ml] without a companion [.mli];
     - [domains]: [Domain], [Atomic], [Mutex], [Condition] or [Thread] —
       the simulator runs on one domain;
-    - [unused-export]: a top-level [val] of a library [.mli] that no other
-      compilation unit under [lib], [bin], [bench], [examples] or [test]
-      uses, or that only tests use while its doc comment lacks the tag
-      [Test-only:], or that carries the tag although a non-test unit uses
-      it. A use is [Module.name] in code, or a bare [name] in a file that
-      opens [Module] ([open], [let open ... in], [Module.( ... )]);
+    - [unused-export]: a [val] of a library [.mli] (top-level, or in a
+      [module X : sig ... end] and then judged with [X] as its module)
+      that no other compilation unit under [lib], [bin], [bench],
+      [examples] or [test] uses, or that only tests use while its doc
+      comment lacks the tag [Test-only:], or that carries the tag although
+      a non-test unit uses it. A use is [Module.name] in code, or a bare
+      [name] in a file that opens [Module] ([open], [let open ... in],
+      [Module.( ... )]);
     - [unused-option]: an optional parameter of such a [val] that no call
-      site in another unit passes ([~name] or [?name] among the labels
-      applied to the val; a val handed on as a value passes them all), or
-      that only tests pass while the doc lacks [Test-only [?name]:] (or the
-      val's own tag); and a field of a [type config] or [type params]
-      record that only tests set ([f =] or a punned [f] after [{], [;] or
-      [with]).
+      site passes ([~name] or [?name] among the labels applied to the val;
+      a val handed on as a value passes them all), that only tests pass
+      while the doc lacks [Test-only [?name]:] (or the val's own tag), or
+      that every call site passes as [~name], so its default never runs;
+      and a field of a [type config] or [type params] record that only
+      tests set ([f =] or a punned [f] after [{], [;] or [with]). Call
+      sites are counted under the same five directories, in the val's own
+      implementation too but not at its definition.
 
     Comments and string-literal contents are ignored, so rule names and
     banned tokens may appear freely in documentation. A finding is
@@ -57,16 +61,17 @@ val scan_tree : root:string -> string list -> finding list
 
 type interface_val = {
   name : string;
+  parent : string option;  (** the [X] of the [module X : sig] it sits in, if nested *)
   decl_line : int;  (** 1-based line of the [val] keyword *)
   doc : string option;  (** the doc comment's source lines, if it has one *)
   hidden : bool;  (** inside an odoc [(**/**)] stop section *)
 }
 
 val interface_vals : string -> interface_val list
-(** The top-level [val]s of an interface's source text, in order, each
-    with its doc comment: the [(** ... *)] ending on the line directly
-    above, else the closest one below it and before the next item.
-    Nested module signatures are not entered. *)
+(** The [val]s of an interface's source text, in order, each with its doc
+    comment: the [(** ... *)] ending on the line directly above, else the
+    closest one below it and before the next item. A [module X : sig ...
+    end] is entered, and the vals in it have [parent = Some "X"]. *)
 
 val pp_finding : Format.formatter -> finding -> unit
 (** ["file:line: [rule] message"] — file:line is clickable in editors. *)

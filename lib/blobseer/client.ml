@@ -177,18 +177,18 @@ let audit t =
   in
   List.rev !site_violations @ dedup_violations @ journal @ Metadata_service.audit t.md
 
-let deploy engine net ?(params = Types.default_params) ~version_manager_host
-    ~provider_manager_host ~metadata_hosts ~data_providers () =
+let deploy engine net ~(params : Types.params) ~version_manager_host ~provider_manager_host
+    ~metadata_hosts ~data_providers =
   if data_providers = [] then invalid_arg "Client.deploy: no data providers";
   if params.replication > List.length data_providers then
     invalid_arg "Client.deploy: replication exceeds provider count";
   let vm =
     Version_manager.create engine net ~host:version_manager_host
-      ~publish_cost:params.publish_cost ()
+      ~publish_cost:params.publish_cost
   in
   let pm =
     Provider_manager.create engine net ~host:provider_manager_host
-      ~allocate_cost:params.allocate_cost ()
+      ~allocate_cost:params.allocate_cost
   in
   let md =
     Metadata_service.create engine net ~hosts:metadata_hosts
@@ -198,7 +198,7 @@ let deploy engine net ?(params = Types.default_params) ~version_manager_host
       Provider_manager.register pm
         (Data_provider.create engine net ~host ~disk
            ~request_overhead:params.request_overhead
-           ~name:(Fmt.str "provider.%d" i) ()))
+           ~name:(Fmt.str "provider.%d" i)))
     data_providers;
   let t =
     {

@@ -24,12 +24,11 @@ type blob
 val deploy :
   Engine.t ->
   Net.t ->
-  ?params:Types.params ->
+  params:Types.params ->
   version_manager_host:Net.host ->
   provider_manager_host:Net.host ->
   metadata_hosts:Net.host list ->
   data_providers:(Net.host * Disk.t) list ->
-  unit ->
   t
 (** Stand up a BlobSeer service. [data_providers] associates each provider
     with the host it runs on and the local disk it stores chunks on. The

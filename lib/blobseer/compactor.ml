@@ -4,8 +4,6 @@ open Storage
 
 type config = { policy : Retention.policy }
 
-let default_config = { policy = Retention.Keep_last 4 }
-
 type crash_point = Before_flatten | Mid_retire | After_retire
 
 (* The journaled intent: appended before the first retire, committed after
@@ -99,7 +97,7 @@ let audit t =
         else None)
       (List.rev t.deleted_log)
 
-let create service ~home ?(config = default_config) () =
+let create service ~home ~config =
   let t =
     {
       service;

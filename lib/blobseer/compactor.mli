@@ -69,9 +69,9 @@ type stats = {
 
 type t
 
-val create : Client.t -> home:Net.host -> ?config:config -> unit -> t
-(** A compactor for the deployment, reading flatten traffic from [home];
-    [config] defaults to [{ policy = Keep_last 4 }]. It registers its audit with the deployment's engine
+val create : Client.t -> home:Net.host -> config:config -> t
+(** A compactor for the deployment, reading flatten traffic from [home].
+    It registers its audit with the deployment's engine
     ({!Simcore.Engine.register_audit}): the journal is quiescent while the
     compactor is alive, and no live tree references a chunk the sweep
     deleted. *)

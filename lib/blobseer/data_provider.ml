@@ -13,8 +13,7 @@ type t = {
   mutable alive : bool;
 }
 
-let create engine net ~host ~disk ?(request_overhead = Types.default_params.request_overhead)
-    ~name () =
+let create engine net ~host ~disk ~request_overhead ~name =
   {
     engine;
     net;

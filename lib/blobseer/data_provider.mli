@@ -12,12 +12,11 @@ val create :
   Net.t ->
   host:Net.host ->
   disk:Disk.t ->
-  ?request_overhead:float ->
+  request_overhead:float ->
   name:string ->
-  unit ->
   t
 (** Stand up a provider on [host] persisting to [disk].
-    [request_overhead] (default 0) is charged per served request. *)
+    [request_overhead] is charged per served request. *)
 
 val name : t -> string
 (** The name passed at creation. *)

@@ -13,7 +13,7 @@ type t = {
   mutable degraded_allocs : int;
 }
 
-let create engine net ~host ?(allocate_cost = Types.default_params.allocate_cost) () =
+let create engine net ~host ~allocate_cost =
   {
     net;
     host;

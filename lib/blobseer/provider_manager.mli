@@ -11,9 +11,9 @@ open Netsim
 
 type t
 
-val create : Engine.t -> Net.t -> host:Net.host -> ?allocate_cost:float -> unit -> t
-(** A manager on [host] with no providers yet; [allocate_cost] (default 0)
-    is charged per allocation round-trip. *)
+val create : Engine.t -> Net.t -> host:Net.host -> allocate_cost:float -> t
+(** A manager on [host] with no providers yet; [allocate_cost] is charged
+    per allocation round-trip. *)
 
 val register : t -> Data_provider.t -> unit
 (** Add a provider to the placement pool (deployment time). *)

@@ -358,8 +358,7 @@ let audit t =
   in
   window @ settled @ agreement
 
-let create engine net ~primary ~standby ~gateway_primary ~gateway_standby
-    ?(config = default_config) () =
+let create engine net ~primary ~standby ~gateway_primary ~gateway_standby ~config =
   if config.window < 1 then invalid_arg "Replicator.create: window must be >= 1";
   if config.ship_delay < 0.0 then invalid_arg "Replicator.create: ship_delay";
   let t =

@@ -44,8 +44,7 @@ val create :
   standby:Client.t ->
   gateway_primary:Net.host ->
   gateway_standby:Net.host ->
-  ?config:config ->
-  unit ->
+  config:config ->
   t
 (** Stand up the shipping pipeline (tail, per-record fetch, in-order
     apply fibers) between the two deployments. Nothing flows until

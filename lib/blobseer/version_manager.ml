@@ -110,7 +110,7 @@ let audit t =
           disjoint @ dense @ latest_ok @ trees)
     (sorted_keys t.blobs)
 
-let create engine net ~host ?(publish_cost = Types.default_params.publish_cost) () =
+let create engine net ~host ~publish_cost =
   let t =
     {
       engine;

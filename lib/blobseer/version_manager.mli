@@ -22,9 +22,9 @@ type crash_point =
   | Before_apply  (** intent journaled, no state touched yet *)
   | Mid_apply  (** version root inserted, [latest] not yet bumped *)
 
-val create : Engine.t -> Net.t -> host:Net.host -> ?publish_cost:float -> unit -> t
-(** A version manager on [host] with no blobs; [publish_cost] (default 0)
-    is charged per {!publish} on top of the round-trip. It registers
+val create : Engine.t -> Net.t -> host:Net.host -> publish_cost:float -> t
+(** A version manager on [host] with no blobs; [publish_cost] is charged
+    per {!publish} on top of the round-trip. It registers
     its density audit with the engine's teardown audits
     ({!Engine.audit}). *)
 

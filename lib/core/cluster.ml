@@ -72,12 +72,10 @@ let build ?(seed = 42) ?schedule ?dr:dr_config (cal : Calibration.t) =
     Client.deploy engine net ~params:cal.blobseer ~version_manager_host:vm_host
       ~provider_manager_host:pm_host ~metadata_hosts:md_hosts
       ~data_providers:(Array.to_list (Array.map (fun n -> (n.host, n.disk)) nodes))
-      ()
   in
   let pvfs =
     Pvfs.deploy engine net ~params:cal.pvfs ~metadata_host:pvfs_md_host
       ~io_servers:(Array.to_list (Array.map (fun n -> (n.host, n.disk)) nodes))
-      ()
   in
   let prefetch = Prefetch.create engine net () in
   (* Upload the base image from a client host: once into the repository,
@@ -128,11 +126,10 @@ let build ?(seed = 42) ?schedule ?dr:dr_config (cal : Calibration.t) =
           ~provider_manager_host:standby_pm_host ~metadata_hosts:standby_md_hosts
           ~data_providers:
             (Array.to_list (Array.map (fun n -> (n.host, n.disk)) standby_nodes))
-          ()
       in
       let replicator =
         Replicator.create engine net ~primary:service ~standby:standby_service
-          ~gateway_primary ~gateway_standby ~config ()
+          ~gateway_primary ~gateway_standby ~config
       in
       Replicator.attach replicator;
       Engine.run engine;

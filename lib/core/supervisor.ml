@@ -660,7 +660,7 @@ let audit t =
        [ "run ended without finishing and without abandoning instances" ]
      else [])
 
-let run cluster ~kind ?(policy = default_policy) ?scrub ?(faults = []) ~id ~gang
+let run cluster ~kind ~policy ?scrub ?(faults = []) ~id ~gang
     ~units ~workload () =
   if gang < 1 then invalid_arg "Supervisor.run: gang must be >= 1";
   if units < 1 then invalid_arg "Supervisor.run: units must be >= 1";

@@ -98,7 +98,7 @@ type t
 val run :
   Cluster.t ->
   kind:Approach.kind ->
-  ?policy:policy ->
+  policy:policy ->
   ?scrub:Blobseer.Scrubber.config ->
   ?faults:Faults.script ->
   id:string ->

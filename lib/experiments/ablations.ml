@@ -12,7 +12,7 @@ let pp_progress progress fmt = Fmt.kstr progress fmt
 
 (* ------------------------------------------------------------------ *)
 
-let prefetch (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let prefetch (scale : Scale.t) ~progress =
   let combo = Option.get (Combos.find "BlobCR-app") in
   let run enabled =
     let series =
@@ -34,7 +34,7 @@ let prefetch (scale : Scale.t) ?(progress = fun _ -> ()) () =
     ~x_label:"instances" ~y_label:"restart time (s)"
     [ run true; run false ]
 
-let stripe_size (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let stripe_size (scale : Scale.t) ~progress =
   let combo = Option.get (Combos.find "BlobCR-app") in
   let n = mid_n scale in
   let ckpt = Stats.series "checkpoint (s)" and restart = Stats.series "restart (s)" in
@@ -63,7 +63,7 @@ let stripe_size (scale : Scale.t) ?(progress = fun _ -> ()) () =
       (Fmt.str "Ablation: stripe size (BlobCR-app, %d instances) — the 256 KiB trade-off" n)
     ~x_label:"stripe (KiB)" ~y_label:"time (s)" [ ckpt; restart ]
 
-let replication (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let replication (scale : Scale.t) ~progress =
   let combo = Option.get (Combos.find "BlobCR-app") in
   let n = mid_n scale in
   let ckpt = Stats.series "checkpoint (s)" and storage = Stats.series "storage (MB)" in
@@ -93,7 +93,7 @@ let replication (scale : Scale.t) ?(progress = fun _ -> ()) () =
     ~x_label:"replicas" ~y_label:"checkpoint cost" [ ckpt; storage ]
 
 (* Incremental COMMIT vs re-pushing the whole local image each round. *)
-let incremental (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let incremental (scale : Scale.t) ~progress =
   let rounds = scale.Scale.successive_checkpoints in
   let run ~taint label =
     let cluster = Cluster.build ~seed:scale.Scale.seed ~schedule:scale.Scale.schedule scale.Scale.cal in

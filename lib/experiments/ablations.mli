@@ -15,17 +15,17 @@
 
 open Simcore
 
-val prefetch : Scale.t -> ?progress:(string -> unit) -> unit -> Stats.table
+val prefetch : Scale.t -> progress:(string -> unit) -> Stats.table
 (** Restart completion time vs instance count, prefetcher enabled/disabled,
     BlobCR-app. *)
 
-val stripe_size : Scale.t -> ?progress:(string -> unit) -> unit -> Stats.table
+val stripe_size : Scale.t -> progress:(string -> unit) -> Stats.table
 (** Checkpoint and restart time at a fixed instance count across stripe
     sizes (64 KiB … 1 MiB). *)
 
-val replication : Scale.t -> ?progress:(string -> unit) -> unit -> Stats.table
+val replication : Scale.t -> progress:(string -> unit) -> Stats.table
 (** Checkpoint time and storage at replication factor 1–3. *)
 
-val incremental : Scale.t -> ?progress:(string -> unit) -> unit -> Stats.table
+val incremental : Scale.t -> progress:(string -> unit) -> Stats.table
 (** Successive-checkpoint times with incremental commits vs whole-image
     re-commit. *)

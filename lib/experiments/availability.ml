@@ -24,7 +24,7 @@ let iters_per_unit = 1
 let unit_time (scale : Scale.t) =
   float_of_int iters_per_unit *. scale.Scale.cm1_config.Cm1.compute_per_iteration
 
-let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~kind ~mtbf ~interval () =
+let run_point (scale : Scale.t) ~progress ~kind ~mtbf ~interval =
   (* Chunk replication 3+ (BlobSeer's usual degree) so snapshots survive a
      crashed node's co-located provider plus one more provider fail-stop —
      the paper's repository is built for exactly this. *)
@@ -99,7 +99,7 @@ let sweep (scale : Scale.t) ~progress =
               progress
                 (Fmt.str "availability: %s mtbf=%g interval=%d" (Approach.kind_name kind)
                    mtbf interval);
-              run_point scale ~progress ~kind ~mtbf ~interval ())
+              run_point scale ~progress ~kind ~mtbf ~interval)
             scale.Scale.availability_intervals)
         scale.Scale.availability_mtbfs)
     kinds
@@ -130,7 +130,7 @@ let series_order (k1, m1) (k2, m2) =
   let rank k = Option.get (List.find_index (( = ) k) kinds) in
   match Int.compare (rank k1) (rank k2) with 0 -> Float.compare m1 m2 | c -> c
 
-let tables (scale : Scale.t) ?(progress = ignore) () =
+let tables (scale : Scale.t) ~progress =
   let points = sweep scale ~progress in
   let table name ~title ~y_label y =
     ( name,

@@ -32,7 +32,7 @@ val sweep : Scale.t -> progress:(string -> unit) -> point list
     fresh cluster seeded from the scale (same scale ⇒ same failure
     timeline ⇒ same results). Test-only: a test rig hook. *)
 
-val tables : Scale.t -> ?progress:(string -> unit) -> unit -> (string * Stats.table) list
+val tables : Scale.t -> progress:(string -> unit) -> (string * Stats.table) list
 (** Named result tables: ["availability"] (utilization),
     ["availability-wasted"], ["availability-recovery"],
     ["availability-youngs"]. *)

@@ -65,8 +65,7 @@ let bs_harness (scale : Scale.t) ?policy ?(with_faults = fun _ _ -> None) ~depth
         Option.map
           (fun policy ->
             Blobseer.Compactor.create service ~home:cluster.Cluster.supervisor_host
-              ~config:{ Blobseer.Compactor.policy }
-              ())
+              ~config:{ Blobseer.Compactor.policy })
           policy
       in
       let injector = Option.bind compactor (fun c -> with_faults cluster c) in
@@ -253,7 +252,7 @@ type variant = {
   interference : bool;  (** include in the interference table *)
 }
 
-let run_depth (scale : Scale.t) ?(progress = fun _ -> ()) depth =
+let run_depth (scale : Scale.t) ~progress depth =
   let keep = Blobseer.Retention.Keep_last scale.Scale.chains_keep_last in
   let thin = Blobseer.Retention.Thin_exponential { base = scale.Scale.chains_thin_base } in
   let bs label ?policy () =
@@ -288,9 +287,9 @@ let run_depth (scale : Scale.t) ?(progress = fun _ -> ()) depth =
     q "qcow2 collapse" ~collapse:true ();
   ]
 
-let tables (scale : Scale.t) ?progress () =
+let tables (scale : Scale.t) ~progress =
   let points =
-    List.map (fun depth -> (depth, run_depth scale ?progress depth)) scale.Scale.chains_depths
+    List.map (fun depth -> (depth, run_depth scale ~progress depth)) scale.Scale.chains_depths
   in
   let series ?(only = fun _ -> true) f =
     Stats.group

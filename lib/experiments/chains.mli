@@ -79,7 +79,7 @@ type q_outcome = {
 
 (** {1 Tables} *)
 
-val tables : Scale.t -> ?progress:(string -> unit) -> unit -> (string * Simcore.Stats.table) list
+val tables : Scale.t -> progress:(string -> unit) -> (string * Simcore.Stats.table) list
 (** The sweep: chain depth x maintenance on/off across both sides.
     Returns [chains-restart] (restart seconds vs depth),
     [chains-readamp] (read amplification vs depth), [chains-reclaimed]

@@ -36,7 +36,7 @@ let run_point (scale : Scale.t) ~(combo : Combos.t) ~vms =
         snapshot_bytes;
       })
 
-let sweep (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let sweep (scale : Scale.t) ~progress =
   List.concat_map
     (fun combo ->
       List.map

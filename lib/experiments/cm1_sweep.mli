@@ -18,6 +18,6 @@ val run_point : Scale.t -> combo:Combos.t -> vms:int -> point
 (** One CM1 run on a fresh cluster: deploy [vms] instances, warm up,
     checkpoint once. *)
 
-val sweep : Scale.t -> ?progress:(point -> unit) -> unit -> point list
+val sweep : Scale.t -> progress:(point -> unit) -> point list
 (** The full grid: every disk-only combo ({!Combos.disk_only}) × the
     scale's VM counts. *)

@@ -118,7 +118,7 @@ let run_point (scale : Scale.t) ~dedup ~workload ~instances () =
         image_digest;
       })
 
-let run (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let run (scale : Scale.t) ~progress =
   let instances = max 2 (List.fold_left min max_int scale.Scale.cm1_vm_counts) in
   List.concat_map
     (fun workload ->

@@ -23,7 +23,7 @@ type point = {
   image_digest : int64;  (** combined digest of every restored dirty region *)
 }
 
-val run : Scale.t -> ?progress:(string -> unit) -> unit -> point list
+val run : Scale.t -> progress:(string -> unit) -> point list
 (** One point per (workload × dedup on/off). *)
 
 val tables_of : point list -> (string * Stats.table) list

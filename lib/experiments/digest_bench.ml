@@ -99,7 +99,7 @@ let run_point (scale : Scale.t) ~image_bytes ~fraction ~dedup ~digest_cache () =
 let configs = [ (true, true); (false, true); (true, false) ]
 let fractions = [ 0.1; 0.5; 1.0 ]
 
-let run (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let run (scale : Scale.t) ~progress =
   List.concat_map
     (fun image_bytes ->
       List.concat_map

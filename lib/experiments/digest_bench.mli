@@ -24,7 +24,7 @@ type point = {
   suppressed_bytes : int;
 }
 
-val run : Scale.t -> ?progress:(string -> unit) -> unit -> point list
+val run : Scale.t -> progress:(string -> unit) -> point list
 (** One point per (image size x dirty fraction x config); configs are
     dedup on/off with the digest cache on, plus dedup-on/cache-off. *)
 

@@ -38,8 +38,8 @@ let default_crash_at (scale : Scale.t) ~interval =
   (float_of_int interval *. scale.Scale.cm1_config.Cm1.compute_per_iteration)
   +. Blobseer.Replicator.default_config.Blobseer.Replicator.ship_delay +. 0.6
 
-let dr_run (scale : Scale.t) ?(config = Blobseer.Replicator.default_config) ?crash_at
-    ?(interval = 2) ?(gang = 2) ?(units = 6) () =
+let dr_run (scale : Scale.t) ?(config = Blobseer.Replicator.default_config) ?crash_at ~interval
+    ~gang ~units () =
   let cluster =
     Cluster.build ~seed:scale.Scale.seed ~schedule:scale.Scale.schedule ~dr:config
       scale.Scale.cal
@@ -146,8 +146,7 @@ type point = {
           control's mean at the same positions: (cost / control − 1) × 100 *)
 }
 
-let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~link_latency ~window ~interval
-    ~control () =
+let run_point (scale : Scale.t) ~progress ~link_latency ~window ~interval ~control =
   let config =
     { Blobseer.Replicator.default_config with link_latency; window }
   in
@@ -185,7 +184,7 @@ let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~link_latency ~window 
     overhead_pct;
   }
 
-let sweep (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let sweep (scale : Scale.t) ~progress =
   List.concat_map
     (fun interval ->
       progress (Fmt.str "dr: control (no standby), interval=%d" interval);
@@ -197,15 +196,15 @@ let sweep (scale : Scale.t) ?(progress = fun _ -> ()) () =
               progress
                 (Fmt.str "dr: link=%gms window=%d interval=%d" (link_latency *. 1000.0)
                    window interval);
-              run_point scale ~progress ~link_latency ~window ~interval ~control ())
+              run_point scale ~progress ~link_latency ~window ~interval ~control)
             scale.Scale.dr_windows)
         scale.Scale.dr_link_latencies)
     scale.Scale.dr_intervals
 
 let series_label latency interval = Fmt.str "link=%gms int=%d" (latency *. 1000.0) interval
 
-let tables (scale : Scale.t) ?progress () =
-  let points = sweep scale ?progress () in
+let tables (scale : Scale.t) ~progress =
+  let points = sweep scale ~progress in
   let table name ~title ~y_label y =
     ( name,
       Simcore.Stats.table ~title ~x_label:"window" ~y_label

@@ -42,9 +42,9 @@ val dr_run :
   Scale.t ->
   ?config:Blobseer.Replicator.config ->
   ?crash_at:float ->
-  ?interval:int ->
-  ?gang:int ->
-  ?units:int ->
+  interval:int ->
+  gang:int ->
+  units:int ->
   unit ->
   outcome
 (** One supervised run on a fresh two-site cluster seeded from the scale,
@@ -53,7 +53,7 @@ val dr_run :
     same outcome, byte for byte. *)
 
 val tables :
-  Scale.t -> ?progress:(string -> unit) -> unit -> (string * Simcore.Stats.table) list
+  Scale.t -> progress:(string -> unit) -> (string * Simcore.Stats.table) list
 (** Named result tables: ["dr-rpo"] (versions lost vs window),
     ["dr-rpo-units"] (work units rolled back), ["dr-rto"] (failover
     latency), ["dr-lag"] (lag high-water mark) and ["dr-overhead"]

@@ -93,8 +93,7 @@ type point = {
   checkpoint_cost : float;
 }
 
-let run_point (scale : Scale.t) ?(progress = fun _ -> ()) ~corrupt_weight ~replication
-    ~scrub_interval () =
+let run_point (scale : Scale.t) ~progress ~corrupt_weight ~replication ~scrub_interval =
   let horizon =
     (float_of_int scale.Scale.durability_units
     *. scale.Scale.cm1_config.Cm1.compute_per_iteration *. 3.0)
@@ -156,14 +155,14 @@ let sweep (scale : Scale.t) ~progress =
               progress
                 (Fmt.str "durability: r=%d scrub=%gs corrupt-weight=%d" replication
                    scrub_interval corrupt_weight);
-              run_point scale ~progress ~corrupt_weight ~replication ~scrub_interval ())
+              run_point scale ~progress ~corrupt_weight ~replication ~scrub_interval)
             scale.Scale.durability_corrupt_weights)
         scale.Scale.durability_scrub_intervals)
     scale.Scale.durability_replications
 
 let series_label r interval = Fmt.str "r=%d scrub=%gs" r interval
 
-let tables (scale : Scale.t) ?(progress = ignore) () =
+let tables (scale : Scale.t) ~progress =
   let points = sweep scale ~progress in
   let table name ~title ~y_label y =
     ( name,

@@ -74,7 +74,7 @@ val sweep : Scale.t -> progress:(string -> unit) -> point list
 (** The (corruption weight × replication × scrub interval) grid taken from
     the scale's durability axes. Test-only: a test rig hook. *)
 
-val tables : Scale.t -> ?progress:(string -> unit) -> unit -> (string * Simcore.Stats.table) list
+val tables : Scale.t -> progress:(string -> unit) -> (string * Simcore.Stats.table) list
 (** Named result tables: ["durability"] (restart success),
     ["durability-repair"] (repair traffic), ["durability-failover"]
     (client checksum failovers), ["durability-overhead"] (mean committed

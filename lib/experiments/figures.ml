@@ -12,11 +12,9 @@ let pp_point (p : Synthetic_sweep.point) =
     p.combo.Combos.label p.n p.checkpoint_time p.restart_time
     (Size.to_string (int_of_float p.snapshot_bytes))
 
-let fig2_3 scale ~buffer ~tag ?(progress = fun _ -> ()) () =
+let fig2_3 scale ~buffer ~tag ~progress =
   let points =
-    Synthetic_sweep.sweep scale ~buffer
-      ~progress:(fun p -> progress (pp_point p))
-      ()
+    Synthetic_sweep.sweep scale ~buffer ~progress:(fun p -> progress (pp_point p))
   in
   let buffer_label = Size.to_string buffer in
   let ckpt =
@@ -41,7 +39,7 @@ let fig2_3 scale ~buffer ~tag ?(progress = fun _ -> ()) () =
   in
   (ckpt, restart)
 
-let fig4 (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let fig4 (scale : Scale.t) ~progress =
   let points =
     List.concat_map
       (fun buffer ->
@@ -61,7 +59,7 @@ let fig4 (scale : Scale.t) ?(progress = fun _ -> ()) () =
        ~y:(fun (_, p) -> p.Synthetic_sweep.snapshot_bytes /. mib)
        points)
 
-let fig5 (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let fig5 (scale : Scale.t) ~progress =
   let rounds = scale.Scale.successive_checkpoints in
   let results =
     List.map
@@ -109,8 +107,8 @@ let pp_cm1_point (p : Cm1_sweep.point) =
     p.combo.Combos.label p.vms p.processes p.checkpoint_time
     (Size.to_string (int_of_float p.snapshot_bytes))
 
-let fig6 scale ?(progress = fun _ -> ()) () =
-  let points = Cm1_sweep.sweep scale ~progress:(fun p -> progress (pp_cm1_point p)) () in
+let fig6 scale ~progress =
+  let points = Cm1_sweep.sweep scale ~progress:(fun p -> progress (pp_cm1_point p)) in
   Stats.table ~title:"Figure 6: CM1 checkpoint performance" ~x_label:"processes"
     ~y_label:"time (s)"
     (by_combo
@@ -119,7 +117,7 @@ let fig6 scale ?(progress = fun _ -> ()) () =
        ~y:(fun p -> p.Cm1_sweep.checkpoint_time)
        points)
 
-let table1 (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let table1 (scale : Scale.t) ~progress =
   let vms = List.hd scale.Scale.cm1_vm_counts in
   let columns =
     List.map

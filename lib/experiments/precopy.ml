@@ -99,7 +99,7 @@ let run_point (scale : Scale.t) ~interval ~dirty_mbps ~rounds ~mode () =
            else 0.0);
       })
 
-let run (scale : Scale.t) ?(progress = fun _ -> ()) () =
+let run (scale : Scale.t) ~progress =
   List.concat_map
     (fun interval ->
       List.concat_map

@@ -35,7 +35,7 @@ val run_point :
     ["live-bg"]; [rounds] is the pre-copy budget (ignored for ["stw"]).
     Test-only: a test rig hook. *)
 
-val run : Scale.t -> ?progress:(string -> unit) -> unit -> point list
+val run : Scale.t -> progress:(string -> unit) -> point list
 (** The full grid from the scale's precopy axes: one stop-the-world anchor
     per (interval, dirty-rate) cell plus both live modes across the
     pre-copy round budgets. *)

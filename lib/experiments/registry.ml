@@ -27,15 +27,13 @@ let points_document (scale : Scale.t) point_json points =
 
 (* An experiment that yields raw points: its tables and its points
    document both come from one run. *)
-let with_points (run : Scale.t -> ?progress:(string -> unit) -> unit -> 'p list) tables_of
+let with_points (run : Scale.t -> progress:(string -> unit) -> 'p list) tables_of
     point_json scale ~progress =
-  let points = run scale ~progress () in
+  let points = run scale ~progress in
   { tables = tables_of points; points = Some (points_document scale point_json points) }
 
 let fig2_3 tag buffer_of scale ~progress =
-  let ckpt, restart =
-    Figures.fig2_3 scale ~buffer:(buffer_of scale) ~tag ~progress ()
-  in
+  let ckpt, restart = Figures.fig2_3 scale ~buffer:(buffer_of scale) ~tag ~progress in
   [ ("fig2" ^ tag, ckpt); ("fig3" ^ tag, restart) ]
 
 let small (s : Scale.t) = s.Scale.buffer_small
@@ -62,7 +60,7 @@ let all =
       id = "fig4";
       paper_ref = "Figure 4";
       description = "Snapshot size per VM instance, 50 MB and 200 MB buffers";
-      run = (fun scale ~progress -> tables_only [ ("fig4", Figures.fig4 scale ~progress ()) ]);
+      run = (fun scale ~progress -> tables_only [ ("fig4", Figures.fig4 scale ~progress) ]);
     };
     {
       id = "fig5a";
@@ -72,21 +70,21 @@ let all =
          and cumulative storage";
       run =
         (fun scale ~progress ->
-          let times, storage = Figures.fig5 scale ~progress () in
+          let times, storage = Figures.fig5 scale ~progress in
           tables_only [ ("fig5a", times); ("fig5b", storage) ]);
     };
     {
       id = "fig6";
       paper_ref = "Figure 6";
       description = "CM1 checkpoint completion time for an increasing number of processes";
-      run = (fun scale ~progress -> tables_only [ ("fig6", Figures.fig6 scale ~progress ()) ]);
+      run = (fun scale ~progress -> tables_only [ ("fig6", Figures.fig6 scale ~progress) ]);
     };
     {
       id = "table1";
       paper_ref = "Table 1";
       description = "CM1 per disk snapshot size";
       run =
-        (fun scale ~progress -> tables_only [ ("table1", Figures.table1 scale ~progress ()) ]);
+        (fun scale ~progress -> tables_only [ ("table1", Figures.table1 scale ~progress) ]);
     };
     {
       id = "availability";
@@ -94,7 +92,7 @@ let all =
       description =
         "Effective utilization, wasted work and recovery latency for supervised CM1 \
          under injected host/provider faults, MTBF x checkpoint-interval sweep";
-      run = (fun scale ~progress -> tables_only (Availability.tables scale ~progress ()));
+      run = (fun scale ~progress -> tables_only (Availability.tables scale ~progress));
     };
     {
       id = "durability";
@@ -103,7 +101,7 @@ let all =
         "Restart success, scrub repair traffic and checkpoint overhead for supervised CM1 \
          under silent replica corruption, corruption-weight x replication x scrub-interval \
          sweep";
-      run = (fun scale ~progress -> tables_only (Durability.tables scale ~progress ()));
+      run = (fun scale ~progress -> tables_only (Durability.tables scale ~progress));
     };
     {
       id = "dr";
@@ -112,7 +110,7 @@ let all =
         "RPO/RTO, replication lag and primary checkpoint overhead for supervised CM1 on a \
          geo-replicated repository with a scripted primary-site disaster, link-latency x \
          checkpoint-interval x window sweep";
-      run = (fun scale ~progress -> tables_only (Dr.tables scale ~progress ()));
+      run = (fun scale ~progress -> tables_only (Dr.tables scale ~progress));
     };
     {
       id = "dedup";
@@ -139,7 +137,7 @@ let all =
         "Restart latency, read amplification, reclaimed bytes and foreground interference \
          across snapshot-chain depths: BlobSeer retention/compaction vs qcow2 delta chains \
          with and without collapse";
-      run = (fun scale ~progress -> tables_only (Chains.tables scale ~progress ()));
+      run = (fun scale ~progress -> tables_only (Chains.tables scale ~progress));
     };
     {
       id = "precopy";
@@ -156,7 +154,7 @@ let all =
       description = "Restart time with adaptive prefetching enabled vs disabled";
       run =
         (fun scale ~progress ->
-          tables_only [ ("abl-prefetch", Ablations.prefetch scale ~progress ()) ]);
+          tables_only [ ("abl-prefetch", Ablations.prefetch scale ~progress) ]);
     };
     {
       id = "abl-stripe";
@@ -164,7 +162,7 @@ let all =
       description = "Checkpoint/restart time across BlobSeer stripe sizes";
       run =
         (fun scale ~progress ->
-          tables_only [ ("abl-stripe", Ablations.stripe_size scale ~progress ()) ]);
+          tables_only [ ("abl-stripe", Ablations.stripe_size scale ~progress) ]);
     };
     {
       id = "abl-replication";
@@ -172,7 +170,7 @@ let all =
       description = "Checkpoint cost of chunk replication factors 1-3";
       run =
         (fun scale ~progress ->
-          tables_only [ ("abl-replication", Ablations.replication scale ~progress ()) ]);
+          tables_only [ ("abl-replication", Ablations.replication scale ~progress) ]);
     };
     {
       id = "abl-incremental";
@@ -180,7 +178,7 @@ let all =
       description = "Incremental COMMIT vs whole-image re-commit across successive checkpoints";
       run =
         (fun scale ~progress ->
-          tables_only [ ("abl-incremental", Ablations.incremental scale ~progress ()) ]);
+          tables_only [ ("abl-incremental", Ablations.incremental scale ~progress) ]);
     };
   ]
 

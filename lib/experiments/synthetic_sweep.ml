@@ -76,7 +76,7 @@ let run_point (scale : Scale.t) ~(combo : Combos.t) ~n ~buffer =
         storage_bytes = Approach.storage_total cluster;
       })
 
-let sweep (scale : Scale.t) ~buffer ?(progress = fun _ -> ()) () =
+let sweep (scale : Scale.t) ~buffer ~progress =
   List.concat_map
     (fun combo ->
       List.map

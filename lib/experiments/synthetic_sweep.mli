@@ -23,7 +23,7 @@ val run_point : Scale.t -> combo:Combos.t -> n:int -> buffer:int -> point
 (** One checkpoint/restart cycle on a fresh cluster with [n] instances and
     a [buffer]-byte application state each. *)
 
-val sweep : Scale.t -> buffer:int -> ?progress:(point -> unit) -> unit -> point list
+val sweep : Scale.t -> buffer:int -> progress:(point -> unit) -> point list
 (** {!run_point} over every combo ({!Combos.all}) × the scale's instance
     counts. *)
 

@@ -40,7 +40,7 @@ and t = {
   mutable next_start : int;
 }
 
-let deploy engine net ?(params = default_params) ~metadata_host ~io_servers () =
+let deploy engine net ~params ~metadata_host ~io_servers =
   if io_servers = [] then invalid_arg "Pvfs.deploy: no I/O servers";
   let mk (shost, sdisk) =
     {

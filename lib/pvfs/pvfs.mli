@@ -34,10 +34,9 @@ val default_params : params
 val deploy :
   Engine.t ->
   Net.t ->
-  ?params:params ->
+  params:params ->
   metadata_host:Net.host ->
   io_servers:(Net.host * Disk.t) list ->
-  unit ->
   t
 (** Stand up a deployment: one metadata server plus an I/O server per
     [(host, disk)] pair. *)

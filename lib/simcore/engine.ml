@@ -361,7 +361,6 @@ module Ivar = struct
             | Ifull v -> ignore (resume v)
             | Iempty waiters -> iv.istate <- Iempty (resume :: waiters))
 
-  let peek iv = match iv.istate with Ifull v -> Some v | Iempty _ -> None
   let is_filled iv = match iv.istate with Ifull _ -> true | Iempty _ -> false
 end
 
@@ -469,7 +468,4 @@ module Semaphore = struct
         Printexc.raise_with_backtrace exn bt
 
   let available s = s.count
-
-  let waiting s =
-    Queue.fold (fun acc _ -> acc + 1) 0 s.waiters
 end

@@ -180,11 +180,13 @@ module Group : sig
   type t
 
   val create : unit -> t
+  (** An empty group. *)
+
   val cancel : engine -> t -> unit
   (** Cancel every member fiber (idempotent). *)
 
   val live : t -> int
-  (** Number of member fibers not yet finished. *)
+  (** Number of member fibers not yet finished. Test-only: an observer. *)
 end
 
 module Fiber : sig
@@ -201,7 +203,10 @@ module Fiber : sig
       inside or outside a fiber. *)
 
   val name : t -> string
+  (** The name given at {!spawn} (default ["fiber"]). *)
+
   val id : t -> int
+  (** A number unique to the fiber within its engine. *)
 
   val cancel : t -> unit
   (** Request cancellation. If the fiber is blocked, it is resumed with
@@ -211,6 +216,8 @@ module Fiber : sig
       wakes anything nor moves {!now}. *)
 
   val is_finished : t -> bool
+  (** Whether the fiber has completed, failed or been cancelled.
+      Test-only: an observer. *)
 
   val await : t -> outcome
   (** Block until the fiber finishes and return how it finished. *)
@@ -232,6 +239,7 @@ module Ivar : sig
   type 'a t
 
   val create : engine -> 'a t
+  (** An empty ivar. *)
 
   val fill : 'a t -> 'a -> unit
   (** Wakes all readers. Raises [Invalid_argument] if already filled. *)
@@ -239,8 +247,8 @@ module Ivar : sig
   val read : 'a t -> 'a
   (** Block until filled, then return the value. *)
 
-  val peek : 'a t -> 'a option
   val is_filled : 'a t -> bool
+  (** Whether {!fill} has run. *)
 end
 
 module Mailbox : sig
@@ -250,12 +258,19 @@ module Mailbox : sig
   type 'a t
 
   val create : engine -> 'a t
+  (** An empty mailbox. *)
+
   val send : 'a t -> 'a -> unit
+  (** Enqueue a message, handing it to the oldest live receiver if any.
+      Never blocks. *)
+
   val recv : 'a t -> 'a
   (** Block until a message is available. Messages are delivered in FIFO
       order; competing receivers are served in arrival order. *)
 
   val length : 'a t -> int
+  (** Number of messages queued and not yet received. Test-only: an
+      observer. *)
 end
 
 module Semaphore : sig
@@ -266,6 +281,8 @@ module Semaphore : sig
   type t
 
   val create : engine -> int -> t
+  (** A semaphore holding the given number of tokens (at least 0). *)
+
   val acquire : t -> unit
   (** Take a token, blocking until one is free. Waiters are served in
       arrival order. *)
@@ -277,9 +294,11 @@ module Semaphore : sig
       {!continue_now}, it must be the last action of a callback. *)
 
   val release : t -> unit
+  (** Return a token, waking the oldest waiter if any. *)
+
   val with_held : t -> (unit -> 'a) -> 'a
   (** Acquire, run, release (also on exception). *)
 
   val available : t -> int
-  val waiting : t -> int
+  (** Number of free tokens. Test-only: an observer. *)
 end

@@ -108,7 +108,6 @@ let to_csv t =
   Buffer.contents buf
 
 let write_csv ~dir ~name t =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir (name ^ ".csv") in
   let oc = open_out path in
   Fun.protect

@@ -43,7 +43,7 @@ val to_csv : table -> string
     Test-only: shows tests what {!write_csv} writes. *)
 
 val write_csv : dir:string -> name:string -> table -> string
-(** Write [to_csv] under [dir] (created if missing); returns the path. *)
+(** Write [to_csv] under [dir], which must exist; returns the path. *)
 
 (** Basic descriptive statistics used by tests and the experiments. *)
 

@@ -190,14 +190,32 @@ let test_lint_unused_option () =
     \  both : int;\n\
      }\n\n\
      val default : config\n\
-     (** The defaults. *)\n";
+     (** The defaults. *)\n\n\
+     val every : ?always:int -> unit -> int\n\
+     (** Every caller passes [~always]. *)\n\n\
+     val forwarded : ?always:int -> unit -> int\n\
+     (** Its own module forwards [?always]. *)\n\n\
+     val handed : ?opt:int -> unit -> int\n\
+     (** Its own module hands it on as a value. *)\n\n\
+     module N : sig\n\
+    \  val k : ?nested:int -> unit -> int\n\
+    \  (** Nested; no caller passes [?nested]. *)\n\
+     end\n";
+  write "lib/a/alpha.ml"
+    "let forwarded ?(always = 0) () = always\n\
+     let wrap ?always () = forwarded ?always ()\n\
+     let handed ?(opt = 0) () = opt\n\
+     let hand_on run = run ()\n\
+     let via = hand_on handed\n";
   write "lib/b/beta.ml"
     "let apply k = k ~as_value:1 ()\n\
      let x = Alpha.f ~used:1 () + Alpha.g () + apply Alpha.h\n\
-     let c = { Alpha.default with both = 2 }\n";
+     let c = { Alpha.default with both = 2 }\n\
+     let e = Alpha.every ~always:1 () + Alpha.handed () + Alpha.N.k ()\n";
   write "test/t.ml"
     "let z = Alpha.f ~tested:1 () + Alpha.g ~tagged:1 ()\n\
-     let c = { Alpha.default with Alpha.only_tests = 3; both = 4 }\n";
+     let c = { Alpha.default with Alpha.only_tests = 3; both = 4 }\n\
+     let e = Alpha.every ~always:2 () + Alpha.forwarded ~always:3 ()\n";
   let found =
     List.filter_map
       (fun (f : Lint.finding) ->
@@ -205,12 +223,16 @@ let test_lint_unused_option () =
       (Lint.scan_tree ~root [ "lib" ])
   in
   Alcotest.(check (list string))
-    "an unpassed option, a test-only option, a test-only field, an unreasoned pragma"
+    "an unpassed option, a test-only option, a test-only field, an unreasoned pragma, an \
+     option every site passes, a nested option; a forward or a value in the own module \
+     passes"
     [
       "2: val Alpha.f: no call site passes ?never";
       "3: val Alpha.f: only tests pass ?tested; state why in a Test-only [?tested]: tag";
       "6: val Alpha.f: no call site passes ?unreasoned";
       "18: field Alpha.config.only_tests is set only by tests";
+      "25: val Alpha.every: every call site passes ~always; its default never runs";
+      "35: val Alpha.N.k: no call site passes ?nested";
     ]
     found
 

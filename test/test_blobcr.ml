@@ -520,7 +520,6 @@ let compact_to_latest cluster =
   let c =
     Compactor.create cluster.Cluster.service ~home:cluster.Cluster.supervisor_host
       ~config:{ Compactor.policy = Retention.Keep_last 1 }
-      ()
   in
   Compactor.scan c;
   Compactor.scan c;

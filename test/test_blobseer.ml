@@ -197,7 +197,7 @@ let make_rig ?(providers = 4) ?(replication = 1) ?(stripe = 1024) () =
   let params = { Types.default_params with stripe_size = stripe; replication } in
   let service =
     Client.deploy engine net ~params ~version_manager_host:vm_host
-      ~provider_manager_host:pm_host ~metadata_hosts:md_hosts ~data_providers:data ()
+      ~provider_manager_host:pm_host ~metadata_hosts:md_hosts ~data_providers:data
   in
   { engine; net; service; client_host }
 
@@ -545,7 +545,7 @@ let make_colocated_rig ?(hosts = 2) ?(providers_per_host = 2) ?(replication = 2)
   let params = { Types.default_params with stripe_size = stripe; replication } in
   let service =
     Client.deploy engine net ~params ~version_manager_host:vm_host
-      ~provider_manager_host:pm_host ~metadata_hosts:md_hosts ~data_providers:data ()
+      ~provider_manager_host:pm_host ~metadata_hosts:md_hosts ~data_providers:data
   in
   { engine; net; service; client_host }
 

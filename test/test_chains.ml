@@ -69,7 +69,7 @@ let make_rig ?(providers = 4) ?(stripe = 100) () =
   let params = { Types.default_params with stripe_size = stripe; replication = 1 } in
   let service =
     Client.deploy engine net ~params ~version_manager_host:vm_host
-      ~provider_manager_host:pm_host ~metadata_hosts:md_hosts ~data_providers:data ()
+      ~provider_manager_host:pm_host ~metadata_hosts:md_hosts ~data_providers:data
   in
   { engine; service; client_host; disks = List.map snd data }
 
@@ -85,7 +85,6 @@ let content tag = String.concat "" (List.init 3 (fun i -> String.make 100 (Char.
 let make_compactor rig ~keep =
   Compactor.create rig.service ~home:rig.client_host
     ~config:{ Compactor.policy = Retention.Keep_last keep }
-    ()
 
 (* A blob with [writes] full-image rewrites of pairwise distinct content:
    versions 1..writes, each owning its own three chunks. *)
@@ -394,7 +393,7 @@ let make_qrig ?(nodes = 3) () =
   let fs =
     Pvfs.deploy qengine net
       ~params:{ Pvfs.default_params with stripe_size = 1024 }
-      ~metadata_host:md_host ~io_servers:(Array.to_list qnodes) ()
+      ~metadata_host:md_host ~io_servers:(Array.to_list qnodes)
   in
   { qengine; fs; qnodes }
 

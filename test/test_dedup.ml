@@ -31,7 +31,7 @@ let make_rig ?(providers = 4) ?(replication = 1) ?(stripe = 100) () =
   let params = { Types.default_params with stripe_size = stripe; replication } in
   let service =
     Client.deploy engine net ~params ~version_manager_host:vm_host
-      ~provider_manager_host:pm_host ~metadata_hosts:md_hosts ~data_providers:data ()
+      ~provider_manager_host:pm_host ~metadata_hosts:md_hosts ~data_providers:data
   in
   { engine; service; client_host }
 
@@ -114,7 +114,7 @@ let test_dedup_disabled_ships_everything () =
   let params = { Types.default_params with stripe_size = 100; replication = 1; dedup = false } in
   let service =
     Client.deploy engine net ~params ~version_manager_host:vm_host
-      ~provider_manager_host:pm_host ~metadata_hosts:md_hosts ~data_providers:data ()
+      ~provider_manager_host:pm_host ~metadata_hosts:md_hosts ~data_providers:data
   in
   let rig2 = { engine; service; client_host } in
   run_rig rig2 (fun () ->
@@ -139,7 +139,6 @@ let compact_to_latest rig =
   let c =
     Compactor.create rig.service ~home:rig.client_host
       ~config:{ Compactor.policy = Retention.Keep_last 1 }
-      ()
   in
   Compactor.scan c;
   Compactor.scan c;

@@ -36,7 +36,7 @@ let make_rig ?(providers = 4) ?(replication = 1) ?(stripe = 256) () =
   let service =
     Client.deploy engine net ~params ~version_manager_host:vm_host
       ~provider_manager_host:pm_host ~metadata_hosts:md_hosts
-      ~data_providers:(Array.to_list data) ()
+      ~data_providers:(Array.to_list data)
   in
   { engine; service; client_host; nodes = data }
 

@@ -37,13 +37,13 @@ let make_rig ?(stripe = 512) () =
   let fs =
     Pvfs.deploy engine net
       ~params:{ Pvfs.default_params with stripe_size = stripe }
-      ~metadata_host:md ~io_servers:(Array.to_list nodes) ()
+      ~metadata_host:md ~io_servers:(Array.to_list nodes)
   in
   let service =
     Client.deploy engine net
       ~params:{ Types.default_params with stripe_size = stripe }
       ~version_manager_host:vmh ~provider_manager_host:pmh ~metadata_hosts:meta
-      ~data_providers:(Array.to_list nodes) ()
+      ~data_providers:(Array.to_list nodes)
   in
   { engine; net; fs; service; nodes }
 

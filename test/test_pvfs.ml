@@ -22,7 +22,7 @@ let make_rig ?(servers = 4) ?(params = { Pvfs.default_params with stripe_size = 
           Disk.create engine ~name:(Fmt.str "iodisk%d" i) () ))
   in
   let client = Net.add_host net ~name:"client" in
-  let fs = Pvfs.deploy engine net ~params ~metadata_host ~io_servers:io () in
+  let fs = Pvfs.deploy engine net ~params ~metadata_host ~io_servers:io in
   { engine; fs; client; disks = List.map snd io }
 
 let run rig f =

@@ -123,13 +123,13 @@ let make_rig ?(nodes = 3) ?(stripe = 1024) () =
     Pvfs.deploy engine net
       ~params:{ Pvfs.default_params with stripe_size = stripe }
       ~metadata_host:md_host
-      ~io_servers:(Array.to_list compute) ()
+      ~io_servers:(Array.to_list compute)
   in
   let service =
     Client.deploy engine net
       ~params:{ Types.default_params with stripe_size = stripe }
       ~version_manager_host:vm_host ~provider_manager_host:pm_host ~metadata_hosts:meta
-      ~data_providers:(Array.to_list compute) ()
+      ~data_providers:(Array.to_list compute)
   in
   { engine; net; fs; service; nodes = compute }
 
